@@ -1,7 +1,10 @@
 """Rigorous verification of the generalized Riemann hypothesis at desk scale.
 
-Interval-certified evaluation of completed Dirichlet L-functions on the
-critical line, sign-change zero location, and zero-count certification.
+Interval-certified samples of completed Dirichlet L-functions on the
+critical line, for every primitive character of a modulus: a lattice and
+group-DFT sampler for large moduli (sampler_largeq) and a dual-grid
+theta/FFT sampler for small ones (sampler_smallq).  Locating zeros from
+sign changes and certifying zero counts are not implemented yet.
 """
 
 __version__ = "0.1.0"

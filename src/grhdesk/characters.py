@@ -129,7 +129,7 @@ def _special_two_tables(alpha: int) -> SpecialTwo:
     return SpecialTwo(alpha, m, (2, half), sign, five)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharMeta:
     """Facts about one character that the samplers and the certifier consume.
 
@@ -196,6 +196,7 @@ class CharGroup:
         for o in self.orders:
             self.exponent = self.exponent * o // math.gcd(self.exponent, o)
         self._unity_cache: dict = {}
+        self._canonical: dict = {}
 
     # -- indices ------------------------------------------------------------
 
@@ -205,6 +206,15 @@ class CharGroup:
 
     def principal(self) -> tuple[int, ...]:
         return tuple(0 for _ in self.orders)
+
+    def canonical(self, idx) -> tuple[int, ...]:
+        """idx as a tuple of ints, one shared object per character.
+
+        CharMeta and the sample grids name characters by this tuple, so
+        the many grids a sweep keeps hold one tuple per character.
+        """
+        idx = tuple(int(v) for v in idx)
+        return self._canonical.setdefault(idx, idx)
 
     def conjugate(self, idx) -> tuple[int, ...]:
         return tuple((-k) % o for k, o in zip(idx, self.orders))
@@ -245,8 +255,11 @@ class CharGroup:
             return ComplexBox.zero(tier)
         return unit_phase(ph, tier)
 
-    def eval_char_batch(self, idx, ns: np.ndarray) -> CVec:
-        """chi(n) for an integer array, as hardware boxes (0 off-units)."""
+    def phase_numerators(self, idx, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched phase_numerator: (c, ok) with chi(n) = e(c / exponent) where ok.
+
+        ok is False where gcd(n, q) > 1 (chi vanishes there; c is 0).
+        """
         ns = np.asarray(ns, dtype=np.int64)
         L = self.exponent
         c = np.zeros(ns.shape, dtype=np.int64)
@@ -265,7 +278,12 @@ class CharGroup:
             ok &= e0 >= 0
             c += idx[pos] * np.where(e0 >= 0, e0, 0) * (L // 2)
             c += idx[pos + 1] * np.where(e1 >= 0, e1, 0) * (L // st.orders[1])
-        c %= L
+        c = np.where(ok, c % L, 0)
+        return c, ok
+
+    def eval_char_batch(self, idx, ns: np.ndarray) -> CVec:
+        """chi(n) for an integer array, as hardware boxes (0 off-units)."""
+        c, ok = self.phase_numerators(idx, ns)
         cos_tab, sin_tab = self._unity_tables()
         re_lo = np.where(ok, cos_tab.lo[c], 0.0)
         re_hi = np.where(ok, cos_tab.hi[c], 0.0)
@@ -283,6 +301,26 @@ class CharGroup:
             ) / L
             tabs = (theta.cos(), theta.sin())
             self._unity_cache["hw"] = tabs
+        return tabs
+
+    def _fixed_unity_tables(self, bits: int):
+        """Fixed-point e(a/q), a < q, and e(c/exponent), c < exponent.
+
+        Returns (shift, q_table, exponent_table), each table as built by
+        _fixed_unit_powers at scale 2^-shift.  The guard bits above `bits`
+        absorb the radius growth of the recurrences and of the phi(q)-term
+        Gauss sum, both O(q^2) units of the last place.
+        """
+        key = ("fixed", bits)
+        tabs = self._unity_cache.get(key)
+        if tabs is None:
+            shift = bits + 2 * self.q.bit_length() + 16
+            tabs = (
+                shift,
+                _fixed_unit_powers(self.q, shift),
+                _fixed_unit_powers(self.exponent, shift),
+            )
+            self._unity_cache[key] = tabs
         return tabs
 
     # -- character attributes -----------------------------------------------
@@ -341,21 +379,33 @@ class CharGroup:
     # -- Gauss sum and root number --------------------------------------------
 
     def gauss_sum(self, idx, bits: int = 160) -> ComplexBox:
-        """tau(chi) = sum chi(a) e(a/q) over a mod q, at big-float precision."""
+        """tau(chi) = sum chi(a) e(a/q) over a mod q, as a bigfloat(bits) box.
+
+        Each term e(c_a/exponent) e(a/q) is the product of two fixed-point
+        table entries at scale 2^-shift, so the sum is exact integer
+        arithmetic at scale 2^-2shift with no transcendental per residue.
+        Its radius is phi(q) times the per-product bound
+
+            |z_c z_a - e(c/L) e(a/q)| <= r_L (1 + r_q/2^shift) + r_q
+
+        (in units of 2^-shift, from |e(.)| = 1), and only the final
+        conversion to bigfloat(bits) rounds, outward.
+        """
+        shift, (q_re, q_im, q_rad), (l_re, l_im, l_rad) = self._fixed_unity_tables(bits)
+        c, ok = self.phase_numerators(idx, np.arange(self.q))
+        units = np.flatnonzero(ok)
+        a_re, a_im = q_re[units], q_im[units]
+        c_re, c_im = l_re[c[units]], l_im[c[units]]
+        re = int(np.dot(c_re, a_re) - np.dot(c_im, a_im))
+        im = int(np.dot(c_re, a_im) + np.dot(c_im, a_re))
+        one = 1 << shift
+        rad = len(units) * (l_rad * (one + q_rad) + q_rad * one)
         tier = bigfloat(bits)
-        q = self.q
-        L = self.exponent
-        acc_re = RealInterval.zero(tier)
-        acc_im = RealInterval.zero(tier)
-        for a in range(1, q):
-            c = self.phase_numerator(idx, a)
-            if c is None:
-                continue
-            fr = Fraction(c, L) + Fraction(a, q)
-            term = unit_phase(fr % 1, tier)
-            acc_re = acc_re + term.re
-            acc_im = acc_im + term.im
-        return ComplexBox(acc_re, acc_im)
+        den = one * one
+        return ComplexBox(
+            RealInterval(Fraction(re - rad, den), Fraction(re + rad, den), tier),
+            RealInterval(Fraction(im - rad, den), Fraction(im + rad, den), tier),
+        )
 
     def root_number(
         self, idx, bits: int = 160, out_tier: PrecisionTier = HARDWARE
@@ -406,7 +456,7 @@ class CharGroup:
             parity=self.parity(idx),
             primitive=primitive,
             epsilon=eps,
-            conjugate=self.conjugate(idx),
+            conjugate=self.canonical(self.conjugate(idx)),
         )
 
 
@@ -437,6 +487,46 @@ def _unimodular_sqrt(z: ComplexBox) -> ComplexBox:
     raise HypothesisViolated(
         "unit box straddles both axes; square-root branch is undetermined"
     )
+
+
+def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """e(k/n) for k = 0..n-1 as integers at scale 2^-shift, with one radius.
+
+    Returns object arrays (re, im) of Python ints and an integer rad with
+    |(re[k] + i im[k]) 2^-shift - e(k/n)| <= rad 2^-shift for every k.
+    The only transcendental is one rigorous bigfloat box for e(1/n); the
+    rest is the recurrence z_{k+1} = round(z_k z_1 / 2^shift), whose error
+    (in units of 2^-shift) obeys
+
+        r_{k+1} <= r_k + r_1 + r_k r_1 / 2^shift + 1,
+
+    the last term covering the round-to-nearest of both parts; it is left
+    out when the product is exact, so exact phases such as e(1/4) stay
+    exact.
+    """
+    one = 1 << shift
+    half = one >> 1
+    box = unit_phase(Fraction(1, n), bigfloat(shift + 8))
+    x1, rx = _fixed_point(box.re, shift)
+    y1, ry = _fixed_point(box.im, shift)
+    r1 = rx + ry
+    re, im = [one], [0]
+    x, y, rad = one, 0, 0
+    for _ in range(1, n):
+        vx, vy = x * x1 - y * y1, x * y1 + y * x1
+        x, y = (vx + half) >> shift, (vy + half) >> shift
+        rad += r1 - ((-rad * r1) >> shift) + (x << shift != vx or y << shift != vy)
+        re.append(x)
+        im.append(y)
+    return np.array(re, dtype=object), np.array(im, dtype=object), rad
+
+
+def _fixed_point(iv: RealInterval, shift: int) -> tuple[int, int]:
+    """Integers (m, r) with iv inside [(m - r) 2^-shift, (m + r) 2^-shift]."""
+    lo = iv.lo_fraction() * (1 << shift)
+    hi = iv.hi_fraction() * (1 << shift)
+    m = round((lo + hi) / 2)
+    return m, math.ceil(max(hi - m, m - lo))
 
 
 @lru_cache(maxsize=64)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -426,7 +425,10 @@ def build_lattice(
     if cache:
         path = _cache_path(cache_dir, t, D, Ncols, M, tier.bits)
         if path.is_file():
-            return load_lattice(path)
+            try:
+                return load_lattice(path, expect=(t, D, Ncols, M, tier.bits))
+            except ValueError:
+                pass  # not the requested lattice, or damaged: rebuilt and overwritten
 
     if workers is None:
         workers = min(os.cpu_count() or 1, 8) if D >= 256 else 1
@@ -438,6 +440,11 @@ def build_lattice(
             (t, D, Ncols, M, tier.bits, lo, min(lo + chunk, D + 1))
             for lo in range(1, D + 1, chunk)
         ]
+        # imported here, not at module level: the process-pool machinery
+        # costs about 2 MB of resident memory that single-process builds
+        # and lattice loads never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_build_rows, tasks):
                 for r, cells in part:
@@ -480,15 +487,24 @@ def save_lattice(lat: HurwitzLattice, path: str | Path, build_bits: int = DEFAUL
     tmp.replace(path)
 
 
-def load_lattice(path: str | Path) -> HurwitzLattice:
+def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattice:
+    """Read a lattice file written by save_lattice.
+
+    With expect = (t, D, Ncols, M, build bits), a file whose header names
+    any other lattice raises ValueError, as does a malformed file.
+    """
     path = Path(path)
     with path.open() as fh:
         magic = fh.readline().strip()
         if magic != _MAGIC:
             raise ValueError(f"not a lattice file: {path}")
         head = fh.readline().split()
+        if len(head) != 5:
+            raise ValueError(f"malformed lattice header in {path}")
         t = float(head[0])
-        D, Ncols, M = int(head[1]), int(head[2]), int(head[3])
+        D, Ncols, M, bits = (int(v) for v in head[1:])
+        if expect is not None and (t, D, Ncols, M, bits) != tuple(expect):
+            raise ValueError(f"{path} holds lattice {(t, D, Ncols, M, bits)}, not {expect}")
         rows = []
         for _ in range(D):
             row = [ComplexBox.from_hex(fh.readline(), HARDWARE) for _ in range(Ncols + 1)]

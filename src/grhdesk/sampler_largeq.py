@@ -8,8 +8,17 @@ character sums over Hurwitz values:
 The Hurwitz values come off the precomputed lattice by Taylor shift, the
 character sums are one group DFT, and the q^(-s) scaling is a single
 interval power; all phi(q) L-values for the modulus drop out of one pass.
-Completion multiplies in the archimedean factor and the unimodular
-constant, then projects the provably real result onto the real axis.
+Completion multiplies in the archimedean factor, which depends on the
+character only through its parity, and the unimodular constant, then
+projects the provably real result onto the real axis.
+
+The samplers keep both shared parts in bounded in-memory LRU caches
+beside the cache of 8 lattices: one table of the phi(q) L-values per
+(q, ordinate), at most 8 tables, and the completion factor per
+(ordinate, parity, q), at most 16 boxes.  Every character of q sampled
+at that ordinate reads the same table, so sample_all costs one pass per
+ordinate, and a per-character sample_range call costs its root number
+and two box products per sample once the table exists.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ DEFAULT_STEP = Fraction(5, 64)
 SAMPLER_BUILD_BITS = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleGrid:
     """Consecutive samples of the completed function on a dyadic grid.
 
@@ -219,19 +228,20 @@ def l_values_at(q: int, lat: HurwitzLattice) -> dict[tuple[int, ...], ComplexBox
 # completion
 
 
-def lambda_box(l: ComplexBox, t: float, meta: CharMeta, q: int) -> ComplexBox:
-    """Pre-projection completed box:
+@lru_cache(maxsize=16)
+def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
+    """The archimedean part of the completion at ordinate t:
 
-        epsilon * (q/pi)^(it/2) Gamma((1/2 + a + it)/2) exp(pi|t|/4) * L.
+        exp(log Gamma((1/2 + a + it)/2) + pi|t|/4 + i (t/2) log(q/pi)),  a = parity.
 
     Assembled in log space: Re log Gamma decays like -pi|t|/4, so adding
     pi|t|/4 before exponentiating keeps magnitudes near 1 and avoids
     overflow at any desk-scale height.  |t| rather than t keeps the
     factor even, so the completed function of a real character is even.
+    It depends on the character only through its parity.
     """
-    a = meta.parity
     z = ComplexBox(
-        RealInterval.from_fraction(Fraction(2 * a + 1, 4), HARDWARE),
+        RealInterval.from_fraction(Fraction(2 * parity + 1, 4), HARDWARE),
         RealInterval.point(t / 2, HARDWARE),
     )
     lg = log_gamma(z)
@@ -241,7 +251,12 @@ def lambda_box(l: ComplexBox, t: float, meta: CharMeta, q: int) -> ComplexBox:
         lg.re + pi * RealInterval.point(abs(t) / 4, HARDWARE),
         lg.im + RealInterval.point(t / 2, HARDWARE) * log_q_pi,
     )
-    return (meta.epsilon * arg.exp()) * l
+    return arg.exp()
+
+
+def lambda_box(l: ComplexBox, t: float, meta: CharMeta, q: int) -> ComplexBox:
+    """Pre-projection completed box, epsilon * completion_factor * L."""
+    return (meta.epsilon * completion_factor(t, meta.parity, q)) * l
 
 
 def lambda_from_l(l: ComplexBox, t: float, meta: CharMeta, q: int) -> RealInterval:
@@ -284,6 +299,43 @@ def _shared_lattice(
     )
 
 
+@lru_cache(maxsize=8)
+def _modulus_table(
+    q: int, t: float, size: int, ncols: int, m: int, bits: int, cache_dir
+) -> dict[tuple[int, ...], ComplexBox]:
+    """L_chi(1/2 + it) for every character mod q, from one l_values_at pass."""
+    lat = _shared_lattice(t, size, ncols, m, bits, cache_dir)
+    return l_values_at(q, lat)
+
+
+def _grids(q, chars, t_lo, t_hi, t_step, size, build_bits, cache_dir) -> list[SampleGrid]:
+    """One SampleGrid per character in chars, all read from the same tables.
+
+    Callers often keep many grids, so each grid shares the caller's step
+    (Fractions are immutable) and holds an exactly sized sample list.
+    """
+    step = t_step if isinstance(t_step, Fraction) else Fraction(t_step)
+    n_start, n_end = _grid_span(t_lo, t_hi, step)
+
+    group = char_group(q)
+    metas = [group.char_meta(char) for char in chars]
+    size = default_lattice_size(q) if size is None else size
+
+    samples = [[None] * (n_end - n_start + 1) for _ in chars]
+    for i, n in enumerate(range(n_start, n_end + 1)):
+        t_fr = step * n
+        t = float(t_fr)
+        if Fraction(t) != t_fr:
+            raise DomainError("grid ordinates must be binary rationals")
+        table = _modulus_table(q, t, size, DEFAULT_NCOLS, DEFAULT_M, build_bits, cache_dir)
+        for char, meta, out in zip(chars, metas, samples):
+            out[i] = lambda_from_l(table[char], t, meta, q)
+    return [
+        SampleGrid(q, char, step, n_start, out, meta)
+        for char, meta, out in zip(chars, metas, samples)
+    ]
+
+
 def sample_range(
     q: int,
     char,
@@ -301,22 +353,35 @@ def sample_range(
     be an exact binary rational so the lattice is keyed by the exact
     ordinate.  Lattices are cached in memory and on disk, so every
     modulus sampled at the same ordinate reuses the same one.
+
+    The first call at a (q, ordinate) pair runs l_values_at once for all
+    phi(q) characters and keeps the L-values in an in-memory table, and
+    the completion factor of each parity is cached beside it; later calls
+    for any character of q at that ordinate read both, so a sample then
+    costs two box products and the realness check, plus the character's
+    root number once per call.  At most 8 tables are kept, least recently
+    used first out; each holds phi(q) boxes, about 0.4 KB per character
+    (0.4 MB at q = 1009).
     """
-    step = Fraction(t_step)
-    n_start, n_end = _grid_span(t_lo, t_hi, step)
-    count = n_end - n_start + 1
+    char = char_group(q).canonical(char)
+    return _grids(q, [char], t_lo, t_hi, t_step, size, build_bits, cache_dir)[0]
 
-    group = char_group(q)
-    char = tuple(int(v) for v in char)
-    meta = group.char_meta(char)
-    size = default_lattice_size(q) if size is None else size
 
-    samples = []
-    for n in range(n_start, n_start + count):
-        t_fr = step * n
-        t = float(t_fr)
-        if Fraction(t) != t_fr:
-            raise DomainError("grid ordinates must be binary rationals")
-        lat = _shared_lattice(t, size, DEFAULT_NCOLS, DEFAULT_M, build_bits, cache_dir)
-        samples.append(lambda_from_l(l_values_at(q, lat)[char], t, meta, q))
-    return SampleGrid(q, char, step, n_start, samples, meta)
+def sample_all(
+    q: int,
+    t_lo,
+    t_hi,
+    t_step: Fraction = DEFAULT_STEP,
+    *,
+    size: int | None = None,
+    build_bits: int = SAMPLER_BUILD_BITS,
+    cache_dir=None,
+) -> dict[tuple[int, ...], SampleGrid]:
+    """sample_range for every primitive character mod q, keyed by index.
+
+    Reads the same per-(q, ordinate) tables as sample_range, so the whole
+    sweep costs one l_values_at pass per ordinate plus phi(q) root numbers.
+    """
+    chars = char_group(q).primitive_indices()
+    grids = _grids(q, chars, t_lo, t_hi, t_step, size, build_bits, cache_dir)
+    return dict(zip(chars, grids))

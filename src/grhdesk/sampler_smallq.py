@@ -54,7 +54,7 @@ def zeta_nine_eighths() -> RealInterval:
     return _ZETA98
 
 
-def _ipow(base: RealInterval, fr: Fraction) -> RealInterval:
+def _frac_pow(base: RealInterval, fr: Fraction) -> RealInterval:
     """base^fr for a positive interval base."""
     return (base.log() * RealInterval.from_fraction(fr, HARDWARE)).exp()
 
@@ -183,7 +183,7 @@ def _theta_value(
 
     scale_fr = Fraction(2 * parity + 1, 2)
     pref = (u * RealInterval.from_fraction(scale_fr)).exp()
-    qpow = _ipow(RealInterval.point(q), Fraction(2 * parity + 1, 4))
+    qpow = _frac_pow(RealInterval.point(q), Fraction(2 * parity + 1, 4))
     factor = (RealInterval.point(2) / qpow)
     return (meta.epsilon * pref) * acc * factor, tail
 
@@ -263,7 +263,7 @@ def alias_bound_fhat(n: int, plan: FftPlan, q: int, parity: int) -> RealInterval
         RealInterval.point(4)
     )
     den = (
-        _ipow(q_iv, Fraction(2 * parity + 1, 4))
+        _frac_pow(q_iv, Fraction(2 * parity + 1, 4))
         * delta.sqrt()
         * (one - (-(pi * RealInterval.from_fraction(plan.A))).exp())
     )
@@ -302,7 +302,7 @@ def _envelope(t_fr: Fraction, q: int, parity: int, eta: float) -> RealInterval:
     rad_base = RealInterval.point(q) / (pi + pi) * RealInterval.from_fraction(
         abs(Fraction(3, 2) + t_fr)
     )
-    rad = _ipow(rad_base, Fraction(5, 16))
+    rad = _frac_pow(rad_base, Fraction(5, 16))
     return zeta_nine_eighths() * pi_pow * gamma_abs * e_eta * rad
 
 
@@ -364,7 +364,7 @@ def dual_samples(
         box, tail = _theta_value(x, q, group, idx, meta, plan.eta, trunc, parity)
         values[n] = box
         alias[n] = alias_bound_fhat(n, plan, q, parity)
-        worst_tail = worst_tail.hull_with(tail)
+        worst_tail = worst_tail.hull(tail)
     for n in range(half + 1, n_total):
         values[n] = values[n_total - n].conj()
         alias[n] = alias[n_total - n]

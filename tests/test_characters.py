@@ -262,6 +262,14 @@ def test_conjugate_involution():
         assert g.conjugate(g.conjugate(idx)) == idx
 
 
+def test_canonical_index_is_one_shared_int_tuple():
+    g = CharGroup(7)
+    first = g.canonical([np.int64(1)])
+    assert first == (1,) and type(first[0]) is int
+    assert g.canonical((1,)) is first
+    assert g.char_meta((5,)).conjugate is first
+
+
 # ---------------------------------------------------------------------------
 # Gauss sums and root numbers
 
@@ -310,6 +318,26 @@ def test_gauss_sum_matches_brute_force():
         ref = brute_gauss_sum(q, g, idx)
         assert tau.re.lo_float() <= float(ref.real) <= tau.re.hi_float(), (q, idx)
         assert tau.im.lo_float() <= float(ref.imag) <= tau.im.hi_float(), (q, idx)
+
+
+def _mp_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(int(man)) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+# one modulus per group shape: odd prime, odd prime power, 4, 8, 2^a, 2^a p
+@pytest.mark.parametrize("q", [11, 27, 4, 8, 32, 24, 20])
+def test_gauss_sum_every_primitive_character_per_group_shape(q):
+    g = CharGroup(q)
+    prims = g.primitive_indices()
+    assert prims
+    for idx in prims:
+        tau = g.gauss_sum(idx)
+        ref = brute_gauss_sum(q, g, idx, prec=300)
+        assert tau.re.contains(_mp_fraction(ref.real)), (q, idx)
+        assert tau.im.contains(_mp_fraction(ref.imag)), (q, idx)
+        assert tau.re.width() < 1e-40 and tau.im.width() < 1e-40, (q, idx)
 
 
 def test_root_number_modulus_one_random_primitives():

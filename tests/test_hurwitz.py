@@ -320,6 +320,40 @@ def test_lattice_disk_cache_hit(tmp_path):
     assert list(tmp_path.iterdir()) == files
 
 
+LATTICE_0 = (0.0, 4, 3, 2, 96)
+
+
+def _assert_rebuilt(path, fresh, tmp_path):
+    again = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    assert load_lattice(path, expect=LATTICE_0).D == 4
+    assert (again.t, again.D, again.Ncols, again.M) == (0.0, 4, 3, 2)
+    for r in range(1, 5):
+        for c in range(4):
+            assert again.cell(r, c).to_hex() == fresh.cell(r, c).to_hex()
+
+
+@pytest.mark.parametrize(
+    "doctored", ["10.0 4 3 2 96", "0.0 4 3 2 64", "0.0 8 3 2 96", "0.0 4 3"]
+)
+def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    lines = path.read_text().splitlines()
+    # the cells stay; a header naming another lattice must not be trusted
+    path.write_text("\n".join([lines[0], doctored, *lines[2:]]) + "\n")
+    with pytest.raises(ValueError):
+        load_lattice(path, expect=LATTICE_0)
+    _assert_rebuilt(path, fresh, tmp_path)
+
+
+def test_lattice_cache_rebuilds_truncated_file(tmp_path):
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5]) + "\n")
+    _assert_rebuilt(path, fresh, tmp_path)
+
+
 def test_load_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.dat"
     p.write_text("something else\n")

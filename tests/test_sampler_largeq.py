@@ -14,13 +14,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from grhdesk import sampler_largeq
 from grhdesk.characters import char_group, unit_phase
 from grhdesk.dft import units_of
 from grhdesk.errors import DomainError, RealnessViolation
-from grhdesk.hurwitz import build_lattice, em_hurwitz, eval_taylor
+from grhdesk.hurwitz import DEFAULT_M, DEFAULT_NCOLS, build_lattice, em_hurwitz, eval_taylor
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
 from grhdesk.sampler_largeq import (
     DEFAULT_STEP,
+    SAMPLER_BUILD_BITS,
     SampleGrid,
     default_lattice_size,
     grid_count,
@@ -28,6 +30,7 @@ from grhdesk.sampler_largeq import (
     lambda_box,
     lambda_from_l,
     q_pow,
+    sample_all,
     sample_range,
     unit_hurwitz,
 )
@@ -305,3 +308,64 @@ def test_sample_range_metadata(tmp_path_factory):
     assert grid.t_step == DEFAULT_STEP and grid.n_start == 0
     assert grid.t_float(1) == 5 / 64
     assert len(grid) == 2
+
+
+# -- shared per-(q, ordinate) tables -----------------------------------------
+
+T_LO, T_HI, STEP = Fraction(1), Fraction(17, 16), Fraction(1, 16)
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("latcache"))
+
+
+def _endpoints(grid):
+    return [(s.lo, s.hi) for s in grid.samples]
+
+
+def _assembled(q, idx, cache):
+    """Per-character reference: l_values_at, char_meta and lambda_from_l only."""
+    group = char_group(q)
+    meta = group.char_meta(idx)
+    out = []
+    for t_fr in (T_LO, T_HI):
+        t = float(t_fr)
+        lat = build_lattice(
+            t, D=16, Ncols=DEFAULT_NCOLS, M=DEFAULT_M,
+            tier=bigfloat(SAMPLER_BUILD_BITS), cache_dir=cache,
+        )
+        s = lambda_from_l(l_values_at(q, lat)[idx], t, meta, q)
+        out.append((s.lo, s.hi))
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 12])
+def test_sample_all_and_sample_range_match_assembly(shared_cache, q):
+    grids = sample_all(q, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
+    assert set(grids) == set(char_group(q).primitive_indices())
+    for idx, grid in grids.items():
+        ref = _assembled(q, idx, shared_cache)
+        one = sample_range(q, idx, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
+        assert grid.character == one.character == idx
+        assert grid.meta.parity == one.meta.parity
+        assert _endpoints(grid) == _endpoints(one) == ref, (q, idx)
+
+
+def test_alternating_moduli_read_their_own_tables(shared_cache):
+    calls = [(5, (1,)), (7, (1,)), (5, (2,)), (7, (3,)), (5, (3,)), (7, (2,))]
+
+    def run(order):
+        return {
+            op: _endpoints(
+                sample_range(op[0], op[1], T_LO, T_LO, STEP, size=16, cache_dir=shared_cache)
+            )
+            for op in order
+        }
+
+    sampler_largeq._modulus_table.cache_clear()
+    alone = run([op for op in calls if op[0] == 5])
+    sampler_largeq._modulus_table.cache_clear()
+    alone.update(run([op for op in calls if op[0] == 7]))
+    sampler_largeq._modulus_table.cache_clear()
+    assert run(calls) == alone
