@@ -6,8 +6,9 @@ Three evaluation paths, stacked bottom to top:
   with the truncation remainder enclosed as an interval, at either
   precision tier;
 * ``build_lattice`` — a precomputed grid of tail values
-  zeta_M(1/2 + it + c, r/D) along one horizontal line, built at the
-  big-float tier and narrowed to hardware boxes, persisted on disk;
+  zeta_M(1/2 + it + c, r/D) along one horizontal line, built for all
+  rows at once on hardware interval arrays from big-float powers
+  (n + alpha)^{-s}, persisted on disk;
 * ``eval_taylor`` — Taylor-shift queries against that grid for rational
   second arguments a/q, with a geometric bound on the truncated Taylor
   tail and exact restoration of the first M+1 direct terms.
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError, PoleProximity, RadiusViolation
 from .interval import (
     HARDWARE,
@@ -31,11 +34,15 @@ from .interval import (
     bigfloat,
     pi_interval,
 )
+from .ivec import CVec, IVec
 
 DEFAULT_D = 2048
 DEFAULT_NCOLS = 15
 DEFAULT_M = 9
-DEFAULT_BUILD_BITS = 128
+# Precision of the per-row powers (n + alpha)^{-s_0}, the only bigfloat
+# work of a lattice build; the rest of the build and the stored cells are
+# hardware, so more bits barely narrow a cell.
+DEFAULT_BUILD_BITS = 64
 
 _HALF = Fraction(1, 2)
 
@@ -206,143 +213,112 @@ def em_hurwitz_tail(s, alpha, skip: int, params: EMParams | None = None, tier: P
 
 
 # ---------------------------------------------------------------------------
-# shared-logarithm engine for one row, all columns
+# the lattice kernel: every row and column at once
 
 
-def _em_columns(
+def _em_rows(
     t: float,
     base_sigma: Fraction,
-    alpha: RealInterval,
+    alphas: list[Fraction],
     ncols: int,
     a: int,
     b: int,
-) -> list[ComplexBox]:
-    """Enclosures of sum_{n>=0} (n+alpha)^{-(base_sigma+c+it)} for c = 0..ncols.
+    tier: PrecisionTier,
+) -> CVec:
+    """Enclosures of sum_{n>=0} (n+alpha)^{-(base_sigma+c+it)}, shape (rows, ncols+1).
 
-    Column c differs from column c-1 by one extra factor (n+alpha)^{-1},
-    so each direct term costs one complex exponential total plus a real
-    scaling per column.
+    Row i has alpha = alphas[i] > 0, column c = 0..ncols shifts the first
+    argument by c.  This is _em_core's formula with a common truncation
+    (a, b) for all rows.  The only row-dependent transcendentals, the
+    powers (n+alpha)^{-s_0} for n = 0..a (n = a gives A^{-s_0}), are
+    computed at the given bigfloat tier and narrowed to hardware; the
+    row-independent constants 1/(s_c-1), (s_c)_{2k-1} B_2k/(2k)! and the
+    remainder constant are computed once per column at that tier.
+    Everything else runs on hardware interval arrays: column c scales the
+    column c-1 powers by (n+alpha)^{-1}, the direct sum adds term by term,
+    and the remainder radius takes each row's own A = a + alpha.  At
+    t = 0 the values are real and the imaginary parts are set to [0, 0].
     """
-    tier = alpha.tier
-    if alpha.lo_fraction() <= 0:
+    if min(alphas) <= 0:
         raise DomainError("alpha must be strictly positive")
     if base_sigma + 2 * b <= 0:
         raise DomainError("remainder bound needs Re(s) + 2*terms_b > 0")
-    if t == 0.0 and any(base_sigma + c == 1 for c in range(ncols + 1)):
+    if a < 0 or b < 1:
+        raise DomainError("terms_a must be >= 0 and terms_b >= 1")
+    cols = range(ncols + 1)
+    if t == 0.0 and any(base_sigma + c == 1 for c in cols):
         raise PoleProximity("a column coincides with the pole at 1")
-    if t == 0.0:
-        zero = RealInterval.zero(tier)
-        return [
-            ComplexBox(re, zero)
-            for re in _em_columns_real(base_sigma, alpha, ncols, a, b)
-        ]
 
-    cols = range(ncols + 1)
+    # (n + alpha)^{-s_0} at the build tier, and n + alpha on hardware
+    neg_sigma = RealInterval.from_fraction(-base_sigma, tier)
+    neg_t = RealInterval.point(-t, tier)
+    ends = np.empty((6, len(alphas), a + 1))
+    for i, alpha in enumerate(alphas):
+        for n in range(a + 1):
+            lg = RealInterval.from_fraction(alpha + n, tier).log()
+            p = ComplexBox(neg_sigma * lg, neg_t * lg).exp()
+            x = RealInterval.from_fraction(alpha + n)
+            ends[:, i, n] = (
+                p.re.lo_float(), p.re.hi_float(), p.im.lo_float(), p.im.hi_float(),
+                x.lo, x.hi,
+            )
+    power = CVec(IVec(ends[0], ends[1], _checked=True), IVec(ends[2], ends[3], _checked=True))
+    base = IVec(ends[4], ends[5], _checked=True)
+    inv = 1.0 / base
+
+    # the per-column constants, at the build tier
     t_iv = RealInterval.point(t, tier)
-    neg_t = -t_iv
-    s_list = [
-        ComplexBox(RealInterval.from_fraction(base_sigma + c, tier), t_iv) for c in cols
-    ]
-    sigma0 = RealInterval.from_fraction(base_sigma, tier)
-
-    acc = [ComplexBox.zero(tier) for _ in cols]
-    one = RealInterval.one(tier)
-    for n in range(a):
-        base = alpha + n
-        lg = base.log()
-        p = ComplexBox((-sigma0) * lg, neg_t * lg).exp()  # base^{-s_0}
-        inv = one / base
-        for c in cols:
-            if c:
-                p = p * inv
-            acc[c] = acc[c] + p
-
-    A = alpha + a
-    logA = A.log()
-    invA = one / A
-    invA2 = invA.square()
-    half = RealInterval.from_fraction(_HALF, tier)
+    one = ComplexBox.one(tier)
     zu = RealInterval.from_fraction(zeta_upper(2 * b + 1), tier)
     two_pi_pow = _ipow(pi_interval(tier) * 2, 2 * b + 1)
-    coefs = [
+    bern = [
         RealInterval.from_fraction(bernoulli(2 * k) / math.factorial(2 * k), tier)
         for k in range(1, b + 1)
     ]
-
-    out: list[ComplexBox] = []
-    P = ComplexBox((-sigma0) * logA, neg_t * logA).exp()  # A^{-s_0}
+    inv_sm1, coefs, rad_const, sig2b = [], [], [], []
     for c in cols:
-        if c:
-            P = P * invA
-        s = s_list[c]
-        cell = acc[c] + (P * A) / (s - 1) + P * half
-        apow = P * A
-        poch = s
+        s = ComplexBox(RealInterval.from_fraction(base_sigma + c, tier), t_iv)
+        inv_sm1.append(one / (s - 1))
+        poch = s  # (s)_1
         for k in range(1, b + 1):
-            apow = apow * invA2
-            cell = cell + (poch * coefs[k - 1]) * apow
+            coefs.append(poch * bern[k - 1])
             poch = (poch * (s + (2 * k - 1))) * (s + 2 * k)
-        sig2b = s.re + 2 * b
-        rpow = (logA * (-sig2b)).exp()
-        radius = (zu * 2 * poch.abs() * rpow) / (two_pi_pow * sig2b)
-        out.append(cell.pad(radius))
-    return out
+        # poch is now (s)_{2b+1}
+        rad_const.append(((zu * 2 * poch.abs()) / (two_pi_pow * (s.re + 2 * b))).hi_float())
+        sig2b.append(RealInterval.from_fraction(base_sigma + c + 2 * b))
+    inv_sm1 = CVec.from_boxes(inv_sm1)
+    coefs = CVec.from_boxes(coefs).reshape(ncols + 1, b)
 
+    # column c of every power: one more factor (n + alpha)^{-1} per column
+    shape = (len(alphas), a + 1, 1)
+    by_col = [power.reshape(*shape)]
+    for _ in cols[1:]:
+        by_col.append(by_col[-1] * inv.reshape(*shape))
+    terms = CVec.concatenate(by_col, axis=2)
 
-def _em_columns_real(
-    base_sigma: Fraction,
-    alpha: RealInterval,
-    ncols: int,
-    a: int,
-    b: int,
-) -> list[RealInterval]:
-    """Real-argument variant of _em_columns (the t = 0 case)."""
-    tier = alpha.tier
-    cols = range(ncols + 1)
-    sigma0 = RealInterval.from_fraction(base_sigma, tier)
-    s_list = [RealInterval.from_fraction(base_sigma + c, tier) for c in cols]
-
-    acc = [RealInterval.zero(tier) for _ in cols]
-    one = RealInterval.one(tier)
+    P = terms[:, a, :]  # A^{-s_c}
+    A = base[:, a].reshape(-1, 1)
+    apow = P * A  # A^{1-s_c}
+    # each addition widens by a few ulps of its running sum, so the small
+    # parts are summed apart and meet the large P A/(s-1) once, at the end
+    direct = P * 0.5
     for n in range(a):
-        base = alpha + n
-        p = ((-sigma0) * base.log()).exp()
-        inv = one / base
-        for c in cols:
-            if c:
-                p = p * inv
-            acc[c] = acc[c] + p
+        direct = direct + terms[:, n, :]
+    head = apow * inv_sm1
+    invA2 = inv[:, a].square().reshape(-1, 1)
+    apow = apow * invA2  # A^{-1-s_c}
+    tail = apow * coefs[:, 0]
+    for k in range(1, b):
+        apow = apow * invA2  # A^{1-s_c-2k-2}
+        tail = tail + apow * coefs[:, k]
+    cell = (direct + tail) + head
 
-    A = alpha + a
-    logA = A.log()
-    invA = one / A
-    invA2 = invA.square()
-    half = RealInterval.from_fraction(_HALF, tier)
-    zu = RealInterval.from_fraction(zeta_upper(2 * b + 1), tier)
-    two_pi_pow = _ipow(pi_interval(tier) * 2, 2 * b + 1)
-    coefs = [
-        RealInterval.from_fraction(bernoulli(2 * k) / math.factorial(2 * k), tier)
-        for k in range(1, b + 1)
-    ]
-
-    out: list[RealInterval] = []
-    P = ((-sigma0) * logA).exp()
-    for c in cols:
-        if c:
-            P = P * invA
-        s = s_list[c]
-        cell = acc[c] + (P * A) / (s - 1) + P * half
-        apow = P * A
-        poch = s
-        for k in range(1, b + 1):
-            apow = apow * invA2
-            cell = cell + (poch * coefs[k - 1]) * apow
-            poch = (poch * (s + (2 * k - 1))) * (s + 2 * k)
-        sig2b = s + 2 * b
-        rpow = (logA * (-sig2b)).exp()
-        radius = (zu * 2 * poch.abs() * rpow) / (two_pi_pow * sig2b)
-        out.append(cell.pad(radius))
-    return out
+    # remainder: rad_const_c A^{-sigma_c-2b} with each row's own A
+    rpow = (A.log() * -IVec.from_intervals(sig2b)).exp()
+    cell = cell.pad((rpow * np.array(rad_const)).hi)
+    if t == 0.0:
+        cell = CVec(cell.re, IVec.zeros(cell.shape))
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +332,9 @@ class HurwitzLattice:
     Rows r = 1..D hold the offset alpha = r/D (row D is alpha = 1);
     columns c = 0..Ncols shift the first argument by integers.  Each cell
     contains zeta(1/2+it+c, r/D) - sum_{n=0}^{M} (n + r/D)^{-(1/2+it+c)}.
-    Immutable once built; queries only read.
+    build_lattice fills all cells with one _em_rows call, whose only
+    big-float work is the per-row powers; tier is that of the stored
+    boxes (hardware).  Immutable once built; queries only read.
     """
 
     t: float
@@ -382,36 +360,21 @@ class HurwitzLattice:
         )
 
 
-def _build_rows(args) -> list[tuple[int, list[str]]]:
-    t, D, Ncols, M, bits, r_lo, r_hi = args
-    tier = bigfloat(bits)
-    sb = ComplexBox(
-        RealInterval.from_fraction(_HALF, tier), RealInterval.point(t, tier)
-    )
-    out = []
-    for r in range(r_lo, r_hi):
-        alpha = RealInterval.from_fraction(Fraction(r, D) + (M + 1), tier)
-        params = auto_params(sb, alpha, tier)
-        cells = _em_columns(t, _HALF, alpha, Ncols, params.terms_a, params.terms_b)
-        out.append((r, [cell.widen_to(HARDWARE).to_hex() for cell in cells]))
-    return out
-
-
 def build_lattice(
     t: float,
     D: int = DEFAULT_D,
     Ncols: int = DEFAULT_NCOLS,
     M: int = DEFAULT_M,
     tier: PrecisionTier | None = None,
-    workers: int | None = None,
     cache_dir: str | Path | None = None,
     cache: bool = True,
 ) -> HurwitzLattice:
     """Build (or load from cache) the lattice at ordinate t.
 
-    tier is the build tier (big-float); the returned lattice is narrowed
-    to hardware boxes for the query path.  With cache enabled the result
-    is persisted keyed by (t, D, Ncols, M, build bits).
+    tier is the bigfloat tier of the per-row powers (n + alpha)^{-s_0};
+    the rest of the build, and the returned lattice, is hardware.  With
+    cache enabled the result is persisted keyed by (t, D, Ncols, M,
+    build bits).
     """
     t = float(t)
     if D < 2 or Ncols < 2 or M < 0:
@@ -430,32 +393,13 @@ def build_lattice(
             except ValueError:
                 pass  # not the requested lattice, or damaged: rebuilt and overwritten
 
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8) if D >= 256 else 1
-
-    row_hex: dict[int, list[str]] = {}
-    if workers > 1:
-        chunk = max(8, (D + workers * 4 - 1) // (workers * 4))
-        tasks = [
-            (t, D, Ncols, M, tier.bits, lo, min(lo + chunk, D + 1))
-            for lo in range(1, D + 1, chunk)
-        ]
-        # imported here, not at module level: the process-pool machinery
-        # costs about 2 MB of resident memory that single-process builds
-        # and lattice loads never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_build_rows, tasks):
-                for r, cells in part:
-                    row_hex[r] = cells
-    else:
-        for r, cells in _build_rows((t, D, Ncols, M, tier.bits, 1, D + 1)):
-            row_hex[r] = cells
-
-    rows = [
-        [ComplexBox.from_hex(h, HARDWARE) for h in row_hex[r]] for r in range(1, D + 1)
-    ]
+    alphas = [Fraction(r, D) + (M + 1) for r in range(1, D + 1)]
+    sb = ComplexBox(RealInterval.from_fraction(_HALF, tier), RealInterval.point(t, tier))
+    # terms_a falls as alpha grows, so the smallest alpha gives the
+    # largest truncation point over the rows: one a serves them all
+    params = auto_params(sb, RealInterval.from_fraction(alphas[0], tier), tier)
+    cells = _em_rows(t, _HALF, alphas, Ncols, params.terms_a, params.terms_b, tier)
+    rows = [cells[i].to_boxes() for i in range(D)]
     lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, tier=HARDWARE, rows=rows)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -472,7 +416,7 @@ def _cache_path(cache_dir, t: float, D: int, Ncols: int, M: int, bits: int) -> P
     return Path(cache_dir) / name
 
 
-_MAGIC = "hurwitz-lattice 1"
+_MAGIC = "hurwitz-lattice 2"
 
 
 def save_lattice(lat: HurwitzLattice, path: str | Path, build_bits: int = DEFAULT_BUILD_BITS) -> None:

@@ -132,7 +132,7 @@ def _prod_is_exact(a: float, b: float, p: float) -> bool:
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(p)):
         return False
     if a == 0.0 or b == 0.0:
-        return True
+        return p == 0.0
     an, ad = a.as_integer_ratio()
     bn, bd = b.as_integer_ratio()
     pn, pd = p.as_integer_ratio()
@@ -341,9 +341,10 @@ class RealInterval:
         return m
 
     def width(self) -> float:
-        """Upper bound on hi - lo as a double."""
+        """Upper bound on hi - lo as a double (exact when hi - lo is)."""
         if self.tier.kind == "hardware":
-            return _up(self.hi - self.lo)
+            w = self.hi - self.lo
+            return w if _sum_is_exact(self.hi, -self.lo, w) else _up(w)
         w = mpf_sub(self.hi, self.lo, 53, _CEIL)
         return _raw_to_float_dir(w, _CEIL)
 

@@ -33,6 +33,7 @@ from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
 from .errors import DomainError, RealnessViolation
 from .hurwitz import (
+    DEFAULT_BUILD_BITS,
     DEFAULT_D,
     DEFAULT_M,
     DEFAULT_NCOLS,
@@ -53,10 +54,6 @@ from .interval import (
 from .ivec import CVec, IVec
 
 DEFAULT_STEP = Fraction(5, 64)
-
-# Lattices store hardware boxes, so ~1e-19 absolute build accuracy already
-# saturates the stored width; higher build tiers only slow the build down.
-SAMPLER_BUILD_BITS = 64
 
 
 @dataclass(slots=True)
@@ -344,7 +341,7 @@ def sample_range(
     t_step: Fraction = DEFAULT_STEP,
     *,
     size: int | None = None,
-    build_bits: int = SAMPLER_BUILD_BITS,
+    build_bits: int = DEFAULT_BUILD_BITS,
     cache_dir=None,
 ) -> SampleGrid:
     """Grid of completed-value enclosures for one character.
@@ -374,7 +371,7 @@ def sample_all(
     t_step: Fraction = DEFAULT_STEP,
     *,
     size: int | None = None,
-    build_bits: int = SAMPLER_BUILD_BITS,
+    build_bits: int = DEFAULT_BUILD_BITS,
     cache_dir=None,
 ) -> dict[tuple[int, ...], SampleGrid]:
     """sample_range for every primitive character mod q, keyed by index.

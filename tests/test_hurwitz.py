@@ -16,7 +16,7 @@ from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
 from grhdesk.hurwitz import (
     EMParams,
     HurwitzLattice,
-    _em_columns,
+    _em_rows,
     fraction_sqrt_upper,
     auto_params,
     build_lattice,
@@ -198,23 +198,51 @@ def test_em_tail_skip_matches_reference():
 
 
 def test_columns_engine_matches_scalar_path():
-    alpha = RealInterval.from_fraction(Fraction(2, 5), BIG)
-    cols = _em_columns(10.0, Fraction(1, 2), alpha, 4, 40, 24)
-    for c, cell in enumerate(cols):
+    cols = _em_rows(10.0, Fraction(1, 2), [Fraction(2, 5)], 4, 40, 24, BIG)
+    for c in range(5):
         s = ComplexBox(
             RealInterval.from_fraction(Fraction(1, 2) + c, BIG),
             RealInterval.point(10.0, BIG),
         )
-        assert cell.intersects(em_hurwitz(s, Fraction(2, 5)))
+        assert cols[0, c].intersects(em_hurwitz(s, Fraction(2, 5)))
 
 
 def test_columns_engine_real_fast_path_contains():
-    alpha = RealInterval.from_fraction(Fraction(7, 16), BIG)
-    cols = _em_columns(0.0, Fraction(1, 2), alpha, 3, 30, 20)
+    cols = _em_rows(0.0, Fraction(1, 2), [Fraction(7, 16)], 3, 30, 20, BIG)
     for c in range(4):
         fre, fim = hurwitz_ref(Fraction(1, 2) + c, Fraction(7, 16))
-        assert box_contains(cols[c], fre, fim)
-        assert cols[c].im.width() == 0.0
+        assert box_contains(cols[0, c], fre, fim)
+        assert cols[0, c].im.width() == 0.0
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0, 50.0])
+def test_lattice_kernel_contains_oracles_off_dyadic_rows(t):
+    # D = 12: the row offsets r/D are not floats, so every row's powers
+    # and boundary point start from a rounded enclosure of alpha.  Every
+    # cell meets the scalar Euler-Maclaurin oracle (run at the hardware
+    # tier to keep 192 cells per ordinate fast), and row D contains
+    # mpmath's value
+    D, ncols, M = 12, 15, 9
+    lat = build_lattice(t, D=D, Ncols=ncols, M=M, tier=bigfloat(64), cache=False)
+    for r in range(1, D + 1):
+        for c in range(ncols + 1):
+            s = ComplexBox.point(complex(0.5 + c, t), HARDWARE)
+            oracle = em_hurwitz_tail(s, Fraction(r, D), skip=M + 1)
+            assert lat.cell(r, c).intersects(oracle), (t, r, c)
+    for c in range(ncols + 1):
+        with mpmath.workprec(300):
+            s = mpmath.mpf(1) / 2 + c + 1j * mpmath.mpf(t)
+            ref = mpmath.mpc(mpmath.zeta(s) - sum((n + 1) ** (-s) for n in range(M + 1)))
+            fre, fim = mp_fraction(ref.real), mp_fraction(ref.imag)
+        assert box_contains(lat.cell(D, c), fre, fim), (t, c)
+
+
+def test_lattice_kernel_width():
+    # widths are a correctness quantity: the hardware stages of the kernel
+    # leave about 3e-15 at column 0, where the cells are largest
+    lat = build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    for row in lat.rows:
+        assert max(row[0].re.width(), row[0].im.width()) <= 1e-14
 
 
 # -- the lattice -------------------------------------------------------------
@@ -354,6 +382,20 @@ def test_lattice_cache_rebuilds_truncated_file(tmp_path):
     _assert_rebuilt(path, fresh, tmp_path)
 
 
+def test_lattice_cache_rebuilds_version_1_file(tmp_path):
+    # a file written by the version-1 builder is refused even when its
+    # header names the requested lattice, then rebuilt and overwritten
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    header = path.read_text().splitlines()[1]
+    stale = ComplexBox.point(1.0, HARDWARE).to_hex()
+    path.write_text("\n".join(["hurwitz-lattice 1", header] + [stale] * 16) + "\n")
+    with pytest.raises(ValueError):
+        load_lattice(path, expect=LATTICE_0)
+    _assert_rebuilt(path, fresh, tmp_path)
+    assert path.read_text().splitlines()[0] == "hurwitz-lattice 2"
+
+
 def test_load_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.dat"
     p.write_text("something else\n")
@@ -449,8 +491,8 @@ def test_taylor_tail_dominates_brute_terms():
             continue
         if cases % 20:
             continue  # full brute evaluation on a 1-in-20 subsample
-        alpha = RealInterval.from_fraction(Fraction(r, D) + (M + 1), tier)
-        cells = _em_columns(t, Fraction(1, 2) + K, alpha, 49, 28, 18)
+        alpha = Fraction(r, D) + (M + 1)
+        cells = _em_rows(t, Fraction(1, 2) + K, [alpha], 49, 28, 18, tier)
         brute = Fraction(0)
         poch = Fraction(1)
         for j in range(K):
@@ -458,7 +500,7 @@ def test_taylor_tail_dominates_brute_terms():
         dk = delta**K
         for k in range(K, K + 50):
             coef = dk * poch / math.factorial(k)
-            brute += coef * cells[k - K].abs().hi_fraction()
+            brute += coef * cells[0, k - K].abs().hi_fraction()
             poch *= smag + k
             dk *= delta
         assert brute <= bound, (a, q, t)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_float, mpf_cmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,11 @@ def mp_fraction(x, prec=220) -> Fraction:
     return -v if sign else v
 
 
+def _exact_mpf(endpoint):
+    """A hardware (float) or bigfloat (raw mpf) endpoint as an exact raw mpf."""
+    return from_float(endpoint) if isinstance(endpoint, float) else endpoint
+
+
 def assert_contains_mp(iv: RealInterval, mp_value):
     fr = mp_fraction(mp_value)
     assert iv.lo_fraction() <= fr <= iv.hi_fraction(), (iv, mp_value)
@@ -67,6 +73,14 @@ def test_div_one_third_outward(tier):
     third = Fraction(1, 3)
     assert q.lo_fraction() < third < q.hi_fraction()
     assert q.hi_fraction() > q.lo_fraction()
+
+
+def test_div_underflow_to_zero_rounds_outward():
+    # the smallest subnormal halved rounds to zero; the quotient is not
+    # exact, so both endpoints must still move outward
+    tiny = math.ulp(0.0)
+    q = arith("div", RealInterval(-tiny, tiny), RealInterval(2, 2))
+    assert q.lo < 0.0 < q.hi
 
 
 @pytest.mark.parametrize("tier", TIERS, ids=str)
@@ -309,9 +323,13 @@ def test_containment_under_composition(prog, seed):
                 return
             if abs(point) > 1e100:
                 return
-        fr = mp_fraction(point)
+        # compare exact binary values without Fractions: a chain such as
+        # mul, mul, exp reaches exp(-4e13), whose Fraction form needs a
+        # 2^(5.8e13) denominator and exhausts memory
+        pt = point._mpf_
         for tier, acc in accs.items():
-            assert acc.lo_fraction() <= fr <= acc.hi_fraction(), (tier, prog, seed)
+            lo, hi = (_exact_mpf(v) for v in (acc.lo, acc.hi))
+            assert mpf_cmp(lo, pt) <= 0 <= mpf_cmp(hi, pt), (tier, prog, seed)
 
 
 @settings(max_examples=200, deadline=None)

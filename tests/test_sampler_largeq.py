@@ -18,11 +18,17 @@ from grhdesk import sampler_largeq
 from grhdesk.characters import char_group, unit_phase
 from grhdesk.dft import units_of
 from grhdesk.errors import DomainError, RealnessViolation
-from grhdesk.hurwitz import DEFAULT_M, DEFAULT_NCOLS, build_lattice, em_hurwitz, eval_taylor
+from grhdesk.hurwitz import (
+    DEFAULT_BUILD_BITS,
+    DEFAULT_M,
+    DEFAULT_NCOLS,
+    build_lattice,
+    em_hurwitz,
+    eval_taylor,
+)
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
 from grhdesk.sampler_largeq import (
     DEFAULT_STEP,
-    SAMPLER_BUILD_BITS,
     SampleGrid,
     default_lattice_size,
     grid_count,
@@ -333,7 +339,7 @@ def _assembled(q, idx, cache):
         t = float(t_fr)
         lat = build_lattice(
             t, D=16, Ncols=DEFAULT_NCOLS, M=DEFAULT_M,
-            tier=bigfloat(SAMPLER_BUILD_BITS), cache_dir=cache,
+            tier=bigfloat(DEFAULT_BUILD_BITS), cache_dir=cache,
         )
         s = lambda_from_l(l_values_at(q, lat)[idx], t, meta, q)
         out.append((s.lo, s.hi))
