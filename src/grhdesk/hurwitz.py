@@ -8,7 +8,8 @@ Three evaluation paths, stacked bottom to top:
 * ``build_lattice`` — a precomputed grid of tail values
   zeta_M(1/2 + it + c, r/D) along one horizontal line, built for all
   rows at once on hardware interval arrays from big-float powers
-  (n + alpha)^{-s}, persisted on disk;
+  (n + alpha)^{-s}, kept as one (D, Ncols+1) interval array and
+  persisted on disk;
 * ``eval_taylor`` — Taylor-shift queries against that grid for rational
   second arguments a/q, with a geometric bound on the truncated Taylor
   tail and exact restoration of the first M+1 direct terms.
@@ -325,24 +326,24 @@ def _em_rows(
 # the lattice
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class HurwitzLattice:
-    """Grid of tail values zeta_M(1/2 + it + c, r/D), hardware boxes.
+    """Grid of tail values zeta_M(1/2 + it + c, r/D) as one interval array.
 
     Rows r = 1..D hold the offset alpha = r/D (row D is alpha = 1);
     columns c = 0..Ncols shift the first argument by integers.  Each cell
     contains zeta(1/2+it+c, r/D) - sum_{n=0}^{M} (n + r/D)^{-(1/2+it+c)}.
-    build_lattice fills all cells with one _em_rows call, whose only
-    big-float work is the per-row powers; tier is that of the stored
-    boxes (hardware).  Immutable once built; queries only read.
+    rows is the hardware CVec of shape (D, Ncols+1) that one _em_rows
+    call fills, row r at index r-1; bits is the precision of that
+    build's big-float powers.  Immutable once built; queries only read.
     """
 
     t: float
     D: int
     Ncols: int
     M: int
-    tier: PrecisionTier
-    rows: list[list[ComplexBox]] = field(repr=False)
+    bits: int
+    rows: CVec = field(repr=False)
 
     def cell(self, r: int, c: int) -> ComplexBox:
         """Cell for row r (1-based) and column c (0-based)."""
@@ -350,13 +351,13 @@ class HurwitzLattice:
             raise IndexError(f"row {r} outside 1..{self.D}")
         if not (0 <= c <= self.Ncols):
             raise IndexError(f"column {c} outside 0..{self.Ncols}")
-        return self.rows[r - 1][c]
+        return self.rows[r - 1, c]
 
     def s_at(self, c: int = 0) -> ComplexBox:
-        """The point 1/2 + it + c as a box on the lattice tier."""
+        """The point 1/2 + it + c as a hardware box."""
         return ComplexBox(
-            RealInterval.from_fraction(_HALF + c, self.tier),
-            RealInterval.point(self.t, self.tier),
+            RealInterval.from_fraction(_HALF + c, HARDWARE),
+            RealInterval.point(self.t, HARDWARE),
         )
 
 
@@ -398,12 +399,11 @@ def build_lattice(
     # terms_a falls as alpha grows, so the smallest alpha gives the
     # largest truncation point over the rows: one a serves them all
     params = auto_params(sb, RealInterval.from_fraction(alphas[0], tier), tier)
-    cells = _em_rows(t, _HALF, alphas, Ncols, params.terms_a, params.terms_b, tier)
-    rows = [cells[i].to_boxes() for i in range(D)]
-    lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, tier=HARDWARE, rows=rows)
+    rows = _em_rows(t, _HALF, alphas, Ncols, params.terms_a, params.terms_b, tier)
+    lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=tier.bits, rows=rows)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        save_lattice(lat, path, build_bits=tier.bits)
+        save_lattice(lat, path)
     return lat
 
 
@@ -419,13 +419,17 @@ def _cache_path(cache_dir, t: float, D: int, Ncols: int, M: int, bits: int) -> P
 _MAGIC = "hurwitz-lattice 2"
 
 
-def save_lattice(lat: HurwitzLattice, path: str | Path, build_bits: int = DEFAULT_BUILD_BITS) -> None:
-    """Write header (decimal) then cells row-major, one hex box per line."""
+def save_lattice(lat: HurwitzLattice, path: str | Path) -> None:
+    """Write header (decimal) then cells row-major, one line per cell.
+
+    A cell's line is the float.hex form of its endpoints re.lo re.hi
+    im.lo im.hi, the same text as ComplexBox.to_hex.
+    """
     path = Path(path)
-    lines = [_MAGIC, f"{lat.t!r} {lat.D} {lat.Ncols} {lat.M} {build_bits}"]
-    for row in lat.rows:
-        for cell in row:
-            lines.append(cell.to_hex())
+    re, im = lat.rows.re, lat.rows.im
+    ends = np.stack([re.lo, re.hi, im.lo, im.hi], axis=-1).reshape(-1, 4)
+    lines = [_MAGIC, f"{lat.t!r} {lat.D} {lat.Ncols} {lat.M} {lat.bits}"]
+    lines += [" ".join(map(float.hex, cell)) for cell in ends.tolist()]
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("\n".join(lines) + "\n")
     tmp.replace(path)
@@ -435,7 +439,9 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
     """Read a lattice file written by save_lattice.
 
     With expect = (t, D, Ncols, M, build bits), a file whose header names
-    any other lattice raises ValueError, as does a malformed file.
+    any other lattice raises ValueError.  So does a malformed or cut-short
+    file, and one with a cell whose endpoints are not ordered lo <= hi
+    (NaN included).
     """
     path = Path(path)
     with path.open() as fh:
@@ -449,11 +455,18 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
         D, Ncols, M, bits = (int(v) for v in head[1:])
         if expect is not None and (t, D, Ncols, M, bits) != tuple(expect):
             raise ValueError(f"{path} holds lattice {(t, D, Ncols, M, bits)}, not {expect}")
-        rows = []
-        for _ in range(D):
-            row = [ComplexBox.from_hex(fh.readline(), HARDWARE) for _ in range(Ncols + 1)]
-            rows.append(row)
-    return HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, tier=HARDWARE, rows=rows)
+        cells = [fh.readline().split() for _ in range(D * (Ncols + 1))]
+    if any(len(fields) != 4 for fields in cells):
+        raise ValueError(f"lattice body in {path} is cut short or malformed")
+    ends = np.array([[float.fromhex(v) for v in fields] for fields in cells])
+    ends = ends.reshape(D, Ncols + 1, 4)
+    if not np.all(ends[..., 0::2] <= ends[..., 1::2]):
+        raise ValueError(f"lattice body in {path} holds a cell with lo > hi or NaN")
+    rows = CVec(
+        IVec(ends[..., 0], ends[..., 1], _checked=True),
+        IVec(ends[..., 2], ends[..., 3], _checked=True),
+    )
+    return HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +525,6 @@ def eval_taylor(lat: HurwitzLattice, a: int, q: int) -> ComplexBox:
         raise DomainError("need 0 < a < q")
     if math.gcd(a, q) != 1:
         raise DomainError("a and q must be coprime")
-    tier = lat.tier
     r = nearest_row(a, q, lat.D)
     delta_fr = Fraction(a, q) - Fraction(r, lat.D)
 
@@ -520,8 +532,8 @@ def eval_taylor(lat: HurwitzLattice, a: int, q: int) -> ComplexBox:
     row = lat.rows[r - 1]
     acc = row[0]
     if delta_fr:
-        neg_delta = RealInterval.from_fraction(-delta_fr, tier)
-        coef = ComplexBox.one(tier)
+        neg_delta = RealInterval.from_fraction(-delta_fr, HARDWARE)
+        coef = ComplexBox.one(HARDWARE)
         for k in range(1, lat.Ncols + 1):
             # coef_k = (-delta)^k (s)_k / k!
             coef = (coef * (s0 + (k - 1))) * (neg_delta / k)
@@ -533,13 +545,13 @@ def eval_taylor(lat: HurwitzLattice, a: int, q: int) -> ComplexBox:
     radius = Fraction(r, lat.D) + (lat.M + 1)
     tail = taylor_tail_bound(s_mag_hi, abs(delta_fr), radius, lat.Ncols + 1)
     if tail:
-        acc = acc.pad(RealInterval.from_fraction(tail, tier))
+        acc = acc.pad(RealInterval.from_fraction(tail, HARDWARE))
 
     # restore the removed head at the exact argument a/q
     neg_s = -s0
     aq = Fraction(a, q)
     for n in range(lat.M + 1):
-        acc = acc + _cpow(RealInterval.from_fraction(aq + n, tier), neg_s)
+        acc = acc + _cpow(RealInterval.from_fraction(aq + n, HARDWARE), neg_s)
     return acc
 
 

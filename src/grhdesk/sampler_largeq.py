@@ -12,13 +12,15 @@ Completion multiplies in the archimedean factor, which depends on the
 character only through its parity, and the unimodular constant, then
 projects the provably real result onto the real axis.
 
-The samplers keep both shared parts in bounded in-memory LRU caches
-beside the cache of 8 lattices: one table of the phi(q) L-values per
-(q, ordinate), at most 8 tables, and the completion factor per
-(ordinate, parity, q), at most 16 boxes.  Every character of q sampled
-at that ordinate reads the same table, so sample_all costs one pass per
-ordinate, and a per-character sample_range call costs its root number
-and two box products per sample once the table exists.
+The samplers keep three bounded in-memory LRU caches: the lattice per
+(ordinate, row count), at most 8, each one interval array of four float64
+endpoints per cell (32 KB at 64 rows, 1 MB at the default 2048); one
+table of the phi(q) L-values per (q, ordinate), at most 8 tables; and
+the completion factor per (ordinate, parity, q), at most 16 boxes.
+Every character of q sampled at that ordinate reads the same table, so
+sample_all costs one pass per ordinate, and a per-character sample_range
+call costs its root number and two box products per sample once the
+table exists.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
 from .errors import DomainError, RealnessViolation
 from .hurwitz import (
-    DEFAULT_BUILD_BITS,
     DEFAULT_D,
-    DEFAULT_M,
-    DEFAULT_NCOLS,
     HurwitzLattice,
     build_lattice,
     fraction_sqrt_upper,
@@ -116,27 +115,6 @@ def grid_count(t_lo, t_hi, t_step) -> int:
 # batched Hurwitz values over the unit residues
 
 
-def _lattice_arrays(lat: HurwitzLattice):
-    """Endpoint arrays of all lattice cells, cached on the lattice."""
-    arrs = getattr(lat, "_endpoint_arrays", None)
-    if arrs is None:
-        ncol = lat.Ncols + 1
-        shape = (lat.D, ncol)
-        re_lo = np.empty(shape)
-        re_hi = np.empty(shape)
-        im_lo = np.empty(shape)
-        im_hi = np.empty(shape)
-        for i, row in enumerate(lat.rows):
-            for k, cell in enumerate(row):
-                re_lo[i, k] = cell.re.lo
-                re_hi[i, k] = cell.re.hi
-                im_lo[i, k] = cell.im.lo
-                im_hi[i, k] = cell.im.hi
-        arrs = (re_lo, re_hi, im_lo, im_hi)
-        lat._endpoint_arrays = arrs
-    return arrs
-
-
 def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
 
@@ -158,12 +136,7 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
             d_max = abs(d)
     neg_delta = IVec.from_intervals(deltas)
 
-    re_lo, re_hi, im_lo, im_hi = _lattice_arrays(lat)
-    sel = rows - 1
-    cells = CVec(
-        IVec(re_lo[sel], re_hi[sel], _checked=True),
-        IVec(im_lo[sel], im_hi[sel], _checked=True),
-    )
+    cells = lat.rows.take(rows - 1)
 
     def col(k: int) -> CVec:
         return cells[(slice(None), k)]
@@ -288,24 +261,17 @@ def default_lattice_size(q: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _shared_lattice(
-    t: float, size: int, ncols: int, m: int, bits: int, cache_dir
-) -> HurwitzLattice:
-    return build_lattice(
-        t, D=size, Ncols=ncols, M=m, tier=bigfloat(bits), cache_dir=cache_dir
-    )
+def _shared_lattice(t: float, size: int, cache_dir) -> HurwitzLattice:
+    return build_lattice(t, D=size, cache_dir=cache_dir)
 
 
 @lru_cache(maxsize=8)
-def _modulus_table(
-    q: int, t: float, size: int, ncols: int, m: int, bits: int, cache_dir
-) -> dict[tuple[int, ...], ComplexBox]:
+def _modulus_table(q: int, t: float, size: int, cache_dir) -> dict[tuple[int, ...], ComplexBox]:
     """L_chi(1/2 + it) for every character mod q, from one l_values_at pass."""
-    lat = _shared_lattice(t, size, ncols, m, bits, cache_dir)
-    return l_values_at(q, lat)
+    return l_values_at(q, _shared_lattice(t, size, cache_dir))
 
 
-def _grids(q, chars, t_lo, t_hi, t_step, size, build_bits, cache_dir) -> list[SampleGrid]:
+def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
     """One SampleGrid per character in chars, all read from the same tables.
 
     Callers often keep many grids, so each grid shares the caller's step
@@ -324,7 +290,7 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, build_bits, cache_dir) -> list[Sa
         t = float(t_fr)
         if Fraction(t) != t_fr:
             raise DomainError("grid ordinates must be binary rationals")
-        table = _modulus_table(q, t, size, DEFAULT_NCOLS, DEFAULT_M, build_bits, cache_dir)
+        table = _modulus_table(q, t, size, cache_dir)
         for char, meta, out in zip(chars, metas, samples):
             out[i] = lambda_from_l(table[char], t, meta, q)
     return [
@@ -341,15 +307,15 @@ def sample_range(
     t_step: Fraction = DEFAULT_STEP,
     *,
     size: int | None = None,
-    build_bits: int = DEFAULT_BUILD_BITS,
     cache_dir=None,
 ) -> SampleGrid:
     """Grid of completed-value enclosures for one character.
 
     Ordinates are the multiples of t_step inside [t_lo, t_hi]; each must
     be an exact binary rational so the lattice is keyed by the exact
-    ordinate.  Lattices are cached in memory and on disk, so every
-    modulus sampled at the same ordinate reuses the same one.
+    ordinate.  Lattices are cached in memory (at most 8, 512 bytes per
+    row) and on disk, so every modulus sampled at the same ordinate and
+    row count reuses the same one.
 
     The first call at a (q, ordinate) pair runs l_values_at once for all
     phi(q) characters and keeps the L-values in an in-memory table, and
@@ -361,7 +327,7 @@ def sample_range(
     (0.4 MB at q = 1009).
     """
     char = char_group(q).canonical(char)
-    return _grids(q, [char], t_lo, t_hi, t_step, size, build_bits, cache_dir)[0]
+    return _grids(q, [char], t_lo, t_hi, t_step, size, cache_dir)[0]
 
 
 def sample_all(
@@ -371,7 +337,6 @@ def sample_all(
     t_step: Fraction = DEFAULT_STEP,
     *,
     size: int | None = None,
-    build_bits: int = DEFAULT_BUILD_BITS,
     cache_dir=None,
 ) -> dict[tuple[int, ...], SampleGrid]:
     """sample_range for every primitive character mod q, keyed by index.
@@ -380,5 +345,5 @@ def sample_all(
     sweep costs one l_values_at pass per ordinate plus phi(q) root numbers.
     """
     chars = char_group(q).primitive_indices()
-    grids = _grids(q, chars, t_lo, t_hi, t_step, size, build_bits, cache_dir)
+    grids = _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir)
     return dict(zip(chars, grids))

@@ -329,14 +329,18 @@ def test_lattice_cell_bounds_checked(lat8_t0):
 
 
 def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
+    # the header carries the lattice's own build bits (96 here), and the
+    # body is the version-2 format: one ComplexBox.to_hex line per cell,
+    # row-major
     path = tmp_path / "lat.dat"
-    save_lattice(lat8_t10, path, build_bits=96)
-    back = load_lattice(path)
-    assert (back.t, back.D, back.Ncols, back.M) == (10.0, 8, 15, 9)
-    for r in (1, 5, 8):
-        for c in (0, 7, 15):
-            a, b = lat8_t10.cell(r, c), back.cell(r, c)
-            assert a.to_hex() == b.to_hex()
+    save_lattice(lat8_t10, path)
+    back = load_lattice(path, expect=(10.0, 8, 15, 9, 96))
+    assert (back.t, back.D, back.Ncols, back.M, back.bits) == (10.0, 8, 15, 9, 96)
+    body = path.read_text().splitlines()[2:]
+    assert len(body) == 8 * 16
+    cells = [(r, c) for r in range(1, 9) for c in range(16)]
+    for line, (r, c) in zip(body, cells):
+        assert line == lat8_t10.cell(r, c).to_hex() == back.cell(r, c).to_hex()
 
 
 def test_lattice_disk_cache_hit(tmp_path):
@@ -379,6 +383,22 @@ def test_lattice_cache_rebuilds_truncated_file(tmp_path):
     (path,) = tmp_path.iterdir()
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5]) + "\n")
+    _assert_rebuilt(path, fresh, tmp_path)
+
+
+@pytest.mark.parametrize("fault", ["swapped", "nan"])
+def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
+    # a body cell whose endpoints are not ordered lo <= hi is refused
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    lines = path.read_text().splitlines()
+    fields = lines[2].split()
+    assert fields[0] != fields[1]
+    fields[:2] = fields[1::-1] if fault == "swapped" else [fields[0], "nan"]
+    lines[2] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        load_lattice(path, expect=LATTICE_0)
     _assert_rebuilt(path, fresh, tmp_path)
 
 
