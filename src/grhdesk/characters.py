@@ -30,6 +30,7 @@ from .interval import (
     ComplexBox,
     PrecisionTier,
     RealInterval,
+    _cos_sin,
     bigfloat,
     pi_interval,
 )
@@ -552,7 +553,7 @@ def unit_phase(fr: Fraction, tier: PrecisionTier = HARDWARE) -> ComplexBox:
             return ComplexBox(box.re, one)
         return ComplexBox(box.re, -one)
     theta = pi_interval(tier) * RealInterval.from_fraction(2 * fr, tier)
-    return ComplexBox(theta.cos(), theta.sin())
+    return ComplexBox(*_cos_sin(theta))
 
 
 def index_label(q: int, idx) -> str:

@@ -7,9 +7,12 @@ Three evaluation paths, stacked bottom to top:
   precision tier;
 * ``build_lattice`` — a precomputed grid of tail values
   zeta_M(1/2 + it + c, r/D) along one horizontal line, built for all
-  rows at once on hardware interval arrays from big-float powers
-  (n + alpha)^{-s}, kept as one (D, Ncols+1) interval array and
-  persisted on disk;
+  rows at once on hardware interval arrays, kept as one (D, Ncols+1)
+  interval array and persisted on disk.  Its only big-float work is the
+  powers (n + alpha)^{-s}, each a midpoint-radius ball from one log, one
+  exp and one cos_sin kernel call whose results are trusted to a few
+  ulps at the build's bits; its per-column constants are exact
+  rationals rounded once;
 * ``eval_taylor`` — Taylor-shift queries against that grid for rational
   second arguments a/q, with a geometric bound on the truncated Taylor
   tail and exact restoration of the first M+1 direct terms.
@@ -24,13 +27,34 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from mpmath.libmp import (
+    from_float,
+    from_rational,
+    mpf_add,
+    mpf_cos_sin,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    to_float,
+)
 
 from .errors import DomainError, PoleProximity, RadiusViolation
 from .interval import (
+    _BIG_TRANS_ULPS,
+    _CEIL,
+    _FLOOR,
+    _GUARD,
+    _TINY,
+    _TRANS_ULPS,
     HARDWARE,
     ComplexBox,
     PrecisionTier,
     RealInterval,
+    _raw_to_float_dir,
+    _up,
+    _up_k,
     bernoulli,
     bigfloat,
     pi_interval,
@@ -40,9 +64,10 @@ from .ivec import CVec, IVec
 DEFAULT_D = 2048
 DEFAULT_NCOLS = 15
 DEFAULT_M = 9
-# Precision of the per-row powers (n + alpha)^{-s_0}, the only bigfloat
-# work of a lattice build; the rest of the build and the stored cells are
-# hardware, so more bits barely narrow a cell.
+# Precision of a lattice build: the bits at which the kernel results of
+# the per-row power balls (n + alpha)^{-s_0} are trusted, and the target
+# of the truncation choices (auto_params).  The rest of the build and the
+# stored cells are hardware, so more bits barely narrow a cell.
 DEFAULT_BUILD_BITS = 64
 
 _HALF = Fraction(1, 2)
@@ -217,6 +242,76 @@ def em_hurwitz_tail(s, alpha, skip: int, params: EMParams | None = None, tier: P
 # the lattice kernel: every row and column at once
 
 
+def _trust(v, bits: int) -> float:
+    """_BIG_TRANS_ULPS ulps at `bits` of a raw mpf, as a double (upward).
+
+    The ulp comes from the mpf's own exponent, at the scale of _raw_ulp
+    (an absolute floor for an exact zero).
+    """
+    e = v[2] + v[3] - bits if v[1] else -4 * bits
+    return math.ldexp(_BIG_TRANS_ULPS, e) or _TINY
+
+
+def _mag(v) -> float:
+    """Upper bound on |v| for a raw mpf, as a double."""
+    return _up(abs(to_float(v)))
+
+
+def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[float, float, float, float]:
+    """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
+
+    Midpoint-radius evaluation at bits + _GUARD with one mpf_log, one
+    mpf_exp and one mpf_cos_sin.  Each kernel result is trusted to
+    _BIG_TRANS_ULPS ulps at `bits`, the contract of the bigfloat tier's
+    transcendentals; the radii are doubles rounded upward at every
+    operation and carry the input radius of each step, the rounding of
+    x, sigma and every product.  The ball is narrowed to doubles by
+    directed rounding of mid -+ rad.
+    """
+    prec = bits + _GUARD
+    rel = math.ldexp(1.0, 1 - prec)  # bounds one rounding to nearest at prec, relative
+    # |log x - log x~| <= d / (1 - d) <= rel for the rounding d <= 2^-prec of x
+    lg = mpf_log(from_rational(x.numerator, x.denominator, prec, "n"), prec, "n")
+    rad_lg = _up(_trust(lg, bits) + rel)
+    # E = -sigma log x: the rounding of sigma and of the product, 2 rel |E|
+    e = mpf_neg(mpf_mul(from_rational(sigma.numerator, sigma.denominator, prec, "n"), lg, prec, "n"))
+    rad_e = _up(_up(_up(abs(float(sigma))) * rad_lg) + _up(2 * rel * _mag(e)))
+    th = mpf_neg(mpf_mul(from_float(t), lg, prec, "n"))
+    rad_th = _up(_up(abs(t) * rad_lg) + _up(rel * _mag(th)))
+
+    r = mpf_exp(e, prec, "n")
+    r_mag, tr = _mag(r), _trust(r, bits)
+    # |exp(E + d) - exp(E)| <= exp(E) (e^|d| - 1)
+    rad_r = _up(tr + _up(_up(r_mag + tr) * _up_k(math.expm1(rad_e), _TRANS_ULPS)))
+    c, s = mpf_cos_sin(th, prec, "n")
+    tc, ts = _trust(c, bits), _trust(s, bits)
+    # |cos(th + d) - cos th| <= |sin th| |d| + d^2 / 2, and likewise for sin
+    quad = _up(_up(rad_th * rad_th) / 2)
+    rad_c = _up(_up(tc + _up(_up(_mag(s) + ts) * rad_th)) + quad)
+    rad_s = _up(_up(ts + _up(_up(_mag(c) + tc) * rad_th)) + quad)
+
+    out = []
+    for v, rad_v in ((c, rad_c), (s, rad_s)):
+        p = mpf_mul(r, v, prec, "n")
+        rad_p = _up(r_mag * rad_v)
+        rad_p = _up(rad_p + _up(_mag(v) * rad_r))
+        rad_p = _up(rad_p + _up(rad_r * rad_v))
+        rad_p = from_float(_up(rad_p + _up(rel * _mag(p))))
+        out += (
+            _raw_to_float_dir(mpf_sub(p, rad_p, 53, _FLOOR), _FLOOR),
+            _raw_to_float_dir(mpf_add(p, rad_p, 53, _CEIL), _CEIL),
+        )
+    return tuple(out)
+
+
+def _exact_cvec(values: list[tuple[Fraction, Fraction]]) -> CVec:
+    """Hardware CVec of exact Gaussian rationals, each side rounded outward once."""
+    return CVec(
+        IVec.from_intervals([RealInterval.from_fraction(re) for re, _ in values]),
+        IVec.from_intervals([RealInterval.from_fraction(im) for _, im in values]),
+    )
+
+
 def _em_rows(
     t: float,
     base_sigma: Fraction,
@@ -232,13 +327,17 @@ def _em_rows(
     argument by c.  This is _em_core's formula with a common truncation
     (a, b) for all rows.  The only row-dependent transcendentals, the
     powers (n+alpha)^{-s_0} for n = 0..a (n = a gives A^{-s_0}), are
-    computed at the given bigfloat tier and narrowed to hardware; the
+    midpoint-radius balls (_power_ball) whose kernel results are trusted
+    to _BIG_TRANS_ULPS ulps at tier.bits, narrowed to hardware.  The
     row-independent constants 1/(s_c-1), (s_c)_{2k-1} B_2k/(2k)! and the
-    remainder constant are computed once per column at that tier.
-    Everything else runs on hardware interval arrays: column c scales the
-    column c-1 powers by (n+alpha)^{-1}, the direct sum adds term by term,
-    and the remainder radius takes each row's own A = a + alpha.  At
-    t = 0 the values are real and the imaginary parts are set to [0, 0].
+    remainder constant are exact Gaussian rationals, because t is a
+    double, each rounded outward once; only the remainder constant needs
+    bounds, an upper one on |(s_c)_{2b+1}| and a lower one on
+    (2 pi)^{2b+1} from pi at tier.bits.  Everything else runs on hardware
+    interval arrays: column c scales the column c-1 powers by
+    (n+alpha)^{-1}, the direct sum adds term by term, and the remainder
+    radius takes each row's own A = a + alpha.  At t = 0 the values are
+    real and the imaginary parts are set to [0, 0].
     """
     if min(alphas) <= 0:
         raise DomainError("alpha must be strictly positive")
@@ -250,45 +349,42 @@ def _em_rows(
     if t == 0.0 and any(base_sigma + c == 1 for c in cols):
         raise PoleProximity("a column coincides with the pole at 1")
 
-    # (n + alpha)^{-s_0} at the build tier, and n + alpha on hardware
-    neg_sigma = RealInterval.from_fraction(-base_sigma, tier)
-    neg_t = RealInterval.point(-t, tier)
+    # (n + alpha)^{-s_0} from big-float balls, and n + alpha on hardware
     ends = np.empty((6, len(alphas), a + 1))
     for i, alpha in enumerate(alphas):
         for n in range(a + 1):
-            lg = RealInterval.from_fraction(alpha + n, tier).log()
-            p = ComplexBox(neg_sigma * lg, neg_t * lg).exp()
             x = RealInterval.from_fraction(alpha + n)
-            ends[:, i, n] = (
-                p.re.lo_float(), p.re.hi_float(), p.im.lo_float(), p.im.hi_float(),
-                x.lo, x.hi,
-            )
+            ends[:, i, n] = (*_power_ball(alpha + n, base_sigma, t, tier.bits), x.lo, x.hi)
     power = CVec(IVec(ends[0], ends[1], _checked=True), IVec(ends[2], ends[3], _checked=True))
     base = IVec(ends[4], ends[5], _checked=True)
     inv = 1.0 / base
 
-    # the per-column constants, at the build tier
-    t_iv = RealInterval.point(t, tier)
-    one = ComplexBox.one(tier)
-    zu = RealInterval.from_fraction(zeta_upper(2 * b + 1), tier)
-    two_pi_pow = _ipow(pi_interval(tier) * 2, 2 * b + 1)
-    bern = [
-        RealInterval.from_fraction(bernoulli(2 * k) / math.factorial(2 * k), tier)
-        for k in range(1, b + 1)
-    ]
+    # the per-column constants in scaled Gaussian integers: with den the
+    # common denominator of sigma and t, s_c + j = (x_c + j den + i y) / den
+    T = Fraction(t)
+    den = math.lcm(base_sigma.denominator, T.denominator)
+    y = T.numerator * (den // T.denominator)
+    zu = zeta_upper(2 * b + 1)
+    two_pi_pow_lo = (2 * pi_interval(tier).lo_fraction()) ** (2 * b + 1)
+    bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
     inv_sm1, coefs, rad_const, sig2b = [], [], [], []
     for c in cols:
-        s = ComplexBox(RealInterval.from_fraction(base_sigma + c, tier), t_iv)
-        inv_sm1.append(one / (s - 1))
-        poch = s  # (s)_1
+        x = ((base_sigma + c) * den).numerator
+        d2 = (x - den) ** 2 + y * y
+        inv_sm1.append((Fraction((x - den) * den, d2), Fraction(-y * den, d2)))
+        pr, pim, scale = x, y, den  # (s)_1 = (pr + i pim) / scale
         for k in range(1, b + 1):
-            coefs.append(poch * bern[k - 1])
-            poch = (poch * (s + (2 * k - 1))) * (s + 2 * k)
-        # poch is now (s)_{2b+1}
-        rad_const.append(((zu * 2 * poch.abs()) / (two_pi_pow * (s.re + 2 * b))).hi_float())
+            coefs.append((bern[k - 1] * Fraction(pr, scale), bern[k - 1] * Fraction(pim, scale)))
+            for j in (2 * k - 1, 2 * k):
+                xj = x + j * den
+                pr, pim, scale = pr * xj - pim * y, pr * y + pim * xj, scale * den
+        # (pr + i pim) / scale is now (s)_{2b+1}
+        poch_abs = fraction_sqrt_upper(Fraction(pr * pr + pim * pim, scale * scale))
+        rad = 2 * zu * poch_abs / (two_pi_pow_lo * (base_sigma + c + 2 * b))
+        rad_const.append(RealInterval.from_fraction(rad).hi)
         sig2b.append(RealInterval.from_fraction(base_sigma + c + 2 * b))
-    inv_sm1 = CVec.from_boxes(inv_sm1)
-    coefs = CVec.from_boxes(coefs).reshape(ncols + 1, b)
+    inv_sm1 = _exact_cvec(inv_sm1)
+    coefs = _exact_cvec(coefs).reshape(ncols + 1, b)
 
     # column c of every power: one more factor (n + alpha)^{-1} per column
     shape = (len(alphas), a + 1, 1)
@@ -334,8 +430,9 @@ class HurwitzLattice:
     columns c = 0..Ncols shift the first argument by integers.  Each cell
     contains zeta(1/2+it+c, r/D) - sum_{n=0}^{M} (n + r/D)^{-(1/2+it+c)}.
     rows is the hardware CVec of shape (D, Ncols+1) that one _em_rows
-    call fills, row r at index r-1; bits is the precision of that
-    build's big-float powers.  Immutable once built; queries only read.
+    call fills, row r at index r-1; bits is that build's precision (the
+    trust precision of its power balls and the target of its truncation).
+    Immutable once built; queries only read.
     """
 
     t: float
@@ -372,10 +469,13 @@ def build_lattice(
 ) -> HurwitzLattice:
     """Build (or load from cache) the lattice at ordinate t.
 
-    tier is the bigfloat tier of the per-row powers (n + alpha)^{-s_0};
-    the rest of the build, and the returned lattice, is hardware.  With
-    cache enabled the result is persisted keyed by (t, D, Ncols, M,
-    build bits).
+    tier.bits sets the build's precision: auto_params aims the
+    Euler-Maclaurin truncation at it, and the kernel results of the
+    per-row power balls (n + alpha)^{-s_0} are trusted to a few ulps at
+    it.  No interval arithmetic runs at that tier; the build works in
+    big-float balls, exact rationals and hardware interval arrays, and
+    the returned lattice is hardware.  With cache enabled the result is
+    persisted keyed by (t, D, Ncols, M, build bits).
     """
     t = float(t)
     if D < 2 or Ncols < 2 or M < 0:

@@ -35,7 +35,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_atan,
     mpf_cmp,
-    mpf_cos,
+    mpf_cos_sin,
     mpf_div,
     mpf_exp,
     mpf_log,
@@ -44,7 +44,6 @@ from mpmath.libmp import (
     mpf_pi,
     mpf_pos,
     mpf_shift,
-    mpf_sin,
     mpf_sqrt,
     mpf_sub,
     to_float,
@@ -166,7 +165,11 @@ def _nudge(x, bits: int, count: int, direction: str):
 
 
 def _big_trans(fn, x, bits: int, direction: str):
-    r = fn(x, bits + _GUARD, direction)
+    return _big_round(fn(x, bits + _GUARD, direction), bits, direction)
+
+
+def _big_round(r, bits: int, direction: str):
+    """A kernel result at bits + _GUARD, rounded to bits and nudged outward."""
     r = mpf_pos(r, bits, direction)
     return _nudge(r, bits, _BIG_TRANS_ULPS, direction)
 
@@ -650,10 +653,10 @@ class RealInterval:
         )
 
     def sin(self) -> "RealInterval":
-        return _trig(self, is_sin=True)
+        return _cos_sin(self)[1]
 
     def cos(self) -> "RealInterval":
-        return _trig(self, is_sin=False)
+        return _cos_sin(self)[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -720,64 +723,68 @@ def pi_interval(tier: PrecisionTier = HARDWARE) -> RealInterval:
     return iv
 
 
-def _trig(x: RealInterval, is_sin: bool) -> RealInterval:
-    """Range of sin/cos over the interval via endpoint values + extrema."""
-    tier = x.tier
-    pi = pi_interval(tier)
-    two_pi_lo = (pi + pi).lo_float() if tier.kind != "hardware" else 2.0 * math.pi
-    if x.width() >= two_pi_lo:
+_PI_FLOATS: dict[PrecisionTier, tuple[float, float, float]] = {}
+
+
+def _pi_floats(tier: PrecisionTier) -> tuple[float, float, float]:
+    """Doubles pi_lo <= pi <= pi_hi and two_pi_lo <= 2 pi for the tier."""
+    fl = _PI_FLOATS.get(tier)
+    if fl is None:
         if tier.kind == "hardware":
-            return RealInterval(-1.0, 1.0, tier, _raw=True)
-        none = mpf_neg(fone)
-        return RealInterval(none, fone, tier, _raw=True)
+            fl = (math.pi, _up(math.pi), 2.0 * math.pi)
+        else:
+            pi = pi_interval(tier)
+            fl = (pi.lo_float(), pi.hi_float(), (pi + pi).lo_float())
+        _PI_FLOATS[tier] = fl
+    return fl
 
+
+def _cos_sin(x: RealInterval) -> tuple[RealInterval, RealInterval]:
+    """Ranges of cos and sin over the interval via endpoint values + extrema.
+
+    On the bigfloat tier one mpf_cos_sin call per endpoint and rounding
+    direction gives both functions; mpmath rounds only when it converts
+    the final fixed-point values, so each endpoint is the one mpf_cos or
+    mpf_sin alone would give.
+    """
+    tier = x.tier
+    pi_lo, pi_hi, two_pi_lo = _pi_floats(tier)
     if tier.kind == "hardware":
-        fn = math.sin if is_sin else math.cos
-        vals = [
-            _dn_k(fn(x.lo), _TRANS_ULPS),
-            _up_k(fn(x.lo), _TRANS_ULPS),
-            _dn_k(fn(x.hi), _TRANS_ULPS),
-            _up_k(fn(x.hi), _TRANS_ULPS),
-        ]
-        lo, hi = min(vals), max(vals)
-        lo_f, hi_f = x.lo, x.hi
-        pi_lo, pi_hi = math.pi, _up(math.pi)
+        one, none, fmin, fmax = 1.0, -1.0, min, max
+
+        def at(e, d):
+            step = _dn_k if d == _FLOOR else _up_k
+            return step(math.cos(e), _TRANS_ULPS), step(math.sin(e), _TRANS_ULPS)
+
     else:
-        kernel = mpf_sin if is_sin else mpf_cos
+        one, none, fmin, fmax = fone, mpf_neg(fone), _fmin, _fmax
         bits = tier.bits
-        vlo1 = _big_trans(kernel, x.lo, bits, _FLOOR)
-        vhi1 = _big_trans(kernel, x.lo, bits, _CEIL)
-        vlo2 = _big_trans(kernel, x.hi, bits, _FLOOR)
-        vhi2 = _big_trans(kernel, x.hi, bits, _CEIL)
-        lo = _fmin(vlo1, vlo2)
-        hi = _fmax(vhi1, vhi2)
-        lo_f, hi_f = x.lo_float(), x.hi_float()
-        pi_lo, pi_hi = pi.lo_float(), pi.hi_float()
 
-    # extremum locations: sin peaks at pi/2 + 2k*pi, dips at -pi/2 + 2k*pi;
-    # cos peaks at 2k*pi, dips at pi + 2k*pi.  Enumerate candidate k with a
-    # conservative float sweep (the interval is less than one period wide).
-    offset_max = 0.5 if is_sin else 0.0
-    offset_min = -0.5 if is_sin else 1.0
-    has_max = _contains_odd_multiple(lo_f, hi_f, pi_lo, pi_hi, offset_max)
-    has_min = _contains_odd_multiple(lo_f, hi_f, pi_lo, pi_hi, offset_min)
+        def at(e, d):
+            return [_big_round(v, bits, d) for v in mpf_cos_sin(e, bits + _GUARD, d)]
 
-    if tier.kind == "hardware":
-        if has_max:
-            hi = 1.0
-        if has_min:
-            lo = -1.0
-        lo = max(lo, -1.0)
-        hi = min(hi, 1.0)
-        return RealInterval(lo, hi, tier, _raw=True)
-    none = mpf_neg(fone)
-    if has_max:
-        hi = fone
-    if has_min:
-        lo = none
-    lo = _fmax(lo, none)
-    hi = _fmin(hi, fone)
-    return RealInterval(lo, hi, tier, _raw=True)
+    if x.width() >= two_pi_lo:
+        full = RealInterval(none, one, tier, _raw=True)
+        return full, full
+
+    lo_f, hi_f = x.lo_float(), x.hi_float()
+
+    floor_lo, ceil_lo = at(x.lo, _FLOOR), at(x.lo, _CEIL)
+    floor_hi, ceil_hi = at(x.hi, _FLOOR), at(x.hi, _CEIL)
+    # extremum locations: cos peaks at 2k*pi, dips at pi + 2k*pi; sin
+    # peaks at pi/2 + 2k*pi, dips at -pi/2 + 2k*pi.  Enumerate candidate k
+    # with a conservative float sweep (the interval is less than one
+    # period wide).
+    out = []
+    for k, (offset_max, offset_min) in enumerate(((0.0, 1.0), (0.5, -0.5))):
+        lo = fmin(floor_lo[k], floor_hi[k])
+        hi = fmax(ceil_lo[k], ceil_hi[k])
+        if _contains_odd_multiple(lo_f, hi_f, pi_lo, pi_hi, offset_max):
+            hi = one
+        if _contains_odd_multiple(lo_f, hi_f, pi_lo, pi_hi, offset_min):
+            lo = none
+        out.append(RealInterval(fmax(lo, none), fmin(hi, one), tier, _raw=True))
+    return out[0], out[1]
 
 
 def _contains_odd_multiple(lo: float, hi: float, pi_lo: float, pi_hi: float, offset: float) -> bool:
@@ -909,7 +916,8 @@ class ComplexBox:
 
     def exp(self) -> "ComplexBox":
         r = self.re.exp()
-        return ComplexBox(r * self.im.cos(), r * self.im.sin())
+        c, s = _cos_sin(self.im)
+        return ComplexBox(r * c, r * s)
 
     def log(self) -> "ComplexBox":
         """Principal log; requires Re(z) strictly positive."""

@@ -17,6 +17,7 @@ from grhdesk.hurwitz import (
     EMParams,
     HurwitzLattice,
     _em_rows,
+    _power_ball,
     fraction_sqrt_upper,
     auto_params,
     build_lattice,
@@ -243,6 +244,44 @@ def test_lattice_kernel_width():
     lat = build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
     for row in lat.rows:
         assert max(row[0].re.width(), row[0].im.width()) <= 1e-14
+    # the widest cell of the build from interval-arithmetic powers and
+    # constants was 2.8311e-15; the balls and exact constants stay within 5%
+    re, im = lat.rows.re, lat.rows.im
+    widest = max((re.hi - re.lo).max(), (im.hi - im.lo).max())
+    assert widest <= 1.05 * 2.831068712794149e-15
+
+
+@pytest.mark.parametrize(
+    "t, bits",
+    [(0.0, 64), (3.0, 64), (16.0, 64), (16.0625, 64), (50.0, 64), (1e4, 64), (1e4, 96)],
+)
+@pytest.mark.parametrize("sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16)])
+def test_power_ball_contains_and_is_tight(t, bits, sigma):
+    # Containment is checked against the log kernel's full allowance, not
+    # only against the exact value: mpmath's log at bits + _GUARD errs far
+    # less than the 2 ulps at `bits` that the ball trusts, so only values
+    # at log x -+ 2 ulps show a missing propagation term, such as
+    # |t| rad(log x) into the argument of cos and sin.  That allowance
+    # alone spreads the argument by |t| 2^(3-bits); where this reaches a
+    # double ulp (t = 1e4 at 64 bits) the width check is left out.
+    tight = abs(t) * 2.0 ** (3 - bits) <= 2.0**-53
+    with mpmath.workdps(50):
+        for D in (12, 64):
+            for n in range(14):
+                for r in range(1, D + 1):
+                    x = n + Fraction(r, D)
+                    lo_re, hi_re, lo_im, hi_im = _power_ball(x, sigma, t, bits)
+                    lg = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+                    allowance = 0 if lg == 0 else mpmath.ldexp(2, mpmath.frexp(lg)[1] - bits)
+                    s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
+                    for dlg in (-allowance, 0, allowance):
+                        v = mpmath.exp(-s * (lg + dlg))
+                        assert lo_re <= v.real <= hi_re, (t, bits, sigma, x, dlg)
+                        assert lo_im <= v.imag <= hi_im, (t, bits, sigma, x, dlg)
+                    if tight:
+                        ulp = math.ulp(max(abs(lo_re), abs(hi_re), abs(lo_im), abs(hi_im)))
+                        assert hi_re - lo_re <= 4 * ulp, (t, bits, sigma, x)
+                        assert hi_im - lo_im <= 4 * ulp, (t, bits, sigma, x)
 
 
 # -- the lattice -------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import from_float, mpf_cmp
+from mpmath.libmp import fone, from_float, mpf_cmp, mpf_cos, mpf_neg, mpf_sin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +21,11 @@ from grhdesk.interval import (
     HARDWARE,
     ComplexBox,
     RealInterval,
+    _big_trans,
+    _contains_odd_multiple,
+    _cos_sin,
+    _fmax,
+    _fmin,
     arith,
     bigfloat,
     elem,
@@ -143,6 +148,51 @@ def test_cos_interval_spanning_minimum():
 def test_trig_full_period_clamps():
     r = RealInterval(0.0, 10.0).sin()
     assert r.lo == -1.0 and r.hi == 1.0
+
+
+def _separate_trig(x: RealInterval, kernel, offset_max: float, offset_min: float) -> RealInterval:
+    """cos or sin alone: its own mpf kernel at each endpoint and rounding
+    direction, then the extremum sweep (peaks at (offset_max + 2k) pi,
+    dips at (offset_min + 2k) pi)."""
+    tier, bits = x.tier, x.tier.bits
+    pi = pi_interval(tier)
+    none = mpf_neg(fone)
+    if x.width() >= (pi + pi).lo_float():
+        return RealInterval(none, fone, tier, _raw=True)
+    lo = _fmin(*(_big_trans(kernel, e, bits, "f") for e in (x.lo, x.hi)))
+    hi = _fmax(*(_big_trans(kernel, e, bits, "c") for e in (x.lo, x.hi)))
+    sweep = (x.lo_float(), x.hi_float(), pi.lo_float(), pi.hi_float())
+    if _contains_odd_multiple(*sweep, offset_max):
+        hi = fone
+    if _contains_odd_multiple(*sweep, offset_min):
+        lo = none
+    return RealInterval(_fmax(lo, none), _fmin(hi, fone), tier, _raw=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+        st.integers(-60, 60).map(lambda k: k * math.pi / 2),  # an extremum of cos or sin
+    ),
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1e-9),
+        st.floats(min_value=0.0, max_value=4.0),
+        st.floats(min_value=2 * math.pi, max_value=50.0),
+    ),
+    st.sampled_from([64, 128]),
+)
+def test_cos_sin_fused_matches_separate_kernels(centre, width, bits):
+    # one mpf_cos_sin per endpoint and direction gives the endpoints that
+    # separate mpf_cos and mpf_sin calls give, bit for bit
+    tier = bigfloat(bits)
+    x = RealInterval(centre - width / 2, centre + width / 2, tier)
+    c, s = _cos_sin(x)
+    for got, kernel, offsets in ((c, mpf_cos, (0.0, 1.0)), (s, mpf_sin, (0.5, -0.5))):
+        ref = _separate_trig(x, kernel, *offsets)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi), (x, kernel.__name__)
+    assert (x.cos().lo, x.cos().hi, x.sin().lo, x.sin().hi) == (c.lo, c.hi, s.lo, s.hi)
 
 
 @pytest.mark.parametrize("tier", TIERS, ids=str)
