@@ -34,7 +34,6 @@ from .interval import (
     bigfloat,
     pi_interval,
 )
-from .ivec import CVec, IVec
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -80,9 +79,14 @@ def _primitive_root(p: int, a: int) -> int:
 
 @dataclass(frozen=True)
 class CyclicFactor:
-    """One cyclic piece of (Z/qZ)*: modulus, generator, order, dlog table."""
+    """One cyclic piece of (Z/qZ)*: modulus, its prime, generator, order, dlog table.
+
+    prime is the p of the prime power p^a the factor comes from; a factor
+    merged as 2 p^a records the odd p.
+    """
 
     prime_power: int
+    prime: int
     generator: int
     order: int
     dlog: np.ndarray
@@ -171,17 +175,17 @@ class CharGroup:
             if g % 2 == 0:
                 g += pp
             m = 2 * pp
-            factors.append(CyclicFactor(m, g % m, euler_phi(pp), _dlog_table(m, g % m, euler_phi(pp))))
+            factors.append(CyclicFactor(m, p, g % m, euler_phi(pp), _dlog_table(m, g % m, euler_phi(pp))))
             odd = odd[1:]
         elif two_alpha == 2:
-            factors.append(CyclicFactor(4, 3, 2, _dlog_table(4, 3, 2)))
+            factors.append(CyclicFactor(4, 2, 3, 2, _dlog_table(4, 3, 2)))
         elif two_alpha >= 3:
             self.special_two = _special_two_tables(two_alpha)
 
         for p, a in odd:
             pp = p**a
             g = _primitive_root(p, a)
-            factors.append(CyclicFactor(pp, g, euler_phi(pp), _dlog_table(pp, g, euler_phi(pp))))
+            factors.append(CyclicFactor(pp, p, g, euler_phi(pp), _dlog_table(pp, g, euler_phi(pp))))
 
         self.factors = factors
         self.orders: tuple[int, ...] = tuple(
@@ -282,28 +286,6 @@ class CharGroup:
         c = np.where(ok, c % L, 0)
         return c, ok
 
-    def eval_char_batch(self, idx, ns: np.ndarray) -> CVec:
-        """chi(n) for an integer array, as hardware boxes (0 off-units)."""
-        c, ok = self.phase_numerators(idx, ns)
-        cos_tab, sin_tab = self._unity_tables()
-        re_lo = np.where(ok, cos_tab.lo[c], 0.0)
-        re_hi = np.where(ok, cos_tab.hi[c], 0.0)
-        im_lo = np.where(ok, sin_tab.lo[c], 0.0)
-        im_hi = np.where(ok, sin_tab.hi[c], 0.0)
-        return CVec(IVec(re_lo, re_hi, _checked=True), IVec(im_lo, im_hi, _checked=True))
-
-    def _unity_tables(self):
-        """Interval cos/sin of 2 pi c / exponent for c = 0..exponent-1."""
-        tabs = self._unity_cache.get("hw")
-        if tabs is None:
-            L = self.exponent
-            theta = IVec.from_points(np.arange(L, dtype=np.float64)) * (
-                pi_interval(HARDWARE) * RealInterval.point(2.0)
-            ) / L
-            tabs = (theta.cos(), theta.sin())
-            self._unity_cache["hw"] = tabs
-        return tabs
-
     def _fixed_unity_tables(self, bits: int):
         """Fixed-point e(a/q), a < q, and e(c/exponent), c < exponent.
 
@@ -344,20 +326,15 @@ class CharGroup:
         primitive.  At 2^a (a >= 3) the exponent of 5 must be odd.
         """
         idx = tuple(idx)
-        pos = 0
-        for f in self.factors:
-            k = idx[pos]
-            pos += 1
-            pp = f.prime_power
-            if pp % 2 == 0 and pp % 4 != 0:
+        for k, f in zip(idx, self.factors):
+            if f.prime_power % 4 == 2:
                 return False
-            p = factorize(pp)[0][0]
-            if pp == p:
+            if f.prime_power == f.prime:
                 if k == 0:
                     return False
-            elif k % p == 0:
+            elif k % f.prime == 0:
                 return False
-        if self.special_two and idx[pos + 1] % 2 == 0:
+        if self.special_two and idx[-1] % 2 == 0:
             return False
         return True
 
@@ -414,47 +391,44 @@ class CharGroup:
         """epsilon = tau(chi) / (i^parity sqrt(q)); modulus must contain 1."""
         if not self.is_primitive(idx):
             raise NotPrimitive(f"index {idx} mod {self.q} is imprimitive")
+        return self._root_number(idx, self.parity(idx), bits).widen_to(out_tier)
+
+    def _root_number(self, idx, parity: int, bits: int) -> ComplexBox:
+        """root_number of a primitive character of the given parity, at bigfloat(bits)."""
         tier = bigfloat(bits)
         tau = self.gauss_sum(idx, bits)
-        a = self.parity(idx)
-        if a == 1:
+        if parity == 1:
             tau = ComplexBox(tau.im, -tau.re)  # divide by i
         eps = tau / ComplexBox.from_real(RealInterval.point(self.q, tier).sqrt())
         if not eps.abs2().contains(1):
             raise HypothesisViolated(
                 f"|epsilon|^2 = {eps.abs2()!r} misses 1 for index {idx} mod {self.q}"
             )
-        return eps.widen_to(out_tier)
-
-    def lambda_prefactor(
-        self, idx, bits: int = 160, out_tier: PrecisionTier = HARDWARE
-    ) -> ComplexBox:
-        """Unimodular w with conj(w)/w containing the root number.
-
-        Conjugating the completed value flips w to conj(w) and applies the
-        functional equation, which costs one factor of the root number; the
-        two cancel exactly when w*w equals the conjugated root number, so w
-        is taken as a square root of it.
-        """
-        eps = self.root_number(idx, bits=bits, out_tier=bigfloat(bits))
-        return _unimodular_sqrt(eps.conj()).widen_to(out_tier)
+        return eps
 
     def char_meta(
         self, idx, bits: int = 160, tier: PrecisionTier = HARDWARE
     ) -> CharMeta:
         """Bundle parity, primitivity, completion constant, conjugate index.
 
+        The completion constant of a primitive character is a unimodular w
+        with w*w the conjugated root number: conjugating the completed value
+        flips w to conj(w) and applies the functional equation, which costs
+        one factor of the root number, and the two cancel exactly.  The root
+        number is taken at bigfloat(bits) and w is narrowed to tier.
         Imprimitive characters get epsilon = 1: they are never completed
         directly, only through the primitive character inducing them.
         """
         idx = tuple(int(v) for v in idx)
         primitive = self.is_primitive(idx)
+        parity = self.parity(idx)
         if primitive:
-            eps = self.lambda_prefactor(idx, bits=bits, out_tier=tier)
+            root = self._root_number(idx, parity, bits)
+            eps = _unimodular_sqrt(root.conj()).widen_to(tier)
         else:
             eps = ComplexBox.one(tier)
         return CharMeta(
-            parity=self.parity(idx),
+            parity=parity,
             primitive=primitive,
             epsilon=eps,
             conjugate=self.canonical(self.conjugate(idx)),

@@ -6,8 +6,10 @@ e(+nm/N), neither normalizes, so forward-then-backward scales by N.
 Twiddle tables are computed once per length at the big-float tier (quadrant
 symmetry keeps that cheap), narrowed to hardware endpoints, and cached.
 
-The group DFT evaluates sums of a(n) chi(n) for every character of a modulus
-simultaneously by transforming one CRT coordinate at a time, which is the
+dft() holds the one length policy: radix-2 for powers of two, the naive
+sum up to _NAIVE_LIMIT, Bluestein above it.  The group DFT evaluates sums
+of a(n) chi(n) for every character of a modulus simultaneously by
+transforming one CRT coordinate at a time through dft(), which is the
 usual row-column method over the cyclic factor structure.
 """
 
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import CharGroup, unit_phase
-from .interval import HARDWARE, ComplexBox, bigfloat
+from .interval import HARDWARE, bigfloat
 from .ivec import CVec, IVec
 
 _TWIDDLE_BITS = 128
@@ -105,35 +107,17 @@ def fft_pow2(z: CVec, direction: str = "forward") -> CVec:
     return z
 
 
-def dft_naive(x, direction: str = "forward"):
-    """Definition-sum DFT.  CVec in, CVec out; box list in, box list out.
-
-    A box list may live at any precision tier; the sum then runs in scalar
-    interval arithmetic with twiddles at that tier.
-    """
-    if isinstance(x, CVec):
-        n = x.shape[-1]
-        if n == 1:
-            return x.copy()
-        table = unity_table(n)
-        if direction == "backward":
-            table = table.conj()
-        idx = (np.arange(n)[:, None] * np.arange(n)[None, :]) % n
-        prods = x.reshape(*x.shape[:-1], n, 1) * table.take_last(idx)
-        return prods.sum(axis=-2)
-    boxes = list(x)
-    n = len(boxes)
-    if n == 0:
-        return []
-    tier = boxes[0].tier
-    sign = -1 if direction == "forward" else 1
-    out = []
-    for m in range(n):
-        acc = ComplexBox.zero(tier)
-        for k, b in enumerate(boxes):
-            acc = acc + b * unit_phase(Fraction(sign * k * m, n), tier)
-        out.append(acc)
-    return out
+def dft_naive(x: CVec, direction: str = "forward") -> CVec:
+    """Definition-sum DFT along the last axis."""
+    n = x.shape[-1]
+    if n == 1:
+        return x.copy()
+    table = unity_table(n)
+    if direction == "backward":
+        table = table.conj()
+    idx = (np.arange(n)[:, None] * np.arange(n)[None, :]) % n
+    prods = x.reshape(*x.shape[:-1], n, 1) * table.take_last(idx)
+    return prods.sum(axis=-2)
 
 
 def _chirp(n: int, direction: str) -> CVec:
@@ -247,28 +231,7 @@ def group_dft_cvec(group: CharGroup, values: CVec) -> CVec:
     arr = values.take_last(_coords_perm(group))
     arr = arr.reshape(*lead, *group.orders)
     ndim_lead = len(lead)
-    for axis_pos, order in enumerate(group.orders):
+    for axis_pos in range(len(group.orders)):
         axis = ndim_lead + axis_pos
-        arr = arr.moveaxis(axis, -1)
-        if order == 1:
-            pass
-        elif order & (order - 1) == 0:
-            arr = fft_pow2(arr, "backward")
-        elif order <= _NAIVE_LIMIT:
-            arr = dft_naive(arr, "backward")
-        else:
-            arr = dft_bluestein(arr, "backward")
-        arr = arr.moveaxis(-1, axis)
+        arr = dft(arr.moveaxis(axis, -1), "backward").moveaxis(-1, axis)
     return arr
-
-
-def group_dft(group: CharGroup, values: dict) -> dict:
-    """Spec-shaped wrapper: residue->box map in, CharIndex->box map out."""
-    units = units_of(group)
-    vec = CVec.from_boxes([values[int(n)] for n in units])
-    out = group_dft_cvec(group, vec)
-    flat = out.reshape(group.phi)
-    result = {}
-    for pos, idx in enumerate(np.ndindex(*group.orders)):
-        result[tuple(int(v) for v in idx)] = flat[pos]
-    return result

@@ -1,7 +1,9 @@
 """Exception types raised by the numerical kernels.
 
 Every failure mode that a caller can act on gets its own class; anything else
-is a plain ValueError/TypeError from argument validation.
+is a plain ValueError/TypeError from argument validation.  Each class below
+is raised somewhere in the package; a new failure mode adds its class
+together with the code that raises it.
 """
 
 
@@ -49,10 +51,6 @@ class TailDivergence(GrhdeskError):
     """A geometric tail bound failed to certify a ratio < 1."""
 
 
-class GeometricRatioNotDecreasing(GrhdeskError):
-    """Theta-sum truncation could not establish a decreasing term ratio."""
-
-
 class XConditionViolated(GrhdeskError):
     """Alias bound requested outside its X(x) > 1 region of validity."""
 
@@ -61,21 +59,9 @@ class BetaConditionViolated(GrhdeskError):
     """Grid-error bound requested where the beta exponent is not positive."""
 
 
-class WindowUnderflow(GrhdeskError):
-    """Up-sampling window extends past the ends of the sample grid."""
-
-
-class QuadratureNotTight(GrhdeskError):
-    """Interval quadrature failed to reach the requested enclosure width."""
-
-
 class HypothesisViolated(GrhdeskError):
     """An analytic bound was requested outside its hypotheses (e.g. t0 <= 50)."""
 
 
 class RealnessViolation(GrhdeskError):
     """A provably-real quantity came out with an imaginary part excluding 0."""
-
-
-class CertificationFailed(GrhdeskError):
-    """Zero-count certification could not be completed for a window."""

@@ -13,9 +13,13 @@ Three evaluation paths, stacked bottom to top:
   exp and one cos_sin kernel call whose results are trusted to a few
   ulps at the build's bits; its per-column constants are exact
   rationals rounded once;
-* ``eval_taylor`` — Taylor-shift queries against that grid for rational
-  second arguments a/q, with a geometric bound on the truncated Taylor
-  tail and exact restoration of the first M+1 direct terms.
+* ``unit_hurwitz`` — Taylor-shift queries against that grid for the
+  rational second arguments a/q of every unit a mod q at once, with a
+  geometric bound on the truncated Taylor tail and exact restoration of
+  the first M+1 direct terms.
+
+This module alone knows the lattice: its layout, its file format
+(save_lattice, load_lattice) and its query.
 """
 
 from __future__ import annotations
@@ -523,7 +527,7 @@ def save_lattice(lat: HurwitzLattice, path: str | Path) -> None:
     """Write header (decimal) then cells row-major, one line per cell.
 
     A cell's line is the float.hex form of its endpoints re.lo re.hi
-    im.lo im.hi, the same text as ComplexBox.to_hex.
+    im.lo im.hi, taken straight from the endpoint arrays of lat.rows.
     """
     path = Path(path)
     re, im = lat.rows.re, lat.rows.im
@@ -573,12 +577,6 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
 # Taylor-shift queries
 
 
-def nearest_row(a: int, q: int, D: int) -> int:
-    """Lattice row nearest to a/q, ties toward larger r, clamped to 1..D."""
-    r = (2 * a * D + q) // (2 * q)
-    return min(max(r, 1), D)
-
-
 def taylor_tail_bound(
     s_mag_hi: Fraction,
     delta_abs: Fraction,
@@ -614,44 +612,59 @@ def taylor_tail_bound(
     return tK / (1 - ratio)
 
 
-def eval_taylor(lat: HurwitzLattice, a: int, q: int) -> ComplexBox:
-    """Enclosure of zeta(1/2 + i t, a/q) from the lattice.
+def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
+    """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
 
-    Shifts the nearest row by delta = a/q - r/D through Ncols Taylor
-    terms, bounds the truncated Taylor tail geometrically, and restores
-    the first M+1 direct terms at the exact argument a/q.
+    Each a/q takes the row r nearest to it (ties toward the larger r,
+    clamped to 1..D), shifts that row by delta = a/q - r/D through Ncols
+    Taylor terms, bounds the truncated Taylor tail geometrically, and
+    restores the first M+1 direct terms at the exact argument a/q.  One
+    tail bound serves the batch: taylor_tail_bound is monotone in |delta|
+    and in the reciprocal of the row radius, so the largest |delta| and
+    the smallest row bound every unit.  Each a must satisfy 0 < a < q and
+    gcd(a, q) = 1.
     """
-    if not (0 < a < q):
-        raise DomainError("need 0 < a < q")
-    if math.gcd(a, q) != 1:
-        raise DomainError("a and q must be coprime")
-    r = nearest_row(a, q, lat.D)
-    delta_fr = Fraction(a, q) - Fraction(r, lat.D)
+    D = lat.D
+    units = np.asarray(units, dtype=np.int64)
+    if not np.all((0 < units) & (units < q) & (np.gcd(units, q) == 1)):
+        raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
+    rows = np.clip((2 * units * D + q) // (2 * q), 1, D)
+
+    d_max = Fraction(0)
+    deltas = []
+    for a, r in zip(units, rows):
+        d = Fraction(int(a), q) - Fraction(int(r), D)
+        deltas.append(RealInterval.from_fraction(-d, HARDWARE))
+        if abs(d) > d_max:
+            d_max = abs(d)
+    neg_delta = IVec.from_intervals(deltas)
+
+    cells = lat.rows.take(rows - 1)
+
+    def col(k: int) -> CVec:
+        return cells[(slice(None), k)]
 
     s0 = lat.s_at(0)
-    row = lat.rows[r - 1]
-    acc = row[0]
-    if delta_fr:
-        neg_delta = RealInterval.from_fraction(-delta_fr, HARDWARE)
-        coef = ComplexBox.one(HARDWARE)
+    acc = col(0)
+    if d_max:
+        coef = CVec.full(neg_delta.shape, ComplexBox.one(HARDWARE))
         for k in range(1, lat.Ncols + 1):
             # coef_k = (-delta)^k (s)_k / k!
             coef = (coef * (s0 + (k - 1))) * (neg_delta / k)
-            acc = acc + coef * row[k]
+            acc = acc + coef * col(k)
+        s_mag_hi = fraction_sqrt_upper(Fraction(1, 4) + Fraction(lat.t) ** 2)
+        radius = Fraction(int(rows.min()), D) + (lat.M + 1)
+        tail = taylor_tail_bound(s_mag_hi, d_max, radius, lat.Ncols + 1)
+        if tail:
+            acc = acc.pad(RealInterval.from_fraction(tail, HARDWARE).hi_float())
 
-    # truncated Taylor terms, bounded via exact rational arithmetic
-    s_mag_sq = Fraction(1, 4) + Fraction(lat.t) ** 2
-    s_mag_hi = fraction_sqrt_upper(s_mag_sq)
-    radius = Fraction(r, lat.D) + (lat.M + 1)
-    tail = taylor_tail_bound(s_mag_hi, abs(delta_fr), radius, lat.Ncols + 1)
-    if tail:
-        acc = acc.pad(RealInterval.from_fraction(tail, HARDWARE))
-
-    # restore the removed head at the exact argument a/q
-    neg_s = -s0
-    aq = Fraction(a, q)
+    # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
+    neg_re = -s0.re
+    neg_im = -s0.im
     for n in range(lat.M + 1):
-        acc = acc + _cpow(RealInterval.from_fraction(aq + n, HARDWARE), neg_s)
+        base = IVec.from_points((units + n * q).astype(np.float64)) / q
+        lg = base.log()
+        acc = acc + CVec(lg * neg_re, lg * neg_im).exp()
     return acc
 
 

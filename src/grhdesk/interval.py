@@ -43,7 +43,6 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pi,
     mpf_pos,
-    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     to_float,
@@ -391,11 +390,6 @@ class RealInterval:
             return -1
         return 0
 
-    def is_finite(self) -> bool:
-        if self.tier.kind == "hardware":
-            return math.isfinite(self.lo) and math.isfinite(self.hi)
-        return not (_is_special(self.lo) or _is_special(self.hi))
-
     # -- lattice ops -------------------------------------------------------
 
     def hull(self, other: "RealInterval") -> "RealInterval":
@@ -658,21 +652,6 @@ class RealInterval:
     def cos(self) -> "RealInterval":
         return _cos_sin(self)[0]
 
-    # -- serialization -----------------------------------------------------
-
-    def to_hex(self) -> str:
-        """Lossless text form of both endpoints."""
-        if self.tier.kind == "hardware":
-            return f"{self.lo.hex()} {self.hi.hex()}"
-        return f"{_raw_to_hex(self.lo)} {_raw_to_hex(self.hi)}"
-
-    @staticmethod
-    def from_hex(text: str, tier: PrecisionTier = HARDWARE) -> "RealInterval":
-        slo, shi = text.split()
-        if tier.kind == "hardware":
-            return RealInterval(float.fromhex(slo), float.fromhex(shi), tier, _raw=True)
-        return RealInterval(_raw_from_hex(slo), _raw_from_hex(shi), tier, _raw=True)
-
 
 # ---------------------------------------------------------------------------
 
@@ -808,23 +787,6 @@ def _contains_odd_multiple(lo: float, hi: float, pi_lo: float, pi_hi: float, off
     return False
 
 
-def _raw_to_hex(x) -> str:
-    if x == fzero:
-        return "0x0p0"
-    sign, man, exp, _ = x
-    return f"{'-' if sign else ''}0x{int(man):x}p{exp}"
-
-
-def _raw_from_hex(s: str):
-    neg = s.startswith("-")
-    if neg:
-        s = s[1:]
-    mant, _, exp = s.partition("p")
-    man = int(mant, 16)
-    v = from_man_exp(man, int(exp))
-    return mpf_neg(v) if neg else v
-
-
 # ---------------------------------------------------------------------------
 # complex boxes
 
@@ -946,19 +908,6 @@ class ComplexBox:
 
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
-
-    def to_hex(self) -> str:
-        return f"{self.re.to_hex()} {self.im.to_hex()}"
-
-    @staticmethod
-    def from_hex(text: str, tier: PrecisionTier = HARDWARE) -> "ComplexBox":
-        parts = text.split()
-        if len(parts) != 4:
-            raise ValueError("complex box hex form needs 4 fields")
-        return ComplexBox(
-            RealInterval.from_hex(" ".join(parts[:2]), tier),
-            RealInterval.from_hex(" ".join(parts[2:]), tier),
-        )
 
 
 def _coerce_box(z, tier: PrecisionTier) -> ComplexBox:

@@ -338,10 +338,6 @@ class IVec:
     def intersects(self, other: "IVec") -> np.ndarray:
         return (self.lo <= other.hi) & (other.lo <= self.hi)
 
-    def contains_points(self, x) -> np.ndarray:
-        a = _as_arr(x)
-        return (self.lo <= a) & (a <= self.hi)
-
 
 def _other_endpoints(other):
     if isinstance(other, IVec):
@@ -398,10 +394,6 @@ class CVec:
     def from_points(z) -> "CVec":
         z = np.asarray(z, dtype=np.complex128)
         return CVec(IVec.from_points(z.real), IVec.from_points(z.imag))
-
-    @staticmethod
-    def from_re_im(re, im) -> "CVec":
-        return CVec(IVec.from_points(re), IVec.from_points(im))
 
     @staticmethod
     def zeros(shape) -> "CVec":
@@ -463,9 +455,6 @@ class CVec:
 
     def copy(self) -> "CVec":
         return CVec(self.re.copy(), self.im.copy())
-
-    def to_boxes(self):
-        return [ComplexBox(r, i) for r, i in zip(self.re.to_intervals(), self.im.to_intervals())]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         w = max(float(np.max(self.re.width())), float(np.max(self.im.width())))

@@ -5,9 +5,12 @@ character sums over Hurwitz values:
 
     L_chi(1/2+it) = q^(-s) sum_{a mod q, gcd(a,q)=1} chi(a) zeta(s, a/q).
 
-The Hurwitz values come off the precomputed lattice by Taylor shift, the
-character sums are one group DFT, and the q^(-s) scaling is a single
-interval power; all phi(q) L-values for the modulus drop out of one pass.
+The Hurwitz values come off the precomputed lattice by one batched Taylor
+shift (hurwitz.unit_hurwitz), the character sums are one group DFT
+(dft.group_dft_cvec), and the q^(-s) scaling is a single interval power;
+all phi(q) L-values for the modulus drop out of one pass.  This module
+only composes those steps: the lattice query and its file format live in
+hurwitz, the DFT length policy in dft.
 Completion multiplies in the archimedean factor, which depends on the
 character only through its parity, and the unimodular constant, then
 projects the provably real result onto the real axis.
@@ -34,14 +37,7 @@ import numpy as np
 from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
 from .errors import DomainError, RealnessViolation
-from .hurwitz import (
-    DEFAULT_D,
-    HurwitzLattice,
-    build_lattice,
-    fraction_sqrt_upper,
-    nearest_row,
-    taylor_tail_bound,
-)
+from .hurwitz import DEFAULT_D, HurwitzLattice, build_lattice, unit_hurwitz
 from .interval import (
     HARDWARE,
     ComplexBox,
@@ -50,7 +46,6 @@ from .interval import (
     log_gamma,
     pi_interval,
 )
-from .ivec import CVec, IVec
 
 DEFAULT_STEP = Fraction(5, 64)
 
@@ -112,56 +107,7 @@ def grid_count(t_lo, t_hi, t_step) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batched Hurwitz values over the unit residues
-
-
-def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
-    """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
-
-    Same Taylor shift and head restoration as the scalar lattice query,
-    run across all units at once; the per-unit rational tail bound is
-    replaced by its maximum over the batch (monotone in |delta| and in
-    the reciprocal of the row radius, so the extremes bound everybody).
-    """
-    D = lat.D
-    units = np.asarray(units, dtype=np.int64)
-    rows = np.clip((2 * units * D + q) // (2 * q), 1, D)
-
-    d_max = Fraction(0)
-    deltas = []
-    for a, r in zip(units, rows):
-        d = Fraction(int(a), q) - Fraction(int(r), D)
-        deltas.append(RealInterval.from_fraction(-d, HARDWARE))
-        if abs(d) > d_max:
-            d_max = abs(d)
-    neg_delta = IVec.from_intervals(deltas)
-
-    cells = lat.rows.take(rows - 1)
-
-    def col(k: int) -> CVec:
-        return cells[(slice(None), k)]
-
-    s0 = lat.s_at(0)
-    acc = col(0)
-    if d_max:
-        coef = CVec.full(neg_delta.shape, ComplexBox.one(HARDWARE))
-        for k in range(1, lat.Ncols + 1):
-            coef = (coef * (s0 + (k - 1))) * (neg_delta / k)
-            acc = acc + coef * col(k)
-        s_mag_hi = fraction_sqrt_upper(Fraction(1, 4) + Fraction(lat.t) ** 2)
-        radius = Fraction(int(rows.min()), D) + (lat.M + 1)
-        tail = taylor_tail_bound(s_mag_hi, d_max, radius, lat.Ncols + 1)
-        if tail:
-            acc = acc.pad(RealInterval.from_fraction(tail, HARDWARE).hi_float())
-
-    # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
-    neg_re = -s0.re
-    neg_im = -s0.im
-    for n in range(lat.M + 1):
-        base = IVec.from_points((units + n * q).astype(np.float64)) / q
-        lg = base.log()
-        acc = acc + CVec(lg * neg_re, lg * neg_im).exp()
-    return acc
+# L-values
 
 
 def q_pow(q: int, t: float, bits: int = 96) -> ComplexBox:

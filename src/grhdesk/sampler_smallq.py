@@ -129,14 +129,8 @@ def default_trunc(x: float, q: int, eta: float) -> int:
     return max(1, math.ceil(math.sqrt(30 * q / (math.pi * c))))
 
 
-def _coerce_x(x) -> RealInterval:
-    if isinstance(x, RealInterval):
-        return x
-    return RealInterval.point(x, HARDWARE)
-
-
 def _theta_value(
-    x, q: int, group, idx, meta: CharMeta, eta: float, trunc: int, parity: int
+    x: RealInterval, q: int, group, idx, meta: CharMeta, eta: float, trunc: int, parity: int
 ) -> tuple[ComplexBox, RealInterval]:
     """Truncated dual-side theta sum with its tail radius.
 
@@ -148,7 +142,6 @@ def _theta_value(
     u = x + i pi eta/4.  The tail past trunc is dominated by a geometric
     series; TailDivergence if the certified term ratio reaches 1.
     """
-    x = _coerce_x(x)
     pi = pi_interval(HARDWARE)
     u = ComplexBox(x, pi * RealInterval.point(eta / 4))
     e2u = (u + u).exp()
@@ -186,34 +179,6 @@ def _theta_value(
     qpow = _frac_pow(RealInterval.point(q), Fraction(2 * parity + 1, 4))
     factor = (RealInterval.point(2) / qpow)
     return (meta.epsilon * pref) * acc * factor, tail
-
-
-def fhat_even(x, q: int, char, plan: FftPlan, trunc: int | None = None) -> ComplexBox:
-    """Dual-side value for an even primitive character at x."""
-    group = char_group(q)
-    idx = tuple(int(v) for v in char)
-    meta = group.char_meta(idx)
-    if not meta.primitive:
-        raise NotPrimitive(f"index {idx} mod {q} is imprimitive")
-    if meta.parity != 0:
-        raise DomainError("fhat_even needs an even character")
-    if trunc is None:
-        trunc = default_trunc(_coerce_x(x).lo_float(), q, plan.eta)
-    return _theta_value(x, q, group, idx, meta, plan.eta, trunc, 0)[0]
-
-
-def fhat_odd(x, q: int, char, plan: FftPlan, trunc: int | None = None) -> ComplexBox:
-    """Dual-side value for an odd primitive character at x."""
-    group = char_group(q)
-    idx = tuple(int(v) for v in char)
-    meta = group.char_meta(idx)
-    if not meta.primitive:
-        raise NotPrimitive(f"index {idx} mod {q} is imprimitive")
-    if meta.parity != 1:
-        raise DomainError("fhat_odd needs an odd character")
-    if trunc is None:
-        trunc = default_trunc(_coerce_x(x).lo_float(), q, plan.eta)
-    return _theta_value(x, q, group, idx, meta, plan.eta, trunc, 1)[0]
 
 
 def _decay_bound(w: RealInterval, x_of_w: RealInterval, parity: int) -> RealInterval:

@@ -180,17 +180,6 @@ def test_periodicity_exact():
             assert g.phase(idx, n) == g.phase(idx, n + 15)
 
 
-def test_batch_matches_scalar():
-    g = CharGroup(35)
-    ns = np.arange(120)
-    for idx in [next(iter(g.all_indices())), (1, 2), (2, 3)]:
-        batch = g.eval_char_batch(idx, ns)
-        for n in (0, 1, 7, 11, 34, 36, 119):
-            sc = g.eval_char(idx, int(n))
-            assert batch.re.lo[n] <= sc.re.mid() <= batch.re.hi[n]
-            assert batch.im.lo[n] <= sc.im.mid() <= batch.im.hi[n]
-
-
 # ---------------------------------------------------------------------------
 # parity
 
@@ -382,10 +371,11 @@ def test_root_number_at_bigfloat_tier():
 
 
 def test_lambda_prefactor_squares_to_conj_root_number():
+    # the completion constant char_meta(idx).epsilon is the prefactor
     for q in (5, 7, 8, 12, 13, 17, 21, 40):
         g = CharGroup(q)
         for idx in g.primitive_indices():
-            w = g.lambda_prefactor(idx, out_tier=bigfloat(160))
+            w = g.char_meta(idx, tier=bigfloat(160)).epsilon
             eps = g.root_number(idx, out_tier=bigfloat(160))
             assert (w * w).intersects(eps.conj()), (q, idx)
             assert w.abs2().contains(1)
@@ -396,7 +386,7 @@ def test_lambda_prefactor_real_for_quadratic():
     for q, idx in [(5, (2,)), (8, (0, 1)), (12, (1, 1))]:
         g = CharGroup(q)
         assert g.is_real(idx) and g.is_primitive(idx)
-        w = g.lambda_prefactor(idx)
+        w = g.char_meta(idx, tier=bigfloat(160)).epsilon
         assert w.im.contains_zero()
         assert w.re.contains(1) or w.re.contains(-1)
 
@@ -421,7 +411,6 @@ def test_char_meta_imprimitive_placeholder():
 
 def test_unimodular_sqrt_covers_all_quadrants():
     from grhdesk.characters import _unimodular_sqrt
-    from grhdesk.interval import ComplexBox
 
     tier = bigfloat(120)
     for num in range(8):

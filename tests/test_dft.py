@@ -1,7 +1,5 @@
 """DFT engines against definition-sum oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,11 @@ from grhdesk.dft import (
     dft_bluestein,
     dft_naive,
     fft_pow2,
-    group_dft,
     group_dft_cvec,
     units_of,
     unity_table,
 )
-from grhdesk.interval import ComplexBox, bigfloat
+from grhdesk.interval import ComplexBox
 from grhdesk.ivec import CVec
 
 RNG = np.random.default_rng(1729)
@@ -86,16 +83,6 @@ def test_naive_matches_numpy(n):
     for direction in ("forward", "backward"):
         y = dft_naive(x, direction)
         assert contains_complex(y, numpy_dft(pts, direction), slack=1e-11)
-
-
-def test_naive_box_list_any_tier():
-    tier = bigfloat(96)
-    boxes = [ComplexBox.point(complex(1, 0), tier), ComplexBox.point(complex(0, 1), tier)]
-    out = dft_naive(boxes, "forward")
-    # [1+i, 1-i]
-    assert out[0].re.contains(1) and out[0].im.contains(1)
-    assert out[1].re.contains(1) and out[1].im.contains(-1)
-    assert out[0].tier == tier
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +173,35 @@ def test_dft_dispatch_consistency():
 # group DFT
 
 
-def naive_char_sums(g: CharGroup, vals: dict) -> dict:
+def naive_char_sums(g: CharGroup, vals: CVec) -> dict:
+    """sum a(n) chi(n) for every character, term by term in scalar boxes.
+
+    vals is aligned with units_of(g), as group_dft_cvec takes it.
+    """
+    units = [int(n) for n in units_of(g)]
     out = {}
     for idx in g.all_indices():
         acc = ComplexBox.zero()
-        for n, b in vals.items():
-            acc = acc + b * g.eval_char(idx, n)
+        for i, n in enumerate(units):
+            acc = acc + vals[i] * g.eval_char(idx, n)
         out[idx] = acc
     return out
 
 
-def random_group_values(q: int) -> dict:
-    vals = {}
-    for n in range(1, q):
-        if math.gcd(n, q) == 1:
-            vals[n] = ComplexBox.point(
-                complex(RNG.uniform(-1, 1), RNG.uniform(-1, 1))
-            )
-    return vals
+def assert_matches_naive_oracle(g: CharGroup, vals: CVec) -> None:
+    fast = group_dft_cvec(g, vals)
+    slow = naive_char_sums(g, vals)
+    assert fast.shape == g.orders
+    for idx in g.all_indices():
+        assert fast[idx].re.intersects(slow[idx].re), (g.q, idx)
+        assert fast[idx].im.intersects(slow[idx].im), (g.q, idx)
 
 
 def test_group_dft_q3_by_hand():
     g = CharGroup(3)
     x = ComplexBox.point(0.7 + 0.2j)
     y = ComplexBox.point(-0.3 + 0.5j)
-    out = group_dft(g, {1: x, 2: y})
+    out = group_dft_cvec(g, CVec.from_boxes([x, y]))
     s = out[(0,)]
     d = out[(1,)]
     assert s.re.contains_zero() or abs(s.re.mid() - 0.4) < 1e-12
@@ -218,42 +209,29 @@ def test_group_dft_q3_by_hand():
     assert abs(d.re.mid() - 1.0) < 1e-12 and abs(d.im.mid() + 0.3) < 1e-12
 
 
-@pytest.mark.parametrize("q", [8, 15])
+# q = 101 has one axis of order 100 and q = 201 orders (2, 66): dft() sends
+# both long axes to Bluestein, at q = 201 with the radix-2 axis beside it
+@pytest.mark.parametrize("q", [8, 15, 101, 201])
 def test_group_dft_matches_naive_oracle(q):
     g = CharGroup(q)
-    vals = random_group_values(q)
-    fast = group_dft(g, vals)
-    slow = naive_char_sums(g, vals)
-    assert len(fast) == g.phi
-    for idx in g.all_indices():
-        assert fast[idx].re.intersects(slow[idx].re), (q, idx)
-        assert fast[idx].im.intersects(slow[idx].im), (q, idx)
+    assert_matches_naive_oracle(g, rand_cvec(g.phi))
 
 
 def test_group_dft_oracle_sweep_small_q():
     for q in range(3, 65):
         g = CharGroup(q)
-        vals = random_group_values(q)
-        fast = group_dft(g, vals)
-        slow = naive_char_sums(g, vals)
-        for idx in g.all_indices():
-            assert fast[idx].re.intersects(slow[idx].re), (q, idx)
-            assert fast[idx].im.intersects(slow[idx].im), (q, idx)
+        assert_matches_naive_oracle(g, rand_cvec(g.phi))
 
 
 def test_group_dft_linearity():
     q = 20
     g = CharGroup(q)
-    va = random_group_values(q)
-    vb = random_group_values(q)
+    va = rand_cvec(g.phi)
+    vb = rand_cvec(g.phi)
     alpha, beta = 0.75, -1.25
-    combo = {n: va[n] * alpha + vb[n] * beta for n in va}
-    lhs = group_dft(g, combo)
-    fa = group_dft(g, va)
-    fb = group_dft(g, vb)
-    for idx in g.all_indices():
-        rhs = fa[idx] * alpha + fb[idx] * beta
-        assert lhs[idx].re.intersects(rhs.re) and lhs[idx].im.intersects(rhs.im)
+    lhs = group_dft_cvec(g, va * alpha + vb * beta)
+    rhs = group_dft_cvec(g, va) * alpha + group_dft_cvec(g, vb) * beta
+    assert np.all(lhs.re.intersects(rhs.re)) and np.all(lhs.im.intersects(rhs.im))
 
 
 def test_group_dft_batched_rows():
@@ -272,10 +250,10 @@ def test_group_dft_batched_rows():
 def test_group_dft_principal_is_plain_sum():
     q = 24
     g = CharGroup(q)
-    vals = random_group_values(q)
-    out = group_dft(g, vals)
+    vals = rand_cvec(g.phi)
+    out = group_dft_cvec(g, vals)
     acc = ComplexBox.zero()
-    for b in vals.values():
-        acc = acc + b
+    for i in range(g.phi):
+        acc = acc + vals[i]
     p = out[g.principal()]
     assert p.re.intersects(acc.re) and p.im.intersects(acc.im)

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
@@ -19,18 +20,17 @@ from grhdesk.hurwitz import (
     _em_rows,
     _power_ball,
     fraction_sqrt_upper,
-    auto_params,
     build_lattice,
     em_hurwitz,
     em_hurwitz_tail,
-    eval_taylor,
     load_lattice,
-    nearest_row,
     save_lattice,
     taylor_tail_bound,
+    unit_hurwitz,
     zeta_upper,
 )
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
+from grhdesk.ivec import CVec
 
 BIG = bigfloat(96)
 
@@ -56,6 +56,18 @@ def box_contains(box: ComplexBox, fre: Fraction, fim: Fraction) -> bool:
 
 def cbox(z, tier) -> ComplexBox:
     return ComplexBox.point(z, tier)
+
+
+def cell_hex(lat, r: int, c: int) -> str:
+    """float.hex of the endpoints re.lo re.hi im.lo im.hi of cell (r, c) in lat.rows."""
+    i = (r - 1, c)
+    re, im = lat.rows.re, lat.rows.im
+    return " ".join(float(v).hex() for v in (re.lo[i], re.hi[i], im.lo[i], im.hi[i]))
+
+
+def query(lat, a: int, q: int) -> ComplexBox:
+    """The lattice query for one residue a/q."""
+    return unit_hurwitz(lat, q, np.array([a]))[0]
 
 
 # -- em_hurwitz --------------------------------------------------------------
@@ -369,8 +381,8 @@ def test_lattice_cell_bounds_checked(lat8_t0):
 
 def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
     # the header carries the lattice's own build bits (96 here), and the
-    # body is the version-2 format: one ComplexBox.to_hex line per cell,
-    # row-major
+    # body is the version-2 format: one line per cell, row-major, of the
+    # float.hex endpoints of lat.rows
     path = tmp_path / "lat.dat"
     save_lattice(lat8_t10, path)
     back = load_lattice(path, expect=(10.0, 8, 15, 9, 96))
@@ -379,7 +391,7 @@ def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
     assert len(body) == 8 * 16
     cells = [(r, c) for r in range(1, 9) for c in range(16)]
     for line, (r, c) in zip(body, cells):
-        assert line == lat8_t10.cell(r, c).to_hex() == back.cell(r, c).to_hex()
+        assert line == cell_hex(lat8_t10, r, c) == cell_hex(back, r, c)
 
 
 def test_lattice_disk_cache_hit(tmp_path):
@@ -387,7 +399,7 @@ def test_lattice_disk_cache_hit(tmp_path):
     files = list(tmp_path.iterdir())
     assert len(files) == 1
     lat2 = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
-    assert lat1.cell(1, 0).to_hex() == lat2.cell(1, 0).to_hex()
+    assert cell_hex(lat1, 1, 0) == cell_hex(lat2, 1, 0)
     assert list(tmp_path.iterdir()) == files
 
 
@@ -400,7 +412,7 @@ def _assert_rebuilt(path, fresh, tmp_path):
     assert (again.t, again.D, again.Ncols, again.M) == (0.0, 4, 3, 2)
     for r in range(1, 5):
         for c in range(4):
-            assert again.cell(r, c).to_hex() == fresh.cell(r, c).to_hex()
+            assert cell_hex(again, r, c) == cell_hex(fresh, r, c)
 
 
 @pytest.mark.parametrize(
@@ -447,7 +459,7 @@ def test_lattice_cache_rebuilds_version_1_file(tmp_path):
     fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     header = path.read_text().splitlines()[1]
-    stale = ComplexBox.point(1.0, HARDWARE).to_hex()
+    stale = " ".join(map(float.hex, (1.0, 1.0, 0.0, 0.0)))  # the point box 1
     path.write_text("\n".join(["hurwitz-lattice 1", header] + [stale] * 16) + "\n")
     with pytest.raises(ValueError):
         load_lattice(path, expect=LATTICE_0)
@@ -466,15 +478,26 @@ def test_load_rejects_foreign_file(tmp_path):
 
 
 def test_nearest_row_selection():
-    assert nearest_row(1, 2, 8) == 4
-    assert nearest_row(3, 16, 8) == 2  # exact tie 1.5 goes to the larger row
-    assert nearest_row(1, 10**6, 8) == 1  # clamped at the bottom
-    assert nearest_row(999999, 10**6, 8) == 8
+    # row r of this lattice holds r in column 0 and zeros elsewhere, so a
+    # query returns its row's r plus the restored head (a/q)^(-1/2) (M = 0,
+    # t = 0) plus a Taylor-tail pad far below 1/2
+    D = 8
+    cells = np.zeros((D, 4), dtype=complex)
+    cells[:, 0] = np.arange(1, D + 1)
+    lat = HurwitzLattice(t=0.0, D=D, Ncols=3, M=0, bits=64, rows=CVec.from_points(cells))
+
+    def row(a, q):
+        return round(query(lat, a, q).re.mid() - math.sqrt(q / a))
+
+    assert row(1, 2) == 4
+    assert row(3, 16) == 2  # exact tie 1.5 goes to the larger row
+    assert row(1, 10**6) == 1  # clamped at the bottom
+    assert row(999999, 10**6) == 8
 
 
 def test_eval_taylor_on_row_matches_em(lat8_t0):
     # a/q = 3/8 sits exactly on row 3: no Taylor shift, no tail
-    z = eval_taylor(lat8_t0, 3, 8)
+    z = query(lat8_t0, 3, 8)
     oracle = em_hurwitz(Fraction(1, 2), Fraction(3, 8), tier=BIG)
     assert z.intersects(oracle)
     fre, fim = hurwitz_ref(Fraction(1, 2), Fraction(3, 8))
@@ -490,14 +513,14 @@ def test_eval_taylor_randomized_against_em(lat256_t0):
         if math.gcd(a, q) != 1:
             continue
         seen += 1
-        z = eval_taylor(lat256_t0, a, q)
+        z = query(lat256_t0, a, q)
         oracle = em_hurwitz(Fraction(1, 2), Fraction(a, q), tier=BIG)
         assert z.intersects(oracle), (a, q)
         assert z.re.width() < 1e-11, (a, q)
 
 
 def test_eval_taylor_complex_example(lat8_t10):
-    z = eval_taylor(lat8_t10, 2, 5)
+    z = query(lat8_t10, 2, 5)
     s = ComplexBox(
         RealInterval.from_fraction(Fraction(1, 2), BIG),
         RealInterval.point(10.0, BIG),
@@ -508,11 +531,13 @@ def test_eval_taylor_complex_example(lat8_t10):
 
 def test_eval_taylor_validates_input(lat8_t0):
     with pytest.raises(DomainError):
-        eval_taylor(lat8_t0, 2, 4)
+        query(lat8_t0, 2, 4)
     with pytest.raises(DomainError):
-        eval_taylor(lat8_t0, 0, 5)
+        query(lat8_t0, 0, 5)
     with pytest.raises(DomainError):
-        eval_taylor(lat8_t0, 5, 5)
+        query(lat8_t0, 5, 5)
+    with pytest.raises(DomainError):
+        unit_hurwitz(lat8_t0, 5, np.array([1, 2, 5]))  # one bad unit fails the batch
 
 
 def test_taylor_radius_violation_raises():
@@ -539,7 +564,7 @@ def test_taylor_tail_dominates_brute_terms():
             continue
         t = rng.uniform(0.0, 25.0) if cases % 3 else 0.0
         cases += 1
-        r = nearest_row(a, q, D)
+        r = min(max((2 * a * D + q) // (2 * q), 1), D)  # the query's row
         delta = abs(Fraction(a, q) - Fraction(r, D))
         radius = Fraction(r, D) + (M + 1)
         smag_sq = Fraction(1, 4) + Fraction(t) ** 2
@@ -568,7 +593,7 @@ def test_taylor_tail_dominates_brute_terms():
 def test_tail_restoration_m_independent():
     for M in (0, 20):
         lat = build_lattice(0.0, D=8, Ncols=15, M=M, tier=BIG, cache=False)
-        z = eval_taylor(lat, 5, 13)
+        z = query(lat, 5, 13)
         fre, fim = hurwitz_ref(Fraction(1, 2), Fraction(5, 13))
         assert box_contains(z, fre, fim), M
 

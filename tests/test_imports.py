@@ -1,0 +1,80 @@
+"""Every imported name in the package and its tests is used.
+
+A stdlib-ast check: a name bound by an import statement must be read
+somewhere else in the same module.  Names listed in the module's __all__
+count as used (they are re-exports), and ``from __future__`` imports are
+compiler directives, not names.  String annotations are parsed, so a name
+used only as ``-> "CVec"`` counts.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "grhdesk").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import statement, with its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, string annotations included."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for ann in annotations:
+        for sub in ast.walk(ann) if ann is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= _read(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _read(tree) | _exported(tree)
+    return [f"{path.name}:{line} {name}" for name, line in _imported(tree).items() if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_check_sees_an_unused_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import math, os\n"
+        "from .x import A, B\n"
+        "__all__ = ['B']\n"
+        "def f(v: 'A') -> float:\n"
+        "    return math.pi\n"
+    )
+    assert unused_imports(src) == ["mod.py:2 os"]

@@ -461,25 +461,6 @@ def test_complex_mul_containment(ar, ai, br, bi):
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_hex_roundtrip_lossless(tier):
-    x = RealInterval.point(1.5, tier).exp().sin()
-    y = RealInterval.from_hex(x.to_hex(), tier)
-    assert y.lo_fraction() == x.lo_fraction()
-    assert y.hi_fraction() == x.hi_fraction()
-
-
-def test_hex_roundtrip_complex():
-    z = ComplexBox.point(complex(-0.3, 0.7), B128).exp()
-    w = ComplexBox.from_hex(z.to_hex(), B128)
-    assert w.re.lo_fraction() == z.re.lo_fraction()
-    assert w.im.hi_fraction() == z.im.hi_fraction()
-
-
-# ---------------------------------------------------------------------------
 # structural
 
 

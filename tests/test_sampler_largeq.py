@@ -24,7 +24,6 @@ from grhdesk.hurwitz import (
     DEFAULT_NCOLS,
     build_lattice,
     em_hurwitz,
-    eval_taylor,
 )
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
 from grhdesk.sampler_largeq import (
@@ -103,15 +102,20 @@ def lat_tm10():
 
 @pytest.mark.parametrize("q", [7, 12, 36, 61])
 def test_unit_hurwitz_matches_scalar_query(lat_t0, lat_t10, q):
+    # the scalar query is the direct Euler-Maclaurin sum at the exact a/q
     group = char_group(q)
     units = units_of(group)
     for lat in (lat_t0, lat_t10):
         vec = unit_hurwitz(lat, q, units)
+        s = ComplexBox(
+            RealInterval.from_fraction(Fraction(1, 2), HARDWARE),
+            RealInterval.point(lat.t, HARDWARE),
+        )
         for i, a in enumerate(units):
-            scalar = eval_taylor(lat, int(a), q)
+            scalar = em_hurwitz(s, Fraction(int(a), q))
             assert vec[i].intersects(scalar)
-            # the vectorized layer nudges transcendentals wider than the
-            # scalar one, so allow a constant factor but no blowup
+            # the Taylor shift off the lattice is wider than the direct
+            # sum, so allow a constant factor but no blowup
             w_vec = vec[i].re.hi_float() - vec[i].re.lo_float()
             w_sca = scalar.re.hi_float() - scalar.re.lo_float()
             assert w_vec < 8 * w_sca + 1e-13
