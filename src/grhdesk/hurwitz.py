@@ -85,20 +85,6 @@ def zeta_upper(m: int) -> Fraction:
     return 1 + Fraction(1, 2**m) + Fraction(2, (m - 1) * 2**m)
 
 
-def _ipow(iv: RealInterval, n: int) -> RealInterval:
-    """iv**n for n >= 1 by square-and-multiply."""
-    acc = None
-    sq = iv
-    k = n
-    while k:
-        if k & 1:
-            acc = sq if acc is None else acc * sq
-        k >>= 1
-        if k:
-            sq = sq.square()
-    return acc
-
-
 def _cpow(base: RealInterval, z: ComplexBox) -> ComplexBox:
     """base**z for a strictly positive real base."""
     lg = base.log()
@@ -185,7 +171,8 @@ def _em_core(s: ComplexBox, alpha: RealInterval, a: int, b: int) -> ComplexBox:
     sig2b = s.re + 2 * b
     rpow = (logA * (-sig2b)).exp()  # A^{-sigma-2b}
     zu = RealInterval.from_fraction(zeta_upper(2 * b + 1), tier)
-    two_pi_pow = _ipow(pi_interval(tier) * 2, 2 * b + 1)
+    two_pi_pow_lo = (2 * pi_interval(tier).lo_fraction()) ** (2 * b + 1)
+    two_pi_pow = RealInterval.from_fraction(two_pi_pow_lo, tier)
     radius = (zu * 2 * poch.abs() * rpow) / (two_pi_pow * sig2b)
     return acc.pad(radius)
 

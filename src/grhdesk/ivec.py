@@ -160,14 +160,6 @@ class IVec:
     def copy(self) -> "IVec":
         return IVec(self.lo.copy(), self.hi.copy(), _checked=True)
 
-    def to_intervals(self):
-        flat_lo = self.lo.ravel()
-        flat_hi = self.hi.ravel()
-        return [
-            RealInterval(float(a), float(b), HARDWARE, _raw=True)
-            for a, b in zip(flat_lo, flat_hi)
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IVec(shape={self.shape}, max_width={float(np.max(self.width())):.3g})"
 
@@ -190,10 +182,6 @@ class IVec:
 
     def contains_zero(self) -> np.ndarray:
         return (self.lo <= 0.0) & (self.hi >= 0.0)
-
-    def signs(self) -> np.ndarray:
-        """+1 strictly positive, -1 strictly negative, 0 straddling."""
-        return np.where(self.lo > 0.0, 1, np.where(self.hi < 0.0, -1, 0))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -526,14 +514,6 @@ class CVec:
     def pad(self, radius) -> "CVec":
         return CVec(self.re.pad(radius), self.im.pad(radius))
 
-    def widen_by_imag(self) -> IVec:
-        """Project to the real axis, widening by the imaginary magnitude.
-
-        Valid when the represented quantity is known to be real: the true
-        value lies within |im| of some point of re.
-        """
-        return self.re.pad(self.im.mag())
-
 
 def _is_complexlike(other) -> bool:
     if isinstance(other, (CVec, ComplexBox, complex)):
@@ -552,7 +532,3 @@ def _coerce_cvec(other) -> CVec:
     z = np.asarray(other, dtype=np.complex128)
     return CVec(IVec.from_points(z.real), IVec.from_points(z.imag))
 
-
-def cis(theta: IVec) -> CVec:
-    """exp(i theta) for a real interval array."""
-    return CVec(theta.cos(), theta.sin())

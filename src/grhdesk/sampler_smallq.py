@@ -1,17 +1,34 @@
-"""Dual-grid sampler for small moduli.
+"""Dual-grid sampler for small moduli: the theta/FFT method of Booker,
+"Artin's conjecture, Turing's method, and the Riemann hypothesis",
+Experiment. Math. 15 (2006).
 
 Define, for primitive chi and eta in (-1, 1),
 
-    F(t) = epsilon q^(it/2) pi^(-(1/2+2a+2it)/4) Gamma((1/2+2a+2it)/4)
+    F(t) = epsilon q^(it/2) pi^(-(1+2a+2it)/4) Gamma((1+2a+2it)/4)
            exp(pi eta t/4) L_chi(1/2+it)          (a = parity)
 
-so that F is real-valued and Lambda_chi(t) = pi^((2a+1)/4) exp(pi t(1-eta)/4) F(t).
-Its Fourier transform Fhat is a rapidly converging theta-like sum, so the
-pipeline runs: evaluate Fhat on the dual grid 2 pi n / B, treat the values
-as the periodization (adding a rigorous aliasing bound per bin), transform
-back with one unnormalized backward FFT scaled by 2 pi / B (Poisson
-summation makes the two periodizations a DFT pair), add the t-grid
-periodization error per output ordinate, and convert to completed values.
+so that F is real-valued and, for t >= 0,
+Lambda_chi(t) = pi^((2a+1)/4) exp(pi t(1-eta)/4) F(t).  Its Fourier
+transform Fhat is a rapidly converging theta-like sum.  Every character
+of q enters only through its parity a, its root-number constant epsilon
+and the phases chi(k), so the pipeline runs once per parity among the
+requested characters, for all of them together:
+
+1. the error budgets, which depend only on (q, a, plan): the aliasing
+   bound of every dual bin, summed into one total, and the t-grid
+   periodization error at each output ordinate;
+2. Fhat on the dual grid 2 pi n/B, n = 0..N/2: the theta terms
+   k^a exp(-pi k^2 e^{2u}/q) summed by residue class of k mod q, one
+   group DFT (the convention of sampler_largeq.l_values_at) for the
+   character sums of every chi at once, then the geometric tail radius,
+   the prefactor and epsilon;
+3. the negative bins by conjugate reflection (F is real, so
+   Fhat(-x) = conj Fhat(x)) and one unnormalized backward FFT, batched
+   over the characters and scaled by 2 pi/B (Poisson summation makes the
+   two periodizations a DFT pair);
+4. per ordinate: the alias total and the t-grid pad, the conversion to
+   completed values, the realness check and the projection.
+
 Every step carries explicit interval error bounds.
 """
 
@@ -21,8 +38,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import CharMeta, char_group, unit_phase
-from .dft import fft_pow2
+import numpy as np
+
+from .characters import char_group
+from .dft import fft_pow2, group_dft_cvec, units_of
 from .errors import (
     BetaConditionViolated,
     DomainError,
@@ -105,19 +124,6 @@ def default_plan() -> FftPlan:
     return FftPlan(A=Fraction(16), B=Fraction(128), eta=0.0)
 
 
-@dataclass
-class DualSamples:
-    """Fhat on the dual grid with its per-bin error budget.
-
-    values[n] (truncation tail already included) plus a symmetric pad of
-    alias_bound_per_n[n] contains the periodized dual value at bin n.
-    """
-
-    values: list[ComplexBox]
-    trunc_bound: RealInterval
-    alias_bound_per_n: list[RealInterval]
-
-
 def default_trunc(x: float, q: int, eta: float) -> int:
     """Smallest n with pi n^2 Re(e^{2u})/q >= 30.
 
@@ -129,56 +135,71 @@ def default_trunc(x: float, q: int, eta: float) -> int:
     return max(1, math.ceil(math.sqrt(30 * q / (math.pi * c))))
 
 
-def _theta_value(
-    x: RealInterval, q: int, group, idx, meta: CharMeta, eta: float, trunc: int, parity: int
-) -> tuple[ComplexBox, RealInterval]:
-    """Truncated dual-side theta sum with its tail radius.
+def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
+    """Fhat / epsilon at the dual bins n = 0..N/2 for every character mod q.
 
-    Returns (box containing Fhat(x), tail radius used) where the box is
+    Shape (N/2 + 1, phi(q)); column j is the character at flat position j
+    of the group's orders (np.ravel_multi_index), and row n encloses
 
-        2 epsilon exp((2 parity + 1) u/2) / q^((2 parity + 1)/4)
-          * sum_{n=1}^inf n^parity chi(n) exp(-pi n^2 e^{2u}/q),
+        2 exp((2 parity + 1) u/2) / q^((2 parity + 1)/4)
+          * sum_{k>=1} chi_j(k) k^parity exp(-pi k^2 e^{2u}/q),
 
-    u = x + i pi eta/4.  The tail past trunc is dominated by a geometric
-    series; TailDivergence if the certified term ratio reaches 1.
+    u = 2 pi n/B + i pi eta/4, which is Fhat(2 pi n/B) / epsilon for the
+    characters of this parity.  The terms up to default_trunc are summed
+    by residue class of k mod q, and one group DFT turns the class sums
+    into the character sums.  The tail past the truncation is dominated
+    by a geometric series whatever the character and is padded on;
+    TailDivergence if the certified term ratio reaches 1.
     """
+    group = char_group(q)
+    slot = {int(a): j for j, a in enumerate(units_of(group))}
     pi = pi_interval(HARDWARE)
-    u = ComplexBox(x, pi * RealInterval.point(eta / 4))
-    e2u = (u + u).exp()
-
-    acc = ComplexBox.zero(HARDWARE)
-    for n in range(1, trunc + 1):
-        if math.gcd(n, q) != 1:
-            continue
-        scale = pi * RealInterval.from_fraction(Fraction(-(n * n), q))
-        term = (e2u * scale).exp()
-        if parity:
-            term = term * RealInterval.point(n)
-        acc = acc + unit_phase(group.phase(idx, n)) * term
-
-    # geometric tail: |term ratio| <= (1 + 1/(trunc+1))^parity
-    #                 * exp(-pi (2 trunc + 3) Re(e^{2u}) / q)
-    c = e2u.re
-    if not c.lo_float() > 0.0:
-        raise TailDivergence("cannot certify a positive theta decay constant")
     one = RealInterval.one(HARDWARE)
-    n0 = trunc + 1
-    rho = (c * (pi * RealInterval.from_fraction(Fraction(-(2 * trunc + 3), q)))).exp()
-    first = (c * (pi * RealInterval.from_fraction(Fraction(-(n0 * n0), q)))).exp()
-    if parity:
-        bump = RealInterval.from_fraction(Fraction(n0 + 1, n0))
-        rho = rho * bump
-        first = first * RealInterval.point(n0)
-    if not rho.hi_float() < 1.0:
-        raise TailDivergence(f"term ratio {rho.hi_float():.3g} >= 1 at trunc={trunc}")
-    tail = first / (one - rho)
-    acc = acc.pad(tail)
+    eta_im = pi * RealInterval.point(plan.eta / 4)
+    scale_fr = RealInterval.from_fraction(Fraction(2 * parity + 1, 2))
+    factor = RealInterval.point(2) / _frac_pow(
+        RealInterval.point(q), Fraction(2 * parity + 1, 4)
+    )
 
-    scale_fr = Fraction(2 * parity + 1, 2)
-    pref = (u * RealInterval.from_fraction(scale_fr)).exp()
-    qpow = _frac_pow(RealInterval.point(q), Fraction(2 * parity + 1, 4))
-    factor = (RealInterval.point(2) / qpow)
-    return (meta.epsilon * pref) * acc * factor, tail
+    classes, tails, prefs = [], [], []
+    for n in range(plan.N // 2 + 1):
+        x = (pi + pi) * RealInterval.from_fraction(Fraction(n) / plan.B)
+        trunc = default_trunc(x.lo_float(), q, plan.eta)
+        u = ComplexBox(x, eta_im)
+        e2u = (u + u).exp()
+
+        acc = [ComplexBox.zero(HARDWARE)] * group.phi
+        for k in range(1, trunc + 1):
+            if math.gcd(k, q) != 1:
+                continue
+            scale = pi * RealInterval.from_fraction(Fraction(-(k * k), q))
+            term = (e2u * scale).exp()
+            if parity:
+                term = term * RealInterval.point(k)
+            j = slot[k % q]
+            acc[j] = acc[j] + term
+        classes.extend(acc)
+
+        # geometric tail: |term ratio| <= (1 + 1/(trunc+1))^parity
+        #                 * exp(-pi (2 trunc + 3) Re(e^{2u}) / q)
+        c = e2u.re
+        if not c.lo_float() > 0.0:
+            raise TailDivergence("cannot certify a positive theta decay constant")
+        n0 = trunc + 1
+        rho = (c * (pi * RealInterval.from_fraction(Fraction(-(2 * trunc + 3), q)))).exp()
+        first = (c * (pi * RealInterval.from_fraction(Fraction(-(n0 * n0), q)))).exp()
+        if parity:
+            rho = rho * RealInterval.from_fraction(Fraction(n0 + 1, n0))
+            first = first * RealInterval.point(n0)
+        if not rho.hi_float() < 1.0:
+            raise TailDivergence(f"term ratio {rho.hi_float():.3g} >= 1 at trunc={trunc}")
+        tails.append((first / (one - rho)).hi_float())
+        prefs.append((u * scale_fr).exp() * factor)
+
+    bins = len(prefs)
+    sums = group_dft_cvec(group, CVec.from_boxes(classes).reshape(bins, group.phi))
+    sums = sums.reshape(bins, group.phi).pad(np.array(tails).reshape(bins, 1))
+    return sums * CVec.from_boxes(prefs).reshape(bins, 1)
 
 
 def _decay_bound(w: RealInterval, x_of_w: RealInterval, parity: int) -> RealInterval:
@@ -299,59 +320,24 @@ def t_grid_error(m: int, plan: FftPlan, q: int, parity: int) -> RealInterval:
     return out
 
 
-def dual_samples(
-    q: int, char, plan: FftPlan, meta: CharMeta | None = None
-) -> DualSamples:
-    """Fhat over the full dual grid with per-bin alias bounds.
+def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid]:
+    """One SampleGrid per character in chars, built a parity at a time.
 
-    Direct theta sums cover the nonnegative frequencies; the negative half
-    is the conjugate reflection (F is real-valued, so Fhat(-x) is the
-    conjugate of Fhat(x)), which sidesteps the slowly converging sums at
-    negative x entirely.
-    """
-    group = char_group(q)
-    idx = tuple(int(v) for v in char)
-    if meta is None:
-        meta = group.char_meta(idx)
-    if not meta.primitive:
-        raise NotPrimitive(f"index {idx} mod {q} is imprimitive")
-    parity = meta.parity
-    n_total = plan.N
-    half = n_total // 2
-    pi = pi_interval(HARDWARE)
-
-    values: list[ComplexBox | None] = [None] * n_total
-    alias: list[RealInterval | None] = [None] * n_total
-    worst_tail = RealInterval.zero(HARDWARE)
-    for n in range(half + 1):
-        x = (pi + pi) * RealInterval.from_fraction(Fraction(n) / plan.B)
-        trunc = default_trunc(x.lo_float(), q, plan.eta)
-        box, tail = _theta_value(x, q, group, idx, meta, plan.eta, trunc, parity)
-        values[n] = box
-        alias[n] = alias_bound_fhat(n, plan, q, parity)
-        worst_tail = worst_tail.hull(tail)
-    for n in range(half + 1, n_total):
-        values[n] = values[n_total - n].conj()
-        alias[n] = alias[n_total - n]
-    return DualSamples(values, worst_tail, alias)
-
-
-def smallq_samples(q: int, char, plan: FftPlan | None, t_max) -> SampleGrid:
-    """Completed-value enclosures at m/A for m = 0..floor(t_max A).
-
-    One backward FFT of the dual samples yields every ordinate at once;
-    each output is padded by the total alias budget and its own t-grid
-    periodization error, converted to the completed normalization, checked
-    real, and projected.
+    The alias total, the t-grid pads and the dual values depend on the
+    character only through its parity, so each parity among chars costs
+    one set of budgets, one _dual_values table and one backward FFT
+    batched over its characters.  Each output is padded by the alias
+    total and its own t-grid periodization error, converted to the
+    completed normalization, checked real, and projected.
     """
     if plan is None:
         plan = default_plan()
     group = char_group(q)
-    idx = tuple(int(v) for v in char)
-    meta = group.char_meta(idx)
-    if not meta.primitive:
-        raise NotPrimitive(f"index {idx} mod {q} is imprimitive")
-    parity = meta.parity
+    chars = [group.canonical(char) for char in chars]
+    metas = [group.char_meta(char) for char in chars]
+    for char, meta in zip(chars, metas):
+        if not meta.primitive:
+            raise NotPrimitive(f"index {char} mod {q} is imprimitive")
 
     m_max = int(Fraction(t_max) * plan.A)
     if m_max < 0:
@@ -361,34 +347,72 @@ def smallq_samples(q: int, char, plan: FftPlan | None, t_max) -> SampleGrid:
     # hardware exponent ceiling for the recovery factor exp(pi t (1-eta)/4)
     if math.pi * float(t_max) * (1.0 - plan.eta) / 4.0 > 700.0:
         raise DomainError("t_max too large for this plan's recovery factor")
-
-    ds = dual_samples(q, idx, plan, meta=meta)
-    alias_total = RealInterval.zero(HARDWARE)
-    for bound in ds.alias_bound_per_n:
-        alias_total = alias_total + bound
+    ordinates = [Fraction(m) / plan.A for m in range(m_max + 1)]
+    if any(Fraction(float(t_fr)) != t_fr for t_fr in ordinates):
+        raise DomainError("grid ordinates must be binary rationals")
 
     pi = pi_interval(HARDWARE)
-    core = fft_pow2(CVec.from_boxes(ds.values), "backward")
-    core = core.pad(alias_total.hi_float())
-    core = core * ((pi + pi) / RealInterval.from_fraction(plan.B))
-
     one = RealInterval.one(HARDWARE)
-    pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(2 * parity + 1, 4))).exp()
     eta_fac = (one - RealInterval.point(plan.eta)) * RealInterval.from_fraction(
         Fraction(1, 4)
     )
-    samples = []
-    for m in range(m_max + 1):
-        t_fr = Fraction(m) / plan.A
-        t = float(t_fr)
-        if Fraction(t) != t_fr:
-            raise DomainError("grid ordinates must be binary rationals")
-        box = core[m].pad(t_grid_error(m, plan, q, parity))
-        recover = pi_pow * (pi * RealInterval.from_fraction(t_fr) * eta_fac).exp()
-        lam = box * recover
-        if not lam.im.contains_zero():
-            raise RealnessViolation(
-                f"imaginary part {lam.im!r} misses 0 at t={t} for modulus {q}"
-            )
-        samples.append(lam.re.pad(lam.im.mag()))
-    return SampleGrid(q, idx, plan.t_step, 0, samples, meta)
+    n_total = plan.N
+    half = n_total // 2
+    samples = [None] * len(chars)
+    for parity in sorted({meta.parity for meta in metas}):
+        members = [i for i, meta in enumerate(metas) if meta.parity == parity]
+
+        alias = [alias_bound_fhat(n, plan, q, parity) for n in range(half + 1)]
+        alias_total = RealInterval.zero(HARDWARE)
+        for n in range(n_total):
+            alias_total = alias_total + alias[min(n, n_total - n)]
+        t_pads = [t_grid_error(m, plan, q, parity) for m in range(m_max + 1)]
+        pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(2 * parity + 1, 4))).exp()
+        recover = [
+            pi_pow * (pi * RealInterval.from_fraction(t_fr) * eta_fac).exp()
+            for t_fr in ordinates
+        ]
+
+        # Fhat on bins 0..N/2 per character, then the negative half by
+        # conjugate reflection: F is real-valued, so Fhat(-x) = conj Fhat(x)
+        cols = [int(np.ravel_multi_index(chars[i], group.orders)) for i in members]
+        eps = CVec.from_boxes([metas[i].epsilon for i in members])
+        dual = (_dual_values(q, parity, plan).take_last(cols) * eps).moveaxis(0, -1)
+        dual = CVec.concatenate([dual, dual[..., half - 1 : 0 : -1].conj()], axis=-1)
+        core = fft_pow2(dual, "backward").pad(alias_total.hi_float())
+        core = core * ((pi + pi) / RealInterval.from_fraction(plan.B))
+
+        for row, i in enumerate(members):
+            out = []
+            for m, t_fr in enumerate(ordinates):
+                lam = core[row, m].pad(t_pads[m]) * recover[m]
+                if not lam.im.contains_zero():
+                    raise RealnessViolation(
+                        f"imaginary part {lam.im!r} misses 0 at t={float(t_fr)} "
+                        f"for index {chars[i]} mod {q}"
+                    )
+                out.append(lam.re.pad(lam.im.mag()))
+            samples[i] = out
+    return [
+        SampleGrid(q, char, plan.t_step, 0, out, meta)
+        for char, meta, out in zip(chars, metas, samples)
+    ]
+
+
+def smallq_samples(q: int, char, plan: FftPlan | None, t_max) -> SampleGrid:
+    """Completed-value enclosures at m/A for m = 0..floor(t_max A).
+
+    Reads the same builder as smallq_all with one character, so it costs
+    the budgets, dual values and FFT of that character's parity only.
+    NotPrimitive for an imprimitive index.
+    """
+    return _smallq_grids(q, [char], plan, t_max)[0]
+
+
+def smallq_all(q: int, plan: FftPlan | None, t_max) -> dict[tuple[int, ...], SampleGrid]:
+    """smallq_samples for every primitive character mod q, keyed by index.
+
+    One pass per parity serves every character of that parity.
+    """
+    chars = char_group(q).primitive_indices()
+    return dict(zip(chars, _smallq_grids(q, chars, plan, t_max)))

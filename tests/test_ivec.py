@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from grhdesk.errors import DivisorContainsZero, LogDomain
 from grhdesk.interval import ComplexBox, RealInterval
-from grhdesk.ivec import CVec, IVec, cis, op_counter
+from grhdesk.ivec import CVec, IVec, op_counter
 
 RNG = np.random.default_rng(20260822)
 
@@ -226,22 +226,6 @@ def test_cvec_sum_and_conj():
     assert s.im.lo_float() <= total.imag <= s.im.hi_float()
     c = v.conj().sum()
     assert abs(c.im.mid() + total.imag) < 1e-10
-
-
-def test_cis_unit_modulus():
-    t = IVec.from_points(RNG.uniform(-10, 10, 64))
-    u = cis(t)
-    m = u.abs2()
-    assert np.all(m.lo <= 1.0) and np.all(1.0 <= m.hi)
-
-
-def test_widen_by_imag_projection():
-    v = CVec(
-        IVec(np.array([1.0]), np.array([1.1])),
-        IVec(np.array([-0.01]), np.array([0.02])),
-    )
-    r = v.widen_by_imag()
-    assert r.lo[0] <= 0.98 + 1e-12 and r.hi[0] >= 1.12 - 1e-12
 
 
 # ---------------------------------------------------------------------------

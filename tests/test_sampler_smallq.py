@@ -1,17 +1,23 @@
-"""Small-modulus dual-grid sampler against the large-modulus sampler.
+"""Small-modulus dual-grid sampler against the large-modulus sampler and mpmath.
 
-The two samplers share nothing past the character tables: one sums theta
-series on the dual grid and transforms back with an FFT, the other reads
-Hurwitz values off a lattice and transforms over the character group.
-Overlapping enclosures at the same ordinates therefore check both.
+The two samplers share the character tables and the group DFT that turns
+residue-class sums into character sums.  What goes into that DFT is
+independent: one sums theta series on the dual grid and transforms back
+with an FFT, the other reads Hurwitz values off a lattice.  Overlapping
+enclosures at the same ordinates therefore check both.  The dual values
+and both error bounds are also checked against mpmath directly.
 """
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
+import numpy as np
 import pytest
 
-from grhdesk.characters import CharGroup
+from grhdesk import sampler_smallq
+from grhdesk.characters import CharGroup, char_group
 from grhdesk.errors import (
     BetaConditionViolated,
     DomainError,
@@ -19,12 +25,12 @@ from grhdesk.errors import (
     RealnessViolation,
     XConditionViolated,
 )
-from grhdesk.sampler_largeq import sample_range
+from grhdesk.sampler_largeq import sample_all, sample_range
 from grhdesk.sampler_smallq import (
     FftPlan,
     alias_bound_fhat,
     default_plan,
-    dual_samples,
+    smallq_all,
     smallq_samples,
     t_grid_error,
 )
@@ -69,8 +75,6 @@ def test_smallq_realness_projection(grid_q5, monkeypatch):
 def test_smallq_rejects_imprimitive():
     with pytest.raises(NotPrimitive):
         smallq_samples(9, (3,), PLAN, T_MAX)
-    with pytest.raises(NotPrimitive):
-        dual_samples(9, (3,), PLAN)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -108,3 +112,144 @@ def test_t_grid_error_refuses_ordinates_near_the_period(parity):
     plan = default_plan()
     with pytest.raises(BetaConditionViolated):
         t_grid_error(plan.N - 1, plan, 7, parity)
+
+
+# ---------------------------------------------------------------------------
+# every character of q at once
+
+
+@lru_cache(maxsize=None)
+def _all_chars(q):
+    return smallq_all(q, PLAN, T_MAX)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 12, 13])
+def test_samplers_agree_for_every_character(q, tmp_path):
+    small = _all_chars(q)
+    large = sample_all(q, 0, T_MAX, PLAN.t_step, size=32, cache_dir=str(tmp_path))
+    assert set(small) == set(large) == set(char_group(q).primitive_indices())
+    for chi, grid in small.items():
+        ref = large[chi]
+        assert len(grid) == len(ref) == 3
+        for i in range(len(ref)):
+            assert grid.t_at(i) == ref.t_at(i)
+            assert grid.samples[i].intersects(ref.samples[i]), (chi, i)
+
+
+@pytest.mark.parametrize("chi", [(1,), (2,)])
+def test_one_character_matches_all_characters(chi):
+    # (1) mod 7 is odd and (2) mod 7 is even: each parity's pass is the
+    # same whichever characters share it
+    one = smallq_samples(7, chi, PLAN, T_MAX)
+    every = _all_chars(7)[chi]
+    assert [(s.lo_float(), s.hi_float()) for s in one.samples] == [
+        (s.lo_float(), s.hi_float()) for s in every.samples
+    ]
+
+
+def test_error_budgets_once_per_parity(monkeypatch):
+    calls = {"alias": 0, "tgrid": 0}
+    alias, tgrid = sampler_smallq.alias_bound_fhat, sampler_smallq.t_grid_error
+
+    def counted_alias(*args):
+        calls["alias"] += 1
+        return alias(*args)
+
+    def counted_tgrid(*args):
+        calls["tgrid"] += 1
+        return tgrid(*args)
+
+    monkeypatch.setattr(sampler_smallq, "alias_bound_fhat", counted_alias)
+    monkeypatch.setattr(sampler_smallq, "t_grid_error", counted_tgrid)
+    smallq_all(7, PLAN, T_MAX)
+    # both parities occur mod 7; N/2 + 1 bins and floor(T_MAX A) + 1 ordinates
+    assert calls == {"alias": 2 * (PLAN.N // 2 + 1), "tgrid": 2 * 3}
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracles
+
+_DPS = 40
+
+
+def _chi_mp(q, chi, k):
+    ph = char_group(q).phase(chi, k)
+    if ph is None:
+        return mpmath.mpc(0)
+    return mpmath.expjpi(2 * mpmath.mpf(ph.numerator) / ph.denominator)
+
+
+def _fhat_over_eps(q, chi, parity, x):
+    """2 e^{(2a+1)x/2} q^{-(2a+1)/4} sum chi(k) k^a exp(-pi k^2 e^{2x}/q), eta = 0."""
+    c = 2 * parity + 1
+    total = mpmath.fsum(
+        _chi_mp(q, chi, k) * k**parity * mpmath.exp(-mpmath.pi * k * k * mpmath.exp(2 * x) / q)
+        for k in range(1, 80)
+    )
+    return 2 * mpmath.exp(c * x / 2) * mpmath.mpf(q) ** (-mpmath.mpf(c) / 4) * total
+
+
+@pytest.mark.parametrize(
+    "q,short", [(5, False), (7, False), (5, True), (7, True)], ids=["5", "7", "5-short", "7-short"]
+)
+def test_dual_values_contain_theta_sums(q, short, monkeypatch):
+    # default_trunc leaves a tail far below a double ulp; cutting the sum
+    # after two terms makes the geometric tail pad carry the containment
+    group = char_group(q)
+    bins = (0, 1, PLAN.N // 4, PLAN.N // 2)
+    if short:
+        monkeypatch.setattr(sampler_smallq, "default_trunc", lambda x, q, eta: 2)
+    with mpmath.workdps(_DPS):
+        for parity in (0, 1):
+            dual = sampler_smallq._dual_values(q, parity, PLAN)
+            for chi in group.primitive_indices():
+                if group.parity(chi) != parity:
+                    continue
+                col = int(np.ravel_multi_index(chi, group.orders))
+                for n in bins:
+                    x = 2 * mpmath.pi * n / PLAN.B.numerator * PLAN.B.denominator
+                    box = dual[n, col]
+                    ref = _fhat_over_eps(q, chi, parity, x)
+                    assert box.re.lo_float() <= ref.real <= box.re.hi_float(), (chi, n)
+                    assert box.im.lo_float() <= ref.imag <= box.im.hi_float(), (chi, n)
+
+
+# (1) is odd and (2) is even both mod 5 and mod 7
+_ORACLE_CHARS = [(5, (1,)), (5, (2,)), (7, (1,)), (7, (2,))]
+_ORACLE_PLAN = FftPlan(A=Fraction(1, 2), B=Fraction(16))
+
+
+@pytest.mark.parametrize("q,chi", _ORACLE_CHARS)
+def test_alias_bound_dominates_nearest_shifts(q, chi):
+    # the periodized dual value at bin n differs from Fhat(x_n) by the
+    # shifts Fhat(x_n + 2 pi A k), k != 0; the two nearest must fit in the
+    # bound, the one below through Fhat(-x) = conj Fhat(x)
+    parity = char_group(q).parity(chi)
+    with mpmath.workdps(_DPS):
+        period = 2 * mpmath.pi * _ORACLE_PLAN.A.numerator / _ORACLE_PLAN.A.denominator
+        for n in range(5):
+            x = 2 * mpmath.pi * n / _ORACLE_PLAN.B.numerator
+            shifts = abs(_fhat_over_eps(q, chi, parity, x + period)) + abs(
+                _fhat_over_eps(q, chi, parity, period - x)
+            )
+            assert alias_bound_fhat(n, _ORACLE_PLAN, q, parity).hi_float() >= shifts, n
+
+
+@pytest.mark.parametrize("q,chi", _ORACLE_CHARS)
+def test_t_grid_error_dominates_nearest_shifts(q, chi):
+    # |F(t)| = pi^(-(2a+1)/4) |Gamma((1+2a+2it)/4)| |L(1/2+it)| at eta = 0
+    parity = char_group(q).parity(chi)
+    with mpmath.workdps(_DPS):
+        values = [_chi_mp(q, chi, k) for k in range(q)]
+
+        def f_abs(t):
+            s = mpmath.mpf(1) / 2 + 1j * t
+            gamma = mpmath.gamma((1 + 2 * parity + 2j * t) / 4)
+            lval = mpmath.dirichlet(s, values)
+            return mpmath.pi ** (-mpmath.mpf(2 * parity + 1) / 4) * abs(gamma) * abs(lval)
+
+        for m in range(8):
+            t = mpmath.mpf(m) * _ORACLE_PLAN.A.denominator / _ORACLE_PLAN.A.numerator
+            b = mpmath.mpf(_ORACLE_PLAN.B.numerator)
+            shifts = f_abs(t + b) + f_abs(t - b)
+            assert t_grid_error(m, _ORACLE_PLAN, q, parity).hi_float() >= shifts, m
