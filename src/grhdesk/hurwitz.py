@@ -9,9 +9,12 @@ Three evaluation paths, stacked bottom to top:
   zeta_M(1/2 + it + c, r/D) along one horizontal line, built for all
   rows at once on hardware interval arrays, kept as one (D, Ncols+1)
   interval array and persisted on disk.  Its only big-float work is the
-  powers (n + alpha)^{-s}, each a midpoint-radius ball from one log, one
-  exp and one cos_sin kernel call whose results are trusted to a few
-  ulps at the build's bits; its per-column constants are exact
+  powers (n + alpha)^{-s}.  Every base is an integer m over D and
+  m -> m^{-s} is completely multiplicative, so only primes are
+  transcendental: each prime p^{-s}, and D^{s}, is a midpoint-radius ball
+  from one log, one exp and one cos_sin kernel call whose results are
+  trusted to a few ulps; every composite is an exact Gaussian-integer
+  fixed-point product of two balls.  Its per-column constants are exact
   rationals rounded once;
 * ``unit_hurwitz`` — Taylor-shift queries against that grid for the
   rational second arguments a/q of every unit a mod q at once, with a
@@ -33,21 +36,19 @@ from pathlib import Path
 import numpy as np
 from mpmath.libmp import (
     from_float,
+    from_man_exp,
     from_rational,
-    mpf_add,
     mpf_cos_sin,
     mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
-    mpf_sub,
     to_float,
 )
 
 from .errors import DomainError, PoleProximity, RadiusViolation
 from .interval import (
     _BIG_TRANS_ULPS,
-    _CEIL,
     _FLOOR,
     _GUARD,
     _TINY,
@@ -68,10 +69,11 @@ from .ivec import CVec, IVec
 DEFAULT_D = 2048
 DEFAULT_NCOLS = 15
 DEFAULT_M = 9
-# Precision of a lattice build: the bits at which the kernel results of
-# the per-row power balls (n + alpha)^{-s_0} are trusted, and the target
-# of the truncation choices (auto_params).  The rest of the build and the
-# stored cells are hardware, so more bits barely narrow a cell.
+# Precision of a lattice build: the target of the truncation choices
+# (auto_params), and the bits at which the powers (n + alpha)^{-s_0} are
+# trusted (their prime balls carry a few more, see _sieved_powers).  The
+# rest of the build and the stored cells are hardware, so more bits
+# barely narrow a cell.
 DEFAULT_BUILD_BITS = 64
 
 _HALF = Fraction(1, 2)
@@ -248,16 +250,22 @@ def _mag(v) -> float:
     return _up(abs(to_float(v)))
 
 
-def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[float, float, float, float]:
-    """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
+# a fixed-point ball (X, Y, R, e): a value within R 2^e of (X + iY) 2^e
+_Ball = tuple[int, int, int, int]
 
-    Midpoint-radius evaluation at bits + _GUARD with one mpf_log, one
-    mpf_exp and one mpf_cos_sin.  Each kernel result is trusted to
-    _BIG_TRANS_ULPS ulps at `bits`, the contract of the bigfloat tier's
-    transcendentals; the radii are doubles rounded upward at every
-    operation and carry the input radius of each step, the rounding of
-    x, sigma and every product.  The ball is narrowed to doubles by
-    directed rounding of mid -+ rad.
+
+def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
+    """Enclosure of x^{-(sigma + it)} for x > 0 as a fixed-point ball (X, Y, R, e).
+
+    The value lies within R 2^e of (X + iY) 2^e: a disc of integer radius
+    on Gaussian-integer midpoints.  Midpoint-radius evaluation at
+    bits + _GUARD with one mpf_log, one mpf_exp and one mpf_cos_sin.  Each
+    kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`, the
+    contract of the bigfloat tier's transcendentals; the radii are doubles
+    rounded upward at every operation and carry the input radius of each
+    step, the rounding of x, sigma and every product.  The two part radii
+    add to the disc radius, and the midpoints are truncated to integers at
+    the exponent that leaves the larger part bits + _GUARD bits.
     """
     prec = bits + _GUARD
     rel = math.ldexp(1.0, 1 - prec)  # bounds one rounding to nearest at prec, relative
@@ -281,26 +289,163 @@ def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[floa
     rad_c = _up(_up(tc + _up(_up(_mag(s) + ts) * rad_th)) + quad)
     rad_s = _up(_up(ts + _up(_up(_mag(c) + tc) * rad_th)) + quad)
 
-    out = []
+    mids, rad = [], 0.0
     for v, rad_v in ((c, rad_c), (s, rad_s)):
         p = mpf_mul(r, v, prec, "n")
         rad_p = _up(r_mag * rad_v)
         rad_p = _up(rad_p + _up(_mag(v) * rad_r))
         rad_p = _up(rad_p + _up(rad_r * rad_v))
-        rad_p = from_float(_up(rad_p + _up(rel * _mag(p))))
-        out += (
-            _raw_to_float_dir(mpf_sub(p, rad_p, 53, _FLOOR), _FLOOR),
-            _raw_to_float_dir(mpf_add(p, rad_p, 53, _CEIL), _CEIL),
-        )
-    return tuple(out)
+        rad = _up(rad + _up(rad_p + _up(rel * _mag(p))))
+        mids.append(p)
+    # r > 0 and cos^2 + sin^2 = 1, so one part is nonzero
+    ex = max(v[2] + v[3] for v in mids if v[1]) - prec
+    X, Y = (_to_fixed(v, ex) for v in mids)
+    # each truncation moves its part by less than one unit
+    return X, Y, _ceil_scaled(rad, ex) + 2, ex
+
+
+def _to_fixed(v, e: int) -> int:
+    """A raw finite mpf as an integer multiple of 2^e, truncated toward zero."""
+    sign, man, exp, _ = v
+    n = man << (exp - e) if exp >= e else man >> (e - exp)
+    return -n if sign else n
+
+
+def _ceil_scaled(x: float, e: int) -> int:
+    """ceil(x 2^-e) for a double x >= 0, exactly."""
+    n, d = x.as_integer_ratio()
+    if e < 0:
+        n <<= -e
+    else:
+        d <<= e
+    return -(-n // d)
+
+
+def _ball_mul(u: _Ball, v: _Ball, prec: int) -> _Ball:
+    """Product of two fixed-point balls, its midpoint truncated to prec bits.
+
+    The Gaussian-integer midpoint product is exact; the radius is
+    |mid u| R_v + |mid v| R_u + R_u R_v plus the truncation, with
+    |X + iY| <= max + min/2 over |X|, |Y| (as sqrt(1 + x^2) <= 1 + x/2).
+    """
+    X1, Y1, R1, e1 = u
+    X2, Y2, R2, e2 = v
+    X, Y = X1 * X2 - Y1 * Y2, X1 * Y2 + Y1 * X2
+    R = _mid_mag(X1, Y1) * R2 + _mid_mag(X2, Y2) * R1 + R1 * R2
+    k = max(abs(X), abs(Y)).bit_length() - prec
+    if k <= 0:
+        return X, Y, R, e1 + e2
+    # X >> k and Y >> k each move their part by less than one unit of 2^k
+    return X >> k, Y >> k, (R >> k) + 3, e1 + e2 + k
+
+
+def _mid_mag(X: int, Y: int) -> int:
+    """An integer upper bound on |X + iY|."""
+    a, b = abs(X), abs(Y)
+    return (a + (b >> 1) if a >= b else b + (a >> 1)) + 1
+
+
+def _floor_float(n: int, e: int) -> float:
+    """The largest double <= n 2^e."""
+    k = max(abs(n).bit_length() - 53, 0)
+    m, ex = n >> k, e + k  # floor to 53 bits
+    if ex >= -1074 and m.bit_length() + ex <= 1024:
+        return math.ldexp(m, ex)  # exact: a 53-bit integer times 2^ex in range
+    return _raw_to_float_dir(from_man_exp(n, e), _FLOOR)
+
+
+def _narrow(lo: int, hi: int, e: int) -> tuple[float, float]:
+    """Doubles enclosing [lo 2^e, hi 2^e], each side rounded outward once."""
+    return _floor_float(lo, e), -_floor_float(-hi, e)
+
+
+def _narrow_ball(z: _Ball, real: bool) -> tuple[float, float, float, float]:
+    """A fixed-point ball as (re.lo, re.hi, im.lo, im.hi) doubles.
+
+    real says the exact value is real (a positive base to a real power),
+    so the imaginary sides are [0, 0] whatever the radius.
+    """
+    X, Y, R, e = z
+    im = (0.0, 0.0) if real else _narrow(Y - R, Y + R, e)
+    return (*_narrow(X - R, X + R, e), *im)
+
+
+def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[float, float, float, float]:
+    """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
+
+    One _ball at `bits`, narrowed: the single-power form of the lattice
+    powers, against which the sieve (_sieved_powers) is tested.
+    """
+    return _narrow_ball(_ball(x, sigma, t, bits), t == 0.0)
+
+
+def _smallest_prime_factors(top: int) -> np.ndarray:
+    """spf[m] is the smallest prime factor of m for 2 <= m <= top."""
+    spf = np.arange(top + 1, dtype=np.int64)
+    # descending, so the smallest divisor d with d^2 <= m writes m last;
+    # that d is prime, and a composite m has one
+    for d in range(math.isqrt(top), 1, -1):
+        spf[d * d :: d] = d
+    return spf
+
+
+def _sieved_powers(ms: list[int], L: int, sigma: Fraction, t: float, bits: int) -> np.ndarray:
+    """Enclosures of (m/L)^{-(sigma + it)} and of m/L for each integer m >= 1.
+
+    Shape (len(ms), 6): re.lo, re.hi, im.lo, im.hi of the power, then lo,
+    hi of the base.  Since m -> m^{-s} is completely multiplicative, only
+    primes are transcendental: the integers needed are ms closed under
+    m -> spf(m) and m -> m/spf(m), each prime p is one _ball for p^{-s},
+    L^{s} is one more, and each composite m = p k (p = spf(m)) is one exact
+    fixed-point product of two balls already made.  A power is then the
+    ball of m times L^{s}, narrowed to doubles; a base m/L is narrowed by
+    the same integer rounding.  The balls are trusted at bits plus the
+    bit length of the top integer, which bounds the number of factors a
+    chain multiplies, so that the radii the products add up stay below
+    one ball's at `bits`.
+    """
+    top = max(ms)
+    prec = bits + top.bit_length()
+    mul_prec = prec + _GUARD  # the midpoint bits of a _ball at prec
+    spf = _smallest_prime_factors(top)
+    needed = np.zeros(top + 1, dtype=bool)
+    needed[ms] = True
+    # each round adds the factors spf(m), m/spf(m) of every m so far; a
+    # chain of cofactors at least halves m per step, so these rounds
+    # reach the end of every chain
+    for _ in range(top.bit_length()):
+        have = np.flatnonzero(needed)
+        needed[spf[have]] = needed[have // spf[have]] = True
+    needed[:2] = False
+    need = np.flatnonzero(needed)
+    balls = {1: (1, 0, 0, 0)}
+    for m, p in zip(need.tolist(), spf[need].tolist()):
+        if p == m:
+            balls[m] = _ball(Fraction(m), sigma, t, prec)
+        else:
+            balls[m] = _ball_mul(balls[p], balls[m // p], mul_prec)
+    scale = _ball(Fraction(1, L), sigma, t, prec)  # L^{s}
+    out = np.empty((len(ms), 6))
+    for i, m in enumerate(ms):
+        out[i] = (*_narrow_ball(_ball_mul(balls[m], scale, mul_prec), t == 0.0), *_ratio_floats(m, L))
+    return out
+
+
+def _ratio_floats(n: int, d: int) -> tuple[float, float]:
+    """The doubles floor(n/d) and ceil(n/d) for integers n and d > 0."""
+    k = max(54 + d.bit_length() - abs(n).bit_length(), 0)  # n 2^k / d keeps 54 bits
+    return _narrow((n << k) // d, -((-n << k) // d), -k)
 
 
 def _exact_cvec(values: list[tuple[Fraction, Fraction]]) -> CVec:
     """Hardware CVec of exact Gaussian rationals, each side rounded outward once."""
-    return CVec(
-        IVec.from_intervals([RealInterval.from_fraction(re) for re, _ in values]),
-        IVec.from_intervals([RealInterval.from_fraction(im) for _, im in values]),
+    ends = np.array(
+        [
+            (*_ratio_floats(re.numerator, re.denominator), *_ratio_floats(im.numerator, im.denominator))
+            for re, im in values
+        ]
     )
+    return CVec(IVec(ends[:, 0], ends[:, 1], _checked=True), IVec(ends[:, 2], ends[:, 3], _checked=True))
 
 
 def _em_rows(
@@ -317,9 +462,11 @@ def _em_rows(
     Row i has alpha = alphas[i] > 0, column c = 0..ncols shifts the first
     argument by c.  This is _em_core's formula with a common truncation
     (a, b) for all rows.  The only row-dependent transcendentals, the
-    powers (n+alpha)^{-s_0} for n = 0..a (n = a gives A^{-s_0}), are
-    midpoint-radius balls (_power_ball) whose kernel results are trusted
-    to _BIG_TRANS_ULPS ulps at tier.bits, narrowed to hardware.  The
+    powers (n+alpha)^{-s_0} for n = 0..a (n = a gives A^{-s_0}), come
+    from one _sieved_powers call over the integers m = (n+alpha) L, L the
+    common denominator of the alphas: a ball per prime factor and one for
+    L^{s_0}, exact fixed-point products for the composites, each power
+    narrowed to hardware once, and the bases n+alpha with it.  The
     row-independent constants 1/(s_c-1), (s_c)_{2k-1} B_2k/(2k)! and the
     remainder constant are exact Gaussian rationals, because t is a
     double, each rounded outward once; only the remainder constant needs
@@ -340,12 +487,10 @@ def _em_rows(
     if t == 0.0 and any(base_sigma + c == 1 for c in cols):
         raise PoleProximity("a column coincides with the pole at 1")
 
-    # (n + alpha)^{-s_0} from big-float balls, and n + alpha on hardware
-    ends = np.empty((6, len(alphas), a + 1))
-    for i, alpha in enumerate(alphas):
-        for n in range(a + 1):
-            x = RealInterval.from_fraction(alpha + n)
-            ends[:, i, n] = (*_power_ball(alpha + n, base_sigma, t, tier.bits), x.lo, x.hi)
+    # (n + alpha)^{-s_0} and n + alpha on hardware, every base an integer over L
+    L = math.lcm(*(alpha.denominator for alpha in alphas))
+    ms = [alpha.numerator * (L // alpha.denominator) + n * L for alpha in alphas for n in range(a + 1)]
+    ends = _sieved_powers(ms, L, base_sigma, t, tier.bits).T.reshape(6, len(alphas), a + 1)
     power = CVec(IVec(ends[0], ends[1], _checked=True), IVec(ends[2], ends[3], _checked=True))
     base = IVec(ends[4], ends[5], _checked=True)
     inv = 1.0 / base
@@ -422,7 +567,7 @@ class HurwitzLattice:
     contains zeta(1/2+it+c, r/D) - sum_{n=0}^{M} (n + r/D)^{-(1/2+it+c)}.
     rows is the hardware CVec of shape (D, Ncols+1) that one _em_rows
     call fills, row r at index r-1; bits is that build's precision (the
-    trust precision of its power balls and the target of its truncation).
+    trust precision of its powers and the target of its truncation).
     Immutable once built; queries only read.
     """
 
@@ -461,10 +606,12 @@ def build_lattice(
     """Build (or load from cache) the lattice at ordinate t.
 
     tier.bits sets the build's precision: auto_params aims the
-    Euler-Maclaurin truncation at it, and the kernel results of the
-    per-row power balls (n + alpha)^{-s_0} are trusted to a few ulps at
-    it.  No interval arithmetic runs at that tier; the build works in
-    big-float balls, exact rationals and hardware interval arrays, and
+    Euler-Maclaurin truncation at it, and the powers (n + alpha)^{-s_0}
+    are trusted to a few ulps at it; only the primes up to (M + 2 + a) D,
+    the numerator of the top base over D, and D^{s_0} take transcendental
+    kernel calls, the composites are exact fixed-point products.  No interval arithmetic
+    runs at that tier; the build works in big-float balls, Gaussian
+    integers, exact rationals and hardware interval arrays, and
     the returned lattice is hardware.  With cache enabled the result is
     persisted keyed by (t, D, Ncols, M, build bits).
     """

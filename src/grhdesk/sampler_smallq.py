@@ -21,7 +21,8 @@ requested characters, for all of them together:
    k^a exp(-pi k^2 e^{2u}/q) summed by residue class of k mod q, one
    group DFT (the convention of sampler_largeq.l_values_at) for the
    character sums of every chi at once, then the geometric tail radius,
-   the prefactor and epsilon;
+   the prefactor and epsilon; from the first bin where a certified bound
+   on the whole row is below 2^-1000, every row is that bound;
 3. the negative bins by conjugate reflection (F is real, so
    Fhat(-x) = conj Fhat(x)) and one unnormalized backward FFT, batched
    over the characters and scaled by 2 pi/B (Poisson summation makes the
@@ -150,6 +151,18 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
     into the character sums.  The tail past the truncation is dominated
     by a geometric series whatever the character and is padded on;
     TailDivergence if the certified term ratio reaches 1.
+
+    Far out the rows vanish.  With y = pi Re(e^{2u})/q, k^2 >= 3k - 2 and
+    k^parity <= 2^(k-1) bound every row, for every character, by
+
+        B = 2 e^((2 parity + 1) x/2) q^(-(2 parity + 1)/4) e^(-y) / (1 - 2 e^(-3y))
+
+    (x = Re u) once y >= 1.  y grows with x, and there the exponent
+    (2 parity + 1) x/2 - y has slope (2 parity + 1)/2 - 2y < 0 while the
+    denominator grows, so B falls with x: the certified B of the first
+    bin with y >= 1 and B < 2^-1000 bounds that bin and every later one.
+    Those rows are that bound about zero, and their theta sums are
+    skipped.
     """
     group = char_group(q)
     slot = {int(a): j for j, a in enumerate(units_of(group))}
@@ -161,12 +174,20 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
         RealInterval.point(q), Fraction(2 * parity + 1, 4)
     )
 
+    cut = math.ldexp(1.0, -1000)
     classes, tails, prefs = [], [], []
+    far = None
     for n in range(plan.N // 2 + 1):
         x = (pi + pi) * RealInterval.from_fraction(Fraction(n) / plan.B)
-        trunc = default_trunc(x.lo_float(), q, plan.eta)
         u = ComplexBox(x, eta_im)
         e2u = (u + u).exp()
+        y = pi * e2u.re / RealInterval.point(q)
+        if y.lo_float() >= 1.0:
+            bound = factor * (x * scale_fr - y).exp() / (one - (-(y * 3)).exp() * 2)
+            if bound.hi_float() < cut:
+                far = bound.hi_float()
+                break
+        trunc = default_trunc(x.lo_float(), q, plan.eta)
 
         acc = [ComplexBox.zero(HARDWARE)] * group.phi
         for k in range(1, trunc + 1):
@@ -199,7 +220,11 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
     bins = len(prefs)
     sums = group_dft_cvec(group, CVec.from_boxes(classes).reshape(bins, group.phi))
     sums = sums.reshape(bins, group.phi).pad(np.array(tails).reshape(bins, 1))
-    return sums * CVec.from_boxes(prefs).reshape(bins, 1)
+    dual = sums * CVec.from_boxes(prefs).reshape(bins, 1)
+    if far is None:
+        return dual
+    rest = CVec.zeros((plan.N // 2 + 1 - bins, group.phi)).pad(far)
+    return CVec.concatenate([dual, rest], axis=0)
 
 
 def _decay_bound(w: RealInterval, x_of_w: RealInterval, parity: int) -> RealInterval:

@@ -2,7 +2,8 @@
 
 em_hurwitz is checked against mpmath's zeta(s, a) evaluated at much
 higher working precision with exact rational containment; the lattice
-and Taylor-shift paths are then checked against em_hurwitz itself.
+and Taylor-shift paths are then checked against em_hurwitz itself, and
+the lattice's sieved powers against single power balls and mpmath.
 """
 
 import math
@@ -13,12 +14,16 @@ import mpmath
 import numpy as np
 import pytest
 
+from grhdesk import hurwitz
 from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
 from grhdesk.hurwitz import (
     EMParams,
     HurwitzLattice,
+    _ball_mul,
     _em_rows,
+    _narrow,
     _power_ball,
+    _sieved_powers,
     fraction_sqrt_upper,
     build_lattice,
     em_hurwitz,
@@ -256,11 +261,11 @@ def test_lattice_kernel_width():
     lat = build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
     for row in lat.rows:
         assert max(row[0].re.width(), row[0].im.width()) <= 1e-14
-    # the widest cell of the build from interval-arithmetic powers and
-    # constants was 2.8311e-15; the balls and exact constants stay within 5%
+    # the widest cell of the build from sieved powers (prime balls and
+    # exact products) and exact constants is 2.7756e-15; stay within 5%
     re, im = lat.rows.re, lat.rows.im
     widest = max((re.hi - re.lo).max(), (im.hi - im.lo).max())
-    assert widest <= 1.05 * 2.831068712794149e-15
+    assert widest <= 1.05 * 2.7755575615628914e-15
 
 
 @pytest.mark.parametrize(
@@ -294,6 +299,155 @@ def test_power_ball_contains_and_is_tight(t, bits, sigma):
                         ulp = math.ulp(max(abs(lo_re), abs(hi_re), abs(lo_im), abs(hi_im)))
                         assert hi_re - lo_re <= 4 * ulp, (t, bits, sigma, x)
                         assert hi_im - lo_im <= 4 * ulp, (t, bits, sigma, x)
+
+
+def _lattice_bases(D: int) -> list[int]:
+    """Numerators m of the bases m/D = n + M + 1 + r/D of a D-row lattice, M = 9, n = 0..13."""
+    return [(10 + n) * D + r for n in range(14) for r in range(1, D + 1)]
+
+
+def _primes_dividing(ms) -> set[int]:
+    out = set()
+    for m in ms:
+        d = 2
+        while d * d <= m:
+            while m % d == 0:
+                out.add(d)
+                m //= d
+            d += 1
+        if m > 1:
+            out.add(m)
+    return out
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0, 16.0, 16.0625, 50.0])
+@pytest.mark.parametrize("sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16)])
+def test_sieved_powers_overlap_power_ball_and_are_no_wider(t, sigma):
+    # a sieved power is a product of prime balls and L^s at more bits;
+    # the reference is one ball of the base itself at `bits`.  The bases
+    # take the same directed rounding as RealInterval.from_fraction
+    for D in (12, 64):
+        ms = _lattice_bases(D)
+        for m, row in zip(ms, _sieved_powers(ms, D, sigma, t, 64)):
+            x = Fraction(m, D)
+            ref = _power_ball(x, sigma, t, 64)
+            for j in (0, 2):
+                lo, hi, ref_lo, ref_hi = row[j], row[j + 1], ref[j], ref[j + 1]
+                assert lo <= ref_hi and ref_lo <= hi, (D, sigma, t, x, j)
+                assert hi - lo <= ref_hi - ref_lo, (D, sigma, t, x, j)
+            base = RealInterval.from_fraction(x)
+            assert (row[4], row[5]) == (base.lo, base.hi), x
+
+
+@pytest.mark.parametrize("bits", [64, 96])
+@pytest.mark.parametrize("sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16)])
+def test_sieved_powers_contain_mpmath_far_up(bits, sigma):
+    t = 1e4
+    with mpmath.workdps(60):
+        s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
+        for D in (12, 64):
+            ms = _lattice_bases(D)
+            for m, row in zip(ms, _sieved_powers(ms, D, sigma, t, bits)):
+                v = mpmath.exp(-s * mpmath.log(mpmath.mpf(m) / D))
+                assert row[0] <= v.real <= row[1], (bits, sigma, D, m)
+                assert row[2] <= v.imag <= row[3], (bits, sigma, D, m)
+
+
+def _radial(X: int, Y: int, R: int) -> tuple[int, int]:
+    """A Gaussian integer in the disc of radius R about X + iY, pushed out along X + iY."""
+    mag = math.isqrt(X * X + Y * Y) + 1
+
+    def push(c: int) -> int:
+        return c + (abs(c) * R // mag) * (1 if c >= 0 else -1)
+
+    return push(X), push(Y)
+
+
+def test_ball_product_contains_products_of_members():
+    # exact products of points of two discs lie in the product disc, its
+    # truncation included: points pushed out along their midpoints (every
+    # error term of the product aligned) and points off them along an axis
+    rng = random.Random(20261019)
+
+    def rand_ball():
+        def signed(bits):
+            return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+        X, Y = signed(rng.randint(1, 90)), signed(rng.randint(0, 90))
+        return X, Y, rng.getrandbits(rng.randint(0, 90)), rng.randint(-300, 10)
+
+    for _ in range(300):
+        balls = [rand_ball(), rand_ball()]
+        pts = []
+        for X, Y, R, _ in balls:
+            pts.append([_radial(X, Y, R), (X + R, Y), (X - R, Y), (X, Y + R), (X, Y - R)])
+        for prec in (64, 400):
+            X, Y, R, e = _ball_mul(*balls, prec)
+            sh = e - balls[0][3] - balls[1][3]
+            assert sh >= 0
+            for x1, y1 in pts[0]:
+                for x2, y2 in pts[1]:
+                    dre = x1 * x2 - y1 * y2 - (X << sh)
+                    dim = x1 * y2 + y1 * x2 - (Y << sh)
+                    assert dre * dre + dim * dim <= (R << sh) ** 2, (balls, prec)
+
+
+@pytest.mark.parametrize(
+    "n, e",
+    [
+        (1, 0),
+        (3, -2),
+        (-(2**80) - 1, -100),
+        (2**60 + 1, 5),
+        (5, -1076),
+        (-7, -1080),
+        (2**53 + 1, 980),
+        (-(2**60) - 3, 1000),
+    ],
+    ids=["one", "exact", "negative", "big", "subnormal", "subnormal-neg", "overflow", "overflow-neg"],
+)
+def test_narrow_rounds_outward_to_adjacent_doubles(n, e):
+    # inside the double range the integer path; outside it the mpf fallback
+    lo, hi = _narrow(n, n, e)
+    v = Fraction(n) * Fraction(2) ** e
+    assert (Fraction(lo) if math.isfinite(lo) else -math.inf) <= v
+    assert v <= (Fraction(hi) if math.isfinite(hi) else math.inf)
+    assert hi == lo or hi == math.nextafter(lo, math.inf)
+
+
+def _count_balls(monkeypatch) -> list[Fraction]:
+    """Record the base of every transcendental ball from here on."""
+    calls = []
+    ball = hurwitz._ball
+
+    def counted(x, *args):
+        calls.append(x)
+        return ball(x, *args)
+
+    monkeypatch.setattr(hurwitz, "_ball", counted)
+    return calls
+
+
+def test_lattice_build_takes_one_ball_per_prime(monkeypatch):
+    # t = 16, D = 64 truncates at a = 13, so the bases are m/64 for
+    # m = 641..1536: the 242 primes up to 1536 and 64^s, not 896 powers
+    calls = _count_balls(monkeypatch)
+    build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    primes = _primes_dividing(range(641, 1537))
+    assert len(primes) == 242
+    assert sorted(calls) == sorted([Fraction(p) for p in primes] + [Fraction(1, 64)])
+
+
+def test_one_row_takes_only_the_primes_of_its_bases(monkeypatch):
+    # one row of a D = 2048 lattice with a = 28 has 29 bases up to about
+    # 80,000: no ball for a prime that divides none of them
+    calls = _count_balls(monkeypatch)
+    alpha = Fraction(777, 2048) + 10
+    _em_rows(7.0, Fraction(1, 2) + 16, [alpha], 49, 28, 18, bigfloat(72))
+    ms = [alpha.numerator + n * 2048 for n in range(29)]
+    primes = _primes_dividing(ms)
+    assert sorted(calls) == sorted([Fraction(p) for p in primes] + [Fraction(1, 2048)])
+    assert len(calls) < 80
 
 
 # -- the lattice -------------------------------------------------------------

@@ -214,6 +214,33 @@ def test_dual_values_contain_theta_sums(q, short, monkeypatch):
                     assert box.im.lo_float() <= ref.imag <= box.im.hi_float(), (chi, n)
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_far_dual_bins_take_one_row_bound(q):
+    # past the first bin whose certified bound on every character's value
+    # is below 2^-1000 the rows are that bound about zero: bins 72 (q = 5)
+    # and 75 (q = 7) of the 1025 at default_plan().  The bound is within
+    # 0.2% of the largest value at that bin, so it is checked there
+    plan = default_plan()
+    group = char_group(q)
+    with mpmath.workdps(_DPS):
+        for parity in (0, 1):
+            dual = sampler_smallq._dual_values(q, parity, plan)
+            ends = np.stack([dual.re.lo, dual.re.hi, dual.im.lo, dual.im.hi], axis=-1)
+            padded = np.all(ends == ends[-1, 0], axis=(1, 2))
+            cut = int(np.argmax(padded))
+            assert 0 < cut < 80 and padded[cut:].all(), parity
+            far = ends[-1, 0, 1]
+            assert tuple(ends[-1, 0]) == (-far, far, -far, far) and far < 2.0**-1000
+            for n in (cut - 1, cut, cut + 1):
+                x = 2 * mpmath.pi * n / plan.B.numerator * plan.B.denominator
+                for chi in group.primitive_indices():
+                    if group.parity(chi) == parity:
+                        box = dual[n, int(np.ravel_multi_index(chi, group.orders))]
+                        ref = _fhat_over_eps(q, chi, parity, x)
+                        assert box.re.lo_float() <= ref.real <= box.re.hi_float(), (chi, n)
+                        assert box.im.lo_float() <= ref.imag <= box.im.hi_float(), (chi, n)
+
+
 # (1) is odd and (2) is even both mod 5 and mod 7
 _ORACLE_CHARS = [(5, (1,)), (5, (2,)), (7, (1,)), (7, (2,))]
 _ORACLE_PLAN = FftPlan(A=Fraction(1, 2), B=Fraction(16))
