@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 from mpmath.libmp import (
     from_float,
-    from_man_exp,
     from_rational,
     mpf_cos_sin,
     mpf_exp,
@@ -49,7 +48,6 @@ from mpmath.libmp import (
 from .errors import DomainError, PoleProximity, RadiusViolation
 from .interval import (
     _BIG_TRANS_ULPS,
-    _FLOOR,
     _GUARD,
     _TINY,
     _TRANS_ULPS,
@@ -57,7 +55,7 @@ from .interval import (
     ComplexBox,
     PrecisionTier,
     RealInterval,
-    _raw_to_float_dir,
+    _narrow,
     _up,
     _up_k,
     bernoulli,
@@ -345,20 +343,6 @@ def _mid_mag(X: int, Y: int) -> int:
     return (a + (b >> 1) if a >= b else b + (a >> 1)) + 1
 
 
-def _floor_float(n: int, e: int) -> float:
-    """The largest double <= n 2^e."""
-    k = max(abs(n).bit_length() - 53, 0)
-    m, ex = n >> k, e + k  # floor to 53 bits
-    if ex >= -1074 and m.bit_length() + ex <= 1024:
-        return math.ldexp(m, ex)  # exact: a 53-bit integer times 2^ex in range
-    return _raw_to_float_dir(from_man_exp(n, e), _FLOOR)
-
-
-def _narrow(lo: int, hi: int, e: int) -> tuple[float, float]:
-    """Doubles enclosing [lo 2^e, hi 2^e], each side rounded outward once."""
-    return _floor_float(lo, e), -_floor_float(-hi, e)
-
-
 def _narrow_ball(z: _Ball, real: bool) -> tuple[float, float, float, float]:
     """A fixed-point ball as (re.lo, re.hi, im.lo, im.hi) doubles.
 
@@ -390,62 +374,51 @@ def _smallest_prime_factors(top: int) -> np.ndarray:
 
 
 def _sieved_powers(ms: list[int], L: int, sigma: Fraction, t: float, bits: int) -> np.ndarray:
-    """Enclosures of (m/L)^{-(sigma + it)} and of m/L for each integer m >= 1.
+    """Enclosures of (m/L)^{-(sigma + it)} for each integer m >= 1.
 
-    Shape (len(ms), 6): re.lo, re.hi, im.lo, im.hi of the power, then lo,
-    hi of the base.  Since m -> m^{-s} is completely multiplicative, only
-    primes are transcendental: the integers needed are ms closed under
-    m -> spf(m) and m -> m/spf(m), each prime p is one _ball for p^{-s},
-    L^{s} is one more, and each composite m = p k (p = spf(m)) is one exact
-    fixed-point product of two balls already made.  A power is then the
-    ball of m times L^{s}, narrowed to doubles; a base m/L is narrowed by
-    the same integer rounding.  The balls are trusted at bits plus the
-    bit length of the top integer, which bounds the number of factors a
-    chain multiplies, so that the radii the products add up stay below
-    one ball's at `bits`.
+    Shape (len(ms), 4): re.lo, re.hi, im.lo, im.hi.  Since m -> m^{-s}
+    is completely multiplicative, only primes are transcendental: the
+    integers needed are ms closed under m -> spf(m) and m -> m/spf(m),
+    each prime p is one _ball for p^{-s}, L^{s} is one more, and each
+    composite m = p k (p = spf(m)) is one exact fixed-point product of the
+    balls of p and k, made the first time a walk down the cofactors of an
+    m in ms reaches it.  A power is then the ball of m times L^{s},
+    narrowed to doubles by integer directed rounding.  The balls are
+    trusted at bits plus the bit length of the top integer, which bounds
+    the number of factors a chain multiplies, so that the radii the
+    products add up stay below one ball's at `bits`.
     """
     top = max(ms)
     prec = bits + top.bit_length()
     mul_prec = prec + _GUARD  # the midpoint bits of a _ball at prec
     spf = _smallest_prime_factors(top)
-    needed = np.zeros(top + 1, dtype=bool)
-    needed[ms] = True
-    # each round adds the factors spf(m), m/spf(m) of every m so far; a
-    # chain of cofactors at least halves m per step, so these rounds
-    # reach the end of every chain
-    for _ in range(top.bit_length()):
-        have = np.flatnonzero(needed)
-        needed[spf[have]] = needed[have // spf[have]] = True
-    needed[:2] = False
-    need = np.flatnonzero(needed)
     balls = {1: (1, 0, 0, 0)}
-    for m, p in zip(need.tolist(), spf[need].tolist()):
-        if p == m:
-            balls[m] = _ball(Fraction(m), sigma, t, prec)
-        else:
-            balls[m] = _ball_mul(balls[p], balls[m // p], mul_prec)
+    for m in ms:
+        # walk down the cofactors m, m/spf(m), ... to one already made,
+        # then make the ones above it: p = spf(k) first, then k = p (k/p)
+        chain = []
+        while m not in balls:
+            chain.append(m)
+            m //= int(spf[m])
+        for k in reversed(chain):
+            p = int(spf[k])
+            if p not in balls:
+                balls[p] = _ball(Fraction(p), sigma, t, prec)
+            if k != p:
+                balls[k] = _ball_mul(balls[p], balls[k // p], mul_prec)
     scale = _ball(Fraction(1, L), sigma, t, prec)  # L^{s}
-    out = np.empty((len(ms), 6))
+    out = np.empty((len(ms), 4))
     for i, m in enumerate(ms):
-        out[i] = (*_narrow_ball(_ball_mul(balls[m], scale, mul_prec), t == 0.0), *_ratio_floats(m, L))
+        out[i] = _narrow_ball(_ball_mul(balls[m], scale, mul_prec), t == 0.0)
     return out
-
-
-def _ratio_floats(n: int, d: int) -> tuple[float, float]:
-    """The doubles floor(n/d) and ceil(n/d) for integers n and d > 0."""
-    k = max(54 + d.bit_length() - abs(n).bit_length(), 0)  # n 2^k / d keeps 54 bits
-    return _narrow((n << k) // d, -((-n << k) // d), -k)
 
 
 def _exact_cvec(values: list[tuple[Fraction, Fraction]]) -> CVec:
     """Hardware CVec of exact Gaussian rationals, each side rounded outward once."""
-    ends = np.array(
-        [
-            (*_ratio_floats(re.numerator, re.denominator), *_ratio_floats(im.numerator, im.denominator))
-            for re, im in values
-        ]
+    return CVec(
+        IVec.from_intervals([RealInterval.from_fraction(re) for re, _ in values]),
+        IVec.from_intervals([RealInterval.from_fraction(im) for _, im in values]),
     )
-    return CVec(IVec(ends[:, 0], ends[:, 1], _checked=True), IVec(ends[:, 2], ends[:, 3], _checked=True))
 
 
 def _em_rows(
@@ -466,12 +439,12 @@ def _em_rows(
     from one _sieved_powers call over the integers m = (n+alpha) L, L the
     common denominator of the alphas: a ball per prime factor and one for
     L^{s_0}, exact fixed-point products for the composites, each power
-    narrowed to hardware once, and the bases n+alpha with it.  The
-    row-independent constants 1/(s_c-1), (s_c)_{2k-1} B_2k/(2k)! and the
-    remainder constant are exact Gaussian rationals, because t is a
-    double, each rounded outward once; only the remainder constant needs
-    bounds, an upper one on |(s_c)_{2b+1}| and a lower one on
-    (2 pi)^{2b+1} from pi at tier.bits.  Everything else runs on hardware
+    narrowed to hardware once; each base n+alpha is rounded outward
+    once.  The row-independent constants 1/(s_c-1), (s_c)_{2k-1}
+    B_2k/(2k)! and the remainder constant are exact Gaussian rationals,
+    because t is a double, each rounded outward once; only the remainder
+    constant needs bounds, an upper one on |(s_c)_{2b+1}| and a lower one
+    on (2 pi)^{2b+1} from pi at tier.bits.  Everything else runs on hardware
     interval arrays: column c scales the column c-1 powers by
     (n+alpha)^{-1}, the direct sum adds term by term, and the remainder
     radius takes each row's own A = a + alpha.  At t = 0 the values are
@@ -490,9 +463,13 @@ def _em_rows(
     # (n + alpha)^{-s_0} and n + alpha on hardware, every base an integer over L
     L = math.lcm(*(alpha.denominator for alpha in alphas))
     ms = [alpha.numerator * (L // alpha.denominator) + n * L for alpha in alphas for n in range(a + 1)]
-    ends = _sieved_powers(ms, L, base_sigma, t, tier.bits).T.reshape(6, len(alphas), a + 1)
+    ends = _sieved_powers(ms, L, base_sigma, t, tier.bits).T.reshape(4, len(alphas), a + 1)
     power = CVec(IVec(ends[0], ends[1], _checked=True), IVec(ends[2], ends[3], _checked=True))
-    base = IVec(ends[4], ends[5], _checked=True)
+    lo, hi = np.empty(len(ms)), np.empty(len(ms))
+    for i, m in enumerate(ms):
+        x = RealInterval.from_fraction(Fraction(m, L))
+        lo[i], hi[i] = x.lo, x.hi
+    base = IVec(lo, hi, _checked=True).reshape(len(alphas), a + 1)
     inv = 1.0 / base
 
     # the per-column constants in scaled Gaussian integers: with den the

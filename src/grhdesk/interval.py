@@ -205,6 +205,20 @@ def _raw_to_float_dir(x, direction: str) -> float:
     return f
 
 
+def _floor_float(n: int, e: int) -> float:
+    """The largest double <= n 2^e."""
+    k = max(abs(n).bit_length() - 53, 0)
+    m, ex = n >> k, e + k  # floor to 53 bits
+    if ex >= -1074 and m.bit_length() + ex <= 1024:
+        return math.ldexp(m, ex)  # exact: a 53-bit integer times 2^ex in range
+    return _raw_to_float_dir(from_man_exp(n, e), _FLOOR)
+
+
+def _narrow(lo: int, hi: int, e: int) -> tuple[float, float]:
+    """Doubles enclosing [lo 2^e, hi 2^e], each side rounded outward once."""
+    return _floor_float(lo, e), -_floor_float(-hi, e)
+
+
 def _fmin(a, b):
     return a if mpf_cmp(a, b) <= 0 else b
 
@@ -265,15 +279,12 @@ class RealInterval:
 
     @staticmethod
     def from_fraction(fr: Fraction, tier: PrecisionTier = HARDWARE) -> "RealInterval":
-        fr = Fraction(fr)
+        if not isinstance(fr, Fraction):
+            fr = Fraction(fr)
         if tier.kind == "hardware":
-            f = fr.numerator / fr.denominator
-            lo, hi = f, f
-            if Fraction(lo) > fr:
-                lo = _dn(lo)
-            if Fraction(hi) < fr:
-                hi = _up(hi)
-            return RealInterval(lo, hi, tier, _raw=True)
+            n, d = fr.numerator, fr.denominator
+            k = max(54 + d.bit_length() - abs(n).bit_length(), 0)  # n 2^k / d keeps 54 bits
+            return RealInterval(*_narrow((n << k) // d, -((-n << k) // d), -k), tier, _raw=True)
         lo = from_rational(fr.numerator, fr.denominator, tier.bits, _FLOOR)
         hi = from_rational(fr.numerator, fr.denominator, tier.bits, _CEIL)
         return RealInterval(lo, hi, tier, _raw=True)

@@ -21,7 +21,6 @@ from grhdesk.hurwitz import (
     HurwitzLattice,
     _ball_mul,
     _em_rows,
-    _narrow,
     _power_ball,
     _sieved_powers,
     fraction_sqrt_upper,
@@ -324,8 +323,7 @@ def _primes_dividing(ms) -> set[int]:
 @pytest.mark.parametrize("sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16)])
 def test_sieved_powers_overlap_power_ball_and_are_no_wider(t, sigma):
     # a sieved power is a product of prime balls and L^s at more bits;
-    # the reference is one ball of the base itself at `bits`.  The bases
-    # take the same directed rounding as RealInterval.from_fraction
+    # the reference is one ball of the base itself at `bits`
     for D in (12, 64):
         ms = _lattice_bases(D)
         for m, row in zip(ms, _sieved_powers(ms, D, sigma, t, 64)):
@@ -335,8 +333,6 @@ def test_sieved_powers_overlap_power_ball_and_are_no_wider(t, sigma):
                 lo, hi, ref_lo, ref_hi = row[j], row[j + 1], ref[j], ref[j + 1]
                 assert lo <= ref_hi and ref_lo <= hi, (D, sigma, t, x, j)
                 assert hi - lo <= ref_hi - ref_lo, (D, sigma, t, x, j)
-            base = RealInterval.from_fraction(x)
-            assert (row[4], row[5]) == (base.lo, base.hi), x
 
 
 @pytest.mark.parametrize("bits", [64, 96])
@@ -390,29 +386,6 @@ def test_ball_product_contains_products_of_members():
                     dre = x1 * x2 - y1 * y2 - (X << sh)
                     dim = x1 * y2 + y1 * x2 - (Y << sh)
                     assert dre * dre + dim * dim <= (R << sh) ** 2, (balls, prec)
-
-
-@pytest.mark.parametrize(
-    "n, e",
-    [
-        (1, 0),
-        (3, -2),
-        (-(2**80) - 1, -100),
-        (2**60 + 1, 5),
-        (5, -1076),
-        (-7, -1080),
-        (2**53 + 1, 980),
-        (-(2**60) - 3, 1000),
-    ],
-    ids=["one", "exact", "negative", "big", "subnormal", "subnormal-neg", "overflow", "overflow-neg"],
-)
-def test_narrow_rounds_outward_to_adjacent_doubles(n, e):
-    # inside the double range the integer path; outside it the mpf fallback
-    lo, hi = _narrow(n, n, e)
-    v = Fraction(n) * Fraction(2) ** e
-    assert (Fraction(lo) if math.isfinite(lo) else -math.inf) <= v
-    assert v <= (Fraction(hi) if math.isfinite(hi) else math.inf)
-    assert hi == lo or hi == math.nextafter(lo, math.inf)
 
 
 def _count_balls(monkeypatch) -> list[Fraction]:

@@ -26,6 +26,7 @@ from grhdesk.interval import (
     _cos_sin,
     _fmax,
     _fmin,
+    _narrow,
     arith,
     bigfloat,
     elem,
@@ -458,6 +459,69 @@ def test_complex_mul_containment(ar, ai, br, bi):
         )
         assert box.re.lo_fraction() <= mp_fraction(prod.real) <= box.re.hi_fraction()
         assert box.im.lo_fraction() <= mp_fraction(prod.imag) <= box.im.hi_fraction()
+
+
+# ---------------------------------------------------------------------------
+# directed rounding of exact values to doubles
+
+
+@pytest.mark.parametrize(
+    "n, e",
+    [
+        (1, 0),
+        (3, -2),
+        (-(2**80) - 1, -100),
+        (2**60 + 1, 5),
+        (5, -1076),
+        (-7, -1080),
+        (2**53 + 1, 980),
+        (-(2**60) - 3, 1000),
+    ],
+    ids=["one", "exact", "negative", "big", "subnormal", "subnormal-neg", "overflow", "overflow-neg"],
+)
+def test_narrow_rounds_outward_to_adjacent_doubles(n, e):
+    # inside the double range the integer path; outside it the mpf fallback
+    lo, hi = _narrow(n, n, e)
+    v = Fraction(n) * Fraction(2) ** e
+    assert (Fraction(lo) if math.isfinite(lo) else -math.inf) <= v
+    assert v <= (Fraction(hi) if math.isfinite(hi) else math.inf)
+    assert hi == lo or hi == math.nextafter(lo, math.inf)
+
+
+def _assert_adjacent_enclosure(lo: float, hi: float, v: Fraction):
+    assert (Fraction(lo) if math.isfinite(lo) else -math.inf) <= v
+    assert v <= (Fraction(hi) if math.isfinite(hi) else math.inf)
+    assert hi == lo or hi == math.nextafter(lo, math.inf)
+
+
+@pytest.mark.parametrize(
+    "fr",
+    [
+        Fraction(0),
+        Fraction(3, 4),
+        Fraction(1, 3),
+        Fraction(-1, 3),
+        Fraction(2**60 + 1),
+        Fraction(1537, 64),
+        Fraction(1, 7 * 2**1070),
+        Fraction(-(10**400), 3),
+        Fraction(10**400, 3),
+    ],
+    ids=["zero", "exact", "third", "neg-third", "big", "base", "subnormal", "overflow-neg", "overflow"],
+)
+def test_from_fraction_rounds_outward_to_adjacent_doubles(fr):
+    iv = RealInterval.from_fraction(fr)
+    _assert_adjacent_enclosure(iv.lo, iv.hi, fr)
+    if math.isfinite(iv.lo) and Fraction(iv.lo) == fr:  # a double is its own point
+        assert iv.hi == iv.lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+def test_from_fraction_random_fractions(n, d):
+    fr = Fraction(n, d)
+    iv = RealInterval.from_fraction(fr)
+    _assert_adjacent_enclosure(iv.lo, iv.hi, fr)
 
 
 # ---------------------------------------------------------------------------
