@@ -5,8 +5,9 @@ The unit group (Z/qZ)* is decomposed into cyclic factors by CRT:
 * odd prime powers p^a contribute one cyclic factor with a primitive root,
 * q = 2m with m odd merges the trivial factor at 2 into the first odd one,
 * 4 exactly contributes an order-2 factor generated by -1,
-* 2^a with a >= 3 contributes the two-generator structure (-1, 5) of orders
-  (2, 2^(a-2)).
+* 2^a with a >= 3 contributes two cyclic factors, both read mod 2^a and
+  appended after the odd ones: the sign factor generated by -1 (order 2)
+  and the factor generated by 5 (order 2^(a-2)).
 
 A character is an exponent tuple, one entry per cyclic generator.  All
 character values are exact rational phases (fractions of a turn), so parity,
@@ -82,7 +83,9 @@ class CyclicFactor:
     """One cyclic piece of (Z/qZ)*: modulus, its prime, generator, order, dlog table.
 
     prime is the p of the prime power p^a the factor comes from; a factor
-    merged as 2 p^a records the odd p.
+    merged as 2 p^a records the odd p.  For 2^a with a >= 3 the unit group
+    is <-1> x <5>, two factors that share the modulus 2^a; each dlog gives
+    the exponent of its own generator.
     """
 
     prime_power: int
@@ -93,17 +96,6 @@ class CyclicFactor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"C({self.prime_power}, g={self.generator}, ord={self.order})"
-
-
-@dataclass(frozen=True)
-class SpecialTwo:
-    """Two-generator structure of (Z/2^a Z)* for a >= 3: <-1> x <5>."""
-
-    alpha: int
-    modulus: int
-    orders: tuple[int, int]  # (2, 2^(a-2))
-    dlog_sign: np.ndarray
-    dlog_five: np.ndarray
 
 
 def _dlog_table(m: int, g: int, order: int) -> np.ndarray:
@@ -119,19 +111,18 @@ def _dlog_table(m: int, g: int, order: int) -> np.ndarray:
     return tab
 
 
-def _special_two_tables(alpha: int) -> SpecialTwo:
+def _two_power_factors(alpha: int) -> list[CyclicFactor]:
+    """The sign factor <-1> and the factor <5> of (Z/2^alpha Z)*, alpha >= 3."""
     m = 1 << alpha
     half = 1 << (alpha - 2)
     sign = np.full(m, -1, dtype=np.int64)
     five = np.full(m, -1, dtype=np.int64)
     x = 1
-    for e1 in range(half):
-        for e0 in (0, 1):
-            y = (m - x) % m if e0 else x
-            sign[y] = e0
-            five[y] = e1
+    for e in range(half):
+        sign[x], sign[m - x] = 0, 1
+        five[x], five[m - x] = e, e
         x = (x * 5) % m
-    return SpecialTwo(alpha, m, (2, half), sign, five)
+    return [CyclicFactor(m, 2, m - 1, 2, sign), CyclicFactor(m, 2, 5, half, five)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +156,6 @@ class CharGroup:
         odd = [(p, a) for p, a in facs if p != 2]
 
         factors: list[CyclicFactor] = []
-        self.special_two: SpecialTwo | None = None
 
         if two_alpha == 1:
             # merge the trivial factor at 2 into the first odd prime power
@@ -179,19 +169,16 @@ class CharGroup:
             odd = odd[1:]
         elif two_alpha == 2:
             factors.append(CyclicFactor(4, 2, 3, 2, _dlog_table(4, 3, 2)))
-        elif two_alpha >= 3:
-            self.special_two = _special_two_tables(two_alpha)
 
         for p, a in odd:
             pp = p**a
             g = _primitive_root(p, a)
             factors.append(CyclicFactor(pp, p, g, euler_phi(pp), _dlog_table(pp, g, euler_phi(pp))))
+        if two_alpha >= 3:
+            factors += _two_power_factors(two_alpha)
 
         self.factors = factors
-        self.orders: tuple[int, ...] = tuple(
-            [f.order for f in factors]
-            + (list(self.special_two.orders) if self.special_two else [])
-        )
+        self.orders: tuple[int, ...] = tuple(f.order for f in factors)
         check = 1
         for o in self.orders:
             check *= o
@@ -236,16 +223,8 @@ class CharGroup:
             return None
         L = self.exponent
         c = 0
-        pos = 0
-        for f in self.factors:
-            e = int(f.dlog[n % f.prime_power])
-            c += idx[pos] * e * (L // f.order)
-            pos += 1
-        if self.special_two:
-            st = self.special_two
-            r = n % st.modulus
-            c += idx[pos] * int(st.dlog_sign[r]) * (L // 2)
-            c += idx[pos + 1] * int(st.dlog_five[r]) * (L // st.orders[1])
+        for k, f in zip(idx, self.factors):
+            c += k * int(f.dlog[n % f.prime_power]) * (L // f.order)
         return c % L
 
     def phase(self, idx, n: int) -> Fraction | None:
@@ -269,20 +248,10 @@ class CharGroup:
         L = self.exponent
         c = np.zeros(ns.shape, dtype=np.int64)
         ok = np.ones(ns.shape, dtype=bool)
-        pos = 0
-        for f in self.factors:
+        for k, f in zip(idx, self.factors):
             e = f.dlog[np.mod(ns, f.prime_power)]
             ok &= e >= 0
-            c += idx[pos] * np.where(e >= 0, e, 0) * (L // f.order)
-            pos += 1
-        if self.special_two:
-            st = self.special_two
-            r = np.mod(ns, st.modulus)
-            e0 = st.dlog_sign[r]
-            e1 = st.dlog_five[r]
-            ok &= e0 >= 0
-            c += idx[pos] * np.where(e0 >= 0, e0, 0) * (L // 2)
-            c += idx[pos + 1] * np.where(e1 >= 0, e1, 0) * (L // st.orders[1])
+            c += k * np.where(e >= 0, e, 0) * (L // f.order)
         c = np.where(ok, c % L, 0)
         return c, ok
 
@@ -323,19 +292,19 @@ class CharGroup:
         At an odd p (or at 4): a degree-1 factor needs a nonzero exponent,
         a higher power needs an exponent coprime to p.  A merged 2*p^a factor
         means the 2-part of any conductor is 1, so nothing mod q is
-        primitive.  At 2^a (a >= 3) the exponent of 5 must be odd.
+        primitive.  At 2^a (a >= 3) the exponent of 5 must be odd, by the
+        same coprime rule, and the sign factor allows any exponent.
         """
-        idx = tuple(idx)
         for k, f in zip(idx, self.factors):
             if f.prime_power % 4 == 2:
                 return False
+            if f.prime_power >= 8 and f.generator == f.prime_power - 1:
+                continue  # the sign factor <-1> of 2^a
             if f.prime_power == f.prime:
                 if k == 0:
                     return False
             elif k % f.prime == 0:
                 return False
-        if self.special_two and idx[-1] % 2 == 0:
-            return False
         return True
 
     def primitive_indices(self):
@@ -477,7 +446,9 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
 
     the last term covering the round-to-nearest of both parts; it is left
     out when the product is exact, so exact phases such as e(1/4) stay
-    exact.
+    exact.  It serves the Gauss sums (tables of e(a/q) and e(c/exponent))
+    and every DFT twiddle and chirp (dft.unity_table), which reads each
+    entry as a midpoint with the shared radius.
     """
     one = 1 << shift
     half = one >> 1

@@ -3,8 +3,11 @@
 Conventions: forward multiplies each datum by e(-nm/N), backward by
 e(+nm/N), neither normalizes, so forward-then-backward scales by N.
 
-Twiddle tables are computed once per length at the big-float tier (quadrant
-symmetry keeps that cheap), narrowed to hardware endpoints, and cached.
+Every twiddle and chirp comes from one table per length, unity_table(n):
+the exact fixed-point recurrence of characters._fixed_unit_powers (one
+big-float transcendental per length, one integer radius), narrowed once to
+hardware endpoints and cached.  Bluestein's chirp of length n is
+unity_table(2n) read at j^2 mod 2n.
 
 dft() holds the one length policy: radix-2 for powers of two, the naive
 sum up to _NAIVE_LIMIT, Bluestein above it.  The group DFT evaluates sums
@@ -15,69 +18,54 @@ usual row-column method over the cyclic factor structure.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
-from .characters import CharGroup, unit_phase
-from .interval import HARDWARE, bigfloat
+from .characters import CharGroup, _fixed_unit_powers
+from .interval import _narrow
 from .ivec import CVec, IVec
 
-_TWIDDLE_BITS = 128
 _NAIVE_LIMIT = 64  # axis lengths above this go through Bluestein
 
 _table_cache: dict[int, CVec] = {}
-_chirp_cache: dict[tuple[int, int], CVec] = {}
 _vhat_cache: dict[tuple[int, int], CVec] = {}
-_rev_cache: dict[int, np.ndarray] = {}
+
+# sides (re lo, re hi, im lo, im hi) of e(-k/4), k = 0..3: the points 1, -i, -1, i
+_QUARTER_POINTS = np.array(
+    [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, -1.0], [-1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]
+)
 
 
 def unity_table(n: int) -> CVec:
-    """e(-j/n) for j = 0..n-1, hardware boxes narrowed from big-float."""
+    """e(-j/n) for j = 0..n-1 as hardware boxes.
+
+    The fixed-point table of e(j/n) at scale 2^-shift, with the guard
+    bits of CharGroup._fixed_unity_tables at 53 bits, is conjugated and
+    each side narrowed to a double once.  Entries with 4j = 0 mod n are
+    the exact points 1, -i, -1, i.
+    """
     tab = _table_cache.get(n)
     if tab is not None:
         return tab
-    tier = bigfloat(_TWIDDLE_BITS)
-    if n % 4 == 0:
-        quarter = n // 4
-        base = [
-            unit_phase(Fraction(-j, n), tier).widen_to(HARDWARE)
-            for j in range(quarter + 1)
+    shift = 53 + 2 * n.bit_length() + 16
+    re, im, rad = _fixed_unit_powers(n, shift)
+    sides = np.array(
+        [
+            (*_narrow(x - rad, x + rad, -shift), *_narrow(-y - rad, rad - y, -shift))
+            for x, y in zip(re, im)
         ]
-        re = np.empty(n)
-        re_hi = np.empty(n)
-        im = np.empty(n)
-        im_hi = np.empty(n)
-        for j, b in enumerate(base):
-            re[j], re_hi[j] = b.re.lo_float(), b.re.hi_float()
-            im[j], im_hi[j] = b.im.lo_float(), b.im.hi_float()
-        # remaining quadrants by exact multiplications by -i:
-        # e(-(j + n/4)/n) = -i e(-j/n): (re, im) -> (im, -re)
-        for k in range(1, 4):
-            lo_src_re = re[(k - 1) * quarter : k * quarter].copy()
-            hi_src_re = re_hi[(k - 1) * quarter : k * quarter].copy()
-            lo_src_im = im[(k - 1) * quarter : k * quarter].copy()
-            hi_src_im = im_hi[(k - 1) * quarter : k * quarter].copy()
-            sl = slice(k * quarter, (k + 1) * quarter)
-            re[sl], re_hi[sl] = lo_src_im, hi_src_im
-            im[sl], im_hi[sl] = -hi_src_re, -lo_src_re
-        tab = CVec(IVec(re, re_hi, _checked=True), IVec(im, im_hi, _checked=True))
-    else:
-        boxes = [unit_phase(Fraction(-j, n), tier).widen_to(HARDWARE) for j in range(n)]
-        tab = CVec.from_boxes(boxes)
+    )
+    j = np.flatnonzero(4 * np.arange(n) % n == 0)
+    sides[j] = _QUARTER_POINTS[4 * j // n]
+    re_lo, re_hi, im_lo, im_hi = sides.T.copy()
+    tab = CVec(IVec(re_lo, re_hi, _checked=True), IVec(im_lo, im_hi, _checked=True))
     _table_cache[n] = tab
     return tab
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
-    rev = _rev_cache.get(n)
-    if rev is None:
-        bits = n.bit_length() - 1
-        rev = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            rev[i] = int(bin(i)[2:].zfill(bits)[::-1], 2)
-        _rev_cache[n] = rev
+    rev = np.zeros(1, dtype=np.int64)
+    while rev.size < n:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
     return rev
 
 
@@ -121,21 +109,10 @@ def dft_naive(x: CVec, direction: str = "forward") -> CVec:
 
 
 def _chirp(n: int, direction: str) -> CVec:
-    """e(sign * j^2 / 2n) for j = 0..n-1 (sign -1 forward, +1 backward)."""
-    sign = -1 if direction == "forward" else 1
-    key = (n, sign)
-    tab = _chirp_cache.get(key)
-    if tab is None:
-        tier = bigfloat(_TWIDDLE_BITS)
-        boxes = [
-            unit_phase(Fraction(sign * ((j * j) % (2 * n)), 2 * n), tier).widen_to(
-                HARDWARE
-            )
-            for j in range(n)
-        ]
-        tab = CVec.from_boxes(boxes)
-        _chirp_cache[key] = tab
-    return tab
+    """e(-+j^2 / 2n) for j = 0..n-1 (minus forward, plus backward)."""
+    j = np.arange(n)
+    chirp = unity_table(2 * n).take_last(j * j % (2 * n))
+    return chirp.conj() if direction == "backward" else chirp
 
 
 def dft_bluestein(x: CVec, direction: str = "forward") -> CVec:
@@ -154,25 +131,12 @@ def dft_bluestein(x: CVec, direction: str = "forward") -> CVec:
     key = (n, direction == "forward")
     vhat = _vhat_cache.get(key)
     if vhat is None:
-        vconj = chirp.conj()  # e(-sign j^2/2n)
-        vpad = CVec.zeros((L,))
-        head = np.arange(n)
-        tail = np.arange(1, n)
-        re_lo = vpad.re.lo.copy()
-        re_hi = vpad.re.hi.copy()
-        im_lo = vpad.im.lo.copy()
-        im_hi = vpad.im.hi.copy()
-        re_lo[head], re_hi[head] = vconj.re.lo, vconj.re.hi
-        im_lo[head], im_hi[head] = vconj.im.lo, vconj.im.hi
-        re_lo[L - tail], re_hi[L - tail] = vconj.re.lo[tail], vconj.re.hi[tail]
-        im_lo[L - tail], im_hi[L - tail] = vconj.im.lo[tail], vconj.im.hi[tail]
-        vpad = CVec(
-            IVec(re_lo, re_hi, _checked=True), IVec(im_lo, im_hi, _checked=True)
-        )
+        v = chirp.conj()  # e(-sign j^2/2n), wrapped around for the cyclic convolution
+        vpad = CVec.concatenate([v, CVec.zeros((L - 2 * n + 1,)), v[n - 1 : 0 : -1]])
         vhat = fft_pow2(vpad, "forward")
         _vhat_cache[key] = vhat
 
-    conv = fft_pow2(fft_pow2(upad, "forward") * vhat, "backward") * Fraction(1, L)
+    conv = fft_pow2(fft_pow2(upad, "forward") * vhat, "backward") * (1.0 / L)
     return conv[..., :n] * chirp
 
 
@@ -190,33 +154,18 @@ def dft(x: CVec, direction: str = "forward") -> CVec:
 # group DFT over the CRT factor structure
 
 
-_perm_cache: dict[tuple, np.ndarray] = {}
-
-
 def units_of(group: CharGroup) -> np.ndarray:
     """Residues coprime to q, ascending."""
     q = group.q
-    return np.array([n for n in range(1, q) if math.gcd(n, q) == 1], dtype=np.int64)
+    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
 
 
 def _coords_perm(group: CharGroup) -> np.ndarray:
     """perm[flat coordinate index] = position of that residue in units_of."""
-    key = (group.q, group.orders)
-    perm = _perm_cache.get(key)
-    if perm is not None:
-        return perm
     units = units_of(group)
-    coords = []
-    for f in group.factors:
-        coords.append(f.dlog[units % f.prime_power])
-    if group.special_two:
-        st = group.special_two
-        coords.append(st.dlog_sign[units % st.modulus])
-        coords.append(st.dlog_five[units % st.modulus])
-    flat = np.ravel_multi_index(tuple(np.asarray(c) for c in coords), group.orders)
+    coords = tuple(f.dlog[units % f.prime_power] for f in group.factors)
     perm = np.empty(group.phi, dtype=np.int64)
-    perm[flat] = np.arange(group.phi)
-    _perm_cache[key] = perm
+    perm[np.ravel_multi_index(coords, group.orders)] = np.arange(group.phi)
     return perm
 
 

@@ -81,18 +81,12 @@ class PrecisionTier:
 
 HARDWARE = PrecisionTier("hardware", 53)
 
-_BIG_CACHE: dict[int, PrecisionTier] = {}
-
 
 def bigfloat(bits: int = 128) -> PrecisionTier:
     """Big-float tier at the given mantissa size (minimum 64 bits)."""
     if bits < 64:
         raise ValueError("bigfloat tier requires at least 64 bits")
-    tier = _BIG_CACHE.get(bits)
-    if tier is None:
-        tier = PrecisionTier("bigfloat", bits)
-        _BIG_CACHE[bits] = tier
-    return tier
+    return PrecisionTier("bigfloat", bits)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from grhdesk.characters import (
     CharGroup,
+    _fixed_unit_powers,
     char_group,
     euler_phi,
     factorize,
@@ -64,17 +65,18 @@ def oracle_primitive_count(q: int) -> int:
 
 def test_decompose_8_special_two():
     g = CharGroup(8)
-    assert g.special_two is not None
-    assert g.special_two.orders == (2, 2)
-    assert not g.factors
+    sign, five = g.factors
+    assert (sign.prime_power, sign.generator, sign.order) == (8, 7, 2)
+    assert (five.prime_power, five.generator, five.order) == (8, 5, 2)
+    assert g.orders == (2, 2)
     assert g.phi == 4
 
 
 def test_decompose_4_single_order_2():
     g = CharGroup(4)
-    assert g.special_two is None
     assert len(g.factors) == 1
-    assert g.factors[0].order == 2
+    f = g.factors[0]
+    assert (f.prime_power, f.generator, f.order) == (4, 3, 2)
 
 
 def test_decompose_9_generator_2():
@@ -118,16 +120,12 @@ def test_generator_has_stated_order(q):
 
 def test_crt_reconstruction_unique():
     g = CharGroup(120)  # 8 * 3 * 5
+    assert g.orders == (2, 4, 2, 2)  # the factors of 8 come after the odd ones
     seen = set()
     for n in range(120):
         if math.gcd(n, 120) != 1:
             continue
-        coords = []
-        for f in g.factors:
-            coords.append(int(f.dlog[n % f.prime_power]))
-        st2 = g.special_two
-        coords.append(int(st2.dlog_sign[n % st2.modulus]))
-        coords.append(int(st2.dlog_five[n % st2.modulus]))
+        coords = [int(f.dlog[n % f.prime_power]) for f in g.factors]
         assert all(c >= 0 for c in coords)
         key = tuple(coords)
         assert key not in seen
@@ -307,6 +305,23 @@ def test_gauss_sum_matches_brute_force():
         ref = brute_gauss_sum(q, g, idx)
         assert tau.re.lo_float() <= float(ref.real) <= tau.re.hi_float(), (q, idx)
         assert tau.im.lo_float() <= float(ref.imag) <= tau.im.hi_float(), (q, idx)
+
+
+def test_fixed_unit_powers_within_radius_at_low_shift():
+    """Every entry lies within rad 2^-shift of e(k/n), checked at 50 digits.
+
+    shift = 56 is the lowest the recurrence takes (its one transcendental
+    is a bigfloat(shift + 8) box), where a thousand rounded products make
+    the radius matter.
+    """
+    n, shift = 1000, 56
+    re, im, rad = _fixed_unit_powers(n, shift)
+    with mpmath.workdps(50):
+        scale = mpmath.mpf(2) ** -shift
+        bound = rad * scale
+        for k in range(n):
+            z = mpmath.mpc(int(re[k]), int(im[k])) * scale
+            assert abs(z - mpmath.expjpi(mpmath.mpf(2 * k) / n)) <= bound, k
 
 
 def _mp_fraction(x) -> Fraction:

@@ -1,9 +1,12 @@
 """DFT engines against definition-sum oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from grhdesk.characters import CharGroup
+from grhdesk import characters, dft as dft_module
+from grhdesk.characters import CharGroup, unit_phase
 from grhdesk.dft import (
     dft,
     dft_bluestein,
@@ -13,7 +16,7 @@ from grhdesk.dft import (
     units_of,
     unity_table,
 )
-from grhdesk.interval import ComplexBox
+from grhdesk.interval import HARDWARE, ComplexBox, bigfloat
 from grhdesk.ivec import CVec
 
 RNG = np.random.default_rng(1729)
@@ -42,7 +45,7 @@ def contains_complex(v: CVec, ref: np.ndarray, slack=0.0) -> bool:
 # unity tables
 
 
-@pytest.mark.parametrize("n", [3, 4, 8, 12, 30, 64, 256])
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 30, 64, 100, 256, 2016, 2048])
 def test_unity_table_contains_roots(n):
     tab = unity_table(n)
     j = np.arange(n)
@@ -51,6 +54,34 @@ def test_unity_table_contains_roots(n):
     assert contains_complex(tab, ref, slack=5e-15)
     w = np.maximum(tab.re.width(), tab.im.width())
     assert float(np.max(w)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 6, 10, 12, 100, 200, 256, 2016])
+def test_unity_table_matches_per_entry_reference(n):
+    """Each side is the outward double of a 128-bit enclosure of e(-j/n).
+
+    This includes the exact points 1, -i, -1, i where 4j = 0 mod n.
+    """
+    ref = CVec.from_boxes(
+        [unit_phase(Fraction(-j, n), bigfloat(128)).widen_to(HARDWARE) for j in range(n)]
+    )
+    tab = unity_table(n)
+    for got, want in zip((tab.re, tab.im), (ref.re, ref.im)):
+        assert np.array_equal(got.lo, want.lo)
+        assert np.array_equal(got.hi, want.hi)
+
+
+def test_unity_table_one_transcendental_per_length(monkeypatch):
+    calls = []
+
+    def counted(fr, tier=HARDWARE):
+        calls.append(fr)
+        return unit_phase(fr, tier)
+
+    monkeypatch.setattr(characters, "unit_phase", counted)
+    monkeypatch.delitem(dft_module._table_cache, 360, raising=False)
+    unity_table(360)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
