@@ -438,8 +438,8 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
 
     Returns object arrays (re, im) of Python ints and an integer rad with
     |(re[k] + i im[k]) 2^-shift - e(k/n)| <= rad 2^-shift for every k.
-    The only transcendental is one rigorous bigfloat box for e(1/n); the
-    rest is the recurrence z_{k+1} = round(z_k z_1 / 2^shift), whose error
+    The only transcendental is one rigorous bigfloat box for e(1/n), at
+    shift + 8 bits and never fewer than the tier's 64; the rest is the recurrence z_{k+1} = round(z_k z_1 / 2^shift), whose error
     (in units of 2^-shift) obeys
 
         r_{k+1} <= r_k + r_1 + r_k r_1 / 2^shift + 1,
@@ -452,7 +452,7 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
     """
     one = 1 << shift
     half = one >> 1
-    box = unit_phase(Fraction(1, n), bigfloat(shift + 8))
+    box = unit_phase(Fraction(1, n), bigfloat(max(shift + 8, 64)))
     x1, rx = _fixed_point(box.re, shift)
     y1, ry = _fixed_point(box.im, shift)
     r1 = rx + ry

@@ -11,15 +11,18 @@ Three evaluation paths, stacked bottom to top:
   interval array and persisted on disk.  Its only big-float work is the
   powers (n + alpha)^{-s}.  Every base is an integer m over D and
   m -> m^{-s} is completely multiplicative, so only primes are
-  transcendental: each prime p^{-s}, and D^{s}, is a midpoint-radius ball
-  from one log, one exp and one cos_sin kernel call whose results are
-  trusted to a few ulps; every composite is an exact Gaussian-integer
-  fixed-point product of two balls.  Its per-column constants are exact
+  transcendental: each prime p^{-s}, and D^{s}, is an integer fixed-point
+  ball whose modulus is an exact integer root and whose phase takes one
+  log and one cos_sin kernel call, trusted to a few ulps; every base
+  (m/D)^{-s} is then an exact Gaussian-integer fixed-point product of a
+  prime's ball and a smaller base's, down to D^{s}.  Its bases m/D are
+  rounded in one numpy pass, and its per-column constants are exact
   rationals rounded once;
 * ``unit_hurwitz`` — Taylor-shift queries against that grid for the
-  rational second arguments a/q of every unit a mod q at once, with a
-  geometric bound on the truncated Taylor tail and exact restoration of
-  the first M+1 direct terms.
+  rational second arguments a/q of every unit a mod q at once, in a
+  fixed number of interval-array operations, with exact Taylor
+  coefficients, a geometric bound on the truncated Taylor tail and exact
+  restoration of the first M+1 direct terms.
 
 This module alone knows the lattice: its layout, its file format
 (save_lattice, load_lattice) and its query.
@@ -38,26 +41,20 @@ from mpmath.libmp import (
     from_float,
     from_rational,
     mpf_cos_sin,
-    mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
-    to_float,
 )
 
 from .errors import DomainError, PoleProximity, RadiusViolation
 from .interval import (
     _BIG_TRANS_ULPS,
     _GUARD,
-    _TINY,
-    _TRANS_ULPS,
     HARDWARE,
     ComplexBox,
     PrecisionTier,
     RealInterval,
     _narrow,
-    _up,
-    _up_k,
     bernoulli,
     bigfloat,
     pi_interval,
@@ -233,21 +230,6 @@ def em_hurwitz_tail(s, alpha, skip: int, params: EMParams | None = None, tier: P
 # the lattice kernel: every row and column at once
 
 
-def _trust(v, bits: int) -> float:
-    """_BIG_TRANS_ULPS ulps at `bits` of a raw mpf, as a double (upward).
-
-    The ulp comes from the mpf's own exponent, at the scale of _raw_ulp
-    (an absolute floor for an exact zero).
-    """
-    e = v[2] + v[3] - bits if v[1] else -4 * bits
-    return math.ldexp(_BIG_TRANS_ULPS, e) or _TINY
-
-
-def _mag(v) -> float:
-    """Upper bound on |v| for a raw mpf, as a double."""
-    return _up(abs(to_float(v)))
-
-
 # a fixed-point ball (X, Y, R, e): a value within R 2^e of (X + iY) 2^e
 _Ball = tuple[int, int, int, int]
 
@@ -256,50 +238,73 @@ def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
     """Enclosure of x^{-(sigma + it)} for x > 0 as a fixed-point ball (X, Y, R, e).
 
     The value lies within R 2^e of (X + iY) 2^e: a disc of integer radius
-    on Gaussian-integer midpoints.  Midpoint-radius evaluation at
-    bits + _GUARD with one mpf_log, one mpf_exp and one mpf_cos_sin.  Each
-    kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`, the
-    contract of the bigfloat tier's transcendentals; the radii are doubles
-    rounded upward at every operation and carry the input radius of each
-    step, the rounding of x, sigma and every product.  The two part radii
-    add to the disc radius, and the midpoints are truncated to integers at
-    the exponent that leaves the larger part bits + _GUARD bits.
+    on Gaussian-integer midpoints, built in integer fixed point at
+    prec = bits + _GUARD.  For x = n/d and sigma = u/v the modulus
+    x^{-sigma} is the integer v-th root of d^u 2^{vF} / n^u (math.isqrt
+    at v = 2), exact to one unit of 2^-F.  The phase -t log x is the exact
+    product of the double t and one mpf_log, and feeds one mpf_cos_sin;
+    each kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`, the
+    contract of the bigfloat tier's transcendentals.  The integer radius
+    carries the rounding of x into the log, the trust of both kernels, the
+    truncations to integers, and |t| rad(log) into the phase, which moves
+    e^{i phase} by no more along the unit circle (cos and sin are each
+    1-Lipschitz); the midpoint is truncated to prec bits.
     """
     prec = bits + _GUARD
-    rel = math.ldexp(1.0, 1 - prec)  # bounds one rounding to nearest at prec, relative
-    # |log x - log x~| <= d / (1 - d) <= rel for the rounding d <= 2^-prec of x
-    lg = mpf_log(from_rational(x.numerator, x.denominator, prec, "n"), prec, "n")
-    rad_lg = _up(_trust(lg, bits) + rel)
-    # E = -sigma log x: the rounding of sigma and of the product, 2 rel |E|
-    e = mpf_neg(mpf_mul(from_rational(sigma.numerator, sigma.denominator, prec, "n"), lg, prec, "n"))
-    rad_e = _up(_up(_up(abs(float(sigma))) * rad_lg) + _up(2 * rel * _mag(e)))
-    th = mpf_neg(mpf_mul(from_float(t), lg, prec, "n"))
-    rad_th = _up(_up(abs(t) * rad_lg) + _up(rel * _mag(th)))
+    n, d = x.numerator, x.denominator
+    u, v = sigma.numerator, sigma.denominator
+    top, bot = (d, n) if u >= 0 else (n, d)
+    u = abs(u)
+    # x^{-sigma} = (top/bot)^{u/v} >= 2^{u (bits(top) - bits(bot) - 1)/v},
+    # so the root floor(2^F x^{-sigma}) has at least prec bits
+    F = prec - u * (top.bit_length() - bot.bit_length() - 1) // v
+    num, den = top**u, bot**u
+    if F >= 0:
+        num <<= v * F
+    else:
+        den <<= -v * F
+    mod = _iroot(num // den, v)  # 2^F x^{-sigma} lies in [mod, mod + 1)
 
-    r = mpf_exp(e, prec, "n")
-    r_mag, tr = _mag(r), _trust(r, bits)
-    # |exp(E + d) - exp(E)| <= exp(E) (e^|d| - 1)
-    rad_r = _up(tr + _up(_up(r_mag + tr) * _up_k(math.expm1(rad_e), _TRANS_ULPS)))
-    c, s = mpf_cos_sin(th, prec, "n")
-    tc, ts = _trust(c, bits), _trust(s, bits)
-    # |cos(th + d) - cos th| <= |sin th| |d| + d^2 / 2, and likewise for sin
-    quad = _up(_up(rad_th * rad_th) / 2)
-    rad_c = _up(_up(tc + _up(_up(_mag(s) + ts) * rad_th)) + quad)
-    rad_s = _up(_up(ts + _up(_up(_mag(c) + tc) * rad_th)) + quad)
+    # units of 2^-prec below: |log x~ - log x| <= 2 for the rounding of x
+    lg = mpf_log(from_rational(n, d, prec, "n"), prec, "n")
+    tn, td = abs(t).as_integer_ratio()
+    rad_th = -(-tn * (_trust_units(lg, bits, prec) + 2) // td)
+    c, s = mpf_cos_sin(mpf_neg(mpf_mul(from_float(t), lg)), prec, "n")
+    C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
+    X, Y = mod * C, mod * S
+    # the exact value is (mod + f) e^{i th} with 0 <= f < 1 and |th - th~|
+    # <= rad_th; e^{i th} moves by at most |th - th~| on the unit circle,
+    # and C + iS is within trust + 1 of e^{i th~} in each part
+    rad_unit = rad_th + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
+    R = mod * rad_unit + (1 << prec)
+    # cos^2 + sin^2 = 1 and mod >= 2^prec, so k > 0; each shift moves its
+    # part by less than one unit of 2^k
+    k = max(abs(X), abs(Y)).bit_length() - prec
+    return X >> k, Y >> k, (R >> k) + 3, k - F - prec
 
-    mids, rad = [], 0.0
-    for v, rad_v in ((c, rad_c), (s, rad_s)):
-        p = mpf_mul(r, v, prec, "n")
-        rad_p = _up(r_mag * rad_v)
-        rad_p = _up(rad_p + _up(_mag(v) * rad_r))
-        rad_p = _up(rad_p + _up(rad_r * rad_v))
-        rad = _up(rad + _up(rad_p + _up(rel * _mag(p))))
-        mids.append(p)
-    # r > 0 and cos^2 + sin^2 = 1, so one part is nonzero
-    ex = max(v[2] + v[3] for v in mids if v[1]) - prec
-    X, Y = (_to_fixed(v, ex) for v in mids)
-    # each truncation moves its part by less than one unit
-    return X, Y, _ceil_scaled(rad, ex) + 2, ex
+
+def _trust_units(v, bits: int, prec: int) -> int:
+    """_BIG_TRANS_ULPS ulps at `bits` of a raw mpf, in units of 2^-prec, rounded up.
+
+    The ulp comes from the mpf's own exponent, at the scale of _raw_ulp
+    (an absolute floor for an exact zero).
+    """
+    e = (v[2] + v[3] if v[1] else -4 * bits) - bits + prec
+    return _BIG_TRANS_ULPS << e if e >= 0 else -(-_BIG_TRANS_ULPS >> -e)
+
+
+def _iroot(N: int, v: int) -> int:
+    """floor(N^(1/v)) for integers N >= 0 and v >= 1."""
+    if v == 2:
+        return math.isqrt(N)
+    if v == 1 or N < 2:
+        return N
+    r = 1 << -(-N.bit_length() // v)  # >= N^(1/v); Newton descends to the floor
+    while True:
+        s = ((v - 1) * r + N // r ** (v - 1)) // v
+        if s >= r:
+            return r
+        r = s
 
 
 def _to_fixed(v, e: int) -> int:
@@ -307,16 +312,6 @@ def _to_fixed(v, e: int) -> int:
     sign, man, exp, _ = v
     n = man << (exp - e) if exp >= e else man >> (e - exp)
     return -n if sign else n
-
-
-def _ceil_scaled(x: float, e: int) -> int:
-    """ceil(x 2^-e) for a double x >= 0, exactly."""
-    n, d = x.as_integer_ratio()
-    if e < 0:
-        n <<= -e
-    else:
-        d <<= e
-    return -(-n // d)
 
 
 def _ball_mul(u: _Ball, v: _Ball, prec: int) -> _Ball:
@@ -378,38 +373,37 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, t: float, bits: int) 
 
     Shape (len(ms), 4): re.lo, re.hi, im.lo, im.hi.  Since m -> m^{-s}
     is completely multiplicative, only primes are transcendental: the
-    integers needed are ms closed under m -> spf(m) and m -> m/spf(m),
-    each prime p is one _ball for p^{-s}, L^{s} is one more, and each
-    composite m = p k (p = spf(m)) is one exact fixed-point product of the
-    balls of p and k, made the first time a walk down the cofactors of an
-    m in ms reaches it.  A power is then the ball of m times L^{s},
-    narrowed to doubles by integer directed rounding.  The balls are
-    trusted at bits plus the bit length of the top integer, which bounds
-    the number of factors a chain multiplies, so that the radii the
-    products add up stay below one ball's at `bits`.
+    integers needed are ms closed under m -> m/spf(m), each prime p is
+    one _ball for p^{-s}, and L^{s} is one more, the root B(1) of every
+    cofactor chain.  Each k > 1 on a chain is then one exact fixed-point
+    product B(k) = p^{-s} B(k/p) (p = spf(k)), which is (k/L)^{-s} itself,
+    made the first time a walk down the cofactors of an m in ms reaches
+    it; a power is B(m) narrowed to doubles by integer directed rounding.
+    The balls are trusted at bits plus the bit length of the top integer,
+    which bounds the number of factors a chain multiplies, so that the
+    radii the products add up stay below one ball's at `bits`.
     """
     top = max(ms)
     prec = bits + top.bit_length()
     mul_prec = prec + _GUARD  # the midpoint bits of a _ball at prec
     spf = _smallest_prime_factors(top)
-    balls = {1: (1, 0, 0, 0)}
+    primes = {}
+    balls = {1: _ball(Fraction(1, L), sigma, t, prec)}  # B(1) = L^{s}
     for m in ms:
         # walk down the cofactors m, m/spf(m), ... to one already made,
-        # then make the ones above it: p = spf(k) first, then k = p (k/p)
+        # then make the ones above it: B(k) = p^{-s} B(k/p)
         chain = []
         while m not in balls:
             chain.append(m)
             m //= int(spf[m])
         for k in reversed(chain):
             p = int(spf[k])
-            if p not in balls:
-                balls[p] = _ball(Fraction(p), sigma, t, prec)
-            if k != p:
-                balls[k] = _ball_mul(balls[p], balls[k // p], mul_prec)
-    scale = _ball(Fraction(1, L), sigma, t, prec)  # L^{s}
+            if p not in primes:
+                primes[p] = _ball(Fraction(p), sigma, t, prec)
+            balls[k] = _ball_mul(primes[p], balls[k // p], mul_prec)
     out = np.empty((len(ms), 4))
     for i, m in enumerate(ms):
-        out[i] = _narrow_ball(_ball_mul(balls[m], scale, mul_prec), t == 0.0)
+        out[i] = _narrow_ball(balls[m], t == 0.0)
     return out
 
 
@@ -438,9 +432,10 @@ def _em_rows(
     powers (n+alpha)^{-s_0} for n = 0..a (n = a gives A^{-s_0}), come
     from one _sieved_powers call over the integers m = (n+alpha) L, L the
     common denominator of the alphas: a ball per prime factor and one for
-    L^{s_0}, exact fixed-point products for the composites, each power
-    narrowed to hardware once; each base n+alpha is rounded outward
-    once.  The row-independent constants 1/(s_c-1), (s_c)_{2k-1}
+    L^{s_0}, exact fixed-point products down each chain of cofactors,
+    each power narrowed to hardware once; the bases n+alpha = m/L are
+    rounded outward once, all in one numpy pass (IVec.from_ratios).  The
+    row-independent constants 1/(s_c-1), (s_c)_{2k-1}
     B_2k/(2k)! and the remainder constant are exact Gaussian rationals,
     because t is a double, each rounded outward once; only the remainder
     constant needs bounds, an upper one on |(s_c)_{2b+1}| and a lower one
@@ -465,11 +460,7 @@ def _em_rows(
     ms = [alpha.numerator * (L // alpha.denominator) + n * L for alpha in alphas for n in range(a + 1)]
     ends = _sieved_powers(ms, L, base_sigma, t, tier.bits).T.reshape(4, len(alphas), a + 1)
     power = CVec(IVec(ends[0], ends[1], _checked=True), IVec(ends[2], ends[3], _checked=True))
-    lo, hi = np.empty(len(ms)), np.empty(len(ms))
-    for i, m in enumerate(ms):
-        x = RealInterval.from_fraction(Fraction(m, L))
-        lo[i], hi[i] = x.lo, x.hi
-    base = IVec(lo, hi, _checked=True).reshape(len(alphas), a + 1)
+    base = IVec.from_ratios(ms, L).reshape(len(alphas), a + 1)
     inv = 1.0 / base
 
     # the per-column constants in scaled Gaussian integers: with den the
@@ -586,7 +577,8 @@ def build_lattice(
     Euler-Maclaurin truncation at it, and the powers (n + alpha)^{-s_0}
     are trusted to a few ulps at it; only the primes up to (M + 2 + a) D,
     the numerator of the top base over D, and D^{s_0} take transcendental
-    kernel calls, the composites are exact fixed-point products.  No interval arithmetic
+    kernel calls, every power is an exact fixed-point product of those
+    balls.  No interval arithmetic
     runs at that tier; the build works in big-float balls, Gaussian
     integers, exact rationals and hardware interval arrays, and
     the returned lattice is hardware.  With cache enabled the result is
@@ -723,59 +715,75 @@ def taylor_tail_bound(
     return tK / (1 - ratio)
 
 
+def _shift_coefs(t: float, n: int) -> CVec:
+    """(s0)_k / k! for k = 0..n at s0 = 1/2 + it, shape (n+1,).
+
+    Exact Gaussian rationals, because t is a double, each side rounded
+    outward once: with den the common denominator of 1/2 and t,
+    s0 + j = (x + j den + i y) / den.
+    """
+    T = Fraction(t)
+    den = math.lcm(2, T.denominator)
+    x, y = den // 2, T.numerator * (den // T.denominator)
+    pr, pim, scale = 1, 0, 1
+    values = [(Fraction(1), Fraction(0))]
+    for k in range(1, n + 1):
+        xk = x + (k - 1) * den
+        pr, pim, scale = pr * xk - pim * y, pr * y + pim * xk, scale * den * k
+        values.append((Fraction(pr, scale), Fraction(pim, scale)))
+    return _exact_cvec(values)
+
+
 def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
 
     Each a/q takes the row r nearest to it (ties toward the larger r,
     clamped to 1..D), shifts that row by delta = a/q - r/D through Ncols
     Taylor terms, bounds the truncated Taylor tail geometrically, and
-    restores the first M+1 direct terms at the exact argument a/q.  One
-    tail bound serves the batch: taylor_tail_bound is monotone in |delta|
-    and in the reciprocal of the row radius, so the largest |delta| and
-    the smallest row bound every unit.  Each a must satisfy 0 < a < q and
-    gcd(a, q) = 1.
+    restores the first M+1 direct terms at the exact argument a/q.  The
+    work is a fixed number of interval-array operations over the batch:
+    -delta is rounded outward once from its exact numerator over qD, its
+    powers (-delta)^k come from a doubling table, the coefficients are
+    the exact (s0)_k / k! (_shift_coefs) times those powers, all Ncols
+    columns are multiplied in one CVec product, and the head
+    (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp; the Taylor
+    terms and then the head terms are added one at a time, in order of k
+    and of n.  One tail bound serves the batch: taylor_tail_bound is
+    monotone in |delta| and in the reciprocal of the row radius, so the
+    largest |delta| and the smallest row bound every unit.  Each a must
+    satisfy 0 < a < q and gcd(a, q) = 1.
     """
     D = lat.D
     units = np.asarray(units, dtype=np.int64)
     if not np.all((0 < units) & (units < q) & (np.gcd(units, q) == 1)):
         raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
     rows = np.clip((2 * units * D + q) // (2 * q), 1, D)
-
-    d_max = Fraction(0)
-    deltas = []
-    for a, r in zip(units, rows):
-        d = Fraction(int(a), q) - Fraction(int(r), D)
-        deltas.append(RealInterval.from_fraction(-d, HARDWARE))
-        if abs(d) > d_max:
-            d_max = abs(d)
-    neg_delta = IVec.from_intervals(deltas)
-
     cells = lat.rows.take(rows - 1)
+    acc = cells[:, 0]
 
-    def col(k: int) -> CVec:
-        return cells[(slice(None), k)]
-
-    s0 = lat.s_at(0)
-    acc = col(0)
+    neg_num = rows * q - units * D  # -delta = neg_num / (q D)
+    d_max = int(np.abs(neg_num).max(initial=0))
     if d_max:
-        coef = CVec.full(neg_delta.shape, ComplexBox.one(HARDWARE))
-        for k in range(1, lat.Ncols + 1):
-            # coef_k = (-delta)^k (s)_k / k!
-            coef = (coef * (s0 + (k - 1))) * (neg_delta / k)
-            acc = acc + coef * col(k)
+        # (-delta)^k for k = 1..2^(j+1) from k = 1..2^j and (-delta)^(2^j)
+        pw = IVec.from_ratios(neg_num, q * D).reshape(-1, 1)
+        while pw.shape[1] < lat.Ncols:
+            pw = IVec.concatenate([pw, pw * pw[:, -1:]], axis=1)
+        coef = _shift_coefs(lat.t, lat.Ncols)[1:] * pw[:, : lat.Ncols]
+        terms = coef * cells[:, 1:]
+        for k in range(lat.Ncols):
+            acc = acc + terms[:, k]
         s_mag_hi = fraction_sqrt_upper(Fraction(1, 4) + Fraction(lat.t) ** 2)
         radius = Fraction(int(rows.min()), D) + (lat.M + 1)
-        tail = taylor_tail_bound(s_mag_hi, d_max, radius, lat.Ncols + 1)
+        tail = taylor_tail_bound(s_mag_hi, Fraction(d_max, q * D), radius, lat.Ncols + 1)
         if tail:
             acc = acc.pad(RealInterval.from_fraction(tail, HARDWARE).hi_float())
 
     # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
-    neg_re = -s0.re
-    neg_im = -s0.im
+    s0 = lat.s_at(0)
+    lg = IVec.from_ratios(units + q * np.arange(lat.M + 1).reshape(-1, 1), q).log()
+    head = CVec(lg * -s0.re, lg * -s0.im).exp()
     for n in range(lat.M + 1):
-        base = IVec.from_points((units + n * q).astype(np.float64)) / q
-        lg = base.log()
-        acc = acc + CVec(lg * neg_re, lg * neg_im).exp()
+        acc = acc + head[n]
     return acc
 
 

@@ -113,6 +113,29 @@ class IVec:
             np.full(shape, iv.lo_float()), np.full(shape, iv.hi_float()), _checked=True
         )
 
+    @staticmethod
+    def from_ratios(num, den: int) -> "IVec":
+        """The rationals num/den, each rounded outward once, in one numpy pass.
+
+        num is an integer array and den a positive integer, all below 2^53
+        in magnitude.  Each entry's endpoints are RealInterval.from_fraction's:
+        the largest double <= num/den and the smallest >= it.  The nearest
+        double q = num/den is Q 2^(e-53) with a 53-bit integer Q, and
+        |q - num/den| <= 2^(e-54), so Q den - num 2^(53-e) lies within
+        den/2 of zero: its value mod 2^64 is exact, and its sign says on
+        which side of num/den q lies.
+        """
+        num = np.asarray(num, dtype=np.int64)
+        q = num / den
+        mant, e = np.frexp(q)
+        big_q = np.ldexp(mant, 53).astype(np.int64).astype(np.uint64)
+        shift = (53 - e).astype(np.uint64)
+        scaled = np.where(shift < 64, num.astype(np.uint64) << np.minimum(shift, 63), 0)
+        side = (big_q * np.uint64(den) - scaled).view(np.int64)
+        lo = np.where(side > 0, np.nextafter(q, -np.inf), q)
+        hi = np.where(side < 0, np.nextafter(q, np.inf), q)
+        return IVec(lo, hi, _checked=True)
+
     # -- structure -----------------------------------------------------
 
     @property

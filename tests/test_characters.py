@@ -307,21 +307,29 @@ def test_gauss_sum_matches_brute_force():
         assert tau.im.lo_float() <= float(ref.imag) <= tau.im.hi_float(), (q, idx)
 
 
-def test_fixed_unit_powers_within_radius_at_low_shift():
-    """Every entry lies within rad 2^-shift of e(k/n), checked at 50 digits.
-
-    shift = 56 is the lowest the recurrence takes (its one transcendental
-    is a bigfloat(shift + 8) box), where a thousand rounded products make
-    the radius matter.
-    """
-    n, shift = 1000, 56
+def _assert_unit_powers_within_radius(n: int, shift: int):
+    """Every entry lies within rad 2^-shift of e(k/n), checked at 50 digits."""
     re, im, rad = _fixed_unit_powers(n, shift)
     with mpmath.workdps(50):
         scale = mpmath.mpf(2) ** -shift
         bound = rad * scale
         for k in range(n):
             z = mpmath.mpc(int(re[k]), int(im[k])) * scale
-            assert abs(z - mpmath.expjpi(mpmath.mpf(2 * k) / n)) <= bound, k
+            assert abs(z - mpmath.expjpi(mpmath.mpf(2 * k) / n)) <= bound, (n, shift, k)
+
+
+def test_fixed_unit_powers_within_radius_at_low_shift():
+    """shift = 56 is the lowest at which the one transcendental is a
+    bigfloat(shift + 8) box; a thousand rounded products make the radius
+    matter."""
+    _assert_unit_powers_within_radius(1000, 56)
+
+
+@pytest.mark.parametrize("n, shift", [(1000, 20), (7, 30)])
+def test_fixed_unit_powers_below_the_tier_floor(n, shift):
+    """Below shift 56 the transcendental is taken at the bigfloat tier's
+    floor of 64 bits rather than refused."""
+    _assert_unit_powers_within_radius(n, shift)
 
 
 def _mp_fraction(x) -> Fraction:

@@ -22,6 +22,7 @@ from grhdesk.hurwitz import (
     _ball_mul,
     _em_rows,
     _power_ball,
+    _shift_coefs,
     _sieved_powers,
     fraction_sqrt_upper,
     build_lattice,
@@ -34,7 +35,7 @@ from grhdesk.hurwitz import (
     zeta_upper,
 )
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
-from grhdesk.ivec import CVec
+from grhdesk.ivec import CVec, IVec
 
 BIG = bigfloat(96)
 
@@ -269,19 +270,25 @@ def test_lattice_kernel_width():
 
 @pytest.mark.parametrize(
     "t, bits",
-    [(0.0, 64), (3.0, 64), (16.0, 64), (16.0625, 64), (50.0, 64), (1e4, 64), (1e4, 96)],
+    [(0.0, 64), (3.0, 64), (16.0, 64), (16.0625, 64), (50.0, 64), (1e4, 64), (1e4, 96), (-16.0, 64)],
 )
-@pytest.mark.parametrize("sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16)])
+@pytest.mark.parametrize(
+    "sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16), Fraction(33, 2)]
+)
 def test_power_ball_contains_and_is_tight(t, bits, sigma):
-    # Containment is checked against the log kernel's full allowance, not
-    # only against the exact value: mpmath's log at bits + _GUARD errs far
-    # less than the 2 ulps at `bits` that the ball trusts, so only values
-    # at log x -+ 2 ulps show a missing propagation term, such as
-    # |t| rad(log x) into the argument of cos and sin.  That allowance
-    # alone spreads the argument by |t| 2^(3-bits); where this reaches a
-    # double ulp (t = 1e4 at 64 bits) the width check is left out.
+    # Containment is checked against the log kernel's full allowance where
+    # the log enters the ball, the phase -t log x, not only against the
+    # exact value: mpmath's log at bits + _GUARD errs far less than the 2
+    # ulps at `bits` that the ball trusts, so only values at log x -+ 2
+    # ulps show a missing propagation term, such as |t| rad(log x) into
+    # the argument of cos and sin.  The modulus x^-sigma is an integer
+    # root, exact to 2^-(bits + _GUARD) relative, so no log error reaches
+    # it.  The allowance alone spreads the argument by |t| 2^(3-bits);
+    # where this reaches a double ulp (t = 1e4 at 64 bits) the width check
+    # is left out.
     tight = abs(t) * 2.0 ** (3 - bits) <= 2.0**-53
     with mpmath.workdps(50):
+        sig = mpmath.mpf(sigma.numerator) / sigma.denominator
         for D in (12, 64):
             for n in range(14):
                 for r in range(1, D + 1):
@@ -289,9 +296,9 @@ def test_power_ball_contains_and_is_tight(t, bits, sigma):
                     lo_re, hi_re, lo_im, hi_im = _power_ball(x, sigma, t, bits)
                     lg = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
                     allowance = 0 if lg == 0 else mpmath.ldexp(2, mpmath.frexp(lg)[1] - bits)
-                    s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
+                    mod = mpmath.exp(-sig * lg)
                     for dlg in (-allowance, 0, allowance):
-                        v = mpmath.exp(-s * (lg + dlg))
+                        v = mod * mpmath.expj(-mpmath.mpf(t) * (lg + dlg))
                         assert lo_re <= v.real <= hi_re, (t, bits, sigma, x, dlg)
                         assert lo_im <= v.imag <= hi_im, (t, bits, sigma, x, dlg)
                     if tight:
@@ -336,17 +343,31 @@ def test_sieved_powers_overlap_power_ball_and_are_no_wider(t, sigma):
 
 
 @pytest.mark.parametrize("bits", [64, 96])
-@pytest.mark.parametrize("sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16)])
+@pytest.mark.parametrize(
+    "sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16), Fraction(33, 2)]
+)
 def test_sieved_powers_contain_mpmath_far_up(bits, sigma):
-    t = 1e4
-    with mpmath.workdps(60):
-        s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
-        for D in (12, 64):
-            ms = _lattice_bases(D)
-            for m, row in zip(ms, _sieved_powers(ms, D, sigma, t, bits)):
-                v = mpmath.exp(-s * mpmath.log(mpmath.mpf(m) / D))
-                assert row[0] <= v.real <= row[1], (bits, sigma, D, m)
-                assert row[2] <= v.imag <= row[3], (bits, sigma, D, m)
+    # far up the line, and at a negative ordinate
+    for t in (1e4, -16.0):
+        with mpmath.workdps(60):
+            s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
+            for D in (12, 64):
+                ms = _lattice_bases(D)
+                for m, row in zip(ms, _sieved_powers(ms, D, sigma, t, bits)):
+                    v = mpmath.exp(-s * mpmath.log(mpmath.mpf(m) / D))
+                    assert row[0] <= v.real <= row[1], (t, bits, sigma, D, m)
+                    assert row[2] <= v.imag <= row[3], (t, bits, sigma, D, m)
+
+
+@pytest.mark.parametrize("D", [12, 64, 2048])
+def test_lattice_bases_round_as_from_fraction(D):
+    # the bases m/D of a lattice, rounded in one numpy pass, have the
+    # endpoints of one RealInterval.from_fraction each
+    ms = _lattice_bases(D)
+    base = IVec.from_ratios(ms, D)
+    for i, m in enumerate(ms):
+        ref = RealInterval.from_fraction(Fraction(m, D))
+        assert (base.lo[i], base.hi[i]) == (ref.lo, ref.hi), (D, m)
 
 
 def _radial(X: int, Y: int, R: int) -> tuple[int, int]:
@@ -665,6 +686,36 @@ def test_eval_taylor_validates_input(lat8_t0):
         query(lat8_t0, 5, 5)
     with pytest.raises(DomainError):
         unit_hurwitz(lat8_t0, 5, np.array([1, 2, 5]))  # one bad unit fails the batch
+
+
+@pytest.fixture(scope="module")
+def lat64_t16():
+    return build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+
+
+@pytest.mark.parametrize(
+    "q, width", [(7, 6.626e-13), (101, 3.131e-12), (1009, 1.2101e-11), (1024, 1.2549e-11)]
+)
+def test_unit_hurwitz_width_guard(lat64_t16, q, width):
+    # widths are a correctness quantity: the widest query over every unit
+    # of q stays at or below the per-term Taylor recurrence it replaced
+    units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
+    z = unit_hurwitz(lat64_t16, q, units)
+    assert max((z.re.hi - z.re.lo).max(), (z.im.hi - z.im.lo).max()) <= width
+
+
+@pytest.mark.parametrize("t", [0.0, 10.0, -10.0, 1e4])
+def test_shift_coefs_contain_pochhammer_ratios(t):
+    coefs = _shift_coefs(t, 15)
+    assert coefs.shape == (16,)
+    with mpmath.workprec(300):
+        s0 = mpmath.mpf(1) / 2 + 1j * mpmath.mpf(t)
+        for k in range(16):
+            ref = mpmath.rf(s0, k) / mpmath.factorial(k)
+            fre, fim = mp_fraction(ref.real), mp_fraction(ref.imag)
+            assert box_contains(coefs[k], fre, fim), (t, k)
+            if t == 0.0:
+                assert coefs[k].im.width() == 0.0
 
 
 def test_taylor_radius_violation_raises():

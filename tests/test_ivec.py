@@ -45,6 +45,21 @@ def test_add_sub_mul_div_containment():
     assert contains_all(a / c, pa / cm)
 
 
+def test_from_ratios_rounds_as_from_fraction():
+    # both signs, zero, exact quotients and numerators near 2^53
+    rng = np.random.default_rng(20261019)
+    for den in (1, 3, 12, 2048, 1009 * 2048, 2**52 - 1):
+        num = np.concatenate([
+            rng.integers(-(2**52), 2**52, 500),
+            rng.integers(-5000, 5000, 500),
+            [0, 1, -1, den, -den, 7 * den],
+        ])
+        v = IVec.from_ratios(num, den)
+        for i, n in enumerate(num.tolist()):
+            ref = RealInterval.from_fraction(Fraction(n, den))
+            assert (v.lo[i], v.hi[i]) == (ref.lo, ref.hi), (n, den)
+
+
 def test_mul_exact_rational_check():
     # spot-check corner products against rational arithmetic
     a = rand_ivec(256, scale=3.0, width=0.5)
