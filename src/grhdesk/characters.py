@@ -439,8 +439,9 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
     Returns object arrays (re, im) of Python ints and an integer rad with
     |(re[k] + i im[k]) 2^-shift - e(k/n)| <= rad 2^-shift for every k.
     The only transcendental is one rigorous bigfloat box for e(1/n), at
-    shift + 8 bits and never fewer than the tier's 64; the rest is the recurrence z_{k+1} = round(z_k z_1 / 2^shift), whose error
-    (in units of 2^-shift) obeys
+    shift + 8 bits and never fewer than the tier's 64; the rest is the
+    recurrence z_{k+1} = round(z_k z_1 / 2^shift), whose error (in units
+    of 2^-shift) obeys
 
         r_{k+1} <= r_k + r_1 + r_k r_1 / 2^shift + 1,
 

@@ -20,9 +20,9 @@ Three evaluation paths, stacked bottom to top:
   rationals rounded once;
 * ``unit_hurwitz`` — Taylor-shift queries against that grid for the
   rational second arguments a/q of every unit a mod q at once, in a
-  fixed number of interval-array operations, with exact Taylor
-  coefficients, a geometric bound on the truncated Taylor tail and exact
-  restoration of the first M+1 direct terms.
+  fixed number of interval-array operations per block of units, with
+  exact Taylor coefficients, a geometric bound on the truncated Taylor
+  tail and exact restoration of the first M+1 direct terms.
 
 This module alone knows the lattice: its layout, its file format
 (save_lattice, load_lattice) and its query.
@@ -30,8 +30,10 @@ This module alone knows the lattice: its layout, its file format
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -246,9 +248,12 @@ def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
     each kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`, the
     contract of the bigfloat tier's transcendentals.  The integer radius
     carries the rounding of x into the log, the trust of both kernels, the
-    truncations to integers, and |t| rad(log) into the phase, which moves
-    e^{i phase} by no more along the unit circle (cos and sin are each
-    1-Lipschitz); the midpoint is truncated to prec bits.
+    truncations to integers, and (|t| + |sigma|) rad(log): |t| rad(log)
+    into the phase, which moves e^{i phase} by no more along the unit
+    circle, and |sigma| rad(log) into the modulus.  The integer root needs
+    no such term, but with it the ball keeps the contract of the form
+    exp(-s log x): it holds exp(-s l) for l at log x -+ the log kernel's
+    trust, a few ulps at `bits`.  The midpoint is truncated to prec bits.
     """
     prec = bits + _GUARD
     n, d = x.numerator, x.denominator
@@ -268,14 +273,15 @@ def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
     # units of 2^-prec below: |log x~ - log x| <= 2 for the rounding of x
     lg = mpf_log(from_rational(n, d, prec, "n"), prec, "n")
     tn, td = abs(t).as_integer_ratio()
-    rad_th = -(-tn * (_trust_units(lg, bits, prec) + 2) // td)
+    # (|t| + |sigma|) rad(log), |sigma| = u / v
+    rad_s = -(-(tn * v + u * td) * (_trust_units(lg, bits, prec) + 2) // (td * v))
     c, s = mpf_cos_sin(mpf_neg(mpf_mul(from_float(t), lg)), prec, "n")
     C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
     X, Y = mod * C, mod * S
     # the exact value is (mod + f) e^{i th} with 0 <= f < 1 and |th - th~|
-    # <= rad_th; e^{i th} moves by at most |th - th~| on the unit circle,
-    # and C + iS is within trust + 1 of e^{i th~} in each part
-    rad_unit = rad_th + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
+    # <= |t| rad(log); e^{i th} moves by at most |th - th~| on the unit
+    # circle, and C + iS is within trust + 1 of e^{i th~} in each part
+    rad_unit = rad_s + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
     R = mod * rad_unit + (1 << prec)
     # cos^2 + sin^2 = 1 and mod >= 2^prec, so k > 0; each shift moves its
     # part by less than one unit of 2^k
@@ -415,6 +421,23 @@ def _exact_cvec(values: list[tuple[Fraction, Fraction]]) -> CVec:
     )
 
 
+def _pochhammer(sigma: Fraction, t: float) -> Iterator[tuple[int, int, int]]:
+    """(pr, pim, scale) with (s)_j = (pr + i pim) / scale for j = 0, 1, 2, ...
+
+    s = sigma + it.  Exact scaled Gaussian integers, because t is a
+    double: with den the common denominator of sigma and t,
+    s + j = (x + j den + i y) / den, and scale = den^j.
+    """
+    T = Fraction(t)
+    den = math.lcm(sigma.denominator, T.denominator)
+    x, y = sigma.numerator * (den // sigma.denominator), T.numerator * (den // T.denominator)
+    pr, pim, scale = 1, 0, 1
+    for j in itertools.count():
+        yield pr, pim, scale
+        xj = x + j * den
+        pr, pim, scale = pr * xj - pim * y, pr * y + pim * xj, scale * den
+
+
 def _em_rows(
     t: float,
     base_sigma: Fraction,
@@ -463,26 +486,21 @@ def _em_rows(
     base = IVec.from_ratios(ms, L).reshape(len(alphas), a + 1)
     inv = 1.0 / base
 
-    # the per-column constants in scaled Gaussian integers: with den the
-    # common denominator of sigma and t, s_c + j = (x_c + j den + i y) / den
-    T = Fraction(t)
-    den = math.lcm(base_sigma.denominator, T.denominator)
-    y = T.numerator * (den // T.denominator)
+    # the per-column constants, from exact Pochhammer symbols of s_c
     zu = zeta_upper(2 * b + 1)
     two_pi_pow_lo = (2 * pi_interval(tier).lo_fraction()) ** (2 * b + 1)
     bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
     inv_sm1, coefs, rad_const, sig2b = [], [], [], []
     for c in cols:
-        x = ((base_sigma + c) * den).numerator
+        # (s_c)_j = (pr + i pim) / scale for j = 0..2b+1, s_c = (x + i y) / den
+        poch = list(itertools.islice(_pochhammer(base_sigma + c, t), 2 * b + 2))
+        x, y, den = poch[1]
         d2 = (x - den) ** 2 + y * y
         inv_sm1.append((Fraction((x - den) * den, d2), Fraction(-y * den, d2)))
-        pr, pim, scale = x, y, den  # (s)_1 = (pr + i pim) / scale
         for k in range(1, b + 1):
-            coefs.append((bern[k - 1] * Fraction(pr, scale), bern[k - 1] * Fraction(pim, scale)))
-            for j in (2 * k - 1, 2 * k):
-                xj = x + j * den
-                pr, pim, scale = pr * xj - pim * y, pr * y + pim * xj, scale * den
-        # (pr + i pim) / scale is now (s)_{2b+1}
+            (pr, pim, scale), bk = poch[2 * k - 1], bern[k - 1]
+            coefs.append((bk * Fraction(pr, scale), bk * Fraction(pim, scale)))
+        pr, pim, scale = poch[2 * b + 1]
         poch_abs = fraction_sqrt_upper(Fraction(pr * pr + pim * pim, scale * scale))
         rad = 2 * zu * poch_abs / (two_pi_pow_lo * (base_sigma + c + 2 * b))
         rad_const.append(RealInterval.from_fraction(rad).hi)
@@ -718,20 +736,20 @@ def taylor_tail_bound(
 def _shift_coefs(t: float, n: int) -> CVec:
     """(s0)_k / k! for k = 0..n at s0 = 1/2 + it, shape (n+1,).
 
-    Exact Gaussian rationals, because t is a double, each side rounded
-    outward once: with den the common denominator of 1/2 and t,
-    s0 + j = (x + j den + i y) / den.
+    Exact Gaussian rationals from _pochhammer, each side rounded outward
+    once.
     """
-    T = Fraction(t)
-    den = math.lcm(2, T.denominator)
-    x, y = den // 2, T.numerator * (den // T.denominator)
-    pr, pim, scale = 1, 0, 1
-    values = [(Fraction(1), Fraction(0))]
-    for k in range(1, n + 1):
-        xk = x + (k - 1) * den
-        pr, pim, scale = pr * xk - pim * y, pr * y + pim * xk, scale * den * k
+    values = []
+    for k, (pr, pim, scale) in enumerate(itertools.islice(_pochhammer(_HALF, t), n + 1)):
+        scale *= math.factorial(k)
         values.append((Fraction(pr, scale), Fraction(pim, scale)))
     return _exact_cvec(values)
+
+
+# units per block of a unit_hurwitz call: a block's working set is about
+# 3.5 KB a unit (its (units, Ncols) coefficient, power and term arrays and
+# the (M+1, units) head), so a call's memory does not grow with phi(q)
+_UNIT_BLOCK = 4096
 
 
 def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
@@ -741,42 +759,66 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     clamped to 1..D), shifts that row by delta = a/q - r/D through Ncols
     Taylor terms, bounds the truncated Taylor tail geometrically, and
     restores the first M+1 direct terms at the exact argument a/q.  The
-    work is a fixed number of interval-array operations over the batch:
-    -delta is rounded outward once from its exact numerator over qD, its
-    powers (-delta)^k come from a doubling table, the coefficients are
-    the exact (s0)_k / k! (_shift_coefs) times those powers, all Ncols
-    columns are multiplied in one CVec product, and the head
-    (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp; the Taylor
-    terms and then the head terms are added one at a time, in order of k
-    and of n.  One tail bound serves the batch: taylor_tail_bound is
-    monotone in |delta| and in the reciprocal of the row radius, so the
-    largest |delta| and the smallest row bound every unit.  Each a must
-    satisfy 0 < a < q and gcd(a, q) = 1.
+    work is a fixed number of interval-array operations per block of
+    _UNIT_BLOCK units (_unit_block); every operation is elementwise over
+    the units, so the blocks change no endpoint.  One tail bound serves
+    the batch: taylor_tail_bound is monotone in |delta| and in the
+    reciprocal of the row radius, so the largest |delta| and the smallest
+    row bound every unit.  Each a must satisfy 0 < a < q and gcd(a, q) = 1.
     """
     D = lat.D
     units = np.asarray(units, dtype=np.int64)
     if not np.all((0 < units) & (units < q) & (np.gcd(units, q) == 1)):
         raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
     rows = np.clip((2 * units * D + q) // (2 * q), 1, D)
-    cells = lat.rows.take(rows - 1)
-    acc = cells[:, 0]
-
     neg_num = rows * q - units * D  # -delta = neg_num / (q D)
     d_max = int(np.abs(neg_num).max(initial=0))
+    coefs, pad = None, 0.0
     if d_max:
-        # (-delta)^k for k = 1..2^(j+1) from k = 1..2^j and (-delta)^(2^j)
-        pw = IVec.from_ratios(neg_num, q * D).reshape(-1, 1)
-        while pw.shape[1] < lat.Ncols:
-            pw = IVec.concatenate([pw, pw * pw[:, -1:]], axis=1)
-        coef = _shift_coefs(lat.t, lat.Ncols)[1:] * pw[:, : lat.Ncols]
-        terms = coef * cells[:, 1:]
-        for k in range(lat.Ncols):
-            acc = acc + terms[:, k]
+        coefs = _shift_coefs(lat.t, lat.Ncols)[1:]
         s_mag_hi = fraction_sqrt_upper(Fraction(1, 4) + Fraction(lat.t) ** 2)
         radius = Fraction(int(rows.min()), D) + (lat.M + 1)
         tail = taylor_tail_bound(s_mag_hi, Fraction(d_max, q * D), radius, lat.Ncols + 1)
         if tail:
-            acc = acc.pad(RealInterval.from_fraction(tail, HARDWARE).hi_float())
+            pad = RealInterval.from_fraction(tail, HARDWARE).hi_float()
+    blocks = []
+    for i in range(0, max(len(units), 1), _UNIT_BLOCK):  # one block if empty
+        part = slice(i, i + _UNIT_BLOCK)
+        blocks.append(_unit_block(lat, q, units[part], rows[part], neg_num[part], coefs, pad))
+    return blocks[0] if len(blocks) == 1 else CVec.concatenate(blocks)
+
+
+def _unit_block(
+    lat: HurwitzLattice,
+    q: int,
+    units: np.ndarray,
+    rows: np.ndarray,
+    neg_num: np.ndarray,
+    coefs: CVec | None,
+    pad: float,
+) -> CVec:
+    """unit_hurwitz for one block of units, rows r and shifts -delta = neg_num / (qD).
+
+    -delta is rounded outward once, its powers (-delta)^k come from a
+    doubling table, the coefficients are coefs = (s0)_k / k! (k = 1..Ncols,
+    _shift_coefs; None when no unit of the call is shifted) times those
+    powers, all Ncols columns are multiplied in one CVec product, and the
+    head (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp; the
+    Taylor terms, then the tail pad, then the head terms are added one at
+    a time, in order of k and of n.
+    """
+    cells = lat.rows.take(rows - 1)
+    acc = cells[:, 0]
+    if coefs is not None:
+        # (-delta)^k for k = 1..2^(j+1) from k = 1..2^j and (-delta)^(2^j)
+        pw = IVec.from_ratios(neg_num, q * lat.D).reshape(-1, 1)
+        while pw.shape[1] < lat.Ncols:
+            pw = IVec.concatenate([pw, pw * pw[:, -1:]], axis=1)
+        terms = (coefs * pw[:, : lat.Ncols]) * cells[:, 1:]
+        for k in range(lat.Ncols):
+            acc = acc + terms[:, k]
+        if pad:
+            acc = acc.pad(pad)
 
     # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
     s0 = lat.s_at(0)

@@ -19,6 +19,7 @@ from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
 from grhdesk.hurwitz import (
     EMParams,
     HurwitzLattice,
+    _ball,
     _ball_mul,
     _em_rows,
     _power_ball,
@@ -276,19 +277,15 @@ def test_lattice_kernel_width():
     "sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16), Fraction(33, 2)]
 )
 def test_power_ball_contains_and_is_tight(t, bits, sigma):
-    # Containment is checked against the log kernel's full allowance where
-    # the log enters the ball, the phase -t log x, not only against the
-    # exact value: mpmath's log at bits + _GUARD errs far less than the 2
-    # ulps at `bits` that the ball trusts, so only values at log x -+ 2
-    # ulps show a missing propagation term, such as |t| rad(log x) into
-    # the argument of cos and sin.  The modulus x^-sigma is an integer
-    # root, exact to 2^-(bits + _GUARD) relative, so no log error reaches
-    # it.  The allowance alone spreads the argument by |t| 2^(3-bits);
-    # where this reaches a double ulp (t = 1e4 at 64 bits) the width check
-    # is left out.
+    # Containment is checked against the log kernel's full allowance, not
+    # only against the exact value: mpmath's log at bits + _GUARD errs far
+    # less than the 2 ulps at `bits` that the ball trusts, so only values
+    # at log x -+ 2 ulps show a missing propagation term, such as
+    # |t| rad(log x) into the argument of cos and sin.  That allowance
+    # alone spreads the argument by |t| 2^(3-bits); where this reaches a
+    # double ulp (t = 1e4 at 64 bits) the width check is left out.
     tight = abs(t) * 2.0 ** (3 - bits) <= 2.0**-53
     with mpmath.workdps(50):
-        sig = mpmath.mpf(sigma.numerator) / sigma.denominator
         for D in (12, 64):
             for n in range(14):
                 for r in range(1, D + 1):
@@ -296,15 +293,52 @@ def test_power_ball_contains_and_is_tight(t, bits, sigma):
                     lo_re, hi_re, lo_im, hi_im = _power_ball(x, sigma, t, bits)
                     lg = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
                     allowance = 0 if lg == 0 else mpmath.ldexp(2, mpmath.frexp(lg)[1] - bits)
-                    mod = mpmath.exp(-sig * lg)
+                    s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
                     for dlg in (-allowance, 0, allowance):
-                        v = mod * mpmath.expj(-mpmath.mpf(t) * (lg + dlg))
+                        v = mpmath.exp(-s * (lg + dlg))
                         assert lo_re <= v.real <= hi_re, (t, bits, sigma, x, dlg)
                         assert lo_im <= v.imag <= hi_im, (t, bits, sigma, x, dlg)
                     if tight:
                         ulp = math.ulp(max(abs(lo_re), abs(hi_re), abs(lo_im), abs(hi_im)))
                         assert hi_re - lo_re <= 4 * ulp, (t, bits, sigma, x)
                         assert hi_im - lo_im <= 4 * ulp, (t, bits, sigma, x)
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0, 16.0625, -16.0, 1e4, -1e4])
+@pytest.mark.parametrize(
+    "sigma", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 16), Fraction(33, 2)]
+)
+def test_ball_disc_holds_every_kernel_allowance(t, sigma):
+    # The disc itself, before any narrowing to doubles, holds x^-s moved by
+    # each kernel's full trust at once: the log by -+ 2 ulps at `bits`
+    # (into the phase and the modulus, as exp(-s (log x + dl))), then cos
+    # and sin of that phase by -+ 2 ulps each.  mpmath's kernels at
+    # bits + _GUARD err far less than that trust, so only these corners
+    # show a missing radius term.  Bases: n + r/12 as in a lattice, the
+    # primes of the sieve, and 1/L for the root L^s of its chains.
+    xs = [n + Fraction(r, 12) for n in range(14) for r in range(1, 13)]
+    xs += [Fraction(p) for p in (2, 3, 5, 7, 11, 13, 97, 2039)]
+    xs += [Fraction(1, 64), Fraction(1, 2048)]
+    with mpmath.workprec(240):
+        sig, tt = mpmath.mpf(sigma.numerator) / sigma.denominator, mpmath.mpf(t)
+
+        def allowance(v, bits):
+            return 0 if v == 0 else mpmath.ldexp(2, mpmath.frexp(v)[1] - bits)
+
+        for bits in (64, 96):
+            for x in xs:
+                X, Y, R, e = _ball(x, sigma, t, bits)
+                mid = mpmath.mpc(X, Y)
+                lg = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+                a_lg = allowance(lg, bits)
+                for dl in (-a_lg, 0, a_lg):
+                    mod = mpmath.exp(-sig * (lg + dl))
+                    c, sn = mpmath.cos(-tt * (lg + dl)), mpmath.sin(-tt * (lg + dl))
+                    a_c, a_s = allowance(c, bits), allowance(sn, bits)
+                    for dc in (-a_c, 0, a_c):
+                        for ds in (-a_s, 0, a_s):
+                            v = mod * mpmath.mpc(c + dc, sn + ds)
+                            assert abs(v * mpmath.ldexp(1, -e) - mid) <= R, (t, sigma, bits, x, dl, dc, ds)
 
 
 def _lattice_bases(D: int) -> list[int]:
@@ -702,6 +736,20 @@ def test_unit_hurwitz_width_guard(lat64_t16, q, width):
     units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
     z = unit_hurwitz(lat64_t16, q, units)
     assert max((z.re.hi - z.re.lo).max(), (z.im.hi - z.im.lo).max()) <= width
+
+
+def test_unit_hurwitz_blocks_change_no_endpoint(lat64_t16, monkeypatch):
+    # units go through in blocks, so that a call's memory does not grow
+    # with phi(q); every operation is elementwise over the units, so the
+    # block size moves no endpoint
+    q = 101
+    units = np.arange(1, q)
+    whole = unit_hurwitz(lat64_t16, q, units)
+    monkeypatch.setattr(hurwitz, "_UNIT_BLOCK", 7)
+    blocked = unit_hurwitz(lat64_t16, q, units)
+    for a, b in ((whole.re, blocked.re), (whole.im, blocked.im)):
+        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+    assert unit_hurwitz(lat64_t16, q, np.array([], dtype=np.int64)).shape == (0,)
 
 
 @pytest.mark.parametrize("t", [0.0, 10.0, -10.0, 1e4])
