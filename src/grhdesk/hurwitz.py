@@ -1,10 +1,8 @@
 """Rigorous Hurwitz zeta evaluation.
 
-Three evaluation paths, stacked bottom to top:
+Two stages, the build and the query, on one Euler-Maclaurin kernel
+(_em_rows) and one power kernel (_ball):
 
-* ``em_hurwitz`` — direct Euler-Maclaurin summation of zeta(s, alpha)
-  with the truncation remainder enclosed as an interval, at either
-  precision tier;
 * ``build_lattice`` — a precomputed grid of tail values
   zeta_M(1/2 + it + c, r/D) along one horizontal line, built for all
   rows at once on hardware interval arrays, kept as one (D, Ncols+1)
@@ -23,6 +21,11 @@ Three evaluation paths, stacked bottom to top:
   fixed number of interval-array operations per block of units, with
   exact Taylor coefficients, a geometric bound on the truncated Taylor
   tail and exact restoration of the first M+1 direct terms.
+
+The samplers' other Hurwitz-type constants come from the same kernels:
+zeta(9/8) is one _em_rows cell, and q^(-s) one _power_ball.  The scalar
+Euler-Maclaurin evaluation the kernels are tested against, one value at
+a time, is the oracle in tests/em_oracle.py.
 
 This module alone knows the lattice: its layout, its file format
 (save_lattice, load_lattice) and its query.
@@ -84,148 +87,29 @@ def zeta_upper(m: int) -> Fraction:
     return 1 + Fraction(1, 2**m) + Fraction(2, (m - 1) * 2**m)
 
 
-def _cpow(base: RealInterval, z: ComplexBox) -> ComplexBox:
-    """base**z for a strictly positive real base."""
-    lg = base.log()
-    return ComplexBox(z.re * lg, z.im * lg).exp()
+def auto_params(sigma: Fraction, t: float, alpha: Fraction, bits: int) -> tuple[int, int]:
+    """Euler-Maclaurin truncation (terms_a, terms_b) for s = sigma + it at offset alpha.
 
-
-@dataclass(frozen=True)
-class EMParams:
-    """Euler-Maclaurin truncation choices.
-
-    terms_a: number of direct power terms summed before the boundary.
-    terms_b: number of Bernoulli correction terms.  The remainder after
-    terms_b corrections is rigorously enclosed and added to the result,
-    so both choices affect only the width of the output, never its
-    containment.
+    terms_a direct power terms precede the boundary point A = terms_a +
+    alpha and terms_b Bernoulli corrections follow it; both aim the
+    remainder near 2^-bits.  The remainder is enclosed whatever the
+    choice, so it sets the width of a result, never its containment.
     """
-
-    terms_a: int
-    terms_b: int
-
-
-def auto_params(s: ComplexBox, alpha: RealInterval, tier: PrecisionTier) -> EMParams:
-    """Truncation choices aiming the remainder near the tier's resolution."""
-    bits = tier.bits
     b = max(8, (bits + 3) // 4)
-    smag = s.abs().hi_float()
-    sigma = s.re.lo_float()
-    al = max(alpha.lo_float(), 0.0)
+    smag = float(fraction_sqrt_upper(sigma**2 + Fraction(t) ** 2))
+    sig = float(sigma)
+    al = max(float(alpha), 0.0)
     # float estimate of log2 of the remainder as a function of the
     # boundary point A = a + alpha; solve for the smallest adequate a
     num = 1.0 + math.log2(float(zeta_upper(2 * b + 1)))
     for j in range(2 * b + 1):
         num += math.log2(smag + j + 1.0)
     num -= (2 * b + 1) * math.log2(2.0 * math.pi)
-    num -= math.log2(sigma + 2 * b)
+    num -= math.log2(sig + 2 * b)
     num += bits + 8
-    a_boundary = 2.0 ** (num / (sigma + 2 * b))
+    a_boundary = 2.0 ** (num / (sig + 2 * b))
     a = max(2, math.ceil(a_boundary - al) + 1)
-    return EMParams(a, b)
-
-
-def _em_core(s: ComplexBox, alpha: RealInterval, a: int, b: int) -> ComplexBox:
-    """Enclosure of sum_{n>=0} (n + alpha)^{-s}, continued past sigma > 1.
-
-    alpha may be any strictly positive interval here; the public wrapper
-    restricts it to (0, 1].  Remainder bound used: with A = a + alpha,
-
-        |R_b| <= 2 zeta(2b+1) (2 pi)^{-(2b+1)} |(s)_{2b+1}| A^{-sigma-2b} / (sigma+2b)
-
-    valid whenever sigma + 2b > 0.
-    """
-    tier = s.tier
-    if alpha.lo_fraction() <= 0:
-        raise DomainError("alpha must be strictly positive")
-    if (s - 1).contains_zero():
-        raise PoleProximity("s overlaps the pole at 1")
-    if s.re.lo_fraction() + 2 * b <= 0:
-        raise DomainError("remainder bound needs Re(s) + 2*terms_b > 0")
-    if a < 0 or b < 1:
-        raise DomainError("terms_a must be >= 0 and terms_b >= 1")
-
-    neg_s = -s
-    acc = ComplexBox.zero(tier)
-    for n in range(a):
-        acc = acc + _cpow(alpha + n, neg_s)
-
-    A = alpha + a
-    logA = A.log()
-    P = ComplexBox(neg_s.re * logA, neg_s.im * logA).exp()  # A^{-s}
-    half = RealInterval.from_fraction(_HALF, tier)
-    acc = acc + (P * A) / (s - 1)
-    acc = acc + P * half
-
-    invA2 = RealInterval.one(tier) / A.square()
-    apow = P * A  # A^{1-s}
-    poch = s  # (s)_1
-    for k in range(1, b + 1):
-        apow = apow * invA2  # A^{1-s-2k}
-        coef = RealInterval.from_fraction(bernoulli(2 * k) / math.factorial(2 * k), tier)
-        acc = acc + (poch * coef) * apow
-        poch = (poch * (s + (2 * k - 1))) * (s + 2 * k)
-    # poch is now (s)_{2b+1}
-
-    sig2b = s.re + 2 * b
-    rpow = (logA * (-sig2b)).exp()  # A^{-sigma-2b}
-    zu = RealInterval.from_fraction(zeta_upper(2 * b + 1), tier)
-    two_pi_pow_lo = (2 * pi_interval(tier).lo_fraction()) ** (2 * b + 1)
-    two_pi_pow = RealInterval.from_fraction(two_pi_pow_lo, tier)
-    radius = (zu * 2 * poch.abs() * rpow) / (two_pi_pow * sig2b)
-    return acc.pad(radius)
-
-
-def _coerce_s(s, tier: PrecisionTier) -> ComplexBox:
-    if isinstance(s, ComplexBox):
-        return s
-    if isinstance(s, RealInterval):
-        return ComplexBox.from_real(s)
-    if isinstance(s, Fraction):
-        return ComplexBox(RealInterval.from_fraction(s, tier), RealInterval.zero(tier))
-    return ComplexBox.point(complex(s), tier)
-
-
-def _coerce_alpha(alpha, tier: PrecisionTier) -> RealInterval:
-    if isinstance(alpha, RealInterval):
-        return alpha
-    if isinstance(alpha, (Fraction, int)):
-        return RealInterval.from_fraction(Fraction(alpha), tier)
-    return RealInterval.point(alpha, tier)
-
-
-def em_hurwitz(s, alpha, params: EMParams | None = None, tier: PrecisionTier = HARDWARE) -> ComplexBox:
-    """Enclosure of the Hurwitz zeta zeta(s, alpha) for alpha in (0, 1].
-
-    s may be a ComplexBox (its tier then wins), a RealInterval, or a
-    plain number; alpha likewise.  With params omitted the truncation is
-    chosen so the remainder sits near the tier's resolution.
-    """
-    sb = _coerce_s(s, tier)
-    tier = sb.tier
-    al = _coerce_alpha(alpha, tier)
-    if al.lo_fraction() <= 0:
-        raise DomainError("alpha must be strictly positive")
-    if al.hi_fraction() > 1:
-        raise DomainError("alpha must lie in (0, 1]")
-    if params is None:
-        params = auto_params(sb, al, tier)
-    return _em_core(sb, al, params.terms_a, params.terms_b)
-
-
-def em_hurwitz_tail(s, alpha, skip: int, params: EMParams | None = None, tier: PrecisionTier = HARDWARE) -> ComplexBox:
-    """Enclosure of zeta(s, alpha) - sum_{n=0}^{skip-1} (n+alpha)^{-s}.
-
-    Evaluated directly as the shifted series zeta(s, alpha + skip), so no
-    cancellation between the full value and the removed head occurs.
-    """
-    sb = _coerce_s(s, tier)
-    tier = sb.tier
-    al = _coerce_alpha(alpha, tier)
-    shifted = al + skip
-    if params is None:
-        params = auto_params(sb, shifted, tier)
-    return _em_core(sb, shifted, params.terms_a, params.terms_b)
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +242,8 @@ def _narrow_ball(z: _Ball, real: bool) -> tuple[float, float, float, float]:
 def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[float, float, float, float]:
     """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
 
-    One _ball at `bits`, narrowed: the single-power form of the lattice
+    One _ball at `bits`, narrowed: the sampler's q^(-s)
+    (sampler_largeq.q_pow), and the single-power form of the lattice
     powers, against which the sieve (_sieved_powers) is tested.
     """
     return _narrow_ball(_ball(x, sigma, t, bits), t == 0.0)
@@ -450,22 +335,26 @@ def _em_rows(
     """Enclosures of sum_{n>=0} (n+alpha)^{-(base_sigma+c+it)}, shape (rows, ncols+1).
 
     Row i has alpha = alphas[i] > 0, column c = 0..ncols shifts the first
-    argument by c.  This is _em_core's formula with a common truncation
-    (a, b) for all rows.  The only row-dependent transcendentals, the
-    powers (n+alpha)^{-s_0} for n = 0..a (n = a gives A^{-s_0}), come
-    from one _sieved_powers call over the integers m = (n+alpha) L, L the
-    common denominator of the alphas: a ball per prime factor and one for
-    L^{s_0}, exact fixed-point products down each chain of cofactors,
-    each power narrowed to hardware once; the bases n+alpha = m/L are
-    rounded outward once, all in one numpy pass (IVec.from_ratios).  The
-    row-independent constants 1/(s_c-1), (s_c)_{2k-1}
-    B_2k/(2k)! and the remainder constant are exact Gaussian rationals,
-    because t is a double, each rounded outward once; only the remainder
-    constant needs bounds, an upper one on |(s_c)_{2b+1}| and a lower one
-    on (2 pi)^{2b+1} from pi at tier.bits.  Everything else runs on hardware
-    interval arrays: column c scales the column c-1 powers by
-    (n+alpha)^{-1}, the direct sum adds term by term, and the remainder
-    radius takes each row's own A = a + alpha.  At t = 0 the values are
+    argument by c.  With one truncation (a, b) for all rows, A = a + alpha
+    and s = s_c = sigma + it, a cell is the direct sum over n < a, plus
+    A^{1-s}/(s-1) + A^{-s}/2 + sum_{k<=b} B_2k/(2k)! (s)_{2k-1} A^{1-s-2k},
+    padded by the remainder bound
+    2 zeta(2b+1) (2 pi)^{-(2b+1)} |(s)_{2b+1}| A^{-sigma-2b} / (sigma+2b),
+    valid whenever sigma + 2b > 0.  The only row-dependent
+    transcendentals, the powers (n+alpha)^{-s_0} for n = 0..a (n = a
+    gives A^{-s_0}), come from one _sieved_powers call over the integers
+    m = (n+alpha) L, L the common denominator of the alphas: a ball per
+    prime factor and one for L^{s_0}, exact fixed-point products down
+    each chain of cofactors, each power narrowed to hardware once; the
+    bases n+alpha = m/L are rounded outward once, all in one numpy pass
+    (IVec.from_ratios).  The row-independent constants 1/(s_c-1),
+    (s_c)_{2k-1} B_2k/(2k)! and the remainder constant are exact Gaussian
+    rationals, because t is a double, each rounded outward once; only the
+    remainder constant needs bounds, an upper one on |(s_c)_{2b+1}| and a
+    lower one on (2 pi)^{2b+1} from pi at tier.bits.  Everything else
+    runs on hardware interval arrays: column c scales the column c-1
+    powers by (n+alpha)^{-1}, the direct sum adds term by term, and the
+    remainder radius takes each row's own A.  At t = 0 the values are
     real and the imaginary parts are set to [0, 0].
     """
     if min(alphas) <= 0:
@@ -591,15 +480,16 @@ def build_lattice(
 ) -> HurwitzLattice:
     """Build (or load from cache) the lattice at ordinate t.
 
-    tier.bits sets the build's precision: auto_params aims the
-    Euler-Maclaurin truncation at it, and the powers (n + alpha)^{-s_0}
-    are trusted to a few ulps at it; only the primes up to (M + 2 + a) D,
-    the numerator of the top base over D, and D^{s_0} take transcendental
-    kernel calls, every power is an exact fixed-point product of those
-    balls.  No interval arithmetic
-    runs at that tier; the build works in big-float balls, Gaussian
-    integers, exact rationals and hardware interval arrays, and
-    the returned lattice is hardware.  With cache enabled the result is
+    tier.bits sets the build's precision: auto_params takes the
+    Euler-Maclaurin truncation (a, b) for every row from the exact
+    s_0 = 1/2 + it, the smallest offset 1/D + M + 1 and tier.bits, and
+    the powers (n + alpha)^{-s_0} are trusted to a few ulps at it; only
+    the primes up to (M + 2 + a) D, the numerator of the top base over D,
+    and D^{s_0} take transcendental kernel calls, every power is an exact
+    fixed-point product of those balls.  No interval arithmetic runs at
+    that tier; the build works in big-float balls, Gaussian integers,
+    exact rationals and hardware interval arrays, and the returned
+    lattice is hardware.  With cache enabled the result is
     persisted keyed by (t, D, Ncols, M, build bits).
     """
     t = float(t)
@@ -620,11 +510,10 @@ def build_lattice(
                 pass  # not the requested lattice, or damaged: rebuilt and overwritten
 
     alphas = [Fraction(r, D) + (M + 1) for r in range(1, D + 1)]
-    sb = ComplexBox(RealInterval.from_fraction(_HALF, tier), RealInterval.point(t, tier))
     # terms_a falls as alpha grows, so the smallest alpha gives the
     # largest truncation point over the rows: one a serves them all
-    params = auto_params(sb, RealInterval.from_fraction(alphas[0], tier), tier)
-    rows = _em_rows(t, _HALF, alphas, Ncols, params.terms_a, params.terms_b, tier)
+    a, b = auto_params(_HALF, t, alphas[0], tier.bits)
+    rows = _em_rows(t, _HALF, alphas, Ncols, a, b, tier)
     lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=tier.bits, rows=rows)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)

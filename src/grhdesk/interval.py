@@ -1012,37 +1012,3 @@ def log_gamma(z: ComplexBox) -> ComplexBox:
     rem = RealInterval.from_fraction(c_next * (2 ** (K + 1)), tier) / pw
     result = result.pad(rem)
     return result - shift_acc
-
-
-# ---------------------------------------------------------------------------
-# operation dispatch by name (used by the randomized containment suites)
-
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "sqrt": lambda a, b: a.sqrt(),
-}
-
-_ELEM = {
-    "exp": lambda a: a.exp(),
-    "log": lambda a: a.log(),
-    "sin": lambda a: a.sin(),
-    "cos": lambda a: a.cos(),
-    "atan": lambda a: a.atan(),
-}
-
-
-def arith(op: str, a: RealInterval, b: RealInterval = None) -> RealInterval:
-    """Named operation: add, sub, mul, div, and unary sqrt (b ignored)."""
-    return _ARITH[op](a, b)
-
-
-def elem(f: str, a: RealInterval) -> RealInterval:
-    """Named elementary function: sqrt, exp, log, sin, cos, atan."""
-    return _ELEM[f](a)
-
-
-ARITH_OPS = tuple(_ARITH)
-ELEM_OPS = tuple(_ELEM)

@@ -7,10 +7,11 @@ character sums over Hurwitz values:
 
 The Hurwitz values come off the precomputed lattice by one batched Taylor
 shift (hurwitz.unit_hurwitz), the character sums are one group DFT
-(dft.group_dft_cvec), and the q^(-s) scaling is a single interval power;
-all phi(q) L-values for the modulus drop out of one pass.  This module
-only composes those steps: the lattice query and its file format live in
-hurwitz, the DFT length policy in dft.
+(dft.group_dft_cvec), and the q^(-s) scaling is one power ball of the
+lattice's power kernel (hurwitz._power_ball); all phi(q) L-values for
+the modulus drop out of one pass.  This module only composes those
+steps: the lattice query and its file format live in hurwitz, the DFT
+length policy in dft.
 Completion multiplies in the archimedean factor, which depends on the
 character only through its parity, and the unimodular constant, then
 projects the provably real result onto the real axis.
@@ -37,12 +38,11 @@ import numpy as np
 from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
 from .errors import DomainError, RealnessViolation
-from .hurwitz import DEFAULT_D, HurwitzLattice, build_lattice, unit_hurwitz
+from .hurwitz import DEFAULT_D, HurwitzLattice, _power_ball, build_lattice, unit_hurwitz
 from .interval import (
     HARDWARE,
     ComplexBox,
     RealInterval,
-    bigfloat,
     log_gamma,
     pi_interval,
 )
@@ -110,15 +110,13 @@ def grid_count(t_lo, t_hi, t_step) -> int:
 # L-values
 
 
-def q_pow(q: int, t: float, bits: int = 96) -> ComplexBox:
-    """q^(-s) at s = 1/2 + it: exp(-s log q) at big-float tier, narrowed."""
-    tier = bigfloat(bits)
-    lq = RealInterval.point(q, tier).log()
-    z = ComplexBox(
-        lq * RealInterval.from_fraction(Fraction(-1, 2), tier),
-        lq * RealInterval.point(-t, tier),
-    )
-    return z.exp().widen_to(HARDWARE)
+def q_pow(q: int, t: float) -> ComplexBox:
+    """q^(-s) at s = 1/2 + it: one hurwitz._power_ball at 96 bits, as a hardware box.
+
+    At t = 0 the value is real and its imaginary part is exactly [0, 0].
+    """
+    re_lo, re_hi, im_lo, im_hi = _power_ball(Fraction(q), Fraction(1, 2), t, 96)
+    return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
 def l_values_at(q: int, lat: HurwitzLattice) -> dict[tuple[int, ...], ComplexBox]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -51,11 +52,12 @@ from .errors import (
     TailDivergence,
     XConditionViolated,
 )
-from .hurwitz import em_hurwitz
+from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, auto_params
 from .interval import (
     HARDWARE,
     ComplexBox,
     RealInterval,
+    bigfloat,
     log_gamma,
     pi_interval,
 )
@@ -63,15 +65,19 @@ from .ivec import CVec
 from .sampler_largeq import SampleGrid
 
 _HALF = Fraction(1, 2)
-_ZETA98 = None
 
 
+@cache
 def zeta_nine_eighths() -> RealInterval:
-    """zeta(9/8), the constant in the Rademacher-derived L bound."""
-    global _ZETA98
-    if _ZETA98 is None:
-        _ZETA98 = em_hurwitz(Fraction(9, 8), Fraction(1)).re
-    return _ZETA98
+    """zeta(9/8), the constant in the Rademacher-derived L bound.
+
+    One cell of the lattice's Euler-Maclaurin kernel (hurwitz._em_rows):
+    the row alpha = 1, column 0, at s = 9/8, truncated as auto_params
+    picks for a lattice build's precision.
+    """
+    sigma, alpha = Fraction(9, 8), Fraction(1)
+    a, b = auto_params(sigma, 0.0, alpha, DEFAULT_BUILD_BITS)
+    return _em_rows(0.0, sigma, [alpha], 0, a, b, bigfloat(DEFAULT_BUILD_BITS))[0, 0].re
 
 
 def _frac_pow(base: RealInterval, fr: Fraction) -> RealInterval:

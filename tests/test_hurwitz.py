@@ -1,9 +1,11 @@
-"""Hurwitz zeta paths against an independent multiprecision oracle.
+"""The lattice's kernels against an independent multiprecision oracle.
 
-em_hurwitz is checked against mpmath's zeta(s, a) evaluated at much
-higher working precision with exact rational containment; the lattice
-and Taylor-shift paths are then checked against em_hurwitz itself, and
-the lattice's sieved powers against single power balls and mpmath.
+The scalar Euler-Maclaurin oracle (em_oracle.em_hurwitz) is checked
+against mpmath's zeta(s, a) evaluated at much higher working precision
+with exact rational containment; the lattice kernel (_em_rows), the
+lattice build and the Taylor-shift queries are then checked against that
+oracle and mpmath, the lattice's sieved powers against single power
+balls and mpmath, and auto_params against a pinned table.
 """
 
 import math
@@ -17,7 +19,6 @@ import pytest
 from grhdesk import hurwitz
 from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
 from grhdesk.hurwitz import (
-    EMParams,
     HurwitzLattice,
     _ball,
     _ball_mul,
@@ -25,10 +26,9 @@ from grhdesk.hurwitz import (
     _power_ball,
     _shift_coefs,
     _sieved_powers,
-    fraction_sqrt_upper,
+    auto_params,
     build_lattice,
-    em_hurwitz,
-    em_hurwitz_tail,
+    fraction_sqrt_upper,
     load_lattice,
     save_lattice,
     taylor_tail_bound,
@@ -37,6 +37,8 @@ from grhdesk.hurwitz import (
 )
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
 from grhdesk.ivec import CVec, IVec
+
+from em_oracle import EMParams, em_hurwitz, em_hurwitz_tail
 
 BIG = bigfloat(96)
 
@@ -214,6 +216,35 @@ def test_em_tail_skip_matches_reference():
     with mpmath.workprec(300):
         ref = mpmath.zeta(s) - sum((n + 1) ** (-s) for n in range(10))
         assert box_contains(z, mp_fraction(ref), Fraction(0))
+
+
+# -- truncation choice -------------------------------------------------------
+
+# (t, bits): (terms_a at D = 12, 64, 2048), terms_b at s = 1/2 + it and
+# alpha = 1/D + 10, the smallest row offset of a lattice with M = 9.
+# Every lattice build takes its truncation from auto_params, so a change
+# to this table changes every cell
+AUTO_PARAMS = {
+    (0.0, 64): ((2, 2, 2), 16),
+    (0.0, 96): ((5, 5, 5), 24),
+    (16.0, 64): ((13, 13, 13), 16),
+    (16.0, 96): ((17, 17, 17), 24),
+    (16.0625, 64): ((13, 13, 13), 16),
+    (16.0625, 96): ((17, 17, 17), 24),
+    (300.0, 64): ((220, 220, 220), 16),
+    (300.0, 96): ((214, 214, 214), 24),
+    (1000.0, 64): ((737, 738, 738), 16),
+    (1000.0, 96): ((703, 703, 703), 24),
+    (4000.0, 64): ((3001, 3001, 3001), 16),
+    (4000.0, 96): ((2826, 2826, 2826), 24),
+}
+
+
+@pytest.mark.parametrize("t, bits", list(AUTO_PARAMS))
+@pytest.mark.parametrize("i, D", enumerate([12, 64, 2048]), ids=["D12", "D64", "D2048"])
+def test_auto_params_pinned(t, bits, i, D):
+    terms_a, terms_b = AUTO_PARAMS[t, bits]
+    assert auto_params(Fraction(1, 2), t, Fraction(1, D) + 10, bits) == (terms_a[i], terms_b)
 
 
 def test_columns_engine_matches_scalar_path():

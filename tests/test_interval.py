@@ -16,8 +16,6 @@ from grhdesk.errors import (
     NonPositiveRealPart,
 )
 from grhdesk.interval import (
-    ARITH_OPS,
-    ELEM_OPS,
     HARDWARE,
     ComplexBox,
     RealInterval,
@@ -27,9 +25,7 @@ from grhdesk.interval import (
     _fmax,
     _fmin,
     _narrow,
-    arith,
     bigfloat,
-    elem,
     log_gamma,
     pi_interval,
 )
@@ -54,6 +50,40 @@ def _exact_mpf(endpoint):
 def assert_contains_mp(iv: RealInterval, mp_value):
     fr = mp_fraction(mp_value)
     assert iv.lo_fraction() <= fr <= iv.hi_fraction(), (iv, mp_value)
+
+
+# ---------------------------------------------------------------------------
+# operation dispatch by name (used by the randomized containment suites)
+
+_ARITH = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "sqrt": lambda a, b: a.sqrt(),
+}
+
+_ELEM = {
+    "exp": lambda a: a.exp(),
+    "log": lambda a: a.log(),
+    "sin": lambda a: a.sin(),
+    "cos": lambda a: a.cos(),
+    "atan": lambda a: a.atan(),
+}
+
+
+def arith(op: str, a: RealInterval, b: RealInterval = None) -> RealInterval:
+    """Named operation: add, sub, mul, div, and unary sqrt (b ignored)."""
+    return _ARITH[op](a, b)
+
+
+def elem(f: str, a: RealInterval) -> RealInterval:
+    """Named elementary function: exp, log, sin, cos, atan."""
+    return _ELEM[f](a)
+
+
+ARITH_OPS = tuple(_ARITH)
+ELEM_OPS = tuple(_ELEM)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from grhdesk.hurwitz import (
     DEFAULT_M,
     DEFAULT_NCOLS,
     build_lattice,
-    em_hurwitz,
 )
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
 from grhdesk.sampler_largeq import (
@@ -39,6 +38,8 @@ from grhdesk.sampler_largeq import (
     sample_range,
     unit_hurwitz,
 )
+
+from em_oracle import em_hurwitz
 
 BIG = bigfloat(96)
 
@@ -122,12 +123,18 @@ def test_unit_hurwitz_matches_scalar_query(lat_t0, lat_t10, q):
 
 
 def test_q_pow_contains_reference():
-    for q, t in [(3, 0.0), (101, 2.5), (17, -4.0)]:
+    # the paper's operating points q = 100003 at t = 1000 and q = 399989
+    # at t = 294, and one far height
+    cases = [(3, 0.0), (101, 2.5), (17, -4.0), (100003, 1000.0), (399989, 294.0), (7, 1e4)]
+    for q, t in cases:
         box = q_pow(q, t)
         with mpmath.workprec(200):
             ref = mpmath.power(q, mpmath.mpc(-0.5, -t))
             fre, fim = mp_fraction(ref.real), mp_fraction(ref.imag)
         assert box.re.contains(fre) and box.im.contains(fim)
+    for q in (3, 101, 100003):
+        im = q_pow(q, 0.0).im
+        assert (im.lo, im.hi) == (0.0, 0.0)
 
 
 # -- l_values_at -------------------------------------------------------------

@@ -77,6 +77,19 @@ def test_smallq_rejects_imprimitive():
         smallq_samples(9, (3,), PLAN, T_MAX)
 
 
+def test_zeta_nine_eighths_contains_mpmath():
+    # the constant of the envelope behind both error budgets: it must hold
+    # zeta(9/8), and be no looser than the scalar Euler-Maclaurin oracle's
+    # hardware enclosure [8.586241294510526, 8.58624129451062]
+    z = sampler_smallq.zeta_nine_eighths()
+    with mpmath.workdps(50):
+        man, exp = mpmath.zeta(mpmath.mpf(9) / 8).man_exp
+    ref = Fraction(man) * Fraction(2) ** exp
+    assert z.lo_fraction() <= ref <= z.hi_fraction()
+    assert z.hi_fraction() <= Fraction(8.58624129451062)
+    assert z.hi_fraction() - z.lo_fraction() <= Fraction(1e-13)
+
+
 @pytest.mark.parametrize("parity", [0, 1])
 def test_error_bounds_finite_and_positive_on_default_plan(parity):
     # the alias bound can underflow to [0, tiny]; what is used is its
