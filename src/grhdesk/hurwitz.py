@@ -15,7 +15,8 @@ Two stages, the build and the query, on one Euler-Maclaurin kernel
   (m/D)^{-s} is then an exact Gaussian-integer fixed-point product of a
   prime's ball and a smaller base's, down to D^{s}.  Its bases m/D are
   rounded in one numpy pass, and its per-column constants are exact
-  rationals rounded once;
+  integer ratios, each rounded once.  Its row count D defaults to
+  ``lattice_size(t)``, from the height alone;
 * ``unit_hurwitz`` — Taylor-shift queries against that grid for the
   rational second arguments a/q of every unit a mod q at once, in a
   fixed number of interval-array operations per block of units, with
@@ -27,8 +28,9 @@ zeta(9/8) is one _em_rows cell, and q^(-s) one _power_ball.  The scalar
 Euler-Maclaurin evaluation the kernels are tested against, one value at
 a time, is the oracle in tests/em_oracle.py.
 
-This module alone knows the lattice: its layout, its file format
-(save_lattice, load_lattice) and its query.
+This module alone knows the lattice: its layout, its default row count
+(lattice_size), its file format (save_lattice, load_lattice) and its
+query.
 """
 
 from __future__ import annotations
@@ -60,12 +62,14 @@ from .interval import (
     PrecisionTier,
     RealInterval,
     _narrow,
+    _ratio_ends,
     bernoulli,
     bigfloat,
     pi_interval,
 )
 from .ivec import CVec, IVec
 
+# the cap of the default row count (lattice_size)
 DEFAULT_D = 2048
 DEFAULT_NCOLS = 15
 DEFAULT_M = 9
@@ -298,12 +302,20 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, t: float, bits: int) 
     return out
 
 
-def _exact_cvec(values: list[tuple[Fraction, Fraction]]) -> CVec:
-    """Hardware CVec of exact Gaussian rationals, each side rounded outward once."""
-    return CVec(
-        IVec.from_intervals([RealInterval.from_fraction(re) for re, _ in values]),
-        IVec.from_intervals([RealInterval.from_fraction(im) for _, im in values]),
-    )
+def _ratio_ivec(nums: list[int], dens: list[int]) -> IVec:
+    """Hardware IVec of the rationals n/d over paired integers, d > 0.
+
+    Each entry is rounded outward once to RealInterval.from_fraction's
+    endpoints (interval._ratio_ends), with no pair reduced to lowest terms
+    and no Fraction made.
+    """
+    ends = np.array([_ratio_ends(n, d) for n, d in zip(nums, dens)]).reshape(-1, 2)
+    return IVec(ends[:, 0], ends[:, 1], _checked=True)
+
+
+def _ratio_cvec(re: list[int], im: list[int], dens: list[int]) -> CVec:
+    """Hardware CVec of the Gaussian rationals (re + i im) / den, as _ratio_ivec."""
+    return CVec(_ratio_ivec(re, dens), _ratio_ivec(im, dens))
 
 
 def _pochhammer(sigma: Fraction, t: float) -> Iterator[tuple[int, int, int]]:
@@ -375,27 +387,37 @@ def _em_rows(
     base = IVec.from_ratios(ms, L).reshape(len(alphas), a + 1)
     inv = 1.0 / base
 
-    # the per-column constants, from exact Pochhammer symbols of s_c
+    # the per-column constants, from exact Pochhammer symbols of s_c, as
+    # integer (numerator, denominator) pairs rounded outward once each
     zu = zeta_upper(2 * b + 1)
     two_pi_pow_lo = (2 * pi_interval(tier).lo_fraction()) ** (2 * b + 1)
     bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
-    inv_sm1, coefs, rad_const, sig2b = [], [], [], []
+    inv_re, inv_im, inv_den = [], [], []
+    coef_re, coef_im, coef_den = [], [], []
+    rad_num, rad_den, sigs = [], [], []
     for c in cols:
         # (s_c)_j = (pr + i pim) / scale for j = 0..2b+1, s_c = (x + i y) / den
         poch = list(itertools.islice(_pochhammer(base_sigma + c, t), 2 * b + 2))
         x, y, den = poch[1]
-        d2 = (x - den) ** 2 + y * y
-        inv_sm1.append((Fraction((x - den) * den, d2), Fraction(-y * den, d2)))
+        inv_re.append((x - den) * den)
+        inv_im.append(-y * den)
+        inv_den.append((x - den) ** 2 + y * y)
         for k in range(1, b + 1):
             (pr, pim, scale), bk = poch[2 * k - 1], bern[k - 1]
-            coefs.append((bk * Fraction(pr, scale), bk * Fraction(pim, scale)))
+            coef_re.append(bk.numerator * pr)
+            coef_im.append(bk.numerator * pim)
+            coef_den.append(bk.denominator * scale)
+        # 2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1} (sigma_c + 2b)), |.| bounded above
         pr, pim, scale = poch[2 * b + 1]
-        poch_abs = fraction_sqrt_upper(Fraction(pr * pr + pim * pim, scale * scale))
-        rad = 2 * zu * poch_abs / (two_pi_pow_lo * (base_sigma + c + 2 * b))
-        rad_const.append(RealInterval.from_fraction(rad).hi)
-        sig2b.append(RealInterval.from_fraction(base_sigma + c + 2 * b))
-    inv_sm1 = _exact_cvec(inv_sm1)
-    coefs = _exact_cvec(coefs).reshape(ncols + 1, b)
+        rad = 2 * zu * fraction_sqrt_upper(Fraction(pr * pr + pim * pim, scale * scale))
+        sig = base_sigma + c + 2 * b
+        rad_num.append(rad.numerator * two_pi_pow_lo.denominator * sig.denominator)
+        rad_den.append(rad.denominator * two_pi_pow_lo.numerator * sig.numerator)
+        sigs.append(sig)
+    inv_sm1 = _ratio_cvec(inv_re, inv_im, inv_den)
+    coefs = _ratio_cvec(coef_re, coef_im, coef_den).reshape(ncols + 1, b)
+    rad_const = _ratio_ivec(rad_num, rad_den).hi
+    sig2b = _ratio_ivec([v.numerator for v in sigs], [v.denominator for v in sigs])
 
     # column c of every power: one more factor (n + alpha)^{-1} per column
     shape = (len(alphas), a + 1, 1)
@@ -422,8 +444,8 @@ def _em_rows(
     cell = (direct + tail) + head
 
     # remainder: rad_const_c A^{-sigma_c-2b} with each row's own A
-    rpow = (A.log() * -IVec.from_intervals(sig2b)).exp()
-    cell = cell.pad((rpow * np.array(rad_const)).hi)
+    rpow = (A.log() * -sig2b).exp()
+    cell = cell.pad((rpow * rad_const).hi)
     if t == 0.0:
         cell = CVec(cell.re, IVec.zeros(cell.shape))
     return cell
@@ -469,9 +491,38 @@ class HurwitzLattice:
         )
 
 
+# the most the default row count lets a Taylor shift amplify cell widths
+_MAX_AMPLIFICATION = 16
+
+
+def lattice_size(t: float) -> int:
+    """The default row count D of a lattice at ordinate t.
+
+    A query shifts a row by |delta| <= 1/(2D) (below 1/D for the units
+    a/q < 1/(2D), which take row 1) through the coefficients (s0)_k / k!,
+    s0 = 1/2 + it, so it amplifies the widths of the cells it reads by up
+    to sum_{k <= Ncols} |(s0)_k / k!| (2D)^{-k}, about e^{|t|/(2D)};
+    neither that nor the truncated Taylor tail depends on the modulus.
+    D is the smallest power of two >= 2 whose amplification, bounded
+    above from the exact _pochhammer values at the default column count,
+    is at most _MAX_AMPLIFICATION, capped at DEFAULT_D.  It depends on |t|
+    alone, so an ordinate gets the same lattice whatever range or modulus
+    it is sampled for.
+    """
+    poch = itertools.islice(_pochhammer(_HALF, float(t)), DEFAULT_NCOLS + 1)
+    mags = [
+        fraction_sqrt_upper(Fraction(pr * pr + pim * pim, (scale * math.factorial(k)) ** 2))
+        for k, (pr, pim, scale) in enumerate(poch)
+    ]
+    D = 2
+    while D < DEFAULT_D and sum(m / (2 * D) ** k for k, m in enumerate(mags)) > _MAX_AMPLIFICATION:
+        D *= 2
+    return D
+
+
 def build_lattice(
     t: float,
-    D: int = DEFAULT_D,
+    D: int | None = None,
     Ncols: int = DEFAULT_NCOLS,
     M: int = DEFAULT_M,
     tier: PrecisionTier | None = None,
@@ -479,6 +530,9 @@ def build_lattice(
     cache: bool = True,
 ) -> HurwitzLattice:
     """Build (or load from cache) the lattice at ordinate t.
+
+    D defaults to lattice_size(t), the fewest rows whose Taylor shifts
+    keep a query's width at the height t; an explicit D wins.
 
     tier.bits sets the build's precision: auto_params takes the
     Euler-Maclaurin truncation (a, b) for every row from the exact
@@ -493,6 +547,8 @@ def build_lattice(
     persisted keyed by (t, D, Ncols, M, build bits).
     """
     t = float(t)
+    if D is None:
+        D = lattice_size(t)
     if D < 2 or Ncols < 2 or M < 0:
         raise DomainError("need D >= 2, Ncols >= 2, M >= 0")
     if tier is None:
@@ -628,11 +684,12 @@ def _shift_coefs(t: float, n: int) -> CVec:
     Exact Gaussian rationals from _pochhammer, each side rounded outward
     once.
     """
-    values = []
-    for k, (pr, pim, scale) in enumerate(itertools.islice(_pochhammer(_HALF, t), n + 1)):
-        scale *= math.factorial(k)
-        values.append((Fraction(pr, scale), Fraction(pim, scale)))
-    return _exact_cvec(values)
+    poch = list(itertools.islice(_pochhammer(_HALF, t), n + 1))
+    return _ratio_cvec(
+        [pr for pr, _, _ in poch],
+        [pim for _, pim, _ in poch],
+        [scale * math.factorial(k) for k, (_, _, scale) in enumerate(poch)],
+    )
 
 
 # units per block of a unit_hurwitz call: a block's working set is about

@@ -213,6 +213,16 @@ def _narrow(lo: int, hi: int, e: int) -> tuple[float, float]:
     return _floor_float(lo, e), -_floor_float(-hi, e)
 
 
+def _ratio_ends(n: int, d: int) -> tuple[float, float]:
+    """The largest double <= n/d and the smallest >= it, for integers n and d > 0.
+
+    n/d need not be in lowest terms: n 2^k / d keeps at least 54 bits, so
+    flooring it to an integer and then to 53 bits is one floor of n/d.
+    """
+    k = max(54 + d.bit_length() - abs(n).bit_length(), 0)
+    return _narrow((n << k) // d, -((-n << k) // d), -k)
+
+
 def _fmin(a, b):
     return a if mpf_cmp(a, b) <= 0 else b
 
@@ -276,9 +286,7 @@ class RealInterval:
         if not isinstance(fr, Fraction):
             fr = Fraction(fr)
         if tier.kind == "hardware":
-            n, d = fr.numerator, fr.denominator
-            k = max(54 + d.bit_length() - abs(n).bit_length(), 0)  # n 2^k / d keeps 54 bits
-            return RealInterval(*_narrow((n << k) // d, -((-n << k) // d), -k), tier, _raw=True)
+            return RealInterval(*_ratio_ends(fr.numerator, fr.denominator), tier, _raw=True)
         lo = from_rational(fr.numerator, fr.denominator, tier.bits, _FLOOR)
         hi = from_rational(fr.numerator, fr.denominator, tier.bits, _CEIL)
         return RealInterval(lo, hi, tier, _raw=True)

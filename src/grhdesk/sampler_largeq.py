@@ -17,10 +17,12 @@ character only through its parity, and the unimodular constant, then
 projects the provably real result onto the real axis.
 
 The samplers keep three bounded in-memory LRU caches: the lattice per
-(ordinate, row count), at most 8, each one interval array of four float64
-endpoints per cell (32 KB at 64 rows, 1 MB at the default 2048); one
-table of the phi(q) L-values per (q, ordinate), at most 8 tables; and
-the completion factor per (ordinate, parity, q), at most 16 boxes.
+(ordinate, row count), at most 8, each one interval array of four
+float64 endpoints per cell, 512 bytes a row (2 KB at the 4 rows that
+hurwitz.lattice_size gives t = 16, 128 KB at its 256 rows for t = 1000,
+1 MB at its cap of 2048); one table of the phi(q) L-values per
+(q, ordinate), at most 8 tables; and the completion factor per
+(ordinate, parity, q), at most 16 boxes.
 Every character of q sampled at that ordinate reads the same table, so
 sample_all costs one pass per ordinate, and a per-character sample_range
 call costs its root number and two box products per sample once the
@@ -38,7 +40,7 @@ import numpy as np
 from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
 from .errors import DomainError, RealnessViolation
-from .hurwitz import DEFAULT_D, HurwitzLattice, _power_ball, build_lattice, unit_hurwitz
+from .hurwitz import HurwitzLattice, _power_ball, build_lattice, unit_hurwitz
 from .interval import (
     HARDWARE,
     ComplexBox,
@@ -173,16 +175,19 @@ def lambda_box(l: ComplexBox, t: float, meta: CharMeta, q: int) -> ComplexBox:
     return (meta.epsilon * completion_factor(t, meta.parity, q)) * l
 
 
-def lambda_from_l(l: ComplexBox, t: float, meta: CharMeta, q: int) -> RealInterval:
-    """Real enclosure of the completed value at ordinate t.
+def lambda_from_l(
+    l: ComplexBox, t: float, meta: CharMeta, q: int, char: tuple[int, ...]
+) -> RealInterval:
+    """Real enclosure of the completed value of character char mod q at ordinate t.
 
     The assembled box must straddle the real axis; its real part widened
-    by the imaginary radius then encloses the true (real) value.
+    by the imaginary radius then encloses the true (real) value.  If it
+    does not, RealnessViolation names (q, char, t).
     """
     lam = lambda_box(l, t, meta, q)
     if not lam.im.contains_zero():
         raise RealnessViolation(
-            f"imaginary part {lam.im!r} misses 0 at t={t} for modulus {q}"
+            f"imaginary part {lam.im!r} misses 0 at t={t} for index {char} mod {q}"
         )
     return lam.re.pad(lam.im.mag())
 
@@ -191,26 +196,16 @@ def lambda_from_l(l: ComplexBox, t: float, meta: CharMeta, q: int) -> RealInterv
 # grids
 
 
-def default_lattice_size(q: int) -> int:
-    """Row count policy: keep |delta| <= 1/(8q) until the standard cap.
-
-    With D >= 4q the shift never exceeds 1/(8q), so Taylor terms decay by
-    a factor >= 8 each and the default column count is ample; above the
-    cap the shared full-size lattice serves every modulus.
-    """
-    size = 64
-    while size < 4 * q and size < DEFAULT_D:
-        size *= 2
-    return size
-
-
 @lru_cache(maxsize=8)
-def _shared_lattice(t: float, size: int, cache_dir) -> HurwitzLattice:
+def _shared_lattice(t: float, size: int | None, cache_dir) -> HurwitzLattice:
+    """The lattice at t; size None takes build_lattice's default, lattice_size(t)."""
     return build_lattice(t, D=size, cache_dir=cache_dir)
 
 
 @lru_cache(maxsize=8)
-def _modulus_table(q: int, t: float, size: int, cache_dir) -> dict[tuple[int, ...], ComplexBox]:
+def _modulus_table(
+    q: int, t: float, size: int | None, cache_dir
+) -> dict[tuple[int, ...], ComplexBox]:
     """L_chi(1/2 + it) for every character mod q, from one l_values_at pass."""
     return l_values_at(q, _shared_lattice(t, size, cache_dir))
 
@@ -226,7 +221,6 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
 
     group = char_group(q)
     metas = [group.char_meta(char) for char in chars]
-    size = default_lattice_size(q) if size is None else size
 
     samples = [[None] * (n_end - n_start + 1) for _ in chars]
     for i, n in enumerate(range(n_start, n_end + 1)):
@@ -236,7 +230,7 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
             raise DomainError("grid ordinates must be binary rationals")
         table = _modulus_table(q, t, size, cache_dir)
         for char, meta, out in zip(chars, metas, samples):
-            out[i] = lambda_from_l(table[char], t, meta, q)
+            out[i] = lambda_from_l(table[char], t, meta, q, char)
     return [
         SampleGrid(q, char, step, n_start, out, meta)
         for char, meta, out in zip(chars, metas, samples)
@@ -257,9 +251,13 @@ def sample_range(
 
     Ordinates are the multiples of t_step inside [t_lo, t_hi]; each must
     be an exact binary rational so the lattice is keyed by the exact
-    ordinate.  Lattices are cached in memory (at most 8, 512 bytes per
-    row) and on disk, so every modulus sampled at the same ordinate and
-    row count reuses the same one.
+    ordinate.  size None gives each ordinate t its own row count,
+    hurwitz.lattice_size(t), from the height alone, so an ordinate's
+    lattice and samples do not depend on the range or modulus they are
+    asked for; an explicit size serves every ordinate of the call.
+    Lattices are cached in memory (at most 8, 512 bytes per row) and on
+    disk, so every modulus sampled at the same ordinate and row count
+    reuses the same one.
 
     The first call at a (q, ordinate) pair runs l_values_at once for all
     phi(q) characters and keeps the L-values in an in-memory table, and

@@ -20,15 +20,18 @@ from grhdesk.dft import units_of
 from grhdesk.errors import DomainError, RealnessViolation
 from grhdesk.hurwitz import (
     DEFAULT_BUILD_BITS,
+    DEFAULT_D,
     DEFAULT_M,
     DEFAULT_NCOLS,
     build_lattice,
+    fraction_sqrt_upper,
+    lattice_size,
+    taylor_tail_bound,
 )
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
 from grhdesk.sampler_largeq import (
     DEFAULT_STEP,
     SampleGrid,
-    default_lattice_size,
     grid_count,
     l_values_at,
     lambda_box,
@@ -200,7 +203,7 @@ def test_l_values_rejects_tiny_modulus(lat_t0):
 def test_lambda_positive_at_center_q4(lat_t0):
     group = char_group(4)
     meta = group.char_meta((1,))
-    lam = lambda_from_l(l_values_at(4, lat_t0)[(1,)], 0.0, meta, 4)
+    lam = lambda_from_l(l_values_at(4, lat_t0)[(1,)], 0.0, meta, 4, (1,))
     assert lam.sign() == 1
 
 
@@ -208,9 +211,9 @@ def test_lambda_linear_in_epsilon(lat_t10):
     group = char_group(5)
     meta = group.char_meta((1,))
     l = l_values_at(5, lat_t10)[(1,)]
-    lam = lambda_from_l(l, 10.0, meta, 5)
+    lam = lambda_from_l(l, 10.0, meta, 5, (1,))
     flipped = replace(meta, epsilon=-meta.epsilon)
-    lam_neg = lambda_from_l(l, 10.0, flipped, 5)
+    lam_neg = lambda_from_l(l, 10.0, flipped, 5, (1,))
     assert lam_neg.lo_float() == -lam.hi_float()
     assert lam_neg.hi_float() == -lam.lo_float()
 
@@ -236,11 +239,21 @@ def test_wrong_epsilon_raises_realness_violation(lat_t10):
     for idx in group.primitive_indices():
         meta = replace(group.char_meta(idx), epsilon=ComplexBox.one(HARDWARE))
         try:
-            lambda_from_l(vals[idx], 10.0, meta, 5)
+            lambda_from_l(vals[idx], 10.0, meta, 5, idx)
         except RealnessViolation:
             hits += 1
     # complex characters mod 5 have a genuinely complex prefactor
     assert hits >= 2
+
+
+def test_realness_violation_names_modulus_character_and_ordinate(lat_t10):
+    meta = char_group(5).char_meta((1,))
+    l = l_values_at(5, lat_t10)[(1,)]
+    assert lambda_from_l(l, 10.0, meta, 5, (1,)).sign() != 0
+    # i L completes to i Lambda, whose imaginary part Lambda misses 0
+    turned = ComplexBox(-l.im, l.re)
+    with pytest.raises(RealnessViolation, match=r"t=10\.0 for index \(1,\) mod 5$"):
+        lambda_from_l(turned, 10.0, meta, 5, (1,))
 
 
 def test_lambda_gamma_factor_keeps_magnitude_tame(lat_t0):
@@ -290,10 +303,50 @@ def test_sample_grid_requires_positive_step():
         SampleGrid(4, (1,), Fraction(0), 0, [], group.char_meta((1,)))
 
 
-def test_default_lattice_size_policy():
-    assert default_lattice_size(5) == 64
-    assert default_lattice_size(50) == 256
-    assert default_lattice_size(10_000) == 2048
+def test_lattice_size_policy():
+    pinned = {0: 2, 16: 4, 300: 64, 1000: 256, 4000: 1024}
+    assert {t: lattice_size(t) for t in pinned} == pinned
+    heights = [0, 1, 16, 22, 23, 100, 300, 1000, 2000, 4000, 10_000, 1e6]
+    sizes = [lattice_size(t) for t in heights]
+    assert sizes == [lattice_size(-t) for t in heights]
+    assert sizes == sorted(sizes)
+    assert sizes[-2:] == [DEFAULT_D, DEFAULT_D]
+    # below the cap the truncated Taylor tail at |delta| = 1/(2D) is negligible
+    for t, D in zip(heights[:-1], sizes):
+        s_mag_hi = fraction_sqrt_upper(Fraction(1, 4) + Fraction(t) ** 2)
+        radius = Fraction(1, D) + DEFAULT_M + 1
+        tail = taylor_tail_bound(s_mag_hi, Fraction(1, 2 * D), radius, DEFAULT_NCOLS + 1)
+        assert tail <= Fraction(1, 2**52), (t, D)
+
+
+def _unit_width_max(lat, q):
+    z = unit_hurwitz(lat, q, units_of(char_group(q)))
+    return max((z.re.hi - z.re.lo).max(), (z.im.hi - z.im.lo).max())
+
+
+@pytest.mark.parametrize("t", [16.0, 300.0])
+def test_lattice_size_keeps_unit_widths(t):
+    D = lattice_size(t)
+    lat = build_lattice(t, cache=False)
+    big = build_lattice(t, D=4 * D, cache=False)
+    assert lat.D == D
+    for q in (101, 1009, 4099):
+        assert _unit_width_max(lat, q) <= 1.01 * _unit_width_max(big, q), q
+
+
+def test_sample_does_not_depend_on_its_range(tmp_path):
+    heights = range(20, 25)
+    # the range crosses a change of the default row count
+    assert len({lattice_size(t) for t in heights}) == 2
+    ranged, alone = tmp_path / "range", tmp_path / "alone"
+    grid = sample_range(5, (1,), 20, 24, 1, cache_dir=ranged)
+    files = sorted(path.name for path in ranged.glob("*.dat"))
+    assert len(files) == len(grid) == len(heights)
+    assert all(f"_D{lattice_size(t)}_" in name for t, name in zip(heights, files))
+    for t, sample in zip(heights, grid.samples):
+        one = sample_range(5, (1,), t, t, 1, cache_dir=alone).samples[0]
+        assert (one.lo, one.hi) == (sample.lo, sample.hi), t
+    assert sorted(path.name for path in alone.glob("*.dat")) == files
 
 
 def test_sample_range_sign_change_q5(tmp_path_factory):
@@ -352,7 +405,7 @@ def _assembled(q, idx, cache):
             t, D=16, Ncols=DEFAULT_NCOLS, M=DEFAULT_M,
             tier=bigfloat(DEFAULT_BUILD_BITS), cache_dir=cache,
         )
-        s = lambda_from_l(l_values_at(q, lat)[idx], t, meta, q)
+        s = lambda_from_l(l_values_at(q, lat)[idx], t, meta, q, idx)
         out.append((s.lo, s.hi))
     return out
 
