@@ -133,8 +133,10 @@ class CharMeta:
     value; it is a square root of the conjugated root number, which is
     exactly the normalization that makes the completed function real on the
     critical line.  Either square root works (they differ by a global sign);
-    the choice is deterministic per character and downstream assembly checks
-    realness of every box a posteriori.
+    char_meta takes the principal one unless the real part of the
+    conjugated root number is certified negative, then i times the
+    principal root of its negative.  Downstream assembly checks realness
+    of every box a posteriori.
     """
 
     parity: int
@@ -383,8 +385,10 @@ class CharGroup:
         The completion constant of a primitive character is a unimodular w
         with w*w the conjugated root number: conjugating the completed value
         flips w to conj(w) and applies the functional equation, which costs
-        one factor of the root number, and the two cancel exactly.  The root
-        number is taken at bigfloat(bits) and w is narrowed to tier.
+        one factor of the root number, and the two cancel exactly.  For z
+        the conjugated root number at bigfloat(bits), w = (1 + z)/|1 + z|
+        at that tier, or i (1 - z)/|1 - z| when Re z is certified negative
+        (_unimodular_sqrt), narrowed to tier.
         Imprimitive characters get epsilon = 1: they are never completed
         directly, only through the primitive character inducing them.
         """
@@ -405,32 +409,20 @@ class CharGroup:
 
 
 def _unimodular_sqrt(z: ComplexBox) -> ComplexBox:
-    """One square root of a box near the unit circle, by quadrant.
+    """One square root of a box near the unit circle, by the half-angle identity.
 
-    Rotates z into the open right half plane, takes exp(log/2) there, and
-    rotates the result back by a square root of the rotation.  A box that
-    straddles both coordinate axes has no well-defined quadrant; that can
-    only happen when the box is far too wide to be useful, so it raises.
+    For z = e^(i theta), 1 + z = 2 cos(theta/2) e^(i theta/2), so
+    (1 + z)/|1 + z| is the principal root wherever Re z is not certified
+    negative; there 1 + z stays clear of 0.  When Re z is certified
+    negative, i (1 - z)/|1 - z| is i times the principal root of -z, with
+    Re(1 - z) > 1.  Both are box arithmetic at z's tier, with no log or exp.
     """
-    tier = z.tier
-    half = RealInterval.from_fraction(Fraction(1, 2), tier)
-
-    def principal(w: ComplexBox) -> ComplexBox:
-        return (w.log() * half).exp()
-
-    if z.re.sign() == 1:
-        return principal(z)
+    one = ComplexBox.one(z.tier)
     if z.re.sign() == -1:
-        return principal(-z).mul_i()
-    s2 = RealInterval.point(2, tier).sqrt()
-    c = RealInterval.one(tier) / s2
-    if z.im.sign() == 1:
-        return ComplexBox(c, c) * principal(ComplexBox(z.im, -z.re))
-    if z.im.sign() == -1:
-        return ComplexBox(c, -c) * principal(ComplexBox(-z.im, z.re))
-    raise HypothesisViolated(
-        "unit box straddles both axes; square-root branch is undetermined"
-    )
+        w = one - z
+        return (w / w.abs()).mul_i()
+    w = one + z
+    return w / w.abs()
 
 
 def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]:

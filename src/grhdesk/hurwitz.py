@@ -247,8 +247,9 @@ def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[floa
     """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
 
     One _ball at `bits`, narrowed: the sampler's q^(-s)
-    (sampler_largeq.q_pow), and the single-power form of the lattice
-    powers, against which the sieve (_sieved_powers) is tested.
+    (sampler_largeq.q_pow), unit_hurwitz's extra head term for the units
+    below 1/(2D), and the single-power form of the lattice powers, against
+    which the sieve (_sieved_powers) is tested.
     """
     return _narrow_ball(_ball(x, sigma, t, bits), t == 0.0)
 
@@ -498,16 +499,15 @@ _MAX_AMPLIFICATION = 16
 def lattice_size(t: float) -> int:
     """The default row count D of a lattice at ordinate t.
 
-    A query shifts a row by |delta| <= 1/(2D) (below 1/D for the units
-    a/q < 1/(2D), which take row 1) through the coefficients (s0)_k / k!,
-    s0 = 1/2 + it, so it amplifies the widths of the cells it reads by up
-    to sum_{k <= Ncols} |(s0)_k / k!| (2D)^{-k}, about e^{|t|/(2D)};
-    neither that nor the truncated Taylor tail depends on the modulus.
-    D is the smallest power of two >= 2 whose amplification, bounded
-    above from the exact _pochhammer values at the default column count,
-    is at most _MAX_AMPLIFICATION, capped at DEFAULT_D.  It depends on |t|
-    alone, so an ordinate gets the same lattice whatever range or modulus
-    it is sampled for.
+    A query shifts a row by |delta| <= 1/(2D) through the coefficients
+    (s0)_k / k!, s0 = 1/2 + it, so it amplifies the widths of the cells
+    it reads by up to sum_{k <= Ncols} |(s0)_k / k!| (2D)^{-k}, about
+    e^{|t|/(2D)}; neither that nor the truncated Taylor tail depends on
+    the modulus.  D is the smallest power of two >= 2 whose
+    amplification, bounded above from the exact _pochhammer values at the
+    default column count, is at most _MAX_AMPLIFICATION, capped at
+    DEFAULT_D.  It depends on |t| alone, so an ordinate gets the same
+    lattice whatever range or modulus it is sampled for.
     """
     poch = itertools.islice(_pochhammer(_HALF, float(t)), DEFAULT_NCOLS + 1)
     mags = [
@@ -701,14 +701,17 @@ _UNIT_BLOCK = 4096
 def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
 
-    Each a/q takes the row r nearest to it (ties toward the larger r,
-    clamped to 1..D), shifts that row by delta = a/q - r/D through Ncols
-    Taylor terms, bounds the truncated Taylor tail geometrically, and
-    restores the first M+1 direct terms at the exact argument a/q.  The
-    work is a fixed number of interval-array operations per block of
-    _UNIT_BLOCK units (_unit_block); every operation is elementwise over
-    the units, so the blocks change no endpoint.  One tail bound serves
-    the batch: taylor_tail_bound is monotone in |delta| and in the
+    Each a/q takes the row r nearest to it (ties toward the larger r),
+    shifts that row by delta = a/q - r/D through Ncols Taylor terms,
+    bounds the truncated Taylor tail geometrically, and restores the first
+    M+1 direct terms at the exact argument a/q.  A unit a/q < 1/(2D)
+    reads row D (offset M + 2) at delta = a/q and restores one more head
+    term, n = M+1, so every |delta| <= 1/(2D).  The work is a fixed
+    number of interval-array operations per block of _UNIT_BLOCK units
+    (_unit_block), plus that term for each unit below 1/(2D); every
+    operation is elementwise over the units, so the blocks change no
+    endpoint.  One tail bound
+    serves the batch: taylor_tail_bound is monotone in |delta| and in the
     reciprocal of the row radius, so the largest |delta| and the smallest
     row bound every unit.  Each a must satisfy 0 < a < q and gcd(a, q) = 1.
     """
@@ -716,8 +719,9 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     units = np.asarray(units, dtype=np.int64)
     if not np.all((0 < units) & (units < q) & (np.gcd(units, q) == 1)):
         raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
-    rows = np.clip((2 * units * D + q) // (2 * q), 1, D)
-    neg_num = rows * q - units * D  # -delta = neg_num / (q D)
+    nearest = (2 * units * D + q) // (2 * q)  # 0..D
+    neg_num = nearest * q - units * D  # -delta = neg_num / (q D)
+    rows = np.where(nearest == 0, D, nearest)
     d_max = int(np.abs(neg_num).max(initial=0))
     coefs, pad = None, 0.0
     if d_max:
@@ -749,9 +753,10 @@ def _unit_block(
     doubling table, the coefficients are coefs = (s0)_k / k! (k = 1..Ncols,
     _shift_coefs; None when no unit of the call is shifted) times those
     powers, all Ncols columns are multiplied in one CVec product, and the
-    head (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp; the
-    Taylor terms, then the tail pad, then the head terms are added one at
-    a time, in order of k and of n.
+    head (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp.  The
+    Taylor terms are summed from k = Ncols down, smallest first, and added
+    to the cell once; then come the tail pad and the head terms in order
+    of n.  The units below 1/(2D) first add n = M+1, one _power_ball each.
     """
     cells = lat.rows.take(rows - 1)
     acc = cells[:, 0]
@@ -761,13 +766,22 @@ def _unit_block(
         while pw.shape[1] < lat.Ncols:
             pw = IVec.concatenate([pw, pw * pw[:, -1:]], axis=1)
         terms = (coefs * pw[:, : lat.Ncols]) * cells[:, 1:]
-        for k in range(lat.Ncols):
-            acc = acc + terms[:, k]
+        shift = terms[:, lat.Ncols - 1]
+        for k in range(lat.Ncols - 2, -1, -1):
+            shift = shift + terms[:, k]
+        acc = acc + shift
         if pad:
             acc = acc.pad(pad)
 
     # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
     s0 = lat.s_at(0)
+    low = np.flatnonzero(2 * units * lat.D < q)  # these read row D: n = M+1 first
+    if len(low):
+        bases = (units[low] + q * (lat.M + 1)).tolist()
+        ends = np.array([_power_ball(Fraction(m, q), _HALF, lat.t, lat.bits) for m in bases])
+        more = acc.take(low) + CVec(IVec(ends[:, 0], ends[:, 1]), IVec(ends[:, 2], ends[:, 3]))
+        for part, new in ((acc.re, more.re), (acc.im, more.im)):
+            part.lo[low], part.hi[low] = new.lo, new.hi
     lg = IVec.from_ratios(units + q * np.arange(lat.M + 1).reshape(-1, 1), q).log()
     head = CVec(lg * -s0.re, lg * -s0.im).exp()
     for n in range(lat.M + 1):

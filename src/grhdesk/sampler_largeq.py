@@ -12,21 +12,25 @@ lattice's power kernel (hurwitz._power_ball); all phi(q) L-values for
 the modulus drop out of one pass.  This module only composes those
 steps: the lattice query and its file format live in hurwitz, the DFT
 length policy in dft.
-Completion multiplies in the archimedean factor, which depends on the
-character only through its parity, and the unimodular constant, then
-projects the provably real result onto the real axis.
+Completion is one array step for every requested character at once: the
+unimodular constant times the archimedean factor, which depends on the
+character only through its parity, times the L-values, then one
+realness check and the projection onto the real axis (lambda_from_l,
+which the small-q sampler ends in too).
 
 The samplers keep three bounded in-memory LRU caches: the lattice per
 (ordinate, row count), at most 8, each one interval array of four
 float64 endpoints per cell, 512 bytes a row (2 KB at the 4 rows that
 hurwitz.lattice_size gives t = 16, 128 KB at its 256 rows for t = 1000,
 1 MB at its cap of 2048); one table of the phi(q) L-values per
-(q, ordinate), at most 8 tables; and the completion factor per
-(ordinate, parity, q), at most 16 boxes.
+(q, ordinate), at most 8 tables, each one CVec of 32-byte cells (32 KB
+at q = 1009); and the completion factor per (ordinate, parity, q), at
+most 16 boxes, whose key has no cache directory, so a sweep that builds
+its lattices in a fresh directory does not redo its log Gamma.
 Every character of q sampled at that ordinate reads the same table, so
-sample_all costs one pass per ordinate, and a per-character sample_range
-call costs its root number and two box products per sample once the
-table exists.
+sample_all costs one pass per ordinate, and a sample_range call costs
+its character's root number and one array completion step once the
+tables exist.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .interval import (
     log_gamma,
     pi_interval,
 )
+from .ivec import CVec, IVec
 
 DEFAULT_STEP = Fraction(5, 64)
 
@@ -121,23 +126,19 @@ def q_pow(q: int, t: float) -> ComplexBox:
     return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
-def l_values_at(q: int, lat: HurwitzLattice) -> dict[tuple[int, ...], ComplexBox]:
+def l_values_at(q: int, lat: HurwitzLattice) -> CVec:
     """L_chi(1/2 + i lat.t) for every character mod q, in one transform.
 
+    A flat CVec of phi(q) values in np.ndindex order over the group's
+    orders: the character idx sits at np.ravel_multi_index(idx, orders).
     The imprimitive characters come out of the same DFT at no extra cost;
     they are returned too, though only primitive ones get certified.
     """
     if q < 3:
         raise DomainError("need q >= 3")
     group = char_group(q)
-    units = units_of(group)
-    zvals = unit_hurwitz(lat, q, units)
-    sums = group_dft_cvec(group, zvals).reshape(group.phi)
-    scale = q_pow(q, lat.t)
-    out = {}
-    for pos, idx in enumerate(np.ndindex(*group.orders)):
-        out[tuple(int(v) for v in idx)] = sums[pos] * scale
-    return out
+    zvals = unit_hurwitz(lat, q, units_of(group))
+    return group_dft_cvec(group, zvals).reshape(group.phi) * q_pow(q, lat.t)
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +171,23 @@ def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
     return arg.exp()
 
 
-def lambda_box(l: ComplexBox, t: float, meta: CharMeta, q: int) -> ComplexBox:
-    """Pre-projection completed box, epsilon * completion_factor * L."""
-    return (meta.epsilon * completion_factor(t, meta.parity, q)) * l
+def lambda_from_l(l: CVec, factor, q: int, chars, ts) -> IVec:
+    """Real enclosures of factor * l, the completed values of chars mod q at ts.
 
-
-def lambda_from_l(
-    l: ComplexBox, t: float, meta: CharMeta, q: int, char: tuple[int, ...]
-) -> RealInterval:
-    """Real enclosure of the completed value of character char mod q at ordinate t.
-
-    The assembled box must straddle the real axis; its real part widened
-    by the imaginary radius then encloses the true (real) value.  If it
-    does not, RealnessViolation names (q, char, t).
+    l[i, j] belongs to chars[i] at ts[j]; factor, a CVec or IVec that
+    broadcasts to l's shape, is epsilon * completion_factor here and the
+    recovery factor in the small-q sampler.  Every product must straddle
+    the real axis; its real part widened by its imaginary radius then
+    encloses the true (real) value.  If one does not, RealnessViolation
+    names the first such (q, char, t), in row-major order.
     """
-    lam = lambda_box(l, t, meta, q)
-    if not lam.im.contains_zero():
+    lam = l * factor
+    misses = ~lam.im.contains_zero()
+    if misses.any():
+        i, j = np.argwhere(misses)[0]
         raise RealnessViolation(
-            f"imaginary part {lam.im!r} misses 0 at t={t} for index {char} mod {q}"
+            f"imaginary part {lam.im[i, j]!r} misses 0 at t={ts[j]} "
+            f"for index {chars[i]} mod {q}"
         )
     return lam.re.pad(lam.im.mag())
 
@@ -203,9 +203,7 @@ def _shared_lattice(t: float, size: int | None, cache_dir) -> HurwitzLattice:
 
 
 @lru_cache(maxsize=8)
-def _modulus_table(
-    q: int, t: float, size: int | None, cache_dir
-) -> dict[tuple[int, ...], ComplexBox]:
+def _modulus_table(q: int, t: float, size: int | None, cache_dir) -> CVec:
     """L_chi(1/2 + it) for every character mod q, from one l_values_at pass."""
     return l_values_at(q, _shared_lattice(t, size, cache_dir))
 
@@ -218,19 +216,19 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
     """
     step = t_step if isinstance(t_step, Fraction) else Fraction(t_step)
     n_start, n_end = _grid_span(t_lo, t_hi, step)
+    ts = [float(step * n) for n in range(n_start, n_end + 1)]
+    if any(Fraction(t) != step * n for n, t in enumerate(ts, n_start)):
+        raise DomainError("grid ordinates must be binary rationals")
 
     group = char_group(q)
     metas = [group.char_meta(char) for char in chars]
-
-    samples = [[None] * (n_end - n_start + 1) for _ in chars]
-    for i, n in enumerate(range(n_start, n_end + 1)):
-        t_fr = step * n
-        t = float(t_fr)
-        if Fraction(t) != t_fr:
-            raise DomainError("grid ordinates must be binary rationals")
-        table = _modulus_table(q, t, size, cache_dir)
-        for char, meta, out in zip(chars, metas, samples):
-            out[i] = lambda_from_l(table[char], t, meta, q, char)
+    cols = [int(np.ravel_multi_index(char, group.orders)) for char in chars]
+    l = CVec.concatenate(
+        [_modulus_table(q, t, size, cache_dir).take(cols).reshape(-1, 1) for t in ts], axis=1
+    )
+    eps = CVec.from_boxes([meta.epsilon for meta in metas]).reshape(-1, 1)
+    c = CVec.from_boxes([completion_factor(t, meta.parity, q) for meta in metas for t in ts])
+    samples = [list(row) for row in lambda_from_l(l, eps * c.reshape(l.shape), q, chars, ts)]
     return [
         SampleGrid(q, char, step, n_start, out, meta)
         for char, meta, out in zip(chars, metas, samples)
@@ -262,11 +260,11 @@ def sample_range(
     The first call at a (q, ordinate) pair runs l_values_at once for all
     phi(q) characters and keeps the L-values in an in-memory table, and
     the completion factor of each parity is cached beside it; later calls
-    for any character of q at that ordinate read both, so a sample then
-    costs two box products and the realness check, plus the character's
-    root number once per call.  At most 8 tables are kept, least recently
-    used first out; each holds phi(q) boxes, about 0.4 KB per character
-    (0.4 MB at q = 1009).
+    for any character of q at that ordinate read both, so a call then
+    costs the character's root number and one array completion step,
+    (epsilon C) L with the realness check and the projection, over all
+    its ordinates.  At most 8 tables are kept, least recently used first
+    out; each holds phi(q) array cells of 32 bytes (32 KB at q = 1009).
     """
     char = char_group(q).canonical(char)
     return _grids(q, [char], t_lo, t_hi, t_step, size, cache_dir)[0]

@@ -27,8 +27,9 @@ requested characters, for all of them together:
    Fhat(-x) = conj Fhat(x)) and one unnormalized backward FFT, batched
    over the characters and scaled by 2 pi/B (Poisson summation makes the
    two periodizations a DFT pair);
-4. per ordinate: the alias total and the t-grid pad, the conversion to
-   completed values, the realness check and the projection.
+4. for every character and ordinate at once: the alias total and the
+   t-grid pad, the conversion to completed values, the realness check
+   and the projection.
 
 Every step carries explicit interval error bounds.
 """
@@ -48,7 +49,6 @@ from .errors import (
     BetaConditionViolated,
     DomainError,
     NotPrimitive,
-    RealnessViolation,
     TailDivergence,
     XConditionViolated,
 )
@@ -61,8 +61,8 @@ from .interval import (
     log_gamma,
     pi_interval,
 )
-from .ivec import CVec
-from .sampler_largeq import SampleGrid
+from .ivec import CVec, IVec
+from .sampler_largeq import SampleGrid, lambda_from_l
 
 _HALF = Fraction(1, 2)
 
@@ -357,9 +357,10 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     The alias total, the t-grid pads and the dual values depend on the
     character only through its parity, so each parity among chars costs
     one set of budgets, one _dual_values table and one backward FFT
-    batched over its characters.  Each output is padded by the alias
-    total and its own t-grid periodization error, converted to the
-    completed normalization, checked real, and projected.
+    batched over its characters.  The outputs are padded by the alias
+    total and each by its own t-grid periodization error, converted to
+    the completed normalization, and checked real and projected by
+    sampler_largeq.lambda_from_l, all as arrays.
     """
     if plan is None:
         plan = default_plan()
@@ -379,7 +380,8 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     if math.pi * float(t_max) * (1.0 - plan.eta) / 4.0 > 700.0:
         raise DomainError("t_max too large for this plan's recovery factor")
     ordinates = [Fraction(m) / plan.A for m in range(m_max + 1)]
-    if any(Fraction(float(t_fr)) != t_fr for t_fr in ordinates):
+    ts = [float(t_fr) for t_fr in ordinates]
+    if any(Fraction(t) != t_fr for t, t_fr in zip(ts, ordinates)):
         raise DomainError("grid ordinates must be binary rationals")
 
     pi = pi_interval(HARDWARE)
@@ -397,12 +399,11 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         alias_total = RealInterval.zero(HARDWARE)
         for n in range(n_total):
             alias_total = alias_total + alias[min(n, n_total - n)]
-        t_pads = [t_grid_error(m, plan, q, parity) for m in range(m_max + 1)]
+        t_pads = [t_grid_error(m, plan, q, parity).hi_float() for m in range(m_max + 1)]
         pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(2 * parity + 1, 4))).exp()
-        recover = [
-            pi_pow * (pi * RealInterval.from_fraction(t_fr) * eta_fac).exp()
-            for t_fr in ordinates
-        ]
+        recover = IVec.from_intervals(
+            [pi_pow * (pi * RealInterval.from_fraction(t_fr) * eta_fac).exp() for t_fr in ordinates]
+        )
 
         # Fhat on bins 0..N/2 per character, then the negative half by
         # conjugate reflection: F is real-valued, so Fhat(-x) = conj Fhat(x)
@@ -413,17 +414,10 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         core = fft_pow2(dual, "backward").pad(alias_total.hi_float())
         core = core * ((pi + pi) / RealInterval.from_fraction(plan.B))
 
-        for row, i in enumerate(members):
-            out = []
-            for m, t_fr in enumerate(ordinates):
-                lam = core[row, m].pad(t_pads[m]) * recover[m]
-                if not lam.im.contains_zero():
-                    raise RealnessViolation(
-                        f"imaginary part {lam.im!r} misses 0 at t={float(t_fr)} "
-                        f"for index {chars[i]} mod {q}"
-                    )
-                out.append(lam.re.pad(lam.im.mag()))
-            samples[i] = out
+        member_chars = [chars[i] for i in members]
+        real = lambda_from_l(core[:, : m_max + 1].pad(t_pads), recover, q, member_chars, ts)
+        for i, row in zip(members, real):
+            samples[i] = list(row)
     return [
         SampleGrid(q, char, plan.t_step, 0, out, meta)
         for char, meta, out in zip(chars, metas, samples)

@@ -20,7 +20,7 @@ from grhdesk.characters import (
     unit_phase,
 )
 from grhdesk.errors import NotPrimitive, QTooSmall
-from grhdesk.interval import bigfloat
+from grhdesk.interval import RealInterval, bigfloat
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_root_number_at_bigfloat_tier():
 
 def test_lambda_prefactor_squares_to_conj_root_number():
     # the completion constant char_meta(idx).epsilon is the prefactor
-    for q in (5, 7, 8, 12, 13, 17, 21, 40):
+    for q in (5, 7, 8, 12, 13, 17, 21, 40, 101, 1009):
         g = CharGroup(q)
         for idx in g.primitive_indices():
             w = g.char_meta(idx, tier=bigfloat(160)).epsilon
@@ -436,11 +436,22 @@ def test_unimodular_sqrt_covers_all_quadrants():
     from grhdesk.characters import _unimodular_sqrt
 
     tier = bigfloat(120)
-    for num in range(8):
-        z = unit_phase(Fraction(num, 8), tier)
-        w = _unimodular_sqrt(z)
-        assert (w * w).intersects(z), num
-        assert w.abs2().contains(1)
+    near = Fraction(1, 10**9)
+    turns = [Fraction(num, 8) for num in range(8)]
+    # near +-i and -1, on both sides; the padded boxes at +-i straddle
+    # Re z = 0, the one at -1 straddles Im z = 0
+    turns += [Fraction(1, 4) + near, Fraction(1, 4) - near, Fraction(3, 4) + near]
+    turns += [Fraction(3, 4) - near, Fraction(1, 2) + near, Fraction(1, 2) - near]
+    for pad in (Fraction(0), Fraction(1, 10**30)):
+        for turn in turns:
+            point = unit_phase(turn, tier)
+            z = point.pad(RealInterval.from_fraction(pad, tier))
+            w = _unimodular_sqrt(z)
+            sq = w * w
+            assert sq.re.contains_interval(point.re) and sq.im.contains_interval(point.im), turn
+            assert w.abs2().contains(1), turn
+            if z.re.sign() != -1:
+                assert w.re.sign() == 1, turn
 
 
 # ---------------------------------------------------------------------------

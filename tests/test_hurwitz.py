@@ -704,7 +704,9 @@ def test_nearest_row_selection():
 
     assert row(1, 2) == 4
     assert row(3, 16) == 2  # exact tie 1.5 goes to the larger row
-    assert row(1, 10**6) == 1  # clamped at the bottom
+    # below 1/(2D) the query reads row D and restores one more head term,
+    # (1 + a/q)^(-1/2), which is about 1
+    assert row(1, 10**6) == D + 1
     assert row(999999, 10**6) == 8
 
 
@@ -767,6 +769,36 @@ def test_unit_hurwitz_width_guard(lat64_t16, q, width):
     units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
     z = unit_hurwitz(lat64_t16, q, units)
     assert max((z.re.hi - z.re.lo).max(), (z.im.hi - z.im.lo).max()) <= width
+
+
+# the widest side of each unit a < q/(2D), in increasing a, when those
+# units read row 1 at |delta| up to 1/D, rounded up in the fifth digit
+LOW_UNIT_WIDTHS = {
+    (1009, 0.0): [9.0950e-13, 6.0752e-13, 5.0449e-13, 4.4054e-13, 4.0501e-13, 3.5528e-13, 3.3929e-13],
+    (1024, 0.0): [8.9884e-13, 4.9738e-13, 3.9613e-13, 3.4284e-13],
+    (1009, 10.0): [9.6805e-12, 5.1160e-12, 4.6285e-12, 3.7277e-12, 3.4133e-12, 2.5633e-12, 2.4097e-12],
+    (1024, 10.0): [9.2504e-12, 4.6226e-12, 3.3156e-12, 2.5473e-12],
+}
+
+
+@pytest.mark.parametrize("q, t", sorted(LOW_UNIT_WIDTHS))
+def test_unit_hurwitz_low_units_read_row_d(q, t):
+    # a/q < 1/(2D) reads row D at delta = a/q and restores n = M+1 too:
+    # every such unit holds the direct sum and is no wider than before
+    D = 64
+    lat = build_lattice(t, D=D, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
+    z = unit_hurwitz(lat, q, units)
+    low = np.flatnonzero(2 * D * units < q)
+    assert len(low) == len(LOW_UNIT_WIDTHS[q, t])
+    s = ComplexBox(RealInterval.from_fraction(Fraction(1, 2), BIG), RealInterval.point(t, BIG))
+    for i, pinned in zip(low, LOW_UNIT_WIDTHS[q, t]):
+        box = z[i]
+        ref = em_hurwitz(s, Fraction(int(units[i]), q))
+        mid_re = (ref.re.lo_fraction() + ref.re.hi_fraction()) / 2
+        mid_im = (ref.im.lo_fraction() + ref.im.hi_fraction()) / 2
+        assert box_contains(box, mid_re, mid_im), units[i]
+        assert max(box.re.width(), box.im.width()) <= pinned, units[i]
 
 
 def test_unit_hurwitz_blocks_change_no_endpoint(lat64_t16, monkeypatch):

@@ -12,6 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from grhdesk import sampler_largeq
@@ -29,12 +30,13 @@ from grhdesk.hurwitz import (
     taylor_tail_bound,
 )
 from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
+from grhdesk.ivec import CVec
 from grhdesk.sampler_largeq import (
     DEFAULT_STEP,
     SampleGrid,
+    completion_factor,
     grid_count,
     l_values_at,
-    lambda_box,
     lambda_from_l,
     q_pow,
     sample_all,
@@ -74,6 +76,24 @@ def l_reference(q: int, idx, t: float, bits: int = 96) -> ComplexBox:
         lq * RealInterval.point(-t, tier),
     ).exp()
     return acc * scale
+
+
+def l_at(vals, q: int, idx) -> ComplexBox:
+    """The L-value of character idx in l_values_at's flat np.ndindex order."""
+    return vals[int(np.ravel_multi_index(idx, char_group(q).orders))]
+
+
+def completed(q, lat, chars, metas=None):
+    """lambda_from_l for chars mod q at lat.t, with each character's (epsilon C) box."""
+    group = char_group(q)
+    if metas is None:
+        metas = [group.char_meta(idx) for idx in chars]
+    vals = l_values_at(q, lat)
+    l = CVec.from_boxes([l_at(vals, q, idx) for idx in chars]).reshape(-1, 1)
+    eps_c = CVec.from_boxes(
+        [meta.epsilon * completion_factor(lat.t, meta.parity, q) for meta in metas]
+    )
+    return lambda_from_l(l, eps_c.reshape(-1, 1), q, chars, [lat.t])[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +164,7 @@ def test_q_pow_contains_reference():
 
 
 def test_l_values_q4_contains_chi4_reference(lat_t0):
-    box = l_values_at(4, lat_t0)[(1,)]
+    box = l_at(l_values_at(4, lat_t0), 4, (1,))
     # independent multiprecision value, no package code involved
     with mpmath.workprec(200):
         ref = mpmath.mpf(0.5) * (
@@ -158,7 +178,7 @@ def test_l_values_q4_contains_chi4_reference(lat_t0):
 
 
 def test_l_values_q3_principal_euler_factor(lat_t0):
-    box = l_values_at(3, lat_t0)[(0,)]
+    box = l_at(l_values_at(3, lat_t0), 3, (0,))
     # (1 - 3^{-1/2}) zeta(1/2)
     with mpmath.workprec(200):
         ref = (1 - mpmath.power(3, -mpmath.mpf("0.5"))) * mpmath.zeta(mpmath.mpf("0.5"))
@@ -173,9 +193,10 @@ def test_l_values_contain_em_character_sums(lat_t0, lat_t10, q, t):
     lat = lat_t0 if t == 0.0 else lat_t10
     vals = l_values_at(q, lat)
     group = char_group(q)
+    assert len(vals) == group.phi
     for idx in group.all_indices():
         ref = l_reference(q, idx, t)
-        assert vals[tuple(idx)].intersects(ref), (q, idx, t)
+        assert l_at(vals, q, idx).intersects(ref), (q, idx, t)
 
 
 def test_l_values_conjugate_symmetry(lat_t0, lat_t1, lat_t10, lat_tm1, lat_tm10):
@@ -188,8 +209,8 @@ def test_l_values_conjugate_symmetry(lat_t0, lat_t1, lat_t10, lat_tm1, lat_tm10)
             vp = l_values_at(q, lat_p)
             vm = l_values_at(q, lat_m)
             for idx in group.all_indices():
-                c = tuple(group.conjugate(idx))
-                assert vm[c].intersects(vp[tuple(idx)].conj()), (q, idx, lat_p.t)
+                c = group.conjugate(idx)
+                assert l_at(vm, q, c).intersects(l_at(vp, q, idx).conj()), (q, idx, lat_p.t)
 
 
 def test_l_values_rejects_tiny_modulus(lat_t0):
@@ -201,45 +222,37 @@ def test_l_values_rejects_tiny_modulus(lat_t0):
 
 
 def test_lambda_positive_at_center_q4(lat_t0):
-    group = char_group(4)
-    meta = group.char_meta((1,))
-    lam = lambda_from_l(l_values_at(4, lat_t0)[(1,)], 0.0, meta, 4, (1,))
-    assert lam.sign() == 1
+    lam = completed(4, lat_t0, [(1,)])
+    assert lam[0].sign() == 1
 
 
 def test_lambda_linear_in_epsilon(lat_t10):
-    group = char_group(5)
-    meta = group.char_meta((1,))
-    l = l_values_at(5, lat_t10)[(1,)]
-    lam = lambda_from_l(l, 10.0, meta, 5, (1,))
+    meta = char_group(5).char_meta((1,))
+    lam = completed(5, lat_t10, [(1,)], [meta])[0]
     flipped = replace(meta, epsilon=-meta.epsilon)
-    lam_neg = lambda_from_l(l, 10.0, flipped, 5, (1,))
+    lam_neg = completed(5, lat_t10, [(1,)], [flipped])[0]
     assert lam_neg.lo_float() == -lam.hi_float()
     assert lam_neg.hi_float() == -lam.lo_float()
 
 
 def test_lambda_realness_across_moduli(lat_t0, lat_t1, lat_t10):
+    # lambda_from_l raises RealnessViolation on any box off the real axis
     checked = 0
     for lat in (lat_t0, lat_t1, lat_t10):
         for q in range(3, 48):
-            group = char_group(q)
-            vals = l_values_at(q, lat)
-            for idx in group.primitive_indices():
-                meta = group.char_meta(idx)
-                box = lambda_box(vals[idx], lat.t, meta, q)
-                assert box.im.contains_zero(), (q, idx, lat.t)
-                checked += 1
+            chars = char_group(q).primitive_indices()
+            if chars:
+                checked += len(completed(q, lat, chars))
     assert checked >= 1000
 
 
 def test_wrong_epsilon_raises_realness_violation(lat_t10):
     group = char_group(5)
-    vals = l_values_at(5, lat_t10)
     hits = 0
     for idx in group.primitive_indices():
         meta = replace(group.char_meta(idx), epsilon=ComplexBox.one(HARDWARE))
         try:
-            lambda_from_l(vals[idx], 10.0, meta, 5, idx)
+            completed(5, lat_t10, [idx], [meta])
         except RealnessViolation:
             hits += 1
     # complex characters mod 5 have a genuinely complex prefactor
@@ -247,23 +260,39 @@ def test_wrong_epsilon_raises_realness_violation(lat_t10):
 
 
 def test_realness_violation_names_modulus_character_and_ordinate(lat_t10):
-    meta = char_group(5).char_meta((1,))
-    l = l_values_at(5, lat_t10)[(1,)]
-    assert lambda_from_l(l, 10.0, meta, 5, (1,)).sign() != 0
-    # i L completes to i Lambda, whose imaginary part Lambda misses 0
-    turned = ComplexBox(-l.im, l.re)
-    with pytest.raises(RealnessViolation, match=r"t=10\.0 for index \(1,\) mod 5$"):
-        lambda_from_l(turned, 10.0, meta, 5, (1,))
-
-
-def test_lambda_gamma_factor_keeps_magnitude_tame(lat_t0):
-    # at t = 2500 the raw gamma factor underflows; the assembled box must not
-    group = char_group(4)
+    group = char_group(5)
     meta = group.char_meta((1,))
-    box = lambda_box(ComplexBox.one(HARDWARE), 2500.0, meta, 4)
-    mag = box.abs2()
-    assert mag.hi_float() < 1e6
-    assert mag.lo_float() > 0.0
+    l = CVec.from_boxes([l_at(l_values_at(5, lat_t10), 5, (1,))]).reshape(1, 1)
+    eps_c = CVec.from_boxes([meta.epsilon * completion_factor(10.0, meta.parity, 5)])
+    eps_c = eps_c.reshape(1, 1)
+    assert lambda_from_l(l, eps_c, 5, [(1,)], [10.0])[0, 0].sign() != 0
+    # i L completes to i Lambda, whose imaginary part Lambda misses 0
+    with pytest.raises(RealnessViolation, match=r"t=10\.0 for index \(1,\) mod 5$"):
+        lambda_from_l(l.mul_i(), eps_c, 5, [(1,)], [10.0])
+
+
+def test_realness_violation_names_the_one_turned_character(lat_t10):
+    # one array step completes every character; turning one epsilon by i
+    # makes that completed value imaginary, and the error names it alone
+    group = char_group(5)
+    chars = group.primitive_indices()
+    metas = [group.char_meta(idx) for idx in chars]
+    assert all(s.sign() != 0 for s in completed(5, lat_t10, chars, metas))
+    for k, idx in enumerate(chars):
+        turned = list(metas)
+        turned[k] = replace(metas[k], epsilon=metas[k].epsilon.mul_i())
+        with pytest.raises(RealnessViolation) as err:
+            completed(5, lat_t10, chars, turned)
+        named = [c for c in chars if f"for index {c} mod 5" in str(err.value)]
+        assert named == [idx], str(err.value)
+
+
+def test_lambda_gamma_factor_keeps_magnitude_tame():
+    # at t = 2500 the raw gamma factor underflows; the assembled factor must not
+    for parity in (0, 1):
+        mag = completion_factor(2500.0, parity, 4).abs2()
+        assert mag.hi_float() < 1e6
+        assert mag.lo_float() > 0.0
 
 
 # -- grids -------------------------------------------------------------------
@@ -394,32 +423,39 @@ def _endpoints(grid):
     return [(s.lo, s.hi) for s in grid.samples]
 
 
-def _assembled(q, idx, cache):
-    """Per-character reference: l_values_at, char_meta and lambda_from_l only."""
-    group = char_group(q)
-    meta = group.char_meta(idx)
+def _assembled(q, idx, tables):
+    """Scalar reference for one character: (epsilon C) L as ComplexBox
+    products at each ordinate of tables, then the realness check and the
+    projection."""
+    meta = char_group(q).char_meta(idx)
     out = []
+    for t, vals in tables.items():
+        lam = (meta.epsilon * completion_factor(t, meta.parity, q)) * l_at(vals, q, idx)
+        assert lam.im.contains_zero(), (q, idx, t)
+        out.append(lam.re.pad(lam.im.mag()))
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 12, 101])
+def test_sample_all_and_sample_range_match_assembly(shared_cache, q):
+    grids = sample_all(q, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
+    assert set(grids) == set(char_group(q).primitive_indices())
+    tables = {}
     for t_fr in (T_LO, T_HI):
         t = float(t_fr)
         lat = build_lattice(
             t, D=16, Ncols=DEFAULT_NCOLS, M=DEFAULT_M,
-            tier=bigfloat(DEFAULT_BUILD_BITS), cache_dir=cache,
+            tier=bigfloat(DEFAULT_BUILD_BITS), cache_dir=shared_cache,
         )
-        s = lambda_from_l(l_values_at(q, lat)[idx], t, meta, q, idx)
-        out.append((s.lo, s.hi))
-    return out
-
-
-@pytest.mark.parametrize("q", [5, 7, 8, 12])
-def test_sample_all_and_sample_range_match_assembly(shared_cache, q):
-    grids = sample_all(q, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
-    assert set(grids) == set(char_group(q).primitive_indices())
+        tables[t] = l_values_at(q, lat)
     for idx, grid in grids.items():
-        ref = _assembled(q, idx, shared_cache)
         one = sample_range(q, idx, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
         assert grid.character == one.character == idx
         assert grid.meta.parity == one.meta.parity
-        assert _endpoints(grid) == _endpoints(one) == ref, (q, idx)
+        assert _endpoints(grid) == _endpoints(one), (q, idx)
+        for s, ref in zip(grid.samples, _assembled(q, idx, tables)):
+            assert s.intersects(ref), (q, idx)
+            assert s.width() <= 1.01 * ref.width(), (q, idx)
 
 
 def test_alternating_moduli_read_their_own_tables(shared_cache):
