@@ -247,9 +247,9 @@ def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[floa
     """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
 
     One _ball at `bits`, narrowed: the sampler's q^(-s)
-    (sampler_largeq.q_pow), unit_hurwitz's extra head term for the units
-    below 1/(2D), and the single-power form of the lattice powers, against
-    which the sieve (_sieved_powers) is tested.
+    (sampler_largeq.q_pow), the (M+1)^(-s) of unit_hurwitz's extra head
+    term, and the single-power form of the lattice powers, against which
+    the sieve (_sieved_powers) is tested.
     """
     return _narrow_ball(_ball(x, sigma, t, bits), t == 0.0)
 
@@ -708,12 +708,11 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     reads row D (offset M + 2) at delta = a/q and restores one more head
     term, n = M+1, so every |delta| <= 1/(2D).  The work is a fixed
     number of interval-array operations per block of _UNIT_BLOCK units
-    (_unit_block), plus that term for each unit below 1/(2D); every
-    operation is elementwise over the units, so the blocks change no
-    endpoint.  One tail bound
-    serves the batch: taylor_tail_bound is monotone in |delta| and in the
-    reciprocal of the row radius, so the largest |delta| and the smallest
-    row bound every unit.  Each a must satisfy 0 < a < q and gcd(a, q) = 1.
+    (_unit_block); every operation is elementwise over the units, so the
+    blocks change no endpoint.  One tail bound serves the batch:
+    taylor_tail_bound is monotone in |delta| and in the reciprocal of the
+    row radius, so the largest |delta| and the smallest row bound every
+    unit.  Each a must satisfy 0 < a < q and gcd(a, q) = 1.
     """
     D = lat.D
     units = np.asarray(units, dtype=np.int64)
@@ -756,7 +755,8 @@ def _unit_block(
     head (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp.  The
     Taylor terms are summed from k = Ncols down, smallest first, and added
     to the cell once; then come the tail pad and the head terms in order
-    of n.  The units below 1/(2D) first add n = M+1, one _power_ball each.
+    of n.  The units below 1/(2D) first add n = M+1, as one ball at M+1
+    times a factor near 1 made by array operations over just those units.
     """
     cells = lat.rows.take(rows - 1)
     acc = cells[:, 0]
@@ -777,11 +777,16 @@ def _unit_block(
     s0 = lat.s_at(0)
     low = np.flatnonzero(2 * units * lat.D < q)  # these read row D: n = M+1 first
     if len(low):
-        bases = (units[low] + q * (lat.M + 1)).tolist()
-        ends = np.array([_power_ball(Fraction(m, q), _HALF, lat.t, lat.bits) for m in bases])
-        more = acc.take(low) + CVec(IVec(ends[:, 0], ends[:, 1]), IVec(ends[:, 2], ends[:, 3]))
-        for part, new in ((acc.re, more.re), (acc.im, more.im)):
-            part.lo[low], part.hi[low] = new.lo, new.hi
+        # (M+1 + a/q)^(-s) = B (1 + g), B = (M+1)^(-s) one ball, and
+        # g = e^(u + iv) - 1 with u + iv = -s log(1 + a/(q (M+1))) small:
+        # g = expm1(u) cos v - 2 sin(v/2)^2 + i (expm1(u) + 1) sin v, so
+        # the hardware kernels add ulps of g, not of 1 or of t log(M+1)
+        lg = IVec.from_ratios(units[low], q * (lat.M + 1)).log1p()
+        eu, v = (lg * -s0.re).expm1(), lg * -s0.im
+        g = CVec(eu * v.cos() - (v * 0.5).sin().square() * 2.0, (eu + 1.0) * v.sin())
+        ball = _power_ball(Fraction(lat.M + 1), _HALF, lat.t, lat.bits)
+        base = ComplexBox(RealInterval(*ball[:2]), RealInterval(*ball[2:]))
+        acc = acc.add_at(low, g * base + base)
     lg = IVec.from_ratios(units + q * np.arange(lat.M + 1).reshape(-1, 1), q).log()
     head = CVec(lg * -s0.re, lg * -s0.im).exp()
     for n in range(lat.M + 1):

@@ -4,8 +4,8 @@
 :class:`CVec` pairs two of them as a complex rectangle array.  Every
 elementwise operation widens its result enough to contain the exact image:
 
-* IEEE-correct array arithmetic (+, -, *, /, sqrt) gets ``_KA`` relative ulps
-  of outward slack per endpoint,
+* IEEE-correct array arithmetic (+, -, *, /, sqrt) moves each endpoint one
+  ulp outward (``_KA``), as the scalar RealInterval does,
 * numpy transcendental kernels (exp, log, sin, cos), whose SIMD paths are
   documented to a few ulps, get ``_KT``.
 
@@ -28,12 +28,19 @@ from .interval import HARDWARE, ComplexBox, RealInterval
 
 _EPS = 2.0**-52
 _U = 2.0**-53
-_TINY = 4.0 * 5e-324
-# x +/- (k eps |x| + k tiny) moves at least k-ish ulps outward (k >= 1);
-# one ulp covers IEEE-correct array arithmetic, eight cover numpy's SIMD
-# transcendental kernels (documented to 4 ulp) with margin
-_KA = 1.0
+_TINY = 2.0 * 5e-324
+# x -+ (k eps |x| + k tiny) moves a normal x outward by k to 2k ulps of
+# its binade before rounding.  At k = _KA, just above 1/2, that shift is
+# more than half an ulp and at most 1.0000002 ulps, so round-to-nearest
+# lands on the next double: exactly one ulp (two at most below 2^-1020),
+# which encloses the exact result of an IEEE-correct operation, as the
+# scalar RealInterval's nudge does.  _KT = 8 covers numpy's SIMD
+# transcendental kernels (documented to 4 ulp) with margin.
+_KA = 0.5000001
 _KT = 8.0
+# np.nextafter gives that same one-ulp step in one ufunc call, but at a
+# libm call per element: it is the faster form up to about this size
+_NEXTAFTER_MAX = 256
 _PI_LO = math.pi
 _PI_HI = math.nextafter(math.pi, math.inf)
 
@@ -56,16 +63,19 @@ class _OpCounter:
 op_counter = _OpCounter()
 
 
+# fmin/fmax drop the NaN of inf - inf, so an infinite endpoint stays put
 def _dn_arr(x: np.ndarray, k: float) -> np.ndarray:
+    if k == _KA and np.size(x) <= _NEXTAFTER_MAX:
+        return np.nextafter(x, -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = x - ((k * _EPS) * np.abs(x) + k * _TINY)
-    return np.where(np.isfinite(x), out, x)
+        return np.fmin(x - ((k * _EPS) * np.abs(x) + k * _TINY), x)
 
 
 def _up_arr(x: np.ndarray, k: float) -> np.ndarray:
+    if k == _KA and np.size(x) <= _NEXTAFTER_MAX:
+        return np.nextafter(x, np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = x + ((k * _EPS) * np.abs(x) + k * _TINY)
-    return np.where(np.isfinite(x), out, x)
+        return np.fmax(x + ((k * _EPS) * np.abs(x) + k * _TINY), x)
 
 
 def _as_arr(x) -> np.ndarray:
@@ -294,20 +304,32 @@ class IVec:
         op_counter.add(lo.size)
         return IVec(lo, hi, _checked=True)
 
-    def exp(self) -> "IVec":
+    def _rising(self, fn, floor: float = -np.inf) -> "IVec":
+        """An increasing numpy kernel at both endpoints, _KT ulps outward,
+        clipped below at floor, the bottom of its range."""
         with np.errstate(over="ignore", under="ignore"):
-            lo = np.maximum(_dn_arr(np.exp(self.lo), _KT), 0.0)
-            hi = np.maximum(_up_arr(np.exp(self.hi), _KT), _TINY)
+            lo = np.maximum(_dn_arr(fn(self.lo), _KT), floor)
+            hi = np.maximum(_up_arr(fn(self.hi), _KT), floor)
         op_counter.add(lo.size)
         return IVec(lo, hi, _checked=True)
+
+    def exp(self) -> "IVec":
+        return self._rising(np.exp, 0.0)
+
+    def expm1(self) -> "IVec":
+        """e^x - 1, to ulps of the result where exp would give ulps of 1."""
+        return self._rising(np.expm1, -1.0)
 
     def log(self) -> "IVec":
         if np.any(self.lo <= 0.0):
             raise LogDomain("vector log needs strictly positive intervals")
-        lo = _dn_arr(np.log(self.lo), _KT)
-        hi = _up_arr(np.log(self.hi), _KT)
-        op_counter.add(lo.size)
-        return IVec(lo, hi, _checked=True)
+        return self._rising(np.log)
+
+    def log1p(self) -> "IVec":
+        """log(1 + x), to ulps of the result where log would give ulps of 1."""
+        if np.any(self.lo <= -1.0):
+            raise LogDomain("vector log1p needs intervals above -1")
+        return self._rising(np.log1p)
 
     def sin(self) -> "IVec":
         return _trig_vec(self, is_sin=True)
@@ -536,6 +558,13 @@ class CVec:
 
     def pad(self, radius) -> "CVec":
         return CVec(self.re.pad(radius), self.im.pad(radius))
+
+    def add_at(self, idx, other: "CVec") -> "CVec":
+        """A copy of self whose entries at idx are self[idx] + other."""
+        out, part = self.copy(), self.take(idx) + other
+        for a, b in ((out.re, part.re), (out.im, part.im)):
+            a.lo[idx], a.hi[idx] = b.lo, b.hi
+        return out
 
 
 def _is_complexlike(other) -> bool:

@@ -18,15 +18,14 @@ character only through its parity, times the L-values, then one
 realness check and the projection onto the real axis (lambda_from_l,
 which the small-q sampler ends in too).
 
-The samplers keep three bounded in-memory LRU caches: the lattice per
+The samplers keep two bounded in-memory LRU caches: the lattice per
 (ordinate, row count), at most 8, each one interval array of four
 float64 endpoints per cell, 512 bytes a row (2 KB at the 4 rows that
 hurwitz.lattice_size gives t = 16, 128 KB at its 256 rows for t = 1000,
-1 MB at its cap of 2048); one table of the phi(q) L-values per
-(q, ordinate), at most 8 tables, each one CVec of 32-byte cells (32 KB
-at q = 1009); and the completion factor per (ordinate, parity, q), at
-most 16 boxes, whose key has no cache directory, so a sweep that builds
-its lattices in a fresh directory does not redo its log Gamma.
+1 MB at its cap of 2048); and one table per (q, ordinate), at most 8,
+each the phi(q) L-values as one CVec of 32-byte cells (32 KB at
+q = 1009; the per-character dict it replaced took about 0.4 KB a
+character) beside the completion factors of both parities.
 Every character of q sampled at that ordinate reads the same table, so
 sample_all costs one pass per ordinate, and a sample_range call costs
 its character's root number and one array completion step once the
@@ -145,7 +144,6 @@ def l_values_at(q: int, lat: HurwitzLattice) -> CVec:
 # completion
 
 
-@lru_cache(maxsize=16)
 def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
     """The archimedean part of the completion at ordinate t:
 
@@ -203,9 +201,13 @@ def _shared_lattice(t: float, size: int | None, cache_dir) -> HurwitzLattice:
 
 
 @lru_cache(maxsize=8)
-def _modulus_table(q: int, t: float, size: int | None, cache_dir) -> CVec:
-    """L_chi(1/2 + it) for every character mod q, from one l_values_at pass."""
-    return l_values_at(q, _shared_lattice(t, size, cache_dir))
+def _modulus_table(q: int, t: float, size: int | None, cache_dir) -> tuple[CVec, CVec]:
+    """L_chi(1/2 + it) for every character mod q, from one l_values_at pass,
+    and the completion factors of parity 0 and 1 at t, as two CVecs."""
+    return (
+        l_values_at(q, _shared_lattice(t, size, cache_dir)),
+        CVec.from_boxes([completion_factor(t, parity, q) for parity in (0, 1)]),
+    )
 
 
 def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
@@ -223,12 +225,12 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
     group = char_group(q)
     metas = [group.char_meta(char) for char in chars]
     cols = [int(np.ravel_multi_index(char, group.orders)) for char in chars]
-    l = CVec.concatenate(
-        [_modulus_table(q, t, size, cache_dir).take(cols).reshape(-1, 1) for t in ts], axis=1
-    )
+    parities = [meta.parity for meta in metas]
+    tables = [_modulus_table(q, t, size, cache_dir) for t in ts]
+    l = CVec.concatenate([lv.take(cols).reshape(-1, 1) for lv, _ in tables], axis=1)
+    c = CVec.concatenate([fac.take(parities).reshape(-1, 1) for _, fac in tables], axis=1)
     eps = CVec.from_boxes([meta.epsilon for meta in metas]).reshape(-1, 1)
-    c = CVec.from_boxes([completion_factor(t, meta.parity, q) for meta in metas for t in ts])
-    samples = [list(row) for row in lambda_from_l(l, eps * c.reshape(l.shape), q, chars, ts)]
+    samples = [list(row) for row in lambda_from_l(l, eps * c, q, chars, ts)]
     return [
         SampleGrid(q, char, step, n_start, out, meta)
         for char, meta, out in zip(chars, metas, samples)
@@ -258,9 +260,9 @@ def sample_range(
     reuses the same one.
 
     The first call at a (q, ordinate) pair runs l_values_at once for all
-    phi(q) characters and keeps the L-values in an in-memory table, and
-    the completion factor of each parity is cached beside it; later calls
-    for any character of q at that ordinate read both, so a call then
+    phi(q) characters and keeps the L-values in an in-memory table, with
+    the completion factor of each parity beside them; later calls for any
+    character of q at that ordinate read that table, so a call then
     costs the character's root number and one array completion step,
     (epsilon C) L with the realness check and the projection, over all
     its ordinates.  At most 8 tables are kept, least recently used first

@@ -127,6 +127,52 @@ def test_elementwise_function_containment(fname):
                 )
 
 
+@pytest.mark.parametrize("fname", ["expm1", "log1p"])
+def test_small_argument_function_containment(fname):
+    # the kernels of e^x - 1 and log(1 + x) near 0, where exp and log
+    # would lose every digit of the small result
+    rng = np.random.default_rng(7)
+    n = 512
+    base = rng.uniform(-1e-3, 1e-3, n) * 10.0 ** rng.integers(-12, 1, n)
+    v = IVec(base, base + np.abs(base) * 1e-12)
+    out = getattr(v, fname)()
+    with mpmath.workprec(120):
+        for i in range(n):
+            for endpoint in (v.lo[i], v.hi[i]):
+                ref = getattr(mpmath, fname)(mpmath.mpf(float(endpoint)))
+                assert float(out.lo[i]) <= ref <= float(out.hi[i]), (fname, endpoint)
+    # a few ulps of the result, not of 1
+    assert np.all(out.hi - out.lo <= 1e-10 * np.abs(base) + 1e-300)
+    with pytest.raises(LogDomain):
+        IVec(np.array([-1.0]), np.array([0.0])).log1p()
+
+
+def test_arithmetic_rounds_one_ulp_outward():
+    # as the scalar RealInterval: one ulp each side, also at powers of two,
+    # where the ulp below is half the ulp above
+    rng = np.random.default_rng(11)
+    x = rng.uniform(1.0, 2.0, 4096) * 2.0 ** rng.integers(-900, 900, 4096)
+    x = np.concatenate([x, 2.0 ** np.arange(-900, 900), np.nextafter(2.0 ** np.arange(-900, 900), 0)])
+    x = np.concatenate([x, -x, [0.0, 5e-324, -1e-310]])
+    for part in (x, x[:64], x[-64:]):  # the shift form and np.nextafter
+        v = IVec.from_points(part) + 0.0
+        assert np.array_equal(v.lo, np.nextafter(part, -np.inf))
+        assert np.array_equal(v.hi, np.nextafter(part, np.inf))
+    inf = IVec(np.array([-np.inf, 1.0]), np.array([1.0, np.inf])) * 2.0
+    assert inf.lo[0] == -np.inf and inf.hi[1] == np.inf
+
+
+def test_add_at_adds_only_at_the_indices():
+    v = CVec.from_points(np.array([1.0 + 1j, 2.0, 3.0 - 1j, 4.0]))
+    w = CVec.from_points(np.array([0.5 + 0.5j, -3.0 + 0j]))
+    out = v.add_at(np.array([0, 2]), w)
+    assert out[0].re.contains(1.5) and out[0].im.contains(1.5)
+    assert out[2].re.contains(0) and out[2].im.contains(-1)
+    for i in (1, 3):  # untouched, bit for bit
+        assert out.re.lo[i] == out.re.hi[i] == v.re.lo[i]
+    assert v.re.lo[0] == 1.0 and v.re.hi[2] == 3.0  # self is not written
+
+
 def test_exp_extreme_arguments():
     v = IVec(np.array([-800.0, 700.0, 709.9]), np.array([-750.0, 710.0, 710.0]))
     out = v.exp()

@@ -458,6 +458,24 @@ def test_sample_all_and_sample_range_match_assembly(shared_cache, q):
             assert s.width() <= 1.01 * ref.width(), (q, idx)
 
 
+def test_sample_all_computes_each_completion_factor_once(shared_cache, monkeypatch):
+    # one factor per (parity, ordinate), however many characters share it,
+    # over more ordinates than the tables keep
+    calls = []
+
+    def counted(t, parity, q):
+        calls.append((t, parity, q))
+        return completion_factor(t, parity, q)
+
+    monkeypatch.setattr(sampler_largeq, "completion_factor", counted)
+    sampler_largeq._modulus_table.cache_clear()
+    grids = sample_all(13, 0, 1, Fraction(1, 16), size=4, cache_dir=shared_cache)
+    assert {grid.meta.parity for grid in grids.values()} == {0, 1}
+    assert len(next(iter(grids.values()))) == 17
+    assert sorted(calls) == sorted({(t, p, 13) for t, p, _ in calls})
+    assert len(calls) == 2 * 17
+
+
 def test_alternating_moduli_read_their_own_tables(shared_cache):
     calls = [(5, (1,)), (7, (1,)), (5, (2,)), (7, (3,)), (5, (3,)), (7, (2,))]
 

@@ -72,6 +72,25 @@ def test_smallq_realness_projection(grid_q5, monkeypatch):
         smallq_samples(5, (1,), PLAN, T_MAX)
 
 
+# the width of each character's sample at t = 0 on the default plan when
+# the completion was scalar box arithmetic, rounded up in the fifth digit:
+# the array completion must not widen the narrowest samples the package makes
+T0_WIDTHS = {
+    5: {(1,): 2.9532e-14, (2,): 2.1095e-14, (3,): 2.9532e-14},
+    7: {(1,): 4.4187e-14, (2,): 3.3973e-14, (3,): 4.2411e-14, (4,): 3.3973e-14, (5,): 4.4187e-14},
+    8: {(0, 1): 2.9310e-14, (1, 1): 3.2197e-14},
+}
+
+
+@pytest.mark.parametrize("q", sorted(T0_WIDTHS))
+def test_smallq_widths_at_zero_stay_pinned(q):
+    grids = smallq_all(q, default_plan(), 0)
+    assert set(grids) == set(T0_WIDTHS[q])
+    for idx, grid in grids.items():
+        s = grid.samples[0]
+        assert s.hi - s.lo <= T0_WIDTHS[q][idx], (q, idx)
+
+
 def test_smallq_rejects_imprimitive():
     with pytest.raises(NotPrimitive):
         smallq_samples(9, (3,), PLAN, T_MAX)
