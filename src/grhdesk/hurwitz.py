@@ -366,9 +366,11 @@ def _em_rows(
     remainder constant needs bounds, an upper one on |(s_c)_{2b+1}| and a
     lower one on (2 pi)^{2b+1} from pi at tier.bits.  Everything else
     runs on hardware interval arrays: column c scales the column c-1
-    powers by (n+alpha)^{-1}, the direct sum adds term by term, and the
-    remainder radius takes each row's own A.  At t = 0 the values are
-    real and the imaginary parts are set to [0, 0].
+    powers by (n+alpha)^{-1}, the direct sum adds term by term, the
+    Bernoulli tail is A^{-1-s_c} times a Horner sum in A^{-2} (one
+    CVec x IVec product and one addition per term), and the remainder
+    radius takes each row's own A.  At t = 0 the values are real and
+    the imaginary parts are set to [0, 0].
     """
     if min(alphas) <= 0:
         raise DomainError("alpha must be strictly positive")
@@ -437,11 +439,11 @@ def _em_rows(
         direct = direct + terms[:, n, :]
     head = apow * inv_sm1
     invA2 = inv[:, a].square().reshape(-1, 1)
-    apow = apow * invA2  # A^{-1-s_c}
-    tail = apow * coefs[:, 0]
-    for k in range(1, b):
-        apow = apow * invA2  # A^{1-s_c-2k-2}
-        tail = tail + apow * coefs[:, k]
+    # the tail A^{-1-s_c} sum_k coefs[:, k] (A^{-2})^k, by Horner in A^{-2}
+    poly = coefs[:, b - 1]
+    for k in range(b - 2, -1, -1):
+        poly = poly * invA2 + coefs[:, k]
+    tail = (apow * invA2) * poly
     cell = (direct + tail) + head
 
     # remainder: rad_const_c A^{-sigma_c-2b} with each row's own A

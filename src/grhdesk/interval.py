@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from mpmath import libmp
@@ -119,8 +120,36 @@ def _sum_is_exact(a: float, b: float, s: float) -> bool:
     return (a - (s - v)) + (b - v) == 0.0
 
 
+# Veltkamp's splitter 2^27 + 1, and the magnitudes inside which Dekker's
+# TwoProduct of two doubles is exact (see _prod_is_exact)
+_SPLIT = 134217729.0
+_DEKKER_LO = 2.0**-480
+_DEKKER_HI = 2.0**480
+
+
 def _prod_is_exact(a: float, b: float, p: float) -> bool:
-    """p equals a*b exactly, checked in rational arithmetic."""
+    """p equals a*b exactly.
+
+    When 2^-480 <= |a|, |b| <= 2^480 this is Dekker's TwoProduct with
+    Veltkamp's split (Dekker, Numer. Math. 18, 1971): a*b = p exactly iff
+    fl(a b) = p and the error a b - fl(a b) is zero.  Dekker's algorithm
+    gives that error exactly when no step underflows or overflows, and in
+    this range none can: every partial product and sum is a multiple of
+    ulp(a) ulp(b) >= 2^-1064, on the subnormal grid 2^-1074, and is below
+    2^962 in magnitude, the split's (2^27 + 1) x below 2^508.  Outside the
+    range, and for zeros and non-finite values, the test is exact rational
+    arithmetic; the verdict is the same either way.
+    """
+    if _DEKKER_LO <= abs(a) <= _DEKKER_HI and _DEKKER_LO <= abs(b) <= _DEKKER_HI:
+        if a * b != p:
+            return False
+        c = _SPLIT * a
+        ah = c - (c - a)
+        al = a - ah
+        c = _SPLIT * b
+        bh = c - (c - b)
+        bl = b - bh
+        return ((ah * bh - p) + ah * bl + al * bh) + al * bl == 0.0
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(p)):
         return False
     if a == 0.0 or b == 0.0:
@@ -216,11 +245,28 @@ def _narrow(lo: int, hi: int, e: int) -> tuple[float, float]:
 def _ratio_ends(n: int, d: int) -> tuple[float, float]:
     """The largest double <= n/d and the smallest >= it, for integers n and d > 0.
 
-    n/d need not be in lowest terms: n 2^k / d keeps at least 54 bits, so
-    flooring it to an integer and then to 53 bits is one floor of n/d.
+    n/d need not be in lowest terms.  CPython's int division n / d is
+    correctly rounded, subnormals included, so n/d lies within half an ulp
+    of q = n / d, and one exact comparison of q = qn/qd with n/d, the sign
+    of qn d - n qd, says on which side: q is one endpoint and its
+    neighbour toward n/d the other.  A quotient beyond the double range
+    raises OverflowError and takes the integer path: n 2^k / d keeps at
+    least 54 bits, so flooring it to an integer and then to 53 bits is one
+    floor of n/d.  Both paths give the same endpoints, down to the sign of
+    zero (the exact quotient 0 is [0.0, -0.0]).
     """
-    k = max(54 + d.bit_length() - abs(n).bit_length(), 0)
-    return _narrow((n << k) // d, -((-n << k) // d), -k)
+    try:
+        q = n / d
+    except OverflowError:
+        k = max(54 + d.bit_length() - abs(n).bit_length(), 0)
+        return _narrow((n << k) // d, -((-n << k) // d), -k)
+    qn, qd = q.as_integer_ratio()
+    side = qn * d - n * qd
+    if side < 0:
+        return q, _up(q)
+    if side > 0:
+        return _dn(q), q
+    return (q, q) if n else (0.0, -0.0)
 
 
 def _fmin(a, b):
@@ -952,71 +998,107 @@ def bernoulli(n: int) -> Fraction:
     return b
 
 
-def _stirling_params(bits: int) -> tuple[int, int]:
-    """(target lower bound on |z|, term count K) for ~2^(8-bits) remainders."""
+# the Stirling remainder is held this many bits below one ulp of |w|
+_STIRLING_GOAL_BITS = 3
+
+
+def _stirling_cap(bits: int) -> int:
+    """The most Stirling terms a tier sums."""
     if bits <= 64:
-        return 10, 14
+        return 14
     if bits <= 128:
-        return 22, 24
+        return 24
     if bits <= 256:
-        return 44, 46
-    return max(44, bits // 5), max(46, bits // 4)
+        return 46
+    return max(46, bits // 4)
+
+
+@cache
+def _stirling_table(tier: PrecisionTier):
+    """Per-tier constants of log_gamma's Stirling sum, K = 1.._stirling_cap.
+
+    (coefficients B_2k / (2k (2k-1)) as intervals, the exact remainder
+    constants |B_{2K+2}| 2^{K+1} / ((2K+2)(2K+1)), their base-2 logs,
+    1/2, log(2 pi)/2).
+    """
+    cap = _stirling_cap(tier.bits)
+    coeffs = [
+        RealInterval.from_fraction(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), tier)
+        for k in range(1, cap + 1)
+    ]
+    rems = [
+        abs(bernoulli(2 * K + 2)) * 2 ** (K + 1) / ((2 * K + 2) * (2 * K + 1))
+        for K in range(1, cap + 1)
+    ]
+    half = RealInterval.from_fraction(Fraction(1, 2), tier)
+    half_log_2pi = (pi_interval(tier) * RealInterval.point(2, tier)).log() * half
+    log2_rems = [math.log2(c.numerator) - math.log2(c.denominator) for c in rems]
+    return coeffs, rems, log2_rems, half, half_log_2pi
+
+
+def _stirling_terms(log2_rems: list[float], r: float, bits: int) -> int:
+    """The fewest terms K whose remainder bound at |w| >= r meets the goal.
+
+    The goal is _STIRLING_GOAL_BITS below one ulp of r at `bits`; 0 when
+    no K in the table meets it and the argument must shift right.  The
+    choice is by floats; the bound that pads the sum is exact.
+    """
+    if r <= 0.0:
+        return 0
+    goal = math.frexp(r)[1] - bits - _STIRLING_GOAL_BITS
+    log2_r = math.log2(r)
+    for K, log2_rem in enumerate(log2_rems, start=1):
+        if log2_rem - (2 * K + 1) * log2_r <= goal:
+            return K
+    return 0
 
 
 def log_gamma(z: ComplexBox) -> ComplexBox:
     """Principal log Gamma for Re(z) > 0, any tier.
 
-    Shifts right with log Gamma(z) = log Gamma(z+1) - log z until the Stirling
-    series applies, then sums it with the remainder added as an interval.
+    Stirling's series at w = z + j,
+    (w - 1/2) log w - w + log(2 pi)/2 + sum_{k<=K} B_2k / (2k (2k-1)) w^{1-2k},
+    has remainder |R_K| <= |B_{2K+2}| / ((2K+2)(2K+1)) sec(arg w / 2)^{2K+2}
+    / |w|^{2K+1}, and sec(arg w / 2)^{2K+2} <= 2^{K+1} while Re w > 0.
+    K is the fewest terms whose bound, at a rigorous lower bound r on |w|,
+    falls _STIRLING_GOAL_BITS below one ulp of r at the tier, up to the
+    tier's cap; while no K up to the cap does, the argument shifts right
+    by log Gamma(w) = log Gamma(w+1) - log w (j = 0 when |z| is large
+    enough).  The sum is (1/w) times a Horner sum in u = 1/w^2 with real
+    coefficients, K - 1 box products; the remainder bound is one exact
+    rational from r, rounded up once, and pads the result.
     """
     tier = z.tier
     if z.re.sign() != 1:
         raise NonPositiveRealPart(f"log_gamma of {z!r}")
-    target, K = _stirling_params(tier.bits)
+    coeffs, rems, log2_rems, half, half_log_2pi = _stirling_table(tier)
 
     shift_acc = ComplexBox.zero(tier)
-    # |z| >= target guarantees the remainder bound; cap the walk defensively
-    budget = target + 8
     w = z
-    while True:
-        lo_abs = w.abs2().lo_float()
-        if lo_abs >= float(target) * float(target):
+    # each shift adds 1 to Re w, and no tier needs |w| >= bits; a NaN
+    # endpoint never meets the goal, so the walk is capped
+    for _ in range(tier.bits):
+        abs2 = w.abs2()
+        r = abs2.sqrt().lo_float()  # |w| >= r
+        K = _stirling_terms(log2_rems, r, tier.bits)
+        if K:
             break
-        if budget == 0:
-            raise NonPositiveRealPart("log_gamma shift budget exhausted")
         shift_acc = shift_acc + w.log()
         w = w + ComplexBox.one(tier)
-        budget -= 1
+    else:
+        raise NonPositiveRealPart(f"log_gamma of {z!r}: no Stirling remainder bound")
 
-    half = RealInterval.from_fraction(Fraction(1, 2), tier)
-    logw = w.log()
     # (w - 1/2) log w - w + (1/2) log(2 pi)
-    two_pi = pi_interval(tier) * RealInterval.point(2, tier)
-    result = (w - ComplexBox.from_real(half)) * logw - w + ComplexBox.from_real(
-        two_pi.log() * half
-    )
+    result = (w - ComplexBox.from_real(half)) * w.log() - w + ComplexBox.from_real(half_log_2pi)
 
-    w2 = w * w
-    inv_w = ComplexBox.one(tier) / w
-    inv_w2 = ComplexBox.one(tier) / w2
-    term_pow = inv_w  # z^(1-2k) for k=1
-    for k in range(1, K + 1):
-        c = bernoulli(2 * k) / ((2 * k) * (2 * k - 1))
-        coeff = RealInterval.from_fraction(c, tier)
-        result = result + term_pow * coeff
-        if k < K:
-            term_pow = term_pow * inv_w2
+    inv_w = w.conj() / abs2
+    u = inv_w * inv_w
+    acc = ComplexBox.from_real(coeffs[K - 1])
+    for c in reversed(coeffs[: K - 1]):
+        acc = acc * u
+        acc = ComplexBox(acc.re + c, acc.im)
+    result = result + acc * inv_w
 
-    # remainder: |R| <= |B_{2K+2}| / ((2K+2)(2K+1)) * sec(arg/2)^{2K+2} / |z|^{2K+1}
-    # with Re z > 0, sec(arg/2)^{2K+2} <= 2^{K+1}
-    c_next = abs(bernoulli(2 * K + 2)) / ((2 * K + 2) * (2 * K + 1))
-    abs_w = w.abs2().sqrt()
-    denom = RealInterval.point(abs_w.lo_float(), tier)
-    if denom.sign() != 1:
-        raise NonPositiveRealPart("log_gamma: cannot bound remainder")
-    pw = RealInterval.one(tier)
-    for _ in range(2 * K + 1):
-        pw = pw * denom
-    rem = RealInterval.from_fraction(c_next * (2 ** (K + 1)), tier) / pw
-    result = result.pad(rem)
+    rem = rems[K - 1] / Fraction(r) ** (2 * K + 1)
+    result = result.pad(RealInterval.from_fraction(rem, tier))
     return result - shift_acc

@@ -41,6 +41,7 @@ _KT = 8.0
 # np.nextafter gives that same one-ulp step in one ufunc call, but at a
 # libm call per element: it is the faster form up to about this size
 _NEXTAFTER_MAX = 256
+_MAX = np.finfo(np.float64).max
 _PI_LO = math.pi
 _PI_HI = math.nextafter(math.pi, math.inf)
 
@@ -63,19 +64,32 @@ class _OpCounter:
 op_counter = _OpCounter()
 
 
-# fmin/fmax drop the NaN of inf - inf, so an infinite endpoint stays put
+# The shift form, x -+ (k eps |x| + k tiny), runs in place on one array.
+# An endpoint that overflowed (+inf below, -inf above) shifts to
+# inf - inf = NaN, which fmin/fmax drop, and the last step moves it to
+# the largest finite double, as np.nextafter does; NaN stays NaN.
 def _dn_arr(x: np.ndarray, k: float) -> np.ndarray:
     if k == _KA and np.size(x) <= _NEXTAFTER_MAX:
         return np.nextafter(x, -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.fmin(x - ((k * _EPS) * np.abs(x) + k * _TINY), x)
+        y = np.asarray(np.abs(x))  # an array even for a scalar x
+        y *= k * _EPS
+        y += k * _TINY
+        np.subtract(x, y, out=y)
+        np.fmin(y, x, out=y)
+        return np.minimum(y, _MAX, out=y)
 
 
 def _up_arr(x: np.ndarray, k: float) -> np.ndarray:
     if k == _KA and np.size(x) <= _NEXTAFTER_MAX:
         return np.nextafter(x, np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.fmax(x + ((k * _EPS) * np.abs(x) + k * _TINY), x)
+        y = np.asarray(np.abs(x))
+        y *= k * _EPS
+        y += k * _TINY
+        np.add(x, y, out=y)
+        np.fmax(y, x, out=y)
+        return np.maximum(y, -_MAX, out=y)
 
 
 def _as_arr(x) -> np.ndarray:

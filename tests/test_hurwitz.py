@@ -300,6 +300,40 @@ def test_lattice_kernel_width():
     assert widest <= 1.05 * 2.7755575615628914e-15
 
 
+# the widest cell at each (D, t), from the tail summed term by term
+# before Horner's form; the Horner tail stays within 1% of it
+_TAIL_WIDEST = {
+    (4, 0.0): 1.1546319456101628e-14,
+    (4, 16.0): 2.0261570199409107e-15,
+    (4, 300.0): 9.636735853746359e-14,
+    (64, 0.0): 1.1546319456101628e-14,
+    (64, 16.0): 2.220446049250313e-15,
+    (64, 300.0): 9.792167077193881e-14,
+}
+
+
+@pytest.mark.parametrize("D, t", sorted(_TAIL_WIDEST))
+def test_lattice_cells_contain_the_oracle_values(D, t):
+    # each checked cell contains the whole bigfloat(96) oracle box, far
+    # narrower than the hardware cells: every cell at D = 4, and rows 1,
+    # 2, D/2, D-1 and D at D = 64 (each row has its own A)
+    lat = build_lattice(t, D=D, tier=bigfloat(64), cache=False)
+    rows = range(1, D + 1) if D <= 4 else (1, 2, D // 2, D - 1, D)
+    for r in rows:
+        for c in range(lat.Ncols + 1):
+            s = ComplexBox.point(complex(0.5 + c, t), BIG)
+            oracle = em_hurwitz_tail(s, Fraction(r, D), skip=lat.M + 1)
+            cell = lat.cell(r, c)
+            assert cell.re.contains_interval(oracle.re), (r, c)
+            if t == 0.0:  # the value is real, and the lattice says so exactly
+                assert cell.im.lo == cell.im.hi == 0.0 and oracle.im.contains(0), (r, c)
+            else:
+                assert cell.im.contains_interval(oracle.im), (r, c)
+    re, im = lat.rows.re, lat.rows.im
+    widest = max((re.hi - re.lo).max(), (im.hi - im.lo).max())
+    assert widest <= 1.01 * _TAIL_WIDEST[D, t]
+
+
 @pytest.mark.parametrize(
     "t, bits",
     [(0.0, 64), (3.0, 64), (16.0, 64), (16.0625, 64), (50.0, 64), (1e4, 64), (1e4, 96), (-16.0, 64)],

@@ -1,6 +1,7 @@
 """Interval arithmetic: containment, tier behaviour, serialization."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from mpmath.libmp import fone, from_float, mpf_cmp, mpf_cos, mpf_neg, mpf_sin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grhdesk import interval
 from grhdesk.errors import (
     DivisorContainsZero,
     LogDomain,
@@ -25,6 +27,11 @@ from grhdesk.interval import (
     _fmax,
     _fmin,
     _narrow,
+    _prod_is_exact,
+    _ratio_ends,
+    _stirling_cap,
+    _stirling_table,
+    _stirling_terms,
     bigfloat,
     log_gamma,
     pi_interval,
@@ -323,9 +330,78 @@ def test_log_gamma_tall_arguments(z):
         assert lg.re.width() < 1e-9
 
 
+@pytest.mark.parametrize("tier", TIERS, ids=str)
+@pytest.mark.parametrize("sigma", [0.25, 0.75])
+@pytest.mark.parametrize("im", [0.0, 0.5, 4.0, 7.9, 8.0, 8.1, 50.0, 500.0, 5000.0])
+def test_log_gamma_contains_reference_across_the_shift_threshold(tier, sigma, im):
+    # near |z| = 8 the hardware tier moves from shifting right to summing
+    # at z itself; the completion factors read 1/4 + 8i and 3/4 + 8i at t = 16
+    z = complex(sigma, im)
+    lg = log_gamma(ComplexBox.point(z, tier))
+    re_ref, im_ref = stirling_reference(z)
+    assert_contains_mp(lg.re, re_ref)
+    assert_contains_mp(lg.im, im_ref)
+
+
+@pytest.mark.parametrize("z", [complex(0.25, 8.0), complex(3.0, 4.0), complex(0.75, 50.0)])
+def test_log_gamma_remainder_bound_holds_where_it_dominates(monkeypatch, z):
+    # with the goal 40 bits above one ulp of |w| only a few terms are
+    # summed, and the padded remainder bound, not rounding, is what makes
+    # the result contain log Gamma
+    monkeypatch.setattr(interval, "_STIRLING_GOAL_BITS", -40)
+    lg = log_gamma(ComplexBox.point(z))
+    re_ref, im_ref = stirling_reference(z)
+    assert_contains_mp(lg.re, re_ref)
+    assert_contains_mp(lg.im, im_ref)
+    assert lg.re.width() > 1e-9
+
+
+@pytest.mark.parametrize(
+    "z, re_width, im_width",
+    [
+        (complex(0.25, 8.0), 3.907985046680551e-14, 8.881784197001252e-14),
+        (complex(0.75, 150.0), 1.1368683772161603e-12, 4.433786671143025e-12),
+    ],
+)
+def test_log_gamma_hardware_widths(z, re_width, im_width):
+    # pinned at the widths of the earlier form, 14 terms summed term by
+    # term after shifting to |w| >= 10: the Horner sum is no wider
+    lg = log_gamma(ComplexBox.point(z))
+    assert lg.re.width() <= re_width
+    assert lg.im.width() <= im_width
+
+
+@pytest.mark.parametrize("tier", [HARDWARE, bigfloat(64), B128, bigfloat(256), bigfloat(512)], ids=str)
+def test_stirling_term_count_meets_its_goal(tier):
+    # K is the fewest terms whose exact remainder bound at |w| >= r falls
+    # three bits below one ulp of r, never above the tier's cap, and 0
+    # (shift right) only where no K up to the cap meets that goal
+    _, rems, log2_rems, _, _ = _stirling_table(tier)
+    cap = _stirling_cap(tier.bits)
+    assert len(rems) == cap
+    counts = []
+    for r in (4.0, 7.9, 8.004, 10.0, 16.0, 22.5, 50.0, 150.0, 5000.0, 1e8):
+        K = _stirling_terms(log2_rems, r, tier.bits)
+        goal = Fraction(2) ** (math.frexp(r)[1] - tier.bits - 3)
+        bounds = [rems[k - 1] / Fraction(r) ** (2 * k + 1) for k in range(1, cap + 1)]
+        if K == 0:
+            assert all(b > goal for b in bounds), r
+        else:
+            assert bounds[K - 1] <= goal, r
+            assert all(b > goal for b in bounds[: K - 1]), r
+        counts.append(K or cap + 1)
+    assert counts == sorted(counts, reverse=True)  # fewer terms as |w| grows
+    if tier == HARDWARE:
+        assert _stirling_terms(log2_rems, 7.9, 53) == 0
+        assert 0 < _stirling_terms(log2_rems, 8.004, 53) <= 14
+
+
 def test_log_gamma_domain_error():
     with pytest.raises(NonPositiveRealPart):
         log_gamma(ComplexBox.point(complex(-1.0, 0.5)))
+    # a NaN part never meets the remainder goal: the shift walk ends
+    with pytest.raises(NonPositiveRealPart):
+        log_gamma(ComplexBox.point(complex(1.0, math.nan)))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +628,132 @@ def test_from_fraction_random_fractions(n, d):
     fr = Fraction(n, d)
     iv = RealInterval.from_fraction(fr)
     _assert_adjacent_enclosure(iv.lo, iv.hi, fr)
+
+
+# ---------------------------------------------------------------------------
+# float fast paths against their exact forms
+
+
+def _prod_is_exact_rational(a: float, b: float, p: float) -> bool:
+    """The exact form of _prod_is_exact."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(p)):
+        return False
+    return Fraction(a) * Fraction(b) == Fraction(p)
+
+
+def _ratio_ends_integer(n: int, d: int) -> tuple[float, float]:
+    """The integer form of _ratio_ends: n 2^k / d floored to >= 54 bits, then to 53."""
+    k = max(54 + d.bit_length() - abs(n).bit_length(), 0)
+    return _narrow((n << k) // d, -((-n << k) // d), -k)
+
+
+def _bits(ends) -> tuple[str, ...]:
+    """Endpoints bit for bit: float.hex tells -0.0 from 0.0."""
+    return tuple(x.hex() for x in ends)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, math.inf, -math.inf, math.nan,
+            2.0**-480, 2.0**480, math.nextafter(2.0**-480, 0.0), math.nextafter(2.0**480, math.inf)]
+
+
+@st.composite
+def _doubles(draw):
+    """Doubles of few or many mantissa bits, many near the Dekker range limits 2^-+480."""
+    kind = draw(st.sampled_from(["grid", "grid", "any", "special"]))
+    if kind == "any":
+        return draw(st.floats(allow_subnormal=True))
+    if kind == "special":
+        return draw(st.sampled_from(_SPECIAL))
+    m = draw(st.integers(1, 2**8) | st.integers(2**26 - 4, 2**27 + 4) | st.integers(1, 2**53 - 1))
+    e = draw(st.integers(-1074, 1023) | st.integers(-600, -440) | st.integers(440, 600) | st.integers(-4, 4))
+    x = math.ldexp(m, e - m.bit_length())  # |x| in [2^(e-1), 2^e)
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_doubles(), _doubles(), st.sampled_from(["product", "above", "below", "other"]), _doubles())
+def test_prod_is_exact_agrees_with_rational_test(a, b, which, other):
+    p = a * b
+    p = {
+        "product": p,
+        "above": math.nextafter(p, math.inf),
+        "below": math.nextafter(p, -math.inf),
+        "other": other,
+    }[which]
+    assert _prod_is_exact(a, b, p) == _prod_is_exact_rational(a, b, p), (a, b, p)
+
+
+@pytest.mark.parametrize("ea", [-1074, -600, -540, -481, -480, -479, -1, 0, 26, 479, 480, 481, 540, 600, 1000])
+@pytest.mark.parametrize("eb", [-600, -540, -481, -480, -479, 0, 479, 480, 481, 540])
+def test_prod_is_exact_at_the_range_limits(ea, eb):
+    # small-integer and dyadic factors with exact products, 53-bit
+    # factors with inexact ones, each side of both limits of the Dekker
+    # range; 2^-540 squared is subnormal, where the error term underflows
+    for ma, mb in ((1, 1), (3, 5), (2**26 + 1, 2**26 - 1), (2**27 + 1, 2**27 + 3), (2**53 - 1, 2**53 - 3)):
+        for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+            a = sa * math.ldexp(ma, ea - ma.bit_length() + 1)
+            b = sb * math.ldexp(mb, eb - mb.bit_length() + 1)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                continue
+            p = a * b
+            for q in (p, math.nextafter(p, math.inf), math.nextafter(p, -math.inf), 0.0, -0.0):
+                assert _prod_is_exact(a, b, q) == _prod_is_exact_rational(a, b, q), (a, b, q)
+
+
+@st.composite
+def _ratios(draw):
+    """(n, d), d > 0, with n/d from about 2^-1100 to 2^1100."""
+    kind = draw(st.sampled_from(["random", "unreduced", "dyadic", "zero"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "zero":
+        return 0, draw(st.integers(1, 2**200))
+    if kind == "dyadic":
+        m = draw(st.integers(1, 2**60))
+        i, j = draw(st.integers(0, 1100)), draw(st.integers(0, 1100))
+        return sign * (m << i), 1 << j
+    db = draw(st.integers(1, 600))
+    d = draw(st.integers(2 ** (db - 1), 2**db - 1))
+    nb = max(db + draw(st.integers(-1100, 1100)), 1)
+    n = sign * draw(st.integers(2 ** (nb - 1), 2**nb - 1))
+    if kind == "unreduced":
+        g = draw(st.integers(2, 2**100))
+        n, d = n * g, d * g
+    return n, d
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_ratios())
+def test_ratio_ends_agree_with_the_integer_path(nd):
+    n, d = nd
+    assert _bits(_ratio_ends(n, d)) == _bits(_ratio_ends_integer(n, d)), (n, d)
+
+
+_MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        (0, 1),
+        (0, 3**50),
+        (1, 2**1074),  # the smallest subnormal
+        (1, 2**1075),  # half of it: rounds to 0.0
+        (-1, 2**1075),
+        (3, 2**1076),
+        (1, 3 * 2**1074),
+        (-(10**400), 3),  # overflows
+        (_MAX_INT, 1),
+        (_MAX_INT + 1, 1),
+        (-(_MAX_INT + 2**969), 1),  # halfway to 2^1024: OverflowError
+        (_MAX_INT + 2**969 - 1, 1),
+        (2**1024 * 7, 7),  # the same ratio unreduced
+        (2**1023 * 12, 6),
+        (6 * (2**53 + 1), 6),
+    ],
+)
+def test_ratio_ends_at_the_double_range_limits(n, d):
+    assert _bits(_ratio_ends(n, d)) == _bits(_ratio_ends_integer(n, d))
+    _assert_adjacent_enclosure(*_ratio_ends(n, d), Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------

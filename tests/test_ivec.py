@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from grhdesk.errors import DivisorContainsZero, LogDomain
 from grhdesk.interval import ComplexBox, RealInterval
-from grhdesk.ivec import CVec, IVec, op_counter
+from grhdesk.ivec import _KA, _KT, CVec, IVec, _dn_arr, _up_arr, op_counter
 
 RNG = np.random.default_rng(20260822)
 
@@ -160,6 +160,31 @@ def test_arithmetic_rounds_one_ulp_outward():
         assert np.array_equal(v.hi, np.nextafter(part, np.inf))
     inf = IVec(np.array([-np.inf, 1.0]), np.array([1.0, np.inf])) * 2.0
     assert inf.lo[0] == -np.inf and inf.hi[1] == np.inf
+
+
+@pytest.mark.parametrize("n", [4, 300])  # np.nextafter and the shift form
+def test_overflowed_endpoints_stay_finite_on_the_inner_side(n):
+    # a finite product that overflows rounds to inf; the enclosure keeps
+    # the largest double on its inner side, at either size and sign
+    big = np.finfo(np.float64).max
+    up = IVec.from_points(np.full(n, 1e200)) * 1e200
+    assert np.all(up.lo == big) and np.all(up.hi == np.inf)
+    down = IVec.from_points(np.full(n, -1e200)) * 1e200
+    assert np.all(down.lo == -np.inf) and np.all(down.hi == -big)
+    # the same at the transcendental allowance, and NaN stays NaN
+    x = np.tile([np.inf, -np.inf, np.nan, 1.0], n // 4)
+    for k in (_KA, _KT):
+        lo, hi = _dn_arr(x, k), _up_arr(x, k)
+        assert np.array_equal(lo[:4], [big, -np.inf, np.nan, lo[3]], equal_nan=True)
+        assert np.array_equal(hi[:4], [np.inf, -big, np.nan, hi[3]], equal_nan=True)
+        assert lo[3] < 1.0 < hi[3]
+
+
+def test_shift_form_rounds_scalars():
+    # a 0-d input, as from a 0-d IVec's exp, comes back rounded outward
+    x = IVec.from_points(np.float64(1.0)).exp()
+    assert x.lo < math.e < x.hi
+    assert float(_dn_arr(np.float64(1.0), _KT)) < 1.0 < float(_up_arr(np.float64(1.0), _KT))
 
 
 def test_add_at_adds_only_at_the_indices():

@@ -287,6 +287,25 @@ def test_realness_violation_names_the_one_turned_character(lat_t10):
         assert named == [idx], str(err.value)
 
 
+@pytest.mark.parametrize(
+    "t, parity, re_width, im_width",
+    [
+        (16.0, 0, 1.5765166949677223e-13, 1.2678746941219288e-13),
+        (16.0, 1, 4.005684672847565e-13, 7.045475314271243e-13),
+        (300.0, 0, 3.574696094688079e-12, 2.124855846830087e-12),
+        (300.0, 1, 2.6631141736288555e-11, 4.367084471823546e-11),
+        (2500.0, 0, 7.533029755535381e-12, 1.8118909150821594e-11),
+        (2500.0, 1, 6.007194741641797e-10, 4.716067536492119e-10),
+    ],
+)
+def test_completion_factor_widths(t, parity, re_width, im_width):
+    # pinned at the widths of the earlier log_gamma (14 terms summed term
+    # by term after shifting to |w| >= 10); the factor is no wider
+    c = completion_factor(t, parity, 7)
+    assert c.re.width() <= re_width
+    assert c.im.width() <= im_width
+
+
 def test_lambda_gamma_factor_keeps_magnitude_tame():
     # at t = 2500 the raw gamma factor underflows; the assembled factor must not
     for parity in (0, 1):
