@@ -12,7 +12,9 @@ The unit group (Z/qZ)* is decomposed into cyclic factors by CRT:
 A character is an exponent tuple, one entry per cyclic generator.  All
 character values are exact rational phases (fractions of a turn), so parity,
 conjugation and primitivity are exact integer computations; only the final
-complex embedding e(phase) rounds, and it rounds outward into boxes.
+complex embedding e(phase) rounds, and it rounds outward into boxes.  Root
+numbers and completion constants come from the Gauss sum in integer fixed
+point, each side rounded outward to a double once.
 """
 
 from __future__ import annotations
@@ -32,9 +34,14 @@ from .interval import (
     PrecisionTier,
     RealInterval,
     _cos_sin,
+    _narrow,
     bigfloat,
     pi_interval,
 )
+
+# the precision of the box gauss_sum returns; its fixed-point tables carry
+# guard bits above it (CharGroup._fixed_unity_tables)
+GAUSS_BITS = 160
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -130,13 +137,13 @@ class CharMeta:
     """Facts about one character that the samplers and the certifier consume.
 
     epsilon is the unimodular constant that multiplies the gamma-completed L
-    value; it is a square root of the conjugated root number, which is
-    exactly the normalization that makes the completed function real on the
-    critical line.  Either square root works (they differ by a global sign);
-    char_meta takes the principal one unless the real part of the
-    conjugated root number is certified negative, then i times the
-    principal root of its negative.  Downstream assembly checks realness
-    of every box a posteriori.
+    value, a hardware box; it is a square root of the conjugated root
+    number, which is exactly the normalization that makes the completed
+    function real on the critical line.  Either square root works (they
+    differ by a global sign); char_meta takes the principal one unless the
+    real part of the conjugated root number is certified negative, then i
+    times the principal root of its negative.  Downstream assembly checks
+    realness of every box a posteriori.
     """
 
     parity: int
@@ -189,7 +196,7 @@ class CharGroup:
         self.exponent = 1
         for o in self.orders:
             self.exponent = self.exponent * o // math.gcd(self.exponent, o)
-        self._unity_cache: dict = {}
+        self._unity_tables = None
         self._canonical: dict = {}
 
     # -- indices ------------------------------------------------------------
@@ -205,10 +212,20 @@ class CharGroup:
         """idx as a tuple of ints, one shared object per character.
 
         CharMeta and the sample grids name characters by this tuple, so
-        the many grids a sweep keeps hold one tuple per character.
+        the many grids a sweep keeps hold one tuple per character.  An
+        index needs one entry per cyclic factor, entry k in
+        0..orders[k] - 1; any other raises ValueError.
         """
         idx = tuple(int(v) for v in idx)
-        return self._canonical.setdefault(idx, idx)
+        out = self._canonical.get(idx)
+        if out is None:
+            if len(idx) != len(self.orders) or any(not 0 <= k < o for k, o in zip(idx, self.orders)):
+                raise ValueError(
+                    f"index {idx} mod {self.q}: need one entry per cyclic factor, "
+                    f"each in 0..order-1 for the orders {self.orders}"
+                )
+            out = self._canonical[idx] = idx
+        return out
 
     def conjugate(self, idx) -> tuple[int, ...]:
         return tuple((-k) % o for k, o in zip(idx, self.orders))
@@ -235,11 +252,12 @@ class CharGroup:
             return None
         return Fraction(c, self.exponent)
 
-    def eval_char(self, idx, n: int, tier: PrecisionTier = HARDWARE) -> ComplexBox:
+    def eval_char(self, idx, n: int) -> ComplexBox:
+        """chi(n) as a hardware box; 0 when gcd(n, q) > 1."""
         ph = self.phase(idx, n)
         if ph is None:
-            return ComplexBox.zero(tier)
-        return unit_phase(ph, tier)
+            return ComplexBox.zero()
+        return unit_phase(ph)
 
     def phase_numerators(self, idx, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched phase_numerator: (c, ok) with chi(n) = e(c / exponent) where ok.
@@ -257,25 +275,23 @@ class CharGroup:
         c = np.where(ok, c % L, 0)
         return c, ok
 
-    def _fixed_unity_tables(self, bits: int):
+    def _fixed_unity_tables(self):
         """Fixed-point e(a/q), a < q, and e(c/exponent), c < exponent.
 
         Returns (shift, q_table, exponent_table), each table as built by
-        _fixed_unit_powers at scale 2^-shift.  The guard bits above `bits`
-        absorb the radius growth of the recurrences and of the phi(q)-term
-        Gauss sum, both O(q^2) units of the last place.
+        _fixed_unit_powers at scale 2^-shift, built on first use and kept.
+        The guard bits above GAUSS_BITS absorb the radius growth of the
+        recurrences and of the phi(q)-term Gauss sum, both O(q^2) units of
+        the last place.
         """
-        key = ("fixed", bits)
-        tabs = self._unity_cache.get(key)
-        if tabs is None:
-            shift = bits + 2 * self.q.bit_length() + 16
-            tabs = (
+        if self._unity_tables is None:
+            shift = GAUSS_BITS + 2 * self.q.bit_length() + 16
+            self._unity_tables = (
                 shift,
                 _fixed_unit_powers(self.q, shift),
                 _fixed_unit_powers(self.exponent, shift),
             )
-            self._unity_cache[key] = tabs
-        return tabs
+        return self._unity_tables
 
     # -- character attributes -----------------------------------------------
 
@@ -327,20 +343,21 @@ class CharGroup:
 
     # -- Gauss sum and root number --------------------------------------------
 
-    def gauss_sum(self, idx, bits: int = 160) -> ComplexBox:
-        """tau(chi) = sum chi(a) e(a/q) over a mod q, as a bigfloat(bits) box.
+    def _gauss_fixed(self, idx) -> tuple[int, int, int, int]:
+        """tau(chi) = sum chi(a) e(a/q) over a mod q in integer fixed point.
 
-        Each term e(c_a/exponent) e(a/q) is the product of two fixed-point
-        table entries at scale 2^-shift, so the sum is exact integer
-        arithmetic at scale 2^-2shift with no transcendental per residue.
-        Its radius is phi(q) times the per-product bound
+        Returns (re, im, rad, scale): each part of tau lies within
+        rad 2^-scale of (re + i im) 2^-scale.  Each term
+        e(c_a/exponent) e(a/q) is the product of two fixed-point table
+        entries at scale 2^-shift, so the sum is exact integer arithmetic
+        at scale 2^-2shift with no transcendental per residue.  Its radius
+        is phi(q) times the per-product bound
 
             |z_c z_a - e(c/L) e(a/q)| <= r_L (1 + r_q/2^shift) + r_q
 
-        (in units of 2^-shift, from |e(.)| = 1), and only the final
-        conversion to bigfloat(bits) rounds, outward.
+        in units of 2^-shift, from |e(.)| = 1.
         """
-        shift, (q_re, q_im, q_rad), (l_re, l_im, l_rad) = self._fixed_unity_tables(bits)
+        shift, (q_re, q_im, q_rad), (l_re, l_im, l_rad) = self._fixed_unity_tables()
         c, ok = self.phase_numerators(idx, np.arange(self.q))
         units = np.flatnonzero(ok)
         a_re, a_im = q_re[units], q_im[units]
@@ -349,57 +366,75 @@ class CharGroup:
         im = int(np.dot(c_re, a_im) + np.dot(c_im, a_re))
         one = 1 << shift
         rad = len(units) * (l_rad * (one + q_rad) + q_rad * one)
-        tier = bigfloat(bits)
-        den = one * one
+        return re, im, rad, 2 * shift
+
+    def gauss_sum(self, idx) -> ComplexBox:
+        """tau(chi) as a bigfloat(GAUSS_BITS) box: _gauss_fixed rounded outward once."""
+        re, im, rad, scale = self._gauss_fixed(idx)
+        tier = bigfloat(GAUSS_BITS)
+        den = 1 << scale
         return ComplexBox(
             RealInterval(Fraction(re - rad, den), Fraction(re + rad, den), tier),
             RealInterval(Fraction(im - rad, den), Fraction(im + rad, den), tier),
         )
 
-    def root_number(
-        self, idx, bits: int = 160, out_tier: PrecisionTier = HARDWARE
-    ) -> ComplexBox:
-        """epsilon = tau(chi) / (i^parity sqrt(q)); modulus must contain 1."""
+    def root_number(self, idx) -> ComplexBox:
+        """epsilon = tau(chi) / (i^parity sqrt(q)) as a hardware box; modulus must contain 1."""
         if not self.is_primitive(idx):
             raise NotPrimitive(f"index {idx} mod {self.q} is imprimitive")
-        return self._root_number(idx, self.parity(idx), bits).widen_to(out_tier)
+        return self._root_and_constant(idx, self.parity(idx))[0]
 
-    def _root_number(self, idx, parity: int, bits: int) -> ComplexBox:
-        """root_number of a primitive character of the given parity, at bigfloat(bits)."""
-        tier = bigfloat(bits)
-        tau = self.gauss_sum(idx, bits)
+    def _root_and_constant(self, idx, parity: int) -> tuple[ComplexBox, ComplexBox]:
+        """The root number epsilon and the completion constant w of a
+        primitive character of the given parity, as hardware boxes.
+
+        Both come from _gauss_fixed's integers: with x + iy = tau/i^parity
+        at scale 2^-scale (within 2 rad of tau/i^parity in modulus) and
+        s <= sqrt(q) 2^scale < s + 1 (math.isqrt), epsilon is
+        (x + iy)/(sqrt(q) 2^scale), padded by 2 rad/s.  The |epsilon|^2
+        check is hardware box arithmetic.  w is the half-angle root of
+        conj(epsilon): N/|N| for N = sqrt(q) + conj(tau/i^parity), or
+        i N/|N| for N = sqrt(q) - conj(tau/i^parity) when Re epsilon is
+        certified negative, where N clears 0 by about sqrt(q).  At scale
+        2^-scale N lies within 1 + 2 rad of the integer point c, and
+        |N/|N| - c/|c|| <= 2 |N - c|/|c| for N != 0, so w is c/|c| padded
+        by 2 (1 + 2 rad)/|c|, with isqrt bracketing |c|.  Each side of
+        either box is rounded outward to a double once (_fixed_quotient).
+        """
+        x, y, rad, scale = self._gauss_fixed(idx)
         if parity == 1:
-            tau = ComplexBox(tau.im, -tau.re)  # divide by i
-        eps = tau / ComplexBox.from_real(RealInterval.point(self.q, tier).sqrt())
+            x, y = y, -x  # divide by i
+        s = math.isqrt(self.q << 2 * scale)
+        eps = _fixed_quotient(x, y, s, 2 * rad, scale)
         if not eps.abs2().contains(1):
             raise HypothesisViolated(
                 f"|epsilon|^2 = {eps.abs2()!r} misses 1 for index {idx} mod {self.q}"
             )
-        return eps
+        sign = -1 if eps.re.sign() == -1 else 1
+        cx, cy = s + sign * x, -sign * y
+        w = _fixed_quotient(cx, cy, math.isqrt(cx * cx + cy * cy), 2 * (1 + 2 * rad), scale)
+        return eps, (w.mul_i() if sign == -1 else w)
 
-    def char_meta(
-        self, idx, bits: int = 160, tier: PrecisionTier = HARDWARE
-    ) -> CharMeta:
+    def char_meta(self, idx) -> CharMeta:
         """Bundle parity, primitivity, completion constant, conjugate index.
 
         The completion constant of a primitive character is a unimodular w
         with w*w the conjugated root number: conjugating the completed value
         flips w to conj(w) and applies the functional equation, which costs
-        one factor of the root number, and the two cancel exactly.  For z
-        the conjugated root number at bigfloat(bits), w = (1 + z)/|1 + z|
-        at that tier, or i (1 - z)/|1 - z| when Re z is certified negative
-        (_unimodular_sqrt), narrowed to tier.
+        one factor of the root number, and the two cancel exactly.  w comes
+        from the exact Gauss sum in integer fixed point, narrowed to a
+        hardware box once (_root_and_constant), so no big-float arithmetic
+        runs here once the group's unity tables exist.
         Imprimitive characters get epsilon = 1: they are never completed
         directly, only through the primitive character inducing them.
         """
-        idx = tuple(int(v) for v in idx)
+        idx = self.canonical(idx)
         primitive = self.is_primitive(idx)
         parity = self.parity(idx)
         if primitive:
-            root = self._root_number(idx, parity, bits)
-            eps = _unimodular_sqrt(root.conj()).widen_to(tier)
+            eps = self._root_and_constant(idx, parity)[1]
         else:
-            eps = ComplexBox.one(tier)
+            eps = ComplexBox.one()
         return CharMeta(
             parity=parity,
             primitive=primitive,
@@ -408,21 +443,21 @@ class CharGroup:
         )
 
 
-def _unimodular_sqrt(z: ComplexBox) -> ComplexBox:
-    """One square root of a box near the unit circle, by the half-angle identity.
+def _fixed_quotient(x: int, y: int, d: int, r: int, scale: int) -> ComplexBox:
+    """Hardware box holding (x + iy)/D + delta for all d <= D < d + 1 and |delta| <= r/d.
 
-    For z = e^(i theta), 1 + z = 2 cos(theta/2) e^(i theta/2), so
-    (1 + z)/|1 + z| is the principal root wherever Re z is not certified
-    negative; there 1 + z stays clear of 0.  When Re z is certified
-    negative, i (1 - z)/|1 - z| is i times the principal root of -z, with
-    Re(1 - z) > 1.  Both are box arithmetic at z's tier, with no log or exp.
+    x, y, r >= 0 and d > 0 are integers.  At scale 2^-scale each part v/D lies
+    between the floors of v 2^scale/(d + 1) and v 2^scale/d and the next
+    integer above the larger; the pad is ceil(r 2^scale/d), and each side
+    is rounded outward to a double once.
     """
-    one = ComplexBox.one(z.tier)
-    if z.re.sign() == -1:
-        w = one - z
-        return (w / w.abs()).mul_i()
-    w = one + z
-    return w / w.abs()
+    one = 1 << scale
+    pad = -(-r * one // d)
+    sides = []
+    for v in (x, y):
+        a, b = v * one // (d + 1), v * one // d
+        sides.append(RealInterval(*_narrow(min(a, b) - pad, max(a, b) + 1 + pad, -scale), _raw=True))
+    return ComplexBox(*sides)
 
 
 def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]:

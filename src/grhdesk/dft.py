@@ -38,8 +38,9 @@ _QUARTER_POINTS = np.array(
 def unity_table(n: int) -> CVec:
     """e(-j/n) for j = 0..n-1 as hardware boxes.
 
-    The fixed-point table of e(j/n) at scale 2^-shift, with the guard
-    bits of CharGroup._fixed_unity_tables at 53 bits, is conjugated and
+    The fixed-point table of e(j/n) at scale 2^-shift, with
+    shift = 53 + 2 bitlen(n) + 16 (the guard bits that
+    CharGroup._fixed_unity_tables adds to GAUSS_BITS), is conjugated and
     each side narrowed to a double once.  Entries with 4j = 0 mod n are
     the exact points 1, -i, -1, i.
     """

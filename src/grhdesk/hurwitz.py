@@ -59,7 +59,6 @@ from .interval import (
     _GUARD,
     HARDWARE,
     ComplexBox,
-    PrecisionTier,
     RealInterval,
     _narrow,
     _ratio_ends,
@@ -343,7 +342,7 @@ def _em_rows(
     ncols: int,
     a: int,
     b: int,
-    tier: PrecisionTier,
+    bits: int = DEFAULT_BUILD_BITS,
 ) -> CVec:
     """Enclosures of sum_{n>=0} (n+alpha)^{-(base_sigma+c+it)}, shape (rows, ncols+1).
 
@@ -364,7 +363,8 @@ def _em_rows(
     (s_c)_{2k-1} B_2k/(2k)! and the remainder constant are exact Gaussian
     rationals, because t is a double, each rounded outward once; only the
     remainder constant needs bounds, an upper one on |(s_c)_{2b+1}| and a
-    lower one on (2 pi)^{2b+1} from pi at tier.bits.  Everything else
+    lower one on (2 pi)^{2b+1} from pi at bigfloat(bits); bits below 64
+    raise ValueError there, as bigfloat() does.  Everything else
     runs on hardware interval arrays: column c scales the column c-1
     powers by (n+alpha)^{-1}, the direct sum adds term by term, the
     Bernoulli tail is A^{-1-s_c} times a Horner sum in A^{-2} (one
@@ -372,6 +372,7 @@ def _em_rows(
     radius takes each row's own A.  At t = 0 the values are real and
     the imaginary parts are set to [0, 0].
     """
+    pi = pi_interval(bigfloat(bits))
     if min(alphas) <= 0:
         raise DomainError("alpha must be strictly positive")
     if base_sigma + 2 * b <= 0:
@@ -385,7 +386,7 @@ def _em_rows(
     # (n + alpha)^{-s_0} and n + alpha on hardware, every base an integer over L
     L = math.lcm(*(alpha.denominator for alpha in alphas))
     ms = [alpha.numerator * (L // alpha.denominator) + n * L for alpha in alphas for n in range(a + 1)]
-    ends = _sieved_powers(ms, L, base_sigma, t, tier.bits).T.reshape(4, len(alphas), a + 1)
+    ends = _sieved_powers(ms, L, base_sigma, t, bits).T.reshape(4, len(alphas), a + 1)
     power = CVec(IVec(ends[0], ends[1], _checked=True), IVec(ends[2], ends[3], _checked=True))
     base = IVec.from_ratios(ms, L).reshape(len(alphas), a + 1)
     inv = 1.0 / base
@@ -393,7 +394,7 @@ def _em_rows(
     # the per-column constants, from exact Pochhammer symbols of s_c, as
     # integer (numerator, denominator) pairs rounded outward once each
     zu = zeta_upper(2 * b + 1)
-    two_pi_pow_lo = (2 * pi_interval(tier).lo_fraction()) ** (2 * b + 1)
+    two_pi_pow_lo = (2 * pi.lo_fraction()) ** (2 * b + 1)
     bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
     inv_re, inv_im, inv_den = [], [], []
     coef_re, coef_im, coef_den = [], [], []
@@ -527,7 +528,7 @@ def build_lattice(
     D: int | None = None,
     Ncols: int = DEFAULT_NCOLS,
     M: int = DEFAULT_M,
-    tier: PrecisionTier | None = None,
+    bits: int = DEFAULT_BUILD_BITS,
     cache_dir: str | Path | None = None,
     cache: bool = True,
 ) -> HurwitzLattice:
@@ -536,43 +537,39 @@ def build_lattice(
     D defaults to lattice_size(t), the fewest rows whose Taylor shifts
     keep a query's width at the height t; an explicit D wins.
 
-    tier.bits sets the build's precision: auto_params takes the
-    Euler-Maclaurin truncation (a, b) for every row from the exact
-    s_0 = 1/2 + it, the smallest offset 1/D + M + 1 and tier.bits, and
-    the powers (n + alpha)^{-s_0} are trusted to a few ulps at it; only
-    the primes up to (M + 2 + a) D, the numerator of the top base over D,
-    and D^{s_0} take transcendental kernel calls, every power is an exact
-    fixed-point product of those balls.  No interval arithmetic runs at
-    that tier; the build works in big-float balls, Gaussian integers,
-    exact rationals and hardware interval arrays, and the returned
-    lattice is hardware.  With cache enabled the result is
-    persisted keyed by (t, D, Ncols, M, build bits).
+    bits sets the build's precision, at least 64 (_em_rows refuses
+    fewer): auto_params takes the Euler-Maclaurin truncation (a, b) for
+    every row from the exact s_0 = 1/2 + it, the smallest offset
+    1/D + M + 1 and bits, and the powers (n + alpha)^{-s_0} are trusted
+    to a few ulps at it; only the primes up to (M + 2 + a) D, the
+    numerator of the top base over D, and D^{s_0} take transcendental
+    kernel calls, every power is an exact fixed-point product of those
+    balls.  No big-float interval arithmetic runs; the build works in
+    big-float balls, Gaussian integers, exact rationals and hardware
+    interval arrays, and the returned lattice is hardware.  With cache
+    enabled the result is persisted keyed by (t, D, Ncols, M, bits).
     """
     t = float(t)
     if D is None:
         D = lattice_size(t)
     if D < 2 or Ncols < 2 or M < 0:
         raise DomainError("need D >= 2, Ncols >= 2, M >= 0")
-    if tier is None:
-        tier = bigfloat(DEFAULT_BUILD_BITS)
-    if tier.kind == "hardware":
-        raise DomainError("lattice must be built at a big-float tier")
 
     path = None
     if cache:
-        path = _cache_path(cache_dir, t, D, Ncols, M, tier.bits)
+        path = _cache_path(cache_dir, t, D, Ncols, M, bits)
         if path.is_file():
             try:
-                return load_lattice(path, expect=(t, D, Ncols, M, tier.bits))
+                return load_lattice(path, expect=(t, D, Ncols, M, bits))
             except ValueError:
                 pass  # not the requested lattice, or damaged: rebuilt and overwritten
 
     alphas = [Fraction(r, D) + (M + 1) for r in range(1, D + 1)]
     # terms_a falls as alpha grows, so the smallest alpha gives the
     # largest truncation point over the rows: one a serves them all
-    a, b = auto_params(_HALF, t, alphas[0], tier.bits)
-    rows = _em_rows(t, _HALF, alphas, Ncols, a, b, tier)
-    lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=tier.bits, rows=rows)
+    a, b = auto_params(_HALF, t, alphas[0], bits)
+    rows = _em_rows(t, _HALF, alphas, Ncols, a, b, bits)
+    lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_lattice(lat, path)

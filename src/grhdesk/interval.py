@@ -533,19 +533,15 @@ class RealInterval:
             prods = [x * y for x, y in corners]
             lo, hi = min(prods), max(prods)
             # a tied corner with an inexact product still forces the nudge
-            if not all(
-                _prod_is_exact(x, y, lo)
-                for (x, y), p in zip(corners, prods)
-                if p == lo
-            ):
-                lo = _dn(lo)
-            if not all(
-                _prod_is_exact(x, y, hi)
-                for (x, y), p in zip(corners, prods)
-                if p == hi
-            ):
-                hi = _up(hi)
-            return RealInterval(lo, hi, a.tier, _raw=True)
+            lo_exact = hi_exact = True
+            for (x, y), p in zip(corners, prods):
+                if p == lo and lo_exact:
+                    lo_exact = _prod_is_exact(x, y, p)
+                if p == hi and hi_exact:
+                    hi_exact = _prod_is_exact(x, y, p)
+            return RealInterval(
+                lo if lo_exact else _dn(lo), hi if hi_exact else _up(hi), a.tier, _raw=True
+            )
         bits = a.tier.bits
         los = (
             mpf_mul(a.lo, b.lo, bits, _FLOOR),
@@ -577,20 +573,17 @@ class RealInterval:
             corners = ((a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi))
             quots = [x / y for x, y in corners]
             lo, hi = min(quots), max(quots)
-            # q = x/y is exact iff q*y reproduces x exactly
-            if not all(
-                _prod_is_exact(q, y, x)
-                for (x, y), q in zip(corners, quots)
-                if q == lo
-            ):
-                lo = _dn(lo)
-            if not all(
-                _prod_is_exact(q, y, x)
-                for (x, y), q in zip(corners, quots)
-                if q == hi
-            ):
-                hi = _up(hi)
-            return RealInterval(lo, hi, a.tier, _raw=True)
+            # q = x/y is exact iff q*y reproduces x exactly; a tied corner
+            # with an inexact quotient still forces the nudge
+            lo_exact = hi_exact = True
+            for (x, y), q in zip(corners, quots):
+                if q == lo and lo_exact:
+                    lo_exact = _prod_is_exact(q, y, x)
+                if q == hi and hi_exact:
+                    hi_exact = _prod_is_exact(q, y, x)
+            return RealInterval(
+                lo if lo_exact else _dn(lo), hi if hi_exact else _up(hi), a.tier, _raw=True
+            )
         bits = a.tier.bits
         los = (
             mpf_div(a.lo, b.lo, bits, _FLOOR),

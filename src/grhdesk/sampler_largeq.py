@@ -29,7 +29,9 @@ character) beside the completion factors of both parities.
 Every character of q sampled at that ordinate reads the same table, so
 sample_all costs one pass per ordinate, and a sample_range call costs
 its character's root number and one array completion step once the
-tables exist.
+tables exist.  The root number is the exact fixed-point Gauss sum
+narrowed once to a hardware box (CharGroup.char_meta), so such a call
+runs no big-float arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
-from .errors import DomainError, RealnessViolation
+from .errors import DomainError, NotPrimitive, RealnessViolation
 from .hurwitz import HurwitzLattice, _power_ball, build_lattice, unit_hurwitz
 from .interval import (
     HARDWARE,
@@ -223,6 +225,9 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
         raise DomainError("grid ordinates must be binary rationals")
 
     group = char_group(q)
+    for char in chars:
+        if not group.is_primitive(char):
+            raise NotPrimitive(f"index {char} mod {q} is imprimitive")
     metas = [group.char_meta(char) for char in chars]
     cols = [int(np.ravel_multi_index(char, group.orders)) for char in chars]
     parities = [meta.parity for meta in metas]
@@ -267,6 +272,10 @@ def sample_range(
     (epsilon C) L with the realness check and the projection, over all
     its ordinates.  At most 8 tables are kept, least recently used first
     out; each holds phi(q) array cells of 32 bytes (32 KB at q = 1009).
+
+    An index needs one entry per cyclic factor of the group, each in
+    0..order - 1 (ValueError otherwise), and must be primitive
+    (NotPrimitive otherwise); both are checked before any table is built.
     """
     char = char_group(q).canonical(char)
     return _grids(q, [char], t_lo, t_hi, t_step, size, cache_dir)[0]

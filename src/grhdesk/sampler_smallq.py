@@ -57,7 +57,6 @@ from .interval import (
     HARDWARE,
     ComplexBox,
     RealInterval,
-    bigfloat,
     log_gamma,
     pi_interval,
 )
@@ -77,7 +76,7 @@ def zeta_nine_eighths() -> RealInterval:
     """
     sigma, alpha = Fraction(9, 8), Fraction(1)
     a, b = auto_params(sigma, 0.0, alpha, DEFAULT_BUILD_BITS)
-    return _em_rows(0.0, sigma, [alpha], 0, a, b, bigfloat(DEFAULT_BUILD_BITS))[0, 0].re
+    return _em_rows(0.0, sigma, [alpha], 0, a, b, DEFAULT_BUILD_BITS)[0, 0].re
 
 
 def _frac_pow(base: RealInterval, fr: Fraction) -> RealInterval:
@@ -366,14 +365,14 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         plan = default_plan()
     group = char_group(q)
     chars = [group.canonical(char) for char in chars]
-    metas = [group.char_meta(char) for char in chars]
-    for char, meta in zip(chars, metas):
-        if not meta.primitive:
+    for char in chars:
+        if not group.is_primitive(char):
             raise NotPrimitive(f"index {char} mod {q} is imprimitive")
+    metas = [group.char_meta(char) for char in chars]
 
-    m_max = int(Fraction(t_max) * plan.A)
-    if m_max < 0:
+    if Fraction(t_max) < 0:
         raise DomainError("t_max must be nonnegative")
+    m_max = int(Fraction(t_max) * plan.A)
     if m_max >= plan.N:
         raise DomainError("t_max exceeds the plan's ordinate range")
     # hardware exponent ceiling for the recovery factor exp(pi t (1-eta)/4)
@@ -429,7 +428,9 @@ def smallq_samples(q: int, char, plan: FftPlan | None, t_max) -> SampleGrid:
 
     Reads the same builder as smallq_all with one character, so it costs
     the budgets, dual values and FFT of that character's parity only.
-    NotPrimitive for an imprimitive index.
+    ValueError for a malformed index (CharGroup.canonical), NotPrimitive
+    for an imprimitive one and DomainError for a negative t_max, each
+    before any budget or dual value is computed.
     """
     return _smallq_grids(q, [char], plan, t_max)[0]
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grhdesk.characters import (
+    GAUSS_BITS,
     CharGroup,
     _fixed_unit_powers,
     char_group,
@@ -20,7 +21,7 @@ from grhdesk.characters import (
     unit_phase,
 )
 from grhdesk.errors import NotPrimitive, QTooSmall
-from grhdesk.interval import RealInterval, bigfloat
+from grhdesk.interval import ComplexBox, RealInterval, bigfloat
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,48 @@ def oracle_is_primitive(g: CharGroup, idx) -> bool:
         if not found:
             return False
     return True
+
+
+def unimodular_sqrt(z: ComplexBox) -> ComplexBox:
+    """One square root of a box near the unit circle, by the half-angle identity.
+
+    For z = e^(i theta), 1 + z = 2 cos(theta/2) e^(i theta/2), so
+    (1 + z)/|1 + z| is the principal root wherever Re z is not certified
+    negative; there 1 + z stays clear of 0.  When Re z is certified
+    negative, i (1 - z)/|1 - z| is i times the principal root of -z, with
+    Re(1 - z) > 1.  Both are box arithmetic at z's tier, with no log or exp.
+    """
+    one = ComplexBox.one(z.tier)
+    if z.re.sign() == -1:
+        w = one - z
+        return (w / w.abs()).mul_i()
+    w = one + z
+    return w / w.abs()
+
+
+def oracle_root_and_constant(g: CharGroup, idx) -> tuple[ComplexBox, ComplexBox]:
+    """The root number and completion constant by big-float box arithmetic.
+
+    gauss_sum's box, divided by i^parity sqrt(q) as complex boxes at
+    bigfloat(GAUSS_BITS), then unimodular_sqrt of its conjugate at that
+    tier: the half-angle rule of CharGroup.char_meta, with box arithmetic
+    at 160 bits where char_meta works in integer fixed point.
+    """
+    tier = bigfloat(GAUSS_BITS)
+    tau = g.gauss_sum(idx)
+    if g.parity(idx) == 1:
+        tau = ComplexBox(tau.im, -tau.re)
+    root = tau / ComplexBox.from_real(RealInterval.point(g.q, tier).sqrt())
+    assert root.abs2().contains(1), (g.q, idx)
+    return root, unimodular_sqrt(root.conj())
+
+
+def box_contains(outer: ComplexBox, inner: ComplexBox) -> bool:
+    return outer.re.contains_interval(inner.re) and outer.im.contains_interval(inner.im)
+
+
+def box_width(z: ComplexBox) -> float:
+    return max(z.re.width(), z.im.width())
 
 
 def oracle_primitive_count(q: int) -> int:
@@ -370,23 +413,19 @@ def test_root_number_modulus_one_random_primitives():
 def test_root_number_conjugate_intersects_conj():
     g = CharGroup(13)
     for idx, conj in g.conjugate_pairs()[:4]:
-        e1 = g.root_number(idx, bits=120)
-        e2 = g.root_number(conj, bits=120)
-        flipped = e1.conj()
-        assert flipped.re.intersects(e2.re) and flipped.im.intersects(e2.im)
+        e1 = g.root_number(idx)
+        e2 = g.root_number(conj)
+        assert e1.conj().intersects(e2)
+        # the same identity at 160 bits, and each hardware box holds its oracle
+        o1, o2 = oracle_root_and_constant(g, idx)[0], oracle_root_and_constant(g, conj)[0]
+        assert o1.conj().intersects(o2)
+        assert box_contains(e1, o1) and box_contains(e2, o2)
 
 
 def test_root_number_requires_primitive():
     g = CharGroup(9)
     with pytest.raises(NotPrimitive):
         g.root_number((3,))
-
-
-def test_root_number_at_bigfloat_tier():
-    g = CharGroup(7)
-    idx = g.primitive_indices()[0]
-    eps = g.root_number(idx, out_tier=bigfloat(128))
-    assert eps.abs2().contains(1)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +437,12 @@ def test_lambda_prefactor_squares_to_conj_root_number():
     for q in (5, 7, 8, 12, 13, 17, 21, 40, 101, 1009):
         g = CharGroup(q)
         for idx in g.primitive_indices():
-            w = g.char_meta(idx, tier=bigfloat(160)).epsilon
-            eps = g.root_number(idx, out_tier=bigfloat(160))
+            eps, w = oracle_root_and_constant(g, idx)
             assert (w * w).intersects(eps.conj()), (q, idx)
             assert w.abs2().contains(1)
+            hw_w, hw_eps = g.char_meta(idx).epsilon, g.root_number(idx)
+            assert box_contains(hw_w, w) and box_contains(hw_eps, eps), (q, idx)
+            assert (hw_w * hw_w).intersects(hw_eps.conj()), (q, idx)
 
 
 def test_lambda_prefactor_real_for_quadratic():
@@ -409,9 +450,46 @@ def test_lambda_prefactor_real_for_quadratic():
     for q, idx in [(5, (2,)), (8, (0, 1)), (12, (1, 1))]:
         g = CharGroup(q)
         assert g.is_real(idx) and g.is_primitive(idx)
-        w = g.char_meta(idx, tier=bigfloat(160)).epsilon
-        assert w.im.contains_zero()
-        assert w.re.contains(1) or w.re.contains(-1)
+        for w in (oracle_root_and_constant(g, idx)[1], g.char_meta(idx).epsilon):
+            assert w.im.contains_zero()
+            assert w.re.contains(1) or w.re.contains(-1)
+
+
+def _epsilon_cases():
+    """Every primitive character mod q <= 200, and a sample mod 1009, 1024, 4099."""
+    for q in range(3, 201):
+        g = char_group(q)
+        for idx in g.primitive_indices():
+            yield g, idx
+    rng = np.random.default_rng(15)
+    for q in (1009, 1024, 4099):
+        g = char_group(q)
+        prim = g.primitive_indices()
+        picks = {int(pos) for pos in rng.choice(len(prim), size=12, replace=False)}
+        real = [i for i, idx in enumerate(prim) if g.is_real(idx)]
+        for pos in sorted(picks | set(real)):
+            yield g, prim[pos]
+
+
+def test_hardware_completion_constant_contains_the_160_bit_oracle():
+    count = 0
+    for g, idx in _epsilon_cases():
+        w = oracle_root_and_constant(g, idx)[1]
+        eps = g.char_meta(idx).epsilon
+        assert box_contains(eps, w), (g.q, idx)
+        # each side is the exact value rounded outward once: two ulps of 1 at most
+        assert box_width(eps) <= 2 * math.ulp(1.0), (g.q, idx, box_width(eps))
+        count += 1
+    assert count > 4700
+
+
+@pytest.mark.parametrize("idx", [(7,), (-1,), (1, 2), (), (6,)])
+def test_canonical_refuses_malformed_indices(idx):
+    g = CharGroup(9)  # one cyclic factor of order 6
+    with pytest.raises(ValueError, match=r"mod 9"):
+        g.canonical(idx)
+    with pytest.raises(ValueError, match=r"mod 9"):
+        g.char_meta(idx)
 
 
 def test_char_meta_fields():
@@ -433,8 +511,6 @@ def test_char_meta_imprimitive_placeholder():
 
 
 def test_unimodular_sqrt_covers_all_quadrants():
-    from grhdesk.characters import _unimodular_sqrt
-
     tier = bigfloat(120)
     near = Fraction(1, 10**9)
     turns = [Fraction(num, 8) for num in range(8)]
@@ -446,7 +522,7 @@ def test_unimodular_sqrt_covers_all_quadrants():
         for turn in turns:
             point = unit_phase(turn, tier)
             z = point.pad(RealInterval.from_fraction(pad, tier))
-            w = _unimodular_sqrt(z)
+            w = unimodular_sqrt(z)
             sq = w * w
             assert sq.re.contains_interval(point.re) and sq.im.contains_interval(point.im), turn
             assert w.abs2().contains(1), turn

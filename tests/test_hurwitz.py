@@ -248,7 +248,7 @@ def test_auto_params_pinned(t, bits, i, D):
 
 
 def test_columns_engine_matches_scalar_path():
-    cols = _em_rows(10.0, Fraction(1, 2), [Fraction(2, 5)], 4, 40, 24, BIG)
+    cols = _em_rows(10.0, Fraction(1, 2), [Fraction(2, 5)], 4, 40, 24, BIG.bits)
     for c in range(5):
         s = ComplexBox(
             RealInterval.from_fraction(Fraction(1, 2) + c, BIG),
@@ -258,7 +258,7 @@ def test_columns_engine_matches_scalar_path():
 
 
 def test_columns_engine_real_fast_path_contains():
-    cols = _em_rows(0.0, Fraction(1, 2), [Fraction(7, 16)], 3, 30, 20, BIG)
+    cols = _em_rows(0.0, Fraction(1, 2), [Fraction(7, 16)], 3, 30, 20, BIG.bits)
     for c in range(4):
         fre, fim = hurwitz_ref(Fraction(1, 2) + c, Fraction(7, 16))
         assert box_contains(cols[0, c], fre, fim)
@@ -273,7 +273,7 @@ def test_lattice_kernel_contains_oracles_off_dyadic_rows(t):
     # tier to keep 192 cells per ordinate fast), and row D contains
     # mpmath's value
     D, ncols, M = 12, 15, 9
-    lat = build_lattice(t, D=D, Ncols=ncols, M=M, tier=bigfloat(64), cache=False)
+    lat = build_lattice(t, D=D, Ncols=ncols, M=M, bits=64, cache=False)
     for r in range(1, D + 1):
         for c in range(ncols + 1):
             s = ComplexBox.point(complex(0.5 + c, t), HARDWARE)
@@ -290,7 +290,7 @@ def test_lattice_kernel_contains_oracles_off_dyadic_rows(t):
 def test_lattice_kernel_width():
     # widths are a correctness quantity: the hardware stages of the kernel
     # leave about 3e-15 at column 0, where the cells are largest
-    lat = build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    lat = build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
     for row in lat.rows:
         assert max(row[0].re.width(), row[0].im.width()) <= 1e-14
     # the widest cell of the build from sieved powers (prime balls and
@@ -317,7 +317,7 @@ def test_lattice_cells_contain_the_oracle_values(D, t):
     # each checked cell contains the whole bigfloat(96) oracle box, far
     # narrower than the hardware cells: every cell at D = 4, and rows 1,
     # 2, D/2, D-1 and D at D = 64 (each row has its own A)
-    lat = build_lattice(t, D=D, tier=bigfloat(64), cache=False)
+    lat = build_lattice(t, D=D, bits=64, cache=False)
     rows = range(1, D + 1) if D <= 4 else (1, 2, D // 2, D - 1, D)
     for r in rows:
         for c in range(lat.Ncols + 1):
@@ -525,7 +525,7 @@ def test_lattice_build_takes_one_ball_per_prime(monkeypatch):
     # t = 16, D = 64 truncates at a = 13, so the bases are m/64 for
     # m = 641..1536: the 242 primes up to 1536 and 64^s, not 896 powers
     calls = _count_balls(monkeypatch)
-    build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
     primes = _primes_dividing(range(641, 1537))
     assert len(primes) == 242
     assert sorted(calls) == sorted([Fraction(p) for p in primes] + [Fraction(1, 64)])
@@ -536,7 +536,7 @@ def test_one_row_takes_only_the_primes_of_its_bases(monkeypatch):
     # 80,000: no ball for a prime that divides none of them
     calls = _count_balls(monkeypatch)
     alpha = Fraction(777, 2048) + 10
-    _em_rows(7.0, Fraction(1, 2) + 16, [alpha], 49, 28, 18, bigfloat(72))
+    _em_rows(7.0, Fraction(1, 2) + 16, [alpha], 49, 28, 18, 72)
     ms = [alpha.numerator + n * 2048 for n in range(29)]
     primes = _primes_dividing(ms)
     assert sorted(calls) == sorted([Fraction(p) for p in primes] + [Fraction(1, 2048)])
@@ -548,17 +548,17 @@ def test_one_row_takes_only_the_primes_of_its_bases(monkeypatch):
 
 @pytest.fixture(scope="module")
 def lat8_t0():
-    return build_lattice(0.0, D=8, Ncols=15, M=9, tier=BIG, cache=False)
+    return build_lattice(0.0, D=8, Ncols=15, M=9, bits=BIG.bits, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat8_t10():
-    return build_lattice(10.0, D=8, Ncols=15, M=9, tier=BIG, cache=False)
+    return build_lattice(10.0, D=8, Ncols=15, M=9, bits=BIG.bits, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat256_t0():
-    return build_lattice(0.0, D=256, Ncols=15, M=9, tier=BIG, cache=False)
+    return build_lattice(0.0, D=256, Ncols=15, M=9, bits=BIG.bits, cache=False)
 
 
 def test_lattice_last_row_cell_example(lat8_t0):
@@ -608,13 +608,14 @@ def test_lattice_half_row_doubling_identity(lat8_t0):
 
 def test_lattice_validates_arguments():
     with pytest.raises(DomainError):
-        build_lattice(0.0, D=1, Ncols=15, M=9, tier=BIG, cache=False)
+        build_lattice(0.0, D=1, Ncols=15, M=9, bits=BIG.bits, cache=False)
     with pytest.raises(DomainError):
-        build_lattice(0.0, D=8, Ncols=1, M=9, tier=BIG, cache=False)
+        build_lattice(0.0, D=8, Ncols=1, M=9, bits=BIG.bits, cache=False)
     with pytest.raises(DomainError):
-        build_lattice(0.0, D=8, Ncols=15, M=-1, tier=BIG, cache=False)
-    with pytest.raises(DomainError):
-        build_lattice(0.0, D=8, Ncols=15, M=9, tier=HARDWARE, cache=False)
+        build_lattice(0.0, D=8, Ncols=15, M=-1, bits=BIG.bits, cache=False)
+    # fewer than 64 build bits are refused, as bigfloat() refuses them
+    with pytest.raises(ValueError, match="64 bits"):
+        build_lattice(0.0, D=8, Ncols=15, M=9, bits=53, cache=False)
 
 
 def test_lattice_cell_bounds_checked(lat8_t0):
@@ -642,10 +643,10 @@ def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
 
 
 def test_lattice_disk_cache_hit(tmp_path):
-    lat1 = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    lat1 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    lat2 = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    lat2 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
     assert cell_hex(lat1, 1, 0) == cell_hex(lat2, 1, 0)
     assert list(tmp_path.iterdir()) == files
 
@@ -654,7 +655,7 @@ LATTICE_0 = (0.0, 4, 3, 2, 96)
 
 
 def _assert_rebuilt(path, fresh, tmp_path):
-    again = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    again = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
     assert load_lattice(path, expect=LATTICE_0).D == 4
     assert (again.t, again.D, again.Ncols, again.M) == (0.0, 4, 3, 2)
     for r in range(1, 5):
@@ -666,7 +667,7 @@ def _assert_rebuilt(path, fresh, tmp_path):
     "doctored", ["10.0 4 3 2 96", "0.0 4 3 2 64", "0.0 8 3 2 96", "0.0 4 3"]
 )
 def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     lines = path.read_text().splitlines()
     # the cells stay; a header naming another lattice must not be trusted
@@ -677,7 +678,7 @@ def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
 
 
 def test_lattice_cache_rebuilds_truncated_file(tmp_path):
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5]) + "\n")
@@ -687,7 +688,7 @@ def test_lattice_cache_rebuilds_truncated_file(tmp_path):
 @pytest.mark.parametrize("fault", ["swapped", "nan"])
 def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
     # a body cell whose endpoints are not ordered lo <= hi is refused
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     lines = path.read_text().splitlines()
     fields = lines[2].split()
@@ -703,7 +704,7 @@ def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
 def test_lattice_cache_rebuilds_version_1_file(tmp_path):
     # a file written by the version-1 builder is refused even when its
     # header names the requested lattice, then rebuilt and overwritten
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, tier=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     header = path.read_text().splitlines()[1]
     stale = " ".join(map(float.hex, (1.0, 1.0, 0.0, 0.0)))  # the point box 1
@@ -791,7 +792,7 @@ def test_eval_taylor_validates_input(lat8_t0):
 
 @pytest.fixture(scope="module")
 def lat64_t16():
-    return build_lattice(16.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    return build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
 
 
 @pytest.mark.parametrize(
@@ -820,7 +821,7 @@ def test_unit_hurwitz_low_units_read_row_d(q, t):
     # a/q < 1/(2D) reads row D at delta = a/q and restores n = M+1 too:
     # every such unit holds the direct sum and is no wider than before
     D = 64
-    lat = build_lattice(t, D=D, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    lat = build_lattice(t, D=D, Ncols=15, M=9, bits=64, cache=False)
     units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
     z = unit_hurwitz(lat, q, units)
     low = np.flatnonzero(2 * D * units < q)
@@ -876,7 +877,6 @@ def test_taylor_tail_dominates_brute_terms():
     # the geometric bound must cover the summed magnitudes of the next
     # 50 Taylor terms, evaluated honestly at big-float precision
     rng = random.Random(31337)
-    tier = bigfloat(72)
     D, M, ncols = 2048, 9, 15
     K = ncols + 1
     cases = 0
@@ -899,7 +899,7 @@ def test_taylor_tail_dominates_brute_terms():
         if cases % 20:
             continue  # full brute evaluation on a 1-in-20 subsample
         alpha = Fraction(r, D) + (M + 1)
-        cells = _em_rows(t, Fraction(1, 2) + K, [alpha], 49, 28, 18, tier)
+        cells = _em_rows(t, Fraction(1, 2) + K, [alpha], 49, 28, 18, 72)
         brute = Fraction(0)
         poch = Fraction(1)
         for j in range(K):
@@ -915,7 +915,7 @@ def test_taylor_tail_dominates_brute_terms():
 
 def test_tail_restoration_m_independent():
     for M in (0, 20):
-        lat = build_lattice(0.0, D=8, Ncols=15, M=M, tier=BIG, cache=False)
+        lat = build_lattice(0.0, D=8, Ncols=15, M=M, bits=BIG.bits, cache=False)
         z = query(lat, 5, 13)
         fre, fim = hurwitz_ref(Fraction(1, 2), Fraction(5, 13))
         assert box_contains(z, fre, fim), M

@@ -126,6 +126,74 @@ def test_div_underflow_to_zero_rounds_outward():
     assert q.lo < 0.0 < q.hi
 
 
+# 3 * fl(1/3) rounds to exactly 1.0, so (-3) * fl(1/3) ties the exact
+# corner product 1 * (-1) at the lower endpoint; both corner orders
+@pytest.mark.parametrize(
+    "a, b",
+    [((-3.0, 1.0), (-1.0, 1 / 3)), ((-1.0, 1 / 3), (-3.0, 1.0))],
+    ids=["inexact-first", "exact-first"],
+)
+def test_mul_tied_corner_with_one_inexact_product_is_nudged(a, b):
+    assert -3.0 * (1 / 3) == -1.0 and not _prod_is_exact(-3.0, 1 / 3, -1.0)
+    p = RealInterval(*a) * RealInterval(*b)
+    assert p.lo == math.nextafter(-1.0, -math.inf)
+    assert p.hi == 3.0
+
+
+def test_mul_tied_corners_all_exact_are_not_nudged():
+    # (-2) * (-1) and 1 * 2 tie at the upper endpoint, both exact
+    p = RealInterval(-2.0, 1.0) * RealInterval(-1.0, 2.0)
+    assert (p.lo, p.hi) == (-4.0, 2.0)
+
+
+def test_div_tied_corner_with_one_inexact_quotient_is_nudged():
+    # 0/1024 and 0/2048 are exact, tiny/1024 and tiny/2048 underflow to the
+    # same 0.0 inexactly: all four corners tie at both endpoints
+    tiny = math.ulp(0.0)
+    q = RealInterval(0.0, tiny) / RealInterval(1024.0, 2048.0)
+    assert (q.lo, q.hi) == (-tiny, tiny)
+
+
+def test_div_tied_corners_all_exact_are_not_nudged():
+    # 0/2 and 0/4 tie at the lower endpoint, both exact
+    q = RealInterval(0.0, 1.0) / RealInterval(2.0, 4.0)
+    assert (q.lo, q.hi) == (0.0, 0.5)
+
+
+def _corner_reference(op, a, b):
+    """The hardware product or quotient with every tied corner tested by all()."""
+    corners = ((a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi))
+    vals = [x * y if op == "mul" else x / y for x, y in corners]
+    lo, hi = min(vals), max(vals)
+
+    def exact(x, y, v):
+        return _prod_is_exact(x, y, v) if op == "mul" else _prod_is_exact(v, y, x)
+
+    if not all(exact(x, y, lo) for (x, y), v in zip(corners, vals) if v == lo):
+        lo = math.nextafter(lo, -math.inf)
+    if not all(exact(x, y, hi) for (x, y), v in zip(corners, vals) if v == hi):
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+_corner_floats = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 1 / 3, -3.0, math.ulp(0.0), 2.0**-1074 * 3]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_corner_floats, _corner_floats, _corner_floats, _corner_floats, st.sampled_from(["mul", "div"]))
+def test_corner_loop_matches_the_all_reference(w, x, y, z, op):
+    a = RealInterval(min(w, x), max(w, x))
+    b = RealInterval(min(y, z), max(y, z))
+    if op == "div" and b.contains_zero():
+        return
+    got = a * b if op == "mul" else a / b
+    want = _corner_reference(op, a, b)
+    assert (got.lo.hex(), got.hi.hex()) == (want[0].hex(), want[1].hex())
+
+
 @pytest.mark.parametrize("tier", TIERS, ids=str)
 def test_div_by_zero_straddle(tier):
     with pytest.raises(DivisorContainsZero):

@@ -15,10 +15,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from grhdesk import sampler_largeq
+from grhdesk import interval, sampler_largeq
 from grhdesk.characters import char_group, unit_phase
 from grhdesk.dft import units_of
-from grhdesk.errors import DomainError, RealnessViolation
+from grhdesk.errors import DomainError, NotPrimitive, RealnessViolation
 from grhdesk.hurwitz import (
     DEFAULT_BUILD_BITS,
     DEFAULT_D,
@@ -98,27 +98,27 @@ def completed(q, lat, chars, metas=None):
 
 @pytest.fixture(scope="module")
 def lat_t0():
-    return build_lattice(0.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    return build_lattice(0.0, D=64, Ncols=15, M=9, bits=64, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat_t1():
-    return build_lattice(1.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    return build_lattice(1.0, D=64, Ncols=15, M=9, bits=64, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat_t10():
-    return build_lattice(10.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    return build_lattice(10.0, D=64, Ncols=15, M=9, bits=64, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat_tm1():
-    return build_lattice(-1.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    return build_lattice(-1.0, D=64, Ncols=15, M=9, bits=64, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat_tm10():
-    return build_lattice(-10.0, D=64, Ncols=15, M=9, tier=bigfloat(64), cache=False)
+    return build_lattice(-10.0, D=64, Ncols=15, M=9, bits=64, cache=False)
 
 
 # -- batched Hurwitz ---------------------------------------------------------
@@ -345,6 +345,24 @@ def test_sample_range_rejects_non_dyadic_ordinates():
         sample_range(5, (1,), 0, 1, Fraction(1, 3), size=16)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("table work for a refused character")
+
+
+def test_sample_range_refuses_imprimitive_before_any_table(monkeypatch):
+    monkeypatch.setattr(sampler_largeq, "_modulus_table", _refuse)
+    with pytest.raises(NotPrimitive, match=r"\(3,\) mod 9"):
+        sample_range(9, (3,), 16, 16, 1 / 16)
+
+
+@pytest.mark.parametrize("idx", [(7,), (-1,), (1, 2), ()])
+def test_sample_range_refuses_malformed_indices(monkeypatch, idx):
+    # (Z/9Z)* is cyclic of order 6: one entry in 0..5
+    monkeypatch.setattr(sampler_largeq, "_modulus_table", _refuse)
+    with pytest.raises(ValueError, match="mod 9"):
+        sample_range(9, idx, 16, 16, 1 / 16)
+
+
 def test_sample_grid_requires_positive_step():
     group = char_group(4)
     with pytest.raises(DomainError):
@@ -464,7 +482,7 @@ def test_sample_all_and_sample_range_match_assembly(shared_cache, q):
         t = float(t_fr)
         lat = build_lattice(
             t, D=16, Ncols=DEFAULT_NCOLS, M=DEFAULT_M,
-            tier=bigfloat(DEFAULT_BUILD_BITS), cache_dir=shared_cache,
+            bits=DEFAULT_BUILD_BITS, cache_dir=shared_cache,
         )
         tables[t] = l_values_at(q, lat)
     for idx, grid in grids.items():
@@ -493,6 +511,19 @@ def test_sample_all_computes_each_completion_factor_once(shared_cache, monkeypat
     assert len(next(iter(grids.values()))) == 17
     assert sorted(calls) == sorted({(t, p, 13) for t, p, _ in calls})
     assert len(calls) == 2 * 17
+
+
+def test_warm_sample_range_runs_without_bigfloat_arithmetic(shared_cache, monkeypatch):
+    # once the tables for (q, t) exist, a call for another character costs
+    # its root number and the completion step, all on hardware
+    first = sample_range(101, (1,), T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
+    for name in ("mpf_mul", "mpf_div", "mpf_sqrt", "mpf_add", "mpf_sub"):
+        monkeypatch.setattr(interval, name, _refuse)
+    for idx in [(2,), (50,), (99,)]:
+        grid = sample_range(101, idx, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
+        assert len(grid) == len(first) == 2
+    with pytest.raises(AssertionError):
+        interval.RealInterval.one(bigfloat(64)) * 3
 
 
 def test_alternating_moduli_read_their_own_tables(shared_cache):

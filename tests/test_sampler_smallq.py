@@ -91,9 +91,33 @@ def test_smallq_widths_at_zero_stay_pinned(q):
         assert s.hi - s.lo <= T0_WIDTHS[q][idx], (q, idx)
 
 
-def test_smallq_rejects_imprimitive():
-    with pytest.raises(NotPrimitive):
+def _refuse(*args, **kwargs):
+    raise AssertionError("table work for a refused call")
+
+
+def test_smallq_rejects_imprimitive(monkeypatch):
+    monkeypatch.setattr(sampler_smallq, "_dual_values", _refuse)
+    monkeypatch.setattr(sampler_smallq, "alias_bound_fhat", _refuse)
+    with pytest.raises(NotPrimitive, match=r"\(3,\) mod 9"):
         smallq_samples(9, (3,), PLAN, T_MAX)
+
+
+@pytest.mark.parametrize("idx", [(7,), (-1,), (1, 2), ()])
+def test_smallq_refuses_malformed_indices(monkeypatch, idx):
+    # (Z/9Z)* is cyclic of order 6: one entry in 0..5
+    monkeypatch.setattr(sampler_smallq, "_dual_values", _refuse)
+    monkeypatch.setattr(sampler_smallq, "alias_bound_fhat", _refuse)
+    with pytest.raises(ValueError, match="mod 9"):
+        smallq_samples(9, idx, PLAN, T_MAX)
+
+
+@pytest.mark.parametrize("t_max", [-0.01, Fraction(-1, 10**9), -1])
+def test_smallq_refuses_negative_t_max(monkeypatch, t_max):
+    # int(t_max * A) truncates toward zero, so the sign is tested on
+    # t_max itself: -0.01 must not become a grid with one sample at t = 0
+    monkeypatch.setattr(sampler_smallq, "_dual_values", _refuse)
+    with pytest.raises(DomainError, match="t_max must be nonnegative"):
+        smallq_samples(5, (1,), None, t_max)
 
 
 def test_zeta_nine_eighths_contains_mpmath():
