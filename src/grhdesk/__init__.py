@@ -3,28 +3,20 @@
 Interval-certified samples of completed Dirichlet L-functions on the
 critical line, for every primitive character of a modulus: a lattice and
 group-DFT sampler for large moduli (sampler_largeq) and a dual-grid
-theta/FFT sampler for small ones (sampler_smallq).  Locating zeros from
-sign changes and certifying zero counts are not implemented yet.
+theta/FFT sampler for small ones (sampler_smallq).  Every enclosure is
+outward-rounded interval arithmetic on doubles (interval, ivec); exact
+integer and big-float kernels only feed it constants, each rounded
+outward once.  Locating zeros from sign changes and certifying zero
+counts are not implemented yet.
 """
 
 __version__ = "0.1.0"
 
-from .interval import (
-    HARDWARE,
-    ComplexBox,
-    PrecisionTier,
-    RealInterval,
-    bigfloat,
-    log_gamma,
-    pi_interval,
-)
+from .interval import ComplexBox, RealInterval, log_gamma, pi_interval
 
 __all__ = [
-    "HARDWARE",
     "ComplexBox",
-    "PrecisionTier",
     "RealInterval",
-    "bigfloat",
     "log_gamma",
     "pi_interval",
     "__version__",

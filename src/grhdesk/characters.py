@@ -26,21 +26,15 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_pi, mpf_shift, to_int
 
 from .errors import HypothesisViolated, NotPrimitive, QTooSmall
-from .interval import (
-    HARDWARE,
-    ComplexBox,
-    PrecisionTier,
-    RealInterval,
-    _cos_sin,
-    _narrow,
-    bigfloat,
-    pi_interval,
-)
+from .hurwitz import _GUARD
+from .interval import ComplexBox, RealInterval, _cos_sin, _narrow, pi_interval
 
-# the precision of the box gauss_sum returns; its fixed-point tables carry
-# guard bits above it (CharGroup._fixed_unity_tables)
+# the precision of the Gauss sums in integer fixed point: their unity
+# tables carry guard bits above it (CharGroup._fixed_unity_tables), so
+# tau is known to about 2^-GAUSS_BITS
 GAUSS_BITS = 160
 
 
@@ -368,16 +362,6 @@ class CharGroup:
         rad = len(units) * (l_rad * (one + q_rad) + q_rad * one)
         return re, im, rad, 2 * shift
 
-    def gauss_sum(self, idx) -> ComplexBox:
-        """tau(chi) as a bigfloat(GAUSS_BITS) box: _gauss_fixed rounded outward once."""
-        re, im, rad, scale = self._gauss_fixed(idx)
-        tier = bigfloat(GAUSS_BITS)
-        den = 1 << scale
-        return ComplexBox(
-            RealInterval(Fraction(re - rad, den), Fraction(re + rad, den), tier),
-            RealInterval(Fraction(im - rad, den), Fraction(im + rad, den), tier),
-        )
-
     def root_number(self, idx) -> ComplexBox:
         """epsilon = tau(chi) / (i^parity sqrt(q)) as a hardware box; modulus must contain 1."""
         if not self.is_primitive(idx):
@@ -465,8 +449,13 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
 
     Returns object arrays (re, im) of Python ints and an integer rad with
     |(re[k] + i im[k]) 2^-shift - e(k/n)| <= rad 2^-shift for every k.
-    The only transcendental is one rigorous bigfloat box for e(1/n), at
-    shift + 8 bits and never fewer than the tier's 64; the rest is the
+    The only transcendental is e(1/n): one mpf_cos_sin of 2 pi/n at
+    shift + 8 + _GUARD bits, each part rounded to the nearest integer
+    (x_1, y_1).  The kernel is trusted to hurwitz._BIG_TRANS_ULPS ulps at
+    shift + 8 bits, below 2^-6 units of 2^-shift, and 2 pi/n is rounded
+    at shift + 8 + _GUARD bits, so with the rounding to integers each
+    part is within one unit: r_1 = 2.  When n divides 4, e(1/n) is 1, -1
+    or i, the parts round to it exactly, and r_1 = 0.  The rest is the
     recurrence z_{k+1} = round(z_k z_1 / 2^shift), whose error (in units
     of 2^-shift) obeys
 
@@ -480,10 +469,10 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
     """
     one = 1 << shift
     half = one >> 1
-    box = unit_phase(Fraction(1, n), bigfloat(max(shift + 8, 64)))
-    x1, rx = _fixed_point(box.re, shift)
-    y1, ry = _fixed_point(box.im, shift)
-    r1 = rx + ry
+    prec = shift + 8 + _GUARD
+    two_pi_n = mpf_div(mpf_shift(mpf_pi(prec, "n"), 1), from_int(n), prec, "n")
+    x1, y1 = (to_int(mpf_shift(v, shift), "n") for v in mpf_cos_sin(two_pi_n, prec, "n"))
+    r1 = 0 if 4 % n == 0 else 2
     re, im = [one], [0]
     x, y, rad = one, 0, 0
     for _ in range(1, n):
@@ -495,14 +484,6 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
     return np.array(re, dtype=object), np.array(im, dtype=object), rad
 
 
-def _fixed_point(iv: RealInterval, shift: int) -> tuple[int, int]:
-    """Integers (m, r) with iv inside [(m - r) 2^-shift, (m + r) 2^-shift]."""
-    lo = iv.lo_fraction() * (1 << shift)
-    hi = iv.hi_fraction() * (1 << shift)
-    m = round((lo + hi) / 2)
-    return m, math.ceil(max(hi - m, m - lo))
-
-
 @lru_cache(maxsize=64)
 def char_group(q: int) -> CharGroup:
     return CharGroup(q)
@@ -512,20 +493,17 @@ def char_group(q: int) -> CharGroup:
 # complex embedding of exact phases
 
 
-def unit_phase(fr: Fraction, tier: PrecisionTier = HARDWARE) -> ComplexBox:
+def unit_phase(fr: Fraction) -> ComplexBox:
     """e(fr) = exp(2 pi i fr) for an exact rational number of turns."""
     fr = fr % 1
     if fr.denominator == 1:
-        return ComplexBox.one(tier)
+        return ComplexBox.one()
     if fr.denominator == 2:
-        return -ComplexBox.one(tier)
+        return -ComplexBox.one()
     if fr.denominator == 4:
-        box = ComplexBox.zero(tier)
-        one = RealInterval.one(tier)
-        if fr.numerator == 1:
-            return ComplexBox(box.re, one)
-        return ComplexBox(box.re, -one)
-    theta = pi_interval(tier) * RealInterval.from_fraction(2 * fr, tier)
+        one = RealInterval.one()
+        return ComplexBox(RealInterval.zero(), one if fr.numerator == 1 else -one)
+    theta = pi_interval() * RealInterval.from_fraction(2 * fr)
     return ComplexBox(*_cos_sin(theta))
 
 

@@ -51,21 +51,13 @@ from mpmath.libmp import (
     mpf_log,
     mpf_mul,
     mpf_neg,
+    mpf_pi,
+    mpf_shift,
+    to_int,
 )
 
 from .errors import DomainError, PoleProximity, RadiusViolation
-from .interval import (
-    _BIG_TRANS_ULPS,
-    _GUARD,
-    HARDWARE,
-    ComplexBox,
-    RealInterval,
-    _narrow,
-    _ratio_ends,
-    bernoulli,
-    bigfloat,
-    pi_interval,
-)
+from .interval import ComplexBox, RealInterval, _narrow, _ratio_ends, bernoulli
 from .ivec import CVec, IVec
 
 # the cap of the default row count (lattice_size)
@@ -78,6 +70,12 @@ DEFAULT_M = 9
 # rest of the build and the stored cells are hardware, so more bits
 # barely narrow a cell.
 DEFAULT_BUILD_BITS = 64
+
+# The big-float kernels (mpmath.libmp's log, cos_sin and pi) run with
+# _GUARD bits above the precision they serve, and each result is trusted
+# to _BIG_TRANS_ULPS ulps at that precision
+_GUARD = 32
+_BIG_TRANS_ULPS = 2
 
 _HALF = Fraction(1, 2)
 
@@ -132,15 +130,15 @@ def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
     x^{-sigma} is the integer v-th root of d^u 2^{vF} / n^u (math.isqrt
     at v = 2), exact to one unit of 2^-F.  The phase -t log x is the exact
     product of the double t and one mpf_log, and feeds one mpf_cos_sin;
-    each kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`, the
-    contract of the bigfloat tier's transcendentals.  The integer radius
-    carries the rounding of x into the log, the trust of both kernels, the
-    truncations to integers, and (|t| + |sigma|) rad(log): |t| rad(log)
-    into the phase, which moves e^{i phase} by no more along the unit
-    circle, and |sigma| rad(log) into the modulus.  The integer root needs
-    no such term, but with it the ball keeps the contract of the form
-    exp(-s log x): it holds exp(-s l) for l at log x -+ the log kernel's
-    trust, a few ulps at `bits`.  The midpoint is truncated to prec bits.
+    each kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`.  The
+    integer radius carries the rounding of x into the log, the trust of
+    both kernels, the truncations to integers, and (|t| + |sigma|)
+    rad(log): |t| rad(log) into the phase, which moves e^{i phase} by no
+    more along the unit circle, and |sigma| rad(log) into the modulus.
+    The integer root needs no such term, but with it the ball keeps the
+    contract of the form exp(-s log x): it holds exp(-s l) for l at
+    log x -+ the log kernel's trust, a few ulps at `bits`.  The midpoint
+    is truncated to prec bits.
     """
     prec = bits + _GUARD
     n, d = x.numerator, x.denominator
@@ -179,8 +177,8 @@ def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
 def _trust_units(v, bits: int, prec: int) -> int:
     """_BIG_TRANS_ULPS ulps at `bits` of a raw mpf, in units of 2^-prec, rounded up.
 
-    The ulp comes from the mpf's own exponent, at the scale of _raw_ulp
-    (an absolute floor for an exact zero).
+    The ulp comes from the mpf's own exponent: 2^(exponent + bit length
+    - bits), or 2^(-5 bits) for an exact zero.
     """
     e = (v[2] + v[3] if v[1] else -4 * bits) - bits + prec
     return _BIG_TRANS_ULPS << e if e >= 0 else -(-_BIG_TRANS_ULPS >> -e)
@@ -363,16 +361,15 @@ def _em_rows(
     (s_c)_{2k-1} B_2k/(2k)! and the remainder constant are exact Gaussian
     rationals, because t is a double, each rounded outward once; only the
     remainder constant needs bounds, an upper one on |(s_c)_{2b+1}| and a
-    lower one on (2 pi)^{2b+1} from pi at bigfloat(bits); bits below 64
-    raise ValueError there, as bigfloat() does.  Everything else
-    runs on hardware interval arrays: column c scales the column c-1
+    lower one on (2 pi)^{2b+1} from a lower bound on pi: mpf_pi at
+    bits + _GUARD rounded down to bits bits, less one ulp.  Everything
+    else runs on hardware interval arrays: column c scales the column c-1
     powers by (n+alpha)^{-1}, the direct sum adds term by term, the
     Bernoulli tail is A^{-1-s_c} times a Horner sum in A^{-2} (one
     CVec x IVec product and one addition per term), and the remainder
     radius takes each row's own A.  At t = 0 the values are real and
     the imaginary parts are set to [0, 0].
     """
-    pi = pi_interval(bigfloat(bits))
     if min(alphas) <= 0:
         raise DomainError("alpha must be strictly positive")
     if base_sigma + 2 * b <= 0:
@@ -394,7 +391,9 @@ def _em_rows(
     # the per-column constants, from exact Pochhammer symbols of s_c, as
     # integer (numerator, denominator) pairs rounded outward once each
     zu = zeta_upper(2 * b + 1)
-    two_pi_pow_lo = (2 * pi.lo_fraction()) ** (2 * b + 1)
+    # pi lies in [2, 4), where one ulp at `bits` is 2^(2 - bits)
+    pi_lo = Fraction(to_int(mpf_shift(mpf_pi(bits + _GUARD, "f"), bits - 2), "f") - 1, 1 << (bits - 2))
+    two_pi_pow_lo = (2 * pi_lo) ** (2 * b + 1)
     bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
     inv_re, inv_im, inv_den = [], [], []
     coef_re, coef_im, coef_den = [], [], []
@@ -490,8 +489,8 @@ class HurwitzLattice:
     def s_at(self, c: int = 0) -> ComplexBox:
         """The point 1/2 + it + c as a hardware box."""
         return ComplexBox(
-            RealInterval.from_fraction(_HALF + c, HARDWARE),
-            RealInterval.point(self.t, HARDWARE),
+            RealInterval.from_fraction(_HALF + c),
+            RealInterval.point(self.t),
         )
 
 
@@ -537,18 +536,20 @@ def build_lattice(
     D defaults to lattice_size(t), the fewest rows whose Taylor shifts
     keep a query's width at the height t; an explicit D wins.
 
-    bits sets the build's precision, at least 64 (_em_rows refuses
-    fewer): auto_params takes the Euler-Maclaurin truncation (a, b) for
-    every row from the exact s_0 = 1/2 + it, the smallest offset
-    1/D + M + 1 and bits, and the powers (n + alpha)^{-s_0} are trusted
-    to a few ulps at it; only the primes up to (M + 2 + a) D, the
-    numerator of the top base over D, and D^{s_0} take transcendental
-    kernel calls, every power is an exact fixed-point product of those
-    balls.  No big-float interval arithmetic runs; the build works in
-    big-float balls, Gaussian integers, exact rationals and hardware
-    interval arrays, and the returned lattice is hardware.  With cache
-    enabled the result is persisted keyed by (t, D, Ncols, M, bits).
+    bits sets the build's precision, at least 64 (fewer raise
+    ValueError before any work): auto_params takes the Euler-Maclaurin
+    truncation (a, b) for every row from the exact s_0 = 1/2 + it, the
+    smallest offset 1/D + M + 1 and bits, and the powers
+    (n + alpha)^{-s_0} are trusted to a few ulps at it; only the primes
+    up to (M + 2 + a) D, the numerator of the top base over D, and
+    D^{s_0} take transcendental kernel calls, every power is an exact
+    fixed-point product of those balls.  The build works in fixed-point
+    balls, Gaussian integers, exact rationals and hardware interval
+    arrays, and the returned lattice is hardware.  With cache enabled
+    the result is persisted keyed by (t, D, Ncols, M, bits).
     """
+    if bits < 64:
+        raise ValueError(f"bits = {bits}: a lattice build needs at least 64 bits")
     t = float(t)
     if D is None:
         D = lattice_size(t)
@@ -728,7 +729,7 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
         radius = Fraction(int(rows.min()), D) + (lat.M + 1)
         tail = taylor_tail_bound(s_mag_hi, Fraction(d_max, q * D), radius, lat.Ncols + 1)
         if tail:
-            pad = RealInterval.from_fraction(tail, HARDWARE).hi_float()
+            pad = RealInterval.from_fraction(tail).hi_float()
     blocks = []
     for i in range(0, max(len(units), 1), _UNIT_BLOCK):  # one block if empty
         part = slice(i, i + _UNIT_BLOCK)

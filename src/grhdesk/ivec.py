@@ -1,4 +1,4 @@
-"""Vectorized hardware-tier interval arrays.
+"""Vectorized interval arrays on doubles.
 
 :class:`IVec` holds parallel numpy arrays of lower and upper endpoints;
 :class:`CVec` pairs two of them as a complex rectangle array.  Every
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DivisorContainsZero, LogDomain, NegativeSqrtDomain
-from .interval import HARDWARE, ComplexBox, RealInterval
+from .interval import ComplexBox, RealInterval
 
 _EPS = 2.0**-52
 _U = 2.0**-53
@@ -177,7 +177,7 @@ class IVec:
         lo = self.lo[idx]
         hi = self.hi[idx]
         if np.ndim(lo) == 0:
-            return RealInterval(float(lo), float(hi), HARDWARE, _raw=True)
+            return RealInterval(float(lo), float(hi), _raw=True)
         return IVec(lo, hi, _checked=True)
 
     def take(self, idx) -> "IVec":
@@ -366,7 +366,7 @@ class IVec:
         hi = _up_arr(shi + ((n + 2) * _U) * thi, _KA)
         op_counter.add(self.size)
         if axis is None:
-            return RealInterval(float(lo), float(hi), HARDWARE, _raw=True)
+            return RealInterval(float(lo), float(hi), _raw=True)
         return IVec(lo, hi, _checked=True)
 
     # -- set operations -----------------------------------------------------

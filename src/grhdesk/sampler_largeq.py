@@ -47,7 +47,6 @@ from .dft import group_dft_cvec, units_of
 from .errors import DomainError, NotPrimitive, RealnessViolation
 from .hurwitz import HurwitzLattice, _power_ball, build_lattice, unit_hurwitz
 from .interval import (
-    HARDWARE,
     ComplexBox,
     RealInterval,
     log_gamma,
@@ -158,15 +157,15 @@ def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
     It depends on the character only through its parity.
     """
     z = ComplexBox(
-        RealInterval.from_fraction(Fraction(2 * parity + 1, 4), HARDWARE),
-        RealInterval.point(t / 2, HARDWARE),
+        RealInterval.from_fraction(Fraction(2 * parity + 1, 4)),
+        RealInterval.point(t / 2),
     )
     lg = log_gamma(z)
-    pi = pi_interval(HARDWARE)
-    log_q_pi = (RealInterval.point(q, HARDWARE) / pi).log()
+    pi = pi_interval()
+    log_q_pi = (RealInterval.point(q) / pi).log()
     arg = ComplexBox(
-        lg.re + pi * RealInterval.point(abs(t) / 4, HARDWARE),
-        lg.im + RealInterval.point(t / 2, HARDWARE) * log_q_pi,
+        lg.re + pi * RealInterval.point(abs(t) / 4),
+        lg.im + RealInterval.point(t / 2) * log_q_pi,
     )
     return arg.exp()
 

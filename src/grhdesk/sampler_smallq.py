@@ -54,7 +54,6 @@ from .errors import (
 )
 from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, auto_params
 from .interval import (
-    HARDWARE,
     ComplexBox,
     RealInterval,
     log_gamma,
@@ -81,7 +80,7 @@ def zeta_nine_eighths() -> RealInterval:
 
 def _frac_pow(base: RealInterval, fr: Fraction) -> RealInterval:
     """base^fr for a positive interval base."""
-    return (base.log() * RealInterval.from_fraction(fr, HARDWARE)).exp()
+    return (base.log() * RealInterval.from_fraction(fr)).exp()
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class FftPlan:
         if prod.denominator != 1 or prod < 2 or prod.numerator & (prod.numerator - 1):
             raise DomainError("N = A*B must be a power of two >= 2")
         # A >= 1/(2 pi), certified: 2 pi A > 1
-        two_pi_a = pi_interval(HARDWARE) * RealInterval.from_fraction(2 * self.A)
+        two_pi_a = pi_interval() * RealInterval.from_fraction(2 * self.A)
         if not two_pi_a.lo_float() > 1.0:
             raise DomainError("need A >= 1/(2 pi)")
 
@@ -117,9 +116,9 @@ class FftPlan:
 
     @property
     def delta(self) -> RealInterval:
-        one = RealInterval.one(HARDWARE)
+        one = RealInterval.one()
         half = RealInterval.from_fraction(_HALF)
-        return pi_interval(HARDWARE) * (one - RealInterval.point(abs(self.eta))) * half
+        return pi_interval() * (one - RealInterval.point(abs(self.eta))) * half
 
     @property
     def t_step(self) -> Fraction:
@@ -171,8 +170,8 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
     """
     group = char_group(q)
     slot = {int(a): j for j, a in enumerate(units_of(group))}
-    pi = pi_interval(HARDWARE)
-    one = RealInterval.one(HARDWARE)
+    pi = pi_interval()
+    one = RealInterval.one()
     eta_im = pi * RealInterval.point(plan.eta / 4)
     scale_fr = RealInterval.from_fraction(Fraction(2 * parity + 1, 2))
     factor = RealInterval.point(2) / _frac_pow(
@@ -194,7 +193,7 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
                 break
         trunc = default_trunc(x.lo_float(), q, plan.eta)
 
-        acc = [ComplexBox.zero(HARDWARE)] * group.phi
+        acc = [ComplexBox.zero()] * group.phi
         for k in range(1, trunc + 1):
             if math.gcd(k, q) != 1:
                 continue
@@ -234,7 +233,7 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
 
 def _decay_bound(w: RealInterval, x_of_w: RealInterval, parity: int) -> RealInterval:
     """exp((2 parity + 1) w/2 - X) (1 + 1/(2X))^((2 parity + 2)/2)."""
-    one = RealInterval.one(HARDWARE)
+    one = RealInterval.one()
     half = RealInterval.from_fraction(_HALF)
     grow = w * RealInterval.from_fraction(Fraction(2 * parity + 1, 2))
     body = one + half / x_of_w
@@ -254,7 +253,7 @@ def alias_bound_fhat(n: int, plan: FftPlan, q: int, parity: int) -> RealInterval
     n = abs(int(n))
     if 2 * n > plan.N:
         raise DomainError("bin outside the signed frequency range")
-    pi = pi_interval(HARDWARE)
+    pi = pi_interval()
     delta = plan.delta
     f1 = Fraction(n) / plan.B + plan.A
     f2 = plan.A - Fraction(n) / plan.B
@@ -274,7 +273,7 @@ def alias_bound_fhat(n: int, plan: FftPlan, q: int, parity: int) -> RealInterval
             f"X(w) <= 1 at bin {n}; enlarge A (X1={x1.lo_float():.3g}, "
             f"X2={x2.lo_float():.3g})"
         )
-    one = RealInterval.one(HARDWARE)
+    one = RealInterval.one()
     num = (_decay_bound(w1, x1, parity) + _decay_bound(w2, x2, parity)) * (
         RealInterval.point(4)
     )
@@ -294,10 +293,10 @@ def _beta(t_fr: Fraction, parity: int) -> RealInterval:
     den_fr = abs(t_fr * t_fr - c * c / 4)
     if den_fr == 0:
         raise BetaConditionViolated("ordinate at the pole of the correction term")
-    pi = pi_interval(HARDWARE)
+    pi = pi_interval()
     quarter = RealInterval.from_fraction(Fraction(1, 4))
     at = RealInterval.from_fraction(abs(t_fr))
-    one = RealInterval.one(HARDWARE)
+    one = RealInterval.one()
     arct = (one / (at + at)).atan()
     corr = RealInterval.point(4) / (pi * pi * RealInterval.from_fraction(den_fr))
     return pi * quarter - arct * RealInterval.from_fraction(c / 2) - corr
@@ -306,7 +305,7 @@ def _beta(t_fr: Fraction, parity: int) -> RealInterval:
 def _envelope(t_fr: Fraction, q: int, parity: int, eta: float) -> RealInterval:
     """zeta(9/8) pi^(-(2a+1)/4) |Gamma((2a+1)/4 + it/2)| e^(pi eta t/4)
     ((q/2pi)|3/2 + t|)^(5/16)."""
-    pi = pi_interval(HARDWARE)
+    pi = pi_interval()
     tt = RealInterval.from_fraction(t_fr)
     z = ComplexBox(
         RealInterval.from_fraction(Fraction(2 * parity + 1, 4)),
@@ -332,7 +331,7 @@ def t_grid_error(m: int, plan: FftPlan, q: int, parity: int) -> RealInterval:
     """
     t1 = Fraction(m) / plan.A + plan.B
     t2 = Fraction(m) / plan.A - plan.B
-    pi = pi_interval(HARDWARE)
+    pi = pi_interval()
     pe = pi * RealInterval.point(plan.eta / 4)
     beta1 = _beta(t1, parity) - pe
     beta2 = _beta(t2, parity) + pe
@@ -340,9 +339,9 @@ def t_grid_error(m: int, plan: FftPlan, q: int, parity: int) -> RealInterval:
         raise BetaConditionViolated(
             f"decay condition fails at m={m} (m/A={float(Fraction(m) / plan.A):.4g})"
         )
-    one = RealInterval.one(HARDWARE)
+    one = RealInterval.one()
     b_iv = RealInterval.from_fraction(plan.B)
-    out = RealInterval.zero(HARDWARE)
+    out = RealInterval.zero()
     for t_fr, beta in ((t1, beta1), (t2, beta2)):
         env = _envelope(t_fr, q, parity, plan.eta)
         den = one - (-(b_iv * beta)).exp()
@@ -383,8 +382,8 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     if any(Fraction(t) != t_fr for t, t_fr in zip(ts, ordinates)):
         raise DomainError("grid ordinates must be binary rationals")
 
-    pi = pi_interval(HARDWARE)
-    one = RealInterval.one(HARDWARE)
+    pi = pi_interval()
+    one = RealInterval.one()
     eta_fac = (one - RealInterval.point(plan.eta)) * RealInterval.from_fraction(
         Fraction(1, 4)
     )
@@ -395,7 +394,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         members = [i for i, meta in enumerate(metas) if meta.parity == parity]
 
         alias = [alias_bound_fhat(n, plan, q, parity) for n in range(half + 1)]
-        alias_total = RealInterval.zero(HARDWARE)
+        alias_total = RealInterval.zero()
         for n in range(n_total):
             alias_total = alias_total + alias[min(n, n_total - n)]
         t_pads = [t_grid_error(m, plan, q, parity).hi_float() for m in range(m_max + 1)]

@@ -1,37 +1,110 @@
-"""Scalar Euler-Maclaurin Hurwitz zeta: the test oracle.
+"""Scalar Euler-Maclaurin Hurwitz zeta in mpmath.iv: the test oracle.
 
-em_hurwitz encloses zeta(s, alpha) one value at a time, with the
-truncation remainder enclosed as an interval, at either precision tier.
-It is checked against mpmath in test_hurwitz.py, and the package's
-lattice kernel (hurwitz._em_rows), its Taylor-shift queries and the
-large-q L-values are checked against it.  Its truncation (terms_a,
-terms_b) is the package's hurwitz.auto_params.
+em_hurwitz encloses zeta(s, alpha) one value at a time in mpmath.iv,
+mpmath's outward-rounded interval arithmetic, at a given precision, with
+the truncation remainder enclosed as an interval.  It is checked against
+mpmath in test_hurwitz.py, and the package's lattice kernel
+(hurwitz._em_rows), its Taylor-shift queries and the large-q L-values are
+checked against it.  Its truncation (terms_a, terms_b) is the package's
+hurwitz.auto_params.
+
+The helpers below move values between mpmath.iv and the package's
+hardware intervals: ``iv_real``/``iv_complex`` build iv values (exactly
+from hardware boxes, outward from rationals), ``ends`` reads the exact
+endpoints of an iv interval, and ``covers``, ``meets``, ``holds`` and
+``width`` compare and measure hardware boxes and iv values exactly.
+``ivprec`` sets ``iv.prec`` for a block.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import iv
+from mpmath.libmp import to_rational
+
 from grhdesk.errors import DomainError, PoleProximity
 from grhdesk.hurwitz import auto_params, zeta_upper
-from grhdesk.interval import (
-    HARDWARE,
-    ComplexBox,
-    PrecisionTier,
-    RealInterval,
-    bernoulli,
-    pi_interval,
-)
-
-_HALF = Fraction(1, 2)
+from grhdesk.interval import ComplexBox, RealInterval, bernoulli
 
 
-def _cpow(base: RealInterval, z: ComplexBox) -> ComplexBox:
-    """base**z for a strictly positive real base."""
-    lg = base.log()
-    return ComplexBox(z.re * lg, z.im * lg).exp()
+@contextmanager
+def ivprec(bits: int):
+    """iv.prec = bits inside the block, restored after it."""
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def iv_real(x) -> iv.mpf:
+    """An iv interval holding x: a RealInterval or double exactly, a
+    Fraction outward at iv.prec, a pair (lo, hi) as the hull of its two
+    ends, an iv interval as it is."""
+    if isinstance(x, RealInterval):
+        return iv.mpf([x.lo, x.hi])
+    if isinstance(x, Fraction):
+        return iv.mpf(x.numerator) / x.denominator
+    if isinstance(x, tuple):
+        lo, hi = x
+        return iv.mpf([iv_real(lo).a, iv_real(hi).b])
+    return iv.mpf(x)
+
+
+def iv_complex(z) -> iv.mpc:
+    """An iv box holding z, each part as iv_real takes it; a pair is (re, im)."""
+    if isinstance(z, iv.mpc):
+        return z
+    if isinstance(z, ComplexBox):
+        return iv.mpc(iv_real(z.re), iv_real(z.im))
+    if isinstance(z, tuple):
+        return iv.mpc(*map(iv_real, z))
+    if isinstance(z, complex):
+        return iv.mpc(z.real, z.imag)
+    return iv.mpc(iv_real(z), 0)
+
+
+def ends(x: iv.mpf) -> tuple[Fraction, Fraction]:
+    """The exact endpoints of a finite iv interval."""
+    return tuple(Fraction(*to_rational(v)) for v in x._mpi_)
+
+
+def _parts(x) -> list[tuple]:
+    """The exact endpoints of each part of x: [re] for a real, [re, im]
+    for a complex value, hardware or iv.  Doubles and Fractions compare
+    exactly, so hardware endpoints stay doubles."""
+    if isinstance(x, RealInterval):
+        return [(x.lo, x.hi)]
+    if isinstance(x, ComplexBox):
+        return _parts(x.re) + _parts(x.im)
+    if isinstance(x, iv.mpc):
+        return _parts(x.real) + _parts(x.imag)
+    return [ends(x)]
+
+
+def covers(outer, inner) -> bool:
+    """outer holds all of inner; each is a hardware box or an iv value."""
+    return all(a <= c and d <= b for (a, b), (c, d) in zip(_parts(outer), _parts(inner), strict=True))
+
+
+def meets(x, y) -> bool:
+    """x and y intersect; each is a hardware box or an iv value."""
+    return all(a <= d and c <= b for (a, b), (c, d) in zip(_parts(x), _parts(y), strict=True))
+
+
+def holds(x, *point) -> bool:
+    """x, hardware or iv, holds the exact real parts point = (re,) or (re, im)."""
+    return all(a <= v <= b for (a, b), v in zip(_parts(x), point))
+
+
+def width(x) -> Fraction:
+    """The largest width over the parts of x."""
+    return max(b - a for a, b in _parts(x))
 
 
 @dataclass(frozen=True)
@@ -49,13 +122,7 @@ class EMParams:
     terms_b: int
 
 
-def _auto_params(s: ComplexBox, alpha: RealInterval, tier: PrecisionTier) -> EMParams:
-    """hurwitz.auto_params at the lower ends of Re s and alpha and the larger |Im s|."""
-    t = max(-s.im.lo_float(), s.im.hi_float())
-    return EMParams(*auto_params(s.re.lo_fraction(), t, alpha.lo_fraction(), tier.bits))
-
-
-def _em_core(s: ComplexBox, alpha: RealInterval, a: int, b: int) -> ComplexBox:
+def _em_core(s: iv.mpc, alpha: iv.mpf, a: int, b: int) -> iv.mpc:
     """Enclosure of sum_{n>=0} (n + alpha)^{-s}, continued past sigma > 1.
 
     alpha may be any strictly positive interval here; the public wrapper
@@ -65,94 +132,79 @@ def _em_core(s: ComplexBox, alpha: RealInterval, a: int, b: int) -> ComplexBox:
 
     valid whenever sigma + 2b > 0.
     """
-    tier = s.tier
-    if alpha.lo_fraction() <= 0:
+    re_lo, re_hi = ends(s.real)
+    im_lo, im_hi = ends(s.imag)
+    if ends(alpha)[0] <= 0:
         raise DomainError("alpha must be strictly positive")
-    if (s - 1).contains_zero():
+    if re_lo <= 1 <= re_hi and im_lo <= 0 <= im_hi:
         raise PoleProximity("s overlaps the pole at 1")
-    if s.re.lo_fraction() + 2 * b <= 0:
+    if re_lo + 2 * b <= 0:
         raise DomainError("remainder bound needs Re(s) + 2*terms_b > 0")
     if a < 0 or b < 1:
         raise DomainError("terms_a must be >= 0 and terms_b >= 1")
 
-    neg_s = -s
-    acc = ComplexBox.zero(tier)
+    acc = iv.mpc(0, 0)
     for n in range(a):
-        acc = acc + _cpow(alpha + n, neg_s)
+        acc += iv.exp(-s * iv.log(alpha + n))
 
     A = alpha + a
-    logA = A.log()
-    P = ComplexBox(neg_s.re * logA, neg_s.im * logA).exp()  # A^{-s}
-    half = RealInterval.from_fraction(_HALF, tier)
-    acc = acc + (P * A) / (s - 1)
-    acc = acc + P * half
+    logA = iv.log(A)
+    P = iv.exp(-s * logA)  # A^{-s}
+    acc += P * A / (s - 1) + P / 2
 
-    invA2 = RealInterval.one(tier) / A.square()
+    invA2 = 1 / (A * A)
     apow = P * A  # A^{1-s}
     poch = s  # (s)_1
     for k in range(1, b + 1):
         apow = apow * invA2  # A^{1-s-2k}
-        coef = RealInterval.from_fraction(bernoulli(2 * k) / math.factorial(2 * k), tier)
-        acc = acc + (poch * coef) * apow
-        poch = (poch * (s + (2 * k - 1))) * (s + 2 * k)
+        acc += poch * iv_real(bernoulli(2 * k) / math.factorial(2 * k)) * apow
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
     # poch is now (s)_{2b+1}
 
-    sig2b = s.re + 2 * b
-    rpow = (logA * (-sig2b)).exp()  # A^{-sigma-2b}
-    zu = RealInterval.from_fraction(zeta_upper(2 * b + 1), tier)
-    two_pi_pow_lo = (2 * pi_interval(tier).lo_fraction()) ** (2 * b + 1)
-    two_pi_pow = RealInterval.from_fraction(two_pi_pow_lo, tier)
-    radius = (zu * 2 * poch.abs() * rpow) / (two_pi_pow * sig2b)
-    return acc.pad(radius)
+    sig2b = s.real + 2 * b
+    rpow = iv.exp(-logA * sig2b)  # A^{-sigma-2b}
+    zu = iv_real(zeta_upper(2 * b + 1))
+    radius = zu * 2 * abs(poch) * rpow / ((2 * iv.pi) ** (2 * b + 1) * sig2b)
+    r = iv.mpf([-radius.b, radius.b])
+    return acc + iv.mpc(r, r)
 
 
-def _coerce_s(s, tier: PrecisionTier) -> ComplexBox:
-    if isinstance(s, ComplexBox):
-        return s
-    if isinstance(s, RealInterval):
-        return ComplexBox.from_real(s)
-    if isinstance(s, Fraction):
-        return ComplexBox(RealInterval.from_fraction(s, tier), RealInterval.zero(tier))
-    return ComplexBox.point(complex(s), tier)
+def _auto_params(s: iv.mpc, alpha: iv.mpf, bits: int) -> EMParams:
+    """hurwitz.auto_params at the lower ends of Re s and alpha and the larger |Im s|."""
+    im_lo, im_hi = ends(s.imag)
+    t = float(max(-im_lo, im_hi))
+    return EMParams(*auto_params(ends(s.real)[0], t, ends(alpha)[0], bits))
 
 
-def _coerce_alpha(alpha, tier: PrecisionTier) -> RealInterval:
-    if isinstance(alpha, RealInterval):
-        return alpha
-    if isinstance(alpha, (Fraction, int)):
-        return RealInterval.from_fraction(Fraction(alpha), tier)
-    return RealInterval.point(alpha, tier)
+def em_hurwitz(s, alpha, params: EMParams | None = None, bits: int = 53) -> iv.mpc:
+    """Enclosure of the Hurwitz zeta zeta(s, alpha) for alpha in (0, 1], at iv.prec = bits.
 
-
-def em_hurwitz(s, alpha, params: EMParams | None = None, tier: PrecisionTier = HARDWARE) -> ComplexBox:
-    """Enclosure of the Hurwitz zeta zeta(s, alpha) for alpha in (0, 1].
-
-    s may be a ComplexBox (its tier then wins), a RealInterval, or a
-    plain number; alpha likewise.  With params omitted the truncation is
-    chosen so the remainder sits near the tier's resolution.
+    s may be an iv box, a ComplexBox, a pair (re, im) or a number, and alpha an iv
+    interval, a RealInterval or a number (see iv_complex, iv_real).
+    With params omitted the truncation is chosen so the remainder sits
+    near 2^-bits.
     """
-    sb = _coerce_s(s, tier)
-    tier = sb.tier
-    al = _coerce_alpha(alpha, tier)
-    if al.lo_fraction() <= 0:
-        raise DomainError("alpha must be strictly positive")
-    if al.hi_fraction() > 1:
-        raise DomainError("alpha must lie in (0, 1]")
-    if params is None:
-        params = _auto_params(sb, al, tier)
-    return _em_core(sb, al, params.terms_a, params.terms_b)
+    with ivprec(bits):
+        sb, al = iv_complex(s), iv_real(alpha)
+        lo, hi = ends(al)
+        if lo <= 0:
+            raise DomainError("alpha must be strictly positive")
+        if hi > 1:
+            raise DomainError("alpha must lie in (0, 1]")
+        if params is None:
+            params = _auto_params(sb, al, bits)
+        return _em_core(sb, al, params.terms_a, params.terms_b)
 
 
-def em_hurwitz_tail(s, alpha, skip: int, params: EMParams | None = None, tier: PrecisionTier = HARDWARE) -> ComplexBox:
+def em_hurwitz_tail(s, alpha, skip: int, params: EMParams | None = None, bits: int = 53) -> iv.mpc:
     """Enclosure of zeta(s, alpha) - sum_{n=0}^{skip-1} (n+alpha)^{-s}.
 
     Evaluated directly as the shifted series zeta(s, alpha + skip), so no
     cancellation between the full value and the removed head occurs.
     """
-    sb = _coerce_s(s, tier)
-    tier = sb.tier
-    al = _coerce_alpha(alpha, tier)
-    shifted = al + skip
-    if params is None:
-        params = _auto_params(sb, shifted, tier)
-    return _em_core(sb, shifted, params.terms_a, params.terms_b)
+    with ivprec(bits):
+        sb = iv_complex(s)
+        shifted = iv_real(alpha) + skip
+        if params is None:
+            params = _auto_params(sb, shifted, bits)
+        return _em_core(sb, shifted, params.terms_a, params.terms_b)

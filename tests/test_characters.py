@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from mpmath import iv
 from hypothesis import strategies as st
 
 from grhdesk.characters import (
@@ -21,7 +22,9 @@ from grhdesk.characters import (
     unit_phase,
 )
 from grhdesk.errors import NotPrimitive, QTooSmall
-from grhdesk.interval import ComplexBox, RealInterval, bigfloat
+from grhdesk.interval import ComplexBox
+
+from em_oracle import covers, ends, holds, iv_complex, iv_real, ivprec, meets
 
 
 # ---------------------------------------------------------------------------
@@ -55,42 +58,49 @@ def oracle_is_primitive(g: CharGroup, idx) -> bool:
     return True
 
 
-def unimodular_sqrt(z: ComplexBox) -> ComplexBox:
+def iv_conj(z: iv.mpc) -> iv.mpc:
+    return iv.mpc(z.real, -z.imag)
+
+
+def unimodular_sqrt(z: iv.mpc) -> iv.mpc:
     """One square root of a box near the unit circle, by the half-angle identity.
 
     For z = e^(i theta), 1 + z = 2 cos(theta/2) e^(i theta/2), so
     (1 + z)/|1 + z| is the principal root wherever Re z is not certified
     negative; there 1 + z stays clear of 0.  When Re z is certified
     negative, i (1 - z)/|1 - z| is i times the principal root of -z, with
-    Re(1 - z) > 1.  Both are box arithmetic at z's tier, with no log or exp.
+    Re(1 - z) > 1.  Both are box arithmetic at iv.prec, with no log or exp.
     """
-    one = ComplexBox.one(z.tier)
-    if z.re.sign() == -1:
-        w = one - z
-        return (w / w.abs()).mul_i()
-    w = one + z
-    return w / w.abs()
+    if ends(z.real)[1] < 0:
+        w = 1 - z
+        w = w / abs(w)
+        return iv.mpc(-w.imag, w.real)
+    w = 1 + z
+    return w / abs(w)
 
 
-def oracle_root_and_constant(g: CharGroup, idx) -> tuple[ComplexBox, ComplexBox]:
-    """The root number and completion constant by big-float box arithmetic.
+def gauss_disc(g: CharGroup, idx) -> tuple[Fraction, Fraction, Fraction]:
+    """tau(chi) as _gauss_fixed gives it: each part within r of x + iy, exactly."""
+    re, im, rad, scale = g._gauss_fixed(idx)
+    den = 1 << scale
+    return Fraction(re, den), Fraction(im, den), Fraction(rad, den)
 
-    gauss_sum's box, divided by i^parity sqrt(q) as complex boxes at
-    bigfloat(GAUSS_BITS), then unimodular_sqrt of its conjugate at that
-    tier: the half-angle rule of CharGroup.char_meta, with box arithmetic
-    at 160 bits where char_meta works in integer fixed point.
+
+def oracle_root_and_constant(g: CharGroup, idx) -> tuple[iv.mpc, iv.mpc]:
+    """The root number and completion constant in mpmath.iv at GAUSS_BITS.
+
+    _gauss_fixed's disc as an iv box, divided by i^parity sqrt(q), then
+    unimodular_sqrt of its conjugate: the half-angle rule of
+    CharGroup.char_meta, in interval arithmetic at 160 bits where
+    char_meta works in integer fixed point.
     """
-    tier = bigfloat(GAUSS_BITS)
-    tau = g.gauss_sum(idx)
+    x, y, r = gauss_disc(g, idx)
     if g.parity(idx) == 1:
-        tau = ComplexBox(tau.im, -tau.re)
-    root = tau / ComplexBox.from_real(RealInterval.point(g.q, tier).sqrt())
-    assert root.abs2().contains(1), (g.q, idx)
-    return root, unimodular_sqrt(root.conj())
-
-
-def box_contains(outer: ComplexBox, inner: ComplexBox) -> bool:
-    return outer.re.contains_interval(inner.re) and outer.im.contains_interval(inner.im)
+        x, y = y, -x  # divide by i
+    with ivprec(GAUSS_BITS):
+        root = iv_complex(((x - r, x + r), (y - r, y + r))) / iv.sqrt(g.q)
+        assert holds(abs(root) ** 2, 1), (g.q, idx)
+        return root, unimodular_sqrt(iv_conj(root))
 
 
 def box_width(z: ComplexBox) -> float:
@@ -318,9 +328,9 @@ def brute_gauss_sum(q: int, g: CharGroup, idx, prec=200):
 
 def test_root_number_mod4():
     g = CharGroup(4)
-    tau = g.gauss_sum((1,))
+    x, y, r = gauss_disc(g, (1,))
     # tau = e(1/4) - e(3/4) = 2i
-    assert tau.re.contains(0) and tau.im.contains(2)
+    assert abs(x) <= r and abs(y - 2) <= r
     eps = g.root_number((1,))
     assert eps.re.contains(1) and eps.im.contains(0)
 
@@ -332,11 +342,10 @@ def test_root_number_quadratic_mod5():
         if idx != g.principal() and g.is_real(idx):
             quad = idx
     assert quad is not None
-    tau = g.gauss_sum(quad)
-    with mpmath.workprec(120):
-        root5 = mpmath.sqrt(5)
-    assert tau.re.lo_float() <= float(root5) <= tau.re.hi_float()
-    assert tau.im.contains(0)
+    x, y, r = gauss_disc(g, quad)
+    with mpmath.workprec(300):
+        root5 = _mp_fraction(mpmath.sqrt(5))
+    assert abs(x - root5) <= r and abs(y) <= r
     eps = g.root_number(quad)
     assert eps.re.contains(1) and eps.im.contains(0)
 
@@ -344,10 +353,10 @@ def test_root_number_quadratic_mod5():
 def test_gauss_sum_matches_brute_force():
     for q, idx in [(5, (1,)), (8, (1, 1)), (9, (1,)), (12, (1, 1)), (35, (1, 2))]:
         g = CharGroup(q)
-        tau = g.gauss_sum(idx)
-        ref = brute_gauss_sum(q, g, idx)
-        assert tau.re.lo_float() <= float(ref.real) <= tau.re.hi_float(), (q, idx)
-        assert tau.im.lo_float() <= float(ref.imag) <= tau.im.hi_float(), (q, idx)
+        x, y, r = gauss_disc(g, idx)
+        ref = brute_gauss_sum(q, g, idx, prec=300)
+        assert abs(x - _mp_fraction(ref.real)) <= r, (q, idx)
+        assert abs(y - _mp_fraction(ref.imag)) <= r, (q, idx)
 
 
 def _assert_unit_powers_within_radius(n: int, shift: int):
@@ -362,16 +371,23 @@ def _assert_unit_powers_within_radius(n: int, shift: int):
 
 
 def test_fixed_unit_powers_within_radius_at_low_shift():
-    """shift = 56 is the lowest at which the one transcendental is a
-    bigfloat(shift + 8) box; a thousand rounded products make the radius
-    matter."""
+    """A thousand rounded products at shift 56 make the radius matter."""
     _assert_unit_powers_within_radius(1000, 56)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_fixed_unit_powers_exact_at_quarter_turns(n):
+    """e(k/n) is 1, i, -1 or -i when n divides 4: exact, with radius 0."""
+    re, im, rad = _fixed_unit_powers(n, 60)
+    exact = [(1, 0), (0, 1), (-1, 0), (0, -1)][:: 4 // n]
+    assert [(int(x), int(y)) for x, y in zip(re, im)] == [(x << 60, y << 60) for x, y in exact]
+    assert rad == 0
 
 
 @pytest.mark.parametrize("n, shift", [(1000, 20), (7, 30)])
 def test_fixed_unit_powers_below_the_tier_floor(n, shift):
-    """Below shift 56 the transcendental is taken at the bigfloat tier's
-    floor of 64 bits rather than refused."""
+    """Shifts below 56, where e(1/n) once came from a 64-bit floor, stay
+    within the radius."""
     _assert_unit_powers_within_radius(n, shift)
 
 
@@ -388,11 +404,11 @@ def test_gauss_sum_every_primitive_character_per_group_shape(q):
     prims = g.primitive_indices()
     assert prims
     for idx in prims:
-        tau = g.gauss_sum(idx)
+        x, y, r = gauss_disc(g, idx)
         ref = brute_gauss_sum(q, g, idx, prec=300)
-        assert tau.re.contains(_mp_fraction(ref.real)), (q, idx)
-        assert tau.im.contains(_mp_fraction(ref.imag)), (q, idx)
-        assert tau.re.width() < 1e-40 and tau.im.width() < 1e-40, (q, idx)
+        assert abs(x - _mp_fraction(ref.real)) <= r, (q, idx)
+        assert abs(y - _mp_fraction(ref.imag)) <= r, (q, idx)
+        assert 2 * r < 1e-40, (q, idx)
 
 
 def test_root_number_modulus_one_random_primitives():
@@ -418,8 +434,8 @@ def test_root_number_conjugate_intersects_conj():
         assert e1.conj().intersects(e2)
         # the same identity at 160 bits, and each hardware box holds its oracle
         o1, o2 = oracle_root_and_constant(g, idx)[0], oracle_root_and_constant(g, conj)[0]
-        assert o1.conj().intersects(o2)
-        assert box_contains(e1, o1) and box_contains(e2, o2)
+        assert meets(iv_conj(o1), o2)
+        assert covers(e1, o1) and covers(e2, o2)
 
 
 def test_root_number_requires_primitive():
@@ -438,10 +454,11 @@ def test_lambda_prefactor_squares_to_conj_root_number():
         g = CharGroup(q)
         for idx in g.primitive_indices():
             eps, w = oracle_root_and_constant(g, idx)
-            assert (w * w).intersects(eps.conj()), (q, idx)
-            assert w.abs2().contains(1)
+            with ivprec(GAUSS_BITS):
+                assert meets(w * w, iv_conj(eps)), (q, idx)
+                assert holds(abs(w) ** 2, 1)
             hw_w, hw_eps = g.char_meta(idx).epsilon, g.root_number(idx)
-            assert box_contains(hw_w, w) and box_contains(hw_eps, eps), (q, idx)
+            assert covers(hw_w, w) and covers(hw_eps, eps), (q, idx)
             assert (hw_w * hw_w).intersects(hw_eps.conj()), (q, idx)
 
 
@@ -451,8 +468,7 @@ def test_lambda_prefactor_real_for_quadratic():
         g = CharGroup(q)
         assert g.is_real(idx) and g.is_primitive(idx)
         for w in (oracle_root_and_constant(g, idx)[1], g.char_meta(idx).epsilon):
-            assert w.im.contains_zero()
-            assert w.re.contains(1) or w.re.contains(-1)
+            assert holds(w, 1, 0) or holds(w, -1, 0)
 
 
 def _epsilon_cases():
@@ -476,7 +492,7 @@ def test_hardware_completion_constant_contains_the_160_bit_oracle():
     for g, idx in _epsilon_cases():
         w = oracle_root_and_constant(g, idx)[1]
         eps = g.char_meta(idx).epsilon
-        assert box_contains(eps, w), (g.q, idx)
+        assert covers(eps, w), (g.q, idx)
         # each side is the exact value rounded outward once: two ulps of 1 at most
         assert box_width(eps) <= 2 * math.ulp(1.0), (g.q, idx, box_width(eps))
         count += 1
@@ -511,23 +527,23 @@ def test_char_meta_imprimitive_placeholder():
 
 
 def test_unimodular_sqrt_covers_all_quadrants():
-    tier = bigfloat(120)
     near = Fraction(1, 10**9)
     turns = [Fraction(num, 8) for num in range(8)]
-    # near +-i and -1, on both sides; the padded boxes at +-i straddle
-    # Re z = 0, the one at -1 straddles Im z = 0
+    # near +-i and -1, on both sides; the boxes at +-i straddle Re z = 0,
+    # the one at -1 straddles Im z = 0
     turns += [Fraction(1, 4) + near, Fraction(1, 4) - near, Fraction(3, 4) + near]
     turns += [Fraction(3, 4) - near, Fraction(1, 2) + near, Fraction(1, 2) - near]
-    for pad in (Fraction(0), Fraction(1, 10**30)):
-        for turn in turns:
-            point = unit_phase(turn, tier)
-            z = point.pad(RealInterval.from_fraction(pad, tier))
-            w = unimodular_sqrt(z)
-            sq = w * w
-            assert sq.re.contains_interval(point.re) and sq.im.contains_interval(point.im), turn
-            assert w.abs2().contains(1), turn
-            if z.re.sign() != -1:
-                assert w.re.sign() == 1, turn
+    with ivprec(120):
+        for pad in (Fraction(0), Fraction(1, 10**30)):
+            r = iv_real(pad).b
+            for turn in turns:
+                point = iv.exp(iv.mpc(0, 2 * iv.pi * iv_real(turn)))
+                z = point + iv.mpc(iv.mpf([-r, r]), iv.mpf([-r, r]))
+                w = unimodular_sqrt(z)
+                assert covers(w * w, point), turn
+                assert holds(abs(w) ** 2, 1), turn
+                if ends(z.real)[1] >= 0:
+                    assert ends(w.real)[0] > 0, turn
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import iv
+from mpmath.libmp import mpf_cos_sin
 
 from grhdesk import characters, dft as dft_module
-from grhdesk.characters import CharGroup, unit_phase
+from grhdesk.characters import CharGroup
 from grhdesk.dft import (
     dft,
     dft_bluestein,
@@ -16,8 +18,10 @@ from grhdesk.dft import (
     units_of,
     unity_table,
 )
-from grhdesk.interval import HARDWARE, ComplexBox, bigfloat
+from grhdesk.interval import ComplexBox, RealInterval
 from grhdesk.ivec import CVec
+
+from em_oracle import ends, iv_real, ivprec
 
 RNG = np.random.default_rng(1729)
 
@@ -58,27 +62,32 @@ def test_unity_table_contains_roots(n):
 
 @pytest.mark.parametrize("n", [3, 6, 10, 12, 100, 200, 256, 2016])
 def test_unity_table_matches_per_entry_reference(n):
-    """Each side is the outward double of a 128-bit enclosure of e(-j/n).
-
-    This includes the exact points 1, -i, -1, i where 4j = 0 mod n.
-    """
-    ref = CVec.from_boxes(
-        [unit_phase(Fraction(-j, n), bigfloat(128)).widen_to(HARDWARE) for j in range(n)]
-    )
+    """Each side is the outward double of a 128-bit enclosure of e(-j/n)
+    in mpmath.iv, and the exact points 1, -i, -1, i where 4j = 0 mod n."""
+    ref = CVec.from_boxes([_unit_reference(Fraction(-j, n)) for j in range(n)])
     tab = unity_table(n)
     for got, want in zip((tab.re, tab.im), (ref.re, ref.im)):
         assert np.array_equal(got.lo, want.lo)
         assert np.array_equal(got.hi, want.hi)
 
 
+def _unit_reference(turns: Fraction) -> ComplexBox:
+    quarter = 4 * (turns % 1)
+    if quarter.denominator == 1:
+        return ComplexBox.point((1, 1j, -1, -1j)[int(quarter)])
+    with ivprec(128):
+        z = iv.exp(iv.mpc(0, 2 * iv.pi * iv_real(turns)))
+    return ComplexBox(RealInterval(*ends(z.real)), RealInterval(*ends(z.imag)))
+
+
 def test_unity_table_one_transcendental_per_length(monkeypatch):
     calls = []
 
-    def counted(fr, tier=HARDWARE):
-        calls.append(fr)
-        return unit_phase(fr, tier)
+    def counted(*args):
+        calls.append(args)
+        return mpf_cos_sin(*args)
 
-    monkeypatch.setattr(characters, "unit_phase", counted)
+    monkeypatch.setattr(characters, "mpf_cos_sin", counted)
     monkeypatch.delitem(dft_module._table_cache, 360, raising=False)
     unity_table(360)
     assert len(calls) == 1

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from mpmath import iv
 
 from grhdesk import hurwitz
 from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
@@ -35,12 +36,25 @@ from grhdesk.hurwitz import (
     unit_hurwitz,
     zeta_upper,
 )
-from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
+from grhdesk.interval import ComplexBox, RealInterval
 from grhdesk.ivec import CVec, IVec
 
-from em_oracle import EMParams, em_hurwitz, em_hurwitz_tail
+from em_oracle import (
+    EMParams,
+    covers,
+    em_hurwitz,
+    em_hurwitz_tail,
+    ends,
+    holds,
+    iv_complex,
+    iv_real,
+    ivprec,
+    meets,
+    width,
+)
 
-BIG = bigfloat(96)
+# the precision of the oracle where its enclosure must be far narrower than a double's
+BIG = 96
 
 
 def mp_fraction(x, prec=300) -> Fraction:
@@ -58,14 +72,6 @@ def hurwitz_ref(s, alpha: Fraction, prec=300):
         return mp_fraction(val.real, prec), mp_fraction(val.imag, prec)
 
 
-def box_contains(box: ComplexBox, fre: Fraction, fim: Fraction) -> bool:
-    return box.re.contains(fre) and box.im.contains(fim)
-
-
-def cbox(z, tier) -> ComplexBox:
-    return ComplexBox.point(z, tier)
-
-
 def cell_hex(lat, r: int, c: int) -> str:
     """float.hex of the endpoints re.lo re.hi im.lo im.hi of cell (r, c) in lat.rows."""
     i = (r - 1, c)
@@ -81,33 +87,36 @@ def query(lat, a: int, q: int) -> ComplexBox:
 # -- em_hurwitz --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tier", [HARDWARE, BIG], ids=["hw", "big"])
-def test_em_contains_basel_value(tier):
-    z = em_hurwitz(2, 1, tier=tier)
+# the oracle at a double's precision and at BIG
+ORACLE_BITS = pytest.mark.parametrize("bits", [53, BIG], ids=["hw", "big"])
+
+
+@ORACLE_BITS
+def test_em_contains_basel_value(bits):
+    z = em_hurwitz(2, 1, bits=bits)
     fre, fim = hurwitz_ref(2, Fraction(1))
-    assert box_contains(z, fre, fim)
+    assert holds(z, fre, fim)
     # pi^2/6 double-checked symbolically
     with mpmath.workprec(300):
-        assert z.re.contains(mp_fraction(mpmath.pi**2 / 6))
+        assert holds(z, mp_fraction(mpmath.pi**2 / 6))
 
 
 @pytest.mark.parametrize("num", [1, 2, 3])
-@pytest.mark.parametrize("tier", [HARDWARE, BIG], ids=["hw", "big"])
-def test_em_at_zero_is_half_minus_alpha(tier, num):
+@ORACLE_BITS
+def test_em_at_zero_is_half_minus_alpha(bits, num):
     alpha = Fraction(num, 4)
-    z = em_hurwitz(0, alpha, tier=tier)
-    assert z.re.contains(Fraction(1, 2) - alpha)
-    assert z.im.contains(0)
+    z = em_hurwitz(0, alpha, bits=bits)
+    assert holds(z, Fraction(1, 2) - alpha, 0)
 
 
-@pytest.mark.parametrize("tier", [HARDWARE, BIG], ids=["hw", "big"])
-def test_em_half_alpha_doubling_identity(tier):
+@ORACLE_BITS
+def test_em_half_alpha_doubling_identity(bits):
     # zeta(s, 1/2) = (2^s - 1) zeta(s) at s = 1/2
-    lhs = em_hurwitz(Fraction(1, 2), Fraction(1, 2), tier=tier)
-    zs = em_hurwitz(Fraction(1, 2), 1, tier=tier)
-    two_pow = RealInterval.point(2, tier).sqrt()
-    rhs = zs * (two_pow - RealInterval.one(tier))
-    assert lhs.intersects(rhs)
+    lhs = em_hurwitz(Fraction(1, 2), Fraction(1, 2), bits=bits)
+    zs = em_hurwitz(Fraction(1, 2), 1, bits=bits)
+    with ivprec(bits):
+        rhs = zs * (iv.sqrt(2) - 1)
+    assert meets(lhs, rhs)
 
 
 def test_em_containment_randomized_bigfloat():
@@ -118,19 +127,15 @@ def test_em_containment_randomized_bigfloat():
             sigma = Fraction(11, 10)
         t = Fraction(rng.randint(-50, 300), 10)
         alpha = Fraction(rng.randint(1, 64), 64)
-        s = ComplexBox(
-            RealInterval.from_fraction(sigma, BIG),
-            RealInterval.from_fraction(t, BIG),
-        )
-        z = em_hurwitz(s, alpha)
+        z = em_hurwitz((sigma, t), alpha, bits=BIG)
         with mpmath.workprec(300):
             ref = mpmath.zeta(
                 mpmath.mpf(sigma.numerator) / sigma.denominator
                 + 1j * mpmath.mpf(t.numerator) / t.denominator,
                 mpmath.mpf(alpha.numerator) / alpha.denominator,
             )
-            assert box_contains(z, mp_fraction(ref.real), mp_fraction(ref.imag))
-        assert z.re.width() < 1e-20
+            assert holds(z, mp_fraction(ref.real), mp_fraction(ref.imag))
+        assert width(z.real) < 1e-20
 
 
 def test_em_containment_randomized_hardware():
@@ -141,52 +146,44 @@ def test_em_containment_randomized_hardware():
             sigma = Fraction(1, 2)
         t = Fraction(rng.randint(0, 200), 10)
         alpha = Fraction(rng.randint(1, 32), 32)
-        z = em_hurwitz(complex(float(sigma), float(t)), alpha, tier=HARDWARE)
+        z = em_hurwitz(complex(float(sigma), float(t)), alpha)
         with mpmath.workprec(200):
             ref = mpmath.zeta(
                 mpmath.mpf(sigma.numerator) / sigma.denominator
                 + 1j * mpmath.mpf(t.numerator) / t.denominator,
                 mpmath.mpf(alpha.numerator) / alpha.denominator,
             )
-            assert box_contains(z, mp_fraction(ref.real), mp_fraction(ref.imag))
+            assert holds(z, mp_fraction(ref.real), mp_fraction(ref.imag))
 
 
 def test_em_rigor_does_not_depend_on_params():
     # coarse truncation must still contain the value, just wider
     fre, fim = hurwitz_ref(Fraction(3, 2), Fraction(1, 3))
     for a, b in [(0, 1), (1, 2), (3, 4), (40, 20)]:
-        z = em_hurwitz(Fraction(3, 2), Fraction(1, 3), params=EMParams(a, b), tier=BIG)
-        assert box_contains(z, fre, fim), (a, b)
+        z = em_hurwitz(Fraction(3, 2), Fraction(1, 3), params=EMParams(a, b), bits=BIG)
+        assert holds(z, fre, fim), (a, b)
 
 
 def test_em_width_shrinks_with_params():
     widths = []
     for a, b in [(2, 2), (8, 6), (32, 16)]:
-        z = em_hurwitz(Fraction(3, 2), Fraction(1, 3), params=EMParams(a, b), tier=BIG)
-        widths.append(z.re.width())
+        z = em_hurwitz(Fraction(3, 2), Fraction(1, 3), params=EMParams(a, b), bits=BIG)
+        widths.append(width(z.real))
     assert widths[0] > widths[1] > widths[2]
 
 
 def test_em_wide_alpha_interval_covers_both_ends():
     lo, hi = Fraction(3, 10), Fraction(3, 10) + Fraction(1, 2**20)
-    alpha = RealInterval.hull_of(
-        RealInterval.from_fraction(lo, BIG), RealInterval.from_fraction(hi, BIG)
-    )
-    z = em_hurwitz(ComplexBox.point(2.5 + 3j, BIG), alpha)
+    z = em_hurwitz(2.5 + 3j, (lo, hi), bits=BIG)
     for a in (lo, hi):
         fre, fim = hurwitz_ref(mpmath.mpf(2.5) + 3j, a)
-        assert box_contains(z, fre, fim)
+        assert holds(z, fre, fim)
 
 
 def test_em_pole_raises():
     with pytest.raises(PoleProximity):
         em_hurwitz(1, Fraction(1, 2))
-    wide = ComplexBox(
-        RealInterval.hull_of(
-            RealInterval.point(0.99, HARDWARE), RealInterval.point(1.01, HARDWARE)
-        ),
-        RealInterval.zero(HARDWARE),
-    )
+    wide = ComplexBox(RealInterval(0.99, 1.01), RealInterval.zero())
     with pytest.raises(PoleProximity):
         em_hurwitz(wide, Fraction(1, 2))
 
@@ -212,10 +209,10 @@ def test_zeta_upper_dominates():
 
 def test_em_tail_skip_matches_reference():
     s = mpmath.mpf(5) / 2
-    z = em_hurwitz_tail(Fraction(5, 2), 1, skip=10, tier=BIG)
+    z = em_hurwitz_tail(Fraction(5, 2), 1, skip=10, bits=BIG)
     with mpmath.workprec(300):
         ref = mpmath.zeta(s) - sum((n + 1) ** (-s) for n in range(10))
-        assert box_contains(z, mp_fraction(ref), Fraction(0))
+        assert holds(z, mp_fraction(ref), Fraction(0))
 
 
 # -- truncation choice -------------------------------------------------------
@@ -248,20 +245,16 @@ def test_auto_params_pinned(t, bits, i, D):
 
 
 def test_columns_engine_matches_scalar_path():
-    cols = _em_rows(10.0, Fraction(1, 2), [Fraction(2, 5)], 4, 40, 24, BIG.bits)
+    cols = _em_rows(10.0, Fraction(1, 2), [Fraction(2, 5)], 4, 40, 24, BIG)
     for c in range(5):
-        s = ComplexBox(
-            RealInterval.from_fraction(Fraction(1, 2) + c, BIG),
-            RealInterval.point(10.0, BIG),
-        )
-        assert cols[0, c].intersects(em_hurwitz(s, Fraction(2, 5)))
+        assert meets(cols[0, c], em_hurwitz((Fraction(1, 2) + c, 10.0), Fraction(2, 5), bits=BIG))
 
 
 def test_columns_engine_real_fast_path_contains():
-    cols = _em_rows(0.0, Fraction(1, 2), [Fraction(7, 16)], 3, 30, 20, BIG.bits)
+    cols = _em_rows(0.0, Fraction(1, 2), [Fraction(7, 16)], 3, 30, 20, BIG)
     for c in range(4):
         fre, fim = hurwitz_ref(Fraction(1, 2) + c, Fraction(7, 16))
-        assert box_contains(cols[0, c], fre, fim)
+        assert holds(cols[0, c], fre, fim)
         assert cols[0, c].im.width() == 0.0
 
 
@@ -269,22 +262,20 @@ def test_columns_engine_real_fast_path_contains():
 def test_lattice_kernel_contains_oracles_off_dyadic_rows(t):
     # D = 12: the row offsets r/D are not floats, so every row's powers
     # and boundary point start from a rounded enclosure of alpha.  Every
-    # cell meets the scalar Euler-Maclaurin oracle (run at the hardware
-    # tier to keep 192 cells per ordinate fast), and row D contains
-    # mpmath's value
+    # cell meets the scalar Euler-Maclaurin oracle (run at 53 bits to
+    # keep 192 cells per ordinate fast), and row D contains mpmath's value
     D, ncols, M = 12, 15, 9
     lat = build_lattice(t, D=D, Ncols=ncols, M=M, bits=64, cache=False)
     for r in range(1, D + 1):
         for c in range(ncols + 1):
-            s = ComplexBox.point(complex(0.5 + c, t), HARDWARE)
-            oracle = em_hurwitz_tail(s, Fraction(r, D), skip=M + 1)
-            assert lat.cell(r, c).intersects(oracle), (t, r, c)
+            oracle = em_hurwitz_tail(complex(0.5 + c, t), Fraction(r, D), skip=M + 1)
+            assert meets(lat.cell(r, c), oracle), (t, r, c)
     for c in range(ncols + 1):
         with mpmath.workprec(300):
             s = mpmath.mpf(1) / 2 + c + 1j * mpmath.mpf(t)
             ref = mpmath.mpc(mpmath.zeta(s) - sum((n + 1) ** (-s) for n in range(M + 1)))
             fre, fim = mp_fraction(ref.real), mp_fraction(ref.imag)
-        assert box_contains(lat.cell(D, c), fre, fim), (t, c)
+        assert holds(lat.cell(D, c), fre, fim), (t, c)
 
 
 def test_lattice_kernel_width():
@@ -314,21 +305,20 @@ _TAIL_WIDEST = {
 
 @pytest.mark.parametrize("D, t", sorted(_TAIL_WIDEST))
 def test_lattice_cells_contain_the_oracle_values(D, t):
-    # each checked cell contains the whole bigfloat(96) oracle box, far
+    # each checked cell contains the whole 96-bit oracle box, far
     # narrower than the hardware cells: every cell at D = 4, and rows 1,
     # 2, D/2, D-1 and D at D = 64 (each row has its own A)
     lat = build_lattice(t, D=D, bits=64, cache=False)
     rows = range(1, D + 1) if D <= 4 else (1, 2, D // 2, D - 1, D)
     for r in rows:
         for c in range(lat.Ncols + 1):
-            s = ComplexBox.point(complex(0.5 + c, t), BIG)
-            oracle = em_hurwitz_tail(s, Fraction(r, D), skip=lat.M + 1)
+            oracle = em_hurwitz_tail(complex(0.5 + c, t), Fraction(r, D), skip=lat.M + 1, bits=BIG)
             cell = lat.cell(r, c)
-            assert cell.re.contains_interval(oracle.re), (r, c)
+            assert covers(cell.re, oracle.real), (r, c)
             if t == 0.0:  # the value is real, and the lattice says so exactly
-                assert cell.im.lo == cell.im.hi == 0.0 and oracle.im.contains(0), (r, c)
+                assert cell.im.lo == cell.im.hi == 0.0 and holds(oracle.imag, 0), (r, c)
             else:
-                assert cell.im.contains_interval(oracle.im), (r, c)
+                assert covers(cell.im, oracle.imag), (r, c)
     re, im = lat.rows.re, lat.rows.im
     widest = max((re.hi - re.lo).max(), (im.hi - im.lo).max())
     assert widest <= 1.01 * _TAIL_WIDEST[D, t]
@@ -548,17 +538,17 @@ def test_one_row_takes_only_the_primes_of_its_bases(monkeypatch):
 
 @pytest.fixture(scope="module")
 def lat8_t0():
-    return build_lattice(0.0, D=8, Ncols=15, M=9, bits=BIG.bits, cache=False)
+    return build_lattice(0.0, D=8, Ncols=15, M=9, bits=BIG, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat8_t10():
-    return build_lattice(10.0, D=8, Ncols=15, M=9, bits=BIG.bits, cache=False)
+    return build_lattice(10.0, D=8, Ncols=15, M=9, bits=BIG, cache=False)
 
 
 @pytest.fixture(scope="module")
 def lat256_t0():
-    return build_lattice(0.0, D=256, Ncols=15, M=9, bits=BIG.bits, cache=False)
+    return build_lattice(0.0, D=256, Ncols=15, M=9, bits=BIG, cache=False)
 
 
 def test_lattice_last_row_cell_example(lat8_t0):
@@ -576,9 +566,9 @@ def test_lattice_cells_match_em_tail_oracle(lat8_t0):
         for c in (0, 1, 15):
             cell = lat8_t0.cell(r, c)
             oracle = em_hurwitz_tail(
-                Fraction(1, 2) + c, Fraction(r, 8), skip=10, tier=BIG
+                Fraction(1, 2) + c, Fraction(r, 8), skip=10, bits=BIG
             )
-            assert cell.intersects(oracle), (r, c)
+            assert meets(cell, oracle), (r, c)
             assert cell.re.width() < 1e-13
 
 
@@ -586,12 +576,8 @@ def test_lattice_complex_cells_match_em_tail_oracle(lat8_t10):
     for r in (1, 4, 8):
         for c in (0, 2, 15):
             cell = lat8_t10.cell(r, c)
-            s = ComplexBox(
-                RealInterval.from_fraction(Fraction(1, 2) + c, BIG),
-                RealInterval.point(10.0, BIG),
-            )
-            oracle = em_hurwitz_tail(s, Fraction(r, 8), skip=10)
-            assert cell.intersects(oracle), (r, c)
+            oracle = em_hurwitz_tail((Fraction(1, 2) + c, 10.0), Fraction(r, 8), skip=10, bits=BIG)
+            assert meets(cell, oracle), (r, c)
 
 
 def test_lattice_half_row_doubling_identity(lat8_t0):
@@ -608,12 +594,12 @@ def test_lattice_half_row_doubling_identity(lat8_t0):
 
 def test_lattice_validates_arguments():
     with pytest.raises(DomainError):
-        build_lattice(0.0, D=1, Ncols=15, M=9, bits=BIG.bits, cache=False)
+        build_lattice(0.0, D=1, Ncols=15, M=9, bits=BIG, cache=False)
     with pytest.raises(DomainError):
-        build_lattice(0.0, D=8, Ncols=1, M=9, bits=BIG.bits, cache=False)
+        build_lattice(0.0, D=8, Ncols=1, M=9, bits=BIG, cache=False)
     with pytest.raises(DomainError):
-        build_lattice(0.0, D=8, Ncols=15, M=-1, bits=BIG.bits, cache=False)
-    # fewer than 64 build bits are refused, as bigfloat() refuses them
+        build_lattice(0.0, D=8, Ncols=15, M=-1, bits=BIG, cache=False)
+    # fewer than 64 build bits are refused before any work
     with pytest.raises(ValueError, match="64 bits"):
         build_lattice(0.0, D=8, Ncols=15, M=9, bits=53, cache=False)
 
@@ -643,10 +629,10 @@ def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
 
 
 def test_lattice_disk_cache_hit(tmp_path):
-    lat1 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
+    lat1 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    lat2 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
+    lat2 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     assert cell_hex(lat1, 1, 0) == cell_hex(lat2, 1, 0)
     assert list(tmp_path.iterdir()) == files
 
@@ -655,7 +641,7 @@ LATTICE_0 = (0.0, 4, 3, 2, 96)
 
 
 def _assert_rebuilt(path, fresh, tmp_path):
-    again = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
+    again = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     assert load_lattice(path, expect=LATTICE_0).D == 4
     assert (again.t, again.D, again.Ncols, again.M) == (0.0, 4, 3, 2)
     for r in range(1, 5):
@@ -667,7 +653,7 @@ def _assert_rebuilt(path, fresh, tmp_path):
     "doctored", ["10.0 4 3 2 96", "0.0 4 3 2 64", "0.0 8 3 2 96", "0.0 4 3"]
 )
 def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     lines = path.read_text().splitlines()
     # the cells stay; a header naming another lattice must not be trusted
@@ -678,7 +664,7 @@ def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
 
 
 def test_lattice_cache_rebuilds_truncated_file(tmp_path):
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5]) + "\n")
@@ -688,7 +674,7 @@ def test_lattice_cache_rebuilds_truncated_file(tmp_path):
 @pytest.mark.parametrize("fault", ["swapped", "nan"])
 def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
     # a body cell whose endpoints are not ordered lo <= hi is refused
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     lines = path.read_text().splitlines()
     fields = lines[2].split()
@@ -704,7 +690,7 @@ def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
 def test_lattice_cache_rebuilds_version_1_file(tmp_path):
     # a file written by the version-1 builder is refused even when its
     # header names the requested lattice, then rebuilt and overwritten
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG.bits, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     header = path.read_text().splitlines()[1]
     stale = " ".join(map(float.hex, (1.0, 1.0, 0.0, 0.0)))  # the point box 1
@@ -748,10 +734,10 @@ def test_nearest_row_selection():
 def test_eval_taylor_on_row_matches_em(lat8_t0):
     # a/q = 3/8 sits exactly on row 3: no Taylor shift, no tail
     z = query(lat8_t0, 3, 8)
-    oracle = em_hurwitz(Fraction(1, 2), Fraction(3, 8), tier=BIG)
-    assert z.intersects(oracle)
+    oracle = em_hurwitz(Fraction(1, 2), Fraction(3, 8), bits=BIG)
+    assert meets(z, oracle)
     fre, fim = hurwitz_ref(Fraction(1, 2), Fraction(3, 8))
-    assert box_contains(z, fre, fim)
+    assert holds(z, fre, fim)
 
 
 def test_eval_taylor_randomized_against_em(lat256_t0):
@@ -764,19 +750,15 @@ def test_eval_taylor_randomized_against_em(lat256_t0):
             continue
         seen += 1
         z = query(lat256_t0, a, q)
-        oracle = em_hurwitz(Fraction(1, 2), Fraction(a, q), tier=BIG)
-        assert z.intersects(oracle), (a, q)
+        oracle = em_hurwitz(Fraction(1, 2), Fraction(a, q), bits=BIG)
+        assert meets(z, oracle), (a, q)
         assert z.re.width() < 1e-11, (a, q)
 
 
 def test_eval_taylor_complex_example(lat8_t10):
     z = query(lat8_t10, 2, 5)
-    s = ComplexBox(
-        RealInterval.from_fraction(Fraction(1, 2), BIG),
-        RealInterval.point(10.0, BIG),
-    )
-    oracle = em_hurwitz(s, Fraction(2, 5))
-    assert z.intersects(oracle)
+    oracle = em_hurwitz((Fraction(1, 2), 10.0), Fraction(2, 5), bits=BIG)
+    assert meets(z, oracle)
 
 
 def test_eval_taylor_validates_input(lat8_t0):
@@ -826,13 +808,12 @@ def test_unit_hurwitz_low_units_read_row_d(q, t):
     z = unit_hurwitz(lat, q, units)
     low = np.flatnonzero(2 * D * units < q)
     assert len(low) == len(LOW_UNIT_WIDTHS[q, t])
-    s = ComplexBox(RealInterval.from_fraction(Fraction(1, 2), BIG), RealInterval.point(t, BIG))
     for i, pinned in zip(low, LOW_UNIT_WIDTHS[q, t]):
         box = z[i]
-        ref = em_hurwitz(s, Fraction(int(units[i]), q))
-        mid_re = (ref.re.lo_fraction() + ref.re.hi_fraction()) / 2
-        mid_im = (ref.im.lo_fraction() + ref.im.hi_fraction()) / 2
-        assert box_contains(box, mid_re, mid_im), units[i]
+        ref = em_hurwitz((Fraction(1, 2), t), Fraction(int(units[i]), q), bits=BIG)
+        mid_re = sum(ends(ref.real)) / 2
+        mid_im = sum(ends(ref.imag)) / 2
+        assert holds(box, mid_re, mid_im), units[i]
         assert max(box.re.width(), box.im.width()) <= pinned, units[i]
 
 
@@ -859,7 +840,7 @@ def test_shift_coefs_contain_pochhammer_ratios(t):
         for k in range(16):
             ref = mpmath.rf(s0, k) / mpmath.factorial(k)
             fre, fim = mp_fraction(ref.real), mp_fraction(ref.imag)
-            assert box_contains(coefs[k], fre, fim), (t, k)
+            assert holds(coefs[k], fre, fim), (t, k)
             if t == 0.0:
                 assert coefs[k].im.width() == 0.0
 
@@ -915,10 +896,10 @@ def test_taylor_tail_dominates_brute_terms():
 
 def test_tail_restoration_m_independent():
     for M in (0, 20):
-        lat = build_lattice(0.0, D=8, Ncols=15, M=M, bits=BIG.bits, cache=False)
+        lat = build_lattice(0.0, D=8, Ncols=15, M=M, bits=BIG, cache=False)
         z = query(lat, 5, 13)
         fre, fim = hurwitz_ref(Fraction(1, 2), Fraction(5, 13))
-        assert box_contains(z, fre, fim), M
+        assert holds(z, fre, fim), M
 
 
 def test_alpha_derivative_matches_finite_difference():
@@ -930,18 +911,13 @@ def test_alpha_derivative_matches_finite_difference():
         sigma = Fraction(rng.randint(12, 40), 10)
         t = Fraction(rng.randint(0, 120), 10)
         alpha = Fraction(rng.randint(2, 60), 64)
-        s = ComplexBox(
-            RealInterval.from_fraction(sigma, BIG),
-            RealInterval.from_fraction(t, BIG),
-        )
-        deriv = em_hurwitz(s + 1, alpha, tier=BIG) * (-s)
-        za = em_hurwitz(s, alpha, tier=BIG)
-        zb = em_hurwitz(s, alpha + eps, tier=BIG)
-        fd = (zb - za) * RealInterval.from_fraction(1 / eps, BIG)
-        hull_alpha = RealInterval.hull_of(
-            RealInterval.from_fraction(alpha, BIG),
-            RealInterval.from_fraction(alpha + eps, BIG),
-        )
-        second = em_hurwitz(s + 2, hull_alpha) * (s * (s + 1))
-        err = second.abs() * RealInterval.from_fraction(eps / 2, BIG)
-        assert fd.pad(err).intersects(deriv)
+        with ivprec(BIG):
+            s = iv_complex((sigma, t))
+            deriv = em_hurwitz(s + 1, alpha, bits=BIG) * (-s)
+            za = em_hurwitz(s, alpha, bits=BIG)
+            zb = em_hurwitz(s, alpha + eps, bits=BIG)
+            fd = (zb - za) * iv_real(1 / eps)
+            second = em_hurwitz(s + 2, (alpha, alpha + eps), bits=BIG) * (s * (s + 1))
+            err = (abs(second) * iv_real(eps / 2)).b
+            pad = iv.mpf([-err, err])
+            assert meets(fd + iv.mpc(pad, pad), deriv)

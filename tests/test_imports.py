@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and only
+the package's two big-float kernel users import mpmath.libmp.
 
 A stdlib-ast check: a name bound by an import statement must be read
 somewhere else in the same module.  Names listed in the module's __all__
@@ -78,3 +79,35 @@ def test_check_sees_an_unused_import(tmp_path):
         "    return math.pi\n"
     )
     assert unused_imports(src) == ["mod.py:2 os"]
+
+
+def imports_libmp(path: Path) -> bool:
+    """The module imports mpmath.libmp or a name from it, in any form."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("mpmath.libmp") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("mpmath.libmp"):
+                return True
+            if node.module == "mpmath" and any(a.name == "libmp" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_kernel_modules_import_libmp():
+    # interval arithmetic is on doubles; big-float kernels feed the
+    # Hurwitz power balls, pi and the unity tables, and nothing else
+    src = sorted((ROOT / "src" / "grhdesk").glob("*.py"))
+    assert {p.name for p in src if imports_libmp(p)} == {"hurwitz.py", "characters.py"}
+
+
+@pytest.mark.parametrize(
+    "line", ["from mpmath.libmp import mpf_add", "import mpmath.libmp", "from mpmath import libmp, mp"]
+)
+def test_check_sees_a_libmp_import(tmp_path, line):
+    src = tmp_path / "mod.py"
+    src.write_text(line + "\n")
+    assert imports_libmp(src)
+    src.write_text("import mpmath\nfrom mpmath import iv\n")
+    assert not imports_libmp(src)

@@ -1,4 +1,9 @@
-"""Interval arithmetic: containment, tier behaviour, serialization."""
+"""Interval arithmetic: containment, rounding, serialization.
+
+Tests parametrized by ``oracle`` check the hardware result on their own
+terms ("hardware"), and then also that it holds mpmath.iv's enclosure of
+the same expression at 128 bits ("bigfloat(128)").
+"""
 
 import math
 import sys
@@ -6,9 +11,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import fone, from_float, mpf_cmp, mpf_cos, mpf_neg, mpf_sin
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from grhdesk import interval
 from grhdesk.errors import (
@@ -18,27 +23,36 @@ from grhdesk.errors import (
     NonPositiveRealPart,
 )
 from grhdesk.interval import (
-    HARDWARE,
+    _STIRLING_CAP,
     ComplexBox,
     RealInterval,
-    _big_trans,
-    _contains_odd_multiple,
-    _cos_sin,
-    _fmax,
-    _fmin,
     _narrow,
     _prod_is_exact,
     _ratio_ends,
-    _stirling_cap,
     _stirling_table,
     _stirling_terms,
-    bigfloat,
     log_gamma,
     pi_interval,
 )
 
-B128 = bigfloat(128)
-TIERS = [HARDWARE, B128]
+from em_oracle import covers, ends, iv_complex, iv_real, ivprec
+
+ORACLES = pytest.mark.parametrize("oracle", [None, 128], ids=["hardware", "bigfloat(128)"])
+
+
+def check_oracle(got, oracle, expr):
+    """With an oracle precision, got holds expr() evaluated in mpmath.iv at it."""
+    if oracle:
+        with ivprec(oracle):
+            want = expr()
+        assert covers(got, want), (got, want)
+
+
+def iv_loggamma(z: complex):
+    """mpmath.iv's log Gamma at iv.prec; its complex form fails on real arguments."""
+    if z.imag == 0:
+        return iv.mpc(iv.loggamma(iv.mpf(z.real)), 0)
+    return iv.loggamma(iv_complex(z))
 
 
 def mp_fraction(x, prec=220) -> Fraction:
@@ -49,14 +63,9 @@ def mp_fraction(x, prec=220) -> Fraction:
     return -v if sign else v
 
 
-def _exact_mpf(endpoint):
-    """A hardware (float) or bigfloat (raw mpf) endpoint as an exact raw mpf."""
-    return from_float(endpoint) if isinstance(endpoint, float) else endpoint
-
-
-def assert_contains_mp(iv: RealInterval, mp_value):
+def assert_contains_mp(x: RealInterval, mp_value):
     fr = mp_fraction(mp_value)
-    assert iv.lo_fraction() <= fr <= iv.hi_fraction(), (iv, mp_value)
+    assert x.lo_fraction() <= fr <= x.hi_fraction(), (x, mp_value)
 
 
 # ---------------------------------------------------------------------------
@@ -97,25 +106,28 @@ ELEM_OPS = tuple(_ELEM)
 # arithmetic
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_add_exact_endpoints(tier):
-    s = arith("add", RealInterval(1, 2, tier), RealInterval(3, 4, tier))
+@ORACLES
+def test_add_exact_endpoints(oracle):
+    s = arith("add", RealInterval(1, 2), RealInterval(3, 4))
     assert s.contains(4) and s.contains(6)
     assert s.lo_fraction() == 4 and s.hi_fraction() == 6
+    check_oracle(s, oracle, lambda: iv.mpf([1, 2]) + iv.mpf([3, 4]))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_mul_sign_analysis(tier):
-    p = arith("mul", RealInterval(-1, 1, tier), RealInterval(-1, 1, tier))
+@ORACLES
+def test_mul_sign_analysis(oracle):
+    p = arith("mul", RealInterval(-1, 1), RealInterval(-1, 1))
     assert p.lo_fraction() == -1 and p.hi_fraction() == 1
+    check_oracle(p, oracle, lambda: iv.mpf([-1, 1]) * iv.mpf([-1, 1]))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_div_one_third_outward(tier):
-    q = arith("div", RealInterval(1, 1, tier), RealInterval(3, 3, tier))
+@ORACLES
+def test_div_one_third_outward(oracle):
+    q = arith("div", RealInterval(1, 1), RealInterval(3, 3))
     third = Fraction(1, 3)
     assert q.lo_fraction() < third < q.hi_fraction()
     assert q.hi_fraction() > q.lo_fraction()
+    check_oracle(q, oracle, lambda: iv.mpf(1) / 3)
 
 
 def test_div_underflow_to_zero_rounds_outward():
@@ -194,19 +206,25 @@ def test_corner_loop_matches_the_all_reference(w, x, y, z, op):
     assert (got.lo.hex(), got.hi.hex()) == (want[0].hex(), want[1].hex())
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_div_by_zero_straddle(tier):
+@ORACLES
+def test_div_by_zero_straddle(oracle):
     with pytest.raises(DivisorContainsZero):
-        arith("div", RealInterval(1, 1, tier), RealInterval(-1, 1, tier))
+        arith("div", RealInterval(1, 1), RealInterval(-1, 1))
+    # a divisor that only touches the smallest subnormal is divided
+    tiny = math.ulp(0.0)
+    q = arith("div", RealInterval(1, 1), RealInterval(tiny, 1))
+    assert q.lo == 1.0 and q.hi == math.inf
+    check_oracle(q, oracle, lambda: 1 / iv.mpf([tiny, 1]))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_sqrt_domain(tier):
-    r = arith("sqrt", RealInterval(2, 2, tier))
+@ORACLES
+def test_sqrt_domain(oracle):
+    r = arith("sqrt", RealInterval(2, 2))
     with mpmath.workprec(220):
         assert_contains_mp(r, mpmath.sqrt(2))
+    check_oracle(r, oracle, lambda: iv.sqrt(2))
     with pytest.raises(NegativeSqrtDomain):
-        arith("sqrt", RealInterval(-1, 1, tier))
+        arith("sqrt", RealInterval(-1, 1))
 
 
 def test_sub_and_negation():
@@ -218,31 +236,39 @@ def test_sub_and_negation():
 # elementary functions
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_exp_zero(tier):
-    r = elem("exp", RealInterval.zero(tier))
+@ORACLES
+def test_exp_zero(oracle):
+    r = elem("exp", RealInterval.zero())
     assert r.contains(1)
+    check_oracle(r, oracle, lambda: iv.exp(0))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_sin_over_zero_to_pi(tier):
-    x = RealInterval.zero(tier).hull(pi_interval(tier))
+@ORACLES
+def test_sin_over_zero_to_pi(oracle):
+    x = RealInterval.zero().hull(pi_interval())
     r = elem("sin", x)
     assert r.contains(0) and r.contains(1)
     eps = Fraction(1, 10**12)
     assert -eps <= r.lo_fraction() and r.hi_fraction() <= 1 + eps
+    check_oracle(r, oracle, lambda: iv.sin(iv_real(x)))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_log_exp_roundtrip(tier):
-    r = elem("log", elem("exp", RealInterval.one(tier)))
+@ORACLES
+def test_log_exp_roundtrip(oracle):
+    r = elem("log", elem("exp", RealInterval.one()))
     assert r.contains(1)
+    check_oracle(r, oracle, lambda: iv.log(iv.exp(1)))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_log_domain(tier):
+@ORACLES
+def test_log_domain(oracle):
     with pytest.raises(LogDomain):
-        elem("log", RealInterval(0, 1, tier))
+        elem("log", RealInterval(0, 1))
+    # the smallest subnormal is inside the domain
+    tiny = math.ulp(0.0)
+    r = elem("log", RealInterval(tiny, 1))
+    assert r.lo < -744.0 and r.hi >= 0.0
+    check_oracle(r, oracle, lambda: iv.log(iv.mpf([tiny, 1])))
 
 
 def test_cos_interval_spanning_minimum():
@@ -256,104 +282,71 @@ def test_trig_full_period_clamps():
     assert r.lo == -1.0 and r.hi == 1.0
 
 
-def _separate_trig(x: RealInterval, kernel, offset_max: float, offset_min: float) -> RealInterval:
-    """cos or sin alone: its own mpf kernel at each endpoint and rounding
-    direction, then the extremum sweep (peaks at (offset_max + 2k) pi,
-    dips at (offset_min + 2k) pi)."""
-    tier, bits = x.tier, x.tier.bits
-    pi = pi_interval(tier)
-    none = mpf_neg(fone)
-    if x.width() >= (pi + pi).lo_float():
-        return RealInterval(none, fone, tier, _raw=True)
-    lo = _fmin(*(_big_trans(kernel, e, bits, "f") for e in (x.lo, x.hi)))
-    hi = _fmax(*(_big_trans(kernel, e, bits, "c") for e in (x.lo, x.hi)))
-    sweep = (x.lo_float(), x.hi_float(), pi.lo_float(), pi.hi_float())
-    if _contains_odd_multiple(*sweep, offset_max):
-        hi = fone
-    if _contains_odd_multiple(*sweep, offset_min):
-        lo = none
-    return RealInterval(_fmax(lo, none), _fmin(hi, fone), tier, _raw=True)
+# the elementary functions in mpmath.iv; it has atan only as atan2
+IV_ELEM = {
+    "exp": iv.exp,
+    "log": iv.log,
+    "sin": iv.sin,
+    "cos": iv.cos,
+    "atan": lambda x: iv.atan2(x, 1),
+}
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
-        st.integers(-60, 60).map(lambda k: k * math.pi / 2),  # an extremum of cos or sin
-    ),
-    st.one_of(
-        st.just(0.0),
-        st.floats(min_value=0.0, max_value=1e-9),
-        st.floats(min_value=0.0, max_value=4.0),
-        st.floats(min_value=2 * math.pi, max_value=50.0),
-    ),
-    st.sampled_from([64, 128]),
-)
-def test_cos_sin_fused_matches_separate_kernels(centre, width, bits):
-    # one mpf_cos_sin per endpoint and direction gives the endpoints that
-    # separate mpf_cos and mpf_sin calls give, bit for bit
-    tier = bigfloat(bits)
-    x = RealInterval(centre - width / 2, centre + width / 2, tier)
-    c, s = _cos_sin(x)
-    for got, kernel, offsets in ((c, mpf_cos, (0.0, 1.0)), (s, mpf_sin, (0.5, -0.5))):
-        ref = _separate_trig(x, kernel, *offsets)
-        assert (got.lo, got.hi) == (ref.lo, ref.hi), (x, kernel.__name__)
-    assert (x.cos().lo, x.cos().hi, x.sin().lo, x.sin().hi) == (c.lo, c.hi, s.lo, s.hi)
-
-
-@pytest.mark.parametrize("tier", TIERS, ids=str)
+@ORACLES
 @pytest.mark.parametrize("fname", ELEM_OPS)
-def test_elem_width_near_image_width(tier, fname):
+def test_elem_width_near_image_width(oracle, fname):
     # on a monotone subrange the result barely exceeds the image width
-    x = RealInterval.from_decimal("0.5", tier)
+    x = RealInterval.from_decimal("0.5")
     y = elem(fname, x)
-    ulp = math.ulp(max(abs(y.lo_float()), abs(y.hi_float()), 1e-300))
-    if tier.kind == "hardware":
-        assert y.width() <= 8 * ulp
-    else:
-        assert y.width() <= 1e-30
+    ulp = math.ulp(max(abs(y.lo), abs(y.hi), 1e-300))
+    assert y.width() <= 8 * ulp
+    check_oracle(y, oracle, lambda: IV_ELEM[fname](iv.mpf(0.5)))
 
 
 # ---------------------------------------------------------------------------
 # transcendental containment against a higher-precision oracle
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_containment_against_oracle_grid(tier):
+@ORACLES
+def test_containment_against_oracle_grid(oracle):
     pts = [0.001, 0.3, 0.5, 1.0, 1.5, 2.718, 10.0, 123.456, 2500.0]
     with mpmath.workprec(200):
         for v in pts:
-            x = RealInterval.point(v, tier)
+            x = RealInterval.point(v)
             assert_contains_mp(x.exp() if v < 700 else x, mpmath.exp(v) if v < 700 else v)
             assert_contains_mp(x.log(), mpmath.log(v))
             assert_contains_mp(x.sin(), mpmath.sin(v))
             assert_contains_mp(x.cos(), mpmath.cos(v))
             assert_contains_mp(x.atan(), mpmath.atan(v))
             assert_contains_mp(x.sqrt(), mpmath.sqrt(v))
+            for fname in ELEM_OPS:
+                check_oracle(elem(fname, x), oracle, lambda: IV_ELEM[fname](iv.mpf(v)))
+            check_oracle(x.sqrt(), oracle, lambda: iv.sqrt(v))
 
 
 def test_pi_interval_contains_pi():
-    for tier in TIERS:
-        assert_contains_mp(pi_interval(tier), mpmath.pi)
+    assert_contains_mp(pi_interval(), mpmath.pi)
 
 
 # ---------------------------------------------------------------------------
 # log_gamma
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_log_gamma_at_one(tier):
-    lg = log_gamma(ComplexBox.one(tier))
+@ORACLES
+def test_log_gamma_at_one(oracle):
+    lg = log_gamma(ComplexBox.one())
     assert lg.re.contains(0) and lg.im.contains(0)
+    check_oracle(lg, oracle, lambda: iv_loggamma(1 + 0j))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_log_gamma_at_half(tier):
-    z = ComplexBox.from_real(RealInterval.from_fraction(Fraction(1, 2), tier))
+@ORACLES
+def test_log_gamma_at_half(oracle):
+    z = ComplexBox.from_real(RealInterval.from_fraction(Fraction(1, 2)))
     lg = log_gamma(z)
     with mpmath.workprec(200):
         assert_contains_mp(lg.re, mpmath.log(mpmath.sqrt(mpmath.pi)))
     assert lg.im.contains(0)
+    check_oracle(lg, oracle, lambda: iv.mpc(iv.log(iv.sqrt(iv.pi)), 0))
 
 
 def stirling_reference(z, prec=300, terms=60):
@@ -378,37 +371,38 @@ def stirling_reference(z, prec=300, terms=60):
         return +out.real, +out.imag
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_log_gamma_3_plus_4i(tier):
-    lg = log_gamma(ComplexBox.point(complex(3, 4), tier))
+@ORACLES
+def test_log_gamma_3_plus_4i(oracle):
+    lg = log_gamma(ComplexBox.point(complex(3, 4)))
     re_ref, im_ref = stirling_reference(complex(3, 4))
     assert_contains_mp(lg.re, re_ref)
     assert_contains_mp(lg.im, im_ref)
+    check_oracle(lg, oracle, lambda: iv_loggamma(3 + 4j))
 
 
 @pytest.mark.parametrize(
     "z", [complex(0.25, 0.5), complex(0.75, 50.0), complex(1.25, 1250.0), complex(0.5, 5000.0)]
 )
 def test_log_gamma_tall_arguments(z):
-    for tier in TIERS:
-        lg = log_gamma(ComplexBox.point(z, tier))
-        re_ref, im_ref = stirling_reference(z)
-        assert_contains_mp(lg.re, re_ref)
-        assert_contains_mp(lg.im, im_ref)
-        assert lg.re.width() < 1e-9
-
-
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-@pytest.mark.parametrize("sigma", [0.25, 0.75])
-@pytest.mark.parametrize("im", [0.0, 0.5, 4.0, 7.9, 8.0, 8.1, 50.0, 500.0, 5000.0])
-def test_log_gamma_contains_reference_across_the_shift_threshold(tier, sigma, im):
-    # near |z| = 8 the hardware tier moves from shifting right to summing
-    # at z itself; the completion factors read 1/4 + 8i and 3/4 + 8i at t = 16
-    z = complex(sigma, im)
-    lg = log_gamma(ComplexBox.point(z, tier))
+    lg = log_gamma(ComplexBox.point(z))
     re_ref, im_ref = stirling_reference(z)
     assert_contains_mp(lg.re, re_ref)
     assert_contains_mp(lg.im, im_ref)
+    assert lg.re.width() < 1e-9
+
+
+@ORACLES
+@pytest.mark.parametrize("sigma", [0.25, 0.75])
+@pytest.mark.parametrize("im", [0.0, 0.5, 4.0, 7.9, 8.0, 8.1, 50.0, 500.0, 5000.0])
+def test_log_gamma_contains_reference_across_the_shift_threshold(oracle, sigma, im):
+    # near |z| = 8 log_gamma moves from shifting right to summing at z
+    # itself; the completion factors read 1/4 + 8i and 3/4 + 8i at t = 16
+    z = complex(sigma, im)
+    lg = log_gamma(ComplexBox.point(z))
+    re_ref, im_ref = stirling_reference(z)
+    assert_contains_mp(lg.re, re_ref)
+    assert_contains_mp(lg.im, im_ref)
+    check_oracle(lg, oracle, lambda: iv_loggamma(z))
 
 
 @pytest.mark.parametrize("z", [complex(0.25, 8.0), complex(3.0, 4.0), complex(0.75, 50.0)])
@@ -439,18 +433,17 @@ def test_log_gamma_hardware_widths(z, re_width, im_width):
     assert lg.im.width() <= im_width
 
 
-@pytest.mark.parametrize("tier", [HARDWARE, bigfloat(64), B128, bigfloat(256), bigfloat(512)], ids=str)
-def test_stirling_term_count_meets_its_goal(tier):
+def test_stirling_term_count_meets_its_goal():
     # K is the fewest terms whose exact remainder bound at |w| >= r falls
-    # three bits below one ulp of r, never above the tier's cap, and 0
-    # (shift right) only where no K up to the cap meets that goal
-    _, rems, log2_rems, _, _ = _stirling_table(tier)
-    cap = _stirling_cap(tier.bits)
+    # three bits below one ulp of the double r, never above the cap, and
+    # 0 (shift right) only where no K up to the cap meets that goal
+    _, rems, log2_rems, _, _ = _stirling_table()
+    cap = _STIRLING_CAP
     assert len(rems) == cap
     counts = []
     for r in (4.0, 7.9, 8.004, 10.0, 16.0, 22.5, 50.0, 150.0, 5000.0, 1e8):
-        K = _stirling_terms(log2_rems, r, tier.bits)
-        goal = Fraction(2) ** (math.frexp(r)[1] - tier.bits - 3)
+        K = _stirling_terms(log2_rems, r)
+        goal = Fraction(2) ** (math.frexp(r)[1] - 53 - 3)
         bounds = [rems[k - 1] / Fraction(r) ** (2 * k + 1) for k in range(1, cap + 1)]
         if K == 0:
             assert all(b > goal for b in bounds), r
@@ -459,9 +452,8 @@ def test_stirling_term_count_meets_its_goal(tier):
             assert all(b > goal for b in bounds[: K - 1]), r
         counts.append(K or cap + 1)
     assert counts == sorted(counts, reverse=True)  # fewer terms as |w| grows
-    if tier == HARDWARE:
-        assert _stirling_terms(log2_rems, 7.9, 53) == 0
-        assert 0 < _stirling_terms(log2_rems, 8.004, 53) <= 14
+    assert _stirling_terms(log2_rems, 7.9) == 0
+    assert 0 < _stirling_terms(log2_rems, 8.004) <= 14
 
 
 def test_log_gamma_domain_error():
@@ -473,20 +465,23 @@ def test_log_gamma_domain_error():
 
 
 # ---------------------------------------------------------------------------
-# widen_to
+# rational endpoints: a 128-bit mpmath.iv enclosure widened to doubles
 
 
 def test_widen_exact_value_roundtrip():
-    one = RealInterval.one(B128).widen_to(HARDWARE)
+    with ivprec(128):
+        one = RealInterval(*ends(iv.mpf(1)))
     assert one.lo == 1.0 and one.hi == 1.0
 
 
 def test_widen_pi_to_hardware_is_wider():
-    pb = pi_interval(B128)
-    ph = pb.widen_to(HARDWARE)
-    assert ph.lo_fraction() <= pb.lo_fraction()
-    assert ph.hi_fraction() >= pb.hi_fraction()
+    with ivprec(128):
+        pb = iv.pi
+    ph = RealInterval(*ends(pb))
+    assert covers(ph, pb)
     assert_contains_mp(ph, mpmath.pi)
+    # the two doubles around pi, as pi_interval gives them
+    assert (ph.lo, ph.hi) == (pi_interval().lo, pi_interval().hi)
 
 
 @given(
@@ -494,9 +489,14 @@ def test_widen_pi_to_hardware_is_wider():
     st.floats(min_value=0, max_value=1e-3),
 )
 def test_widen_roundtrip_contains(mid, rad):
-    x = RealInterval(mid - rad, mid + rad, B128)
-    back = x.widen_to(HARDWARE).widen_to(B128)
-    assert back.contains_interval(x)
+    with ivprec(128):
+        x = iv.mpf(mid) + iv.mpf([-rad, rad]) / 3
+    back = RealInterval(*ends(x))
+    assert covers(back, x)
+    lo, hi = ends(x)
+    # each endpoint is the nearest double on its outer side
+    assert back.lo <= lo < math.nextafter(back.lo, math.inf)
+    assert math.nextafter(back.hi, -math.inf) < hi <= back.hi
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +516,15 @@ finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 )
 def test_containment_under_composition(prog, seed):
     """Evaluate a random op chain pointwise at 4x precision and inside
-    intervals at both tiers; the point result must land in every interval."""
+    intervals; the point result must land in the interval."""
     with mpmath.workprec(4 * 53):
         point = mpmath.mpf(seed)
-        accs = {tier: RealInterval.point(seed, tier) for tier in TIERS}
+        acc = RealInterval.point(seed)
         for op, x, _ in prog:
             try:
                 if op in ("add", "sub", "mul", "div"):
                     pt_other = mpmath.mpf(x)
-                    nxt = {}
-                    for tier, acc in accs.items():
-                        nxt[tier] = arith(op, acc, RealInterval.point(x, tier))
+                    nxt = arith(op, acc, RealInterval.point(x))
                     point = {
                         "add": point + pt_other,
                         "sub": point - pt_other,
@@ -535,40 +533,36 @@ def test_containment_under_composition(prog, seed):
                     }[op]
                     if point is None:
                         return
-                    accs = nxt
+                    acc = nxt
                 elif op == "sqrt":
-                    accs = {tier: arith("sqrt", acc) for tier, acc in accs.items()}
+                    acc = arith("sqrt", acc)
                     point = mpmath.sqrt(point)
                 elif op in ("exp", "log", "sin", "cos", "atan"):
                     if op == "exp" and point > 300:
                         return
-                    accs = {tier: elem(op, acc) for tier, acc in accs.items()}
+                    acc = elem(op, acc)
                     point = getattr(mpmath, op)(point)
             except (DivisorContainsZero, NegativeSqrtDomain, LogDomain, ValueError):
                 return
             if abs(point) > 1e100:
                 return
-        # compare exact binary values without Fractions: a chain such as
-        # mul, mul, exp reaches exp(-4e13), whose Fraction form needs a
-        # 2^(5.8e13) denominator and exhausts memory
-        pt = point._mpf_
-        for tier, acc in accs.items():
-            lo, hi = (_exact_mpf(v) for v in (acc.lo, acc.hi))
-            assert mpf_cmp(lo, pt) <= 0 <= mpf_cmp(hi, pt), (tier, prog, seed)
+        # mpmath compares a double with an mpf exactly, without Fractions:
+        # a chain such as mul, mul, exp reaches exp(-4e13), whose Fraction
+        # form needs a 2^(5.8e13) denominator and exhausts memory
+        assert acc.lo <= point <= acc.hi, (prog, seed)
 
 
 @settings(max_examples=200, deadline=None)
 @given(finite, finite, finite, finite)
 def test_tiers_intersect_on_same_expression(a, b, c, d):
-    lo1, hi1 = sorted((a, b))
-    lo2, hi2 = sorted((c, d))
-    res = {}
-    for tier in TIERS:
-        x = RealInterval(lo1, hi1, tier)
-        y = RealInterval(lo2, hi2, tier)
-        res[tier.kind] = (x * y + x).sin()
-    h, g = res["hardware"], res["bigfloat"]
-    assert h.lo_fraction() <= g.hi_fraction() and g.lo_fraction() <= h.hi_fraction()
+    # the hardware result holds mpmath.iv's 128-bit enclosure of the same
+    # interval expression
+    x = RealInterval(*sorted((a, b)))
+    y = RealInterval(*sorted((c, d)))
+    with ivprec(128):
+        xi, yi = iv_real(x), iv_real(y)
+        want = iv.sin(xi * yi + xi)
+    assert covers((x * y + x).sin(), want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,19 +582,21 @@ def test_inclusion_isotonicity(mid, rad, fname):
 # complex boxes
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_complex_mul_div_roundtrip(tier):
-    z = ComplexBox.point(complex(1.5, -2.5), tier)
-    w = ComplexBox.point(complex(-0.75, 0.125), tier)
+@ORACLES
+def test_complex_mul_div_roundtrip(oracle):
+    z = ComplexBox.point(complex(1.5, -2.5))
+    w = ComplexBox.point(complex(-0.75, 0.125))
     r = (z * w) / w
     assert r.re.contains(Fraction(3, 2)) and r.im.contains(Fraction(-5, 2))
+    check_oracle(r, oracle, lambda: (iv_complex(z) * iv_complex(w)) / iv_complex(w))
 
 
-@pytest.mark.parametrize("tier", TIERS, ids=str)
-def test_complex_exp_log(tier):
-    z = ComplexBox.point(complex(0.5, 1.0), tier)
+@ORACLES
+def test_complex_exp_log(oracle):
+    z = ComplexBox.point(complex(0.5, 1.0))
     r = z.exp().log()
     assert r.re.contains(Fraction(1, 2)) and r.im.contains(1)
+    check_oracle(r, oracle, lambda: iv.log(iv.exp(iv_complex(z))))
 
 
 def test_complex_abs():
@@ -627,12 +623,9 @@ def test_complex_mul_containment(ar, ai, br, bi):
         za = mpmath.mpc(ar, ai)
         zb = mpmath.mpc(br, bi)
         prod = za * zb
-    for tier in TIERS:
-        box = ComplexBox.point(complex(ar, ai), tier) * ComplexBox.point(
-            complex(br, bi), tier
-        )
-        assert box.re.lo_fraction() <= mp_fraction(prod.real) <= box.re.hi_fraction()
-        assert box.im.lo_fraction() <= mp_fraction(prod.imag) <= box.im.hi_fraction()
+    box = ComplexBox.point(complex(ar, ai)) * ComplexBox.point(complex(br, bi))
+    assert box.re.lo_fraction() <= mp_fraction(prod.real) <= box.re.hi_fraction()
+    assert box.im.lo_fraction() <= mp_fraction(prod.imag) <= box.im.hi_fraction()
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +647,8 @@ def test_complex_mul_containment(ar, ai, br, bi):
     ids=["one", "exact", "negative", "big", "subnormal", "subnormal-neg", "overflow", "overflow-neg"],
 )
 def test_narrow_rounds_outward_to_adjacent_doubles(n, e):
-    # inside the double range the integer path; outside it the mpf fallback
+    # inside the double range one shift to 53 bits; outside it the
+    # subnormal grid or the overflow ends
     lo, hi = _narrow(n, n, e)
     v = Fraction(n) * Fraction(2) ** e
     assert (Fraction(lo) if math.isfinite(lo) else -math.inf) <= v
@@ -662,10 +656,46 @@ def test_narrow_rounds_outward_to_adjacent_doubles(n, e):
     assert hi == lo or hi == math.nextafter(lo, math.inf)
 
 
+def _floor_reference(v: Fraction) -> float:
+    """The largest double <= v, from Fraction's correctly rounded float()."""
+    if v > sys.float_info.max:
+        return sys.float_info.max
+    if v < -sys.float_info.max:
+        return -math.inf
+    f = float(v)
+    return f if Fraction(f) <= v else math.nextafter(f, -math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(-(2**120), 2**120),
+    st.integers(-1300, 1100) | st.integers(-1200, -1020) | st.integers(900, 1030),
+)
+def test_narrow_agrees_with_the_exact_floor(n, e):
+    # both sides bit for bit, across the subnormal range and past the
+    # largest double
+    v = Fraction(n) * Fraction(2) ** e
+    lo, hi = _narrow(n, n, e)
+    assert _bits((lo, hi)) == _bits((_floor_reference(v), -_floor_reference(-v))), (n, e)
+
+
 def _assert_adjacent_enclosure(lo: float, hi: float, v: Fraction):
     assert (Fraction(lo) if math.isfinite(lo) else -math.inf) <= v
     assert v <= (Fraction(hi) if math.isfinite(hi) else math.inf)
     assert hi == lo or hi == math.nextafter(lo, math.inf)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [Fraction(1, 3), Fraction(-2, 3), 2**60 + 1, -(2**60) - 1, 10**400, -(10**400), Fraction(1, 10**400)],
+    ids=["third", "neg-two-thirds", "big", "neg-big", "overflow", "overflow-neg", "underflow"],
+)
+def test_int_and_fraction_endpoints_round_outward(v):
+    # the constructor rounds exact endpoints outward, as from_fraction does
+    x = RealInterval(v, v)
+    _assert_adjacent_enclosure(x.lo, x.hi, Fraction(v))
+    y = RealInterval.from_fraction(Fraction(v))
+    assert (x.lo, x.hi) == (y.lo, y.hi) and x.lo < x.hi
 
 
 @pytest.mark.parametrize(
@@ -834,8 +864,11 @@ def test_invalid_endpoints_rejected():
 
 
 def test_tier_mixing_rejected():
-    with pytest.raises(TypeError):
-        RealInterval(1, 2, HARDWARE) + RealInterval(1, 2, B128)
+    # an mpmath.iv interval is refused, never collapsed to a point
+    with pytest.raises((TypeError, ValueError, NotImplementedError)):
+        RealInterval(1, 2) + iv.mpf([1, 2])
+    with pytest.raises((TypeError, ValueError, NotImplementedError)):
+        iv.mpf([1, 2]) * RealInterval(1, 2)
 
 
 def test_sign_and_zero_queries():

@@ -1,9 +1,9 @@
 """Large-modulus sampler against direct Euler-Maclaurin character sums.
 
 The oracle path computes L_chi(1/2+it) = q^(-s) sum_a chi(a) zeta(s, a/q)
-term by term with scalar big-float Hurwitz evaluations and exact character
-phases — no lattice, no Taylor shift, no DFT — so agreement checks the
-whole batched pipeline.  Completion tests pin realness, sign behaviour and
+term by term with scalar Hurwitz evaluations and exact character phases
+in mpmath.iv — no lattice, no Taylor shift, no DFT — so agreement checks
+the whole batched pipeline.  Completion tests pin realness, sign behaviour and
 linearity in the unimodular constant.
 """
 
@@ -14,9 +14,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from mpmath import iv
 
-from grhdesk import interval, sampler_largeq
-from grhdesk.characters import char_group, unit_phase
+from grhdesk import characters, hurwitz, sampler_largeq
+from grhdesk.characters import char_group
 from grhdesk.dft import units_of
 from grhdesk.errors import DomainError, NotPrimitive, RealnessViolation
 from grhdesk.hurwitz import (
@@ -29,7 +30,7 @@ from grhdesk.hurwitz import (
     lattice_size,
     taylor_tail_bound,
 )
-from grhdesk.interval import HARDWARE, ComplexBox, RealInterval, bigfloat
+from grhdesk.interval import ComplexBox
 from grhdesk.ivec import CVec
 from grhdesk.sampler_largeq import (
     DEFAULT_STEP,
@@ -44,9 +45,7 @@ from grhdesk.sampler_largeq import (
     unit_hurwitz,
 )
 
-from em_oracle import em_hurwitz
-
-BIG = bigfloat(96)
+from em_oracle import em_hurwitz, iv_real, ivprec, meets, width
 
 
 def mp_fraction(x, prec=300) -> Fraction:
@@ -56,26 +55,18 @@ def mp_fraction(x, prec=300) -> Fraction:
     return -v if sign else v
 
 
-def l_reference(q: int, idx, t: float, bits: int = 96) -> ComplexBox:
-    """q^(-s) sum_a chi(a) zeta(s, a/q) by scalar big-float evaluation."""
+def l_reference(q: int, idx, t: float, bits: int = 96) -> iv.mpc:
+    """q^(-s) sum_a chi(a) zeta(s, a/q) by scalar evaluation in mpmath.iv at bits."""
     group = char_group(q)
-    tier = bigfloat(bits)
-    s = ComplexBox(
-        RealInterval.from_fraction(Fraction(1, 2), tier),
-        RealInterval.point(t, tier),
-    )
-    acc = ComplexBox.zero(tier)
-    for a in range(1, q):
-        if math.gcd(a, q) != 1:
-            continue
-        phase = group.phase(idx, a)
-        acc = acc + unit_phase(phase, tier) * em_hurwitz(s, Fraction(a, q))
-    lq = RealInterval.point(q, tier).log()
-    scale = ComplexBox(
-        lq * RealInterval.from_fraction(Fraction(-1, 2), tier),
-        lq * RealInterval.point(-t, tier),
-    ).exp()
-    return acc * scale
+    with ivprec(bits):
+        acc = iv.mpc(0, 0)
+        for a in range(1, q):
+            if math.gcd(a, q) != 1:
+                continue
+            chi = iv.exp(iv.mpc(0, 2 * iv.pi * iv_real(group.phase(idx, a))))
+            acc += chi * em_hurwitz((Fraction(1, 2), t), Fraction(a, q), bits=bits)
+        lq = iv.log(q)
+        return acc * iv.exp(iv.mpc(-lq / 2, -t * lq))
 
 
 def l_at(vals, q: int, idx) -> ComplexBox:
@@ -131,18 +122,13 @@ def test_unit_hurwitz_matches_scalar_query(lat_t0, lat_t10, q):
     units = units_of(group)
     for lat in (lat_t0, lat_t10):
         vec = unit_hurwitz(lat, q, units)
-        s = ComplexBox(
-            RealInterval.from_fraction(Fraction(1, 2), HARDWARE),
-            RealInterval.point(lat.t, HARDWARE),
-        )
         for i, a in enumerate(units):
-            scalar = em_hurwitz(s, Fraction(int(a), q))
-            assert vec[i].intersects(scalar)
+            scalar = em_hurwitz((Fraction(1, 2), lat.t), Fraction(int(a), q))
+            assert meets(vec[i], scalar)
             # the Taylor shift off the lattice is wider than the direct
-            # sum, so allow a constant factor but no blowup
-            w_vec = vec[i].re.hi_float() - vec[i].re.lo_float()
-            w_sca = scalar.re.hi_float() - scalar.re.lo_float()
-            assert w_vec < 8 * w_sca + 1e-13
+            # sum, so allow a constant factor but no blowup; the 53-bit
+            # oracle is 2.2-3.5x narrower here than a direct sum on doubles
+            assert vec[i].re.width() < 16 * width(scalar.real) + 1e-13
 
 
 def test_q_pow_contains_reference():
@@ -174,7 +160,7 @@ def test_l_values_q4_contains_chi4_reference(lat_t0):
         fre = mp_fraction(ref)
     assert box.re.contains(fre)
     assert box.im.contains_zero()
-    assert box.intersects(l_reference(4, (1,), 0.0))
+    assert meets(box, l_reference(4, (1,), 0.0))
 
 
 def test_l_values_q3_principal_euler_factor(lat_t0):
@@ -196,7 +182,7 @@ def test_l_values_contain_em_character_sums(lat_t0, lat_t10, q, t):
     assert len(vals) == group.phi
     for idx in group.all_indices():
         ref = l_reference(q, idx, t)
-        assert l_at(vals, q, idx).intersects(ref), (q, idx, t)
+        assert meets(l_at(vals, q, idx), ref), (q, idx, t)
 
 
 def test_l_values_conjugate_symmetry(lat_t0, lat_t1, lat_t10, lat_tm1, lat_tm10):
@@ -250,7 +236,7 @@ def test_wrong_epsilon_raises_realness_violation(lat_t10):
     group = char_group(5)
     hits = 0
     for idx in group.primitive_indices():
-        meta = replace(group.char_meta(idx), epsilon=ComplexBox.one(HARDWARE))
+        meta = replace(group.char_meta(idx), epsilon=ComplexBox.one())
         try:
             completed(5, lat_t10, [idx], [meta])
         except RealnessViolation:
@@ -515,15 +501,21 @@ def test_sample_all_computes_each_completion_factor_once(shared_cache, monkeypat
 
 def test_warm_sample_range_runs_without_bigfloat_arithmetic(shared_cache, monkeypatch):
     # once the tables for (q, t) exist, a call for another character costs
-    # its root number and the completion step, all on hardware
+    # its root number and the completion step, all on hardware: every
+    # mpmath.libmp kernel the package imports refuses to run
     first = sample_range(101, (1,), T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
-    for name in ("mpf_mul", "mpf_div", "mpf_sqrt", "mpf_add", "mpf_sub"):
-        monkeypatch.setattr(interval, name, _refuse)
+    kernels = [(mod, name) for mod in (hurwitz, characters) for name in vars(mod) if name.startswith("mpf_")]
+    assert {name for _, name in kernels} >= {"mpf_log", "mpf_cos_sin", "mpf_pi"}
+    for mod, name in kernels:
+        monkeypatch.setattr(mod, name, _refuse)
     for idx in [(2,), (50,), (99,)]:
         grid = sample_range(101, idx, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
         assert len(grid) == len(first) == 2
+    # the refusal is live where the kernels are looked up
     with pytest.raises(AssertionError):
-        interval.RealInterval.one(bigfloat(64)) * 3
+        hurwitz._power_ball(Fraction(3), Fraction(1, 2), 1.0, 64)
+    with pytest.raises(AssertionError):
+        characters._fixed_unit_powers(5, 60)
 
 
 def test_alternating_moduli_read_their_own_tables(shared_cache):
