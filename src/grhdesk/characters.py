@@ -14,7 +14,8 @@ character values are exact rational phases (fractions of a turn), so parity,
 conjugation and primitivity are exact integer computations; only the final
 complex embedding e(phase) rounds, and it rounds outward into boxes.  Root
 numbers and completion constants come from the Gauss sum in integer fixed
-point, each side rounded outward to a double once.
+point, each side rounded outward to a double once, and each character's are
+kept on its group (CharGroup.char_meta).
 """
 
 from __future__ import annotations
@@ -137,13 +138,16 @@ class CharMeta:
     differ by a global sign); char_meta takes the principal one unless the
     real part of the conjugated root number is certified negative, then i
     times the principal root of its negative.  Downstream assembly checks
-    realness of every box a posteriori.
+    realness of every box a posteriori.  root_number is the root number
+    itself, tau(chi)/(i^parity sqrt(q)), from the same Gauss sum; None for
+    an imprimitive character.
     """
 
     parity: int
     primitive: bool
     epsilon: ComplexBox
     conjugate: tuple[int, ...]
+    root_number: ComplexBox | None
 
 
 class CharGroup:
@@ -192,6 +196,7 @@ class CharGroup:
             self.exponent = self.exponent * o // math.gcd(self.exponent, o)
         self._unity_tables = None
         self._canonical: dict = {}
+        self._metas: dict = {}
 
     # -- indices ------------------------------------------------------------
 
@@ -363,10 +368,15 @@ class CharGroup:
         return re, im, rad, 2 * shift
 
     def root_number(self, idx) -> ComplexBox:
-        """epsilon = tau(chi) / (i^parity sqrt(q)) as a hardware box; modulus must contain 1."""
-        if not self.is_primitive(idx):
+        """epsilon = tau(chi) / (i^parity sqrt(q)) as a hardware box; modulus must contain 1.
+
+        Read from the character's kept CharMeta (char_meta), so each
+        character runs one Gauss sum over the life of its group.
+        """
+        eps = self.char_meta(idx).root_number
+        if eps is None:
             raise NotPrimitive(f"index {idx} mod {self.q} is imprimitive")
-        return self._root_and_constant(idx, self.parity(idx))[0]
+        return eps
 
     def _root_and_constant(self, idx, parity: int) -> tuple[ComplexBox, ComplexBox]:
         """The root number epsilon and the completion constant w of a
@@ -409,22 +419,30 @@ class CharGroup:
         from the exact Gauss sum in integer fixed point, narrowed to a
         hardware box once (_root_and_constant), so no big-float arithmetic
         runs here once the group's unity tables exist.
-        Imprimitive characters get epsilon = 1: they are never completed
-        directly, only through the primitive character inducing them.
+        Imprimitive characters get epsilon = 1 and no root number: they are
+        never completed directly, only through the primitive character
+        inducing them.
+
+        The result is kept on the group, keyed by the canonical index, and
+        every later call for the character returns the same object, so a
+        character costs one Gauss sum (and one pair of unity tables per
+        group) however many grids, ordinates or sweeps read it.  A kept
+        character takes about 0.85 KB, its two boxes included.
         """
         idx = self.canonical(idx)
-        primitive = self.is_primitive(idx)
-        parity = self.parity(idx)
-        if primitive:
-            eps = self._root_and_constant(idx, parity)[1]
-        else:
-            eps = ComplexBox.one()
-        return CharMeta(
-            parity=parity,
-            primitive=primitive,
-            epsilon=eps,
-            conjugate=self.canonical(self.conjugate(idx)),
-        )
+        meta = self._metas.get(idx)
+        if meta is None:
+            primitive = self.is_primitive(idx)
+            parity = self.parity(idx)
+            eps, w = self._root_and_constant(idx, parity) if primitive else (None, ComplexBox.one())
+            meta = self._metas[idx] = CharMeta(
+                parity=parity,
+                primitive=primitive,
+                epsilon=w,
+                conjugate=self.canonical(self.conjugate(idx)),
+                root_number=eps,
+            )
+        return meta
 
 
 def _fixed_quotient(x: int, y: int, d: int, r: int, scale: int) -> ComplexBox:

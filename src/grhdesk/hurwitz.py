@@ -729,7 +729,7 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
         radius = Fraction(int(rows.min()), D) + (lat.M + 1)
         tail = taylor_tail_bound(s_mag_hi, Fraction(d_max, q * D), radius, lat.Ncols + 1)
         if tail:
-            pad = RealInterval.from_fraction(tail).hi_float()
+            pad = RealInterval.from_fraction(tail).hi
     blocks = []
     for i in range(0, max(len(units), 1), _UNIT_BLOCK):  # one block if empty
         part = slice(i, i + _UNIT_BLOCK)

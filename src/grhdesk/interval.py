@@ -14,6 +14,7 @@ input intervals.  Nothing here is ever allowed to round inward.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from functools import cache
 from fractions import Fraction
@@ -151,10 +152,11 @@ def _ratio_ends(n: int, d: int) -> tuple[float, float]:
 
 
 def _end(x, side: int) -> float:
-    """An endpoint as a double: an int or Fraction rounded outward, down
-    for side 0 and up for side 1, anything else by float()."""
-    if isinstance(x, (int, Fraction)):
-        return _ratio_ends(x.numerator, x.denominator)[side]
+    """An endpoint as a double: an exact rational (int, Fraction, numpy
+    integer) rounded outward, down for side 0 and up for side 1, anything
+    else by float()."""
+    if isinstance(x, numbers.Rational):
+        return _ratio_ends(int(x.numerator), int(x.denominator))[side]
     return float(x)
 
 
@@ -182,7 +184,8 @@ class RealInterval:
         """Tightest interval containing x (exact when x is representable)."""
         if isinstance(x, float):
             return RealInterval(x, x, _raw=True)
-        if isinstance(x, int):
+        if isinstance(x, numbers.Integral):
+            x = int(x)
             f = float(x)
             if int(f) == x:
                 return RealInterval(f, f, _raw=True)
@@ -222,13 +225,6 @@ class RealInterval:
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
-
-    def lo_float(self) -> float:
-        """Lower endpoint as a double."""
-        return self.lo
-
-    def hi_float(self) -> float:
-        return self.hi
 
     def lo_fraction(self) -> Fraction:
         return Fraction(self.lo)

@@ -127,15 +127,13 @@ class IVec:
 
     @staticmethod
     def from_intervals(ivs) -> "IVec":
-        lo = np.array([v.lo_float() for v in ivs])
-        hi = np.array([v.hi_float() for v in ivs])
+        lo = np.array([v.lo for v in ivs])
+        hi = np.array([v.hi for v in ivs])
         return IVec(lo, hi, _checked=True)
 
     @staticmethod
     def full(shape, iv: RealInterval) -> "IVec":
-        return IVec(
-            np.full(shape, iv.lo_float()), np.full(shape, iv.hi_float()), _checked=True
-        )
+        return IVec(np.full(shape, iv.lo), np.full(shape, iv.hi), _checked=True)
 
     @staticmethod
     def from_ratios(num, den: int) -> "IVec":
@@ -390,7 +388,7 @@ def _other_endpoints(other):
     if isinstance(other, IVec):
         return other.lo, other.hi
     if isinstance(other, RealInterval):
-        return other.lo_float(), other.hi_float()
+        return other.lo, other.hi
     a = _as_arr(other)
     return a, a
 
@@ -592,8 +590,8 @@ def _coerce_cvec(other) -> CVec:
         return other
     if isinstance(other, ComplexBox):
         return CVec(
-            IVec(np.asarray(other.re.lo_float()), np.asarray(other.re.hi_float()), _checked=True),
-            IVec(np.asarray(other.im.lo_float()), np.asarray(other.im.hi_float()), _checked=True),
+            IVec(np.asarray(other.re.lo), np.asarray(other.re.hi), _checked=True),
+            IVec(np.asarray(other.im.lo), np.asarray(other.im.hi), _checked=True),
         )
     z = np.asarray(other, dtype=np.complex128)
     return CVec(IVec.from_points(z.real), IVec.from_points(z.imag))

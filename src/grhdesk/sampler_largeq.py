@@ -27,11 +27,15 @@ each the phi(q) L-values as one CVec of 32-byte cells (32 KB at
 q = 1009; the per-character dict it replaced took about 0.4 KB a
 character) beside the completion factors of both parities.
 Every character of q sampled at that ordinate reads the same table, so
-sample_all costs one pass per ordinate, and a sample_range call costs
-its character's root number and one array completion step once the
-tables exist.  The root number is the exact fixed-point Gauss sum
-narrowed once to a hardware box (CharGroup.char_meta), so such a call
-runs no big-float arithmetic.
+sample_all costs one pass per ordinate.  Root numbers do not depend on
+the ordinate: CharGroup.char_meta computes a character's once, from the
+exact fixed-point Gauss sum narrowed to hardware boxes, and keeps it on
+the group (about 0.85 KB a character, 0.8 MB for every character mod
+1009; the char_group LRU keeps at most 64 groups).  So only the first
+call for a character pays its O(q) Gauss sum.  Once the tables exist, a
+sample_range call costs one array completion step and runs no big-float
+arithmetic, and a later sample_all sweep at new ordinates costs its
+lattices and l_values_at passes alone.
 """
 
 from __future__ import annotations
@@ -267,10 +271,13 @@ def sample_range(
     phi(q) characters and keeps the L-values in an in-memory table, with
     the completion factor of each parity beside them; later calls for any
     character of q at that ordinate read that table, so a call then
-    costs the character's root number and one array completion step,
-    (epsilon C) L with the realness check and the projection, over all
-    its ordinates.  At most 8 tables are kept, least recently used first
-    out; each holds phi(q) array cells of 32 bytes (32 KB at q = 1009).
+    costs one array completion step, (epsilon C) L with the realness
+    check and the projection, over all its ordinates.  At most 8 tables
+    are kept, least recently used first out; each holds phi(q) array
+    cells of 32 bytes (32 KB at q = 1009).  The character's root number
+    and completion constant come from CharGroup.char_meta, which runs
+    the Gauss sum on the first call for the character and keeps the
+    result, so every later call, at any ordinate, reuses it.
 
     An index needs one entry per cyclic factor of the group, each in
     0..order - 1 (ValueError otherwise), and must be primitive
@@ -292,7 +299,9 @@ def sample_all(
     """sample_range for every primitive character mod q, keyed by index.
 
     Reads the same per-(q, ordinate) tables as sample_range, so the whole
-    sweep costs one l_values_at pass per ordinate plus phi(q) root numbers.
+    sweep costs one l_values_at pass per ordinate, plus the root number
+    of each character that no earlier call at q computed (char_meta
+    keeps them on the group).
     """
     chars = char_group(q).primitive_indices()
     grids = _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir)

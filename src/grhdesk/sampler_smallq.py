@@ -107,7 +107,7 @@ class FftPlan:
             raise DomainError("N = A*B must be a power of two >= 2")
         # A >= 1/(2 pi), certified: 2 pi A > 1
         two_pi_a = pi_interval() * RealInterval.from_fraction(2 * self.A)
-        if not two_pi_a.lo_float() > 1.0:
+        if not two_pi_a.lo > 1.0:
             raise DomainError("need A >= 1/(2 pi)")
 
     @property
@@ -186,12 +186,12 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
         u = ComplexBox(x, eta_im)
         e2u = (u + u).exp()
         y = pi * e2u.re / RealInterval.point(q)
-        if y.lo_float() >= 1.0:
+        if y.lo >= 1.0:
             bound = factor * (x * scale_fr - y).exp() / (one - (-(y * 3)).exp() * 2)
-            if bound.hi_float() < cut:
-                far = bound.hi_float()
+            if bound.hi < cut:
+                far = bound.hi
                 break
-        trunc = default_trunc(x.lo_float(), q, plan.eta)
+        trunc = default_trunc(x.lo, q, plan.eta)
 
         acc = [ComplexBox.zero()] * group.phi
         for k in range(1, trunc + 1):
@@ -208,7 +208,7 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
         # geometric tail: |term ratio| <= (1 + 1/(trunc+1))^parity
         #                 * exp(-pi (2 trunc + 3) Re(e^{2u}) / q)
         c = e2u.re
-        if not c.lo_float() > 0.0:
+        if not c.lo > 0.0:
             raise TailDivergence("cannot certify a positive theta decay constant")
         n0 = trunc + 1
         rho = (c * (pi * RealInterval.from_fraction(Fraction(-(2 * trunc + 3), q)))).exp()
@@ -216,9 +216,9 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
         if parity:
             rho = rho * RealInterval.from_fraction(Fraction(n0 + 1, n0))
             first = first * RealInterval.point(n0)
-        if not rho.hi_float() < 1.0:
-            raise TailDivergence(f"term ratio {rho.hi_float():.3g} >= 1 at trunc={trunc}")
-        tails.append((first / (one - rho)).hi_float())
+        if not rho.hi < 1.0:
+            raise TailDivergence(f"term ratio {rho.hi:.3g} >= 1 at trunc={trunc}")
+        tails.append((first / (one - rho)).hi)
         prefs.append((u * scale_fr).exp() * factor)
 
     bins = len(prefs)
@@ -268,10 +268,10 @@ def alias_bound_fhat(n: int, plan: FftPlan, q: int, parity: int) -> RealInterval
 
     x1 = x_of(w1)
     x2 = x_of(w2)
-    if not (x1.lo_float() > 1.0 and x2.lo_float() > 1.0):
+    if not (x1.lo > 1.0 and x2.lo > 1.0):
         raise XConditionViolated(
-            f"X(w) <= 1 at bin {n}; enlarge A (X1={x1.lo_float():.3g}, "
-            f"X2={x2.lo_float():.3g})"
+            f"X(w) <= 1 at bin {n}; enlarge A (X1={x1.lo:.3g}, "
+            f"X2={x2.lo:.3g})"
         )
     one = RealInterval.one()
     num = (_decay_bound(w1, x1, parity) + _decay_bound(w2, x2, parity)) * (
@@ -335,7 +335,7 @@ def t_grid_error(m: int, plan: FftPlan, q: int, parity: int) -> RealInterval:
     pe = pi * RealInterval.point(plan.eta / 4)
     beta1 = _beta(t1, parity) - pe
     beta2 = _beta(t2, parity) + pe
-    if not (beta1.lo_float() > 0.0 and beta2.lo_float() > 0.0):
+    if not (beta1.lo > 0.0 and beta2.lo > 0.0):
         raise BetaConditionViolated(
             f"decay condition fails at m={m} (m/A={float(Fraction(m) / plan.A):.4g})"
         )
@@ -397,7 +397,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         alias_total = RealInterval.zero()
         for n in range(n_total):
             alias_total = alias_total + alias[min(n, n_total - n)]
-        t_pads = [t_grid_error(m, plan, q, parity).hi_float() for m in range(m_max + 1)]
+        t_pads = [t_grid_error(m, plan, q, parity).hi for m in range(m_max + 1)]
         pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(2 * parity + 1, 4))).exp()
         recover = IVec.from_intervals(
             [pi_pow * (pi * RealInterval.from_fraction(t_fr) * eta_fac).exp() for t_fr in ordinates]
@@ -409,7 +409,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         eps = CVec.from_boxes([metas[i].epsilon for i in members])
         dual = (_dual_values(q, parity, plan).take_last(cols) * eps).moveaxis(0, -1)
         dual = CVec.concatenate([dual, dual[..., half - 1 : 0 : -1].conj()], axis=-1)
-        core = fft_pow2(dual, "backward").pad(alias_total.hi_float())
+        core = fft_pow2(dual, "backward").pad(alias_total.hi)
         core = core * ((pi + pi) / RealInterval.from_fraction(plan.B))
 
         member_chars = [chars[i] for i in members]

@@ -107,6 +107,11 @@ def box_width(z: ComplexBox) -> float:
     return max(z.re.width(), z.im.width())
 
 
+def box_bits(z: ComplexBox) -> tuple[str, ...]:
+    """The four endpoints of z as hex strings: equal iff bit-identical."""
+    return tuple(v.hex() for v in (z.re.lo, z.re.hi, z.im.lo, z.im.hi))
+
+
 def oracle_primitive_count(q: int) -> int:
     g = CharGroup(q)
     return sum(1 for idx in g.all_indices() if oracle_is_primitive(g, idx))
@@ -207,7 +212,7 @@ def test_char_vanishes_off_units():
     g = CharGroup(12)
     for idx in g.all_indices():
         v = g.eval_char(idx, 12)
-        assert v.re.lo_float() == 0 and v.re.hi_float() == 0
+        assert v.re.lo == 0 and v.re.hi == 0
         assert g.phase(idx, 8) is None
 
 
@@ -522,8 +527,58 @@ def test_char_meta_fields():
 def test_char_meta_imprimitive_placeholder():
     g = CharGroup(9)
     meta = g.char_meta((3,))
-    assert not meta.primitive
+    assert not meta.primitive and meta.root_number is None
     assert meta.epsilon.re.contains(1) and meta.epsilon.im.contains_zero()
+
+
+def _count_gauss_sums(monkeypatch) -> list:
+    """Patch CharGroup._gauss_fixed to record (q, idx) of every call."""
+    calls = []
+    original = CharGroup._gauss_fixed
+
+    def counted(self, idx):
+        calls.append((self.q, idx))
+        return original(self, idx)
+
+    monkeypatch.setattr(CharGroup, "_gauss_fixed", counted)
+    return calls
+
+
+def test_char_meta_and_root_number_are_kept_per_character(monkeypatch):
+    # a character's Gauss sum runs once over the life of its group, whichever
+    # of char_meta and root_number asks first, for any spelling of its index
+    calls = _count_gauss_sums(monkeypatch)
+    g = CharGroup(1009)
+    meta = g.char_meta((3,))
+    assert g.char_meta((3,)) is meta and g.char_meta([np.int64(3)]) is meta
+    assert g.root_number((3,)) is meta.root_number is g.root_number([3])
+    eps = g.root_number((700,))
+    assert g.char_meta((700,)).root_number is eps
+    assert calls == [(1009, (3,)), (1009, (700,))]
+    # a new group keeps its own
+    assert CharGroup(1009).char_meta((3,)) is not meta
+    assert calls[-1] == (1009, (3,)) and len(calls) == 3
+
+
+@pytest.mark.parametrize("q", [8, 101, 1024])
+def test_kept_char_meta_matches_a_fresh_group(q):
+    # every character asked for once, then read back from the kept dict,
+    # against a second group that computes each one on first use
+    g, other = CharGroup(q), CharGroup(q)
+    for idx in g.all_indices():
+        g.char_meta(idx)
+    for idx in g.all_indices():
+        kept, fresh = g.char_meta(idx), other.char_meta(idx)
+        assert (kept.parity, kept.primitive, kept.conjugate) == (
+            fresh.parity,
+            fresh.primitive,
+            fresh.conjugate,
+        )
+        assert box_bits(kept.epsilon) == box_bits(fresh.epsilon), (q, idx)
+        if kept.primitive:
+            assert box_bits(kept.root_number) == box_bits(fresh.root_number), (q, idx)
+        else:
+            assert kept.root_number is fresh.root_number is None
 
 
 def test_unimodular_sqrt_covers_all_quadrants():
@@ -566,7 +621,7 @@ def test_unit_phase_exact_quadrants():
     ]:
         v = unit_phase(fr)
         assert v.re.contains(re) and v.im.contains(im)
-        assert v.re.lo_float() == v.re.hi_float()
+        assert v.re.lo == v.re.hi
 
 
 def test_index_label_roundtrip():

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -696,6 +697,22 @@ def test_int_and_fraction_endpoints_round_outward(v):
     _assert_adjacent_enclosure(x.lo, x.hi, Fraction(v))
     y = RealInterval.from_fraction(Fraction(v))
     assert (x.lo, x.hi) == (y.lo, y.hi) and x.lo < x.hi
+
+
+@pytest.mark.parametrize(
+    "v",
+    [np.int64(2**60 + 1), np.int64(-(2**60) - 1), np.uint64(2**64 - 1), np.int32(7)],
+    ids=["int64-big", "int64-neg-big", "uint64-max", "int32-small"],
+)
+def test_numpy_integer_endpoints_round_outward(v):
+    # numpy integers are exact integers: the constructor and point round
+    # them outward as they do a Python int, never to nearest by float()
+    exact = int(v)
+    want = RealInterval.point(exact)
+    for x in (RealInterval(v, v), RealInterval.point(v)):
+        _assert_adjacent_enclosure(x.lo, x.hi, Fraction(exact))
+        assert (x.lo, x.hi) == (want.lo, want.hi)
+        assert type(x.lo) is float and type(x.hi) is float
 
 
 @pytest.mark.parametrize(

@@ -308,8 +308,8 @@ def test_cvec_sum_and_conj():
     s = v.sum()
     assert s.re.contains_zero() or abs(s.re.mid() - z.real.sum()) < 1e-10
     total = complex(z.sum())
-    assert s.re.lo_float() <= total.real <= s.re.hi_float()
-    assert s.im.lo_float() <= total.imag <= s.im.hi_float()
+    assert s.re.lo <= total.real <= s.re.hi
+    assert s.im.lo <= total.imag <= s.im.hi
     c = v.conj().sum()
     assert abs(c.im.mid() + total.imag) < 1e-10
 

@@ -217,8 +217,8 @@ def test_lambda_linear_in_epsilon(lat_t10):
     lam = completed(5, lat_t10, [(1,)], [meta])[0]
     flipped = replace(meta, epsilon=-meta.epsilon)
     lam_neg = completed(5, lat_t10, [(1,)], [flipped])[0]
-    assert lam_neg.lo_float() == -lam.hi_float()
-    assert lam_neg.hi_float() == -lam.lo_float()
+    assert lam_neg.lo == -lam.hi
+    assert lam_neg.hi == -lam.lo
 
 
 def test_lambda_realness_across_moduli(lat_t0, lat_t1, lat_t10):
@@ -296,8 +296,8 @@ def test_lambda_gamma_factor_keeps_magnitude_tame():
     # at t = 2500 the raw gamma factor underflows; the assembled factor must not
     for parity in (0, 1):
         mag = completion_factor(2500.0, parity, 4).abs2()
-        assert mag.hi_float() < 1e6
-        assert mag.lo_float() > 0.0
+        assert mag.hi < 1e6
+        assert mag.lo > 0.0
 
 
 # -- grids -------------------------------------------------------------------
@@ -502,8 +502,10 @@ def test_sample_all_computes_each_completion_factor_once(shared_cache, monkeypat
 def test_warm_sample_range_runs_without_bigfloat_arithmetic(shared_cache, monkeypatch):
     # once the tables for (q, t) exist, a call for another character costs
     # its root number and the completion step, all on hardware: every
-    # mpmath.libmp kernel the package imports refuses to run
+    # mpmath.libmp kernel the package imports refuses to run.  The group's
+    # kept root numbers are emptied, so each call below computes its own.
     first = sample_range(101, (1,), T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
+    monkeypatch.setattr(char_group(101), "_metas", {})
     kernels = [(mod, name) for mod in (hurwitz, characters) for name in vars(mod) if name.startswith("mpf_")]
     assert {name for _, name in kernels} >= {"mpf_log", "mpf_cos_sin", "mpf_pi"}
     for mod, name in kernels:
@@ -535,3 +537,50 @@ def test_alternating_moduli_read_their_own_tables(shared_cache):
     alone.update(run([op for op in calls if op[0] == 7]))
     sampler_largeq._modulus_table.cache_clear()
     assert run(calls) == alone
+
+
+def _count_gauss_sums(monkeypatch) -> list:
+    """Patch CharGroup._gauss_fixed to record (q, idx) of every call."""
+    calls = []
+    original = characters.CharGroup._gauss_fixed
+
+    def counted(self, idx):
+        calls.append((self.q, idx))
+        return original(self, idx)
+
+    monkeypatch.setattr(characters.CharGroup, "_gauss_fixed", counted)
+    return calls
+
+
+def _bits(grid):
+    return [(s.lo.hex(), s.hi.hex()) for s in grid.samples]
+
+
+def test_repeated_sample_range_runs_one_gauss_sum(shared_cache, monkeypatch):
+    # the root number does not depend on t, so a second call for the same
+    # character, at the same or a new ordinate, reads the kept one
+    monkeypatch.setattr(char_group(1009), "_metas", {})
+    calls = _count_gauss_sums(monkeypatch)
+    first = sample_range(1009, (1,), T_LO, T_LO, STEP, size=4, cache_dir=shared_cache)
+    again = sample_range(1009, (1,), T_LO, T_LO, STEP, size=4, cache_dir=shared_cache)
+    later = sample_range(1009, (1,), T_HI, T_HI, STEP, size=4, cache_dir=shared_cache)
+    assert calls == [(1009, (1,))]
+    assert _bits(again) == _bits(first) and len(first) == 1
+    assert again.meta is first.meta is later.meta
+
+
+def test_sample_all_reuses_earlier_root_numbers(shared_cache, monkeypatch):
+    # a sweep after a sample_range at q runs the Gauss sums of the other
+    # characters only, and a second sweep at a new ordinate runs none
+    group = char_group(101)
+    monkeypatch.setattr(group, "_metas", {})
+    calls = _count_gauss_sums(monkeypatch)
+    one = sample_range(101, (5,), T_LO, T_LO, STEP, size=4, cache_dir=shared_cache)
+    assert calls == [(101, (5,))]
+    grids = sample_all(101, T_LO, T_LO, STEP, size=4, cache_dir=shared_cache)
+    assert grids[(5,)].meta is one.meta and _bits(grids[(5,)]) == _bits(one)
+    assert sorted(calls) == sorted((101, idx) for idx in group.primitive_indices())
+    del calls[:]
+    later = sample_all(101, T_HI, T_HI, STEP, size=4, cache_dir=shared_cache)
+    assert calls == []
+    assert all(later[idx].meta is grids[idx].meta for idx in grids)

@@ -141,10 +141,10 @@ def test_error_bounds_finite_and_positive_on_default_plan(parity):
     half = plan.N // 2
     for n in (0, 1, half // 2, -half, half):
         bound = alias_bound_fhat(n, plan, 7, parity)
-        assert 0.0 <= bound.lo_float() and 0.0 < bound.hi_float() < float("inf"), n
+        assert 0.0 <= bound.lo and 0.0 < bound.hi < float("inf"), n
     for m in (0, 1, plan.N // 4):
         bound = t_grid_error(m, plan, 7, parity)
-        assert 0.0 <= bound.lo_float() and 0.0 < bound.hi_float() < float("inf"), m
+        assert 0.0 <= bound.lo and 0.0 < bound.hi < float("inf"), m
 
 
 def test_alias_bound_refuses_bins_outside_the_signed_range():
@@ -198,8 +198,8 @@ def test_one_character_matches_all_characters(chi):
     # same whichever characters share it
     one = smallq_samples(7, chi, PLAN, T_MAX)
     every = _all_chars(7)[chi]
-    assert [(s.lo_float(), s.hi_float()) for s in one.samples] == [
-        (s.lo_float(), s.hi_float()) for s in every.samples
+    assert [(s.lo, s.hi) for s in one.samples] == [
+        (s.lo, s.hi) for s in every.samples
     ]
 
 
@@ -266,8 +266,8 @@ def test_dual_values_contain_theta_sums(q, short, monkeypatch):
                     x = 2 * mpmath.pi * n / PLAN.B.numerator * PLAN.B.denominator
                     box = dual[n, col]
                     ref = _fhat_over_eps(q, chi, parity, x)
-                    assert box.re.lo_float() <= ref.real <= box.re.hi_float(), (chi, n)
-                    assert box.im.lo_float() <= ref.imag <= box.im.hi_float(), (chi, n)
+                    assert box.re.lo <= ref.real <= box.re.hi, (chi, n)
+                    assert box.im.lo <= ref.imag <= box.im.hi, (chi, n)
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -293,8 +293,8 @@ def test_far_dual_bins_take_one_row_bound(q):
                     if group.parity(chi) == parity:
                         box = dual[n, int(np.ravel_multi_index(chi, group.orders))]
                         ref = _fhat_over_eps(q, chi, parity, x)
-                        assert box.re.lo_float() <= ref.real <= box.re.hi_float(), (chi, n)
-                        assert box.im.lo_float() <= ref.imag <= box.im.hi_float(), (chi, n)
+                        assert box.re.lo <= ref.real <= box.re.hi, (chi, n)
+                        assert box.im.lo <= ref.imag <= box.im.hi, (chi, n)
 
 
 # (1) is odd and (2) is even both mod 5 and mod 7
@@ -315,7 +315,7 @@ def test_alias_bound_dominates_nearest_shifts(q, chi):
             shifts = abs(_fhat_over_eps(q, chi, parity, x + period)) + abs(
                 _fhat_over_eps(q, chi, parity, period - x)
             )
-            assert alias_bound_fhat(n, _ORACLE_PLAN, q, parity).hi_float() >= shifts, n
+            assert alias_bound_fhat(n, _ORACLE_PLAN, q, parity).hi >= shifts, n
 
 
 @pytest.mark.parametrize("q,chi", _ORACLE_CHARS)
@@ -335,4 +335,4 @@ def test_t_grid_error_dominates_nearest_shifts(q, chi):
             t = mpmath.mpf(m) * _ORACLE_PLAN.A.denominator / _ORACLE_PLAN.A.numerator
             b = mpmath.mpf(_ORACLE_PLAN.B.numerator)
             shifts = f_abs(t + b) + f_abs(t - b)
-            assert t_grid_error(m, _ORACLE_PLAN, q, parity).hi_float() >= shifts, m
+            assert t_grid_error(m, _ORACLE_PLAN, q, parity).hi >= shifts, m
