@@ -22,7 +22,7 @@ import numpy as np
 
 from .characters import CharGroup, _fixed_unit_powers
 from .interval import _narrow
-from .ivec import CVec, IVec
+from .ivec import CVec
 
 _NAIVE_LIMIT = 64  # axis lengths above this go through Bluestein
 
@@ -57,8 +57,7 @@ def unity_table(n: int) -> CVec:
     )
     j = np.flatnonzero(4 * np.arange(n) % n == 0)
     sides[j] = _QUARTER_POINTS[4 * j // n]
-    re_lo, re_hi, im_lo, im_hi = sides.T.copy()
-    tab = CVec(IVec(re_lo, re_hi, _checked=True), IVec(im_lo, im_hi, _checked=True))
+    tab = CVec.from_block(sides.T.reshape(2, 2, n).copy())
     _table_cache[n] = tab
     return tab
 

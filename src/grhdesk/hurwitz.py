@@ -383,8 +383,8 @@ def _em_rows(
     # (n + alpha)^{-s_0} and n + alpha on hardware, every base an integer over L
     L = math.lcm(*(alpha.denominator for alpha in alphas))
     ms = [alpha.numerator * (L // alpha.denominator) + n * L for alpha in alphas for n in range(a + 1)]
-    ends = _sieved_powers(ms, L, base_sigma, t, bits).T.reshape(4, len(alphas), a + 1)
-    power = CVec(IVec(ends[0], ends[1], _checked=True), IVec(ends[2], ends[3], _checked=True))
+    ends = _sieved_powers(ms, L, base_sigma, t, bits).T
+    power = CVec.from_block(ends.reshape(2, 2, len(alphas), a + 1).copy())
     base = IVec.from_ratios(ms, L).reshape(len(alphas), a + 1)
     inv = 1.0 / base
 
@@ -450,7 +450,7 @@ def _em_rows(
     rpow = (A.log() * -sig2b).exp()
     cell = cell.pad((rpow * rad_const).hi)
     if t == 0.0:
-        cell = CVec(cell.re, IVec.zeros(cell.shape))
+        cell = CVec.from_real(cell.re)
     return cell
 
 
@@ -593,11 +593,10 @@ def save_lattice(lat: HurwitzLattice, path: str | Path) -> None:
     """Write header (decimal) then cells row-major, one line per cell.
 
     A cell's line is the float.hex form of its endpoints re.lo re.hi
-    im.lo im.hi, taken straight from the endpoint arrays of lat.rows.
+    im.lo im.hi, taken straight from the endpoint block of lat.rows.
     """
     path = Path(path)
-    re, im = lat.rows.re, lat.rows.im
-    ends = np.stack([re.lo, re.hi, im.lo, im.hi], axis=-1).reshape(-1, 4)
+    ends = np.moveaxis(lat.rows.e, (0, 1), (-2, -1)).reshape(-1, 4)
     lines = [_MAGIC, f"{lat.t!r} {lat.D} {lat.Ncols} {lat.M} {lat.bits}"]
     lines += [" ".join(map(float.hex, cell)) for cell in ends.tolist()]
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -630,12 +629,8 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
         raise ValueError(f"lattice body in {path} is cut short or malformed")
     ends = np.array([[float.fromhex(v) for v in fields] for fields in cells])
     ends = ends.reshape(D, Ncols + 1, 4)
-    if not np.all(ends[..., 0::2] <= ends[..., 1::2]):
-        raise ValueError(f"lattice body in {path} holds a cell with lo > hi or NaN")
-    rows = CVec(
-        IVec(ends[..., 0], ends[..., 1], _checked=True),
-        IVec(ends[..., 2], ends[..., 3], _checked=True),
-    )
+    # the checked constructors refuse a cell with lo > hi or a NaN end
+    rows = CVec(IVec(ends[..., 0], ends[..., 1]), IVec(ends[..., 2], ends[..., 3]))
     return HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows)
 
 

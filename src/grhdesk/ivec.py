@@ -1,20 +1,41 @@
 """Vectorized interval arrays on doubles.
 
-:class:`IVec` holds parallel numpy arrays of lower and upper endpoints;
-:class:`CVec` pairs two of them as a complex rectangle array.  Every
-elementwise operation widens its result enough to contain the exact image:
+:class:`IVec` holds parallel numpy arrays of lower and upper endpoints.
+:class:`CVec`, a complex rectangle array, holds one float64 endpoint
+block e of shape (2, 2, *shape), indexed (re/im, lo/hi); its re and im
+are zero-copy IVec views of that block.  Every elementwise operation
+widens its result enough to contain the exact image:
 
 * IEEE-correct array arithmetic (+, -, *, /, sqrt) moves each endpoint one
   ulp outward (``_KA``), as the scalar RealInterval does,
 * numpy transcendental kernels (exp, log, sin, cos), whose SIMD paths are
   documented to a few ulps, get ``_KT``.
 
+The one-ulp step is np.nextafter for endpoint arrays of up to
+``_NEXTAFTER_MAX`` elements and a shift form above; the switch is keyed
+on the element count of one endpoint array (one part of a CVec), so a
+CVec kernel rounds each endpoint exactly as the IVec operations on its
+parts would.
+
+A CVec operation costs a fixed handful of numpy calls over its block,
+whatever its shape: a product of two CVecs is one broadcast product of
+the 16 endpoint pairs, one min and one max over the corners, one
+rounding of the four real products, one subtraction and one addition for
+the real and imaginary parts, and one more rounding (a CVec times real
+intervals takes 8 corners and one rounding); a sum or difference is one
+ufunc and one rounding; take, reshape, concatenate, moveaxis, indexing,
+conj and negation are one call each on the block, data axes offset by 2.
+At desk scale, where arrays hold a few cells, that fixed cost, not the
+element count, is what an operation costs.
+
 Reductions use the standard floating sum bound |fl(sum) - sum| <=
 (n-1) u sum|x_i|, valid for any summation order, so numpy's pairwise
 summation is covered.
 
 A module-level operation counter tallies elementwise work (elements touched
-per operation) so callers can compare measured work across problem sizes.
+per operation) so callers can compare measured work across problem sizes;
+a CVec operation counts what the IVec operations on its parts would
+(6n for a CVec product of n cells, 2n for a sum).
 """
 
 from __future__ import annotations
@@ -107,10 +128,11 @@ class IVec:
         if not _checked:
             if lo.shape != hi.shape:
                 raise ValueError("endpoint shape mismatch")
+            # as RealInterval: not lo <= hi, so a NaN endpoint is refused too
             with np.errstate(invalid="ignore"):
-                bad = np.any(lo > hi)
+                bad = not np.all(lo <= hi)
             if bad:
-                raise ValueError("lower endpoint above upper endpoint")
+                raise ValueError("endpoints not ordered lo <= hi (or NaN)")
         self.lo = lo
         self.hi = hi
 
@@ -422,84 +444,159 @@ def _contains_extremum(x: IVec, off: float) -> np.ndarray:
     return np.floor((b - off) / 2.0) >= np.ceil((a - off) / 2.0)
 
 
-class CVec:
-    """Array of complex rectangles (parallel IVec real and imaginary parts)."""
+# lo then hi: the target each end rounds toward, and the sign of its pad
+_TOWARD = np.array([-np.inf, np.inf])
+_SIGN = np.array([-1.0, 1.0])
 
-    __slots__ = ("re", "im")
+
+def _ends_axis(v: np.ndarray, ndim: int) -> np.ndarray:
+    """v, one value per end, shaped to run along axis 1 of an ndim-dim array."""
+    return v.reshape((2,) + (1,) * (ndim - 2))
+
+
+def _round(x: np.ndarray, n: int) -> np.ndarray:
+    """x rounded outward, ends along axis 1, as _dn_arr/_up_arr at _KA
+    (in place up to _NEXTAFTER_MAX, into a new array above it).
+
+    n is the element count of one endpoint array, so the switch between
+    np.nextafter and the shift form falls where it does for an IVec part.
+    """
+    if n <= _NEXTAFTER_MAX:
+        return np.nextafter(x, _ends_axis(_TOWARD, x.ndim), out=x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = np.abs(x)
+        y *= _KA * _EPS
+        y += _KA * _TINY
+        lo, hi = y[:, 0], y[:, 1]
+        np.subtract(x[:, 0], lo, out=lo)
+        np.fmin(lo, x[:, 0], out=lo)
+        np.minimum(lo, _MAX, out=lo)
+        np.add(x[:, 1], hi, out=hi)
+        np.fmax(hi, x[:, 1], out=hi)
+        np.maximum(hi, -_MAX, out=hi)
+    return y
+
+
+def _lift(x: np.ndarray, lead: int, ndim: int) -> np.ndarray:
+    """x, whose first `lead` axes are not data axes, with ones inserted
+    after them until it has ndim data axes, so the data axes broadcast."""
+    pad = ndim + lead - x.ndim
+    return x.reshape(x.shape[:lead] + (1,) * pad + x.shape[lead:]) if pad else x
+
+
+def _shape(shape) -> tuple:
+    return (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+
+
+def _axis(axis: int) -> int:
+    """A data axis as an axis of the block."""
+    return axis + 2 if axis >= 0 else axis
+
+
+class CVec:
+    """Array of complex rectangles on one endpoint block.
+
+    e has shape (2, 2, *shape), indexed (re/im, lo/hi); re and im are
+    IVec views of it.  CVec(re, im) stacks two IVecs of one shape into a
+    new block; the block kernels build theirs with CVec.from_block.
+    """
+
+    __slots__ = ("e",)
 
     def __init__(self, re: IVec, im: IVec):
         if re.shape != im.shape:
             raise ValueError("component shape mismatch")
-        self.re = re
-        self.im = im
+        self.e = np.array([[re.lo, re.hi], [im.lo, im.hi]], dtype=np.float64)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
+    def from_block(e: np.ndarray) -> "CVec":
+        """The CVec on the float64 block e, shape (2, 2, *shape) indexed
+        (re/im, lo/hi), taken as is: no copy and no check."""
+        v = object.__new__(CVec)
+        v.e = e
+        return v
+
+    @staticmethod
     def from_points(z) -> "CVec":
         z = np.asarray(z, dtype=np.complex128)
-        return CVec(IVec.from_points(z.real), IVec.from_points(z.imag))
+        e = np.empty((2, 2) + z.shape)
+        e[0] = z.real
+        e[1] = z.imag
+        return CVec.from_block(e)
 
     @staticmethod
     def zeros(shape) -> "CVec":
-        return CVec(IVec.zeros(shape), IVec.zeros(shape))
+        return CVec.from_block(np.zeros((2, 2) + _shape(shape)))
 
     @staticmethod
     def from_real(re: IVec) -> "CVec":
-        return CVec(re, IVec.zeros(re.shape))
+        e = np.zeros((2, 2) + re.shape)
+        e[0, 0] = re.lo
+        e[0, 1] = re.hi
+        return CVec.from_block(e)
 
     @staticmethod
     def from_boxes(boxes) -> "CVec":
-        return CVec(
-            IVec.from_intervals([b.re for b in boxes]),
-            IVec.from_intervals([b.im for b in boxes]),
+        return CVec.from_block(
+            np.array(
+                [
+                    [[b.re.lo for b in boxes], [b.re.hi for b in boxes]],
+                    [[b.im.lo for b in boxes], [b.im.hi for b in boxes]],
+                ],
+                dtype=np.float64,
+            )
         )
-
-    @staticmethod
-    def full(shape, box: ComplexBox) -> "CVec":
-        return CVec(IVec.full(shape, box.re), IVec.full(shape, box.im))
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def re(self) -> IVec:
+        return IVec(self.e[0, 0], self.e[0, 1], _checked=True)
+
+    @property
+    def im(self) -> IVec:
+        return IVec(self.e[1, 0], self.e[1, 1], _checked=True)
+
+    @property
     def shape(self):
-        return self.re.shape
+        return self.e.shape[2:]
 
     @property
     def size(self) -> int:
-        return self.re.size
+        return self.e.size // 4
 
     def __len__(self) -> int:
-        return len(self.re)
+        return self.e.shape[2]
 
     def __getitem__(self, idx):
-        r = self.re[idx]
-        i = self.im[idx]
-        if isinstance(r, RealInterval):
-            return ComplexBox(r, i)
-        return CVec(r, i)
+        e = self.e[(slice(None), slice(None)) + (idx if isinstance(idx, tuple) else (idx,))]
+        if e.ndim == 2:
+            (rlo, rhi), (ilo, ihi) = e.tolist()
+            return ComplexBox(RealInterval(rlo, rhi, _raw=True), RealInterval(ilo, ihi, _raw=True))
+        return CVec.from_block(e)
 
     def take(self, idx) -> "CVec":
-        return CVec(self.re.take(idx), self.im.take(idx))
+        return CVec.from_block(np.take(self.e, idx, axis=2))
 
     def reshape(self, *shape) -> "CVec":
-        return CVec(self.re.reshape(*shape), self.im.reshape(*shape))
+        if len(shape) == 1 and not isinstance(shape[0], (int, np.integer)):
+            shape = tuple(shape[0])
+        return CVec.from_block(self.e.reshape((2, 2) + shape))
 
     def moveaxis(self, src: int, dst: int) -> "CVec":
-        return CVec(self.re.moveaxis(src, dst), self.im.moveaxis(src, dst))
+        return CVec.from_block(np.moveaxis(self.e, _axis(src), _axis(dst)))
 
     def take_last(self, idx) -> "CVec":
-        return CVec(self.re.take_last(idx), self.im.take_last(idx))
+        return CVec.from_block(np.take(self.e, idx, axis=-1))
 
     @staticmethod
     def concatenate(parts, axis: int = 0) -> "CVec":
-        return CVec(
-            IVec.concatenate([p.re for p in parts], axis=axis),
-            IVec.concatenate([p.im for p in parts], axis=axis),
-        )
+        return CVec.from_block(np.concatenate([p.e for p in parts], axis=_axis(axis)))
 
     def copy(self) -> "CVec":
-        return CVec(self.re.copy(), self.im.copy())
+        return CVec.from_block(self.e.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         w = max(float(np.max(self.re.width())), float(np.max(self.im.width())))
@@ -508,55 +605,51 @@ class CVec:
     # -- arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "CVec":
-        return CVec(-self.re, -self.im)
+        return CVec.from_block(np.negative(self.e[:, ::-1]))
 
     def __add__(self, other) -> "CVec":
-        o = _coerce_cvec(other)
-        return CVec(self.re + o.re, self.im + o.im)
+        return _add(np.add, self.e, _block(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CVec":
-        o = _coerce_cvec(other)
-        return CVec(self.re - o.re, self.im - o.im)
+        return _add(np.subtract, self.e, _block(other)[:, ::-1])
 
     def __rsub__(self, other) -> "CVec":
         return (-self) + other
 
     def __mul__(self, other) -> "CVec":
-        if not _is_complexlike(other):
-            return CVec(self.re * other, self.im * other)
-        o = _coerce_cvec(other)
-        return CVec(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if _is_complexlike(other):
+            return _mul(self.e, _block(other))
+        return _mul_real(self.e, _real_ends(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not _is_complexlike(other):
             return CVec(self.re / other, self.im / other)
-        o = _coerce_cvec(other)
+        o = CVec.from_block(_block(other))
         d = o.abs2()
         num = self * o.conj()
         return CVec(num.re / d, num.im / d)
 
     def conj(self) -> "CVec":
-        return CVec(self.re, -self.im)
+        e = self.e.copy()
+        np.negative(self.e[1, ::-1], out=e[1])
+        return CVec.from_block(e)
 
     def mul_i(self) -> "CVec":
-        return CVec(-self.im, self.re)
+        e = np.empty_like(self.e)
+        np.negative(self.e[1, ::-1], out=e[0])
+        e[1] = self.e[0]
+        return CVec.from_block(e)
 
     def abs2(self) -> IVec:
         return self.re.square() + self.im.square()
 
-    def abs(self) -> IVec:
-        return self.abs2().sqrt()
-
     def exp(self) -> "CVec":
-        r = self.re.exp()
-        return CVec(r * self.im.cos(), r * self.im.sin())
+        im = self.im
+        return CVec(im.cos(), im.sin()) * self.re.exp()
 
     def sum(self, axis=None):
         r = self.re.sum(axis)
@@ -565,18 +658,80 @@ class CVec:
             return ComplexBox(r, i)
         return CVec(r, i)
 
-    def hull(self, other: "CVec") -> "CVec":
-        return CVec(self.re.hull(other.re), self.im.hull(other.im))
-
     def pad(self, radius) -> "CVec":
-        return CVec(self.re.pad(radius), self.im.pad(radius))
+        r = _as_arr(radius)
+        if np.any(r < 0.0):
+            raise ValueError("pad radius must be nonnegative")
+        ndim = max(self.e.ndim - 2, r.ndim)
+        step = _ends_axis(_SIGN, ndim + 2) * r  # -r at the lower end, +r at the upper
+        e = _lift(self.e, 2, ndim) + step
+        return CVec.from_block(_round(e, e.size // 4))
 
     def add_at(self, idx, other: "CVec") -> "CVec":
         """A copy of self whose entries at idx are self[idx] + other."""
-        out, part = self.copy(), self.take(idx) + other
-        for a, b in ((out.re, part.re), (out.im, part.im)):
-            a.lo[idx], a.hi[idx] = b.lo, b.hi
-        return out
+        e = self.e.copy()
+        e[:, :, idx] = (self.take(idx) + other).e
+        return CVec.from_block(e)
+
+
+def _add(op, x: np.ndarray, y: np.ndarray) -> CVec:
+    """op(x, y) over two blocks, rounded outward: np.add, or np.subtract
+    with y's ends swapped, so lo - hi and hi - lo."""
+    ndim = max(x.ndim, y.ndim) - 2
+    e = op(_lift(x, 2, ndim), _lift(y, 2, ndim))
+    n = e.size // 4
+    op_counter.add(2 * n)
+    return CVec.from_block(_round(e, n))
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> CVec:
+    """The product of two blocks from their 16 endpoint products.
+
+    Each of the four real products re re, re im, im re, im im is the min
+    and max of its four corners, rounded outward; then re = re re - im im
+    and im = re im + im re are formed and rounded again.  These are the
+    endpoints of four IVec products, a subtraction and an addition.
+    """
+    ndim = max(x.ndim, y.ndim) - 2
+    x = _lift(x, 2, ndim)
+    y = _lift(y, 2, ndim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # axes (x part, y part, x end, y end, *shape), in C order so the
+        # corner axes merge without a copy
+        xs, ys = x.reshape((2, 1, 2, 1) + x.shape[2:]), y.reshape((2, 1, 2) + y.shape[2:])
+        p = np.multiply(xs, ys, order="C")
+        shape = p.shape[4:]
+        corners = p.reshape((4, 4) + shape)
+        ends = np.empty((4, 2) + shape)  # (x part and y part, end, *shape)
+        np.minimum.reduce(corners, axis=1, out=ends[:, 0])
+        np.maximum.reduce(corners, axis=1, out=ends[:, 1])
+    n = p.size // 16
+    rr, ri, ir, ii = _round(ends, n)
+    e = np.empty((2, 2) + shape)
+    np.subtract(rr, ii[::-1], out=e[0])
+    np.add(ri, ir, out=e[1])
+    op_counter.add(6 * n)
+    return CVec.from_block(_round(e, n))
+
+
+def _mul_real(x: np.ndarray, r: np.ndarray) -> CVec:
+    """A block times real intervals r, shape (2, *shape) as (lo, hi), or
+    real points, shape (1, *shape): the min and max of each part's
+    corners, rounded outward once."""
+    ndim = max(x.ndim - 2, r.ndim - 1)
+    x = _lift(x, 2, ndim)
+    r = _lift(r, 1, ndim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # axes (part, x end, r end, *shape)
+        p = np.multiply(x.reshape((2, 2, 1) + x.shape[2:]), r, order="C")
+        shape = p.shape[3:]
+        corners = p.reshape((2, 2 * r.shape[0]) + shape)
+        e = np.empty((2, 2) + shape)
+        np.minimum.reduce(corners, axis=1, out=e[:, 0])
+        np.maximum.reduce(corners, axis=1, out=e[:, 1])
+    n = e.size // 4
+    op_counter.add(2 * n)
+    return CVec.from_block(_round(e, n))
 
 
 def _is_complexlike(other) -> bool:
@@ -585,14 +740,19 @@ def _is_complexlike(other) -> bool:
     return not isinstance(other, (IVec, RealInterval)) and np.iscomplexobj(other)
 
 
-def _coerce_cvec(other) -> CVec:
+def _block(other) -> np.ndarray:
+    """The endpoint block of a CVec, a ComplexBox or complex points."""
     if isinstance(other, CVec):
-        return other
+        return other.e
     if isinstance(other, ComplexBox):
-        return CVec(
-            IVec(np.asarray(other.re.lo), np.asarray(other.re.hi), _checked=True),
-            IVec(np.asarray(other.im.lo), np.asarray(other.im.hi), _checked=True),
-        )
-    z = np.asarray(other, dtype=np.complex128)
-    return CVec(IVec.from_points(z.real), IVec.from_points(z.imag))
+        return np.array([[other.re.lo, other.re.hi], [other.im.lo, other.im.hi]])
+    return CVec.from_points(other).e
 
+
+def _real_ends(other) -> np.ndarray:
+    """Real intervals as (lo, hi) stacked on a first axis, real points as (x,)."""
+    if isinstance(other, IVec):
+        return np.stack((other.lo, other.hi))
+    if isinstance(other, RealInterval):
+        return np.array([other.lo, other.hi])
+    return _as_arr(other)[None]

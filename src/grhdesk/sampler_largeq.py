@@ -23,9 +23,10 @@ The samplers keep two bounded in-memory LRU caches: the lattice per
 float64 endpoints per cell, 512 bytes a row (2 KB at the 4 rows that
 hurwitz.lattice_size gives t = 16, 128 KB at its 256 rows for t = 1000,
 1 MB at its cap of 2048); and one table per (q, ordinate), at most 8,
-each the phi(q) L-values as one CVec of 32-byte cells (32 KB at
-q = 1009; the per-character dict it replaced took about 0.4 KB a
-character) beside the completion factors of both parities.
+each the phi(q) L-values as one CVec of 32-byte cells, one endpoint
+block of four float64 per cell (32 KB at q = 1009; the per-character
+dict it replaced took about 0.4 KB a character), beside the completion
+factors of both parities.
 Every character of q sampled at that ordinate reads the same table, so
 sample_all costs one pass per ordinate.  Root numbers do not depend on
 the ordinate: CharGroup.char_meta computes a character's once, from the
@@ -185,14 +186,15 @@ def lambda_from_l(l: CVec, factor, q: int, chars, ts) -> IVec:
     names the first such (q, char, t), in row-major order.
     """
     lam = l * factor
-    misses = ~lam.im.contains_zero()
+    im = lam.im
+    misses = ~im.contains_zero()
     if misses.any():
         i, j = np.argwhere(misses)[0]
         raise RealnessViolation(
-            f"imaginary part {lam.im[i, j]!r} misses 0 at t={ts[j]} "
+            f"imaginary part {im[i, j]!r} misses 0 at t={ts[j]} "
             f"for index {chars[i]} mod {q}"
         )
-    return lam.re.pad(lam.im.mag())
+    return lam.re.pad(im.mag())
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +234,14 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
         if not group.is_primitive(char):
             raise NotPrimitive(f"index {char} mod {q} is imprimitive")
     metas = [group.char_meta(char) for char in chars]
-    cols = [int(np.ravel_multi_index(char, group.orders)) for char in chars]
-    parities = [meta.parity for meta in metas]
+    # (chars, 1) index columns: one block take per table gives that
+    # ordinate's column of the (chars, ordinates) arrays
+    cols = np.array([np.ravel_multi_index(char, group.orders) for char in chars], dtype=np.intp)
+    parities = np.array([meta.parity for meta in metas], dtype=np.intp)
+    cols, parities = cols.reshape(-1, 1), parities.reshape(-1, 1)
     tables = [_modulus_table(q, t, size, cache_dir) for t in ts]
-    l = CVec.concatenate([lv.take(cols).reshape(-1, 1) for lv, _ in tables], axis=1)
-    c = CVec.concatenate([fac.take(parities).reshape(-1, 1) for _, fac in tables], axis=1)
+    l = CVec.concatenate([lv.take(cols) for lv, _ in tables], axis=1)
+    c = CVec.concatenate([fac.take(parities) for _, fac in tables], axis=1)
     eps = CVec.from_boxes([meta.epsilon for meta in metas]).reshape(-1, 1)
     samples = [list(row) for row in lambda_from_l(l, eps * c, q, chars, ts)]
     return [

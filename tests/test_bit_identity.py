@@ -1,0 +1,83 @@
+"""Golden pins: the endpoints of the package's main outputs, bit for bit.
+
+Each pin is a sha256 over the float.hex form of every endpoint of one
+output, recorded before the complex interval arrays moved to one
+endpoint block.  A change to any kernel's rounding, operation order or
+layout that moves a single endpoint by one ulp breaks the pin.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from grhdesk.hurwitz import build_lattice
+from grhdesk.sampler_largeq import l_values_at, sample_all, sample_range
+from grhdesk.sampler_smallq import default_plan, smallq_all
+
+
+def _cvec_digest(v) -> str:
+    """Shape, then (re.lo, re.hi, im.lo, im.hi) of each cell in row-major order."""
+    ends = np.stack([v.re.lo, v.re.hi, v.im.lo, v.im.hi], axis=-1).reshape(-1)
+    h = hashlib.sha256(repr(tuple(v.shape)).encode())
+    h.update(" ".join(map(float.hex, ends.tolist())).encode())
+    return h.hexdigest()
+
+
+def _grids_digest(grids) -> str:
+    """Each grid's character, start and samples (lo, hi), in the given order."""
+    h = hashlib.sha256()
+    for g in grids:
+        h.update(f"{g.character} {g.n_start} {g.t_step}:".encode())
+        h.update(" ".join(float.hex(e) for s in g.samples for e in (s.lo, s.hi)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+LATTICE_PINS = {
+    4: "2c8d598eb16dafda4c64f2e894120722226be1edea19e2988b2b2704964892aa",
+    64: "fd6e0c24fc4203289f9463282d27fb6050f4c39d7d592fd1c0ed1f40a901a8ba",
+}
+
+LVALUE_PINS = {
+    101: "c415bb9d08824faa3e695ae1ce419dc517e9303d95cf9a893514b060a77a2a3c",
+    1009: "7d37c697e52f8f3acad56a84693c9586fd32421198af0c9cb650f7dbfda346b7",
+    1024: "df2b55f0b7459e465eb56296422f5247da9a395c74a571d6edcb08976d0bfd76",
+}
+
+SAMPLE_ALL_PIN = "151ab0acd49773c55b59a887e851318dc5f2d7c78788aee313ec587a1df23e9f"
+SAMPLE_RANGE_PIN = "af84d6b8f1350eed4385e6f52129a6bb428573c436b1aa1cbcb198caf6208076"
+SMALLQ_PIN = "eaa66429cef02a2d23294f434ffe352979a942cdc9721992bb45e40e34dddeaf"
+
+
+@pytest.fixture(scope="module")
+def lat64():
+    return build_lattice(16.0, D=64, cache=False)
+
+
+@pytest.mark.parametrize("D", sorted(LATTICE_PINS))
+def test_lattice_rows_are_pinned(D):
+    assert _cvec_digest(build_lattice(16.0, D=D, cache=False).rows) == LATTICE_PINS[D]
+
+
+@pytest.mark.parametrize("q", sorted(LVALUE_PINS))
+def test_l_values_are_pinned(q, lat64):
+    assert _cvec_digest(l_values_at(q, lat64)) == LVALUE_PINS[q]
+
+
+def test_sample_all_is_pinned(tmp_path):
+    grids = sample_all(7, 16, 16 + Fraction(1, 8), Fraction(1, 16), cache_dir=tmp_path)
+    assert _grids_digest(grids[c] for c in sorted(grids)) == SAMPLE_ALL_PIN
+
+
+def test_sample_range_is_pinned(tmp_path):
+    grid = sample_range(
+        101, (5,), 16, 16 + Fraction(1, 16), Fraction(1, 16), size=64, cache_dir=tmp_path
+    )
+    assert _grids_digest([grid]) == SAMPLE_RANGE_PIN
+
+
+def test_smallq_all_is_pinned():
+    grids = smallq_all(7, default_plan(), 2)
+    assert _grids_digest(grids[c] for c in sorted(grids)) == SMALLQ_PIN

@@ -353,6 +353,20 @@ def test_invalid_endpoints_rejected():
         IVec(np.array([1.0]), np.array([0.5]))
 
 
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+def test_nan_endpoints_rejected(lo, hi):
+    # as RealInterval: any entry with not lo <= hi, NaN included
+    with pytest.raises(ValueError):
+        RealInterval(lo, hi)
+    with pytest.raises(ValueError):
+        IVec(np.array([0.0, lo]), np.array([1.0, hi]))
+    with pytest.raises(ValueError):
+        CVec(IVec(np.array([lo]), np.array([hi])), IVec.zeros(1))
+    # the internal path takes its endpoints as they come
+    v = IVec(np.array([lo]), np.array([hi]), _checked=True)
+    assert np.isnan(v.lo[0]) or np.isnan(v.hi[0])
+
+
 # ---------------------------------------------------------------------------
 # property: random expression containment
 
@@ -396,3 +410,270 @@ def test_random_pipeline_containment(pts, ops):
                 return
         for i, r in enumerate(refs):
             assert float(v.lo[i]) <= float(r) <= float(v.hi[i]), (ops, pts[i])
+
+
+# ---------------------------------------------------------------------------
+# CVec block kernels against the per-part reference
+#
+# The reference is the complex arithmetic written out over the two IVec
+# parts, (re, im); every block kernel must give its endpoints bit for bit,
+# and tally the same op_counter work.
+
+
+def ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def ref_mul_real(a, r):
+    return a[0] * r, a[1] * r
+
+
+def ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def ref_sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def ref_exp(a):
+    r = a[0].exp()
+    return r * a[1].cos(), r * a[1].sin()
+
+
+def parts(v: CVec):
+    return v.re.copy(), v.im.copy()
+
+
+def point_parts(z):
+    z = np.asarray(z, dtype=np.complex128)
+    return IVec.from_points(z.real), IVec.from_points(z.imag)
+
+
+def box_parts(b: ComplexBox):
+    return (
+        IVec(np.asarray(b.re.lo), np.asarray(b.re.hi), _checked=True),
+        IVec(np.asarray(b.im.lo), np.asarray(b.im.hi), _checked=True),
+    )
+
+
+def hexes(re: IVec, im: IVec) -> list[str]:
+    ends = np.stack([re.lo, re.hi, im.lo, im.hi])
+    return [float.hex(x) for x in ends.reshape(-1).tolist()]
+
+
+def assert_same(v: CVec, ref):
+    assert v.shape == ref[0].shape == ref[1].shape
+    assert hexes(v.re, v.im) == hexes(*ref)
+
+
+# endpoints where the two rounding forms differ (powers of two near the
+# normal range's bottom), signed zeros, subnormals, infinities and NaN
+SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.0**-1022, -(2.0**-1021),
+     1.5, -2.75, 1e300, -1e300, np.finfo(np.float64).max, np.inf, -np.inf, np.nan]
+)
+
+
+def special_ivec(shape, rng, finite=False):
+    """Intervals with ends drawn from SPECIAL and ordinary values, lo <= hi
+    where both are numbers, NaN ends left as drawn."""
+    pool = SPECIAL[np.isfinite(SPECIAL)] if finite else SPECIAL
+    n = int(np.prod(shape))
+    a = np.where(rng.random(n) < 0.4, rng.choice(pool, n), rng.normal(0, 4, n))
+    b = np.where(rng.random(n) < 0.4, rng.choice(pool, n), a + rng.uniform(0, 1e-6, n))
+    with np.errstate(invalid="ignore"):
+        lo, hi = np.where(a <= b, a, b), np.where(a <= b, b, a)
+    lo = np.where(np.isnan(a) | np.isnan(b), a, lo)
+    hi = np.where(np.isnan(a) | np.isnan(b), b, hi)
+    return IVec(lo.reshape(shape), hi.reshape(shape), _checked=True)
+
+
+def special_cvec(shape, rng, finite=False):
+    return CVec(special_ivec(shape, rng, finite), special_ivec(shape, rng, finite))
+
+
+def counted(fn):
+    op_counter.reset()
+    out = fn()
+    return out, op_counter.count
+
+
+# (left shape, right shape): equal, 0-size, (k, 1) x (k, n), lower rank on
+# either side, and per-part sizes 256 and 257 on either side of _NEXTAFTER_MAX
+SHAPES = [
+    ((5,), (5,)), ((0,), (0,)), ((3, 0), (3, 1)), ((4, 1), (4, 6)), ((6,), (4, 6)),
+    ((4, 6), (6,)), ((), (3,)), ((256,), (256,)), ((257,), (257,)), ((257, 1), (1,)),
+    ((16, 16), (16, 1)), ((1, 257), (2, 257)),
+]
+
+
+@pytest.mark.parametrize("sa, sb", SHAPES)
+def test_cvec_binary_kernels_match_the_reference(sa, sb):
+    with np.errstate(all="ignore"):
+        rng = np.random.default_rng(hash((sa, sb)) % 2**32)
+        a, b = special_cvec(sa, rng), special_cvec(sb, rng)
+        ra, rb = parts(a), parts(b)
+        r = special_ivec(sb, rng)
+        x = rng.normal(size=sb)
+        cases = [
+            ("mul", lambda: a * b, lambda: ref_mul(ra, rb)),
+            ("rmul", lambda: b * a, lambda: ref_mul(rb, ra)),
+            ("add", lambda: a + b, lambda: ref_add(ra, rb)),
+            ("sub", lambda: a - b, lambda: ref_sub(ra, rb)),
+            ("rsub", lambda: b - a, lambda: ref_sub(rb, ra)),
+            ("mul ivec", lambda: a * r, lambda: ref_mul_real(ra, r)),
+            ("mul real array", lambda: a * x, lambda: ref_mul_real(ra, x)),
+            ("mul complex array", lambda: a * (x + 0.5j), lambda: ref_mul(ra, point_parts(x + 0.5j))),
+        ]
+        for name, kernel, ref in cases:
+            (out, n_out), (want, n_want) = counted(kernel), counted(ref)
+            assert_same(out, want)
+            assert n_out == n_want, name
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (2, 5), (256,), (257,), (3, 1, 257)])
+def test_cvec_unary_kernels_match_the_reference(shape):
+    with np.errstate(all="ignore"):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        v = special_cvec(shape, rng)
+        rv = parts(v)
+        box = ComplexBox(RealInterval(-0.5, 2.0**-1022), RealInterval(0.0, 3.0))
+        iv = RealInterval(-1.0, 3.0)
+        rad = np.abs(rng.normal(size=shape[-1:])) * 1e-3
+        cases = [
+            ("neg", lambda: -v, lambda: (-rv[0], -rv[1])),
+            ("conj", lambda: v.conj(), lambda: (rv[0], -rv[1])),
+            ("mul_i", lambda: v.mul_i(), lambda: (-rv[1], rv[0])),
+            ("mul box", lambda: v * box, lambda: ref_mul(rv, box_parts(box))),
+            ("add box", lambda: v + box, lambda: ref_add(rv, box_parts(box))),
+            ("sub box", lambda: v - box, lambda: ref_sub(rv, box_parts(box))),
+            ("mul complex", lambda: v * (0.25 - 2j), lambda: ref_mul(rv, point_parts(0.25 - 2j))),
+            ("add real", lambda: v + 0.0, lambda: ref_add(rv, point_parts(0.0))),
+            ("rsub real", lambda: 1.0 - v, lambda: ref_add((-rv[0], -rv[1]), point_parts(1.0))),
+            ("mul interval", lambda: v * iv, lambda: ref_mul_real(rv, iv)),
+            ("mul scalar", lambda: 3.0 * v, lambda: ref_mul_real(rv, 3.0)),
+            ("pad", lambda: v.pad(rad), lambda: (rv[0].pad(rad), rv[1].pad(rad))),
+            ("pad scalar", lambda: v.pad(0.0), lambda: (rv[0].pad(0.0), rv[1].pad(0.0))),
+        ]
+        for name, kernel, ref in cases:
+            (out, n_out), (want, n_want) = counted(kernel), counted(ref)
+            assert_same(out, want)
+            assert n_out == n_want, name
+
+
+@pytest.mark.parametrize("shape", [(0,), (4,), (256,), (257,), (3, 90)])
+def test_cvec_exp_matches_the_reference(shape):
+    rng = np.random.default_rng(7 + sum(shape))
+    v = special_cvec(shape, rng, finite=True) * 1e-300  # ends in exp's range
+    (out, n_out), (want, n_want) = counted(v.exp), counted(lambda: ref_exp(parts(v)))
+    assert_same(out, want)
+    assert n_out == n_want
+
+
+def test_cvec_pad_broadcasts_up_the_radius():
+    v = CVec.from_points(np.array([1.0 + 2j, -3.0]))
+    rad = np.array([[0.0], [0.5], [2.0]])
+    assert_same(v.pad(rad), (v.re.pad(rad), v.im.pad(rad)))
+    with pytest.raises(ValueError):
+        v.pad(-1.0)
+
+
+def test_cvec_rounding_switch_is_per_part():
+    # 200 cells make an 800-endpoint block, yet each part rounds as a
+    # 200-element IVec: by np.nextafter, one ulp below 2^-1022, where the
+    # shift form of a 257-element part moves two
+    tiny = 2.0**-1022
+    for n, step in ((200, np.nextafter(tiny, 0)), (257, tiny - 2 * 5e-324)):
+        v = CVec.from_points(np.full(n, tiny + 1j * tiny)) + 0.0
+        assert np.all(v.re.lo == step) and np.all(v.im.lo == step), n
+
+
+def test_cvec_structure_kernels_match_the_parts():
+    rng = np.random.default_rng(3)
+    v = special_cvec((3, 4, 5), rng)
+    re, im = parts(v)
+
+    def same(out, f):
+        assert_same(out, (IVec(f(re.lo), f(re.hi), _checked=True), IVec(f(im.lo), f(im.hi), _checked=True)))
+
+    idx = np.array([[2, 0], [1, 1]])
+    same(v.take(idx), lambda a: a[idx])
+    same(v.take(np.array([], dtype=np.intp)), lambda a: a[np.array([], dtype=np.intp)])
+    same(v.reshape(12, 5), lambda a: a.reshape(12, 5))
+    same(v.reshape((5, -1)), lambda a: a.reshape(5, -1))
+    same(v.moveaxis(-1, 0), lambda a: np.moveaxis(a, -1, 0))
+    same(v.moveaxis(0, -2), lambda a: np.moveaxis(a, 0, -2))
+    same(v.take_last(np.array([4, 0, 4])), lambda a: np.take(a, [4, 0, 4], axis=-1))
+    same(CVec.concatenate([v, v[:, :2]], axis=-2), lambda a: np.concatenate([a, a[:, :2]], axis=-2))
+    same(CVec.concatenate([v[:1], v]), lambda a: np.concatenate([a[:1], a]))
+    same(v[..., 1:4:2], lambda a: a[..., 1:4:2])
+    same(v[-1], lambda a: a[-1])
+    same(v[:, None, -2], lambda a: a[:, None, -2])
+    same(v.copy(), lambda a: a.copy())
+    same(CVec.zeros((0, 2)), lambda a: np.zeros((0, 2)))
+    cell = v[2, -1, 3]
+    assert isinstance(cell, ComplexBox)
+    assert [float.hex(x) for x in (cell.re.lo, cell.re.hi, cell.im.lo, cell.im.hi)] == [
+        float.hex(float(x[2, -1, 3])) for x in (re.lo, re.hi, im.lo, im.hi)
+    ]
+    # iteration walks the first data axis, down to ComplexBoxes
+    rows = list(v)
+    assert len(rows) == len(v) == 3 and all(isinstance(r, CVec) for r in rows)
+    cells = [c for row in v[0] for c in row]
+    assert len(cells) == 20 and all(isinstance(c, ComplexBox) for c in cells)
+    assert list(CVec.zeros(0)) == []
+
+
+def test_cvec_re_and_im_are_views_of_one_block():
+    v = CVec.from_points(np.arange(6.0).reshape(2, 3) * (1 + 1j))
+    assert v.e.shape == (2, 2, 2, 3) and v.e.dtype == np.float64
+    assert np.shares_memory(v.re.lo, v.e) and np.shares_memory(v.im.hi, v.e)
+    # CVec(re, im) stacks its parts into a new block of its own
+    w = CVec(v.re, v.im)
+    assert not np.shares_memory(w.e, v.e) and hexes(w.re, w.im) == hexes(v.re, v.im)
+    with pytest.raises(ValueError):
+        CVec(v.re, v.im[:, :2])
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_add_at_writes_only_its_indices(n):
+    rng = np.random.default_rng(n)
+    v = special_cvec((n, 2), rng)
+    before = hexes(v.re, v.im)
+    idx = np.array([0, n - 1, 2])
+    w = special_cvec((3, 2), rng)
+    ref = [p.copy() for p in parts(v)]
+    with np.errstate(all="ignore"):
+        out, count = counted(lambda: v.add_at(idx, w))
+        part = ref_add((ref[0].take(idx), ref[1].take(idx)), parts(w))
+    for whole, new in zip(ref, part):
+        whole.lo[idx], whole.hi[idx] = new.lo, new.hi
+    assert_same(out, ref)
+    assert count == 2 * 3 * 2
+    assert hexes(v.re, v.im) == before  # self is not written
+
+
+def test_cvec_op_counter_tallies_are_pinned():
+    # elements touched per operation, as the IVec operations on the parts
+    a = CVec.from_points(np.ones((3, 4)) * (1 + 2j))
+    b = CVec.from_points(np.ones((3, 1)) * (2 - 1j))
+    r = IVec.from_points(np.ones(4))
+    box = ComplexBox.point(1j)
+    for fn, count in [
+        (lambda: a * b, 6 * 12),
+        (lambda: a * box, 6 * 12),
+        (lambda: a * r, 2 * 12),
+        (lambda: a * 2.0, 2 * 12),
+        (lambda: a + b, 2 * 12),
+        (lambda: a - box, 2 * 12),
+        (lambda: a.exp(), 5 * 12),
+        (lambda: a.add_at(np.array([1]), b[:1]), 2 * 4),
+        (lambda: -a, 0),
+        (lambda: a.conj(), 0),
+        (lambda: a.mul_i(), 0),
+        (lambda: a.pad(1e-3), 0),
+        (lambda: a.take(np.array([0, 2])), 0),
+        (lambda: a.sum(axis=0), 2 * 12),
+    ]:
+        assert counted(fn)[1] == count

@@ -10,8 +10,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from grhdesk.characters import char_group
-from grhdesk.hurwitz import build_lattice
+from grhdesk.dft import group_dft_cvec, units_of
+from grhdesk.hurwitz import build_lattice, unit_hurwitz
+from grhdesk.interval import ComplexBox
+from grhdesk.ivec import CVec
 from grhdesk.sampler_largeq import l_values_at
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -54,3 +59,22 @@ def test_l_values_at_returns_one_value_per_character():
     lat = build_lattice(16.0, D=4, cache=False)
     for q in (7, 12, 101):
         assert len(l_values_at(q, lat)) == char_group(q).phi
+
+
+def test_width_hooks_read_the_cvec_surface():
+    # _lattice_width walks `for row in lat.rows for c in row` and reads
+    # c.re.width(); _unit_width and _dft_width read v.re.width() and
+    # v.im.width() of whole arrays
+    lat = build_lattice(16.0, D=4, cache=False)
+    rows = list(lat.rows)
+    assert len(rows) == lat.D and all(isinstance(row, CVec) for row in rows)
+    cells = [c for row in lat.rows for c in row]
+    assert len(cells) == lat.D * (lat.Ncols + 1)
+    assert all(isinstance(c, ComplexBox) for c in cells)
+    assert max(max(c.re.width(), c.im.width()) for c in cells) > 0.0
+    group = char_group(101)
+    values = unit_hurwitz(lat, 101, units_of(group))
+    for v in (l_values_at(101, lat), values, group_dft_cvec(group, values)):
+        for part in (v.re, v.im):
+            w = part.width()
+            assert isinstance(w, np.ndarray) and w.shape == v.shape and np.all(w >= 0.0)
