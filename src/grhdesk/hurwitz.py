@@ -4,24 +4,25 @@ Two stages, the build and the query, on one Euler-Maclaurin kernel
 (_em_rows) and one power kernel (_ball):
 
 * ``build_lattice`` — a precomputed grid of tail values
-  zeta_M(1/2 + it + c, r/D) along one horizontal line, built for all
-  rows at once on hardware interval arrays, kept as one (D, Ncols+1)
-  interval array and persisted on disk.  Its only big-float work is the
-  powers (n + alpha)^{-s}.  Every base is an integer m over D and
-  m -> m^{-s} is completely multiplicative, so only primes are
-  transcendental: each prime p^{-s}, and D^{s}, is an integer fixed-point
-  ball whose modulus is an exact integer root and whose phase takes one
-  log and one cos_sin kernel call, trusted to a few ulps; every base
-  (m/D)^{-s} is then an exact Gaussian-integer fixed-point product of a
-  prime's ball and a smaller base's, down to D^{s}.  Its bases m/D are
-  rounded in one numpy pass, and its per-column constants are exact
-  integer ratios, each rounded once.  Its row count D defaults to
-  ``lattice_size(t)``, from the height alone;
+  zeta_M(1/2 + it + c, r/D), r = 0..D, along one horizontal line, built
+  for all rows at once on hardware interval arrays, kept as one
+  (D+1, Ncols+1) interval array and persisted on disk.  Its only
+  big-float work is the powers (n + alpha)^{-s}.  Every base is an
+  integer m over D and m -> m^{-s} is completely multiplicative, so only
+  primes are transcendental: each prime p^{-s}, and D^{s}, is an integer
+  fixed-point ball whose modulus is an exact integer root and whose
+  phase takes one log and one cos_sin kernel call, trusted to a few
+  ulps; every base (m/D)^{-s} is then an exact Gaussian-integer
+  fixed-point product of a prime's ball and a smaller base's, down to
+  D^{s}.  Its bases m/D are rounded in one numpy pass, and its
+  per-column constants are exact integer ratios, each rounded once.  Its
+  row count D defaults to ``lattice_size(t)``, from the height alone;
 * ``unit_hurwitz`` — Taylor-shift queries against that grid for the
-  rational second arguments a/q of every unit a mod q at once, in a
-  fixed number of interval-array operations per block of units, with
-  exact Taylor coefficients, a geometric bound on the truncated Taylor
-  tail and exact restoration of the first M+1 direct terms.
+  rational second arguments a/q of every unit a mod q at once: each a/q
+  reads its nearest row, |a/q - r/D| <= 1/(2D), in a fixed number of
+  interval-array operations per block of units, with exact Taylor
+  coefficients, a geometric bound on the truncated Taylor tail and
+  exact restoration of the first M+1 direct terms.
 
 The samplers' other Hurwitz-type constants come from the same kernels:
 zeta(9/8) is one _em_rows cell, and q^(-s) one _power_ball.  The scalar
@@ -244,9 +245,8 @@ def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[floa
     """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
 
     One _ball at `bits`, narrowed: the sampler's q^(-s)
-    (sampler_largeq.q_pow), the (M+1)^(-s) of unit_hurwitz's extra head
-    term, and the single-power form of the lattice powers, against which
-    the sieve (_sieved_powers) is tested.
+    (sampler_largeq.q_pow), and the single-power form of the lattice
+    powers, against which the sieve (_sieved_powers) is tested.
     """
     return _narrow_ball(_ball(x, sigma, t, bits), t == 0.0)
 
@@ -462,13 +462,13 @@ def _em_rows(
 class HurwitzLattice:
     """Grid of tail values zeta_M(1/2 + it + c, r/D) as one interval array.
 
-    Rows r = 1..D hold the offset alpha = r/D (row D is alpha = 1);
+    Rows r = 0..D hold the offset r/D (row 0 is 0 and row D is 1);
     columns c = 0..Ncols shift the first argument by integers.  Each cell
-    contains zeta(1/2+it+c, r/D) - sum_{n=0}^{M} (n + r/D)^{-(1/2+it+c)}.
-    rows is the hardware CVec of shape (D, Ncols+1) that one _em_rows
-    call fills, row r at index r-1; bits is that build's precision (the
-    trust precision of its powers and the target of its truncation).
-    Immutable once built; queries only read.
+    contains the tail sum_{n>M} (n + r/D)^{-(1/2+it+c)}, which is
+    zeta(1/2+it+c, M + 1 + r/D).  rows is the hardware CVec of shape
+    (D+1, Ncols+1) that one _em_rows call fills, row r at index r; bits
+    is that build's precision (the trust precision of its powers and the
+    target of its truncation).  Immutable once built; queries only read.
     """
 
     t: float
@@ -479,12 +479,12 @@ class HurwitzLattice:
     rows: CVec = field(repr=False)
 
     def cell(self, r: int, c: int) -> ComplexBox:
-        """Cell for row r (1-based) and column c (0-based)."""
-        if not (1 <= r <= self.D):
-            raise IndexError(f"row {r} outside 1..{self.D}")
+        """Cell for row r (0..D) and column c (0..Ncols)."""
+        if not (0 <= r <= self.D):
+            raise IndexError(f"row {r} outside 0..{self.D}")
         if not (0 <= c <= self.Ncols):
             raise IndexError(f"column {c} outside 0..{self.Ncols}")
-        return self.rows[r - 1, c]
+        return self.rows[r, c]
 
     def s_at(self, c: int = 0) -> ComplexBox:
         """The point 1/2 + it + c as a hardware box."""
@@ -538,15 +538,20 @@ def build_lattice(
 
     bits sets the build's precision, at least 64 (fewer raise
     ValueError before any work): auto_params takes the Euler-Maclaurin
-    truncation (a, b) for every row from the exact s_0 = 1/2 + it, the
-    smallest offset 1/D + M + 1 and bits, and the powers
-    (n + alpha)^{-s_0} are trusted to a few ulps at it; only the primes
-    up to (M + 2 + a) D, the numerator of the top base over D, and
-    D^{s_0} take transcendental kernel calls, every power is an exact
-    fixed-point product of those balls.  The build works in fixed-point
-    balls, Gaussian integers, exact rationals and hardware interval
-    arrays, and the returned lattice is hardware.  With cache enabled
-    the result is persisted keyed by (t, D, Ncols, M, bits).
+    truncation (a, b) for every row from the exact s_0 = 1/2 + it, row
+    1's offset 1/D + M + 1 and bits, and the powers (n + alpha)^{-s_0}
+    are trusted to a few ulps at it.  Row 0, at offset M + 1, reuses that
+    truncation, with a remainder enclosed at its own boundary point A
+    (_em_rows): the choice sets a little of row 0's width, never its
+    containment.  Choosing at M + 1 instead would raise a at some
+    heights (t = 16.125 at D = 4) and move every endpoint of rows 1..D.
+    Only the primes up to (M + 2 + a) D, the numerator of the top base
+    over D, and D^{s_0} take transcendental kernel calls; every power is
+    an exact fixed-point product of those balls, and row 0's bases
+    (n + M + 1) D are row D's shifted by one n.  The build works in
+    fixed-point balls, Gaussian integers, exact rationals and hardware
+    interval arrays, and the returned lattice is hardware.  With cache
+    enabled the result is persisted keyed by (t, D, Ncols, M, bits).
     """
     if bits < 64:
         raise ValueError(f"bits = {bits}: a lattice build needs at least 64 bits")
@@ -565,10 +570,9 @@ def build_lattice(
             except ValueError:
                 pass  # not the requested lattice, or damaged: rebuilt and overwritten
 
-    alphas = [Fraction(r, D) + (M + 1) for r in range(1, D + 1)]
-    # terms_a falls as alpha grows, so the smallest alpha gives the
-    # largest truncation point over the rows: one a serves them all
-    a, b = auto_params(_HALF, t, alphas[0], bits)
+    alphas = [Fraction(r, D) + (M + 1) for r in range(D + 1)]
+    # one truncation serves every row, chosen at row 1 (see above)
+    a, b = auto_params(_HALF, t, alphas[1], bits)
     rows = _em_rows(t, _HALF, alphas, Ncols, a, b, bits)
     lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows)
     if path is not None:
@@ -586,11 +590,12 @@ def _cache_path(cache_dir, t: float, D: int, Ncols: int, M: int, bits: int) -> P
     return Path(cache_dir) / name
 
 
-_MAGIC = "hurwitz-lattice 2"
+# version 3: rows 0..D; a file of an earlier version (rows 1..D) is rebuilt
+_MAGIC = "hurwitz-lattice 3"
 
 
 def save_lattice(lat: HurwitzLattice, path: str | Path) -> None:
-    """Write header (decimal) then cells row-major, one line per cell.
+    """Write header (decimal) then the D + 1 rows' cells row-major, one line per cell.
 
     A cell's line is the float.hex form of its endpoints re.lo re.hi
     im.lo im.hi, taken straight from the endpoint block of lat.rows.
@@ -624,11 +629,11 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
         D, Ncols, M, bits = (int(v) for v in head[1:])
         if expect is not None and (t, D, Ncols, M, bits) != tuple(expect):
             raise ValueError(f"{path} holds lattice {(t, D, Ncols, M, bits)}, not {expect}")
-        cells = [fh.readline().split() for _ in range(D * (Ncols + 1))]
+        cells = [fh.readline().split() for _ in range((D + 1) * (Ncols + 1))]
     if any(len(fields) != 4 for fields in cells):
         raise ValueError(f"lattice body in {path} is cut short or malformed")
     ends = np.array([[float.fromhex(v) for v in fields] for fields in cells])
-    ends = ends.reshape(D, Ncols + 1, 4)
+    ends = ends.reshape(D + 1, Ncols + 1, 4)
     # the checked constructors refuse a cell with lo > hi or a NaN end
     rows = CVec(IVec(ends[..., 0], ends[..., 1]), IVec(ends[..., 2], ends[..., 3]))
     return HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows)
@@ -696,13 +701,13 @@ _UNIT_BLOCK = 4096
 def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
 
-    Each a/q takes the row r nearest to it (ties toward the larger r),
-    shifts that row by delta = a/q - r/D through Ncols Taylor terms,
-    bounds the truncated Taylor tail geometrically, and restores the first
-    M+1 direct terms at the exact argument a/q.  A unit a/q < 1/(2D)
-    reads row D (offset M + 2) at delta = a/q and restores one more head
-    term, n = M+1, so every |delta| <= 1/(2D).  The work is a fixed
-    number of interval-array operations per block of _UNIT_BLOCK units
+    Each a/q takes the row r in 0..D nearest to it (ties toward the
+    larger r), so |delta| <= 1/(2D) for delta = a/q - r/D, shifts that
+    row by delta through Ncols Taylor terms, bounds the truncated Taylor
+    tail geometrically, and restores the first M+1 direct terms at the
+    exact argument a/q; a unit below 1/(2D) reads row 0, offset M + 1,
+    the same way as any other.  The work is a fixed number of
+    interval-array operations per block of _UNIT_BLOCK units
     (_unit_block); every operation is elementwise over the units, so the
     blocks change no endpoint.  One tail bound serves the batch:
     taylor_tail_bound is monotone in |delta| and in the reciprocal of the
@@ -713,9 +718,8 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     units = np.asarray(units, dtype=np.int64)
     if not np.all((0 < units) & (units < q) & (np.gcd(units, q) == 1)):
         raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
-    nearest = (2 * units * D + q) // (2 * q)  # 0..D
-    neg_num = nearest * q - units * D  # -delta = neg_num / (q D)
-    rows = np.where(nearest == 0, D, nearest)
+    rows = (2 * units * D + q) // (2 * q)  # 0..D
+    neg_num = rows * q - units * D  # -delta = neg_num / (q D)
     d_max = int(np.abs(neg_num).max(initial=0))
     coefs, pad = None, 0.0
     if d_max:
@@ -750,10 +754,9 @@ def _unit_block(
     head (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp.  The
     Taylor terms are summed from k = Ncols down, smallest first, and added
     to the cell once; then come the tail pad and the head terms in order
-    of n.  The units below 1/(2D) first add n = M+1, as one ball at M+1
-    times a factor near 1 made by array operations over just those units.
+    of n.  Every unit takes the same path, whichever row it reads.
     """
-    cells = lat.rows.take(rows - 1)
+    cells = lat.rows.take(rows)
     acc = cells[:, 0]
     if coefs is not None:
         # (-delta)^k for k = 1..2^(j+1) from k = 1..2^j and (-delta)^(2^j)
@@ -770,18 +773,6 @@ def _unit_block(
 
     # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
     s0 = lat.s_at(0)
-    low = np.flatnonzero(2 * units * lat.D < q)  # these read row D: n = M+1 first
-    if len(low):
-        # (M+1 + a/q)^(-s) = B (1 + g), B = (M+1)^(-s) one ball, and
-        # g = e^(u + iv) - 1 with u + iv = -s log(1 + a/(q (M+1))) small:
-        # g = expm1(u) cos v - 2 sin(v/2)^2 + i (expm1(u) + 1) sin v, so
-        # the hardware kernels add ulps of g, not of 1 or of t log(M+1)
-        lg = IVec.from_ratios(units[low], q * (lat.M + 1)).log1p()
-        eu, v = (lg * -s0.re).expm1(), lg * -s0.im
-        g = CVec(eu * v.cos() - (v * 0.5).sin().square() * 2.0, (eu + 1.0) * v.sin())
-        ball = _power_ball(Fraction(lat.M + 1), _HALF, lat.t, lat.bits)
-        base = ComplexBox(RealInterval(*ball[:2]), RealInterval(*ball[2:]))
-        acc = acc.add_at(low, g * base + base)
     lg = IVec.from_ratios(units + q * np.arange(lat.M + 1).reshape(-1, 1), q).log()
     head = CVec(lg * -s0.re, lg * -s0.im).exp()
     for n in range(lat.M + 1):

@@ -214,13 +214,6 @@ class RealInterval:
     def one() -> "RealInterval":
         return RealInterval(1.0, 1.0, _raw=True)
 
-    @staticmethod
-    def hull_of(*vals: "RealInterval") -> "RealInterval":
-        out = vals[0]
-        for v in vals[1:]:
-            out = out.hull(v)
-        return out
-
     # -- basic queries -----------------------------------------------------
 
     def __repr__(self) -> str:

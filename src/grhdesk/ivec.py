@@ -154,10 +154,6 @@ class IVec:
         return IVec(lo, hi, _checked=True)
 
     @staticmethod
-    def full(shape, iv: RealInterval) -> "IVec":
-        return IVec(np.full(shape, iv.lo), np.full(shape, iv.hi), _checked=True)
-
-    @staticmethod
     def from_ratios(num, den: int) -> "IVec":
         """The rationals num/den, each rounded outward once, in one numpy pass.
 
@@ -350,20 +346,10 @@ class IVec:
     def exp(self) -> "IVec":
         return self._rising(np.exp, 0.0)
 
-    def expm1(self) -> "IVec":
-        """e^x - 1, to ulps of the result where exp would give ulps of 1."""
-        return self._rising(np.expm1, -1.0)
-
     def log(self) -> "IVec":
         if np.any(self.lo <= 0.0):
             raise LogDomain("vector log needs strictly positive intervals")
         return self._rising(np.log)
-
-    def log1p(self) -> "IVec":
-        """log(1 + x), to ulps of the result where log would give ulps of 1."""
-        if np.any(self.lo <= -1.0):
-            raise LogDomain("vector log1p needs intervals above -1")
-        return self._rising(np.log1p)
 
     def sin(self) -> "IVec":
         return _trig_vec(self, is_sin=True)
@@ -666,12 +652,6 @@ class CVec:
         step = _ends_axis(_SIGN, ndim + 2) * r  # -r at the lower end, +r at the upper
         e = _lift(self.e, 2, ndim) + step
         return CVec.from_block(_round(e, e.size // 4))
-
-    def add_at(self, idx, other: "CVec") -> "CVec":
-        """A copy of self whose entries at idx are self[idx] + other."""
-        e = self.e.copy()
-        e[:, :, idx] = (self.take(idx) + other).e
-        return CVec.from_block(e)
 
 
 def _add(op, x: np.ndarray, y: np.ndarray) -> CVec:

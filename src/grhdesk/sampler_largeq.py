@@ -20,13 +20,13 @@ which the small-q sampler ends in too).
 
 The samplers keep two bounded in-memory LRU caches: the lattice per
 (ordinate, row count), at most 8, each one interval array of four
-float64 endpoints per cell, 512 bytes a row (2 KB at the 4 rows that
-hurwitz.lattice_size gives t = 16, 128 KB at its 256 rows for t = 1000,
-1 MB at its cap of 2048); and one table per (q, ordinate), at most 8,
-each the phi(q) L-values as one CVec of 32-byte cells, one endpoint
-block of four float64 per cell (32 KB at q = 1009; the per-character
-dict it replaced took about 0.4 KB a character), beside the completion
-factors of both parities.
+float64 endpoints per cell in D + 1 rows of 512 bytes (2.5 KB at the
+D = 4 that hurwitz.lattice_size gives t = 16, 128.5 KB at its D = 256
+for t = 1000, 1 MB at its cap of 2048); and one table per (q, ordinate),
+at most 8, each the phi(q) L-values as one CVec of 32-byte cells, one
+endpoint block of four float64 per cell (32 KB at q = 1009; the
+per-character dict it replaced took about 0.4 KB a character), beside
+the completion factors of both parities.
 Every character of q sampled at that ordinate reads the same table, so
 sample_all costs one pass per ordinate.  Root numbers do not depend on
 the ordinate: CharGroup.char_meta computes a character's once, from the
@@ -93,20 +93,50 @@ class SampleGrid:
         return float(self.t_at(i))
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, positive denominator), the value Fraction(x) reads."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return Fraction(x).as_integer_ratio()
+
+
 def _grid_span(t_lo, t_hi, t_step) -> tuple[int, int]:
-    """First and last multiple of t_step inside [t_lo, t_hi], as indices."""
-    step = Fraction(t_step)
-    if step <= 0:
+    """First and last multiple of t_step inside [t_lo, t_hi], as indices.
+
+    Integer arithmetic on the numerators and denominators, no Fraction.
+    """
+    p, d = _ratio(t_step)
+    if p <= 0:
         raise DomainError("t_step must be positive")
-    lo = Fraction(t_lo)
-    hi = Fraction(t_hi)
-    if hi < lo:
+    ln, ld = _ratio(t_lo)
+    hn, hd = _ratio(t_hi)
+    if hn * ld < ln * hd:
         raise DomainError("empty ordinate range")
-    n0 = -int(-lo // step)
-    n1 = int(hi // step)
+    n0 = -(-ln * d // (ld * p))
+    n1 = hn * d // (hd * p)
     if n1 < n0:
         raise DomainError("no grid ordinate inside the range")
     return n0, n1
+
+
+def _ordinates(t_lo, t_hi, step: Fraction) -> tuple[int, list[float]]:
+    """The index of the first multiple of step inside [t_lo, t_hi], and
+    every such multiple as a double.
+
+    Each must be a binary rational, equal to its double (DomainError
+    otherwise), so that a lattice is keyed by the exact ordinate.
+    """
+    n_start, n_end = _grid_span(t_lo, t_hi, step)
+    p, d = step.numerator, step.denominator
+    # int / int is correctly rounded, as float(Fraction) is; the ordinate
+    # n p / d is its double tn / td exactly when tn d = n p td
+    ts = [n * p / d for n in range(n_start, n_end + 1)]
+    for n, t in enumerate(ts, n_start):
+        tn, td = t.as_integer_ratio()
+        if tn * d != n * p * td:
+            raise DomainError("grid ordinates must be binary rationals")
+    return n_start, ts
 
 
 def grid_count(t_lo, t_hi, t_step) -> int:
@@ -222,12 +252,12 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
 
     Callers often keep many grids, so each grid shares the caller's step
     (Fractions are immutable) and holds an exactly sized sample list.
+    The range is checked first; an empty chars then builds no table.
     """
     step = t_step if isinstance(t_step, Fraction) else Fraction(t_step)
-    n_start, n_end = _grid_span(t_lo, t_hi, step)
-    ts = [float(step * n) for n in range(n_start, n_end + 1)]
-    if any(Fraction(t) != step * n for n, t in enumerate(ts, n_start)):
-        raise DomainError("grid ordinates must be binary rationals")
+    n_start, ts = _ordinates(t_lo, t_hi, step)
+    if not chars:
+        return []
 
     group = char_group(q)
     for char in chars:
@@ -306,7 +336,9 @@ def sample_all(
     Reads the same per-(q, ordinate) tables as sample_range, so the whole
     sweep costs one l_values_at pass per ordinate, plus the root number
     of each character that no earlier call at q computed (char_meta
-    keeps them on the group).
+    keeps them on the group).  A modulus with no primitive character
+    (q = 2 mod 4) gets {} once its range is checked, with no lattice or
+    table built.
     """
     chars = char_group(q).primitive_indices()
     grids = _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir)

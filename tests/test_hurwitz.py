@@ -74,7 +74,7 @@ def hurwitz_ref(s, alpha: Fraction, prec=300):
 
 def cell_hex(lat, r: int, c: int) -> str:
     """float.hex of the endpoints re.lo re.hi im.lo im.hi of cell (r, c) in lat.rows."""
-    i = (r - 1, c)
+    i = (r, c)
     re, im = lat.rows.re, lat.rows.im
     return " ".join(float(v).hex() for v in (re.lo[i], re.hi[i], im.lo[i], im.hi[i]))
 
@@ -306,10 +306,10 @@ _TAIL_WIDEST = {
 @pytest.mark.parametrize("D, t", sorted(_TAIL_WIDEST))
 def test_lattice_cells_contain_the_oracle_values(D, t):
     # each checked cell contains the whole 96-bit oracle box, far
-    # narrower than the hardware cells: every cell at D = 4, and rows 1,
-    # 2, D/2, D-1 and D at D = 64 (each row has its own A)
+    # narrower than the hardware cells: every cell at D = 4, and rows 0,
+    # 1, 2, D/2, D-1 and D at D = 64 (each row has its own A)
     lat = build_lattice(t, D=D, bits=64, cache=False)
-    rows = range(1, D + 1) if D <= 4 else (1, 2, D // 2, D - 1, D)
+    rows = range(D + 1) if D <= 4 else (0, 1, 2, D // 2, D - 1, D)
     for r in rows:
         for c in range(lat.Ncols + 1):
             oracle = em_hurwitz_tail(complex(0.5 + c, t), Fraction(r, D), skip=lat.M + 1, bits=BIG)
@@ -513,10 +513,10 @@ def _count_balls(monkeypatch) -> list[Fraction]:
 
 def test_lattice_build_takes_one_ball_per_prime(monkeypatch):
     # t = 16, D = 64 truncates at a = 13, so the bases are m/64 for
-    # m = 641..1536: the 242 primes up to 1536 and 64^s, not 896 powers
+    # m = 640..1536: the 242 primes up to 1536 and 64^s, not 910 powers
     calls = _count_balls(monkeypatch)
     build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
-    primes = _primes_dividing(range(641, 1537))
+    primes = _primes_dividing(range(640, 1537))
     assert len(primes) == 242
     assert sorted(calls) == sorted([Fraction(p) for p in primes] + [Fraction(1, 64)])
 
@@ -592,6 +592,16 @@ def test_lattice_half_row_doubling_identity(lat8_t0):
             assert cell.re.contains(mp_fraction(ref)), c
 
 
+@pytest.mark.parametrize("fixture", ["lat8_t0", "lat8_t10"])
+def test_lattice_row_0_is_row_d_and_one_more_term(fixture, request):
+    # row 0 (offset M + 1) holds row D (offset M + 2) plus (M + 1)^(-s_c)
+    lat = request.getfixturevalue(fixture)
+    for c in (0, 1, 7, 15):
+        ends = _power_ball(Fraction(lat.M + 1), Fraction(1, 2) + c, lat.t, 96)
+        term = ComplexBox(RealInterval(*ends[:2]), RealInterval(*ends[2:]))
+        assert lat.cell(0, c).intersects(lat.cell(lat.D, c) + term), c
+
+
 def test_lattice_validates_arguments():
     with pytest.raises(DomainError):
         build_lattice(0.0, D=1, Ncols=15, M=9, bits=BIG, cache=False)
@@ -605,25 +615,30 @@ def test_lattice_validates_arguments():
 
 
 def test_lattice_cell_bounds_checked(lat8_t0):
+    # rows 0..D and columns 0..Ncols, nothing outside
+    assert lat8_t0.cell(0, 0) is not None and lat8_t0.cell(8, 15) is not None
     with pytest.raises(IndexError):
-        lat8_t0.cell(0, 0)
+        lat8_t0.cell(-1, 0)
     with pytest.raises(IndexError):
         lat8_t0.cell(9, 0)
     with pytest.raises(IndexError):
         lat8_t0.cell(1, 16)
+    with pytest.raises(IndexError):
+        lat8_t0.cell(1, -1)
 
 
 def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
     # the header carries the lattice's own build bits (96 here), and the
-    # body is the version-2 format: one line per cell, row-major, of the
-    # float.hex endpoints of lat.rows
+    # body is the version-3 format: one line per cell of rows 0..D,
+    # row-major, of the float.hex endpoints of lat.rows
     path = tmp_path / "lat.dat"
     save_lattice(lat8_t10, path)
     back = load_lattice(path, expect=(10.0, 8, 15, 9, 96))
     assert (back.t, back.D, back.Ncols, back.M, back.bits) == (10.0, 8, 15, 9, 96)
+    assert back.rows.shape == lat8_t10.rows.shape == (9, 16)
     body = path.read_text().splitlines()[2:]
-    assert len(body) == 8 * 16
-    cells = [(r, c) for r in range(1, 9) for c in range(16)]
+    assert len(body) == 9 * 16
+    cells = [(r, c) for r in range(9) for c in range(16)]
     for line, (r, c) in zip(body, cells):
         assert line == cell_hex(lat8_t10, r, c) == cell_hex(back, r, c)
 
@@ -644,7 +659,7 @@ def _assert_rebuilt(path, fresh, tmp_path):
     again = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     assert load_lattice(path, expect=LATTICE_0).D == 4
     assert (again.t, again.D, again.Ncols, again.M) == (0.0, 4, 3, 2)
-    for r in range(1, 5):
+    for r in range(5):
         for c in range(4):
             assert cell_hex(again, r, c) == cell_hex(fresh, r, c)
 
@@ -688,17 +703,21 @@ def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
 
 
 def test_lattice_cache_rebuilds_version_1_file(tmp_path):
-    # a file written by the version-1 builder is refused even when its
-    # header names the requested lattice, then rebuilt and overwritten
+    # a file written by an earlier builder (version 1, or version 2 with
+    # rows 1..D only) is refused even when its header names the requested
+    # lattice, then rebuilt and overwritten
     fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
-    header = path.read_text().splitlines()[1]
+    lines = path.read_text().splitlines()
+    assert lines[0] == "hurwitz-lattice 3" and len(lines) == 2 + 5 * 4
     stale = " ".join(map(float.hex, (1.0, 1.0, 0.0, 0.0)))  # the point box 1
-    path.write_text("\n".join(["hurwitz-lattice 1", header] + [stale] * 16) + "\n")
-    with pytest.raises(ValueError):
-        load_lattice(path, expect=LATTICE_0)
-    _assert_rebuilt(path, fresh, tmp_path)
-    assert path.read_text().splitlines()[0] == "hurwitz-lattice 2"
+    old = {"hurwitz-lattice 1": [stale] * 16, "hurwitz-lattice 2": lines[6:]}
+    for magic, body in old.items():
+        path.write_text("\n".join([magic, lines[1]] + body) + "\n")
+        with pytest.raises(ValueError):
+            load_lattice(path, expect=LATTICE_0)
+        _assert_rebuilt(path, fresh, tmp_path)
+        assert path.read_text().splitlines() == lines
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -716,8 +735,8 @@ def test_nearest_row_selection():
     # query returns its row's r plus the restored head (a/q)^(-1/2) (M = 0,
     # t = 0) plus a Taylor-tail pad far below 1/2
     D = 8
-    cells = np.zeros((D, 4), dtype=complex)
-    cells[:, 0] = np.arange(1, D + 1)
+    cells = np.zeros((D + 1, 4), dtype=complex)
+    cells[:, 0] = np.arange(D + 1)
     lat = HurwitzLattice(t=0.0, D=D, Ncols=3, M=0, bits=64, rows=CVec.from_points(cells))
 
     def row(a, q):
@@ -725,9 +744,9 @@ def test_nearest_row_selection():
 
     assert row(1, 2) == 4
     assert row(3, 16) == 2  # exact tie 1.5 goes to the larger row
-    # below 1/(2D) the query reads row D and restores one more head term,
-    # (1 + a/q)^(-1/2), which is about 1
-    assert row(1, 10**6) == D + 1
+    # below 1/(2D) the query reads row 0, restoring the same head
+    assert row(1, 10**6) == 0
+    assert row(1, 17) == 0 and row(1, 16) == 1  # 1/16 = 1/(2D) ties to row 1
     assert row(999999, 10**6) == 8
 
 
@@ -789,7 +808,8 @@ def test_unit_hurwitz_width_guard(lat64_t16, q, width):
 
 
 # the widest side of each unit a < q/(2D), in increasing a, when those
-# units read row 1 at |delta| up to 1/D, rounded up in the fifth digit
+# units read row 1 at |delta| up to 1/D, rounded up in the fifth digit;
+# reading row 0 keeps every such unit within them
 LOW_UNIT_WIDTHS = {
     (1009, 0.0): [9.0950e-13, 6.0752e-13, 5.0449e-13, 4.4054e-13, 4.0501e-13, 3.5528e-13, 3.3929e-13],
     (1024, 0.0): [8.9884e-13, 4.9738e-13, 3.9613e-13, 3.4284e-13],
@@ -799,9 +819,10 @@ LOW_UNIT_WIDTHS = {
 
 
 @pytest.mark.parametrize("q, t", sorted(LOW_UNIT_WIDTHS))
-def test_unit_hurwitz_low_units_read_row_d(q, t):
-    # a/q < 1/(2D) reads row D at delta = a/q and restores n = M+1 too:
-    # every such unit holds the direct sum and is no wider than before
+def test_unit_hurwitz_low_units_read_row_0(q, t):
+    # a/q < 1/(2D) reads row 0 (offset M + 1) at delta = a/q and restores
+    # the same head as any unit: each holds the direct sum and is no
+    # wider than before
     D = 64
     lat = build_lattice(t, D=D, Ncols=15, M=9, bits=64, cache=False)
     units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
@@ -868,7 +889,7 @@ def test_taylor_tail_dominates_brute_terms():
             continue
         t = rng.uniform(0.0, 25.0) if cases % 3 else 0.0
         cases += 1
-        r = min(max((2 * a * D + q) // (2 * q), 1), D)  # the query's row
+        r = (2 * a * D + q) // (2 * q)  # the query's row, 0..D
         delta = abs(Fraction(a, q) - Fraction(r, D))
         radius = Fraction(r, D) + (M + 1)
         smag_sq = Fraction(1, 4) + Fraction(t) ** 2

@@ -67,9 +67,9 @@ def test_width_hooks_read_the_cvec_surface():
     # v.im.width() of whole arrays
     lat = build_lattice(16.0, D=4, cache=False)
     rows = list(lat.rows)
-    assert len(rows) == lat.D and all(isinstance(row, CVec) for row in rows)
+    assert len(rows) == lat.D + 1 and all(isinstance(row, CVec) for row in rows)
     cells = [c for row in lat.rows for c in row]
-    assert len(cells) == lat.D * (lat.Ncols + 1)
+    assert len(cells) == (lat.D + 1) * (lat.Ncols + 1)
     assert all(isinstance(c, ComplexBox) for c in cells)
     assert max(max(c.re.width(), c.im.width()) for c in cells) > 0.0
     group = char_group(101)

@@ -331,6 +331,69 @@ def test_sample_range_rejects_non_dyadic_ordinates():
         sample_range(5, (1,), 0, 1, Fraction(1, 3), size=16)
 
 
+def _fraction_ordinates(t_lo, t_hi, step):
+    """The ordinates by exact Fraction arithmetic, or the DomainError message."""
+    step, lo, hi = Fraction(step), Fraction(t_lo), Fraction(t_hi)
+    if step <= 0:
+        return "t_step must be positive"
+    if hi < lo:
+        return "empty ordinate range"
+    n0, n1 = -int(-lo // step), int(hi // step)
+    if n1 < n0:
+        return "no grid ordinate inside the range"
+    ts = [float(step * n) for n in range(n0, n1 + 1)]
+    if any(Fraction(t) != step * n for n, t in enumerate(ts, n0)):
+        return "grid ordinates must be binary rationals"
+    return n0, ts
+
+
+def test_ordinates_match_exact_fraction_arithmetic():
+    # the integer bookkeeping gives the Fraction reference's ordinates,
+    # bit for bit, and refuses the same ranges
+    rng = np.random.default_rng(5)
+    cases = [
+        (1, 1, Fraction(1, 3)),  # a non-binary step whose one multiple is binary
+        (0, 1, Fraction(1, 3)),
+        (16, 16 + Fraction(1, 16), Fraction(1, 16)),
+        (-2.5, 3, DEFAULT_STEP),
+        (0.1, 0.7, 0.0625),
+        (1e4, 1e4 + 1, Fraction(1, 1024)),
+        (1, 0, DEFAULT_STEP),
+        (0, 1, 0),
+        (0, 1, Fraction(-1, 4)),
+        (Fraction(1, 128), Fraction(3, 128), DEFAULT_STEP),
+        (0, Fraction(3, 10**18), Fraction(1, 10**18)),
+        (Fraction(7, 1 << 60), Fraction(20, 1 << 60), Fraction(3, 1 << 60)),
+    ]
+    for _ in range(300):
+        step = Fraction(int(rng.integers(1, 50)), int(rng.choice([1, 2, 3, 5, 12, 64])))
+        lo = Fraction(int(rng.integers(-500, 500)), int(rng.integers(1, 100)))
+        cases.append((lo, lo + Fraction(int(rng.integers(-1, 40)), 8), step))
+        cases.append((float(lo), float(lo) + 3.0, float(step)))
+    for t_lo, t_hi, step in cases:
+        want = _fraction_ordinates(t_lo, t_hi, step)
+        if isinstance(want, str):
+            with pytest.raises(DomainError, match=want):
+                sampler_largeq._ordinates(t_lo, t_hi, Fraction(step))
+        else:
+            n0, ts = sampler_largeq._ordinates(t_lo, t_hi, Fraction(step))
+            assert (n0, [t.hex() for t in ts]) == (want[0], [t.hex() for t in want[1]])
+
+
+def test_sample_all_without_primitive_characters_builds_nothing(tmp_path, monkeypatch):
+    # q = 2 mod 4 has no primitive character: {} once the range is checked,
+    # with no lattice, no table and no cache file
+    monkeypatch.setattr(sampler_largeq, "_modulus_table", _refuse)
+    monkeypatch.setattr(sampler_largeq, "_shared_lattice", _refuse)
+    for q in (6, 10, 30, 1002):
+        assert sample_all(q, 300, 300, Fraction(1, 16), cache_dir=tmp_path) == {}
+    assert list(tmp_path.iterdir()) == []
+    for bad in [(1, 0, DEFAULT_STEP), (0, 1, 0), (0, 1, Fraction(1, 3)),
+                (Fraction(1, 128), Fraction(3, 128), DEFAULT_STEP)]:
+        with pytest.raises(DomainError):
+            sample_all(6, *bad, cache_dir=tmp_path)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("table work for a refused character")
 
