@@ -301,19 +301,25 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, t: float, bits: int) 
 
 
 def _ratio_ivec(nums: list[int], dens: list[int]) -> IVec:
-    """Hardware IVec of the rationals n/d over paired integers, d > 0.
+    """Hardware IVec of the rationals n/d over paired integers, d > 0."""
+    return IVec.from_block(_ratio_block([nums], dens))
+
+
+def _ratio_cvec(re: list[int], im: list[int], dens: list[int]) -> CVec:
+    """Hardware CVec of the Gaussian rationals (re + i im) / den."""
+    return CVec.from_block(_ratio_block([re, im], dens))
+
+
+def _ratio_block(parts: list[list[int]], dens: list[int]) -> np.ndarray:
+    """The endpoint block, shape (len(parts), 2, len(dens)), of the
+    rationals parts[i][j] / dens[j], d > 0.
 
     Each entry is rounded outward once to RealInterval.from_fraction's
     endpoints (interval._ratio_ends), with no pair reduced to lowest terms
     and no Fraction made.
     """
-    ends = np.array([_ratio_ends(n, d) for n, d in zip(nums, dens)]).reshape(-1, 2)
-    return IVec(ends[:, 0], ends[:, 1], _checked=True)
-
-
-def _ratio_cvec(re: list[int], im: list[int], dens: list[int]) -> CVec:
-    """Hardware CVec of the Gaussian rationals (re + i im) / den, as _ratio_ivec."""
-    return CVec(_ratio_ivec(re, dens), _ratio_ivec(im, dens))
+    ends = [[_ratio_ends(n, d) for n, d in zip(nums, dens)] for nums in parts]
+    return np.array(ends, dtype=np.float64).reshape(len(parts), len(dens), 2).transpose(0, 2, 1)
 
 
 def _pochhammer(sigma: Fraction, t: float) -> Iterator[tuple[int, int, int]]:
@@ -716,7 +722,7 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     """
     D = lat.D
     units = np.asarray(units, dtype=np.int64)
-    if not np.all((0 < units) & (units < q) & (np.gcd(units, q) == 1)):
+    if not ((0 < units) & (units < q) & (np.gcd(units, q) == 1)).all():
         raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
     rows = (2 * units * D + q) // (2 * q)  # 0..D
     neg_num = rows * q - units * D  # -delta = neg_num / (q D)

@@ -125,10 +125,16 @@ def _ordinates(t_lo, t_hi, step: Fraction) -> tuple[int, list[float]]:
     every such multiple as a double.
 
     Each must be a binary rational, equal to its double (DomainError
-    otherwise), so that a lattice is keyed by the exact ordinate.
+    otherwise), so that a lattice is keyed by the exact ordinate.  With
+    the step p/d in lowest terms and d = 2^k m, m odd, the ordinate
+    n p / d is a binary rational only if m divides n, which two
+    consecutive n cannot both do: for m > 1, a range of two or more
+    ordinates is refused before any is listed.
     """
     n_start, n_end = _grid_span(t_lo, t_hi, step)
     p, d = step.numerator, step.denominator
+    if n_end > n_start and d & -d != d:
+        raise DomainError("grid ordinates must be binary rationals")
     # int / int is correctly rounded, as float(Fraction) is; the ordinate
     # n p / d is its double tn / td exactly when tn d = n p td
     ts = [n * p / d for n in range(n_start, n_end + 1)]

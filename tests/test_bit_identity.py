@@ -56,6 +56,14 @@ LVALUE_PINS = {
     1024: "d309193bedc49a7083da1bbd90ddd1e77a46463f92bc9bd03af661dc9710a2de",
 }
 
+# whole lattices, recorded before IVec moved onto the endpoint block:
+# t = 0 builds its rows through the real-only CVec.from_real path, and
+# t = 300 runs a = 230 direct terms with shift-form rounding on its parts
+LATTICE_WHOLE_PINS = {
+    (0.0, 8): "5259ac9a0c53c918eb2fbec68cfb9931ba97359d8efb20aa1ddec9fcc902c1f8",
+    (300.0, 64): "7abc4cd5cb5d788e0d640ca5b5a32982ffa7c8e49b34fee274caa615294b60b6",
+}
+
 SAMPLE_ALL_PIN = "151ab0acd49773c55b59a887e851318dc5f2d7c78788aee313ec587a1df23e9f"
 SAMPLE_RANGE_PIN = "af84d6b8f1350eed4385e6f52129a6bb428573c436b1aa1cbcb198caf6208076"
 SMALLQ_PIN = "eaa66429cef02a2d23294f434ffe352979a942cdc9721992bb45e40e34dddeaf"
@@ -74,6 +82,12 @@ def test_lattice_rows_are_pinned(D):
     assert got == LATTICE_PINS[D], got
     got = _cvec_digest(rows[:1])
     assert got == LATTICE_ROW0_PINS[D], got
+
+
+@pytest.mark.parametrize("t, D", sorted(LATTICE_WHOLE_PINS))
+def test_whole_lattice_is_pinned(t, D):
+    got = _cvec_digest(build_lattice(t, D=D, cache=False).rows)
+    assert got == LATTICE_WHOLE_PINS[t, D], got
 
 
 @pytest.mark.parametrize("q", sorted(LVALUE_PINS))

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ivec_oracle as O
 from grhdesk.errors import DivisorContainsZero, LogDomain
 from grhdesk.interval import ComplexBox, RealInterval
-from grhdesk.ivec import _KA, _KT, CVec, IVec, _dn_arr, _up_arr, op_counter
+from grhdesk.ivec import _KA, _KT, CVec, IVec, _round, op_counter
 
 RNG = np.random.default_rng(20260822)
 
@@ -154,7 +155,7 @@ def test_overflowed_endpoints_stay_finite_on_the_inner_side(n):
     # the same at the transcendental allowance, and NaN stays NaN
     x = np.tile([np.inf, -np.inf, np.nan, 1.0], n // 4)
     for k in (_KA, _KT):
-        lo, hi = _dn_arr(x, k), _up_arr(x, k)
+        lo, hi = _round(np.array([[x, x]]), k)[0]
         assert np.array_equal(lo[:4], [big, -np.inf, np.nan, lo[3]], equal_nan=True)
         assert np.array_equal(hi[:4], [np.inf, -big, np.nan, hi[3]], equal_nan=True)
         assert lo[3] < 1.0 < hi[3]
@@ -164,7 +165,8 @@ def test_shift_form_rounds_scalars():
     # a 0-d input, as from a 0-d IVec's exp, comes back rounded outward
     x = IVec.from_points(np.float64(1.0)).exp()
     assert x.lo < math.e < x.hi
-    assert float(_dn_arr(np.float64(1.0), _KT)) < 1.0 < float(_up_arr(np.float64(1.0), _KT))
+    lo, hi = _round(np.array([[1.0, 1.0]]), _KT)[0]
+    assert lo < 1.0 < hi
 
 
 def test_exp_extreme_arguments():
@@ -332,7 +334,7 @@ def test_nan_endpoints_rejected(lo, hi):
     with pytest.raises(ValueError):
         CVec(IVec(np.array([lo]), np.array([hi])), IVec.zeros(1))
     # the internal path takes its endpoints as they come
-    v = IVec(np.array([lo]), np.array([hi]), _checked=True)
+    v = IVec.from_block(np.array([[[lo], [hi]]]))
     assert np.isnan(v.lo[0]) or np.isnan(v.hi[0])
 
 
@@ -382,58 +384,49 @@ def test_random_pipeline_containment(pts, ops):
 
 
 # ---------------------------------------------------------------------------
-# CVec block kernels against the per-part reference
+# block kernels against the two-array oracle
 #
-# The reference is the complex arithmetic written out over the two IVec
-# parts, (re, im); every block kernel must give its endpoints bit for bit,
-# and tally the same op_counter work.
+# ivec_oracle writes every operation out on (lo, hi) endpoint arrays, end
+# by end; each IVec and CVec kernel must give its endpoints bit for bit
+# (float.hex tells -0.0 from 0.0 and keeps NaN), and tally the same
+# op_counter work.
 
 
-def ref_mul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+def block_ivec(lo, hi):
+    """The IVec on the ends lo and hi as given, unordered or NaN ends kept."""
+    return IVec.from_block(np.array([[lo, hi]], dtype=np.float64))
 
 
-def ref_mul_real(a, r):
-    return a[0] * r, a[1] * r
+def block_cvec(re, im):
+    return CVec(block_ivec(*re), block_ivec(*im))
 
 
-def ref_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
+def hexes(*pairs) -> list[str]:
+    return [float.hex(x) for lo, hi in pairs for x in np.stack([lo, hi]).reshape(-1).tolist()]
 
 
-def ref_sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
+def same(out, ref):
+    """out (IVec, RealInterval, CVec or ComplexBox) has the endpoints of
+    ref, a (lo, hi) pair or an (re, im) pair of them, bit for bit."""
+    if isinstance(out, (CVec, ComplexBox)):
+        got = [(out.re.lo, out.re.hi), (out.im.lo, out.im.hi)]
+    else:
+        got, ref = [(out.lo, out.hi)], [ref]
+    assert [np.shape(g[0]) for g in got] == [np.shape(r[0]) for r in ref]
+    assert hexes(*got) == hexes(*ref)
 
 
-def ref_exp(a):
-    r = a[0].exp()
-    return r * a[1].cos(), r * a[1].sin()
+def counted(fn):
+    op_counter.reset()
+    out = fn()
+    return out, op_counter.count
 
 
-def parts(v: CVec):
-    return v.re.copy(), v.im.copy()
-
-
-def point_parts(z):
-    z = np.asarray(z, dtype=np.complex128)
-    return IVec.from_points(z.real), IVec.from_points(z.imag)
-
-
-def box_parts(b: ComplexBox):
-    return (
-        IVec(np.asarray(b.re.lo), np.asarray(b.re.hi), _checked=True),
-        IVec(np.asarray(b.im.lo), np.asarray(b.im.hi), _checked=True),
-    )
-
-
-def hexes(re: IVec, im: IVec) -> list[str]:
-    ends = np.stack([re.lo, re.hi, im.lo, im.hi])
-    return [float.hex(x) for x in ends.reshape(-1).tolist()]
-
-
-def assert_same(v: CVec, ref):
-    assert v.shape == ref[0].shape == ref[1].shape
-    assert hexes(v.re, v.im) == hexes(*ref)
+def check(cases):
+    for name, kernel, ref in cases:
+        (out, n_out), (want, n_want) = counted(kernel), counted(ref)
+        same(out, want)
+        assert n_out == n_want, name
 
 
 # endpoints where the two rounding forms differ (powers of two near the
@@ -444,28 +437,62 @@ SPECIAL = np.array(
 )
 
 
-def special_ivec(shape, rng, finite=False):
-    """Intervals with ends drawn from SPECIAL and ordinary values, lo <= hi
-    where both are numbers, NaN ends left as drawn."""
+def special_pair(shape, rng, finite=False, positive=False):
+    """(lo, hi) with ends drawn from SPECIAL and ordinary values, lo <= hi
+    where both are numbers, NaN ends left as drawn; positive takes the
+    ends' magnitudes, so lo >= 0."""
     pool = SPECIAL[np.isfinite(SPECIAL)] if finite else SPECIAL
     n = int(np.prod(shape))
     a = np.where(rng.random(n) < 0.4, rng.choice(pool, n), rng.normal(0, 4, n))
     b = np.where(rng.random(n) < 0.4, rng.choice(pool, n), a + rng.uniform(0, 1e-6, n))
+    if positive:
+        a, b = np.abs(a), np.abs(b)
     with np.errstate(invalid="ignore"):
         lo, hi = np.where(a <= b, a, b), np.where(a <= b, b, a)
     lo = np.where(np.isnan(a) | np.isnan(b), a, lo)
     hi = np.where(np.isnan(a) | np.isnan(b), b, hi)
-    return IVec(lo.reshape(shape), hi.reshape(shape), _checked=True)
+    return lo.reshape(shape), hi.reshape(shape)
+
+
+def away_from_zero(shape, rng):
+    """(lo, hi) of one sign each, none containing 0: a divisor or a log
+    argument when the signs are all positive."""
+    lo, hi = special_pair(shape, rng, positive=True)
+    lo = np.where(lo == 0.0, 5e-324, lo)
+    hi = np.where(hi == 0.0, 5e-324, hi)
+    return lo, hi
+
+
+def signed(pair, rng):
+    """pair with the sign of a random half of its entries flipped."""
+    flip = rng.random(np.shape(pair[0])) < 0.5
+    return np.where(flip, -pair[1], pair[0]), np.where(flip, -pair[0], pair[1])
 
 
 def special_cvec(shape, rng, finite=False):
-    return CVec(special_ivec(shape, rng, finite), special_ivec(shape, rng, finite))
+    return block_cvec(special_pair(shape, rng, finite), special_pair(shape, rng, finite))
 
 
-def counted(fn):
-    op_counter.reset()
-    out = fn()
-    return out, op_counter.count
+def complex_ends(v: CVec):
+    return (v.re.lo.copy(), v.re.hi.copy()), (v.im.lo.copy(), v.im.hi.copy())
+
+
+def box_ends(b: ComplexBox):
+    return O.ends(b.re), O.ends(b.im)
+
+
+def test_round_matches_the_oracle_in_both_forms():
+    # k = _KA by np.nextafter up to _NEXTAFTER_MAX elements a part and by
+    # the shift form above; _KT and the trig allowance 4 always shift
+    rng = np.random.default_rng(5)
+    for n in (1, 16, 256, 257, 600):
+        x = np.concatenate([SPECIAL, rng.normal(0, 1e3, 600)])[:n]
+        for k in (_KA, _KT, 4.0):
+            for parts in (1, 2, 4):
+                block = np.stack([np.stack([x, -x])] * parts)
+                got = _round(block.copy(), k)
+                for p in range(parts):
+                    assert hexes(got[p]) == hexes((O.dn(x, k), O.up(-x, k))), (n, k, parts)
 
 
 # (left shape, right shape): equal, 0-size, (k, 1) x (k, n), lower rank on
@@ -476,74 +503,216 @@ SHAPES = [
     ((16, 16), (16, 1)), ((1, 257), (2, 257)),
 ]
 
+UNARY_SHAPES = [(0,), (3,), (2, 5), (256,), (257,), (3, 1, 257)]
+
+
+@pytest.mark.parametrize("sa, sb", SHAPES)
+def test_ivec_binary_kernels_match_the_reference(sa, sb):
+    with np.errstate(all="ignore"):
+        rng = np.random.default_rng(hash((sa, sb, 1)) % 2**32)
+        pa, pb = special_pair(sa, rng), special_pair(sb, rng)
+        pd = signed(away_from_zero(sb, rng), rng)
+        a, b, d = block_ivec(*pa), block_ivec(*pb), block_ivec(*pd)
+        x = rng.normal(size=sb)
+        iv = RealInterval(-1.5, 2.0**-1022)
+        cases = [
+            ("add", lambda: a + b, lambda: O.add(pa, pb)),
+            ("sub", lambda: a - b, lambda: O.sub(pa, pb)),
+            ("rsub", lambda: b - a, lambda: O.sub(pb, pa)),
+            ("mul", lambda: a * b, lambda: O.mul(pa, pb)),
+            ("rmul", lambda: b * a, lambda: O.mul(pb, pa)),
+            ("div", lambda: a / d, lambda: O.div(pa, pd)),
+            ("add points", lambda: a + x, lambda: O.add(pa, (x, x))),
+            ("sub points", lambda: a - x, lambda: O.sub(pa, (x, x))),
+            ("mul points", lambda: a * x, lambda: O.mul(pa, (x, x))),
+            ("div points", lambda: a / x, lambda: O.div(pa, (x, x))),
+            ("add interval", lambda: b + iv, lambda: O.add(pb, O.ends(iv))),
+            ("sub interval", lambda: b - iv, lambda: O.sub(pb, O.ends(iv))),
+            ("mul interval", lambda: b * iv, lambda: O.mul(pb, O.ends(iv))),
+            ("div interval", lambda: b / RealInterval(2.0, 3.0), lambda: O.div(pb, (2.0, 3.0))),
+            ("radd scalar", lambda: 2.5 + b, lambda: O.add(pb, O.ends(2.5))),
+            ("rsub scalar", lambda: 1.0 - b, lambda: O.add(O.neg(pb), O.ends(1.0))),
+            ("rmul scalar", lambda: -3.0 * b, lambda: O.mul(pb, O.ends(-3.0))),
+            ("rdiv scalar", lambda: 3.0 / d, lambda: O.div(O.ends(3.0), pd)),
+        ]
+        check(cases)
+
+
+@pytest.mark.parametrize("shape", UNARY_SHAPES)
+def test_ivec_unary_kernels_match_the_reference(shape):
+    with np.errstate(all="ignore"):
+        rng = np.random.default_rng(sum(shape) + len(shape) + 1)
+        pv, pp = special_pair(shape, rng), special_pair(shape, rng, positive=True)
+        pl = away_from_zero(shape, rng)
+        v, p, l = block_ivec(*pv), block_ivec(*pp), block_ivec(*pl)
+        rad = np.abs(rng.normal(size=shape[-1:])) * 1e-3
+        cases = [
+            ("neg", lambda: -v, lambda: O.neg(pv)),
+            ("square", v.square, lambda: O.square(pv)),
+            ("sqrt", p.sqrt, lambda: O.sqrt(pp)),
+            ("exp", v.exp, lambda: O.exp(pv)),
+            ("log", l.log, lambda: O.log(pl)),
+            ("sin", v.sin, lambda: O.sin(pv)),
+            ("cos", v.cos, lambda: O.cos(pv)),
+            ("pad", lambda: v.pad(rad), lambda: O.pad(pv, rad)),
+            ("pad scalar", lambda: v.pad(0.0), lambda: O.pad(pv, 0.0)),
+            ("sum", v.sum, lambda: O.sum(pv)),
+            ("sum first", lambda: v.sum(axis=0), lambda: O.sum(pv, axis=0)),
+            ("sum last", lambda: v.sum(axis=-1), lambda: O.sum(pv, axis=-1)),
+        ]
+        check(cases)
+        assert hexes((v.width(),) * 2) == hexes((O.width(pv),) * 2)
+
+
+def test_ivec_trig_of_wide_and_huge_intervals_matches_the_reference():
+    # extrema inside, at the ends and far out, where sin and cos clip to 1
+    rng = np.random.default_rng(8)
+    lo = np.concatenate([rng.uniform(-20, 20, 300), [-np.pi / 2, 0.0, np.pi, 1e17, -1e300]])
+    hi = lo + np.concatenate([rng.uniform(0, 4, 300), [0.0, 0.0, 1e-15, 1e3, 1e300]])
+    v = block_ivec(lo, hi)
+    check([("sin", v.sin, lambda: O.sin((lo, hi))), ("cos", v.cos, lambda: O.cos((lo, hi)))])
+
 
 @pytest.mark.parametrize("sa, sb", SHAPES)
 def test_cvec_binary_kernels_match_the_reference(sa, sb):
     with np.errstate(all="ignore"):
         rng = np.random.default_rng(hash((sa, sb)) % 2**32)
-        a, b = special_cvec(sa, rng), special_cvec(sb, rng)
-        ra, rb = parts(a), parts(b)
-        r = special_ivec(sb, rng)
+        pa, pb = (special_pair(sa, rng), special_pair(sa, rng)), (special_pair(sb, rng), special_pair(sb, rng))
+        a, b = block_cvec(*pa), block_cvec(*pb)
+        pr = special_pair(sb, rng)
+        r = block_ivec(*pr)
+        pd = signed(away_from_zero(sb, rng), rng)
+        d = block_ivec(*pd)
         x = rng.normal(size=sb)
         cases = [
-            ("mul", lambda: a * b, lambda: ref_mul(ra, rb)),
-            ("rmul", lambda: b * a, lambda: ref_mul(rb, ra)),
-            ("add", lambda: a + b, lambda: ref_add(ra, rb)),
-            ("sub", lambda: a - b, lambda: ref_sub(ra, rb)),
-            ("rsub", lambda: b - a, lambda: ref_sub(rb, ra)),
-            ("mul ivec", lambda: a * r, lambda: ref_mul_real(ra, r)),
-            ("mul real array", lambda: a * x, lambda: ref_mul_real(ra, x)),
-            ("mul complex array", lambda: a * (x + 0.5j), lambda: ref_mul(ra, point_parts(x + 0.5j))),
+            ("mul", lambda: a * b, lambda: O.cmul(pa, pb)),
+            ("rmul", lambda: b * a, lambda: O.cmul(pb, pa)),
+            ("add", lambda: a + b, lambda: O.cadd(pa, pb)),
+            ("sub", lambda: a - b, lambda: O.csub(pa, pb)),
+            ("rsub", lambda: b - a, lambda: O.csub(pb, pa)),
+            ("mul ivec", lambda: a * r, lambda: O.cmul_real(pa, pr)),
+            ("div ivec", lambda: a / d, lambda: O.cdiv_real(pa, pd)),
+            ("mul real array", lambda: a * x, lambda: O.cmul_real(pa, (x, x))),
+            ("div real array", lambda: a / x, lambda: O.cdiv_real(pa, (x, x))),
+            ("mul complex array", lambda: a * (x + 0.5j), lambda: O.cmul(pa, O.points(x + 0.5j))),
+            ("add real array", lambda: a + x, lambda: O.cadd(pa, O.points(x))),
         ]
-        for name, kernel, ref in cases:
-            (out, n_out), (want, n_want) = counted(kernel), counted(ref)
-            assert_same(out, want)
-            assert n_out == n_want, name
+        check(cases)
 
 
-@pytest.mark.parametrize("shape", [(0,), (3,), (2, 5), (256,), (257,), (3, 1, 257)])
+@pytest.mark.parametrize("shape", UNARY_SHAPES)
 def test_cvec_unary_kernels_match_the_reference(shape):
     with np.errstate(all="ignore"):
         rng = np.random.default_rng(sum(shape) + len(shape))
-        v = special_cvec(shape, rng)
-        rv = parts(v)
+        pv = (special_pair(shape, rng), special_pair(shape, rng))
+        v = block_cvec(*pv)
         box = ComplexBox(RealInterval(-0.5, 2.0**-1022), RealInterval(0.0, 3.0))
         iv = RealInterval(-1.0, 3.0)
         rad = np.abs(rng.normal(size=shape[-1:])) * 1e-3
         cases = [
-            ("neg", lambda: -v, lambda: (-rv[0], -rv[1])),
-            ("conj", lambda: v.conj(), lambda: (rv[0], -rv[1])),
-            ("mul_i", lambda: v.mul_i(), lambda: (-rv[1], rv[0])),
-            ("mul box", lambda: v * box, lambda: ref_mul(rv, box_parts(box))),
-            ("add box", lambda: v + box, lambda: ref_add(rv, box_parts(box))),
-            ("sub box", lambda: v - box, lambda: ref_sub(rv, box_parts(box))),
-            ("mul complex", lambda: v * (0.25 - 2j), lambda: ref_mul(rv, point_parts(0.25 - 2j))),
-            ("add real", lambda: v + 0.0, lambda: ref_add(rv, point_parts(0.0))),
-            ("rsub real", lambda: 1.0 - v, lambda: ref_add((-rv[0], -rv[1]), point_parts(1.0))),
-            ("mul interval", lambda: v * iv, lambda: ref_mul_real(rv, iv)),
-            ("mul scalar", lambda: 3.0 * v, lambda: ref_mul_real(rv, 3.0)),
-            ("pad", lambda: v.pad(rad), lambda: (rv[0].pad(rad), rv[1].pad(rad))),
-            ("pad scalar", lambda: v.pad(0.0), lambda: (rv[0].pad(0.0), rv[1].pad(0.0))),
+            ("neg", lambda: -v, lambda: (O.neg(pv[0]), O.neg(pv[1]))),
+            ("conj", lambda: v.conj(), lambda: O.conj(pv)),
+            ("mul_i", lambda: v.mul_i(), lambda: (O.neg(pv[1]), pv[0])),
+            ("abs2", v.abs2, lambda: O.abs2(pv)),
+            ("mul box", lambda: v * box, lambda: O.cmul(pv, box_ends(box))),
+            ("add box", lambda: v + box, lambda: O.cadd(pv, box_ends(box))),
+            ("sub box", lambda: v - box, lambda: O.csub(pv, box_ends(box))),
+            ("mul complex", lambda: v * (0.25 - 2j), lambda: O.cmul(pv, O.points(0.25 - 2j))),
+            ("add real", lambda: v + 0.0, lambda: O.cadd(pv, O.points(0.0))),
+            ("rsub real", lambda: 1.0 - v, lambda: O.cadd((O.neg(pv[0]), O.neg(pv[1])), O.points(1.0))),
+            ("mul interval", lambda: v * iv, lambda: O.cmul_real(pv, O.ends(iv))),
+            ("div interval", lambda: v / RealInterval(-3.0, -0.5), lambda: O.cdiv_real(pv, (-3.0, -0.5))),
+            ("mul scalar", lambda: 3.0 * v, lambda: O.cmul_real(pv, O.ends(3.0))),
+            ("pad", lambda: v.pad(rad), lambda: O.cpad(pv, rad)),
+            ("pad scalar", lambda: v.pad(0.0), lambda: O.cpad(pv, 0.0)),
+            ("sum", v.sum, lambda: O.csum(pv)),
+            ("sum first", lambda: v.sum(axis=0), lambda: O.csum(pv, axis=0)),
+            ("sum last", lambda: v.sum(axis=-1), lambda: O.csum(pv, axis=-1)),
         ]
-        for name, kernel, ref in cases:
-            (out, n_out), (want, n_want) = counted(kernel), counted(ref)
-            assert_same(out, want)
-            assert n_out == n_want, name
+        check(cases)
 
 
 @pytest.mark.parametrize("shape", [(0,), (4,), (256,), (257,), (3, 90)])
 def test_cvec_exp_matches_the_reference(shape):
     rng = np.random.default_rng(7 + sum(shape))
     v = special_cvec(shape, rng, finite=True) * 1e-300  # ends in exp's range
-    (out, n_out), (want, n_want) = counted(v.exp), counted(lambda: ref_exp(parts(v)))
-    assert_same(out, want)
-    assert n_out == n_want
+    check([("exp", v.exp, lambda: O.cexp(complex_ends(v)))])
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 257)])
+def test_cvec_complex_division_matches_the_reference(shape):
+    rng = np.random.default_rng(9 + len(shape))
+    a = special_cvec(shape, rng, finite=True)
+    mag = rng.uniform(0.5, 2.0, shape) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+    b = CVec.from_points(mag).pad(1e-3)
+    box = ComplexBox(RealInterval(0.5, 0.75), RealInterval(-2.0, -1.0))
+    with np.errstate(all="ignore"):
+        check([
+            ("cvec", lambda: a / b, lambda: O.cdiv(complex_ends(a), complex_ends(b))),
+            ("box", lambda: a / box, lambda: O.cdiv(complex_ends(a), box_ends(box))),
+            ("points", lambda: a / mag, lambda: O.cdiv(complex_ends(a), O.points(mag))),
+        ])
+    with pytest.raises(DivisorContainsZero):
+        a / b.pad(3.0)
+
+
+def test_division_refuses_a_divisor_meeting_zero():
+    # as the oracle's caller must: any divisor interval that contains 0,
+    # NaN divisors aside; an empty quotient divides nothing
+    a = IVec.from_points(np.ones(3))
+    for lo, hi in [(-1.0, 1.0), (0.0, 2.0), (-2.0, -0.0), (0.0, 0.0)]:
+        with pytest.raises(DivisorContainsZero):
+            a / IVec(np.array([1.0, lo, 1.0]), np.array([2.0, hi, 2.0]))
+        with pytest.raises(DivisorContainsZero):
+            1.0 / IVec(np.array([lo]), np.array([hi]))
+        with pytest.raises(DivisorContainsZero):
+            CVec.from_points(np.ones(3) * 1j) / RealInterval(lo, hi)
+    assert np.isnan((a / np.array([np.nan, 1.0, 1.0])).lo[0])
+    assert (IVec.zeros((0,)) / RealInterval(-1.0, 1.0)).shape == (0,)
+    with pytest.raises(DivisorContainsZero):
+        a / 0.0
+
+
+def test_ivec_structure_kernels_match_the_ends():
+    rng = np.random.default_rng(4)
+    lo, hi = special_pair((3, 4, 5), rng)
+    v = block_ivec(lo, hi)
+
+    def same_ends(out, f):
+        same(out, (f(lo), f(hi)))
+
+    idx = np.array([[2, 0], [1, 1]])
+    same_ends(v.take(idx), lambda a: a[idx])
+    same_ends(v.reshape(12, 5), lambda a: a.reshape(12, 5))
+    same_ends(v.reshape((5, -1)), lambda a: a.reshape(5, -1))
+    same_ends(v.moveaxis(-1, 0), lambda a: np.moveaxis(a, -1, 0))
+    same_ends(v.take_last(np.array([4, 0, 4])), lambda a: np.take(a, [4, 0, 4], axis=-1))
+    same_ends(IVec.concatenate([v, v[:, :2]], axis=-2), lambda a: np.concatenate([a, a[:, :2]], axis=-2))
+    same_ends(v[..., 1:4:2], lambda a: a[..., 1:4:2])
+    same_ends(v[:, None, -2], lambda a: a[:, None, -2])
+    same_ends(v.copy(), lambda a: a.copy())
+    same_ends(IVec.zeros((0, 2)), lambda a: np.zeros((0, 2)))
+    cell = v[2, -1, 3]
+    assert isinstance(cell, RealInterval)
+    assert hexes((cell.lo, cell.hi)) == hexes((lo[2, -1, 3], hi[2, -1, 3]))
+    assert v.shape == (3, 4, 5) and v.size == 60 and len(v) == 3
+    assert [r.shape for r in v] == [(4, 5)] * 3
+    # sums over a block that is not contiguous, and of a 0-d array
+    flo, fhi = special_pair((3, 4, 5), rng, finite=True)
+    f = block_ivec(flo, fhi).moveaxis(-1, 0)
+    moved = (np.moveaxis(flo, -1, 0), np.moveaxis(fhi, -1, 0))
+    with np.errstate(over="ignore"):
+        check([
+            ("sum", f.sum, lambda: O.sum(moved)),
+            ("sum middle", lambda: f.sum(axis=1), lambda: O.sum(moved, axis=1)),
+            ("sum 0-d", block_ivec(flo[0, 0, 0], fhi[0, 0, 0]).sum, lambda: O.sum((flo[0, 0, 0], fhi[0, 0, 0]))),
+        ])
 
 
 def test_cvec_pad_broadcasts_up_the_radius():
     v = CVec.from_points(np.array([1.0 + 2j, -3.0]))
     rad = np.array([[0.0], [0.5], [2.0]])
-    assert_same(v.pad(rad), (v.re.pad(rad), v.im.pad(rad)))
+    same(v.pad(rad), O.cpad(complex_ends(v), rad))
     with pytest.raises(ValueError):
         v.pad(-1.0)
 
@@ -561,31 +730,31 @@ def test_cvec_rounding_switch_is_per_part():
 def test_cvec_structure_kernels_match_the_parts():
     rng = np.random.default_rng(3)
     v = special_cvec((3, 4, 5), rng)
-    re, im = parts(v)
+    (rlo, rhi), (ilo, ihi) = complex_ends(v)
 
-    def same(out, f):
-        assert_same(out, (IVec(f(re.lo), f(re.hi), _checked=True), IVec(f(im.lo), f(im.hi), _checked=True)))
+    def same_parts(out, f):
+        same(out, ((f(rlo), f(rhi)), (f(ilo), f(ihi))))
 
     idx = np.array([[2, 0], [1, 1]])
-    same(v.take(idx), lambda a: a[idx])
-    same(v.take(np.array([], dtype=np.intp)), lambda a: a[np.array([], dtype=np.intp)])
-    same(v.reshape(12, 5), lambda a: a.reshape(12, 5))
-    same(v.reshape((5, -1)), lambda a: a.reshape(5, -1))
-    same(v.moveaxis(-1, 0), lambda a: np.moveaxis(a, -1, 0))
-    same(v.moveaxis(0, -2), lambda a: np.moveaxis(a, 0, -2))
-    same(v.take_last(np.array([4, 0, 4])), lambda a: np.take(a, [4, 0, 4], axis=-1))
-    same(CVec.concatenate([v, v[:, :2]], axis=-2), lambda a: np.concatenate([a, a[:, :2]], axis=-2))
-    same(CVec.concatenate([v[:1], v]), lambda a: np.concatenate([a[:1], a]))
-    same(v[..., 1:4:2], lambda a: a[..., 1:4:2])
-    same(v[-1], lambda a: a[-1])
-    same(v[:, None, -2], lambda a: a[:, None, -2])
-    same(v.copy(), lambda a: a.copy())
-    same(CVec.zeros((0, 2)), lambda a: np.zeros((0, 2)))
+    same_parts(v.take(idx), lambda a: a[idx])
+    same_parts(v.take(np.array([], dtype=np.intp)), lambda a: a[np.array([], dtype=np.intp)])
+    same_parts(v.reshape(12, 5), lambda a: a.reshape(12, 5))
+    same_parts(v.reshape((5, -1)), lambda a: a.reshape(5, -1))
+    same_parts(v.moveaxis(-1, 0), lambda a: np.moveaxis(a, -1, 0))
+    same_parts(v.moveaxis(0, -2), lambda a: np.moveaxis(a, 0, -2))
+    same_parts(v.take_last(np.array([4, 0, 4])), lambda a: np.take(a, [4, 0, 4], axis=-1))
+    same_parts(CVec.concatenate([v, v[:, :2]], axis=-2), lambda a: np.concatenate([a, a[:, :2]], axis=-2))
+    same_parts(CVec.concatenate([v[:1], v]), lambda a: np.concatenate([a[:1], a]))
+    same_parts(v[..., 1:4:2], lambda a: a[..., 1:4:2])
+    same_parts(v[-1], lambda a: a[-1])
+    same_parts(v[:, None, -2], lambda a: a[:, None, -2])
+    same_parts(v.copy(), lambda a: a.copy())
+    same_parts(CVec.zeros((0, 2)), lambda a: np.zeros((0, 2)))
     cell = v[2, -1, 3]
     assert isinstance(cell, ComplexBox)
-    assert [float.hex(x) for x in (cell.re.lo, cell.re.hi, cell.im.lo, cell.im.hi)] == [
-        float.hex(float(x[2, -1, 3])) for x in (re.lo, re.hi, im.lo, im.hi)
-    ]
+    assert hexes((cell.re.lo, cell.re.hi), (cell.im.lo, cell.im.hi)) == hexes(
+        (rlo[2, -1, 3], rhi[2, -1, 3]), (ilo[2, -1, 3], ihi[2, -1, 3])
+    )
     # iteration walks the first data axis, down to ComplexBoxes
     rows = list(v)
     assert len(rows) == len(v) == 3 and all(isinstance(r, CVec) for r in rows)
@@ -598,11 +767,21 @@ def test_cvec_re_and_im_are_views_of_one_block():
     v = CVec.from_points(np.arange(6.0).reshape(2, 3) * (1 + 1j))
     assert v.e.shape == (2, 2, 2, 3) and v.e.dtype == np.float64
     assert np.shares_memory(v.re.lo, v.e) and np.shares_memory(v.im.hi, v.e)
+    assert v.re.e.shape == (1, 2, 2, 3) and v.re.width().shape == v.shape
     # CVec(re, im) stacks its parts into a new block of its own
     w = CVec(v.re, v.im)
-    assert not np.shares_memory(w.e, v.e) and hexes(w.re, w.im) == hexes(v.re, v.im)
+    assert not np.shares_memory(w.e, v.e)
+    same(w, complex_ends(v))
     with pytest.raises(ValueError):
         CVec(v.re, v.im[:, :2])
+
+
+def test_ivec_lo_and_hi_are_views_of_its_block():
+    v = IVec(np.array([1.0, 2.0]), np.array([1.5, 2.0]))
+    assert v.e.shape == (1, 2, 2)
+    assert np.shares_memory(v.lo, v.e) and np.shares_memory(v.hi, v.e)
+    with pytest.raises(AttributeError):
+        v.lo = np.zeros(2)
 
 
 def test_cvec_op_counter_tallies_are_pinned():
@@ -616,8 +795,11 @@ def test_cvec_op_counter_tallies_are_pinned():
         (lambda: a * box, 6 * 12),
         (lambda: a * r, 2 * 12),
         (lambda: a * 2.0, 2 * 12),
+        (lambda: a / r, 2 * 12),
+        (lambda: a / b, 3 * 3 + 8 * 12),  # abs2 of b's 3 cells, product, quotient
         (lambda: a + b, 2 * 12),
         (lambda: a - box, 2 * 12),
+        (lambda: a.abs2(), 3 * 12),
         (lambda: a.exp(), 5 * 12),
         (lambda: -a, 0),
         (lambda: a.conj(), 0),

@@ -331,6 +331,14 @@ def test_sample_range_rejects_non_dyadic_ordinates():
         sample_range(5, (1,), 0, 1, Fraction(1, 3), size=16)
 
 
+def test_non_dyadic_step_is_refused_before_its_ordinates_are_listed():
+    # 10^20 + 1 multiples of 1/10^20 in [0, 1]: refused at once, not listed
+    with pytest.raises(DomainError, match="binary rationals"):
+        sample_range(7, (1,), 0, 1, Fraction(1, 10**20))
+    # a lone multiple of a non-binary step may still be binary
+    assert sampler_largeq._ordinates(1, 1, Fraction(1, 3)) == (3, [1.0])
+
+
 def _fraction_ordinates(t_lo, t_hi, step):
     """The ordinates by exact Fraction arithmetic, or the DomainError message."""
     step, lo, hi = Fraction(step), Fraction(t_lo), Fraction(t_hi)
