@@ -24,14 +24,27 @@ Two stages, the build and the query, on one Euler-Maclaurin kernel
   coefficients, a geometric bound on the truncated Taylor tail and
   exact restoration of the first M+1 direct terms.
 
+Both stages also take a block of ordinates that share a lattice shape
+(D and the truncation (a, b), _truncation), with the ordinates on a
+leading array axis: _build_block makes the block's lattices in one
+_em_rows pass, and unit_hurwitz reads a block of lattices in one query.
+What does not depend on t is made once per block: the bases m/D, their
+reciprocals and the remainder's A^(-sigma_c-2b) in the build, each
+prime's integer root and log in the sieve, and the powers of -delta and
+the head's log and modulus in the query.  Every operation is elementwise
+over the ordinates, so a block's values are those of its ordinates one
+at a time, bit for bit, and a block costs the interval-array calls of
+one ordinate; a single ordinate is the one-element block.
+
 The samplers' other Hurwitz-type constants come from the same kernels:
 zeta(9/8) is one _em_rows cell, and q^(-s) one _power_ball.  The scalar
 Euler-Maclaurin evaluation the kernels are tested against, one value at
 a time, is the oracle in tests/em_oracle.py.
 
 This module alone knows the lattice: its layout, its default row count
-(lattice_size), its file format (save_lattice, load_lattice) and its
-query.
+(lattice_size), its truncation, its file format (save_lattice,
+load_lattice) and its query.  It keeps no lattice in memory beyond the
+block _build_block has just saved, until build_lattice hands each out.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -140,7 +153,21 @@ def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
     contract of the form exp(-s log x): it holds exp(-s l) for l at
     log x -+ the log kernel's trust, a few ulps at `bits`.  The midpoint
     is truncated to prec bits.
+
+    The root and the log do not depend on t: _modulus makes them once and
+    _turn each ordinate's ball from them, so a block of ordinates pays one
+    root and one mpf_log per base.
     """
+    return _turn(_modulus(x, sigma, bits), t)
+
+
+# the t-free part of a _ball: (mod, F, log, its radius in units of
+# 2^-prec, |sigma| as u / v, bits)
+_Modulus = tuple[int, int, tuple, int, int, int, int]
+
+
+def _modulus(x: Fraction, sigma: Fraction, bits: int) -> _Modulus:
+    """The integer root mod = floor(2^F x^{-sigma}) and mpf_log(x) of _ball."""
     prec = bits + _GUARD
     n, d = x.numerator, x.denominator
     u, v = sigma.numerator, sigma.denominator
@@ -158,9 +185,16 @@ def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
 
     # units of 2^-prec below: |log x~ - log x| <= 2 for the rounding of x
     lg = mpf_log(from_rational(n, d, prec, "n"), prec, "n")
+    return mod, F, lg, _trust_units(lg, bits, prec) + 2, u, v, bits
+
+
+def _turn(m: _Modulus, t: float) -> _Ball:
+    """The _ball at ordinate t from its t-free part m = _modulus(x, sigma, bits)."""
+    mod, F, lg, rad_lg, u, v, bits = m
+    prec = bits + _GUARD
     tn, td = abs(t).as_integer_ratio()
     # (|t| + |sigma|) rad(log), |sigma| = u / v
-    rad_s = -(-(tn * v + u * td) * (_trust_units(lg, bits, prec) + 2) // (td * v))
+    rad_s = -(-(tn * v + u * td) * rad_lg // (td * v))
     c, s = mpf_cos_sin(mpf_neg(mpf_mul(from_float(t), lg)), prec, "n")
     C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
     X, Y = mod * C, mod * S
@@ -261,42 +295,50 @@ def _smallest_prime_factors(top: int) -> np.ndarray:
     return spf
 
 
-def _sieved_powers(ms: list[int], L: int, sigma: Fraction, t: float, bits: int) -> np.ndarray:
-    """Enclosures of (m/L)^{-(sigma + it)} for each integer m >= 1.
+def _sieved_powers(ms: list[int], L: int, sigma: Fraction, ts: list[float], bits: int) -> np.ndarray:
+    """Enclosures of (m/L)^{-(sigma + it)} for each integer m >= 1 and each t in ts.
 
-    Shape (len(ms), 4): re.lo, re.hi, im.lo, im.hi.  Since m -> m^{-s}
-    is completely multiplicative, only primes are transcendental: the
-    integers needed are ms closed under m -> m/spf(m), each prime p is
-    one _ball for p^{-s}, and L^{s} is one more, the root B(1) of every
-    cofactor chain.  Each k > 1 on a chain is then one exact fixed-point
-    product B(k) = p^{-s} B(k/p) (p = spf(k)), which is (k/L)^{-s} itself,
-    made the first time a walk down the cofactors of an m in ms reaches
-    it; a power is B(m) narrowed to doubles by integer directed rounding.
-    The balls are trusted at bits plus the bit length of the top integer,
-    which bounds the number of factors a chain multiplies, so that the
-    radii the products add up stay below one ball's at `bits`.
+    Shape (len(ts), len(ms), 4): re.lo, re.hi, im.lo, im.hi.  Since
+    m -> m^{-s} is completely multiplicative, only primes are
+    transcendental: the integers needed are ms closed under
+    m -> m/spf(m), each prime p is one _ball for p^{-s}, and L^{s} is one
+    more, the root B(1) of every cofactor chain.  Each k > 1 on a chain is
+    then one exact fixed-point product B(k) = p^{-s} B(k/p) (p = spf(k)),
+    which is (k/L)^{-s} itself, made the first time a walk down the
+    cofactors of an m in ms reaches it; a power is B(m) narrowed to
+    doubles by integer directed rounding.  The walk and each ball's
+    integer root and log (_modulus) do not depend on t, so they are made
+    once for all of ts; each ordinate then turns the balls (_turn) and
+    multiplies down the same walk.  The balls are trusted at bits plus the
+    bit length of the top integer, which bounds the number of factors a
+    chain multiplies, so that the radii the products add up stay below
+    one ball's at `bits`.
     """
     top = max(ms)
     prec = bits + top.bit_length()
     mul_prec = prec + _GUARD  # the midpoint bits of a _ball at prec
     spf = _smallest_prime_factors(top)
-    primes = {}
-    balls = {1: _ball(Fraction(1, L), sigma, t, prec)}  # B(1) = L^{s}
+    # walk down the cofactors m, m/spf(m), ... of each m to one already
+    # made, then make the ones above it: B(k) = p^{-s} B(k/p)
+    made, walk = {1}, []
     for m in ms:
-        # walk down the cofactors m, m/spf(m), ... to one already made,
-        # then make the ones above it: B(k) = p^{-s} B(k/p)
         chain = []
-        while m not in balls:
+        while m not in made:
             chain.append(m)
             m //= int(spf[m])
         for k in reversed(chain):
-            p = int(spf[k])
-            if p not in primes:
-                primes[p] = _ball(Fraction(p), sigma, t, prec)
-            balls[k] = _ball_mul(primes[p], balls[k // p], mul_prec)
-    out = np.empty((len(ms), 4))
-    for i, m in enumerate(ms):
-        out[i] = _narrow_ball(balls[m], t == 0.0)
+            made.add(k)
+            walk.append((k, int(spf[k])))
+    root = _modulus(Fraction(1, L), sigma, prec)  # B(1) = L^{s}
+    primes = {p: _modulus(Fraction(p), sigma, prec) for p in dict.fromkeys(p for _, p in walk)}
+    out = np.empty((len(ts), len(ms), 4))
+    for i, t in enumerate(ts):
+        balls = {1: _turn(root, t)}
+        turned = {p: _turn(m, t) for p, m in primes.items()}
+        for k, p in walk:
+            balls[k] = _ball_mul(turned[p], balls[k // p], mul_prec)
+        for j, m in enumerate(ms):
+            out[i, j] = _narrow_ball(balls[m], t == 0.0)
     return out
 
 
@@ -340,7 +382,7 @@ def _pochhammer(sigma: Fraction, t: float) -> Iterator[tuple[int, int, int]]:
 
 
 def _em_rows(
-    t: float,
+    ts: list[float],
     base_sigma: Fraction,
     alphas: list[Fraction],
     ncols: int,
@@ -348,33 +390,38 @@ def _em_rows(
     b: int,
     bits: int = DEFAULT_BUILD_BITS,
 ) -> CVec:
-    """Enclosures of sum_{n>=0} (n+alpha)^{-(base_sigma+c+it)}, shape (rows, ncols+1).
+    """Enclosures of sum_{n>=0} (n+alpha)^{-(base_sigma+c+it)}, shape (len(ts), rows, ncols+1).
 
-    Row i has alpha = alphas[i] > 0, column c = 0..ncols shifts the first
-    argument by c.  With one truncation (a, b) for all rows, A = a + alpha
-    and s = s_c = sigma + it, a cell is the direct sum over n < a, plus
+    Axis 0 runs over the ordinates t in ts, row i has alpha = alphas[i] >
+    0, column c = 0..ncols shifts the first argument by c.  With one
+    truncation (a, b) for all ordinates and rows, A = a + alpha and
+    s = s_c = sigma + it, a cell is the direct sum over n < a, plus
     A^{1-s}/(s-1) + A^{-s}/2 + sum_{k<=b} B_2k/(2k)! (s)_{2k-1} A^{1-s-2k},
     padded by the remainder bound
     2 zeta(2b+1) (2 pi)^{-(2b+1)} |(s)_{2b+1}| A^{-sigma-2b} / (sigma+2b),
-    valid whenever sigma + 2b > 0.  The only row-dependent
-    transcendentals, the powers (n+alpha)^{-s_0} for n = 0..a (n = a
-    gives A^{-s_0}), come from one _sieved_powers call over the integers
+    valid whenever sigma + 2b > 0.  The only transcendentals that depend
+    on the row, the powers (n+alpha)^{-s_0} for n = 0..a (n = a gives
+    A^{-s_0}), come from one _sieved_powers call over the integers
     m = (n+alpha) L, L the common denominator of the alphas: a ball per
     prime factor and one for L^{s_0}, exact fixed-point products down
     each chain of cofactors, each power narrowed to hardware once; the
     bases n+alpha = m/L are rounded outward once, all in one numpy pass
-    (IVec.from_ratios).  The row-independent constants 1/(s_c-1),
-    (s_c)_{2k-1} B_2k/(2k)! and the remainder constant are exact Gaussian
+    (IVec.from_ratios).  The constants that depend on t alone, 1/(s_c-1),
+    (s_c)_{2k-1} B_2k/(2k)! and the remainder constant, are exact Gaussian
     rationals, because t is a double, each rounded outward once; only the
     remainder constant needs bounds, an upper one on |(s_c)_{2b+1}| and a
     lower one on (2 pi)^{2b+1} from a lower bound on pi: mpf_pi at
     bits + _GUARD rounded down to bits bits, less one ulp.  Everything
-    else runs on hardware interval arrays: column c scales the column c-1
-    powers by (n+alpha)^{-1}, the direct sum adds term by term, the
-    Bernoulli tail is A^{-1-s_c} times a Horner sum in A^{-2} (one
-    CVec x IVec product and one addition per term), and the remainder
-    radius takes each row's own A.  At t = 0 the values are real and
-    the imaginary parts are set to [0, 0].
+    else runs on hardware interval arrays with the ordinates on the
+    leading axis, so a block of ordinates costs the interval-array calls
+    of one: column c scales the column c-1 powers by (n+alpha)^{-1}, the
+    direct sum adds term by term, the Bernoulli tail is A^{-1-s_c} times a
+    Horner sum in A^{-2} (one CVec x IVec product and one addition per
+    term), and the remainder radius takes each row's own A.  The bases,
+    their reciprocals, A^{-2} and A^{-sigma_c-2b} do not depend on t and
+    are made once.  Every operation is elementwise over the ordinates, so
+    a cell does not depend on the block it is built in.  At t = 0 the
+    values are real and the imaginary parts are set to [0, 0].
     """
     if min(alphas) <= 0:
         raise DomainError("alpha must be strictly positive")
@@ -383,15 +430,16 @@ def _em_rows(
     if a < 0 or b < 1:
         raise DomainError("terms_a must be >= 0 and terms_b >= 1")
     cols = range(ncols + 1)
-    if t == 0.0 and any(base_sigma + c == 1 for c in cols):
+    if 0.0 in ts and any(base_sigma + c == 1 for c in cols):
         raise PoleProximity("a column coincides with the pole at 1")
 
     # (n + alpha)^{-s_0} and n + alpha on hardware, every base an integer over L
+    T, R = len(ts), len(alphas)
     L = math.lcm(*(alpha.denominator for alpha in alphas))
     ms = [alpha.numerator * (L // alpha.denominator) + n * L for alpha in alphas for n in range(a + 1)]
-    ends = _sieved_powers(ms, L, base_sigma, t, bits).T
-    power = CVec.from_block(ends.reshape(2, 2, len(alphas), a + 1).copy())
-    base = IVec.from_ratios(ms, L).reshape(len(alphas), a + 1)
+    ends = np.moveaxis(_sieved_powers(ms, L, base_sigma, ts, bits), -1, 0)
+    power = CVec.from_block(ends.reshape(2, 2, T, R, a + 1).copy())
+    base = IVec.from_ratios(ms, L).reshape(R, a + 1)
     inv = 1.0 / base
 
     # the per-column constants, from exact Pochhammer symbols of s_c, as
@@ -403,60 +451,59 @@ def _em_rows(
     bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
     inv_re, inv_im, inv_den = [], [], []
     coef_re, coef_im, coef_den = [], [], []
-    rad_num, rad_den, sigs = [], [], []
-    for c in cols:
-        # (s_c)_j = (pr + i pim) / scale for j = 0..2b+1, s_c = (x + i y) / den
-        poch = list(itertools.islice(_pochhammer(base_sigma + c, t), 2 * b + 2))
-        x, y, den = poch[1]
-        inv_re.append((x - den) * den)
-        inv_im.append(-y * den)
-        inv_den.append((x - den) ** 2 + y * y)
-        for k in range(1, b + 1):
-            (pr, pim, scale), bk = poch[2 * k - 1], bern[k - 1]
-            coef_re.append(bk.numerator * pr)
-            coef_im.append(bk.numerator * pim)
-            coef_den.append(bk.denominator * scale)
-        # 2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1} (sigma_c + 2b)), |.| bounded above
-        pr, pim, scale = poch[2 * b + 1]
-        rad = 2 * zu * fraction_sqrt_upper(Fraction(pr * pr + pim * pim, scale * scale))
-        sig = base_sigma + c + 2 * b
-        rad_num.append(rad.numerator * two_pi_pow_lo.denominator * sig.denominator)
-        rad_den.append(rad.denominator * two_pi_pow_lo.numerator * sig.numerator)
-        sigs.append(sig)
-    inv_sm1 = _ratio_cvec(inv_re, inv_im, inv_den)
-    coefs = _ratio_cvec(coef_re, coef_im, coef_den).reshape(ncols + 1, b)
-    rad_const = _ratio_ivec(rad_num, rad_den).hi
+    rad_num, rad_den = [], []
+    for t in ts:
+        for c in cols:
+            # (s_c)_j = (pr + i pim) / scale for j = 0..2b+1, s_c = (x + i y) / den
+            poch = list(itertools.islice(_pochhammer(base_sigma + c, t), 2 * b + 2))
+            x, y, den = poch[1]
+            inv_re.append((x - den) * den)
+            inv_im.append(-y * den)
+            inv_den.append((x - den) ** 2 + y * y)
+            for k in range(1, b + 1):
+                (pr, pim, scale), bk = poch[2 * k - 1], bern[k - 1]
+                coef_re.append(bk.numerator * pr)
+                coef_im.append(bk.numerator * pim)
+                coef_den.append(bk.denominator * scale)
+            # 2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1} (sigma_c + 2b)), |.| bounded above
+            pr, pim, scale = poch[2 * b + 1]
+            rad = 2 * zu * fraction_sqrt_upper(Fraction(pr * pr + pim * pim, scale * scale))
+            sig = base_sigma + c + 2 * b
+            rad_num.append(rad.numerator * two_pi_pow_lo.denominator * sig.denominator)
+            rad_den.append(rad.denominator * two_pi_pow_lo.numerator * sig.numerator)
+    inv_sm1 = _ratio_cvec(inv_re, inv_im, inv_den).reshape(T, 1, ncols + 1)
+    coefs = _ratio_cvec(coef_re, coef_im, coef_den).reshape(T, 1, ncols + 1, b)
+    rad_const = _ratio_ivec(rad_num, rad_den).hi.reshape(T, 1, ncols + 1)
+    sigs = [base_sigma + c + 2 * b for c in cols]
     sig2b = _ratio_ivec([v.numerator for v in sigs], [v.denominator for v in sigs])
 
     # column c of every power: one more factor (n + alpha)^{-1} per column
-    shape = (len(alphas), a + 1, 1)
-    by_col = [power.reshape(*shape)]
+    by_col = [power.reshape(T, R, a + 1, 1)]
     for _ in cols[1:]:
-        by_col.append(by_col[-1] * inv.reshape(*shape))
-    terms = CVec.concatenate(by_col, axis=2)
+        by_col.append(by_col[-1] * inv.reshape(R, a + 1, 1))
+    terms = CVec.concatenate(by_col, axis=3)
 
-    P = terms[:, a, :]  # A^{-s_c}
+    P = terms[:, :, a, :]  # A^{-s_c}
     A = base[:, a].reshape(-1, 1)
     apow = P * A  # A^{1-s_c}
     # each addition widens by a few ulps of its running sum, so the small
     # parts are summed apart and meet the large P A/(s-1) once, at the end
     direct = P * 0.5
     for n in range(a):
-        direct = direct + terms[:, n, :]
+        direct = direct + terms[:, :, n, :]
     head = apow * inv_sm1
     invA2 = inv[:, a].square().reshape(-1, 1)
-    # the tail A^{-1-s_c} sum_k coefs[:, k] (A^{-2})^k, by Horner in A^{-2}
-    poly = coefs[:, b - 1]
+    # the tail A^{-1-s_c} sum_k coefs[..., k] (A^{-2})^k, by Horner in A^{-2}
+    poly = coefs[..., b - 1]
     for k in range(b - 2, -1, -1):
-        poly = poly * invA2 + coefs[:, k]
+        poly = poly * invA2 + coefs[..., k]
     tail = (apow * invA2) * poly
     cell = (direct + tail) + head
 
     # remainder: rad_const_c A^{-sigma_c-2b} with each row's own A
     rpow = (A.log() * -sig2b).exp()
     cell = cell.pad((rpow * rad_const).hi)
-    if t == 0.0:
-        cell = CVec.from_real(cell.re)
+    cell.e[1, :, np.array(ts) == 0.0] = 0.0  # real at t = 0
     return cell
 
 
@@ -472,7 +519,8 @@ class HurwitzLattice:
     columns c = 0..Ncols shift the first argument by integers.  Each cell
     contains the tail sum_{n>M} (n + r/D)^{-(1/2+it+c)}, which is
     zeta(1/2+it+c, M + 1 + r/D).  rows is the hardware CVec of shape
-    (D+1, Ncols+1) that one _em_rows call fills, row r at index r; bits
+    (D+1, Ncols+1) that an _em_rows call fills, alone or as one ordinate
+    of a block, row r at index r; bits
     is that build's precision (the trust precision of its powers and the
     target of its truncation).  Immutable once built; queries only read.
     """
@@ -492,12 +540,6 @@ class HurwitzLattice:
             raise IndexError(f"column {c} outside 0..{self.Ncols}")
         return self.rows[r, c]
 
-    def s_at(self, c: int = 0) -> ComplexBox:
-        """The point 1/2 + it + c as a hardware box."""
-        return ComplexBox(
-            RealInterval.from_fraction(_HALF + c),
-            RealInterval.point(self.t),
-        )
 
 
 # the most the default row count lets a Taylor shift amplify cell widths
@@ -545,19 +587,24 @@ def build_lattice(
     bits sets the build's precision, at least 64 (fewer raise
     ValueError before any work): auto_params takes the Euler-Maclaurin
     truncation (a, b) for every row from the exact s_0 = 1/2 + it, row
-    1's offset 1/D + M + 1 and bits, and the powers (n + alpha)^{-s_0}
-    are trusted to a few ulps at it.  Row 0, at offset M + 1, reuses that
-    truncation, with a remainder enclosed at its own boundary point A
-    (_em_rows): the choice sets a little of row 0's width, never its
-    containment.  Choosing at M + 1 instead would raise a at some
-    heights (t = 16.125 at D = 4) and move every endpoint of rows 1..D.
-    Only the primes up to (M + 2 + a) D, the numerator of the top base
-    over D, and D^{s_0} take transcendental kernel calls; every power is
-    an exact fixed-point product of those balls, and row 0's bases
+    1's offset 1/D + M + 1 and bits (_truncation), and the powers
+    (n + alpha)^{-s_0} are trusted to a few ulps at it.  Row 0, at offset
+    M + 1, reuses that truncation, with a remainder enclosed at its own
+    boundary point A (_em_rows): the choice sets a little of row 0's
+    width, never its containment.  Choosing at M + 1 instead would raise a
+    at some heights (t = 16.125 at D = 4) and move every endpoint of rows
+    1..D.  Only the primes up to (M + 2 + a) D, the numerator of the top
+    base over D, and D^{s_0} take transcendental kernel calls; every power
+    is an exact fixed-point product of those balls, and row 0's bases
     (n + M + 1) D are row D's shifted by one n.  The build works in
     fixed-point balls, Gaussian integers, exact rationals and hardware
     interval arrays, and the returned lattice is hardware.  With cache
     enabled the result is persisted keyed by (t, D, Ncols, M, bits).
+
+    A lattice built here is one ordinate's _em_rows pass; _build_block
+    builds a block of ordinates in one pass, cell for cell the same, and
+    hands each to the next build_lattice call for its file, which then
+    reads nothing from disk.
     """
     if bits < 64:
         raise ValueError(f"bits = {bits}: a lattice build needs at least 64 bits")
@@ -567,24 +614,64 @@ def build_lattice(
     if D < 2 or Ncols < 2 or M < 0:
         raise DomainError("need D >= 2, Ncols >= 2, M >= 0")
 
-    path = None
-    if cache:
-        path = _cache_path(cache_dir, t, D, Ncols, M, bits)
-        if path.is_file():
-            try:
-                return load_lattice(path, expect=(t, D, Ncols, M, bits))
-            except ValueError:
-                pass  # not the requested lattice, or damaged: rebuilt and overwritten
-
-    alphas = [Fraction(r, D) + (M + 1) for r in range(D + 1)]
-    # one truncation serves every row, chosen at row 1 (see above)
-    a, b = auto_params(_HALF, t, alphas[1], bits)
-    rows = _em_rows(t, _HALF, alphas, Ncols, a, b, bits)
-    lat = HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_lattice(lat, path)
+    if not cache:
+        return _build([t], D, Ncols, M, bits)[0]
+    path = _cache_path(cache_dir, t, D, Ncols, M, bits)
+    lat = _fresh.pop(path, None)
+    if lat is not None:
+        return lat
+    if path.is_file():
+        try:
+            return load_lattice(path, expect=(t, D, Ncols, M, bits))
+        except ValueError:
+            pass  # not the requested lattice, or damaged: rebuilt and overwritten
+    lat = _build([t], D, Ncols, M, bits)[0]
+    save_lattice(lat, path)
     return lat
+
+
+def _truncation(t: float, D: int, M: int = DEFAULT_M, bits: int = DEFAULT_BUILD_BITS) -> tuple[int, int]:
+    """The truncation (a, b) of every row of the lattice at (t, D, M, bits),
+    chosen at row 1 (see build_lattice)."""
+    if D < 2:
+        raise DomainError("need D >= 2, Ncols >= 2, M >= 0")
+    return auto_params(_HALF, t, Fraction(1, D) + M + 1, bits)
+
+
+def _build(ts: list[float], D: int, Ncols: int, M: int, bits: int) -> list[HurwitzLattice]:
+    """The lattices at the ordinates ts, which share D and the truncation
+    of ts[0], from one _em_rows pass."""
+    alphas = [Fraction(r, D) + (M + 1) for r in range(D + 1)]
+    rows = _em_rows(ts, _HALF, alphas, Ncols, *_truncation(ts[0], D, M, bits), bits)
+    # each lattice owns its rows, so a kept one keeps no other's alive
+    return [
+        HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows[i].copy())
+        for i, t in enumerate(ts)
+    ]
+
+
+# lattices _build_block saved that no build_lattice call has returned yet,
+# by file; emptied at each block, so it holds one block at most
+_fresh: dict[Path, HurwitzLattice] = {}
+
+
+def _build_block(ts: list[float], D: int, cache_dir) -> None:
+    """Build and save, in one _em_rows pass, the default-shaped lattices
+    (Ncols, M and bits at their defaults) at those of ts whose file
+    cache_dir does not hold.
+
+    ts must share the row count D and the truncation (_truncation).  Each
+    lattice is kept in memory until build_lattice is asked for its file,
+    so the caller gets it from build_lattice with no disk read.
+    """
+    _fresh.clear()
+    key = (D, DEFAULT_NCOLS, DEFAULT_M, DEFAULT_BUILD_BITS)
+    paths = {t: _cache_path(cache_dir, t, *key) for t in ts}
+    todo = [t for t in ts if not paths[t].is_file()]
+    if todo:
+        for lat in _build(todo, *key):
+            save_lattice(lat, paths[lat.t])
+            _fresh[paths[lat.t]] = lat
 
 
 def _cache_path(cache_dir, t: float, D: int, Ncols: int, M: int, bits: int) -> Path:
@@ -596,22 +683,26 @@ def _cache_path(cache_dir, t: float, D: int, Ncols: int, M: int, bits: int) -> P
     return Path(cache_dir) / name
 
 
-# version 3: rows 0..D; a file of an earlier version (rows 1..D) is rebuilt
-_MAGIC = "hurwitz-lattice 3"
+# version 4: the endpoint block as raw float64 after a header that names
+# the truncation; a file of an earlier version (text) is rebuilt
+_MAGIC = "hurwitz-lattice 4"
 
 
 def save_lattice(lat: HurwitzLattice, path: str | Path) -> None:
-    """Write header (decimal) then the D + 1 rows' cells row-major, one line per cell.
+    """Write a two-line text header, then the endpoint block of lat.rows.
 
-    A cell's line is the float.hex form of its endpoints re.lo re.hi
-    im.lo im.hi, taken straight from the endpoint block of lat.rows.
+    The header is _MAGIC, then "t D Ncols M bits a b" in decimal, (a, b)
+    the truncation build_lattice takes for (t, D, M, bits).  The block,
+    shape (2, 2, D + 1, Ncols + 1) indexed (re/im, lo/hi, row, column), is
+    raw little-endian float64 in C order.  The directory is made if
+    missing, and the file is written whole before it replaces the path.
     """
     path = Path(path)
-    ends = np.moveaxis(lat.rows.e, (0, 1), (-2, -1)).reshape(-1, 4)
-    lines = [_MAGIC, f"{lat.t!r} {lat.D} {lat.Ncols} {lat.M} {lat.bits}"]
-    lines += [" ".join(map(float.hex, cell)) for cell in ends.tolist()]
+    a, b = _truncation(lat.t, lat.D, lat.M, lat.bits)
+    head = f"{_MAGIC}\n{lat.t!r} {lat.D} {lat.Ncols} {lat.M} {lat.bits} {a} {b}\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
+    tmp.write_bytes(head.encode() + lat.rows.e.astype("<f8").tobytes())
     tmp.replace(path)
 
 
@@ -619,30 +710,35 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
     """Read a lattice file written by save_lattice.
 
     With expect = (t, D, Ncols, M, build bits), a file whose header names
-    any other lattice raises ValueError.  So does a malformed or cut-short
-    file, and one with a cell whose endpoints are not ordered lo <= hi
-    (NaN included).
+    any other lattice raises ValueError.  So does a file built under
+    another truncation than build_lattice takes for its (t, D, M, bits),
+    a malformed file, a body of any other length than the block's, and a
+    cell whose endpoints are not ordered lo <= hi (NaN included).
     """
     path = Path(path)
-    with path.open() as fh:
-        magic = fh.readline().strip()
-        if magic != _MAGIC:
-            raise ValueError(f"not a lattice file: {path}")
-        head = fh.readline().split()
-        if len(head) != 5:
-            raise ValueError(f"malformed lattice header in {path}")
-        t = float(head[0])
-        D, Ncols, M, bits = (int(v) for v in head[1:])
-        if expect is not None and (t, D, Ncols, M, bits) != tuple(expect):
-            raise ValueError(f"{path} holds lattice {(t, D, Ncols, M, bits)}, not {expect}")
-        cells = [fh.readline().split() for _ in range((D + 1) * (Ncols + 1))]
-    if any(len(fields) != 4 for fields in cells):
+    magic, head, body = (path.read_bytes().split(b"\n", 2) + [b"", b""])[:3]
+    if magic != _MAGIC.encode():
+        raise ValueError(f"not a lattice file: {path}")
+    fields = head.split()
+    if len(fields) != 7:
+        raise ValueError(f"malformed lattice header in {path}")
+    t = float(fields[0])
+    D, Ncols, M, bits, a, b = (int(v) for v in fields[1:])
+    if D < 2 or Ncols < 2 or M < 0:
+        raise ValueError(f"malformed lattice header in {path}")
+    if expect is not None and (t, D, Ncols, M, bits) != tuple(expect):
+        raise ValueError(f"{path} holds lattice {(t, D, Ncols, M, bits)}, not {expect}")
+    if (a, b) != _truncation(t, D, M, bits):
+        raise ValueError(f"{path} was built under truncation {(a, b)}, not {_truncation(t, D, M, bits)}")
+    shape = (2, 2, D + 1, Ncols + 1)
+    if len(body) != 8 * math.prod(shape):
         raise ValueError(f"lattice body in {path} is cut short or malformed")
-    ends = np.array([[float.fromhex(v) for v in fields] for fields in cells])
-    ends = ends.reshape(D + 1, Ncols + 1, 4)
-    # the checked constructors refuse a cell with lo > hi or a NaN end
-    rows = CVec(IVec(ends[..., 0], ends[..., 1]), IVec(ends[..., 2], ends[..., 3]))
-    return HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows)
+    e = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(shape)
+    # as IVec(lo, hi): not lo <= hi, so a NaN end is refused too
+    with np.errstate(invalid="ignore"):
+        if not (e[:, 0] <= e[:, 1]).all():
+            raise ValueError(f"lattice body in {path} has a cell with lo > hi or a NaN end")
+    return HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=CVec.from_block(e))
 
 
 # ---------------------------------------------------------------------------
@@ -684,29 +780,34 @@ def taylor_tail_bound(
     return tK / (1 - ratio)
 
 
-def _shift_coefs(t: float, n: int) -> CVec:
-    """(s0)_k / k! for k = 0..n at s0 = 1/2 + it, shape (n+1,).
+def _shift_coefs(ts: list[float], n: int) -> CVec:
+    """(s0)_k / k! for k = 0..n at s0 = 1/2 + it, for each t in ts, shape (len(ts), n+1).
 
     Exact Gaussian rationals from _pochhammer, each side rounded outward
     once.
     """
-    poch = list(itertools.islice(_pochhammer(_HALF, t), n + 1))
+    poch = [p for t in ts for p in itertools.islice(_pochhammer(_HALF, t), n + 1)]
+    facts = [math.factorial(k) for k in range(n + 1)] * len(ts)
     return _ratio_cvec(
         [pr for pr, _, _ in poch],
         [pim for _, pim, _ in poch],
-        [scale * math.factorial(k) for k, (_, _, scale) in enumerate(poch)],
-    )
+        [scale * f for (_, _, scale), f in zip(poch, facts)],
+    ).reshape(len(ts), n + 1)
 
 
 # units per block of a unit_hurwitz call: a block's working set is about
-# 3.5 KB a unit (its (units, Ncols) coefficient, power and term arrays and
-# the (M+1, units) head), so a call's memory does not grow with phi(q)
+# 3.5 KB a unit and ordinate (its (units, Ncols) coefficient, power and
+# term arrays and the (M+1, units) head), so a call's memory does not
+# grow with phi(q)
 _UNIT_BLOCK = 4096
 
 
-def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
+def unit_hurwitz(lat: HurwitzLattice | Sequence[HurwitzLattice], q: int, units: np.ndarray) -> CVec:
     """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
 
+    lat is one lattice, or a block of lattices of one shape (D, Ncols, M)
+    at several ordinates; a block's values carry a leading axis over its
+    lattices, in order, and cost the interval-array calls of one lattice.
     Each a/q takes the row r in 0..D nearest to it (ties toward the
     larger r), so |delta| <= 1/(2D) for delta = a/q - r/D, shifts that
     row by delta through Ncols Taylor terms, bounds the truncated Taylor
@@ -714,75 +815,88 @@ def unit_hurwitz(lat: HurwitzLattice, q: int, units: np.ndarray) -> CVec:
     exact argument a/q; a unit below 1/(2D) reads row 0, offset M + 1,
     the same way as any other.  The work is a fixed number of
     interval-array operations per block of _UNIT_BLOCK units
-    (_unit_block); every operation is elementwise over the units, so the
-    blocks change no endpoint.  One tail bound serves the batch:
-    taylor_tail_bound is monotone in |delta| and in the reciprocal of the
-    row radius, so the largest |delta| and the smallest row bound every
-    unit.  Each a must satisfy 0 < a < q and gcd(a, q) = 1.
+    (_unit_block); every operation is elementwise over the units and the
+    ordinates, so neither kind of block changes an endpoint.  One tail
+    bound per ordinate serves the batch: taylor_tail_bound is monotone in
+    |delta| and in the reciprocal of the row radius, so the largest
+    |delta| and the smallest row bound every unit.  Each a must satisfy
+    0 < a < q and gcd(a, q) = 1.
     """
-    D = lat.D
+    lats = [lat] if isinstance(lat, HurwitzLattice) else list(lat)
+    D, Ncols, M = lats[0].D, lats[0].Ncols, lats[0].M
+    if any((x.D, x.Ncols, x.M) != (D, Ncols, M) for x in lats):
+        raise ValueError("a block of lattices needs one shape (D, Ncols, M)")
     units = np.asarray(units, dtype=np.int64)
     if not ((0 < units) & (units < q) & (np.gcd(units, q) == 1)).all():
         raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
+    ts = [x.t for x in lats]
     rows = (2 * units * D + q) // (2 * q)  # 0..D
     neg_num = rows * q - units * D  # -delta = neg_num / (q D)
     d_max = int(np.abs(neg_num).max(initial=0))
-    coefs, pad = None, 0.0
+    coefs = pad = None
     if d_max:
-        coefs = _shift_coefs(lat.t, lat.Ncols)[1:]
-        s_mag_hi = fraction_sqrt_upper(Fraction(1, 4) + Fraction(lat.t) ** 2)
-        radius = Fraction(int(rows.min()), D) + (lat.M + 1)
-        tail = taylor_tail_bound(s_mag_hi, Fraction(d_max, q * D), radius, lat.Ncols + 1)
-        if tail:
-            pad = RealInterval.from_fraction(tail).hi
+        coefs = _shift_coefs(ts, Ncols)[:, 1:]
+        radius = Fraction(int(rows.min()), D) + (M + 1)
+        delta = Fraction(d_max, q * D)
+        s_mags = [fraction_sqrt_upper(Fraction(1, 4) + Fraction(t) ** 2) for t in ts]
+        tails = [taylor_tail_bound(s_mag, delta, radius, Ncols + 1) for s_mag in s_mags]
+        pad = np.array([RealInterval.from_fraction(tail).hi for tail in tails]).reshape(-1, 1)
+    cells = CVec.from_block(np.stack([x.rows.e for x in lats], axis=2))
     blocks = []
     for i in range(0, max(len(units), 1), _UNIT_BLOCK):  # one block if empty
         part = slice(i, i + _UNIT_BLOCK)
-        blocks.append(_unit_block(lat, q, units[part], rows[part], neg_num[part], coefs, pad))
-    return blocks[0] if len(blocks) == 1 else CVec.concatenate(blocks)
+        blocks.append(_unit_block(cells, ts, M, q, units[part], rows[part], neg_num[part], coefs, pad))
+    out = blocks[0] if len(blocks) == 1 else CVec.concatenate(blocks, axis=1)
+    return out[0] if isinstance(lat, HurwitzLattice) else out
 
 
 def _unit_block(
-    lat: HurwitzLattice,
+    lattices: CVec,
+    ts: list[float],
+    M: int,
     q: int,
     units: np.ndarray,
     rows: np.ndarray,
     neg_num: np.ndarray,
     coefs: CVec | None,
-    pad: float,
+    pad: np.ndarray | None,
 ) -> CVec:
-    """unit_hurwitz for one block of units, rows r and shifts -delta = neg_num / (qD).
+    """unit_hurwitz for one block of units, rows r and shifts -delta =
+    neg_num / (qD), against the stacked lattices (ordinates, D+1, Ncols+1)
+    at the ordinates ts.
 
     -delta is rounded outward once, its powers (-delta)^k come from a
     doubling table, the coefficients are coefs = (s0)_k / k! (k = 1..Ncols,
-    _shift_coefs; None when no unit of the call is shifted) times those
-    powers, all Ncols columns are multiplied in one CVec product, and the
-    head (n + a/q)^(-s), n <= M, is one (M+1, units) log and exp.  The
-    Taylor terms are summed from k = Ncols down, smallest first, and added
-    to the cell once; then come the tail pad and the head terms in order
-    of n.  Every unit takes the same path, whichever row it reads.
+    _shift_coefs, one row per ordinate; None when no unit of the call is
+    shifted) times those powers, all Ncols columns are multiplied in one
+    CVec product, and the head (n + a/q)^(-s), n <= M, is one
+    (M+1, units) log, its modulus exp(-log/2) and a cos and sin of the
+    phase -t log per ordinate.  The Taylor terms are summed from k = Ncols
+    down, smallest first, and added to the cell once; then come the tail
+    pad, one per ordinate, and the head terms in order of n.  Every unit
+    takes the same path, whichever row it reads.  The powers of -delta,
+    the log and the modulus do not depend on t and are made once.
     """
-    cells = lat.rows.take(rows)
-    acc = cells[:, 0]
+    D, Ncols = lattices.shape[1] - 1, lattices.shape[2] - 1
+    cells = lattices[:, rows]
+    acc = cells[:, :, 0]
     if coefs is not None:
         # (-delta)^k for k = 1..2^(j+1) from k = 1..2^j and (-delta)^(2^j)
-        pw = IVec.from_ratios(neg_num, q * lat.D).reshape(-1, 1)
-        while pw.shape[1] < lat.Ncols:
+        pw = IVec.from_ratios(neg_num, q * D).reshape(-1, 1)
+        while pw.shape[1] < Ncols:
             pw = IVec.concatenate([pw, pw * pw[:, -1:]], axis=1)
-        terms = (coefs * pw[:, : lat.Ncols]) * cells[:, 1:]
-        shift = terms[:, lat.Ncols - 1]
-        for k in range(lat.Ncols - 2, -1, -1):
-            shift = shift + terms[:, k]
-        acc = acc + shift
-        if pad:
-            acc = acc.pad(pad)
+        terms = (coefs.reshape(len(ts), 1, Ncols) * pw[:, :Ncols]) * cells[:, :, 1:]
+        shift = terms[:, :, Ncols - 1]
+        for k in range(Ncols - 2, -1, -1):
+            shift = shift + terms[:, :, k]
+        acc = (acc + shift).pad(pad)
 
     # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
-    s0 = lat.s_at(0)
-    lg = IVec.from_ratios(units + q * np.arange(lat.M + 1).reshape(-1, 1), q).log()
-    head = CVec(lg * -s0.re, lg * -s0.im).exp()
-    for n in range(lat.M + 1):
-        acc = acc + head[n]
+    lg = IVec.from_ratios(units + q * np.arange(M + 1).reshape(-1, 1), q).log()
+    phase = lg * -np.array(ts).reshape(-1, 1, 1)
+    head = CVec(phase.cos(), phase.sin()) * (lg * -0.5).exp()
+    for n in range(M + 1):
+        acc = acc + head[:, n]
     return acc
 
 

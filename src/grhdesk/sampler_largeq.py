@@ -18,39 +18,62 @@ character only through its parity, times the L-values, then one
 realness check and the projection onto the real axis (lambda_from_l,
 which the small-q sampler ends in too).
 
-The samplers keep two bounded in-memory LRU caches: the lattice per
-(ordinate, row count), at most 8, each one interval array of four
-float64 endpoints per cell in D + 1 rows of 512 bytes (2.5 KB at the
-D = 4 that hurwitz.lattice_size gives t = 16, 128.5 KB at its D = 256
-for t = 1000, 1 MB at its cap of 2048); and one table per (q, ordinate),
-at most 8, each the phi(q) L-values as one CVec of 32-byte cells, one
-endpoint block of four float64 per cell (32 KB at q = 1009; the
-per-character dict it replaced took about 0.4 KB a character), beside
-the completion factors of both parities.
-Every character of q sampled at that ordinate reads the same table, so
-sample_all costs one pass per ordinate.  Root numbers do not depend on
-the ordinate: CharGroup.char_meta computes a character's once, from the
+Ordinates go through in blocks.  A call's ordinates that have no
+(q, ordinate) table yet are cut into blocks of consecutive ordinates that
+share a lattice shape, the row count and the Euler-Maclaurin truncation,
+each holding at most _BLOCK_CELLS cells in its largest array (_blocks).
+A block's missing lattices are built in one Euler-Maclaurin pass
+(hurwitz._build_block) and saved, one file per ordinate, then taken from
+build_lattice without reading the files back; its L-values are one
+l_values_at pass over the block (one unit query, one group DFT with the
+ordinates on a leading axis), whose numpy calls do not grow with the
+block.  At desk heights a cold ordinate's cost is set by those calls, so
+a block of T ordinates costs far less than T single ordinates; the cap
+stops a block where its arrays outgrow the cache (a block of q = 4099's
+ordinates is slower than one ordinate at a time).
+
+The module keeps two bounded in-memory caches, each of the 8 entries
+last made: the lattice per (ordinate, row count, cache_dir), one
+interval array of four float64 endpoints per cell in D + 1 rows of 512
+bytes (2.5 KB at the D = 4 that hurwitz.lattice_size gives t = 16,
+128.5 KB at its D = 256 for t = 1000, 1 MB at its cap of 2048); and the
+table per (q, ordinate, row count, cache_dir), the phi(q) L-values as
+one CVec of 32-byte cells (32 KB at q = 1009), beside the completion
+factors of both parities.  A call uses the tables of a block it made
+directly, so a block longer than 8 ordinates reads no table it let go.
+Every character of q sampled at an ordinate reads the same table, so
+sample_all costs one pass per block.  Root numbers do not depend on the
+ordinate: CharGroup.char_meta computes a character's once, from the
 exact fixed-point Gauss sum narrowed to hardware boxes, and keeps it on
 the group (about 0.85 KB a character, 0.8 MB for every character mod
 1009; the char_group LRU keeps at most 64 groups).  So only the first
 call for a character pays its O(q) Gauss sum.  Once the tables exist, a
 sample_range call costs one array completion step and runs no big-float
 arithmetic, and a later sample_all sweep at new ordinates costs its
-lattices and l_values_at passes alone.
+blocks' lattices and l_values_at passes alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
 from .errors import DomainError, NotPrimitive, RealnessViolation
-from .hurwitz import HurwitzLattice, _power_ball, build_lattice, unit_hurwitz
+from .hurwitz import (
+    DEFAULT_NCOLS,
+    HurwitzLattice,
+    _build_block,
+    _power_ball,
+    _truncation,
+    build_lattice,
+    lattice_size,
+    unit_hurwitz,
+)
 from .interval import (
     ComplexBox,
     RealInterval,
@@ -129,12 +152,19 @@ def _ordinates(t_lo, t_hi, step: Fraction) -> tuple[int, list[float]]:
     the step p/d in lowest terms and d = 2^k m, m odd, the ordinate
     n p / d is a binary rational only if m divides n, which two
     consecutive n cannot both do: for m > 1, a range of two or more
-    ordinates is refused before any is listed.
+    ordinates is refused before any is listed.  For m = 1 the ordinate
+    is a double only if the odd part of n p has at most 53 bits; a range
+    of two or more holds an odd n at or next to the end of larger
+    magnitude, so if that n times the odd part of p needs more bits, the
+    range is refused before any ordinate is listed too.
     """
     n_start, n_end = _grid_span(t_lo, t_hi, step)
     p, d = step.numerator, step.denominator
-    if n_end > n_start and d & -d != d:
-        raise DomainError("grid ordinates must be binary rationals")
+    # a range whose every n p has at most 53 bits passes at once
+    if n_end > n_start and (d & -d != d or (max(-n_start, n_end) * p).bit_length() > 53):
+        odd_n = max(abs(n_start | 1), abs((n_end - 1) | 1))
+        if d & -d != d or (odd_n * (p // (p & -p))).bit_length() > 53:
+            raise DomainError("grid ordinates must be binary rationals")
     # int / int is correctly rounded, as float(Fraction) is; the ordinate
     # n p / d is its double tn / td exactly when tn d = n p td
     ts = [n * p / d for n in range(n_start, n_end + 1)]
@@ -167,19 +197,26 @@ def q_pow(q: int, t: float) -> ComplexBox:
     return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
-def l_values_at(q: int, lat: HurwitzLattice) -> CVec:
+def l_values_at(q: int, lat: HurwitzLattice | Sequence[HurwitzLattice]) -> CVec:
     """L_chi(1/2 + i lat.t) for every character mod q, in one transform.
 
     A flat CVec of phi(q) values in np.ndindex order over the group's
     orders: the character idx sits at np.ravel_multi_index(idx, orders).
-    The imprimitive characters come out of the same DFT at no extra cost;
-    they are returned too, though only primitive ones get certified.
+    lat may also be a block of lattices of one shape at several
+    ordinates: then each ordinate's phi(q) values follow the last's, in
+    the block's order, from one unit query and one group DFT over the
+    whole block.  The imprimitive characters come out of the same DFT at
+    no extra cost; they are returned too, though only primitive ones get
+    certified.
     """
     if q < 3:
         raise DomainError("need q >= 3")
     group = char_group(q)
-    zvals = unit_hurwitz(lat, q, units_of(group))
-    return group_dft_cvec(group, zvals).reshape(group.phi) * q_pow(q, lat.t)
+    lats = [lat] if isinstance(lat, HurwitzLattice) else list(lat)
+    zvals = unit_hurwitz(lats, q, units_of(group))
+    scale = CVec.from_boxes([q_pow(q, x.t) for x in lats]).reshape(-1, 1)
+    values = group_dft_cvec(group, zvals).reshape(len(lats), group.phi) * scale
+    return values.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +274,86 @@ def lambda_from_l(l: CVec, factor, q: int, chars, ts) -> IVec:
 # grids
 
 
-@lru_cache(maxsize=8)
-def _shared_lattice(t: float, size: int | None, cache_dir) -> HurwitzLattice:
-    """The lattice at t; size None takes build_lattice's default, lattice_size(t)."""
-    return build_lattice(t, D=size, cache_dir=cache_dir)
+# cells of the largest array a block of cold ordinates makes, the
+# lattice build's (D+1, a+1, Ncols+1) or the unit query's (phi(q), Ncols+1)
+# per ordinate; see _blocks
+_BLOCK_CELLS = 1 << 16
+
+# the kept lattices by (t, D, cache_dir) and (q, t)-tables by
+# (q, t, size, cache_dir): the 8 last made of each
+_lattices: dict = {}
+_tables: dict = {}
 
 
-@lru_cache(maxsize=8)
-def _modulus_table(q: int, t: float, size: int | None, cache_dir) -> tuple[CVec, CVec]:
-    """L_chi(1/2 + it) for every character mod q, from one l_values_at pass,
-    and the completion factors of parity 0 and 1 at t, as two CVecs."""
-    return (
-        l_values_at(q, _shared_lattice(t, size, cache_dir)),
-        CVec.from_boxes([completion_factor(t, parity, q) for parity in (0, 1)]),
-    )
+def _keep(cache: dict, key, value) -> None:
+    """Keep value under the new key, letting the oldest go past 8."""
+    cache[key] = value
+    if len(cache) > 8:
+        del cache[next(iter(cache))]
+
+
+def _blocks(ts: list[float], size: int | None, phi: int):
+    """ts, in order, cut into blocks of consecutive ordinates that share a
+    lattice shape (its row count D and truncation) and whose arrays hold
+    at most _BLOCK_CELLS cells, as (D, block); an ordinate that alone
+    holds more is a block of its own."""
+    block, shape = [], None
+    for t in ts:
+        D = lattice_size(t) if size is None else size
+        a, b = _truncation(t, D)
+        cells = max((D + 1) * (a + 1), phi) * (DEFAULT_NCOLS + 1)
+        if block and ((D, a, b) != shape or (len(block) + 1) * cells > _BLOCK_CELLS):
+            yield shape[0], block
+            block = []
+        block.append(t)
+        shape = (D, a, b)
+    if block:
+        yield shape[0], block
+
+
+def _lattice_block(ts: list[float], D: int, cache_dir) -> list[HurwitzLattice]:
+    """The lattices with D rows at a block of ordinates from _blocks: the
+    kept ones reused, the others built in one hurwitz._build_block pass
+    (those that cache_dir does not hold yet), each then taken from
+    build_lattice."""
+    lats = [_lattices.get((t, D, cache_dir)) for t in ts]
+    cold = [t for t, lat in zip(ts, lats) if lat is None]
+    if cold:
+        _build_block(cold, D, cache_dir)
+    for i, t in enumerate(ts):
+        if lats[i] is None:
+            lats[i] = build_lattice(t, D=D, cache_dir=cache_dir)
+            _keep(_lattices, (t, D, cache_dir), lats[i])
+    return lats
+
+
+def _table_block(q: int, ts: list[float], D: int, cache_dir) -> list[tuple[CVec, CVec]]:
+    """For each t of a block from _blocks: L_chi(1/2 + it) for every
+    character mod q, and the completion factors of parity 0 and 1 at t, as
+    two CVecs; the L-values of the whole block come from one l_values_at
+    pass over its lattices with D rows."""
+    values = l_values_at(q, _lattice_block(ts, D, cache_dir)).reshape(len(ts), -1)
+    return [
+        (
+            CVec.from_block(values.e[:, :, i].copy()),
+            CVec.from_boxes([completion_factor(t, parity, q) for parity in (0, 1)]),
+        )
+        for i, t in enumerate(ts)
+    ]
+
+
+def _make_tables(q: int, ts: list[float], tables: list, size: int | None, cache_dir) -> list:
+    """tables, the kept (q, t)-table of each t in ts or None, with each None
+    made: by blocks of ordinates (_blocks, _table_block), each kept.  Each
+    block's tables are used as made, so a call needs no table it may have
+    let go."""
+    cold = [t for t, table in zip(ts, tables) if table is None]
+    made = {}
+    for D, block in _blocks(cold, size, char_group(q).phi):
+        for t, table in zip(block, _table_block(q, block, D, cache_dir)):
+            made[t] = table
+            _keep(_tables, (q, t, size, cache_dir), table)
+    return [made[t] if table is None else table for t, table in zip(ts, tables)]
 
 
 def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
@@ -275,7 +378,9 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
     cols = np.array([np.ravel_multi_index(char, group.orders) for char in chars], dtype=np.intp)
     parities = np.array([meta.parity for meta in metas], dtype=np.intp)
     cols, parities = cols.reshape(-1, 1), parities.reshape(-1, 1)
-    tables = [_modulus_table(q, t, size, cache_dir) for t in ts]
+    tables = [_tables.get((q, t, size, cache_dir)) for t in ts]
+    if None in tables:
+        tables = _make_tables(q, ts, tables, size, cache_dir)
     l = CVec.concatenate([lv.take(cols) for lv, _ in tables], axis=1)
     c = CVec.concatenate([fac.take(parities) for _, fac in tables], axis=1)
     eps = CVec.from_boxes([meta.epsilon for meta in metas]).reshape(-1, 1)
@@ -304,18 +409,19 @@ def sample_range(
     hurwitz.lattice_size(t), from the height alone, so an ordinate's
     lattice and samples do not depend on the range or modulus they are
     asked for; an explicit size serves every ordinate of the call.
-    Lattices are cached in memory (at most 8, 512 bytes per row) and on
+    Lattices are cached in memory (the last 8, 512 bytes per row) and on
     disk, so every modulus sampled at the same ordinate and row count
     reuses the same one.
 
-    The first call at a (q, ordinate) pair runs l_values_at once for all
-    phi(q) characters and keeps the L-values in an in-memory table, with
-    the completion factor of each parity beside them; later calls for any
-    character of q at that ordinate read that table, so a call then
-    costs one array completion step, (epsilon C) L with the realness
-    check and the projection, over all its ordinates.  At most 8 tables
-    are kept, least recently used first out; each holds phi(q) array
-    cells of 32 bytes (32 KB at q = 1009).  The character's root number
+    The first call at a (q, ordinate) pair computes the L-values of all
+    phi(q) characters, in one l_values_at pass for each block of such
+    ordinates that share a lattice shape, and keeps them in an in-memory
+    table per ordinate, with the completion factor of each parity beside
+    them; later calls for any character of q at that ordinate read that
+    table, so a call then costs one array completion step, (epsilon C) L
+    with the realness check and the projection, over all its ordinates.
+    The last 8 tables made are kept; each holds phi(q) array cells of 32
+    bytes (32 KB at q = 1009).  The character's root number
     and completion constant come from CharGroup.char_meta, which runs
     the Gauss sum on the first call for the character and keeps the
     result, so every later call, at any ordinate, reuses it.
@@ -340,7 +446,7 @@ def sample_all(
     """sample_range for every primitive character mod q, keyed by index.
 
     Reads the same per-(q, ordinate) tables as sample_range, so the whole
-    sweep costs one l_values_at pass per ordinate, plus the root number
+    sweep costs one l_values_at pass per block of ordinates, plus the root number
     of each character that no earlier call at q computed (char_meta
     keeps them on the group).  A modulus with no primitive character
     (q = 2 mod 4) gets {} once its range is checked, with no lattice or

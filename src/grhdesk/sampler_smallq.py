@@ -75,7 +75,7 @@ def zeta_nine_eighths() -> RealInterval:
     """
     sigma, alpha = Fraction(9, 8), Fraction(1)
     a, b = auto_params(sigma, 0.0, alpha, DEFAULT_BUILD_BITS)
-    return _em_rows(0.0, sigma, [alpha], 0, a, b, DEFAULT_BUILD_BITS)[0, 0].re
+    return _em_rows([0.0], sigma, [alpha], 0, a, b, DEFAULT_BUILD_BITS)[0, 0, 0].re
 
 
 def _frac_pow(base: RealInterval, fr: Fraction) -> RealInterval:

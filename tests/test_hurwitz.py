@@ -245,13 +245,13 @@ def test_auto_params_pinned(t, bits, i, D):
 
 
 def test_columns_engine_matches_scalar_path():
-    cols = _em_rows(10.0, Fraction(1, 2), [Fraction(2, 5)], 4, 40, 24, BIG)
+    cols = _em_rows([10.0], Fraction(1, 2), [Fraction(2, 5)], 4, 40, 24, BIG)[0]
     for c in range(5):
         assert meets(cols[0, c], em_hurwitz((Fraction(1, 2) + c, 10.0), Fraction(2, 5), bits=BIG))
 
 
 def test_columns_engine_real_fast_path_contains():
-    cols = _em_rows(0.0, Fraction(1, 2), [Fraction(7, 16)], 3, 30, 20, BIG)
+    cols = _em_rows([0.0], Fraction(1, 2), [Fraction(7, 16)], 3, 30, 20, BIG)[0]
     for c in range(4):
         fre, fim = hurwitz_ref(Fraction(1, 2) + c, Fraction(7, 16))
         assert holds(cols[0, c], fre, fim)
@@ -422,7 +422,7 @@ def test_sieved_powers_overlap_power_ball_and_are_no_wider(t, sigma):
     # the reference is one ball of the base itself at `bits`
     for D in (12, 64):
         ms = _lattice_bases(D)
-        for m, row in zip(ms, _sieved_powers(ms, D, sigma, t, 64)):
+        for m, row in zip(ms, _sieved_powers(ms, D, sigma, [t], 64)[0]):
             x = Fraction(m, D)
             ref = _power_ball(x, sigma, t, 64)
             for j in (0, 2):
@@ -442,7 +442,7 @@ def test_sieved_powers_contain_mpmath_far_up(bits, sigma):
             s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
             for D in (12, 64):
                 ms = _lattice_bases(D)
-                for m, row in zip(ms, _sieved_powers(ms, D, sigma, t, bits)):
+                for m, row in zip(ms, _sieved_powers(ms, D, sigma, [t], bits)[0]):
                     v = mpmath.exp(-s * mpmath.log(mpmath.mpf(m) / D))
                     assert row[0] <= v.real <= row[1], (t, bits, sigma, D, m)
                     assert row[2] <= v.imag <= row[3], (t, bits, sigma, D, m)
@@ -498,35 +498,56 @@ def test_ball_product_contains_products_of_members():
                     assert dre * dre + dim * dim <= (R << sh) ** 2, (balls, prec)
 
 
-def _count_balls(monkeypatch) -> list[Fraction]:
-    """Record the base of every transcendental ball from here on."""
-    calls = []
-    ball = hurwitz._ball
+def _count_balls(monkeypatch) -> tuple[list[Fraction], list[float]]:
+    """Record, from here on, the base of every transcendental ball's root
+    and log (_modulus) and the ordinate of every turn of one (_turn)."""
+    bases, turns = [], []
+    modulus, turn = hurwitz._modulus, hurwitz._turn
 
-    def counted(x, *args):
-        calls.append(x)
-        return ball(x, *args)
+    def counted_modulus(x, *args):
+        bases.append(x)
+        return modulus(x, *args)
 
-    monkeypatch.setattr(hurwitz, "_ball", counted)
-    return calls
+    def counted_turn(m, t):
+        turns.append(t)
+        return turn(m, t)
+
+    monkeypatch.setattr(hurwitz, "_modulus", counted_modulus)
+    monkeypatch.setattr(hurwitz, "_turn", counted_turn)
+    return bases, turns
 
 
 def test_lattice_build_takes_one_ball_per_prime(monkeypatch):
     # t = 16, D = 64 truncates at a = 13, so the bases are m/64 for
     # m = 640..1536: the 242 primes up to 1536 and 64^s, not 910 powers
-    calls = _count_balls(monkeypatch)
+    bases, turns = _count_balls(monkeypatch)
     build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
     primes = _primes_dividing(range(640, 1537))
     assert len(primes) == 242
-    assert sorted(calls) == sorted([Fraction(p) for p in primes] + [Fraction(1, 64)])
+    assert sorted(bases) == sorted([Fraction(p) for p in primes] + [Fraction(1, 64)])
+    assert turns == [16.0] * 243
+
+
+def test_block_build_takes_one_root_and_log_per_prime(monkeypatch):
+    # two ordinates of one truncation (a = 13 at D = 64) in one pass:
+    # each prime's integer root and log once, its phase once per ordinate,
+    # and every cell as the one-ordinate build's
+    ts = [16.0, 16.0625]
+    assert {hurwitz._truncation(t, 64) for t in ts} == {(13, 16)}
+    bases, turns = _count_balls(monkeypatch)
+    block = hurwitz._build(ts, 64, 15, 9, 64)
+    assert len(bases) == 243 and sorted(turns) == sorted(ts * 243)
+    for t, lat in zip(ts, block):
+        alone = build_lattice(t, D=64, Ncols=15, M=9, bits=64, cache=False)
+        assert np.array_equal(lat.rows.e, alone.rows.e), t
 
 
 def test_one_row_takes_only_the_primes_of_its_bases(monkeypatch):
     # one row of a D = 2048 lattice with a = 28 has 29 bases up to about
     # 80,000: no ball for a prime that divides none of them
-    calls = _count_balls(monkeypatch)
+    calls, _ = _count_balls(monkeypatch)
     alpha = Fraction(777, 2048) + 10
-    _em_rows(7.0, Fraction(1, 2) + 16, [alpha], 49, 28, 18, 72)
+    _em_rows([7.0], Fraction(1, 2) + 16, [alpha], 49, 28, 18, 72)
     ms = [alpha.numerator + n * 2048 for n in range(29)]
     primes = _primes_dividing(ms)
     assert sorted(calls) == sorted([Fraction(p) for p in primes] + [Fraction(1, 2048)])
@@ -627,20 +648,36 @@ def test_lattice_cell_bounds_checked(lat8_t0):
         lat8_t0.cell(1, -1)
 
 
+def _file_parts(path) -> tuple[bytes, list[bytes], np.ndarray]:
+    """A lattice file's magic line, header fields and body as float64s."""
+    magic, head, body = path.read_bytes().split(b"\n", 2)
+    return magic, head.split(), np.frombuffer(body, dtype="<f8").copy()
+
+
+def _write_parts(path, magic: bytes, head: list[bytes], body) -> None:
+    path.write_bytes(magic + b"\n" + b" ".join(head) + b"\n" + np.asarray(body, dtype="<f8").tobytes())
+
+
 def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
-    # the header carries the lattice's own build bits (96 here), and the
-    # body is the version-3 format: one line per cell of rows 0..D,
-    # row-major, of the float.hex endpoints of lat.rows
+    # the header carries the lattice's own build bits (96 here) and the
+    # truncation (a, b) a build takes for it, and the body is the
+    # version-4 format: the endpoint block of lat.rows, shape
+    # (2, 2, D + 1, Ncols + 1), as raw little-endian float64 in C order
     path = tmp_path / "lat.dat"
     save_lattice(lat8_t10, path)
     back = load_lattice(path, expect=(10.0, 8, 15, 9, 96))
     assert (back.t, back.D, back.Ncols, back.M, back.bits) == (10.0, 8, 15, 9, 96)
     assert back.rows.shape == lat8_t10.rows.shape == (9, 16)
-    body = path.read_text().splitlines()[2:]
-    assert len(body) == 9 * 16
-    cells = [(r, c) for r in range(9) for c in range(16)]
-    for line, (r, c) in zip(body, cells):
-        assert line == cell_hex(lat8_t10, r, c) == cell_hex(back, r, c)
+    magic, head, body = _file_parts(path)
+    a, b = hurwitz._truncation(10.0, 8, 9, 96)
+    assert magic == b"hurwitz-lattice 4"
+    assert head == f"10.0 8 15 9 96 {a} {b}".encode().split()
+    assert body.size == 2 * 2 * 9 * 16
+    assert np.array_equal(body, lat8_t10.rows.e.reshape(-1))
+    assert np.array_equal(back.rows.e, lat8_t10.rows.e)
+    for r in range(9):
+        for c in range(16):
+            assert cell_hex(back, r, c) == cell_hex(lat8_t10, r, c)
 
 
 def test_lattice_disk_cache_hit(tmp_path):
@@ -665,25 +702,38 @@ def _assert_rebuilt(path, fresh, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doctored", ["10.0 4 3 2 96", "0.0 4 3 2 64", "0.0 8 3 2 96", "0.0 4 3"]
+    "doctored", ["10.0 4 3 2 96", "0.0 4 3 2 64", "0.0 8 3 2 96", "0.0 4 3", "truncation"]
 )
 def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
     fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
-    lines = path.read_text().splitlines()
+    magic, head, body = _file_parts(path)
+    assert head[:5] == b"0.0 4 3 2 96".split()
+    a, b = (int(v) for v in head[5:])
+    if doctored == "truncation":
+        # the lattice asked for, built under another truncation
+        head = head[:5] + [str(a + 1).encode(), str(b).encode()]
+    else:
+        head = doctored.encode().split() + (head[5:] if doctored.count(" ") == 4 else [])
     # the cells stay; a header naming another lattice must not be trusted
-    path.write_text("\n".join([lines[0], doctored, *lines[2:]]) + "\n")
+    _write_parts(path, magic, head, body)
     with pytest.raises(ValueError):
         load_lattice(path, expect=LATTICE_0)
     _assert_rebuilt(path, fresh, tmp_path)
 
 
 def test_lattice_cache_rebuilds_truncated_file(tmp_path):
+    # a body one value short, cut in half, cut inside a value, or one
+    # value long is refused
     fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:5]) + "\n")
-    _assert_rebuilt(path, fresh, tmp_path)
+    whole = path.read_bytes()
+    for cut in (whole[:-8], whole[: len(whole) // 2], whole[:-3], whole + whole[-8:]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError):
+            load_lattice(path, expect=LATTICE_0)
+        _assert_rebuilt(path, fresh, tmp_path)
+        assert path.read_bytes() == whole
 
 
 @pytest.mark.parametrize("fault", ["swapped", "nan"])
@@ -691,33 +741,36 @@ def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
     # a body cell whose endpoints are not ordered lo <= hi is refused
     fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
-    lines = path.read_text().splitlines()
-    fields = lines[2].split()
-    assert fields[0] != fields[1]
-    fields[:2] = fields[1::-1] if fault == "swapped" else [fields[0], "nan"]
-    lines[2] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    magic, head, body = _file_parts(path)
+    ends = body.reshape(2, 2, 5, 4)
+    lo, hi = ends[0, 0, 1, 0], ends[0, 1, 1, 0]  # re of cell (1, 0)
+    assert lo != hi
+    ends[0, 0, 1, 0], ends[0, 1, 1, 0] = (hi, lo) if fault == "swapped" else (lo, np.nan)
+    _write_parts(path, magic, head, body)
     with pytest.raises(ValueError):
         load_lattice(path, expect=LATTICE_0)
     _assert_rebuilt(path, fresh, tmp_path)
 
 
 def test_lattice_cache_rebuilds_version_1_file(tmp_path):
-    # a file written by an earlier builder (version 1, or version 2 with
-    # rows 1..D only) is refused even when its header names the requested
-    # lattice, then rebuilt and overwritten
+    # a file in an earlier format (version 1, version 2 with rows 1..D
+    # only, or the version-3 text form of this very lattice) is
+    # refused even when its header names the requested lattice, then
+    # rebuilt and overwritten
     fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
-    lines = path.read_text().splitlines()
-    assert lines[0] == "hurwitz-lattice 3" and len(lines) == 2 + 5 * 4
+    whole = path.read_bytes()
+    assert whole.startswith(b"hurwitz-lattice 4\n")
+    ends = np.moveaxis(fresh.rows.e, (0, 1), (-2, -1)).reshape(-1, 4)
+    cells = [" ".join(map(float.hex, cell)) for cell in ends.tolist()]
     stale = " ".join(map(float.hex, (1.0, 1.0, 0.0, 0.0)))  # the point box 1
-    old = {"hurwitz-lattice 1": [stale] * 16, "hurwitz-lattice 2": lines[6:]}
+    old = {"hurwitz-lattice 1": [stale] * 16, "hurwitz-lattice 2": cells[4:], "hurwitz-lattice 3": cells}
     for magic, body in old.items():
-        path.write_text("\n".join([magic, lines[1]] + body) + "\n")
+        path.write_text("\n".join([magic, "0.0 4 3 2 96"] + body) + "\n")
         with pytest.raises(ValueError):
             load_lattice(path, expect=LATTICE_0)
         _assert_rebuilt(path, fresh, tmp_path)
-        assert path.read_text().splitlines() == lines
+        assert path.read_bytes() == whole
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -852,9 +905,24 @@ def test_unit_hurwitz_blocks_change_no_endpoint(lat64_t16, monkeypatch):
     assert unit_hurwitz(lat64_t16, q, np.array([], dtype=np.int64)).shape == (0,)
 
 
+def test_unit_hurwitz_of_a_block_is_each_lattice_alone(lat64_t16):
+    # a block of lattices of one shape gives each lattice's values on a
+    # leading axis, endpoint for endpoint, in the interval-array calls of
+    # one lattice; lattices of two shapes are refused
+    lats = [lat64_t16, build_lattice(-16.0625, D=64, Ncols=15, M=9, bits=64, cache=False)]
+    for q in (7, 101):
+        units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
+        block = unit_hurwitz(lats, q, units)
+        assert block.shape == (2, len(units))
+        for i, lat in enumerate(lats):
+            assert np.array_equal(block.e[:, :, i], unit_hurwitz(lat, q, units).e), (q, i)
+    with pytest.raises(ValueError, match="one shape"):
+        unit_hurwitz([lat64_t16, build_lattice(16.0, D=8, Ncols=15, M=9, bits=64, cache=False)], 7, units[:3])
+
+
 @pytest.mark.parametrize("t", [0.0, 10.0, -10.0, 1e4])
 def test_shift_coefs_contain_pochhammer_ratios(t):
-    coefs = _shift_coefs(t, 15)
+    coefs = _shift_coefs([t], 15)[0]
     assert coefs.shape == (16,)
     with mpmath.workprec(300):
         s0 = mpmath.mpf(1) / 2 + 1j * mpmath.mpf(t)
@@ -901,7 +969,7 @@ def test_taylor_tail_dominates_brute_terms():
         if cases % 20:
             continue  # full brute evaluation on a 1-in-20 subsample
         alpha = Fraction(r, D) + (M + 1)
-        cells = _em_rows(t, Fraction(1, 2) + K, [alpha], 49, 28, 18, 72)
+        cells = _em_rows([t], Fraction(1, 2) + K, [alpha], 49, 28, 18, 72)[0]
         brute = Fraction(0)
         poch = Fraction(1)
         for j in range(K):

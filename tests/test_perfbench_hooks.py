@@ -8,13 +8,15 @@ ast, without importing or running the benchmark.
 
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from grhdesk import hurwitz, sampler_largeq
 from grhdesk.characters import char_group
 from grhdesk.dft import group_dft_cvec, units_of
-from grhdesk.hurwitz import build_lattice, unit_hurwitz
+from grhdesk.hurwitz import HurwitzLattice, build_lattice, unit_hurwitz
 from grhdesk.interval import ComplexBox
 from grhdesk.ivec import CVec
 from grhdesk.sampler_largeq import l_values_at
@@ -78,3 +80,29 @@ def test_width_hooks_read_the_cvec_surface():
         for part in (v.re, v.im):
             w = part.width()
             assert isinstance(w, np.ndarray) and w.shape == v.shape and np.all(w >= 0.0)
+
+
+def test_cold_sample_range_keeps_the_benchmark_call_contract(tmp_path, monkeypatch):
+    # perfbench's lattice-cold workload counts one build_lattice call per
+    # ordinate, each returning a lattice, and one .dat file per ordinate in
+    # its fresh cache_dir; a block build must keep both, and its lattices
+    # come back from memory, not from the files it just wrote
+    built, loaded = [], []
+    build, load = sampler_largeq.build_lattice, hurwitz.load_lattice
+
+    def counted_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def counted_load(*args, **kwargs):
+        loaded.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(sampler_largeq, "build_lattice", counted_build)
+    monkeypatch.setattr(hurwitz, "load_lattice", counted_load)
+    grid = sampler_largeq.sample_range(7, (1,), 16, 16 + Fraction(2, 16), Fraction(1, 16), cache_dir=tmp_path)
+    assert len(grid) == 3
+    assert [lat.t for lat in built] == [16.0, 16.0625, 16.125]
+    assert all(isinstance(lat, HurwitzLattice) for lat in built)
+    assert loaded == []
+    assert len(list(tmp_path.glob("*.dat"))) == 3

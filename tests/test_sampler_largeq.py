@@ -8,6 +8,9 @@ linearity in the unimodular constant.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from grhdesk import characters, hurwitz, sampler_largeq
+from grhdesk import characters, hurwitz, ivec, sampler_largeq
 from grhdesk.characters import char_group
 from grhdesk.dft import units_of
 from grhdesk.errors import DomainError, NotPrimitive, RealnessViolation
@@ -31,7 +34,7 @@ from grhdesk.hurwitz import (
     taylor_tail_bound,
 )
 from grhdesk.interval import ComplexBox
-from grhdesk.ivec import CVec
+from grhdesk.ivec import CVec, op_counter
 from grhdesk.sampler_largeq import (
     DEFAULT_STEP,
     SampleGrid,
@@ -199,6 +202,19 @@ def test_l_values_conjugate_symmetry(lat_t0, lat_t1, lat_t10, lat_tm1, lat_tm10)
                 assert l_at(vm, q, c).intersects(l_at(vp, q, idx).conj()), (q, idx, lat_p.t)
 
 
+@pytest.mark.parametrize("q", [5, 12, 101])
+def test_l_values_of_a_block_are_each_lattice_alone(lat_t0, lat_t10, lat_tm1, q):
+    # one unit query and one group DFT over a block of ordinates: each
+    # ordinate's phi(q) values in turn, endpoint for endpoint; t = 0 keeps
+    # its real q^(-s) in the block
+    lats = [lat_t10, lat_t0, lat_tm1]
+    block = l_values_at(q, lats)
+    phi = char_group(q).phi
+    assert block.shape == (3 * phi,)
+    for i, lat in enumerate(lats):
+        assert np.array_equal(block.e[:, :, i * phi : (i + 1) * phi], l_values_at(q, lat).e), (q, i)
+
+
 def test_l_values_rejects_tiny_modulus(lat_t0):
     with pytest.raises(DomainError):
         l_values_at(2, lat_t0)
@@ -339,6 +355,55 @@ def test_non_dyadic_step_is_refused_before_its_ordinates_are_listed():
     assert sampler_largeq._ordinates(1, 1, Fraction(1, 3)) == (3, [1.0])
 
 
+# the refusal above for a dyadic step too fine for its range, in a fresh
+# interpreter whose address space is capped: listing the 2^70 + 1
+# ordinates first would run into a MemoryError or hang
+_FINE_STEP = """
+import resource, sys
+from fractions import Fraction
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from grhdesk import sampler_largeq
+from grhdesk.errors import DomainError
+for call in (lambda: sampler_largeq._ordinates(0, 1, Fraction(1, 2**70)),
+             lambda: sampler_largeq.sample_range(7, (1,), 0, 1, Fraction(1, 2**70))):
+    try:
+        call()
+    except DomainError as exc:
+        assert "binary rationals" in str(exc), exc
+    else:
+        sys.exit("not refused")
+print("refused")
+"""
+
+
+def test_fine_dyadic_step_is_refused_before_its_ordinates_are_listed():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-c", _FINE_STEP], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (run.returncode, run.stdout.strip()) == (0, "refused"), run.stderr
+    # the refusal is exact: a fine step whose ordinates are all doubles is
+    # listed, and ranges on either side of 53 bits go as the Fraction
+    # reference has them
+    fine = sampler_largeq._ordinates(0, Fraction(4, 2**70), Fraction(1, 2**70))
+    assert fine == (0, [k / 2**70 for k in range(5)])
+    cases = [
+        (2**53 - 1, 2**53, 1),
+        (2**53, 2**53 + 1, 1),
+        (-(2**54), -(2**54) + 2, 2),
+        (Fraction(2**52, 3), Fraction(2**52 + 6, 3), 3),
+        (3 * 2**51 - 3, 3 * 2**51 + 3, 3),
+    ]
+    for lo, hi, step in cases:
+        want = _fraction_ordinates(lo, hi, step)
+        if isinstance(want, str):
+            with pytest.raises(DomainError, match=want):
+                sampler_largeq._ordinates(lo, hi, Fraction(step))
+        else:
+            assert sampler_largeq._ordinates(lo, hi, Fraction(step)) == want, (lo, hi, step)
+
+
 def _fraction_ordinates(t_lo, t_hi, step):
     """The ordinates by exact Fraction arithmetic, or the DomainError message."""
     step, lo, hi = Fraction(step), Fraction(t_lo), Fraction(t_hi)
@@ -391,8 +456,8 @@ def test_ordinates_match_exact_fraction_arithmetic():
 def test_sample_all_without_primitive_characters_builds_nothing(tmp_path, monkeypatch):
     # q = 2 mod 4 has no primitive character: {} once the range is checked,
     # with no lattice, no table and no cache file
-    monkeypatch.setattr(sampler_largeq, "_modulus_table", _refuse)
-    monkeypatch.setattr(sampler_largeq, "_shared_lattice", _refuse)
+    monkeypatch.setattr(sampler_largeq, "_table_block", _refuse)
+    monkeypatch.setattr(sampler_largeq, "_lattice_block", _refuse)
     for q in (6, 10, 30, 1002):
         assert sample_all(q, 300, 300, Fraction(1, 16), cache_dir=tmp_path) == {}
     assert list(tmp_path.iterdir()) == []
@@ -407,7 +472,7 @@ def _refuse(*args, **kwargs):
 
 
 def test_sample_range_refuses_imprimitive_before_any_table(monkeypatch):
-    monkeypatch.setattr(sampler_largeq, "_modulus_table", _refuse)
+    monkeypatch.setattr(sampler_largeq, "_table_block", _refuse)
     with pytest.raises(NotPrimitive, match=r"\(3,\) mod 9"):
         sample_range(9, (3,), 16, 16, 1 / 16)
 
@@ -415,7 +480,7 @@ def test_sample_range_refuses_imprimitive_before_any_table(monkeypatch):
 @pytest.mark.parametrize("idx", [(7,), (-1,), (1, 2), ()])
 def test_sample_range_refuses_malformed_indices(monkeypatch, idx):
     # (Z/9Z)* is cyclic of order 6: one entry in 0..5
-    monkeypatch.setattr(sampler_largeq, "_modulus_table", _refuse)
+    monkeypatch.setattr(sampler_largeq, "_table_block", _refuse)
     with pytest.raises(ValueError, match="mod 9"):
         sample_range(9, idx, 16, 16, 1 / 16)
 
@@ -562,7 +627,7 @@ def test_sample_all_computes_each_completion_factor_once(shared_cache, monkeypat
         return completion_factor(t, parity, q)
 
     monkeypatch.setattr(sampler_largeq, "completion_factor", counted)
-    sampler_largeq._modulus_table.cache_clear()
+    sampler_largeq._tables.clear()
     grids = sample_all(13, 0, 1, Fraction(1, 16), size=4, cache_dir=shared_cache)
     assert {grid.meta.parity for grid in grids.values()} == {0, 1}
     assert len(next(iter(grids.values()))) == 17
@@ -602,11 +667,11 @@ def test_alternating_moduli_read_their_own_tables(shared_cache):
             for op in order
         }
 
-    sampler_largeq._modulus_table.cache_clear()
+    sampler_largeq._tables.clear()
     alone = run([op for op in calls if op[0] == 5])
-    sampler_largeq._modulus_table.cache_clear()
+    sampler_largeq._tables.clear()
     alone.update(run([op for op in calls if op[0] == 7]))
-    sampler_largeq._modulus_table.cache_clear()
+    sampler_largeq._tables.clear()
     assert run(calls) == alone
 
 
@@ -655,3 +720,101 @@ def test_sample_all_reuses_earlier_root_numbers(shared_cache, monkeypatch):
     later = sample_all(101, T_HI, T_HI, STEP, size=4, cache_dir=shared_cache)
     assert calls == []
     assert all(later[idx].meta is grids[idx].meta for idx in grids)
+
+
+# -- blocks of cold ordinates -------------------------------------------------
+
+
+def _counted_ops(call):
+    """call()'s result and the ivec.op_counter delta it ran."""
+    before = op_counter.count
+    out = call()
+    return out, op_counter.count - before
+
+
+def _samples_by_ordinate(grids) -> dict:
+    """{(character, t): (lo, hi)} over a sample_all result."""
+    return {
+        (idx, grid.t_float(i)): (s.lo, s.hi)
+        for idx, grid in grids.items()
+        for i, s in enumerate(grid.samples)
+    }
+
+
+# (q, t_lo, t_hi, step, ordinates of the range with a table beforehand)
+BLOCK_RANGES = {
+    # t = 0 takes the real-only rows and the pole check; t < 0 reads the
+    # same lattices as |t|
+    "through-zero": (5, Fraction(-3, 16), Fraction(3, 16), Fraction(1, 16), []),
+    # the default row count switches from 4 to 8 between 22 and 23
+    "size-switch": (7, Fraction(22), Fraction(47, 2), Fraction(1, 4), []),
+    # more ordinates than the cap lets one block hold (patched below)
+    "over-the-cap": (7, Fraction(16), Fraction(33, 2), Fraction(1, 16), []),
+    # the first ordinate's table is made by an earlier call
+    "warm-start": (12, Fraction(16), Fraction(65, 4), Fraction(1, 16), [Fraction(16)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_RANGES))
+def test_block_of_ordinates_matches_one_ordinate_at_a_time(case, tmp_path, monkeypatch):
+    # every ordinate of a range without a table goes through blocks of one
+    # lattice shape; each sample equals the one-ordinate call's, bit for
+    # bit, and the blocks run no more elementwise work than the
+    # one-ordinate calls
+    q, t_lo, t_hi, step, warm = BLOCK_RANGES[case]
+    ts = sampler_largeq._ordinates(t_lo, t_hi, step)[1]
+    blocks = []
+    table_block = sampler_largeq._table_block
+
+    def spied(q, block, *args):
+        blocks.append(list(block))
+        return table_block(q, block, *args)
+
+    monkeypatch.setattr(sampler_largeq, "_table_block", spied)
+    if case == "over-the-cap":
+        one = max((lattice_size(16.0) + 1) * (hurwitz._truncation(16.0, lattice_size(16.0))[0] + 1), 6)
+        monkeypatch.setattr(sampler_largeq, "_BLOCK_CELLS", 3 * one * (DEFAULT_NCOLS + 1))
+    ranged, alone = tmp_path / "range", tmp_path / "alone"
+    for t in warm:
+        for cache in (ranged, alone):
+            sample_all(q, t, t, step, cache_dir=cache)
+    del blocks[:]
+
+    got, block_ops = _counted_ops(lambda: sample_all(q, t_lo, t_hi, step, cache_dir=ranged))
+    cold = [t for t in ts if Fraction(t) not in warm]
+    assert [t for block in blocks for t in block] == cold
+    shapes = [{(lattice_size(t), hurwitz._truncation(t, lattice_size(t))) for t in b} for b in blocks]
+    assert all(len(shape) == 1 for shape in shapes)
+    if case == "over-the-cap":
+        assert len(blocks) >= 3 and max(map(len, blocks)) == 3
+    else:
+        assert any(len(b) > 1 for b in blocks)
+    del blocks[:]
+
+    want, one_ops = {}, 0
+    for t in ts:
+        grids, ops = _counted_ops(lambda: sample_all(q, t, t, step, cache_dir=alone))
+        want.update(_samples_by_ordinate(grids))
+        one_ops += ops
+    assert _samples_by_ordinate(got) == want
+    assert block_ops <= one_ops
+    assert sorted(p.name for p in ranged.glob("*.dat")) == sorted(p.name for p in alone.glob("*.dat"))
+
+
+def test_cold_block_runs_the_rounding_calls_of_one_ordinate(tmp_path, monkeypatch):
+    # a block's interval-array calls do not grow with its ordinates
+    calls = []
+    rounding = ivec._round
+
+    def counted(*args):
+        calls.append(1)
+        return rounding(*args)
+
+    monkeypatch.setattr(ivec, "_round", counted)
+    runs = {}
+    for n in (0, 2):
+        del calls[:]
+        grid = sample_range(7, (1,), 16, 16 + Fraction(n, 16), Fraction(1, 16), cache_dir=tmp_path / str(n))
+        assert len(grid) == n + 1
+        runs[n + 1] = len(calls)
+    assert 0 < runs[3] <= runs[1]
