@@ -31,7 +31,7 @@ from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_pi, mpf_shift, to_i
 
 from .errors import HypothesisViolated, NotPrimitive, QTooSmall
 from .hurwitz import _GUARD
-from .interval import ComplexBox, RealInterval, _cos_sin, _narrow, pi_interval
+from .interval import ComplexBox, RealInterval, _narrow
 
 # the precision of the Gauss sums in integer fixed point: their unity
 # tables carry guard bits above it (CharGroup._fixed_unity_tables), so
@@ -229,9 +229,6 @@ class CharGroup:
     def conjugate(self, idx) -> tuple[int, ...]:
         return tuple((-k) % o for k, o in zip(idx, self.orders))
 
-    def is_real(self, idx) -> bool:
-        return self.conjugate(tuple(idx)) == tuple(idx)
-
     # -- exact phase evaluation ----------------------------------------------
 
     def phase_numerator(self, idx, n: int) -> int | None:
@@ -250,13 +247,6 @@ class CharGroup:
         if c is None:
             return None
         return Fraction(c, self.exponent)
-
-    def eval_char(self, idx, n: int) -> ComplexBox:
-        """chi(n) as a hardware box; 0 when gcd(n, q) > 1."""
-        ph = self.phase(idx, n)
-        if ph is None:
-            return ComplexBox.zero()
-        return unit_phase(ph)
 
     def phase_numerators(self, idx, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched phase_numerator: (c, ok) with chi(n) = e(c / exponent) where ok.
@@ -326,19 +316,6 @@ class CharGroup:
 
     def primitive_indices(self):
         return [idx for idx in self.all_indices() if self.is_primitive(idx)]
-
-    def conjugate_pairs(self):
-        """Primitive (chi, chibar) pairs, each unordered pair listed once."""
-        seen = set()
-        out = []
-        for idx in self.primitive_indices():
-            if idx in seen:
-                continue
-            conj = self.conjugate(idx)
-            seen.add(idx)
-            seen.add(conj)
-            out.append((idx, conj))
-        return out
 
     # -- Gauss sum and root number --------------------------------------------
 
@@ -505,24 +482,6 @@ def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]
 @lru_cache(maxsize=64)
 def char_group(q: int) -> CharGroup:
     return CharGroup(q)
-
-
-# ---------------------------------------------------------------------------
-# complex embedding of exact phases
-
-
-def unit_phase(fr: Fraction) -> ComplexBox:
-    """e(fr) = exp(2 pi i fr) for an exact rational number of turns."""
-    fr = fr % 1
-    if fr.denominator == 1:
-        return ComplexBox.one()
-    if fr.denominator == 2:
-        return -ComplexBox.one()
-    if fr.denominator == 4:
-        one = RealInterval.one()
-        return ComplexBox(RealInterval.zero(), one if fr.numerator == 1 else -one)
-    theta = pi_interval() * RealInterval.from_fraction(2 * fr)
-    return ComplexBox(*_cos_sin(theta))
 
 
 def index_label(q: int, idx) -> str:

@@ -15,19 +15,21 @@ Two stages, the build and the query, on one Euler-Maclaurin kernel
   ulps; every base (m/D)^{-s} is then an exact Gaussian-integer
   fixed-point product of a prime's ball and a smaller base's, down to
   D^{s}.  Its bases m/D are rounded in one numpy pass, and its
-  per-column constants are exact integer ratios, each rounded once.  Its
-  row count D defaults to ``lattice_size(t)``, from the height alone;
-* ``unit_hurwitz`` — Taylor-shift queries against that grid for the
-  rational second arguments a/q of every unit a mod q at once: each a/q
-  reads its nearest row, |a/q - r/D| <= 1/(2D), in a fixed number of
-  interval-array operations per block of units, with exact Taylor
-  coefficients, a geometric bound on the truncated Taylor tail and
-  exact restoration of the first M+1 direct terms.
+  per-column constants are exact integer ratios, each rounded once.
+  Every lattice has one shape, DEFAULT_NCOLS + 1 columns, the head
+  length DEFAULT_M + 1 and the build precision DEFAULT_BUILD_BITS; only
+  its row count D follows the height, lattice_size(t) unless given;
+* ``unit_hurwitz`` — Taylor-shift queries against a block of those
+  grids for the rational second arguments a/q of every unit a mod q at
+  once: each a/q reads its nearest row, |a/q - r/D| <= 1/(2D), in a
+  fixed number of interval-array operations per block of units, with
+  exact Taylor coefficients, a geometric bound on the truncated Taylor
+  tail and exact restoration of the first M+1 direct terms.
 
-Both stages also take a block of ordinates that share a lattice shape
-(D and the truncation (a, b), _truncation), with the ordinates on a
-leading array axis: _build_block makes the block's lattices in one
-_em_rows pass, and unit_hurwitz reads a block of lattices in one query.
+Both stages take a block of ordinates that share a row count D and the
+truncation (a, b) (_truncation), with the ordinates on a leading array
+axis: _build_block makes the block's lattices in one _em_rows pass, and
+unit_hurwitz reads a block of lattices in one query.
 What does not depend on t is made once per block: the bases m/D, their
 reciprocals and the remainder's A^(-sigma_c-2b) in the build, each
 prime's integer root and log in the sieve, and the powers of -delta and
@@ -71,7 +73,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, PoleProximity, RadiusViolation
-from .interval import ComplexBox, RealInterval, _narrow, _ratio_ends, bernoulli
+from .interval import RealInterval, _narrow, _ratio_ends, bernoulli
 from .ivec import CVec, IVec
 
 # the cap of the default row count (lattice_size)
@@ -516,30 +518,18 @@ class HurwitzLattice:
     """Grid of tail values zeta_M(1/2 + it + c, r/D) as one interval array.
 
     Rows r = 0..D hold the offset r/D (row 0 is 0 and row D is 1);
-    columns c = 0..Ncols shift the first argument by integers.  Each cell
+    columns c = 0..Ncols shift the first argument by integers, with
+    Ncols = DEFAULT_NCOLS and M = DEFAULT_M for every lattice.  Each cell
     contains the tail sum_{n>M} (n + r/D)^{-(1/2+it+c)}, which is
     zeta(1/2+it+c, M + 1 + r/D).  rows is the hardware CVec of shape
     (D+1, Ncols+1) that an _em_rows call fills, alone or as one ordinate
-    of a block, row r at index r; bits
-    is that build's precision (the trust precision of its powers and the
-    target of its truncation).  Immutable once built; queries only read.
+    of a block, row r at index r, cell (r, c) at rows[r, c].  Immutable
+    once built; queries only read.
     """
 
     t: float
     D: int
-    Ncols: int
-    M: int
-    bits: int
     rows: CVec = field(repr=False)
-
-    def cell(self, r: int, c: int) -> ComplexBox:
-        """Cell for row r (0..D) and column c (0..Ncols)."""
-        if not (0 <= r <= self.D):
-            raise IndexError(f"row {r} outside 0..{self.D}")
-        if not (0 <= c <= self.Ncols):
-            raise IndexError(f"column {c} outside 0..{self.Ncols}")
-        return self.rows[r, c]
-
 
 
 # the most the default row count lets a Taylor shift amplify cell widths
@@ -570,25 +560,18 @@ def lattice_size(t: float) -> int:
     return D
 
 
-def build_lattice(
-    t: float,
-    D: int | None = None,
-    Ncols: int = DEFAULT_NCOLS,
-    M: int = DEFAULT_M,
-    bits: int = DEFAULT_BUILD_BITS,
-    cache_dir: str | Path | None = None,
-    cache: bool = True,
-) -> HurwitzLattice:
-    """Build (or load from cache) the lattice at ordinate t.
+def build_lattice(t: float, D: int | None = None, cache_dir: str | Path | None = None) -> HurwitzLattice:
+    """Build (or load from cache_dir) the lattice at ordinate t.
 
     D defaults to lattice_size(t), the fewest rows whose Taylor shifts
-    keep a query's width at the height t; an explicit D wins.
+    keep a query's width at the height t; an explicit D wins.  Every
+    lattice has the one shape DEFAULT_NCOLS, DEFAULT_M and
+    DEFAULT_BUILD_BITS.
 
-    bits sets the build's precision, at least 64 (fewer raise
-    ValueError before any work): auto_params takes the Euler-Maclaurin
-    truncation (a, b) for every row from the exact s_0 = 1/2 + it, row
-    1's offset 1/D + M + 1 and bits (_truncation), and the powers
-    (n + alpha)^{-s_0} are trusted to a few ulps at it.  Row 0, at offset
+    auto_params takes the Euler-Maclaurin truncation (a, b) for every row
+    from the exact s_0 = 1/2 + it, row 1's offset 1/D + M + 1 and
+    DEFAULT_BUILD_BITS (_truncation), and the powers (n + alpha)^{-s_0}
+    are trusted to a few ulps at those bits.  Row 0, at offset
     M + 1, reuses that truncation, with a remainder enclosed at its own
     boundary point A (_em_rows): the choice sets a little of row 0's
     width, never its containment.  Choosing at M + 1 instead would raise a
@@ -598,56 +581,49 @@ def build_lattice(
     is an exact fixed-point product of those balls, and row 0's bases
     (n + M + 1) D are row D's shifted by one n.  The build works in
     fixed-point balls, Gaussian integers, exact rationals and hardware
-    interval arrays, and the returned lattice is hardware.  With cache
-    enabled the result is persisted keyed by (t, D, Ncols, M, bits).
+    interval arrays, and the returned lattice is hardware.  The result is
+    persisted in cache_dir (_cache_path), keyed by (t, D).
 
     A lattice built here is one ordinate's _em_rows pass; _build_block
     builds a block of ordinates in one pass, cell for cell the same, and
     hands each to the next build_lattice call for its file, which then
     reads nothing from disk.
     """
-    if bits < 64:
-        raise ValueError(f"bits = {bits}: a lattice build needs at least 64 bits")
     t = float(t)
     if D is None:
         D = lattice_size(t)
-    if D < 2 or Ncols < 2 or M < 0:
-        raise DomainError("need D >= 2, Ncols >= 2, M >= 0")
+    if D < 2:
+        raise DomainError("need D >= 2")
 
-    if not cache:
-        return _build([t], D, Ncols, M, bits)[0]
-    path = _cache_path(cache_dir, t, D, Ncols, M, bits)
+    path = _cache_path(cache_dir, t, D)
     lat = _fresh.pop(path, None)
     if lat is not None:
         return lat
     if path.is_file():
         try:
-            return load_lattice(path, expect=(t, D, Ncols, M, bits))
+            return load_lattice(path, expect=(t, D))
         except ValueError:
             pass  # not the requested lattice, or damaged: rebuilt and overwritten
-    lat = _build([t], D, Ncols, M, bits)[0]
+    lat = _build([t], D)[0]
     save_lattice(lat, path)
     return lat
 
 
-def _truncation(t: float, D: int, M: int = DEFAULT_M, bits: int = DEFAULT_BUILD_BITS) -> tuple[int, int]:
-    """The truncation (a, b) of every row of the lattice at (t, D, M, bits),
-    chosen at row 1 (see build_lattice)."""
+def _truncation(t: float, D: int) -> tuple[int, int]:
+    """The truncation (a, b) of every row of the lattice at (t, D), chosen
+    at row 1 (see build_lattice)."""
     if D < 2:
-        raise DomainError("need D >= 2, Ncols >= 2, M >= 0")
-    return auto_params(_HALF, t, Fraction(1, D) + M + 1, bits)
+        raise DomainError("need D >= 2")
+    return auto_params(_HALF, t, Fraction(1, D) + DEFAULT_M + 1, DEFAULT_BUILD_BITS)
 
 
-def _build(ts: list[float], D: int, Ncols: int, M: int, bits: int) -> list[HurwitzLattice]:
+def _build(ts: list[float], D: int) -> list[HurwitzLattice]:
     """The lattices at the ordinates ts, which share D and the truncation
     of ts[0], from one _em_rows pass."""
-    alphas = [Fraction(r, D) + (M + 1) for r in range(D + 1)]
-    rows = _em_rows(ts, _HALF, alphas, Ncols, *_truncation(ts[0], D, M, bits), bits)
+    alphas = [Fraction(r, D) + (DEFAULT_M + 1) for r in range(D + 1)]
+    rows = _em_rows(ts, _HALF, alphas, DEFAULT_NCOLS, *_truncation(ts[0], D), DEFAULT_BUILD_BITS)
     # each lattice owns its rows, so a kept one keeps no other's alive
-    return [
-        HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=rows[i].copy())
-        for i, t in enumerate(ts)
-    ]
+    return [HurwitzLattice(t=t, D=D, rows=rows[i].copy()) for i, t in enumerate(ts)]
 
 
 # lattices _build_block saved that no build_lattice call has returned yet,
@@ -656,30 +632,28 @@ _fresh: dict[Path, HurwitzLattice] = {}
 
 
 def _build_block(ts: list[float], D: int, cache_dir) -> None:
-    """Build and save, in one _em_rows pass, the default-shaped lattices
-    (Ncols, M and bits at their defaults) at those of ts whose file
-    cache_dir does not hold.
+    """Build and save, in one _em_rows pass, the lattices with D rows at
+    those of ts whose file cache_dir does not hold.
 
     ts must share the row count D and the truncation (_truncation).  Each
     lattice is kept in memory until build_lattice is asked for its file,
     so the caller gets it from build_lattice with no disk read.
     """
     _fresh.clear()
-    key = (D, DEFAULT_NCOLS, DEFAULT_M, DEFAULT_BUILD_BITS)
-    paths = {t: _cache_path(cache_dir, t, *key) for t in ts}
+    paths = {t: _cache_path(cache_dir, t, D) for t in ts}
     todo = [t for t in ts if not paths[t].is_file()]
     if todo:
-        for lat in _build(todo, *key):
+        for lat in _build(todo, D):
             save_lattice(lat, paths[lat.t])
             _fresh[paths[lat.t]] = lat
 
 
-def _cache_path(cache_dir, t: float, D: int, Ncols: int, M: int, bits: int) -> Path:
+def _cache_path(cache_dir, t: float, D: int) -> Path:
     if cache_dir is None:
         cache_dir = os.environ.get("GRHDESK_CACHE")
     if cache_dir is None:
         cache_dir = Path.home() / ".cache" / "grhdesk"
-    name = f"hurlat_t{t!r}_D{D}_N{Ncols}_M{M}_b{bits}.dat"
+    name = f"hurlat_t{t!r}_D{D}_N{DEFAULT_NCOLS}_M{DEFAULT_M}_b{DEFAULT_BUILD_BITS}.dat"
     return Path(cache_dir) / name
 
 
@@ -691,15 +665,16 @@ _MAGIC = "hurwitz-lattice 4"
 def save_lattice(lat: HurwitzLattice, path: str | Path) -> None:
     """Write a two-line text header, then the endpoint block of lat.rows.
 
-    The header is _MAGIC, then "t D Ncols M bits a b" in decimal, (a, b)
-    the truncation build_lattice takes for (t, D, M, bits).  The block,
-    shape (2, 2, D + 1, Ncols + 1) indexed (re/im, lo/hi, row, column), is
-    raw little-endian float64 in C order.  The directory is made if
+    The header is _MAGIC, then "t D Ncols M bits a b" in decimal: the
+    lattice's (t, D), the shape DEFAULT_NCOLS, DEFAULT_M and
+    DEFAULT_BUILD_BITS, and the truncation (a, b) build_lattice takes for
+    (t, D).  The block, shape (2, 2, D + 1, Ncols + 1) indexed (re/im,
+    lo/hi, row, column), is raw little-endian float64 in C order.  The directory is made if
     missing, and the file is written whole before it replaces the path.
     """
     path = Path(path)
-    a, b = _truncation(lat.t, lat.D, lat.M, lat.bits)
-    head = f"{_MAGIC}\n{lat.t!r} {lat.D} {lat.Ncols} {lat.M} {lat.bits} {a} {b}\n"
+    a, b = _truncation(lat.t, lat.D)
+    head = f"{_MAGIC}\n{lat.t!r} {lat.D} {DEFAULT_NCOLS} {DEFAULT_M} {DEFAULT_BUILD_BITS} {a} {b}\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(head.encode() + lat.rows.e.astype("<f8").tobytes())
@@ -709,10 +684,11 @@ def save_lattice(lat: HurwitzLattice, path: str | Path) -> None:
 def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattice:
     """Read a lattice file written by save_lattice.
 
-    With expect = (t, D, Ncols, M, build bits), a file whose header names
-    any other lattice raises ValueError.  So does a file built under
-    another truncation than build_lattice takes for its (t, D, M, bits),
-    a malformed file, a body of any other length than the block's, and a
+    A file whose header names another shape (Ncols, M, build bits) than
+    the package's one raises ValueError, and with expect = (t, D) so does
+    a file whose header names any other lattice.  So does a file built
+    under another truncation than build_lattice takes for its (t, D), a
+    malformed file, a body of any other length than the block's, and a
     cell whose endpoints are not ordered lo <= hi (NaN included).
     """
     path = Path(path)
@@ -724,12 +700,14 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
         raise ValueError(f"malformed lattice header in {path}")
     t = float(fields[0])
     D, Ncols, M, bits, a, b = (int(v) for v in fields[1:])
-    if D < 2 or Ncols < 2 or M < 0:
+    if (Ncols, M, bits) != (DEFAULT_NCOLS, DEFAULT_M, DEFAULT_BUILD_BITS):
+        raise ValueError(f"{path} holds a lattice of shape {(Ncols, M, bits)}, not the package's")
+    if D < 2:
         raise ValueError(f"malformed lattice header in {path}")
-    if expect is not None and (t, D, Ncols, M, bits) != tuple(expect):
-        raise ValueError(f"{path} holds lattice {(t, D, Ncols, M, bits)}, not {expect}")
-    if (a, b) != _truncation(t, D, M, bits):
-        raise ValueError(f"{path} was built under truncation {(a, b)}, not {_truncation(t, D, M, bits)}")
+    if expect is not None and (t, D) != tuple(expect):
+        raise ValueError(f"{path} holds lattice {(t, D)}, not {expect}")
+    if (a, b) != _truncation(t, D):
+        raise ValueError(f"{path} was built under truncation {(a, b)}, not {_truncation(t, D)}")
     shape = (2, 2, D + 1, Ncols + 1)
     if len(body) != 8 * math.prod(shape):
         raise ValueError(f"lattice body in {path} is cut short or malformed")
@@ -738,7 +716,7 @@ def load_lattice(path: str | Path, expect: tuple | None = None) -> HurwitzLattic
     with np.errstate(invalid="ignore"):
         if not (e[:, 0] <= e[:, 1]).all():
             raise ValueError(f"lattice body in {path} has a cell with lo > hi or a NaN end")
-    return HurwitzLattice(t=t, D=D, Ncols=Ncols, M=M, bits=bits, rows=CVec.from_block(e))
+    return HurwitzLattice(t=t, D=D, rows=CVec.from_block(e))
 
 
 # ---------------------------------------------------------------------------
@@ -802,18 +780,18 @@ def _shift_coefs(ts: list[float], n: int) -> CVec:
 _UNIT_BLOCK = 4096
 
 
-def unit_hurwitz(lat: HurwitzLattice | Sequence[HurwitzLattice], q: int, units: np.ndarray) -> CVec:
-    """zeta(1/2 + i lat.t, a/q) for every a in units, batched.
+def unit_hurwitz(lats: Sequence[HurwitzLattice], q: int, units: np.ndarray) -> CVec:
+    """zeta(1/2 + i lat.t, a/q) for every lattice lat of lats and every a in units.
 
-    lat is one lattice, or a block of lattices of one shape (D, Ncols, M)
-    at several ordinates; a block's values carry a leading axis over its
-    lattices, in order, and cost the interval-array calls of one lattice.
-    Each a/q takes the row r in 0..D nearest to it (ties toward the
-    larger r), so |delta| <= 1/(2D) for delta = a/q - r/D, shifts that
-    row by delta through Ncols Taylor terms, bounds the truncated Taylor
-    tail geometrically, and restores the first M+1 direct terms at the
-    exact argument a/q; a unit below 1/(2D) reads row 0, offset M + 1,
-    the same way as any other.  The work is a fixed number of
+    lats is a block of lattices of one row count D at one or more
+    ordinates; the values, shape (len(lats), len(units)), carry a leading
+    axis over the lattices, in order, and cost the interval-array calls
+    of one lattice.  Each a/q takes the row r in 0..D nearest to it
+    (ties toward the larger r), so |delta| <= 1/(2D) for
+    delta = a/q - r/D, shifts that row by delta through Ncols Taylor
+    terms, bounds the truncated Taylor tail geometrically, and restores
+    the first M+1 direct terms at the exact argument a/q; a unit below
+    1/(2D) reads row 0, offset M + 1, the same way as any other.  The work is a fixed number of
     interval-array operations per block of _UNIT_BLOCK units
     (_unit_block); every operation is elementwise over the units and the
     ordinates, so neither kind of block changes an endpoint.  One tail
@@ -822,10 +800,9 @@ def unit_hurwitz(lat: HurwitzLattice | Sequence[HurwitzLattice], q: int, units: 
     |delta| and the smallest row bound every unit.  Each a must satisfy
     0 < a < q and gcd(a, q) = 1.
     """
-    lats = [lat] if isinstance(lat, HurwitzLattice) else list(lat)
-    D, Ncols, M = lats[0].D, lats[0].Ncols, lats[0].M
-    if any((x.D, x.Ncols, x.M) != (D, Ncols, M) for x in lats):
-        raise ValueError("a block of lattices needs one shape (D, Ncols, M)")
+    D = lats[0].D
+    if any(x.D != D for x in lats):
+        raise ValueError("a block of lattices needs one row count D")
     units = np.asarray(units, dtype=np.int64)
     if not ((0 < units) & (units < q) & (np.gcd(units, q) == 1)).all():
         raise DomainError(f"need 0 < a < q and gcd(a, q) = 1 for every unit mod {q}")
@@ -835,25 +812,23 @@ def unit_hurwitz(lat: HurwitzLattice | Sequence[HurwitzLattice], q: int, units: 
     d_max = int(np.abs(neg_num).max(initial=0))
     coefs = pad = None
     if d_max:
-        coefs = _shift_coefs(ts, Ncols)[:, 1:]
-        radius = Fraction(int(rows.min()), D) + (M + 1)
+        coefs = _shift_coefs(ts, DEFAULT_NCOLS)[:, 1:]
+        radius = Fraction(int(rows.min()), D) + (DEFAULT_M + 1)
         delta = Fraction(d_max, q * D)
         s_mags = [fraction_sqrt_upper(Fraction(1, 4) + Fraction(t) ** 2) for t in ts]
-        tails = [taylor_tail_bound(s_mag, delta, radius, Ncols + 1) for s_mag in s_mags]
+        tails = [taylor_tail_bound(s_mag, delta, radius, DEFAULT_NCOLS + 1) for s_mag in s_mags]
         pad = np.array([RealInterval.from_fraction(tail).hi for tail in tails]).reshape(-1, 1)
     cells = CVec.from_block(np.stack([x.rows.e for x in lats], axis=2))
     blocks = []
     for i in range(0, max(len(units), 1), _UNIT_BLOCK):  # one block if empty
         part = slice(i, i + _UNIT_BLOCK)
-        blocks.append(_unit_block(cells, ts, M, q, units[part], rows[part], neg_num[part], coefs, pad))
-    out = blocks[0] if len(blocks) == 1 else CVec.concatenate(blocks, axis=1)
-    return out[0] if isinstance(lat, HurwitzLattice) else out
+        blocks.append(_unit_block(cells, ts, q, units[part], rows[part], neg_num[part], coefs, pad))
+    return blocks[0] if len(blocks) == 1 else CVec.concatenate(blocks, axis=1)
 
 
 def _unit_block(
     lattices: CVec,
     ts: list[float],
-    M: int,
     q: int,
     units: np.ndarray,
     rows: np.ndarray,
@@ -892,10 +867,10 @@ def _unit_block(
         acc = (acc + shift).pad(pad)
 
     # restore the removed head sum_{n<=M} (n + a/q)^(-s) at the exact argument
-    lg = IVec.from_ratios(units + q * np.arange(M + 1).reshape(-1, 1), q).log()
+    lg = IVec.from_ratios(units + q * np.arange(DEFAULT_M + 1).reshape(-1, 1), q).log()
     phase = lg * -np.array(ts).reshape(-1, 1, 1)
     head = CVec(phase.cos(), phase.sin()) * (lg * -0.5).exp()
-    for n in range(M + 1):
+    for n in range(DEFAULT_M + 1):
         acc = acc + head[:, n]
     return acc
 

@@ -202,11 +202,6 @@ class RealInterval:
         return RealInterval(*_ratio_ends(fr.numerator, fr.denominator), _raw=True)
 
     @staticmethod
-    def from_decimal(s: str) -> "RealInterval":
-        """Enclosure of an exact decimal literal such as '1.8397'."""
-        return RealInterval.from_fraction(Fraction(s))
-
-    @staticmethod
     def zero() -> "RealInterval":
         return RealInterval(0.0, 0.0, _raw=True)
 
@@ -249,9 +244,6 @@ class RealInterval:
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
-    def contains_interval(self, other: "RealInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "RealInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -263,11 +255,7 @@ class RealInterval:
             return -1
         return 0
 
-    # -- lattice ops -------------------------------------------------------
-
-    def hull(self, other: "RealInterval") -> "RealInterval":
-        b = _coerce(other)
-        return RealInterval(min(self.lo, b.lo), max(self.hi, b.hi), _raw=True)
+    # -- widening ---------------------------------------------------------
 
     def pad(self, bound: "RealInterval") -> "RealInterval":
         """Widen by [-r, r] where r is the upper endpoint of `bound` (>= 0)."""

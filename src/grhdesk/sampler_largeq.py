@@ -20,7 +20,7 @@ which the small-q sampler ends in too).
 
 Ordinates go through in blocks.  A call's ordinates that have no
 (q, ordinate) table yet are cut into blocks of consecutive ordinates that
-share a lattice shape, the row count and the Euler-Maclaurin truncation,
+share a lattice row count and Euler-Maclaurin truncation,
 each holding at most _BLOCK_CELLS cells in its largest array (_blocks).
 A block's missing lattices are built in one Euler-Maclaurin pass
 (hurwitz._build_block) and saved, one file per ordinate, then taken from
@@ -197,22 +197,21 @@ def q_pow(q: int, t: float) -> ComplexBox:
     return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
-def l_values_at(q: int, lat: HurwitzLattice | Sequence[HurwitzLattice]) -> CVec:
-    """L_chi(1/2 + i lat.t) for every character mod q, in one transform.
+def l_values_at(q: int, lats: Sequence[HurwitzLattice]) -> CVec:
+    """L_chi(1/2 + i lat.t) for every character mod q and every lattice
+    lat of lats, a block of lattices of one row count D, in one transform.
 
-    A flat CVec of phi(q) values in np.ndindex order over the group's
-    orders: the character idx sits at np.ravel_multi_index(idx, orders).
-    lat may also be a block of lattices of one shape at several
-    ordinates: then each ordinate's phi(q) values follow the last's, in
-    the block's order, from one unit query and one group DFT over the
-    whole block.  The imprimitive characters come out of the same DFT at
-    no extra cost; they are returned too, though only primitive ones get
-    certified.
+    A flat CVec of len(lats) * phi(q) values: each ordinate's phi(q)
+    values follow the last's, in the block's order, from one unit query
+    and one group DFT over the whole block, and within an ordinate they
+    lie in np.ndindex order over the group's orders: the character idx
+    sits at np.ravel_multi_index(idx, orders).  The imprimitive
+    characters come out of the same DFT at no extra cost; they are
+    returned too, though only primitive ones get certified.
     """
     if q < 3:
         raise DomainError("need q >= 3")
     group = char_group(q)
-    lats = [lat] if isinstance(lat, HurwitzLattice) else list(lat)
     zvals = unit_hurwitz(lats, q, units_of(group))
     scale = CVec.from_boxes([q_pow(q, x.t) for x in lats]).reshape(-1, 1)
     values = group_dft_cvec(group, zvals).reshape(len(lats), group.phi) * scale
@@ -294,7 +293,7 @@ def _keep(cache: dict, key, value) -> None:
 
 def _blocks(ts: list[float], size: int | None, phi: int):
     """ts, in order, cut into blocks of consecutive ordinates that share a
-    lattice shape (its row count D and truncation) and whose arrays hold
+    lattice row count D and truncation and whose arrays hold
     at most _BLOCK_CELLS cells, as (D, block); an ordinate that alone
     holds more is a block of its own."""
     block, shape = [], None
@@ -415,11 +414,12 @@ def sample_range(
 
     The first call at a (q, ordinate) pair computes the L-values of all
     phi(q) characters, in one l_values_at pass for each block of such
-    ordinates that share a lattice shape, and keeps them in an in-memory
-    table per ordinate, with the completion factor of each parity beside
-    them; later calls for any character of q at that ordinate read that
-    table, so a call then costs one array completion step, (epsilon C) L
-    with the realness check and the projection, over all its ordinates.
+    ordinates that share a lattice row count and truncation, and keeps
+    them in an in-memory table per ordinate, with the completion factor
+    of each parity beside them; later calls for any character of q at
+    that ordinate read that table, so a call then costs one array
+    completion step, (epsilon C) L with the realness check and the
+    projection, over all its ordinates.
     The last 8 tables made are kept; each holds phi(q) array cells of 32
     bytes (32 KB at q = 1009).  The character's root number
     and completion constant come from CharGroup.char_meta, which runs

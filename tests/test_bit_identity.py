@@ -18,6 +18,8 @@ from grhdesk.hurwitz import build_lattice
 from grhdesk.sampler_largeq import l_values_at, sample_all, sample_range
 from grhdesk.sampler_smallq import default_plan, smallq_all
 
+from lattices import lattice
+
 
 def _cvec_digest(v) -> str:
     """Shape, then (re.lo, re.hi, im.lo, im.hi) of each cell in row-major order."""
@@ -64,6 +66,10 @@ LATTICE_WHOLE_PINS = {
     (300.0, 64): "7abc4cd5cb5d788e0d640ca5b5a32982ffa7c8e49b34fee274caa615294b60b6",
 }
 
+# the one file build_lattice(16.0, D=4) writes to an empty cache_dir: its
+# name, a NUL, then its bytes (header and endpoint block)
+LATTICE_FILE_PIN = "52359d3961cf84d9954fa1b61e69dc56e9eb38d2c4e80df2494b88c06ed320b3"
+
 SAMPLE_ALL_PIN = "151ab0acd49773c55b59a887e851318dc5f2d7c78788aee313ec587a1df23e9f"
 SAMPLE_RANGE_PIN = "af84d6b8f1350eed4385e6f52129a6bb428573c436b1aa1cbcb198caf6208076"
 SMALLQ_PIN = "eaa66429cef02a2d23294f434ffe352979a942cdc9721992bb45e40e34dddeaf"
@@ -71,12 +77,12 @@ SMALLQ_PIN = "eaa66429cef02a2d23294f434ffe352979a942cdc9721992bb45e40e34dddeaf"
 
 @pytest.fixture(scope="module")
 def lat64():
-    return build_lattice(16.0, D=64, cache=False)
+    return lattice(16.0, 64)
 
 
 @pytest.mark.parametrize("D", sorted(LATTICE_PINS))
 def test_lattice_rows_are_pinned(D):
-    rows = build_lattice(16.0, D=D, cache=False).rows
+    rows = lattice(16.0, D).rows
     assert rows.shape == (D + 1, 16)
     got = _cvec_digest(rows[1:])
     assert got == LATTICE_PINS[D], got
@@ -86,13 +92,24 @@ def test_lattice_rows_are_pinned(D):
 
 @pytest.mark.parametrize("t, D", sorted(LATTICE_WHOLE_PINS))
 def test_whole_lattice_is_pinned(t, D):
-    got = _cvec_digest(build_lattice(t, D=D, cache=False).rows)
+    got = _cvec_digest(lattice(t, D).rows)
     assert got == LATTICE_WHOLE_PINS[t, D], got
+
+
+def test_lattice_file_is_pinned(tmp_path):
+    lat = build_lattice(16.0, D=4, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    assert path.name == "hurlat_t16.0_D4_N15_M9_b64.dat"
+    h = hashlib.sha256(path.name.encode() + b"\0")
+    h.update(path.read_bytes())
+    assert h.hexdigest() == LATTICE_FILE_PIN, h.hexdigest()
+    # and the file reads back as the lattice that wrote it
+    assert np.array_equal(build_lattice(16.0, D=4, cache_dir=tmp_path).rows.e, lat.rows.e)
 
 
 @pytest.mark.parametrize("q", sorted(LVALUE_PINS))
 def test_l_values_are_pinned(q, lat64):
-    got = _cvec_digest(l_values_at(q, lat64))
+    got = _cvec_digest(l_values_at(q, [lat64]))
     assert got == LVALUE_PINS[q], got
 
 

@@ -19,11 +19,11 @@ from grhdesk.characters import (
     factorize,
     index_label,
     parse_index_label,
-    unit_phase,
 )
 from grhdesk.errors import NotPrimitive, QTooSmall
 from grhdesk.interval import ComplexBox
 
+from char_oracle import eval_char, unit_phase
 from em_oracle import covers, ends, holds, iv_complex, iv_real, ivprec, meets
 
 
@@ -198,20 +198,20 @@ def test_crt_reconstruction_unique():
 def test_principal_character_is_one():
     g = CharGroup(7)
     for n in (1, 2, 3, 10):
-        assert g.eval_char(g.principal(), n).re.contains(1)
-        assert g.eval_char(g.principal(), n).im.contains(0)
+        assert eval_char(g, g.principal(), n).re.contains(1)
+        assert eval_char(g, g.principal(), n).im.contains(0)
 
 
 def test_nontrivial_mod4_at_3():
     g = CharGroup(4)
-    v = g.eval_char((1,), 3)
+    v = eval_char(g, (1,), 3)
     assert v.re.contains(-1) and v.im.contains(0)
 
 
 def test_char_vanishes_off_units():
     g = CharGroup(12)
     for idx in g.all_indices():
-        v = g.eval_char(idx, 12)
+        v = eval_char(g, idx, 12)
         assert v.re.lo == 0 and v.re.hi == 0
         assert g.phase(idx, 8) is None
 
@@ -289,18 +289,6 @@ def test_primitive_count_zero_for_2_mod_4():
         assert not CharGroup(q).primitive_indices()
 
 
-def test_conjugate_pairs_cover_primitives():
-    g = CharGroup(40)
-    pairs = g.conjugate_pairs()
-    flat = set()
-    for a, b in pairs:
-        flat.add(a)
-        flat.add(b)
-    assert flat == set(g.primitive_indices())
-    for a, b in pairs:
-        assert g.conjugate(a) == b and g.conjugate(b) == a
-
-
 def test_conjugate_involution():
     g = CharGroup(35)
     for idx in g.all_indices():
@@ -344,7 +332,7 @@ def test_root_number_quadratic_mod5():
     g = CharGroup(5)
     quad = None
     for idx in g.all_indices():
-        if idx != g.principal() and g.is_real(idx):
+        if idx != g.principal() and g.conjugate(idx) == idx:
             quad = idx
     assert quad is not None
     x, y, r = gauss_disc(g, quad)
@@ -433,7 +421,8 @@ def test_root_number_modulus_one_random_primitives():
 
 def test_root_number_conjugate_intersects_conj():
     g = CharGroup(13)
-    for idx, conj in g.conjugate_pairs()[:4]:
+    for idx in g.primitive_indices()[:4]:
+        conj = g.conjugate(idx)
         e1 = g.root_number(idx)
         e2 = g.root_number(conj)
         assert e1.conj().intersects(e2)
@@ -471,7 +460,7 @@ def test_lambda_prefactor_real_for_quadratic():
     # real primitive characters have root number 1, so the prefactor is +-1
     for q, idx in [(5, (2,)), (8, (0, 1)), (12, (1, 1))]:
         g = CharGroup(q)
-        assert g.is_real(idx) and g.is_primitive(idx)
+        assert g.conjugate(idx) == idx and g.is_primitive(idx)
         for w in (oracle_root_and_constant(g, idx)[1], g.char_meta(idx).epsilon):
             assert holds(w, 1, 0) or holds(w, -1, 0)
 
@@ -487,7 +476,7 @@ def _epsilon_cases():
         g = char_group(q)
         prim = g.primitive_indices()
         picks = {int(pos) for pos in rng.choice(len(prim), size=12, replace=False)}
-        real = [i for i, idx in enumerate(prim) if g.is_real(idx)]
+        real = [i for i, idx in enumerate(prim) if g.conjugate(idx) == idx]
         for pos in sorted(picks | set(real)):
             yield g, prim[pos]
 

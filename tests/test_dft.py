@@ -21,6 +21,7 @@ from grhdesk.dft import (
 from grhdesk.interval import ComplexBox, RealInterval
 from grhdesk.ivec import CVec
 
+from char_oracle import eval_char
 from em_oracle import ends, iv_real, ivprec
 
 RNG = np.random.default_rng(1729)
@@ -223,7 +224,7 @@ def naive_char_sums(g: CharGroup, vals: CVec) -> dict:
     for idx in g.all_indices():
         acc = ComplexBox.zero()
         for i, n in enumerate(units):
-            acc = acc + vals[i] * g.eval_char(idx, n)
+            acc = acc + vals[i] * eval_char(g, idx, n)
         out[idx] = acc
     return out
 

@@ -20,6 +20,8 @@ from mpmath import iv
 from grhdesk import hurwitz
 from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
 from grhdesk.hurwitz import (
+    DEFAULT_M,
+    DEFAULT_NCOLS,
     HurwitzLattice,
     _ball,
     _ball_mul,
@@ -52,6 +54,7 @@ from em_oracle import (
     meets,
     width,
 )
+from lattices import lattice
 
 # the precision of the oracle where its enclosure must be far narrower than a double's
 BIG = 96
@@ -81,7 +84,7 @@ def cell_hex(lat, r: int, c: int) -> str:
 
 def query(lat, a: int, q: int) -> ComplexBox:
     """The lattice query for one residue a/q."""
-    return unit_hurwitz(lat, q, np.array([a]))[0]
+    return unit_hurwitz([lat], q, np.array([a]))[0, 0]
 
 
 # -- em_hurwitz --------------------------------------------------------------
@@ -264,24 +267,24 @@ def test_lattice_kernel_contains_oracles_off_dyadic_rows(t):
     # and boundary point start from a rounded enclosure of alpha.  Every
     # cell meets the scalar Euler-Maclaurin oracle (run at 53 bits to
     # keep 192 cells per ordinate fast), and row D contains mpmath's value
-    D, ncols, M = 12, 15, 9
-    lat = build_lattice(t, D=D, Ncols=ncols, M=M, bits=64, cache=False)
+    D, ncols, M = 12, DEFAULT_NCOLS, DEFAULT_M
+    lat = lattice(t, D)
     for r in range(1, D + 1):
         for c in range(ncols + 1):
             oracle = em_hurwitz_tail(complex(0.5 + c, t), Fraction(r, D), skip=M + 1)
-            assert meets(lat.cell(r, c), oracle), (t, r, c)
+            assert meets(lat.rows[r, c], oracle), (t, r, c)
     for c in range(ncols + 1):
         with mpmath.workprec(300):
             s = mpmath.mpf(1) / 2 + c + 1j * mpmath.mpf(t)
             ref = mpmath.mpc(mpmath.zeta(s) - sum((n + 1) ** (-s) for n in range(M + 1)))
             fre, fim = mp_fraction(ref.real), mp_fraction(ref.imag)
-        assert holds(lat.cell(D, c), fre, fim), (t, c)
+        assert holds(lat.rows[D, c], fre, fim), (t, c)
 
 
 def test_lattice_kernel_width():
     # widths are a correctness quantity: the hardware stages of the kernel
     # leave about 3e-15 at column 0, where the cells are largest
-    lat = build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    lat = lattice(16.0, 64)
     for row in lat.rows:
         assert max(row[0].re.width(), row[0].im.width()) <= 1e-14
     # the widest cell of the build from sieved powers (prime balls and
@@ -308,12 +311,12 @@ def test_lattice_cells_contain_the_oracle_values(D, t):
     # each checked cell contains the whole 96-bit oracle box, far
     # narrower than the hardware cells: every cell at D = 4, and rows 0,
     # 1, 2, D/2, D-1 and D at D = 64 (each row has its own A)
-    lat = build_lattice(t, D=D, bits=64, cache=False)
+    lat = lattice(t, D)
     rows = range(D + 1) if D <= 4 else (0, 1, 2, D // 2, D - 1, D)
     for r in rows:
-        for c in range(lat.Ncols + 1):
-            oracle = em_hurwitz_tail(complex(0.5 + c, t), Fraction(r, D), skip=lat.M + 1, bits=BIG)
-            cell = lat.cell(r, c)
+        for c in range(DEFAULT_NCOLS + 1):
+            oracle = em_hurwitz_tail(complex(0.5 + c, t), Fraction(r, D), skip=DEFAULT_M + 1, bits=BIG)
+            cell = lat.rows[r, c]
             assert covers(cell.re, oracle.real), (r, c)
             if t == 0.0:  # the value is real, and the lattice says so exactly
                 assert cell.im.lo == cell.im.hi == 0.0 and holds(oracle.imag, 0), (r, c)
@@ -521,7 +524,7 @@ def test_lattice_build_takes_one_ball_per_prime(monkeypatch):
     # t = 16, D = 64 truncates at a = 13, so the bases are m/64 for
     # m = 640..1536: the 242 primes up to 1536 and 64^s, not 910 powers
     bases, turns = _count_balls(monkeypatch)
-    build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    lattice(16.0, 64)
     primes = _primes_dividing(range(640, 1537))
     assert len(primes) == 242
     assert sorted(bases) == sorted([Fraction(p) for p in primes] + [Fraction(1, 64)])
@@ -535,10 +538,10 @@ def test_block_build_takes_one_root_and_log_per_prime(monkeypatch):
     ts = [16.0, 16.0625]
     assert {hurwitz._truncation(t, 64) for t in ts} == {(13, 16)}
     bases, turns = _count_balls(monkeypatch)
-    block = hurwitz._build(ts, 64, 15, 9, 64)
+    block = hurwitz._build(ts, 64)
     assert len(bases) == 243 and sorted(turns) == sorted(ts * 243)
     for t, lat in zip(ts, block):
-        alone = build_lattice(t, D=64, Ncols=15, M=9, bits=64, cache=False)
+        alone = lattice(t, 64)
         assert np.array_equal(lat.rows.e, alone.rows.e), t
 
 
@@ -559,22 +562,22 @@ def test_one_row_takes_only_the_primes_of_its_bases(monkeypatch):
 
 @pytest.fixture(scope="module")
 def lat8_t0():
-    return build_lattice(0.0, D=8, Ncols=15, M=9, bits=BIG, cache=False)
+    return lattice(0.0, 8)
 
 
 @pytest.fixture(scope="module")
 def lat8_t10():
-    return build_lattice(10.0, D=8, Ncols=15, M=9, bits=BIG, cache=False)
+    return lattice(10.0, 8)
 
 
 @pytest.fixture(scope="module")
 def lat256_t0():
-    return build_lattice(0.0, D=256, Ncols=15, M=9, bits=BIG, cache=False)
+    return lattice(0.0, 256)
 
 
 def test_lattice_last_row_cell_example(lat8_t0):
     # cell (r=D, c=2) holds zeta(5/2) minus its first M+1 integer terms
-    cell = lat8_t0.cell(8, 2)
+    cell = lat8_t0.rows[8, 2]
     s = mpmath.mpf(5) / 2
     with mpmath.workprec(300):
         ref = mpmath.zeta(s) - sum((n + 1) ** (-s) for n in range(10))
@@ -585,7 +588,7 @@ def test_lattice_last_row_cell_example(lat8_t0):
 def test_lattice_cells_match_em_tail_oracle(lat8_t0):
     for r in range(1, 9):
         for c in (0, 1, 15):
-            cell = lat8_t0.cell(r, c)
+            cell = lat8_t0.rows[r, c]
             oracle = em_hurwitz_tail(
                 Fraction(1, 2) + c, Fraction(r, 8), skip=10, bits=BIG
             )
@@ -596,7 +599,7 @@ def test_lattice_cells_match_em_tail_oracle(lat8_t0):
 def test_lattice_complex_cells_match_em_tail_oracle(lat8_t10):
     for r in (1, 4, 8):
         for c in (0, 2, 15):
-            cell = lat8_t10.cell(r, c)
+            cell = lat8_t10.rows[r, c]
             oracle = em_hurwitz_tail((Fraction(1, 2) + c, 10.0), Fraction(r, 8), skip=10, bits=BIG)
             assert meets(cell, oracle), (r, c)
 
@@ -605,7 +608,7 @@ def test_lattice_half_row_doubling_identity(lat8_t0):
     # restore the removed head at alpha = 1/2, then compare with (2^s-1) zeta(s)
     for c in (0, 1, 3):
         s = Fraction(1, 2) + c
-        cell = lat8_t0.cell(4, c)
+        cell = lat8_t0.rows[4, c]
         with mpmath.workprec(300):
             ms = mpmath.mpf(s.numerator) / s.denominator
             full = (2**ms - 1) * mpmath.zeta(ms)
@@ -618,34 +621,16 @@ def test_lattice_row_0_is_row_d_and_one_more_term(fixture, request):
     # row 0 (offset M + 1) holds row D (offset M + 2) plus (M + 1)^(-s_c)
     lat = request.getfixturevalue(fixture)
     for c in (0, 1, 7, 15):
-        ends = _power_ball(Fraction(lat.M + 1), Fraction(1, 2) + c, lat.t, 96)
+        ends = _power_ball(Fraction(DEFAULT_M + 1), Fraction(1, 2) + c, lat.t, 96)
         term = ComplexBox(RealInterval(*ends[:2]), RealInterval(*ends[2:]))
-        assert lat.cell(0, c).intersects(lat.cell(lat.D, c) + term), c
+        assert lat.rows[0, c].intersects(lat.rows[lat.D, c] + term), c
 
 
-def test_lattice_validates_arguments():
+def test_lattice_validates_arguments(tmp_path):
+    # fewer than two rows are refused before any work or file
     with pytest.raises(DomainError):
-        build_lattice(0.0, D=1, Ncols=15, M=9, bits=BIG, cache=False)
-    with pytest.raises(DomainError):
-        build_lattice(0.0, D=8, Ncols=1, M=9, bits=BIG, cache=False)
-    with pytest.raises(DomainError):
-        build_lattice(0.0, D=8, Ncols=15, M=-1, bits=BIG, cache=False)
-    # fewer than 64 build bits are refused before any work
-    with pytest.raises(ValueError, match="64 bits"):
-        build_lattice(0.0, D=8, Ncols=15, M=9, bits=53, cache=False)
-
-
-def test_lattice_cell_bounds_checked(lat8_t0):
-    # rows 0..D and columns 0..Ncols, nothing outside
-    assert lat8_t0.cell(0, 0) is not None and lat8_t0.cell(8, 15) is not None
-    with pytest.raises(IndexError):
-        lat8_t0.cell(-1, 0)
-    with pytest.raises(IndexError):
-        lat8_t0.cell(9, 0)
-    with pytest.raises(IndexError):
-        lat8_t0.cell(1, 16)
-    with pytest.raises(IndexError):
-        lat8_t0.cell(1, -1)
+        build_lattice(0.0, D=1, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _file_parts(path) -> tuple[bytes, list[bytes], np.ndarray]:
@@ -659,19 +644,19 @@ def _write_parts(path, magic: bytes, head: list[bytes], body) -> None:
 
 
 def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
-    # the header carries the lattice's own build bits (96 here) and the
-    # truncation (a, b) a build takes for it, and the body is the
-    # version-4 format: the endpoint block of lat.rows, shape
+    # the header carries the one shape (Ncols 15, M 9, build bits 64) and
+    # the truncation (a, b) a build takes for the lattice, and the body is
+    # the version-4 format: the endpoint block of lat.rows, shape
     # (2, 2, D + 1, Ncols + 1), as raw little-endian float64 in C order
     path = tmp_path / "lat.dat"
     save_lattice(lat8_t10, path)
-    back = load_lattice(path, expect=(10.0, 8, 15, 9, 96))
-    assert (back.t, back.D, back.Ncols, back.M, back.bits) == (10.0, 8, 15, 9, 96)
+    back = load_lattice(path, expect=(10.0, 8))
+    assert (back.t, back.D) == (10.0, 8)
     assert back.rows.shape == lat8_t10.rows.shape == (9, 16)
     magic, head, body = _file_parts(path)
-    a, b = hurwitz._truncation(10.0, 8, 9, 96)
+    a, b = hurwitz._truncation(10.0, 8)
     assert magic == b"hurwitz-lattice 4"
-    assert head == f"10.0 8 15 9 96 {a} {b}".encode().split()
+    assert head == f"10.0 8 15 9 64 {a} {b}".encode().split()
     assert body.size == 2 * 2 * 9 * 16
     assert np.array_equal(body, lat8_t10.rows.e.reshape(-1))
     assert np.array_equal(back.rows.e, lat8_t10.rows.e)
@@ -681,34 +666,50 @@ def test_lattice_save_load_roundtrip(tmp_path, lat8_t10):
 
 
 def test_lattice_disk_cache_hit(tmp_path):
-    lat1 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
+    lat1 = build_lattice(0.0, D=4, cache_dir=tmp_path)
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    lat2 = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
+    lat2 = build_lattice(0.0, D=4, cache_dir=tmp_path)
     assert cell_hex(lat1, 1, 0) == cell_hex(lat2, 1, 0)
     assert list(tmp_path.iterdir()) == files
 
 
-LATTICE_0 = (0.0, 4, 3, 2, 96)
+LATTICE_0 = (0.0, 4)
 
 
 def _assert_rebuilt(path, fresh, tmp_path):
-    again = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
+    again = build_lattice(0.0, D=4, cache_dir=tmp_path)
     assert load_lattice(path, expect=LATTICE_0).D == 4
-    assert (again.t, again.D, again.Ncols, again.M) == (0.0, 4, 3, 2)
+    assert (again.t, again.D) == (0.0, 4)
     for r in range(5):
-        for c in range(4):
+        for c in range(16):
             assert cell_hex(again, r, c) == cell_hex(fresh, r, c)
 
 
+# headers "t D Ncols M bits" that name another lattice than (0.0, 4) in
+# the one shape (15, 9, 64): another t, D, Ncols, M or bits alone, three
+# in a foreign shape (Ncols 3, M 2) with another t, bits or D, and one
+# cut short
 @pytest.mark.parametrize(
-    "doctored", ["10.0 4 3 2 96", "0.0 4 3 2 64", "0.0 8 3 2 96", "0.0 4 3", "truncation"]
+    "doctored",
+    [
+        "10.0 4 3 2 96",
+        "0.0 4 3 2 64",
+        "0.0 8 3 2 96",
+        "0.0 4 3",
+        "10.0 4 15 9 64",
+        "0.0 8 15 9 64",
+        "0.0 4 3 9 64",
+        "0.0 4 15 2 64",
+        "0.0 4 15 9 96",
+        "truncation",
+    ],
 )
 def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     magic, head, body = _file_parts(path)
-    assert head[:5] == b"0.0 4 3 2 96".split()
+    assert head[:5] == b"0.0 4 15 9 64".split()
     a, b = (int(v) for v in head[5:])
     if doctored == "truncation":
         # the lattice asked for, built under another truncation
@@ -725,7 +726,7 @@ def test_lattice_cache_rebuilds_on_header_mismatch(tmp_path, doctored):
 def test_lattice_cache_rebuilds_truncated_file(tmp_path):
     # a body one value short, cut in half, cut inside a value, or one
     # value long is refused
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     whole = path.read_bytes()
     for cut in (whole[:-8], whole[: len(whole) // 2], whole[:-3], whole + whole[-8:]):
@@ -739,10 +740,10 @@ def test_lattice_cache_rebuilds_truncated_file(tmp_path):
 @pytest.mark.parametrize("fault", ["swapped", "nan"])
 def test_lattice_cache_rebuilds_unordered_cell(tmp_path, fault):
     # a body cell whose endpoints are not ordered lo <= hi is refused
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     magic, head, body = _file_parts(path)
-    ends = body.reshape(2, 2, 5, 4)
+    ends = body.reshape(2, 2, 5, 16)
     lo, hi = ends[0, 0, 1, 0], ends[0, 1, 1, 0]  # re of cell (1, 0)
     assert lo != hi
     ends[0, 0, 1, 0], ends[0, 1, 1, 0] = (hi, lo) if fault == "swapped" else (lo, np.nan)
@@ -757,16 +758,16 @@ def test_lattice_cache_rebuilds_version_1_file(tmp_path):
     # only, or the version-3 text form of this very lattice) is
     # refused even when its header names the requested lattice, then
     # rebuilt and overwritten
-    fresh = build_lattice(0.0, D=4, Ncols=3, M=2, bits=BIG, cache_dir=tmp_path)
+    fresh = build_lattice(0.0, D=4, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     whole = path.read_bytes()
     assert whole.startswith(b"hurwitz-lattice 4\n")
     ends = np.moveaxis(fresh.rows.e, (0, 1), (-2, -1)).reshape(-1, 4)
     cells = [" ".join(map(float.hex, cell)) for cell in ends.tolist()]
     stale = " ".join(map(float.hex, (1.0, 1.0, 0.0, 0.0)))  # the point box 1
-    old = {"hurwitz-lattice 1": [stale] * 16, "hurwitz-lattice 2": cells[4:], "hurwitz-lattice 3": cells}
+    old = {"hurwitz-lattice 1": [stale] * 64, "hurwitz-lattice 2": cells[16:], "hurwitz-lattice 3": cells}
     for magic, body in old.items():
-        path.write_text("\n".join([magic, "0.0 4 3 2 96"] + body) + "\n")
+        path.write_text("\n".join([magic, "0.0 4 15 9 64"] + body) + "\n")
         with pytest.raises(ValueError):
             load_lattice(path, expect=LATTICE_0)
         _assert_rebuilt(path, fresh, tmp_path)
@@ -780,20 +781,39 @@ def test_load_rejects_foreign_file(tmp_path):
         load_lattice(p)
 
 
+@pytest.mark.parametrize("shape", [(3, 9, 64), (15, 2, 64), (15, 9, 96)])
+def test_load_without_expect_refuses_another_shape(tmp_path, shape):
+    # a whole, well-formed file of a lattice in another shape (Ncols, M,
+    # build bits): the truncation its header names is the one such a
+    # build took, and its body has that shape's length and ordered cells;
+    # with no expect it is refused all the same
+    ncols, M, bits = shape
+    a, b = auto_params(Fraction(1, 2), 0.0, Fraction(1, 4) + M + 1, bits)
+    head = f"0.0 4 {ncols} {M} {bits} {a} {b}".encode().split()
+    body = np.zeros((2, 2, 5, ncols + 1))
+    body[:, 1] = 1.0
+    path = tmp_path / f"hurlat_t0.0_D4_N{ncols}_M{M}_b{bits}.dat"
+    _write_parts(path, b"hurwitz-lattice 4", head, body)
+    with pytest.raises(ValueError, match="shape"):
+        load_lattice(path)
+
+
 # -- Taylor-shift queries ----------------------------------------------------
 
 
 def test_nearest_row_selection():
     # row r of this lattice holds r in column 0 and zeros elsewhere, so a
-    # query returns its row's r plus the restored head (a/q)^(-1/2) (M = 0,
-    # t = 0) plus a Taylor-tail pad far below 1/2
+    # query returns its row's r plus the restored head
+    # sum_{n <= M} (n + a/q)^(-1/2) (t = 0) plus a Taylor-tail pad far
+    # below 1/2
     D = 8
-    cells = np.zeros((D + 1, 4), dtype=complex)
+    cells = np.zeros((D + 1, DEFAULT_NCOLS + 1), dtype=complex)
     cells[:, 0] = np.arange(D + 1)
-    lat = HurwitzLattice(t=0.0, D=D, Ncols=3, M=0, bits=64, rows=CVec.from_points(cells))
+    lat = HurwitzLattice(t=0.0, D=D, rows=CVec.from_points(cells))
 
     def row(a, q):
-        return round(query(lat, a, q).re.mid() - math.sqrt(q / a))
+        head = sum((n + a / q) ** -0.5 for n in range(DEFAULT_M + 1))
+        return round(query(lat, a, q).re.mid() - head)
 
     assert row(1, 2) == 4
     assert row(3, 16) == 2  # exact tie 1.5 goes to the larger row
@@ -841,12 +861,12 @@ def test_eval_taylor_validates_input(lat8_t0):
     with pytest.raises(DomainError):
         query(lat8_t0, 5, 5)
     with pytest.raises(DomainError):
-        unit_hurwitz(lat8_t0, 5, np.array([1, 2, 5]))  # one bad unit fails the batch
+        unit_hurwitz([lat8_t0], 5, np.array([1, 2, 5]))  # one bad unit fails the batch
 
 
 @pytest.fixture(scope="module")
 def lat64_t16():
-    return build_lattice(16.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    return lattice(16.0, 64)
 
 
 @pytest.mark.parametrize(
@@ -856,7 +876,7 @@ def test_unit_hurwitz_width_guard(lat64_t16, q, width):
     # widths are a correctness quantity: the widest query over every unit
     # of q stays at or below the per-term Taylor recurrence it replaced
     units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
-    z = unit_hurwitz(lat64_t16, q, units)
+    z = unit_hurwitz([lat64_t16], q, units)[0]
     assert max((z.re.hi - z.re.lo).max(), (z.im.hi - z.im.lo).max()) <= width
 
 
@@ -877,9 +897,9 @@ def test_unit_hurwitz_low_units_read_row_0(q, t):
     # the same head as any unit: each holds the direct sum and is no
     # wider than before
     D = 64
-    lat = build_lattice(t, D=D, Ncols=15, M=9, bits=64, cache=False)
+    lat = lattice(t, D)
     units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
-    z = unit_hurwitz(lat, q, units)
+    z = unit_hurwitz([lat], q, units)[0]
     low = np.flatnonzero(2 * D * units < q)
     assert len(low) == len(LOW_UNIT_WIDTHS[q, t])
     for i, pinned in zip(low, LOW_UNIT_WIDTHS[q, t]):
@@ -897,27 +917,27 @@ def test_unit_hurwitz_blocks_change_no_endpoint(lat64_t16, monkeypatch):
     # block size moves no endpoint
     q = 101
     units = np.arange(1, q)
-    whole = unit_hurwitz(lat64_t16, q, units)
+    whole = unit_hurwitz([lat64_t16], q, units)
     monkeypatch.setattr(hurwitz, "_UNIT_BLOCK", 7)
-    blocked = unit_hurwitz(lat64_t16, q, units)
+    blocked = unit_hurwitz([lat64_t16], q, units)
     for a, b in ((whole.re, blocked.re), (whole.im, blocked.im)):
         assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-    assert unit_hurwitz(lat64_t16, q, np.array([], dtype=np.int64)).shape == (0,)
+    assert unit_hurwitz([lat64_t16], q, np.array([], dtype=np.int64)).shape == (1, 0)
 
 
 def test_unit_hurwitz_of_a_block_is_each_lattice_alone(lat64_t16):
-    # a block of lattices of one shape gives each lattice's values on a
-    # leading axis, endpoint for endpoint, in the interval-array calls of
-    # one lattice; lattices of two shapes are refused
-    lats = [lat64_t16, build_lattice(-16.0625, D=64, Ncols=15, M=9, bits=64, cache=False)]
+    # a block of lattices of one row count gives each lattice's values on
+    # a leading axis, endpoint for endpoint, in the interval-array calls
+    # of one lattice; lattices of two row counts are refused
+    lats = [lat64_t16, lattice(-16.0625, 64)]
     for q in (7, 101):
         units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
         block = unit_hurwitz(lats, q, units)
         assert block.shape == (2, len(units))
         for i, lat in enumerate(lats):
-            assert np.array_equal(block.e[:, :, i], unit_hurwitz(lat, q, units).e), (q, i)
-    with pytest.raises(ValueError, match="one shape"):
-        unit_hurwitz([lat64_t16, build_lattice(16.0, D=8, Ncols=15, M=9, bits=64, cache=False)], 7, units[:3])
+            assert np.array_equal(block.e[:, :, i], unit_hurwitz([lat], q, units).e[:, :, 0]), (q, i)
+    with pytest.raises(ValueError, match="one row count"):
+        unit_hurwitz([lat64_t16, lattice(16.0, 8)], 7, units[:3])
 
 
 @pytest.mark.parametrize("t", [0.0, 10.0, -10.0, 1e4])
@@ -981,14 +1001,6 @@ def test_taylor_tail_dominates_brute_terms():
             poch *= smag + k
             dk *= delta
         assert brute <= bound, (a, q, t)
-
-
-def test_tail_restoration_m_independent():
-    for M in (0, 20):
-        lat = build_lattice(0.0, D=8, Ncols=15, M=M, bits=BIG, cache=False)
-        z = query(lat, 5, 13)
-        fre, fim = hurwitz_ref(Fraction(1, 2), Fraction(5, 13))
-        assert holds(z, fre, fim), M
 
 
 def test_alpha_derivative_matches_finite_difference():

@@ -246,7 +246,7 @@ def test_exp_zero(oracle):
 
 @ORACLES
 def test_sin_over_zero_to_pi(oracle):
-    x = RealInterval.zero().hull(pi_interval())
+    x = RealInterval(0.0, pi_interval().hi)
     r = elem("sin", x)
     assert r.contains(0) and r.contains(1)
     eps = Fraction(1, 10**12)
@@ -297,7 +297,7 @@ IV_ELEM = {
 @pytest.mark.parametrize("fname", ELEM_OPS)
 def test_elem_width_near_image_width(oracle, fname):
     # on a monotone subrange the result barely exceeds the image width
-    x = RealInterval.from_decimal("0.5")
+    x = RealInterval.from_fraction(Fraction("0.5"))
     y = elem(fname, x)
     ulp = math.ulp(max(abs(y.lo), abs(y.hi), 1e-300))
     assert y.width() <= 8 * ulp
@@ -576,7 +576,7 @@ def test_inclusion_isotonicity(mid, rad, fname):
     except LogDomain:
         return
     out_narrow = elem(fname, narrow)
-    assert out_wide.contains_interval(out_narrow)
+    assert out_wide.lo <= out_narrow.lo and out_narrow.hi <= out_wide.hi
 
 
 # ---------------------------------------------------------------------------

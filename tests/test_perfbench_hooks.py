@@ -1,27 +1,38 @@
-"""The benchmark's traced layers still exist in the package.
+"""The benchmark's traced layers still exist in the package, and its
+own output checks pass.
 
 perfbench/run.py wraps each function of its TRACED table where the
 package looks it up, so a renamed or inlined function would silently drop
 a layer from the trace.  The table and the imports it names are read with
-ast, without importing or running the benchmark.
+ast, without importing or running the benchmark.  The last test runs
+the benchmark itself, one traced pass of each declared workload in a
+subprocess, and asserts that its checks report the outputs correct.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from grhdesk import hurwitz, sampler_largeq
 from grhdesk.characters import char_group
 from grhdesk.dft import group_dft_cvec, units_of
-from grhdesk.hurwitz import HurwitzLattice, build_lattice, unit_hurwitz
+from grhdesk.hurwitz import DEFAULT_NCOLS, HurwitzLattice, unit_hurwitz
 from grhdesk.interval import ComplexBox
 from grhdesk.ivec import CVec
 from grhdesk.sampler_largeq import l_values_at
 
-RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+from lattices import lattice
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _traced() -> list[tuple[object, str]]:
@@ -57,26 +68,27 @@ def test_every_traced_attribute_exists_on_its_owner():
 
 
 def test_l_values_at_returns_one_value_per_character():
-    # the benchmark's lvalue_use_ratio counts len(l_values_at(...)) as phi(q)
-    lat = build_lattice(16.0, D=4, cache=False)
+    # the benchmark's lvalue_use_ratio counts len(l_values_at(...)) of a
+    # one-lattice block as phi(q)
+    lat = lattice(16.0, 4)
     for q in (7, 12, 101):
-        assert len(l_values_at(q, lat)) == char_group(q).phi
+        assert len(l_values_at(q, [lat])) == char_group(q).phi
 
 
 def test_width_hooks_read_the_cvec_surface():
     # _lattice_width walks `for row in lat.rows for c in row` and reads
     # c.re.width(); _unit_width and _dft_width read v.re.width() and
     # v.im.width() of whole arrays
-    lat = build_lattice(16.0, D=4, cache=False)
+    lat = lattice(16.0, 4)
     rows = list(lat.rows)
     assert len(rows) == lat.D + 1 and all(isinstance(row, CVec) for row in rows)
     cells = [c for row in lat.rows for c in row]
-    assert len(cells) == (lat.D + 1) * (lat.Ncols + 1)
+    assert len(cells) == (lat.D + 1) * (DEFAULT_NCOLS + 1)
     assert all(isinstance(c, ComplexBox) for c in cells)
     assert max(max(c.re.width(), c.im.width()) for c in cells) > 0.0
     group = char_group(101)
-    values = unit_hurwitz(lat, 101, units_of(group))
-    for v in (l_values_at(101, lat), values, group_dft_cvec(group, values)):
+    values = unit_hurwitz([lat], 101, units_of(group))[0]
+    for v in (l_values_at(101, [lat]), values, group_dft_cvec(group, values)):
         for part in (v.re, v.im):
             w = part.width()
             assert isinstance(w, np.ndarray) and w.shape == v.shape and np.all(w >= 0.0)
@@ -106,3 +118,16 @@ def test_cold_sample_range_keeps_the_benchmark_call_contract(tmp_path, monkeypat
     assert all(isinstance(lat, HurwitzLattice) for lat in built)
     assert loaded == []
     assert len(list(tmp_path.glob("*.dat"))) == 3
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_reports_its_outputs_correct(workload):
+    # what the benchmark refuses as incorrect: a build_lattice call per
+    # ordinate, the .dat files it globs, load_lattice(path), passes that
+    # repeat bit for bit and its mpmath oracle; it writes only under
+    # .bench_build/
+    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"]
+    run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True, run.stdout

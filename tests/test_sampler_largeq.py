@@ -24,7 +24,6 @@ from grhdesk.characters import char_group
 from grhdesk.dft import units_of
 from grhdesk.errors import DomainError, NotPrimitive, RealnessViolation
 from grhdesk.hurwitz import (
-    DEFAULT_BUILD_BITS,
     DEFAULT_D,
     DEFAULT_M,
     DEFAULT_NCOLS,
@@ -49,6 +48,7 @@ from grhdesk.sampler_largeq import (
 )
 
 from em_oracle import em_hurwitz, iv_real, ivprec, meets, width
+from lattices import lattice
 
 
 def mp_fraction(x, prec=300) -> Fraction:
@@ -82,7 +82,7 @@ def completed(q, lat, chars, metas=None):
     group = char_group(q)
     if metas is None:
         metas = [group.char_meta(idx) for idx in chars]
-    vals = l_values_at(q, lat)
+    vals = l_values_at(q, [lat])
     l = CVec.from_boxes([l_at(vals, q, idx) for idx in chars]).reshape(-1, 1)
     eps_c = CVec.from_boxes(
         [meta.epsilon * completion_factor(lat.t, meta.parity, q) for meta in metas]
@@ -92,27 +92,27 @@ def completed(q, lat, chars, metas=None):
 
 @pytest.fixture(scope="module")
 def lat_t0():
-    return build_lattice(0.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    return lattice(0.0, 64)
 
 
 @pytest.fixture(scope="module")
 def lat_t1():
-    return build_lattice(1.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    return lattice(1.0, 64)
 
 
 @pytest.fixture(scope="module")
 def lat_t10():
-    return build_lattice(10.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    return lattice(10.0, 64)
 
 
 @pytest.fixture(scope="module")
 def lat_tm1():
-    return build_lattice(-1.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    return lattice(-1.0, 64)
 
 
 @pytest.fixture(scope="module")
 def lat_tm10():
-    return build_lattice(-10.0, D=64, Ncols=15, M=9, bits=64, cache=False)
+    return lattice(-10.0, 64)
 
 
 # -- batched Hurwitz ---------------------------------------------------------
@@ -124,7 +124,7 @@ def test_unit_hurwitz_matches_scalar_query(lat_t0, lat_t10, q):
     group = char_group(q)
     units = units_of(group)
     for lat in (lat_t0, lat_t10):
-        vec = unit_hurwitz(lat, q, units)
+        vec = unit_hurwitz([lat], q, units)[0]
         for i, a in enumerate(units):
             scalar = em_hurwitz((Fraction(1, 2), lat.t), Fraction(int(a), q))
             assert meets(vec[i], scalar)
@@ -153,7 +153,7 @@ def test_q_pow_contains_reference():
 
 
 def test_l_values_q4_contains_chi4_reference(lat_t0):
-    box = l_at(l_values_at(4, lat_t0), 4, (1,))
+    box = l_at(l_values_at(4, [lat_t0]), 4, (1,))
     # independent multiprecision value, no package code involved
     with mpmath.workprec(200):
         ref = mpmath.mpf(0.5) * (
@@ -167,7 +167,7 @@ def test_l_values_q4_contains_chi4_reference(lat_t0):
 
 
 def test_l_values_q3_principal_euler_factor(lat_t0):
-    box = l_at(l_values_at(3, lat_t0), 3, (0,))
+    box = l_at(l_values_at(3, [lat_t0]), 3, (0,))
     # (1 - 3^{-1/2}) zeta(1/2)
     with mpmath.workprec(200):
         ref = (1 - mpmath.power(3, -mpmath.mpf("0.5"))) * mpmath.zeta(mpmath.mpf("0.5"))
@@ -180,7 +180,7 @@ def test_l_values_q3_principal_euler_factor(lat_t0):
 @pytest.mark.parametrize("t", [0.0, 10.0])
 def test_l_values_contain_em_character_sums(lat_t0, lat_t10, q, t):
     lat = lat_t0 if t == 0.0 else lat_t10
-    vals = l_values_at(q, lat)
+    vals = l_values_at(q, [lat])
     group = char_group(q)
     assert len(vals) == group.phi
     for idx in group.all_indices():
@@ -195,8 +195,8 @@ def test_l_values_conjugate_symmetry(lat_t0, lat_t1, lat_t10, lat_tm1, lat_tm10)
     for q in range(3, 21):
         group = char_group(q)
         for lat_p, lat_m in pairs:
-            vp = l_values_at(q, lat_p)
-            vm = l_values_at(q, lat_m)
+            vp = l_values_at(q, [lat_p])
+            vm = l_values_at(q, [lat_m])
             for idx in group.all_indices():
                 c = group.conjugate(idx)
                 assert l_at(vm, q, c).intersects(l_at(vp, q, idx).conj()), (q, idx, lat_p.t)
@@ -212,12 +212,12 @@ def test_l_values_of_a_block_are_each_lattice_alone(lat_t0, lat_t10, lat_tm1, q)
     phi = char_group(q).phi
     assert block.shape == (3 * phi,)
     for i, lat in enumerate(lats):
-        assert np.array_equal(block.e[:, :, i * phi : (i + 1) * phi], l_values_at(q, lat).e), (q, i)
+        assert np.array_equal(block.e[:, :, i * phi : (i + 1) * phi], l_values_at(q, [lat]).e), (q, i)
 
 
 def test_l_values_rejects_tiny_modulus(lat_t0):
     with pytest.raises(DomainError):
-        l_values_at(2, lat_t0)
+        l_values_at(2, [lat_t0])
 
 
 # -- completion --------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_wrong_epsilon_raises_realness_violation(lat_t10):
 def test_realness_violation_names_modulus_character_and_ordinate(lat_t10):
     group = char_group(5)
     meta = group.char_meta((1,))
-    l = CVec.from_boxes([l_at(l_values_at(5, lat_t10), 5, (1,))]).reshape(1, 1)
+    l = CVec.from_boxes([l_at(l_values_at(5, [lat_t10]), 5, (1,))]).reshape(1, 1)
     eps_c = CVec.from_boxes([meta.epsilon * completion_factor(10.0, meta.parity, 5)])
     eps_c = eps_c.reshape(1, 1)
     assert lambda_from_l(l, eps_c, 5, [(1,)], [10.0])[0, 0].sign() != 0
@@ -508,15 +508,15 @@ def test_lattice_size_policy():
 
 
 def _unit_width_max(lat, q):
-    z = unit_hurwitz(lat, q, units_of(char_group(q)))
+    z = unit_hurwitz([lat], q, units_of(char_group(q)))
     return max((z.re.hi - z.re.lo).max(), (z.im.hi - z.im.lo).max())
 
 
 @pytest.mark.parametrize("t", [16.0, 300.0])
 def test_lattice_size_keeps_unit_widths(t):
     D = lattice_size(t)
-    lat = build_lattice(t, cache=False)
-    big = build_lattice(t, D=4 * D, cache=False)
+    lat = lattice(t)
+    big = lattice(t, 4 * D)
     assert lat.D == D
     for q in (101, 1009, 4099):
         assert _unit_width_max(lat, q) <= 1.01 * _unit_width_max(big, q), q
@@ -602,11 +602,8 @@ def test_sample_all_and_sample_range_match_assembly(shared_cache, q):
     tables = {}
     for t_fr in (T_LO, T_HI):
         t = float(t_fr)
-        lat = build_lattice(
-            t, D=16, Ncols=DEFAULT_NCOLS, M=DEFAULT_M,
-            bits=DEFAULT_BUILD_BITS, cache_dir=shared_cache,
-        )
-        tables[t] = l_values_at(q, lat)
+        lat = build_lattice(t, D=16, cache_dir=shared_cache)
+        tables[t] = l_values_at(q, [lat])
     for idx, grid in grids.items():
         one = sample_range(q, idx, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
         assert grid.character == one.character == idx
