@@ -15,7 +15,9 @@ conjugation and primitivity are exact integer computations; only the final
 complex embedding e(phase) rounds, and it rounds outward into boxes.  Root
 numbers and completion constants come from the Gauss sum in integer fixed
 point, each side rounded outward to a double once, and each character's are
-kept on its group (CharGroup.char_meta).
+kept on its group (CharGroup.char_meta).  Both samplers certify primitive
+characters only, so char_meta is also where an index is checked primitive:
+an imprimitive one raises NotPrimitive before any Gauss sum runs.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def _two_power_factors(alpha: int) -> list[CyclicFactor]:
 
 @dataclass(frozen=True, slots=True)
 class CharMeta:
-    """Facts about one character that the samplers and the certifier consume.
+    """Facts about one primitive character that the samplers consume.
 
     epsilon is the unimodular constant that multiplies the gamma-completed L
     value, a hardware box; it is a square root of the conjugated root
@@ -139,15 +141,12 @@ class CharMeta:
     real part of the conjugated root number is certified negative, then i
     times the principal root of its negative.  Downstream assembly checks
     realness of every box a posteriori.  root_number is the root number
-    itself, tau(chi)/(i^parity sqrt(q)), from the same Gauss sum; None for
-    an imprimitive character.
+    itself, tau(chi)/(i^parity sqrt(q)), from the same Gauss sum.
     """
 
     parity: int
-    primitive: bool
     epsilon: ComplexBox
-    conjugate: tuple[int, ...]
-    root_number: ComplexBox | None
+    root_number: ComplexBox
 
 
 class CharGroup:
@@ -210,9 +209,9 @@ class CharGroup:
     def canonical(self, idx) -> tuple[int, ...]:
         """idx as a tuple of ints, one shared object per character.
 
-        CharMeta and the sample grids name characters by this tuple, so
-        the many grids a sweep keeps hold one tuple per character.  An
-        index needs one entry per cyclic factor, entry k in
+        char_meta keys its kept metas and the sample grids name characters
+        by this tuple, so the many grids a sweep keeps hold one tuple per
+        character.  An index needs one entry per cyclic factor, entry k in
         0..orders[k] - 1; any other raises ValueError.
         """
         idx = tuple(int(v) for v in idx)
@@ -231,25 +230,13 @@ class CharGroup:
 
     # -- exact phase evaluation ----------------------------------------------
 
-    def phase_numerator(self, idx, n: int) -> int | None:
-        """Numerator c with chi(n) = e(c / exponent); None when gcd(n,q) > 1."""
-        n %= self.q
-        if math.gcd(n, self.q) != 1:
-            return None
-        L = self.exponent
-        c = 0
-        for k, f in zip(idx, self.factors):
-            c += k * int(f.dlog[n % f.prime_power]) * (L // f.order)
-        return c % L
-
     def phase(self, idx, n: int) -> Fraction | None:
-        c = self.phase_numerator(idx, n)
-        if c is None:
-            return None
-        return Fraction(c, self.exponent)
+        """chi(n) = e(phase) as an exact fraction of a turn; None when gcd(n, q) > 1."""
+        (c,), (ok,) = self.phase_numerators(idx, [n % self.q])
+        return Fraction(int(c), self.exponent) if ok else None
 
     def phase_numerators(self, idx, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched phase_numerator: (c, ok) with chi(n) = e(c / exponent) where ok.
+        """(c, ok) with chi(n) = e(c / exponent) for each n of ns where ok.
 
         ok is False where gcd(n, q) > 1 (chi vanishes there; c is 0).
         """
@@ -344,17 +331,6 @@ class CharGroup:
         rad = len(units) * (l_rad * (one + q_rad) + q_rad * one)
         return re, im, rad, 2 * shift
 
-    def root_number(self, idx) -> ComplexBox:
-        """epsilon = tau(chi) / (i^parity sqrt(q)) as a hardware box; modulus must contain 1.
-
-        Read from the character's kept CharMeta (char_meta), so each
-        character runs one Gauss sum over the life of its group.
-        """
-        eps = self.char_meta(idx).root_number
-        if eps is None:
-            raise NotPrimitive(f"index {idx} mod {self.q} is imprimitive")
-        return eps
-
     def _root_and_constant(self, idx, parity: int) -> tuple[ComplexBox, ComplexBox]:
         """The root number epsilon and the completion constant w of a
         primitive character of the given parity, as hardware boxes.
@@ -387,38 +363,33 @@ class CharGroup:
         return eps, (w.mul_i() if sign == -1 else w)
 
     def char_meta(self, idx) -> CharMeta:
-        """Bundle parity, primitivity, completion constant, conjugate index.
+        """Parity, completion constant and root number of a primitive character.
 
-        The completion constant of a primitive character is a unimodular w
-        with w*w the conjugated root number: conjugating the completed value
-        flips w to conj(w) and applies the functional equation, which costs
-        one factor of the root number, and the two cancel exactly.  w comes
-        from the exact Gauss sum in integer fixed point, narrowed to a
-        hardware box once (_root_and_constant), so no big-float arithmetic
-        runs here once the group's unity tables exist.
-        Imprimitive characters get epsilon = 1 and no root number: they are
-        never completed directly, only through the primitive character
-        inducing them.
+        The index is checked first: ValueError for a malformed one
+        (canonical), NotPrimitive naming q and the index for an imprimitive
+        one, before any Gauss sum runs.  The completion constant is a
+        unimodular w with w*w the conjugated root number: conjugating the
+        completed value flips w to conj(w) and applies the functional
+        equation, which costs one factor of the root number, and the two
+        cancel exactly.  w comes from the exact Gauss sum in integer fixed
+        point, narrowed to a hardware box once (_root_and_constant), so no
+        big-float arithmetic runs here once the group's unity tables exist.
 
         The result is kept on the group, keyed by the canonical index, and
         every later call for the character returns the same object, so a
         character costs one Gauss sum (and one pair of unity tables per
         group) however many grids, ordinates or sweeps read it.  A kept
-        character takes about 0.85 KB, its two boxes included.
+        character takes about 0.66 KB, its two boxes, its canonical index
+        and its dict entry included (tracemalloc, q = 1009).
         """
         idx = self.canonical(idx)
         meta = self._metas.get(idx)
         if meta is None:
-            primitive = self.is_primitive(idx)
+            if not self.is_primitive(idx):
+                raise NotPrimitive(f"index {idx} mod {self.q} is imprimitive")
             parity = self.parity(idx)
-            eps, w = self._root_and_constant(idx, parity) if primitive else (None, ComplexBox.one())
-            meta = self._metas[idx] = CharMeta(
-                parity=parity,
-                primitive=primitive,
-                epsilon=w,
-                conjugate=self.canonical(self.conjugate(idx)),
-                root_number=eps,
-            )
+            eps, w = self._root_and_constant(idx, parity)
+            meta = self._metas[idx] = CharMeta(parity=parity, epsilon=w, root_number=eps)
         return meta
 
 

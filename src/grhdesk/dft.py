@@ -2,6 +2,10 @@
 
 Conventions: forward multiplies each datum by e(-nm/N), backward by
 e(+nm/N), neither normalizes, so forward-then-backward scales by N.
+fft_pow2 computes either direction: Bluestein's convolution uses both, and
+the small-q sampler's FFT the backward one.  dft, dft_naive and
+dft_bluestein compute the backward sum only, the one every character sum
+needs.
 
 Every twiddle and chirp comes from one table per length, unity_table(n):
 the exact fixed-point recurrence of characters._fixed_unit_powers (one
@@ -27,7 +31,7 @@ from .ivec import CVec
 _NAIVE_LIMIT = 64  # axis lengths above this go through Bluestein
 
 _table_cache: dict[int, CVec] = {}
-_vhat_cache: dict[tuple[int, int], CVec] = {}
+_vhat_cache: dict[int, CVec] = {}
 
 # sides (re lo, re hi, im lo, im hi) of e(-k/4), k = 0..3: the points 1, -i, -1, i
 _QUARTER_POINTS = np.array(
@@ -95,59 +99,56 @@ def fft_pow2(z: CVec, direction: str = "forward") -> CVec:
     return z
 
 
-def dft_naive(x: CVec, direction: str = "forward") -> CVec:
-    """Definition-sum DFT along the last axis."""
+def dft_naive(x: CVec) -> CVec:
+    """Definition-sum backward DFT along the last axis."""
     n = x.shape[-1]
     if n == 1:
         return x.copy()
-    table = unity_table(n)
-    if direction == "backward":
-        table = table.conj()
+    table = unity_table(n).conj()
     idx = (np.arange(n)[:, None] * np.arange(n)[None, :]) % n
     prods = x.reshape(*x.shape[:-1], n, 1) * table.take_last(idx)
     return prods.sum(axis=-2)
 
 
-def _chirp(n: int, direction: str) -> CVec:
-    """e(-+j^2 / 2n) for j = 0..n-1 (minus forward, plus backward)."""
+def _chirp(n: int) -> CVec:
+    """e(j^2 / 2n) for j = 0..n-1."""
     j = np.arange(n)
-    chirp = unity_table(2 * n).take_last(j * j % (2 * n))
-    return chirp.conj() if direction == "backward" else chirp
+    return unity_table(2 * n).take_last(j * j % (2 * n)).conj()
 
 
-def dft_bluestein(x: CVec, direction: str = "forward") -> CVec:
-    """Chirp-z DFT of arbitrary length over a power-of-two convolution."""
+def dft_bluestein(x: CVec) -> CVec:
+    """Chirp-z backward DFT of arbitrary length over a power-of-two convolution."""
     n = x.shape[-1]
     if n == 1:
         return x.copy()
     L = 1
     while L < 2 * n - 1:
         L *= 2
-    chirp = _chirp(n, direction)
+    chirp = _chirp(n)
     u = x * chirp
     zeros = CVec.zeros(u.shape[:-1] + (L - n,))
     upad = CVec.concatenate([u, zeros], axis=-1)
 
-    key = (n, direction == "forward")
-    vhat = _vhat_cache.get(key)
+    vhat = _vhat_cache.get(n)
     if vhat is None:
-        v = chirp.conj()  # e(-sign j^2/2n), wrapped around for the cyclic convolution
+        v = chirp.conj()  # e(-j^2/2n), wrapped around for the cyclic convolution
         vpad = CVec.concatenate([v, CVec.zeros((L - 2 * n + 1,)), v[n - 1 : 0 : -1]])
         vhat = fft_pow2(vpad, "forward")
-        _vhat_cache[key] = vhat
+        _vhat_cache[n] = vhat
 
     conv = fft_pow2(fft_pow2(upad, "forward") * vhat, "backward") * (1.0 / L)
     return conv[..., :n] * chirp
 
 
-def dft(x: CVec, direction: str = "forward") -> CVec:
-    """Length dispatch: radix-2 when possible, naive when small, else chirp."""
+def dft(x: CVec) -> CVec:
+    """Backward DFT along the last axis, by length: radix-2 when possible,
+    naive when small, else chirp."""
     n = x.shape[-1]
     if n & (n - 1) == 0:
-        return fft_pow2(x, direction)
+        return fft_pow2(x, "backward")
     if n <= _NAIVE_LIMIT:
-        return dft_naive(x, direction)
-    return dft_bluestein(x, direction)
+        return dft_naive(x)
+    return dft_bluestein(x)
 
 
 # ---------------------------------------------------------------------------
@@ -182,5 +183,5 @@ def group_dft_cvec(group: CharGroup, values: CVec) -> CVec:
     ndim_lead = len(lead)
     for axis_pos in range(len(group.orders)):
         axis = ndim_lead + axis_pos
-        arr = dft(arr.moveaxis(axis, -1), "backward").moveaxis(-1, axis)
+        arr = dft(arr.moveaxis(axis, -1)).moveaxis(-1, axis)
     return arr

@@ -45,7 +45,7 @@ Every character of q sampled at an ordinate reads the same table, so
 sample_all costs one pass per block.  Root numbers do not depend on the
 ordinate: CharGroup.char_meta computes a character's once, from the
 exact fixed-point Gauss sum narrowed to hardware boxes, and keeps it on
-the group (about 0.85 KB a character, 0.8 MB for every character mod
+the group (about 0.66 KB a character, 0.66 MB for every character mod
 1009; the char_group LRU keeps at most 64 groups).  So only the first
 call for a character pays its O(q) Gauss sum.  Once the tables exist, a
 sample_range call costs one array completion step and runs no big-float
@@ -63,7 +63,7 @@ import numpy as np
 
 from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
-from .errors import DomainError, NotPrimitive, RealnessViolation
+from .errors import DomainError, RealnessViolation
 from .hurwitz import (
     DEFAULT_NCOLS,
     HurwitzLattice,
@@ -89,16 +89,18 @@ DEFAULT_STEP = Fraction(5, 64)
 class SampleGrid:
     """Consecutive samples of the completed function on a dyadic grid.
 
-    samples[i] encloses the completed value at (n_start + i) * t_step;
-    each is the realness projection of an assembled complex box, so the
-    enclosure is rigorous even though only the real part is kept.
+    samples is one IVec row, the grid's own copy: samples[i], a
+    RealInterval, encloses the completed value at (n_start + i) * t_step,
+    and iterating it gives them in order.  Each is the realness projection
+    of an assembled complex box, so the enclosure is rigorous even though
+    only the real part is kept.
     """
 
     q: int
     character: tuple[int, ...]
     t_step: Fraction
     n_start: int
-    samples: list[RealInterval]
+    samples: IVec
     meta: CharMeta
 
     def __post_init__(self):
@@ -359,8 +361,10 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
     """One SampleGrid per character in chars, all read from the same tables.
 
     Callers often keep many grids, so each grid shares the caller's step
-    (Fractions are immutable) and holds an exactly sized sample list.
-    The range is checked first; an empty chars then builds no table.
+    (Fractions are immutable) and owns its row of samples, copied out of
+    the (chars, ordinates) array so that no grid keeps the others' alive.
+    The range is checked first; an empty chars then builds no table, and
+    an imprimitive character (NotPrimitive, from char_meta) none either.
     """
     step = t_step if isinstance(t_step, Fraction) else Fraction(t_step)
     n_start, ts = _ordinates(t_lo, t_hi, step)
@@ -368,9 +372,6 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
         return []
 
     group = char_group(q)
-    for char in chars:
-        if not group.is_primitive(char):
-            raise NotPrimitive(f"index {char} mod {q} is imprimitive")
     metas = [group.char_meta(char) for char in chars]
     # (chars, 1) index columns: one block take per table gives that
     # ordinate's column of the (chars, ordinates) arrays
@@ -383,10 +384,10 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
     l = CVec.concatenate([lv.take(cols) for lv, _ in tables], axis=1)
     c = CVec.concatenate([fac.take(parities) for _, fac in tables], axis=1)
     eps = CVec.from_boxes([meta.epsilon for meta in metas]).reshape(-1, 1)
-    samples = [list(row) for row in lambda_from_l(l, eps * c, q, chars, ts)]
+    rows = lambda_from_l(l, eps * c, q, chars, ts)
     return [
-        SampleGrid(q, char, step, n_start, out, meta)
-        for char, meta, out in zip(chars, metas, samples)
+        SampleGrid(q, char, step, n_start, row.copy(), meta)
+        for char, meta, row in zip(chars, metas, rows)
     ]
 
 

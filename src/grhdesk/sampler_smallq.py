@@ -48,7 +48,6 @@ from .dft import fft_pow2, group_dft_cvec, units_of
 from .errors import (
     BetaConditionViolated,
     DomainError,
-    NotPrimitive,
     TailDivergence,
     XConditionViolated,
 )
@@ -60,7 +59,7 @@ from .interval import (
     pi_interval,
 )
 from .ivec import CVec, IVec
-from .sampler_largeq import SampleGrid, lambda_from_l
+from .sampler_largeq import SampleGrid, _ordinates, lambda_from_l
 
 _HALF = Fraction(1, 2)
 
@@ -358,17 +357,19 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     batched over its characters.  The outputs are padded by the alias
     total and each by its own t-grid periodization error, converted to
     the completed normalization, and checked real and projected by
-    sampler_largeq.lambda_from_l, all as arrays.
+    sampler_largeq.lambda_from_l, all as arrays; each grid owns a copy
+    of its row.
+
+    The indices' form (canonical) and t_max are checked first, in O(1):
+    its sign, the plan's ordinate range and the recovery exponent.  Only
+    then does char_meta check each character primitive and read its
+    constants, and are the ordinates m/A, m = 0..floor(t_max A), listed,
+    by the large-q sampler's rule (sampler_largeq._ordinates).
     """
     if plan is None:
         plan = default_plan()
     group = char_group(q)
     chars = [group.canonical(char) for char in chars]
-    for char in chars:
-        if not group.is_primitive(char):
-            raise NotPrimitive(f"index {char} mod {q} is imprimitive")
-    metas = [group.char_meta(char) for char in chars]
-
     if Fraction(t_max) < 0:
         raise DomainError("t_max must be nonnegative")
     m_max = int(Fraction(t_max) * plan.A)
@@ -377,10 +378,8 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     # hardware exponent ceiling for the recovery factor exp(pi t (1-eta)/4)
     if math.pi * float(t_max) * (1.0 - plan.eta) / 4.0 > 700.0:
         raise DomainError("t_max too large for this plan's recovery factor")
-    ordinates = [Fraction(m) / plan.A for m in range(m_max + 1)]
-    ts = [float(t_fr) for t_fr in ordinates]
-    if any(Fraction(t) != t_fr for t, t_fr in zip(ts, ordinates)):
-        raise DomainError("grid ordinates must be binary rationals")
+    metas = [group.char_meta(char) for char in chars]
+    _, ts = _ordinates(0, m_max / plan.A, plan.t_step)
 
     pi = pi_interval()
     one = RealInterval.one()
@@ -400,7 +399,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         t_pads = [t_grid_error(m, plan, q, parity).hi for m in range(m_max + 1)]
         pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(2 * parity + 1, 4))).exp()
         recover = IVec.from_intervals(
-            [pi_pow * (pi * RealInterval.from_fraction(t_fr) * eta_fac).exp() for t_fr in ordinates]
+            [pi_pow * (pi * RealInterval.point(t) * eta_fac).exp() for t in ts]
         )
 
         # Fhat on bins 0..N/2 per character, then the negative half by
@@ -415,7 +414,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         member_chars = [chars[i] for i in members]
         real = lambda_from_l(core[:, : m_max + 1].pad(t_pads), recover, q, member_chars, ts)
         for i, row in zip(members, real):
-            samples[i] = list(row)
+            samples[i] = row.copy()
     return [
         SampleGrid(q, char, plan.t_step, 0, out, meta)
         for char, meta, out in zip(chars, metas, samples)

@@ -1,6 +1,7 @@
 """Character group structure against brute-force definitions."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from grhdesk.characters import (
     GAUSS_BITS,
     CharGroup,
+    CharMeta,
     _fixed_unit_powers,
     char_group,
     euler_phi,
@@ -20,7 +22,7 @@ from grhdesk.characters import (
     index_label,
     parse_index_label,
 )
-from grhdesk.errors import NotPrimitive, QTooSmall
+from grhdesk.errors import HypothesisViolated, NotPrimitive, QTooSmall
 from grhdesk.interval import ComplexBox
 
 from char_oracle import eval_char, unit_phase
@@ -300,7 +302,7 @@ def test_canonical_index_is_one_shared_int_tuple():
     first = g.canonical([np.int64(1)])
     assert first == (1,) and type(first[0]) is int
     assert g.canonical((1,)) is first
-    assert g.char_meta((5,)).conjugate is first
+    assert g.canonical(g.conjugate((5,))) is first
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ def test_root_number_mod4():
     x, y, r = gauss_disc(g, (1,))
     # tau = e(1/4) - e(3/4) = 2i
     assert abs(x) <= r and abs(y - 2) <= r
-    eps = g.root_number((1,))
+    eps = g.char_meta((1,)).root_number
     assert eps.re.contains(1) and eps.im.contains(0)
 
 
@@ -339,7 +341,7 @@ def test_root_number_quadratic_mod5():
     with mpmath.workprec(300):
         root5 = _mp_fraction(mpmath.sqrt(5))
     assert abs(x - root5) <= r and abs(y) <= r
-    eps = g.root_number(quad)
+    eps = g.char_meta(quad).root_number
     assert eps.re.contains(1) and eps.im.contains(0)
 
 
@@ -413,7 +415,7 @@ def test_root_number_modulus_one_random_primitives():
         take = min(8, len(prim))
         for pos in rng.choice(len(prim), size=take, replace=False):
             idx = prim[int(pos)]
-            eps = g.root_number(idx)
+            eps = g.char_meta(idx).root_number
             assert eps.abs2().contains(1), (q, idx)
             count += 1
     assert count >= 100
@@ -423,8 +425,8 @@ def test_root_number_conjugate_intersects_conj():
     g = CharGroup(13)
     for idx in g.primitive_indices()[:4]:
         conj = g.conjugate(idx)
-        e1 = g.root_number(idx)
-        e2 = g.root_number(conj)
+        e1 = g.char_meta(idx).root_number
+        e2 = g.char_meta(conj).root_number
         assert e1.conj().intersects(e2)
         # the same identity at 160 bits, and each hardware box holds its oracle
         o1, o2 = oracle_root_and_constant(g, idx)[0], oracle_root_and_constant(g, conj)[0]
@@ -435,7 +437,22 @@ def test_root_number_conjugate_intersects_conj():
 def test_root_number_requires_primitive():
     g = CharGroup(9)
     with pytest.raises(NotPrimitive):
-        g.root_number((3,))
+        g.char_meta((3,))
+
+
+def test_char_meta_refuses_a_root_number_off_the_unit_circle(monkeypatch):
+    # a Gauss sum of twice its modulus gives |epsilon|^2 near 4, not 1
+    original = CharGroup._gauss_fixed
+
+    def doubled(self, idx):
+        re, im, rad, scale = original(self, idx)
+        return 2 * re, 2 * im, rad, scale
+
+    monkeypatch.setattr(CharGroup, "_gauss_fixed", doubled)
+    g = CharGroup(13)
+    with pytest.raises(HypothesisViolated, match=r"misses 1 for index \(5,\) mod 13"):
+        g.char_meta((5,))
+    assert not g._metas
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +468,8 @@ def test_lambda_prefactor_squares_to_conj_root_number():
             with ivprec(GAUSS_BITS):
                 assert meets(w * w, iv_conj(eps)), (q, idx)
                 assert holds(abs(w) ** 2, 1)
-            hw_w, hw_eps = g.char_meta(idx).epsilon, g.root_number(idx)
+            meta = g.char_meta(idx)
+            hw_w, hw_eps = meta.epsilon, meta.root_number
             assert covers(hw_w, w) and covers(hw_eps, eps), (q, idx)
             assert (hw_w * hw_w).intersects(hw_eps.conj()), (q, idx)
 
@@ -503,21 +521,15 @@ def test_canonical_refuses_malformed_indices(idx):
 
 
 def test_char_meta_fields():
+    assert [f.name for f in fields(CharMeta)] == ["parity", "epsilon", "root_number"]
     g = CharGroup(5)
     meta = g.char_meta((1,))
-    assert meta.parity == 1 and meta.primitive
-    assert meta.conjugate == (3,)
-    assert meta.epsilon.abs2().contains(1)
-    # conjugation is an involution on metadata
-    again = g.char_meta(meta.conjugate)
-    assert again.conjugate == (1,)
-
-
-def test_char_meta_imprimitive_placeholder():
-    g = CharGroup(9)
-    meta = g.char_meta((3,))
-    assert not meta.primitive and meta.root_number is None
-    assert meta.epsilon.re.contains(1) and meta.epsilon.im.contains_zero()
+    assert meta.parity == 1
+    assert meta.epsilon.abs2().contains(1) and meta.root_number.abs2().contains(1)
+    # the conjugate character has the same parity and the conjugate root number
+    again = g.char_meta(g.conjugate((1,)))
+    assert again.parity == 1
+    assert again.root_number.intersects(meta.root_number.conj())
 
 
 def _count_gauss_sums(monkeypatch) -> list:
@@ -533,15 +545,24 @@ def _count_gauss_sums(monkeypatch) -> list:
     return calls
 
 
+def test_char_meta_refuses_imprimitive_before_any_gauss_sum(monkeypatch):
+    calls = _count_gauss_sums(monkeypatch)
+    g = CharGroup(9)
+    for idx in [(3,), [np.int64(0)]]:
+        with pytest.raises(NotPrimitive, match=r"index \((3|0),\) mod 9 is imprimitive"):
+            g.char_meta(idx)
+    assert calls == [] and not g._metas
+
+
 def test_char_meta_and_root_number_are_kept_per_character(monkeypatch):
-    # a character's Gauss sum runs once over the life of its group, whichever
-    # of char_meta and root_number asks first, for any spelling of its index
+    # a character's Gauss sum runs once over the life of its group, for any
+    # spelling of its index, and its root number is read off the kept meta
     calls = _count_gauss_sums(monkeypatch)
     g = CharGroup(1009)
     meta = g.char_meta((3,))
     assert g.char_meta((3,)) is meta and g.char_meta([np.int64(3)]) is meta
-    assert g.root_number((3,)) is meta.root_number is g.root_number([3])
-    eps = g.root_number((700,))
+    assert g.char_meta([3]).root_number is meta.root_number
+    eps = g.char_meta((700,)).root_number
     assert g.char_meta((700,)).root_number is eps
     assert calls == [(1009, (3,)), (1009, (700,))]
     # a new group keeps its own
@@ -554,20 +575,13 @@ def test_kept_char_meta_matches_a_fresh_group(q):
     # every character asked for once, then read back from the kept dict,
     # against a second group that computes each one on first use
     g, other = CharGroup(q), CharGroup(q)
-    for idx in g.all_indices():
+    for idx in g.primitive_indices():
         g.char_meta(idx)
-    for idx in g.all_indices():
+    for idx in g.primitive_indices():
         kept, fresh = g.char_meta(idx), other.char_meta(idx)
-        assert (kept.parity, kept.primitive, kept.conjugate) == (
-            fresh.parity,
-            fresh.primitive,
-            fresh.conjugate,
-        )
+        assert kept.parity == fresh.parity
         assert box_bits(kept.epsilon) == box_bits(fresh.epsilon), (q, idx)
-        if kept.primitive:
-            assert box_bits(kept.root_number) == box_bits(fresh.root_number), (q, idx)
-        else:
-            assert kept.root_number is fresh.root_number is None
+        assert box_bits(kept.root_number) == box_bits(fresh.root_number), (q, idx)
 
 
 def test_unimodular_sqrt_covers_all_quadrants():

@@ -31,12 +31,9 @@ def rand_cvec(n):
     return CVec.from_points(RNG.uniform(-1, 1, n) + 1j * RNG.uniform(-1, 1, n))
 
 
-def numpy_dft(x: np.ndarray, direction="forward") -> np.ndarray:
-    n = len(x)
-    sign = -1 if direction == "forward" else 1
-    m = np.arange(n)
-    w = np.exp(sign * 2j * np.pi * np.outer(m, m) / n)
-    return w.T @ x
+def numpy_backward(x: np.ndarray) -> np.ndarray:
+    """sum_m x[m] e(+nm/N): numpy's normalized inverse transform times N."""
+    return len(x) * np.fft.ifft(x)
 
 
 def contains_complex(v: CVec, ref: np.ndarray, slack=0.0) -> bool:
@@ -106,13 +103,14 @@ def test_naive_identity_n1():
 
 def test_naive_delta_gives_ones():
     x = CVec.from_points(np.array([1.0, 0, 0, 0], dtype=complex))
-    y = dft_naive(x, "forward")
+    y = dft_naive(x)
     assert contains_complex(y, np.ones(4, dtype=complex))
 
 
 def test_naive_forward_backward_scales_by_n():
+    # the forward sum of y is conj(backward(conj y))
     x = rand_cvec(6)
-    y = dft_naive(dft_naive(x, "forward"), "backward")
+    y = dft_naive(dft_naive(x).conj()).conj()
     ref = 6 * (x.re.mid() + 1j * x.im.mid())
     assert contains_complex(y, ref, slack=1e-12)
 
@@ -121,9 +119,8 @@ def test_naive_forward_backward_scales_by_n():
 def test_naive_matches_numpy(n):
     x = rand_cvec(n)
     pts = x.re.mid() + 1j * x.im.mid()
-    for direction in ("forward", "backward"):
-        y = dft_naive(x, direction)
-        assert contains_complex(y, numpy_dft(pts, direction), slack=1e-11)
+    y = dft_naive(x)
+    assert contains_complex(y, numpy_backward(pts), slack=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +130,10 @@ def test_naive_matches_numpy(n):
 @pytest.mark.parametrize("n", [2, 4, 8, 64, 512])
 def test_fft_pow2_matches_naive(n):
     x = rand_cvec(n)
-    ref = numpy_dft(x.re.mid() + 1j * x.im.mid())
-    y = fft_pow2(x, "forward")
+    ref = numpy_backward(x.re.mid() + 1j * x.im.mid())
+    y = fft_pow2(x, "backward")
     assert contains_complex(y, ref, slack=1e-10)
-    z = dft_naive(x, "forward")
+    z = dft_naive(x)
     assert np.all(y.re.intersects(z.re)) and np.all(y.im.intersects(z.im))
 
 
@@ -175,28 +172,27 @@ def test_bluestein_identity_n1():
 @pytest.mark.parametrize("n", [7, 13, 30, 100, 101])
 def test_bluestein_intersects_naive(n):
     x = rand_cvec(n)
-    for direction in ("forward", "backward"):
-        a = dft_bluestein(x, direction)
-        b = dft_naive(x, direction)
-        assert np.all(a.re.intersects(b.re)), (n, direction)
-        assert np.all(a.im.intersects(b.im)), (n, direction)
-        ref = numpy_dft(x.re.mid() + 1j * x.im.mid(), direction)
-        assert contains_complex(a, ref, slack=1e-9)
+    a = dft_bluestein(x)
+    b = dft_naive(x)
+    assert np.all(a.re.intersects(b.re)), n
+    assert np.all(a.im.intersects(b.im)), n
+    ref = numpy_backward(x.re.mid() + 1j * x.im.mid())
+    assert contains_complex(a, ref, slack=1e-9)
 
 
 @pytest.mark.parametrize("n", [8, 32])
 def test_bluestein_matches_radix2(n):
     x = rand_cvec(n)
-    a = dft_bluestein(x, "forward")
-    b = fft_pow2(x, "forward")
+    a = dft_bluestein(x)
+    b = fft_pow2(x, "backward")
     assert np.all(a.re.intersects(b.re)) and np.all(a.im.intersects(b.im))
 
 
 def test_bluestein_width_growth_bounded():
     for n in (96, 341, 1024):
         x = rand_cvec(n)
-        a = dft_bluestein(x, "forward")
-        b = dft_naive(x, "forward")
+        a = dft_bluestein(x)
+        b = dft_naive(x)
         wa = float(np.max(np.maximum(a.re.width(), a.im.width())))
         wb = float(np.max(np.maximum(b.re.width(), b.im.width())))
         assert wa <= 64.0 * wb, (n, wa, wb)

@@ -24,8 +24,8 @@ from grhdesk import hurwitz, sampler_largeq
 from grhdesk.characters import char_group
 from grhdesk.dft import group_dft_cvec, units_of
 from grhdesk.hurwitz import DEFAULT_NCOLS, HurwitzLattice, unit_hurwitz
-from grhdesk.interval import ComplexBox
-from grhdesk.ivec import CVec
+from grhdesk.interval import ComplexBox, RealInterval
+from grhdesk.ivec import CVec, IVec
 from grhdesk.sampler_largeq import l_values_at
 
 from lattices import lattice
@@ -92,6 +92,27 @@ def test_width_hooks_read_the_cvec_surface():
         for part in (v.re, v.im):
             w = part.width()
             assert isinstance(w, np.ndarray) and w.shape == v.shape and np.all(w >= 0.0)
+
+
+def test_samples_keep_the_surface_the_benchmark_reads(tmp_path):
+    # check_pass and _widths walk `for s in grid.samples`, check_oracle
+    # reads grid.samples[i], and each compares len(grid) with the ordinate
+    # count; every grid owns its row, so one kept grid keeps no other alive
+    grids = sampler_largeq.sample_all(7, 16, 16 + Fraction(2, 16), Fraction(1, 16), cache_dir=tmp_path)
+    assert len(grids) == 5
+    for grid in grids.values():
+        assert isinstance(grid.samples, IVec) and len(grid) == 3
+        cells = list(grid.samples)
+        assert len(cells) == 3
+        for i, s in enumerate(cells):
+            assert isinstance(s, RealInterval)
+            assert type(s.lo) is float and type(s.hi) is float and s.lo <= s.hi
+            t = grid.samples[i]
+            assert isinstance(t, RealInterval) and (t.lo, t.hi) == (s.lo, s.hi)
+    blocks = [grid.samples.e for grid in grids.values()]
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 def test_cold_sample_range_keeps_the_benchmark_call_contract(tmp_path, monkeypatch):

@@ -562,7 +562,7 @@ def test_sample_range_metadata(tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("latcache"))
     grid = sample_range(4, (1,), 0, Fraction(5, 64), size=16, cache_dir=cache)
     assert grid.q == 4 and grid.character == (1,)
-    assert grid.meta.primitive and grid.meta.parity == 1
+    assert grid.meta is char_group(4).char_meta((1,)) and grid.meta.parity == 1
     assert grid.t_step == DEFAULT_STEP and grid.n_start == 0
     assert grid.t_float(1) == 5 / 64
     assert len(grid) == 2

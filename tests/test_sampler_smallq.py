@@ -23,6 +23,7 @@ from grhdesk.errors import (
     DomainError,
     NotPrimitive,
     RealnessViolation,
+    TailDivergence,
     XConditionViolated,
 )
 from grhdesk.sampler_largeq import sample_all, sample_range
@@ -30,6 +31,7 @@ from grhdesk.sampler_smallq import (
     FftPlan,
     alias_bound_fhat,
     default_plan,
+    default_trunc,
     smallq_all,
     smallq_samples,
     t_grid_error,
@@ -118,6 +120,37 @@ def test_smallq_refuses_negative_t_max(monkeypatch, t_max):
     monkeypatch.setattr(sampler_smallq, "_dual_values", _refuse)
     with pytest.raises(DomainError, match="t_max must be nonnegative"):
         smallq_samples(5, (1,), None, t_max)
+
+
+@pytest.mark.parametrize(
+    "plan, t_max, message",
+    [
+        (PLAN, -1, "t_max must be nonnegative"),
+        (PLAN, 10**30, "exceeds the plan's ordinate range"),
+        (FftPlan(A=Fraction(1), B=Fraction(1024)), 1000, "recovery factor"),
+    ],
+)
+def test_smallq_refuses_t_max_before_any_character_or_ordinate(monkeypatch, plan, t_max, message):
+    # each refusal is O(1): no root number and no ordinate list first
+    monkeypatch.setattr(CharGroup, "char_meta", _refuse)
+    monkeypatch.setattr(sampler_smallq, "_ordinates", _refuse)
+    monkeypatch.setattr(sampler_smallq, "_dual_values", _refuse)
+    with pytest.raises(DomainError, match=message):
+        smallq_all(13, plan, t_max)
+
+
+def test_smallq_refuses_ordinates_that_are_not_doubles(monkeypatch):
+    # a step of 1/12: the ordinate 1/12 has no exact double
+    monkeypatch.setattr(sampler_smallq, "_dual_values", _refuse)
+    plan = FftPlan(A=Fraction(12), B=Fraction(16, 3))
+    with pytest.raises(DomainError, match="binary rationals"):
+        smallq_samples(5, (1,), plan, Fraction(1, 6))
+
+
+def test_default_trunc_refuses_a_nonpositive_decay_constant():
+    # eta = 3 puts cos(pi eta/2) = cos(3 pi/2) below zero in floating point
+    with pytest.raises(TailDivergence, match="underflowed"):
+        default_trunc(0.0, 7, 3.0)
 
 
 def test_zeta_nine_eighths_contains_mpmath():
