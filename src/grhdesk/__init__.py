@@ -6,18 +6,19 @@ group-DFT sampler for large moduli (sampler_largeq) and a dual-grid
 theta/FFT sampler for small ones (sampler_smallq).  Every enclosure is
 outward-rounded interval arithmetic on doubles (interval, ivec); exact
 integer and big-float kernels only feed it constants, each rounded
-outward once.  Locating zeros from sign changes and certifying zero
-counts are not implemented yet.
+outward once: the Hurwitz powers, q^(-s) and the Gamma factor of the
+completion are fixed-point balls of hurwitz, whose log_gamma is the
+package's one log Gamma.  Locating zeros from sign changes and
+certifying zero counts are not implemented yet.
 """
 
 __version__ = "0.1.0"
 
-from .interval import ComplexBox, RealInterval, log_gamma, pi_interval
+from .interval import ComplexBox, RealInterval, pi_interval
 
 __all__ = [
     "ComplexBox",
     "RealInterval",
-    "log_gamma",
     "pi_interval",
     "__version__",
 ]

@@ -39,9 +39,14 @@ at a time, bit for bit, and a block costs the interval-array calls of
 one ordinate; a single ordinate is the one-element block.
 
 The samplers' other Hurwitz-type constants come from the same kernels:
-zeta(9/8) is one _em_rows cell, and q^(-s) one _power_ball.  The scalar
-Euler-Maclaurin evaluation the kernels are tested against, one value at
-a time, is the oracle in tests/em_oracle.py.
+zeta(9/8) is one _em_rows cell, and q^(-s) one _power_ball.  The ball
+kernels also serve Gamma: log_gamma is Stirling's series in the same
+integer fixed point, at exact rational points, with one mpf_log and one
+mpf_atan2 for w and one of each for the shift product, and
+_gamma_factor exponentiates it into the completion's archimedean factor
+with one mpf_exp and one mpf_cos_sin.  The scalar Euler-Maclaurin
+evaluation the kernels are tested against, one value at a time, is the
+oracle in tests/em_oracle.py.
 
 This module alone knows the lattice: its layout, its default row count
 (lattice_size), its truncation, its file format (save_lattice,
@@ -57,22 +62,29 @@ import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 from mpmath.libmp import (
     from_float,
+    from_int,
+    from_man_exp,
     from_rational,
+    mpf_atan2,
     mpf_cos_sin,
+    mpf_div,
+    mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_pi,
     mpf_shift,
+    to_float,
     to_int,
 )
 
-from .errors import DomainError, PoleProximity, RadiusViolation
+from .errors import DomainError, NonPositiveRealPart, PoleProximity, RadiusViolation
 from .interval import RealInterval, _narrow, _ratio_ends, bernoulli
 from .ivec import CVec, IVec
 
@@ -87,9 +99,9 @@ DEFAULT_M = 9
 # barely narrow a cell.
 DEFAULT_BUILD_BITS = 64
 
-# The big-float kernels (mpmath.libmp's log, cos_sin and pi) run with
-# _GUARD bits above the precision they serve, and each result is trusted
-# to _BIG_TRANS_ULPS ulps at that precision
+# The big-float kernels (mpmath.libmp's log, atan2, exp, cos_sin and pi)
+# run with _GUARD bits above the precision they serve, and each result is
+# trusted to _BIG_TRANS_ULPS ulps at that precision
 _GUARD = 32
 _BIG_TRANS_ULPS = 2
 
@@ -287,6 +299,219 @@ def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[floa
     return _narrow_ball(_ball(x, sigma, t, bits), t == 0.0)
 
 
+# ---------------------------------------------------------------------------
+# log Gamma on the same balls
+
+
+# the Stirling remainder is held below 2^-_STIRLING_GOAL_BITS, 12 bits
+# below one ulp of 1: it moves e^(log Gamma), narrowed to doubles, by
+# 1/2048 of an ulp at most
+_STIRLING_GOAL_BITS = 64
+# the most Stirling terms log_gamma sums: at the goal, 12 terms serve
+# |w| >= 11.5, and log_gamma shifts a smaller argument right to there
+_STIRLING_CAP = 12
+
+
+@cache
+def _stirling_table(bits: int, goal_bits: int):
+    """log_gamma's constants at `bits`, in fixed point at 2^-(bits + _GUARD).
+
+    (the coefficients B_2k / (2k (2k-1)), k = 1.._STIRLING_CAP, each
+    truncated toward -infinity; the exact remainder constants
+    |B_{2K+2}| 2^{K+1} / ((2K+2)(2K+1)) as (numerator, denominator); the
+    float |w| from which K terms meet the goal 2^-goal_bits;
+    log(2 pi)/2 and pi as (midpoint, radius)).
+    """
+    prec = bits + _GUARD
+    coefs = []
+    for k in range(1, _STIRLING_CAP + 1):
+        c = bernoulli(2 * k) / ((2 * k) * (2 * k - 1))
+        coefs.append((c.numerator << prec) // c.denominator)
+    rems = [
+        abs(bernoulli(2 * K + 2)) * 2 ** (K + 1) / ((2 * K + 2) * (2 * K + 1))
+        for K in range(1, _STIRLING_CAP + 1)
+    ]
+    reach = [
+        2.0 ** ((math.log2(c.numerator) - math.log2(c.denominator) + goal_bits) / (2 * K + 1))
+        for K, c in enumerate(rems, start=1)
+    ]
+    pi = mpf_pi(prec, "n")
+    rad_pi = _trust_units(pi, bits, prec) + 1
+    # |log(2 pi~) - log(2 pi)| <= |pi~ - pi| / pi
+    half_log = mpf_shift(mpf_log(mpf_shift(pi, 1), prec, "n"), -1)
+    rad_log = _trust_units(half_log, bits, prec) + rad_pi + 1
+    return (
+        coefs,
+        [c.as_integer_ratio() for c in rems],
+        reach,
+        (_to_fixed(half_log, -prec), rad_log),
+        (_to_fixed(pi, -prec), rad_pi),
+    )
+
+
+def _stirling_plan(x: float, y: float, reach: list[float]) -> tuple[int, int]:
+    """The fewest shifts n, then the fewest terms K, whose Stirling
+    remainder at w = x + n + iy meets log_gamma's goal.
+
+    reach[K - 1] is the float |w| from which K terms do (_stirling_table).
+    The choice is by floats; the bound that pads the sum is exact.
+    """
+    r_min = min(reach)
+    n = 0
+    if math.hypot(x, y) < r_min:
+        n = max(0, math.ceil(math.sqrt(r_min * r_min - y * y) - x))
+        while math.hypot(x + n, y) < r_min:
+            n += 1
+    r = math.hypot(x + n, y)
+    return n, next(K for K, reach_K in enumerate(reach, start=1) if reach_K <= r)
+
+
+# a ball (X, Y, R) at the fixed scale 2^-prec: within R 2^-prec of (X + iY) 2^-prec
+_Fixed = tuple[int, int, int]
+
+
+def _fixed_mul(u: _Fixed, v: _Fixed, prec: int) -> _Fixed:
+    """Product of two balls at the scale 2^-prec, as _ball_mul bounds it."""
+    X1, Y1, R1 = u
+    X2, Y2, R2 = v
+    R = _mid_mag(X1, Y1) * R2 + _mid_mag(X2, Y2) * R1 + R1 * R2
+    # each floor shift moves its part by less than one unit
+    return (X1 * X2 - Y1 * Y2) >> prec, (X1 * Y2 + Y1 * X2) >> prec, (R >> prec) + 3
+
+
+def _half_log_fixed(n: int, d: int, bits: int) -> tuple[int, int]:
+    """log(n/d)/2 for integers n, d > 0 at the scale 2^-(bits + _GUARD), as
+    (midpoint, radius): one mpf_log of n/d rounded to the kernel precision."""
+    prec = bits + _GUARD
+    lg = mpf_shift(mpf_log(from_rational(n, d, prec, "n"), prec, "n"), -1)
+    # n/d rounds by half an ulp, so its log moves by at most one unit
+    return _to_fixed(lg, -prec), _trust_units(lg, bits, prec) + 2
+
+
+def _atan2_fixed(y: int, x: int, bits: int) -> tuple[int, int, tuple]:
+    """arg(x + iy) for integers, not both 0, at the scale 2^-(bits + _GUARD),
+    as (midpoint, radius, the raw mpf): one mpf_atan2 of the exact integers."""
+    prec = bits + _GUARD
+    arg = mpf_atan2(from_int(y), from_int(x), prec, "n")
+    return _to_fixed(arg, -prec), _trust_units(arg, bits, prec) + 1, arg
+
+
+def log_gamma(x, y, bits: int) -> _Ball:
+    """Principal log Gamma(x + iy) for exact rationals x > 0 and y, as a
+    fixed-point ball (X, Y, R, -(bits + _GUARD)).
+
+    x and y are ints, doubles or Fractions, taken exactly.  Stirling's
+    series at w = z + n,
+    (w - 1/2) log w - w + log(2 pi)/2 + sum_{k<=K} B_2k / (2k (2k-1)) w^{1-2k},
+    has remainder |R_K| <= |B_{2K+2}| / ((2K+2)(2K+1)) sec(arg w / 2)^{2K+2}
+    / |w|^{2K+1}, and sec(arg w / 2)^{2K+2} <= 2^{K+1} while Re w > 0.  n
+    and K are the fewest shifts, then terms up to _STIRLING_CAP, whose
+    bound is at most 2^-_STIRLING_GOAL_BITS (_stirling_plan),
+    and log Gamma(z) = log Gamma(w) - log prod_{j<n} (z + j).
+
+    With z = (a + ib)/d over integers, the shift product is one exact
+    Gaussian integer over d^n: its log is one mpf_log of its squared
+    modulus and one mpf_atan2, on the branch that the float sum of the n
+    factors' atans picks (each lies in (-pi/2, pi/2), so the float sum is
+    within far less than pi of the exact one).  log w is one more mpf_log
+    and mpf_atan2.  The rest is integer fixed point at 2^-(bits + _GUARD):
+    w and 1/w truncated, the Horner sum in 1/w^2 on Gaussian integers,
+    each step bounded as _fixed_mul bounds a product, with the
+    coefficients B_2k / (2k (2k-1)) truncated once each, and the exact remainder bound at the integer lower bound
+    isqrt(|w|^2 d^2) on |w| d, rounded up into the radius.  Each mpmath
+    kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`, as in
+    _turn.  No Fraction is made past the inputs.
+    """
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    if xn <= 0:
+        raise NonPositiveRealPart(f"log_gamma at {x} + {y}i")
+    prec = bits + _GUARD
+    coefs, rems, reach, (half_log, rad_half_log), (pi, rad_pi) = _stirling_table(bits, _STIRLING_GOAL_BITS)
+    d = math.lcm(xd, yd)
+    a, b = xn * (d // xd), yn * (d // yd)  # z = (a + ib) / d
+    n, K = _stirling_plan(a / d, b / d, reach)
+
+    # the shift product (a + jd + ib), j < n, and the float sum of its args
+    pr, pim, args = 1, 0, 0.0
+    for j in range(n):
+        u = a + j * d
+        pr, pim = pr * u - pim * b, pr * b + pim * u
+        args += math.atan2(b, u)
+    g = a + n * d  # w = (g + ib) / d
+    norm = g * g + b * b
+
+    # (w - 1/2) log w - w + log(2 pi)/2, w within 2 of W
+    lw_re, rad_lw_re = _half_log_fixed(norm, d * d, bits)
+    lw_im, rad_lw_im, _ = _atan2_fixed(b, g, bits)
+    W = ((g << prec) // d, (b << prec) // d, 2)
+    main = _fixed_mul((W[0] - (1 << (prec - 1)), W[1], 2), (lw_re, lw_im, rad_lw_re + rad_lw_im), prec)
+    X, Y, R = main[0] - W[0] + half_log, main[1] - W[1], main[2] + W[2] + rad_half_log
+
+    # (1/w) sum_k coefs[k] (1/w^2)^k by Horner, 1/w = d (g - ib) / |g + ib|^2
+    inv = ((d * g << prec) // norm, (-d * b << prec) // norm, 2)
+    Ur, Ui, Ru = _fixed_mul(inv, inv, prec)
+    mag_u = _mid_mag(Ur, Ui)
+    Ar, Ai, Ra = coefs[K - 1], 0, 1
+    for c in reversed(coefs[: K - 1]):
+        # acc u + c: _fixed_mul inlined, |acc| <= |Ar| + |Ai|, one more unit for c
+        Ra = (((abs(Ar) + abs(Ai)) * Ru + mag_u * Ra + Ra * Ru) >> prec) + 4
+        Ar, Ai = ((Ar * Ur - Ai * Ui) >> prec) + c, (Ar * Ui + Ai * Ur) >> prec
+    acc = (Ar, Ai, Ra)
+    P, Q, S = _fixed_mul(acc, inv, prec)
+    X, Y, R = X + P, Y + Q, R + S
+
+    # the remainder, at |w|^{2K+1} >= norm^K isqrt(norm) / d^{2K+1}
+    num, den = rems[K - 1]
+    R += -(-(num << prec) * d ** (2 * K + 1) // (den * norm**K * math.isqrt(norm)))
+
+    if n:
+        lp_re, rad_lp_re = _half_log_fixed(pr * pr + pim * pim, d ** (2 * n), bits)
+        lp_im, rad_lp_im, arg = _atan2_fixed(pim, pr, bits)
+        turns = round((args - to_float(arg)) / (2 * math.pi))
+        X -= lp_re
+        Y -= lp_im + 2 * turns * pi
+        R += rad_lp_re + rad_lp_im + 2 * abs(turns) * rad_pi
+    return X, Y, R, -prec
+
+
+def _gamma_factor(lg: _Ball, y, q: int, bits: int) -> tuple[float, float, float, float]:
+    """Gamma(x + iy) e^{pi |y| / 2} (q/pi)^{iy} from lg = log_gamma(x, y, bits),
+    as (re.lo, re.hi, im.lo, im.hi) doubles.
+
+    The exponent lg + pi |y| / 2 + i y log(q/pi) is summed in lg's fixed
+    point, with pi and one mpf_log of q/pi; then one mpf_exp of its real
+    part gives the modulus and one mpf_cos_sin of its imaginary part the
+    phase, composed as in _turn and narrowed to doubles once.  A real
+    factor (y = 0) gets the imaginary sides [0, 0].
+    """
+    X, Y, R, e = lg
+    prec = bits + _GUARD
+    _, _, _, _, (pi, rad_pi) = _stirling_table(bits, _STIRLING_GOAL_BITS)
+    yn, yd = y.as_integer_ratio()
+    # pi |y| / 2 and y log(q / pi~), with |log(q/pi~) - log(q/pi)| <= |pi~ - pi| / pi
+    X += abs(yn) * pi // (2 * yd)
+    lq = mpf_log(mpf_div(from_int(q), mpf_pi(prec, "n"), prec, "n"), prec, "n")
+    rad_lq = _trust_units(lq, bits, prec) + rad_pi + 2
+    Y += yn * _to_fixed(lq, -prec) // yd
+    R += -(-abs(yn) * (rad_pi + 2 * rad_lq) // (2 * yd)) + 2
+    if R > 1 << (prec - 2):
+        raise DomainError(f"log Gamma ball at y = {y} too wide to exponentiate")
+
+    # the modulus e^{X~ + delta}, |delta| <= R units <= 1/4, is within
+    # (2R (1 + 2^-_GUARD) + trust + 1) units of 2^-prec of mpf_exp's E,
+    # relative to E, as e^delta - 1 <= 2 |delta| there; the phase as in _turn
+    _, man, exp, _ = mpf_exp(from_man_exp(X, e), prec, "n")
+    rel = 2 * R + (R >> _GUARD) + (_BIG_TRANS_ULPS << (_GUARD + 1)) + 1
+    c, s = mpf_cos_sin(from_man_exp(Y, e), prec, "n")
+    C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
+    rad_unit = R + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
+    Xo, Yo, Ro = man * C, man * S, man * (rel + rad_unit)
+    k = max(max(abs(Xo), abs(Yo)).bit_length() - prec, 0)
+    ball = (Xo >> k, Yo >> k, (Ro >> k) + 3, exp - prec + k)
+    return _narrow_ball(ball, yn == 0)
+
+
 def _smallest_prime_factors(top: int) -> np.ndarray:
     """spf[m] is the smallest prime factor of m for 2 <= m <= top."""
     spf = np.arange(top + 1, dtype=np.int64)
@@ -451,6 +676,7 @@ def _em_rows(
     pi_lo = Fraction(to_int(mpf_shift(mpf_pi(bits + _GUARD, "f"), bits - 2), "f") - 1, 1 << (bits - 2))
     two_pi_pow_lo = (2 * pi_lo) ** (2 * b + 1)
     bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
+    sigs = [base_sigma + c + 2 * b for c in cols]
     inv_re, inv_im, inv_den = [], [], []
     coef_re, coef_im, coef_den = [], [], []
     rad_num, rad_den = [], []
@@ -467,16 +693,16 @@ def _em_rows(
                 coef_re.append(bk.numerator * pr)
                 coef_im.append(bk.numerator * pim)
                 coef_den.append(bk.denominator * scale)
-            # 2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1} (sigma_c + 2b)), |.| bounded above
+            # 2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1} (sigma_c + 2b)), with
+            # |.| bounded above by root / 2^64 as fraction_sqrt_upper bounds it
             pr, pim, scale = poch[2 * b + 1]
-            rad = 2 * zu * fraction_sqrt_upper(Fraction(pr * pr + pim * pim, scale * scale))
-            sig = base_sigma + c + 2 * b
-            rad_num.append(rad.numerator * two_pi_pow_lo.denominator * sig.denominator)
-            rad_den.append(rad.denominator * two_pi_pow_lo.numerator * sig.numerator)
+            root = math.isqrt(((pr * pr + pim * pim) << 128) // (scale * scale)) + 1
+            sig = sigs[c]
+            rad_num.append(2 * zu.numerator * root * two_pi_pow_lo.denominator * sig.denominator)
+            rad_den.append((zu.denominator << 64) * two_pi_pow_lo.numerator * sig.numerator)
     inv_sm1 = _ratio_cvec(inv_re, inv_im, inv_den).reshape(T, 1, ncols + 1)
     coefs = _ratio_cvec(coef_re, coef_im, coef_den).reshape(T, 1, ncols + 1, b)
     rad_const = _ratio_ivec(rad_num, rad_den).hi.reshape(T, 1, ncols + 1)
-    sigs = [base_sigma + c + 2 * b for c in cols]
     sig2b = _ratio_ivec([v.numerator for v in sigs], [v.denominator for v in sigs])
 
     # column c of every power: one more factor (n + alpha)^{-1} per column
@@ -549,13 +775,21 @@ def lattice_size(t: float) -> int:
     DEFAULT_D.  It depends on |t| alone, so an ordinate gets the same
     lattice whatever range or modulus it is sampled for.
     """
-    poch = itertools.islice(_pochhammer(_HALF, float(t)), DEFAULT_NCOLS + 1)
+    K = DEFAULT_NCOLS
+    # 2^64 |(s0)_k / k!| rounded up, each an integer square root, as
+    # fraction_sqrt_upper gives it; the sum is compared times 2^64 (2D)^K,
+    # in integers
     mags = [
-        fraction_sqrt_upper(Fraction(pr * pr + pim * pim, (scale * math.factorial(k)) ** 2))
-        for k, (pr, pim, scale) in enumerate(poch)
+        math.isqrt(((pr * pr + pim * pim) << 128) // (scale * math.factorial(k)) ** 2) + 1
+        for k, (pr, pim, scale) in enumerate(itertools.islice(_pochhammer(_HALF, float(t)), K + 1))
     ]
     D = 2
-    while D < DEFAULT_D and sum(m / (2 * D) ** k for k, m in enumerate(mags)) > _MAX_AMPLIFICATION:
+    while D < DEFAULT_D:
+        acc = 0
+        for m in mags:  # sum_k mags[k] (2D)^(K-k), by Horner
+            acc = acc * 2 * D + m
+        if acc <= (_MAX_AMPLIFICATION << 64) * (2 * D) ** K:
+            break
         D *= 2
     return D
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from functools import cache
 from fractions import Fraction
 
 from .errors import (
@@ -571,7 +570,7 @@ def _coerce_box(z) -> ComplexBox:
 
 
 # ---------------------------------------------------------------------------
-# log-gamma via Stirling with a rigorously bounded remainder
+# Bernoulli numbers
 
 
 _BERN_CACHE: dict[int, Fraction] = {}
@@ -587,98 +586,3 @@ def bernoulli(n: int) -> Fraction:
         b = Fraction(int(p), int(q))
         _BERN_CACHE[n] = b
     return b
-
-
-# the Stirling remainder is held this many bits below one ulp of |w|
-_STIRLING_GOAL_BITS = 3
-# the most Stirling terms log_gamma sums
-_STIRLING_CAP = 14
-
-
-@cache
-def _stirling_table():
-    """The constants of log_gamma's Stirling sum, K = 1.._STIRLING_CAP.
-
-    (coefficients B_2k / (2k (2k-1)) as intervals, the exact remainder
-    constants |B_{2K+2}| 2^{K+1} / ((2K+2)(2K+1)), their base-2 logs,
-    1/2, log(2 pi)/2).
-    """
-    coeffs = [
-        RealInterval.from_fraction(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)))
-        for k in range(1, _STIRLING_CAP + 1)
-    ]
-    rems = [
-        abs(bernoulli(2 * K + 2)) * 2 ** (K + 1) / ((2 * K + 2) * (2 * K + 1))
-        for K in range(1, _STIRLING_CAP + 1)
-    ]
-    half = RealInterval.from_fraction(Fraction(1, 2))
-    half_log_2pi = (pi_interval() * RealInterval.point(2)).log() * half
-    log2_rems = [math.log2(c.numerator) - math.log2(c.denominator) for c in rems]
-    return coeffs, rems, log2_rems, half, half_log_2pi
-
-
-def _stirling_terms(log2_rems: list[float], r: float) -> int:
-    """The fewest terms K whose remainder bound at |w| >= r meets the goal.
-
-    The goal is _STIRLING_GOAL_BITS below one ulp of the double r; 0 when
-    no K in the table meets it and the argument must shift right.  The
-    choice is by floats; the bound that pads the sum is exact.
-    """
-    if r <= 0.0:
-        return 0
-    goal = math.frexp(r)[1] - 53 - _STIRLING_GOAL_BITS
-    log2_r = math.log2(r)
-    for K, log2_rem in enumerate(log2_rems, start=1):
-        if log2_rem - (2 * K + 1) * log2_r <= goal:
-            return K
-    return 0
-
-
-def log_gamma(z: ComplexBox) -> ComplexBox:
-    """Principal log Gamma for Re(z) > 0.
-
-    Stirling's series at w = z + j,
-    (w - 1/2) log w - w + log(2 pi)/2 + sum_{k<=K} B_2k / (2k (2k-1)) w^{1-2k},
-    has remainder |R_K| <= |B_{2K+2}| / ((2K+2)(2K+1)) sec(arg w / 2)^{2K+2}
-    / |w|^{2K+1}, and sec(arg w / 2)^{2K+2} <= 2^{K+1} while Re w > 0.
-    K is the fewest terms whose bound, at a rigorous lower bound r on |w|,
-    falls _STIRLING_GOAL_BITS below one ulp of r, up to _STIRLING_CAP;
-    while no K up to the cap does, the argument shifts right by
-    log Gamma(w) = log Gamma(w+1) - log w (j = 0 when |z| is large
-    enough).  The sum is (1/w) times a Horner sum in u = 1/w^2 with real
-    coefficients, K - 1 box products; the remainder bound is one exact
-    rational from r, rounded up once, and pads the result.
-    """
-    if z.re.sign() != 1:
-        raise NonPositiveRealPart(f"log_gamma of {z!r}")
-    coeffs, rems, log2_rems, half, half_log_2pi = _stirling_table()
-
-    shift_acc = ComplexBox.zero()
-    w = z
-    # each shift adds 1 to Re w, and K > 0 once |w| >= 8.004, so nine
-    # shifts suffice; a NaN endpoint never meets the goal, so the walk is
-    # capped
-    for _ in range(16):
-        abs2 = w.abs2()
-        r = abs2.sqrt().lo  # |w| >= r
-        K = _stirling_terms(log2_rems, r)
-        if K:
-            break
-        shift_acc = shift_acc + w.log()
-        w = w + ComplexBox.one()
-    else:
-        raise NonPositiveRealPart(f"log_gamma of {z!r}: no Stirling remainder bound")
-
-    # (w - 1/2) log w - w + (1/2) log(2 pi)
-    result = (w - ComplexBox.from_real(half)) * w.log() - w + ComplexBox.from_real(half_log_2pi)
-
-    inv_w = w.conj() / abs2
-    u = inv_w * inv_w
-    acc = ComplexBox.from_real(coeffs[K - 1])
-    for c in reversed(coeffs[: K - 1]):
-        acc = acc * u
-        acc = ComplexBox(acc.re + c, acc.im)
-    result = result + acc * inv_w
-
-    rem = rems[K - 1] / Fraction(r) ** (2 * K + 1)
-    return result.pad(RealInterval.from_fraction(rem)) - shift_acc

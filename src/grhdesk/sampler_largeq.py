@@ -16,7 +16,10 @@ Completion is one array step for every requested character at once: the
 unimodular constant times the archimedean factor, which depends on the
 character only through its parity, times the L-values, then one
 realness check and the projection onto the real axis (lambda_from_l,
-which the small-q sampler ends in too).
+which the small-q sampler ends in too).  The archimedean factor is one
+fixed-point ball per (ordinate, parity) (completion_factor: one
+hurwitz.log_gamma, exponentiated by hurwitz._gamma_factor), made with
+the L-values of each (q, ordinate) table and narrowed to doubles once.
 
 Ordinates go through in blocks.  A call's ordinates that have no
 (q, ordinate) table yet are cut into blocks of consecutive ordinates that
@@ -68,18 +71,15 @@ from .hurwitz import (
     DEFAULT_NCOLS,
     HurwitzLattice,
     _build_block,
+    _gamma_factor,
     _power_ball,
     _truncation,
     build_lattice,
     lattice_size,
+    log_gamma,
     unit_hurwitz,
 )
-from .interval import (
-    ComplexBox,
-    RealInterval,
-    log_gamma,
-    pi_interval,
-)
+from .interval import ComplexBox, RealInterval
 from .ivec import CVec, IVec
 
 DEFAULT_STEP = Fraction(5, 64)
@@ -229,24 +229,20 @@ def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
 
         exp(log Gamma((1/2 + a + it)/2) + pi|t|/4 + i (t/2) log(q/pi)),  a = parity.
 
-    Assembled in log space: Re log Gamma decays like -pi|t|/4, so adding
-    pi|t|/4 before exponentiating keeps magnitudes near 1 and avoids
-    overflow at any desk-scale height.  |t| rather than t keeps the
+    One fixed-point ball: hurwitz.log_gamma at the exact point
+    (2a+1)/4 + i t/2, then the exponent and its exponential in the same
+    fixed point (hurwitz._gamma_factor: one mpf_log of q/pi, one mpf_exp,
+    one mpf_cos_sin), narrowed to doubles once, as q_pow is.  Adding
+    pi|t|/4 keeps the magnitude near |t|^(a/2) at any height, where
+    Gamma alone decays like e^(-pi|t|/4).  |t| rather than t keeps the
     factor even, so the completed function of a real character is even.
-    It depends on the character only through its parity.
+    It depends on the character only through its parity, and at t = 0
+    its imaginary part is exactly [0, 0].
     """
-    z = ComplexBox(
-        RealInterval.from_fraction(Fraction(2 * parity + 1, 4)),
-        RealInterval.point(t / 2),
-    )
-    lg = log_gamma(z)
-    pi = pi_interval()
-    log_q_pi = (RealInterval.point(q) / pi).log()
-    arg = ComplexBox(
-        lg.re + pi * RealInterval.point(abs(t) / 4),
-        lg.im + RealInterval.point(t / 2) * log_q_pi,
-    )
-    return arg.exp()
+    y = Fraction(t) / 2
+    lg = log_gamma(Fraction(2 * parity + 1, 4), y, 96)
+    re_lo, re_hi, im_lo, im_hi = _gamma_factor(lg, y, q, 96)
+    return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
 def lambda_from_l(l: CVec, factor, q: int, chars, ts) -> IVec:

@@ -51,11 +51,10 @@ from .errors import (
     TailDivergence,
     XConditionViolated,
 )
-from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, auto_params
+from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, _narrow_ball, auto_params, log_gamma
 from .interval import (
     ComplexBox,
     RealInterval,
-    log_gamma,
     pi_interval,
 )
 from .ivec import CVec, IVec
@@ -303,14 +302,16 @@ def _beta(t_fr: Fraction, parity: int) -> RealInterval:
 
 def _envelope(t_fr: Fraction, q: int, parity: int, eta: float) -> RealInterval:
     """zeta(9/8) pi^(-(2a+1)/4) |Gamma((2a+1)/4 + it/2)| e^(pi eta t/4)
-    ((q/2pi)|3/2 + t|)^(5/16)."""
+    ((q/2pi)|3/2 + t|)^(5/16).
+
+    |Gamma| is e^(Re log Gamma): the real part of hurwitz.log_gamma's ball
+    at the exact point (2a+1)/4 + it/2, narrowed to doubles, then one
+    hardware exp.
+    """
     pi = pi_interval()
     tt = RealInterval.from_fraction(t_fr)
-    z = ComplexBox(
-        RealInterval.from_fraction(Fraction(2 * parity + 1, 4)),
-        tt * RealInterval.from_fraction(_HALF),
-    )
-    gamma_abs = log_gamma(z).re.exp()
+    re_lo, re_hi, _, _ = _narrow_ball(log_gamma(Fraction(2 * parity + 1, 4), t_fr / 2, 96), False)
+    gamma_abs = RealInterval(re_lo, re_hi).exp()
     pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(-(2 * parity + 1), 4))).exp()
     e_eta = (pi * tt * RealInterval.point(eta / 4)).exp()
     rad_base = RealInterval.point(q) / (pi + pi) * RealInterval.from_fraction(

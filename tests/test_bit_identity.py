@@ -70,8 +70,10 @@ LATTICE_WHOLE_PINS = {
 # name, a NUL, then its bytes (header and endpoint block)
 LATTICE_FILE_PIN = "52359d3961cf84d9954fa1b61e69dc56e9eb38d2c4e80df2494b88c06ed320b3"
 
-SAMPLE_ALL_PIN = "151ab0acd49773c55b59a887e851318dc5f2d7c78788aee313ec587a1df23e9f"
-SAMPLE_RANGE_PIN = "af84d6b8f1350eed4385e6f52129a6bb428573c436b1aa1cbcb198caf6208076"
+# re-recorded when the completion factor became one fixed-point log Gamma
+# ball: every new sample lies inside the one it replaced
+SAMPLE_ALL_PIN = "ba7eeefcfb1f044f2cf4abd1900eadb70de69076b46ee650db4028b72fc552ba"
+SAMPLE_RANGE_PIN = "33e8b0d19799bfd3a965d7a99a3c041b8e3baadaf38340a81cfee6612823fff8"
 SMALLQ_PIN = "eaa66429cef02a2d23294f434ffe352979a942cdc9721992bb45e40e34dddeaf"
 
 

@@ -16,23 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-from grhdesk import interval
+from grhdesk import hurwitz
 from grhdesk.errors import (
     DivisorContainsZero,
     LogDomain,
     NegativeSqrtDomain,
     NonPositiveRealPart,
 )
+from grhdesk.hurwitz import _narrow_ball, log_gamma
 from grhdesk.interval import (
-    _STIRLING_CAP,
     ComplexBox,
     RealInterval,
     _narrow,
     _prod_is_exact,
     _ratio_ends,
-    _stirling_table,
-    _stirling_terms,
-    log_gamma,
     pi_interval,
 )
 
@@ -330,20 +327,27 @@ def test_pi_interval_contains_pi():
 
 
 # ---------------------------------------------------------------------------
-# log_gamma
+# log_gamma: hurwitz's fixed-point ball kernel, narrowed to doubles and
+# held to the same oracles as the interval layer
+
+
+def gamma_box(z: complex, bits: int = 96) -> ComplexBox:
+    """hurwitz.log_gamma at the exact point z, narrowed to doubles."""
+    re_lo, re_hi, im_lo, im_hi = _narrow_ball(log_gamma(z.real, z.imag, bits), False)
+    return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
 @ORACLES
 def test_log_gamma_at_one(oracle):
-    lg = log_gamma(ComplexBox.one())
+    lg = gamma_box(1 + 0j)
     assert lg.re.contains(0) and lg.im.contains(0)
     check_oracle(lg, oracle, lambda: iv_loggamma(1 + 0j))
 
 
 @ORACLES
 def test_log_gamma_at_half(oracle):
-    z = ComplexBox.from_real(RealInterval.from_fraction(Fraction(1, 2)))
-    lg = log_gamma(z)
+    re_lo, re_hi, im_lo, im_hi = _narrow_ball(log_gamma(Fraction(1, 2), 0, 96), False)
+    lg = ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
     with mpmath.workprec(200):
         assert_contains_mp(lg.re, mpmath.log(mpmath.sqrt(mpmath.pi)))
     assert lg.im.contains(0)
@@ -372,12 +376,16 @@ def stirling_reference(z, prec=300, terms=60):
         return +out.real, +out.imag
 
 
-@ORACLES
-def test_log_gamma_3_plus_4i(oracle):
-    lg = log_gamma(ComplexBox.point(complex(3, 4)))
-    re_ref, im_ref = stirling_reference(complex(3, 4))
+def assert_holds_reference(lg: ComplexBox, z: complex):
+    re_ref, im_ref = stirling_reference(z)
     assert_contains_mp(lg.re, re_ref)
     assert_contains_mp(lg.im, im_ref)
+
+
+@ORACLES
+def test_log_gamma_3_plus_4i(oracle):
+    lg = gamma_box(complex(3, 4))
+    assert_holds_reference(lg, complex(3, 4))
     check_oracle(lg, oracle, lambda: iv_loggamma(3 + 4j))
 
 
@@ -385,37 +393,33 @@ def test_log_gamma_3_plus_4i(oracle):
     "z", [complex(0.25, 0.5), complex(0.75, 50.0), complex(1.25, 1250.0), complex(0.5, 5000.0)]
 )
 def test_log_gamma_tall_arguments(z):
-    lg = log_gamma(ComplexBox.point(z))
-    re_ref, im_ref = stirling_reference(z)
-    assert_contains_mp(lg.re, re_ref)
-    assert_contains_mp(lg.im, im_ref)
-    assert lg.re.width() < 1e-9
+    lg = gamma_box(z)
+    assert_holds_reference(lg, z)
+    # a ball far narrower than a double: each side is at most one ulp wide
+    for part in (lg.re, lg.im):
+        assert part.width() <= 2 * math.ulp(max(abs(part.lo), abs(part.hi))), part
 
 
 @ORACLES
 @pytest.mark.parametrize("sigma", [0.25, 0.75])
 @pytest.mark.parametrize("im", [0.0, 0.5, 4.0, 7.9, 8.0, 8.1, 50.0, 500.0, 5000.0])
 def test_log_gamma_contains_reference_across_the_shift_threshold(oracle, sigma, im):
-    # near |z| = 8 log_gamma moves from shifting right to summing at z
-    # itself; the completion factors read 1/4 + 8i and 3/4 + 8i at t = 16
+    # the completion factors read 1/4 + 8i and 3/4 + 8i at t = 16; below
+    # |w| of about 11.5 log_gamma shifts right, from there it sums at z
     z = complex(sigma, im)
-    lg = log_gamma(ComplexBox.point(z))
-    re_ref, im_ref = stirling_reference(z)
-    assert_contains_mp(lg.re, re_ref)
-    assert_contains_mp(lg.im, im_ref)
+    lg = gamma_box(z)
+    assert_holds_reference(lg, z)
     check_oracle(lg, oracle, lambda: iv_loggamma(z))
 
 
 @pytest.mark.parametrize("z", [complex(0.25, 8.0), complex(3.0, 4.0), complex(0.75, 50.0)])
 def test_log_gamma_remainder_bound_holds_where_it_dominates(monkeypatch, z):
-    # with the goal 40 bits above one ulp of |w| only a few terms are
-    # summed, and the padded remainder bound, not rounding, is what makes
-    # the result contain log Gamma
-    monkeypatch.setattr(interval, "_STIRLING_GOAL_BITS", -40)
-    lg = log_gamma(ComplexBox.point(z))
-    re_ref, im_ref = stirling_reference(z)
-    assert_contains_mp(lg.re, re_ref)
-    assert_contains_mp(lg.im, im_ref)
+    # with the goal at 2^-20 only a few terms are summed, and the padded
+    # remainder bound, not rounding, is what makes the result contain
+    # log Gamma
+    monkeypatch.setattr(hurwitz, "_STIRLING_GOAL_BITS", 20)
+    lg = gamma_box(z)
+    assert_holds_reference(lg, z)
     assert lg.re.width() > 1e-9
 
 
@@ -427,42 +431,70 @@ def test_log_gamma_remainder_bound_holds_where_it_dominates(monkeypatch, z):
     ],
 )
 def test_log_gamma_hardware_widths(z, re_width, im_width):
-    # pinned at the widths of the earlier form, 14 terms summed term by
-    # term after shifting to |w| >= 10: the Horner sum is no wider
-    lg = log_gamma(ComplexBox.point(z))
+    # pinned at the widths of the earlier hardware-interval Stirling sum,
+    # 14 terms summed term by term after shifting to |w| >= 10: the ball
+    # narrowed to doubles is no wider
+    lg = gamma_box(z)
     assert lg.re.width() <= re_width
     assert lg.im.width() <= im_width
 
 
 def test_stirling_term_count_meets_its_goal():
-    # K is the fewest terms whose exact remainder bound at |w| >= r falls
-    # three bits below one ulp of the double r, never above the cap, and
-    # 0 (shift right) only where no K up to the cap meets that goal
-    _, rems, log2_rems, _, _ = _stirling_table()
-    cap = _STIRLING_CAP
-    assert len(rems) == cap
+    # n is the fewest shifts from which some K <= the cap meets the goal
+    # 2^-64 by the exact remainder bound at |w|, and K the fewest terms
+    # that meet it there
+    coefs, rems, reach, _, _ = hurwitz._stirling_table(96, 64)
+    cap = hurwitz._STIRLING_CAP
+    assert len(coefs) == len(rems) == len(reach) == cap
+    goal = Fraction(1, 2**64)
+
+    def bounds(x, y):
+        r = mpmath.sqrt(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2)
+        return [Fraction(*rem) / mp_fraction(r) ** (2 * k + 1) for k, rem in enumerate(rems, 1)]
+
     counts = []
-    for r in (4.0, 7.9, 8.004, 10.0, 16.0, 22.5, 50.0, 150.0, 5000.0, 1e8):
-        K = _stirling_terms(log2_rems, r)
-        goal = Fraction(2) ** (math.frexp(r)[1] - 53 - 3)
-        bounds = [rems[k - 1] / Fraction(r) ** (2 * k + 1) for k in range(1, cap + 1)]
-        if K == 0:
-            assert all(b > goal for b in bounds), r
+    for x, y in [(0.25, 0.0), (0.75, 4.0), (0.25, 8.0), (3.0, 4.0), (0.75, 16.0),
+                 (0.25, 22.5), (0.5, 50.0), (0.75, 150.0), (0.5, 5000.0), (0.5, 1e8)]:
+        n, K = hurwitz._stirling_plan(x, y, reach)
+        at = bounds(x + n, y)
+        assert at[K - 1] <= goal, (x, y)
+        assert all(b > goal for b in at[: K - 1]), (x, y)
+        if n:
+            assert all(b > goal for b in bounds(x + n - 1, y)), (x, y)
         else:
-            assert bounds[K - 1] <= goal, r
-            assert all(b > goal for b in bounds[: K - 1]), r
-        counts.append(K or cap + 1)
+            counts.append(K)
     assert counts == sorted(counts, reverse=True)  # fewer terms as |w| grows
-    assert _stirling_terms(log2_rems, 7.9) == 0
-    assert 0 < _stirling_terms(log2_rems, 8.004) <= 14
+    assert hurwitz._stirling_plan(0.25, 8.0, reach) == (9, 12)  # t = 16, parity 0
+    assert hurwitz._stirling_plan(0.75, 150.0, reach)[0] == 0  # t = 300
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(3, 4)])
+@pytest.mark.parametrize("y", [2.0, 3.0, 5.0, 8.0, -3.0, -8.0, 0.125])
+def test_log_gamma_branch_past_pi(x, y):
+    # with |y| small the kernel shifts many times, and the shift product's
+    # argument wraps past +-pi: its atan2 alone is off by 2 pi k, which the
+    # float sum of the factors' atans puts back
+    n, _ = hurwitz._stirling_plan(float(x), y, hurwitz._stirling_table(96, 64)[2])
+    args = sum(math.atan2(y, float(x) + j) for j in range(n))
+    if abs(y) >= 2:
+        assert abs(args) > math.pi, (x, y, n)
+    lg = gamma_box(complex(float(x), y))
+    with mpmath.workprec(300):
+        ref = mpmath.loggamma(mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator, y))
+    assert_contains_mp(lg.re, ref.real)
+    assert_contains_mp(lg.im, ref.imag)
 
 
 def test_log_gamma_domain_error():
     with pytest.raises(NonPositiveRealPart):
-        log_gamma(ComplexBox.point(complex(-1.0, 0.5)))
-    # a NaN part never meets the remainder goal: the shift walk ends
+        log_gamma(-1.0, 0.5, 96)
     with pytest.raises(NonPositiveRealPart):
-        log_gamma(ComplexBox.point(complex(1.0, math.nan)))
+        log_gamma(Fraction(0), 3, 96)
+    # a point that is not an exact rational has no integer ratio
+    with pytest.raises(ValueError):
+        log_gamma(1.0, math.nan, 96)
+    with pytest.raises(OverflowError):
+        log_gamma(math.inf, 1.0, 96)
 
 
 # ---------------------------------------------------------------------------

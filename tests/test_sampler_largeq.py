@@ -7,6 +7,7 @@ the whole batched pipeline.  Completion tests pin realness, sign behaviour and
 linearity in the unimodular constant.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -316,6 +317,85 @@ def test_lambda_gamma_factor_keeps_magnitude_tame():
         assert mag.lo > 0.0
 
 
+def completion_reference(t: float, parity: int, q: int) -> mpmath.mpc:
+    """exp(log Gamma((1/2 + a + it)/2) + pi|t|/4 + i (t/2) log(q/pi)) at 300 bits."""
+    with mpmath.workprec(300):
+        t = mpmath.mpf(t)
+        z = mpmath.mpc(mpmath.mpf(2 * parity + 1) / 4, t / 2)
+        return mpmath.exp(
+            mpmath.loggamma(z) + mpmath.pi * abs(t) / 4 + mpmath.mpc(0, t / 2) * mpmath.log(q / mpmath.pi)
+        )
+
+
+@pytest.mark.parametrize("q", [4, 7, 101])
+@pytest.mark.parametrize("t", [0.0, 16.0, -16.0, 300.0, 2500.0])
+def test_completion_factor_contains_mpmath(t, q):
+    for parity in (0, 1):
+        c = completion_factor(t, parity, q)
+        ref = completion_reference(t, parity, q)
+        assert mp_fraction(c.re.lo) <= mp_fraction(ref.real) <= mp_fraction(c.re.hi), (t, parity, q)
+        assert mp_fraction(c.im.lo) <= mp_fraction(ref.imag) <= mp_fraction(c.im.hi), (t, parity, q)
+        if t == 0.0:
+            assert (c.im.lo, c.im.hi) == (0.0, 0.0)
+        # a few ulps of the factor's magnitude
+        ulp = math.ulp(max(abs(c.re.lo), abs(c.re.hi), abs(c.im.lo), abs(c.im.hi)))
+        assert c.re.width() <= 4 * ulp and c.im.width() <= 4 * ulp, (t, parity, q)
+
+
+@pytest.mark.parametrize("t", [16.0, 300.0])
+def test_completion_factor_carries_the_log_gamma_radius(monkeypatch, t):
+    # with log_gamma's remainder goal at 2^-20 its ball is wide, and the
+    # factor contains the true value only if the exponential carries that
+    # radius into the modulus and the phase
+    monkeypatch.setattr(hurwitz, "_STIRLING_GOAL_BITS", 20)
+    for parity in (0, 1):
+        c = completion_factor(t, parity, 7)
+        ref = completion_reference(t, parity, 7)
+        assert mp_fraction(c.re.lo) <= mp_fraction(ref.real) <= mp_fraction(c.re.hi), (t, parity)
+        assert mp_fraction(c.im.lo) <= mp_fraction(ref.imag) <= mp_fraction(c.im.hi), (t, parity)
+        assert c.re.width() > 1e-9
+
+
+def _count_kernels(monkeypatch) -> dict:
+    """Count the mpmath.libmp kernel calls hurwitz makes, by name."""
+    counts = {}
+    for name in ("mpf_log", "mpf_atan2", "mpf_exp", "mpf_cos_sin"):
+        def counted(*args, _f=getattr(hurwitz, name), _name=name, **kw):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _f(*args, **kw)
+
+        monkeypatch.setattr(hurwitz, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "t, kernels",
+    [
+        # 1/4 + 8i shifts 9 times: log and atan2 of w and of the shift
+        # product, log(q/pi), and the exponential's exp and cos_sin
+        (16.0, {"mpf_log": 3, "mpf_atan2": 2, "mpf_exp": 1, "mpf_cos_sin": 1}),
+        # 1/4 + 150i sums at z itself: no shift product
+        (300.0, {"mpf_log": 2, "mpf_atan2": 1, "mpf_exp": 1, "mpf_cos_sin": 1}),
+    ],
+)
+def test_completion_factor_is_one_ball(monkeypatch, t, kernels):
+    completion_factor(t, 0, 7)  # log_gamma's constants, made once per precision
+    counts = _count_kernels(monkeypatch)
+    calls = []
+    log_gamma = sampler_largeq.log_gamma
+    monkeypatch.setattr(sampler_largeq, "log_gamma", lambda *a: calls.append(a) or log_gamma(*a))
+
+    def refused(*args):
+        raise AssertionError("a ComplexBox product")
+
+    monkeypatch.setattr(ComplexBox, "__mul__", refused)
+    monkeypatch.setattr(ComplexBox, "__rmul__", refused)
+    c = completion_factor(t, 0, 7)
+    assert calls == [(Fraction(1, 4), Fraction(t) / 2, 96)]
+    assert counts == kernels
+    assert c.re.width() > 0.0
+
+
 # -- grids -------------------------------------------------------------------
 
 
@@ -505,6 +585,54 @@ def test_lattice_size_policy():
         radius = Fraction(1, D) + DEFAULT_M + 1
         tail = taylor_tail_bound(s_mag_hi, Fraction(1, 2 * D), radius, DEFAULT_NCOLS + 1)
         assert tail <= Fraction(1, 2**52), (t, D)
+
+
+def lattice_size_oracle(t: float) -> int:
+    """lattice_size as the Fraction formula it replaced: each |(s0)_k / k!|
+    bounded by fraction_sqrt_upper, the sum compared in Fractions."""
+    poch = itertools.islice(hurwitz._pochhammer(Fraction(1, 2), float(t)), DEFAULT_NCOLS + 1)
+    mags = [
+        fraction_sqrt_upper(Fraction(pr * pr + pim * pim, (scale * math.factorial(k)) ** 2))
+        for k, (pr, pim, scale) in enumerate(poch)
+    ]
+    D = 2
+    while D < DEFAULT_D and sum(m / (2 * D) ** k for k, m in enumerate(mags)) > 16:
+        D *= 2
+    return D
+
+
+def test_lattice_size_matches_the_fraction_formula():
+    # the oracle is nondecreasing in |t| (each |(s0)_k| is, and so is its
+    # rounded-up bound), so on the grid k/16, 0 <= k <= 48,000, it is a
+    # step function: its steps are found by bisection, checked on both
+    # sides with the oracle, and lattice_size must give it at every point
+    grid = 3000 * 16
+
+    def oracle_at(k):
+        return lattice_size_oracle(k / 16)
+
+    steps, k, D = [], 0, oracle_at(0)
+    while oracle_at(grid) != D:
+        lo, hi = k, grid  # oracle_at(lo) == D != oracle_at(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if oracle_at(mid) == D else (lo, mid)
+        k, D = hi, oracle_at(hi)
+        steps.append((k, D))
+    assert len(steps) >= 8
+    sizes = [lattice_size(k / 16) for k in range(grid + 1)]
+    want, D = [], oracle_at(0)
+    bounds = dict(steps)
+    for k in range(grid + 1):
+        D = bounds.get(k, D)
+        want.append(D)
+    assert sizes == want
+    for k, _ in steps:  # both sides of each switch, and their mirror images
+        for j in (k - 1, k):
+            assert lattice_size(-j / 16) == lattice_size_oracle(-j / 16) == want[j]
+    rng = np.random.default_rng(24)
+    for t in rng.uniform(-5000, 5000, 300):
+        assert lattice_size(float(t)) == lattice_size_oracle(float(t)), t
 
 
 def _unit_width_max(lat, q):
