@@ -303,6 +303,11 @@ def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[floa
 # log Gamma on the same balls
 
 
+# log_gamma's balls are trusted at _GAMMA_BITS, in fixed point at
+# 2^-_GAMMA_PREC: 43 bits past a double, so a factor made from them
+# narrows to doubles a few ulps wide
+_GAMMA_BITS = 96
+_GAMMA_PREC = _GAMMA_BITS + _GUARD
 # the Stirling remainder is held below 2^-_STIRLING_GOAL_BITS, 12 bits
 # below one ulp of 1: it moves e^(log Gamma), narrowed to doubles, by
 # 1/2048 of an ulp at most
@@ -313,16 +318,24 @@ _STIRLING_CAP = 12
 
 
 @cache
-def _stirling_table(bits: int, goal_bits: int):
-    """log_gamma's constants at `bits`, in fixed point at 2^-(bits + _GUARD).
+def _pi_fixed(prec: int) -> tuple[tuple, int, int]:
+    """pi as (the raw mpf, its midpoint at 2^-prec, radius), trusted at
+    prec - _GUARD bits: the one pi of log_gamma and _gamma_factor."""
+    pi = mpf_pi(prec, "n")
+    return pi, _to_fixed(pi, -prec), _trust_units(pi, prec - _GUARD, prec) + 1
+
+
+@cache
+def _stirling_table(goal_bits: int):
+    """log_gamma's constants, in fixed point at 2^-_GAMMA_PREC.
 
     (the coefficients B_2k / (2k (2k-1)), k = 1.._STIRLING_CAP, each
     truncated toward -infinity; the exact remainder constants
     |B_{2K+2}| 2^{K+1} / ((2K+2)(2K+1)) as (numerator, denominator); the
     float |w| from which K terms meet the goal 2^-goal_bits;
-    log(2 pi)/2 and pi as (midpoint, radius)).
+    log(2 pi)/2 as (midpoint, radius)).
     """
-    prec = bits + _GUARD
+    prec = _GAMMA_PREC
     coefs = []
     for k in range(1, _STIRLING_CAP + 1):
         c = bernoulli(2 * k) / ((2 * k) * (2 * k - 1))
@@ -335,18 +348,11 @@ def _stirling_table(bits: int, goal_bits: int):
         2.0 ** ((math.log2(c.numerator) - math.log2(c.denominator) + goal_bits) / (2 * K + 1))
         for K, c in enumerate(rems, start=1)
     ]
-    pi = mpf_pi(prec, "n")
-    rad_pi = _trust_units(pi, bits, prec) + 1
+    pi, _, rad_pi = _pi_fixed(prec)
     # |log(2 pi~) - log(2 pi)| <= |pi~ - pi| / pi
     half_log = mpf_shift(mpf_log(mpf_shift(pi, 1), prec, "n"), -1)
-    rad_log = _trust_units(half_log, bits, prec) + rad_pi + 1
-    return (
-        coefs,
-        [c.as_integer_ratio() for c in rems],
-        reach,
-        (_to_fixed(half_log, -prec), rad_log),
-        (_to_fixed(pi, -prec), rad_pi),
-    )
+    rad_log = _trust_units(half_log, _GAMMA_BITS, prec) + rad_pi + 1
+    return coefs, [c.as_integer_ratio() for c in rems], reach, (_to_fixed(half_log, -prec), rad_log)
 
 
 def _stirling_plan(x: float, y: float, reach: list[float]) -> tuple[int, int]:
@@ -379,29 +385,29 @@ def _fixed_mul(u: _Fixed, v: _Fixed, prec: int) -> _Fixed:
     return (X1 * X2 - Y1 * Y2) >> prec, (X1 * Y2 + Y1 * X2) >> prec, (R >> prec) + 3
 
 
-def _half_log_fixed(n: int, d: int, bits: int) -> tuple[int, int]:
-    """log(n/d)/2 for integers n, d > 0 at the scale 2^-(bits + _GUARD), as
+def _half_log_fixed(n: int, d: int) -> tuple[int, int]:
+    """log(n/d)/2 for integers n, d > 0 at the scale 2^-_GAMMA_PREC, as
     (midpoint, radius): one mpf_log of n/d rounded to the kernel precision."""
-    prec = bits + _GUARD
+    prec = _GAMMA_PREC
     lg = mpf_shift(mpf_log(from_rational(n, d, prec, "n"), prec, "n"), -1)
     # n/d rounds by half an ulp, so its log moves by at most one unit
-    return _to_fixed(lg, -prec), _trust_units(lg, bits, prec) + 2
+    return _to_fixed(lg, -prec), _trust_units(lg, _GAMMA_BITS, prec) + 2
 
 
-def _atan2_fixed(y: int, x: int, bits: int) -> tuple[int, int, tuple]:
-    """arg(x + iy) for integers, not both 0, at the scale 2^-(bits + _GUARD),
+def _atan2_fixed(y: int, x: int) -> tuple[int, int, tuple]:
+    """arg(x + iy) for integers, not both 0, at the scale 2^-_GAMMA_PREC,
     as (midpoint, radius, the raw mpf): one mpf_atan2 of the exact integers."""
-    prec = bits + _GUARD
+    prec = _GAMMA_PREC
     arg = mpf_atan2(from_int(y), from_int(x), prec, "n")
-    return _to_fixed(arg, -prec), _trust_units(arg, bits, prec) + 1, arg
+    return _to_fixed(arg, -prec), _trust_units(arg, _GAMMA_BITS, prec) + 1, arg
 
 
-def log_gamma(x, y, bits: int) -> _Ball:
+def log_gamma(x, y) -> _Ball:
     """Principal log Gamma(x + iy) for exact rationals x > 0 and y, as a
-    fixed-point ball (X, Y, R, -(bits + _GUARD)).
+    fixed-point ball (X, Y, R, -_GAMMA_PREC).
 
-    x and y are ints, doubles or Fractions, taken exactly.  Stirling's
-    series at w = z + n,
+    x and y are ints, finite doubles or Fractions, taken exactly.
+    Stirling's series at w = z + n,
     (w - 1/2) log w - w + log(2 pi)/2 + sum_{k<=K} B_2k / (2k (2k-1)) w^{1-2k},
     has remainder |R_K| <= |B_{2K+2}| / ((2K+2)(2K+1)) sec(arg w / 2)^{2K+2}
     / |w|^{2K+1}, and sec(arg w / 2)^{2K+2} <= 2^{K+1} while Re w > 0.  n
@@ -414,20 +420,22 @@ def log_gamma(x, y, bits: int) -> _Ball:
     modulus and one mpf_atan2, on the branch that the float sum of the n
     factors' atans picks (each lies in (-pi/2, pi/2), so the float sum is
     within far less than pi of the exact one).  log w is one more mpf_log
-    and mpf_atan2.  The rest is integer fixed point at 2^-(bits + _GUARD):
+    and mpf_atan2.  The rest is integer fixed point at 2^-_GAMMA_PREC:
     w and 1/w truncated, the Horner sum in 1/w^2 on Gaussian integers,
-    each step bounded as _fixed_mul bounds a product, with the
-    coefficients B_2k / (2k (2k-1)) truncated once each, and the exact remainder bound at the integer lower bound
-    isqrt(|w|^2 d^2) on |w| d, rounded up into the radius.  Each mpmath
-    kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`, as in
-    _turn.  No Fraction is made past the inputs.
+    each step a _fixed_mul plus a coefficient B_2k / (2k (2k-1)) that is
+    truncated once, and the exact remainder bound at the integer lower
+    bound isqrt(|w|^2 d^2) on |w| d, rounded up into the radius.  Each
+    mpmath kernel result is trusted to _BIG_TRANS_ULPS ulps at
+    _GAMMA_BITS, as in _turn.  No Fraction is made past the inputs.
     """
+    if any(isinstance(v, float) and not math.isfinite(v) for v in (x, y)):
+        raise NonPositiveRealPart(f"log_gamma at {x} + {y}i, not a finite point")
     xn, xd = x.as_integer_ratio()
     yn, yd = y.as_integer_ratio()
     if xn <= 0:
         raise NonPositiveRealPart(f"log_gamma at {x} + {y}i")
-    prec = bits + _GUARD
-    coefs, rems, reach, (half_log, rad_half_log), (pi, rad_pi) = _stirling_table(bits, _STIRLING_GOAL_BITS)
+    prec = _GAMMA_PREC
+    coefs, rems, reach, (half_log, rad_half_log) = _stirling_table(_STIRLING_GOAL_BITS)
     d = math.lcm(xd, yd)
     a, b = xn * (d // xd), yn * (d // yd)  # z = (a + ib) / d
     n, K = _stirling_plan(a / d, b / d, reach)
@@ -442,22 +450,20 @@ def log_gamma(x, y, bits: int) -> _Ball:
     norm = g * g + b * b
 
     # (w - 1/2) log w - w + log(2 pi)/2, w within 2 of W
-    lw_re, rad_lw_re = _half_log_fixed(norm, d * d, bits)
-    lw_im, rad_lw_im, _ = _atan2_fixed(b, g, bits)
+    lw_re, rad_lw_re = _half_log_fixed(norm, d * d)
+    lw_im, rad_lw_im, _ = _atan2_fixed(b, g)
     W = ((g << prec) // d, (b << prec) // d, 2)
     main = _fixed_mul((W[0] - (1 << (prec - 1)), W[1], 2), (lw_re, lw_im, rad_lw_re + rad_lw_im), prec)
     X, Y, R = main[0] - W[0] + half_log, main[1] - W[1], main[2] + W[2] + rad_half_log
 
     # (1/w) sum_k coefs[k] (1/w^2)^k by Horner, 1/w = d (g - ib) / |g + ib|^2
     inv = ((d * g << prec) // norm, (-d * b << prec) // norm, 2)
-    Ur, Ui, Ru = _fixed_mul(inv, inv, prec)
-    mag_u = _mid_mag(Ur, Ui)
-    Ar, Ai, Ra = coefs[K - 1], 0, 1
+    inv2 = _fixed_mul(inv, inv, prec)
+    acc = (coefs[K - 1], 0, 1)
     for c in reversed(coefs[: K - 1]):
-        # acc u + c: _fixed_mul inlined, |acc| <= |Ar| + |Ai|, one more unit for c
-        Ra = (((abs(Ar) + abs(Ai)) * Ru + mag_u * Ra + Ra * Ru) >> prec) + 4
-        Ar, Ai = ((Ar * Ur - Ai * Ui) >> prec) + c, (Ar * Ui + Ai * Ur) >> prec
-    acc = (Ar, Ai, Ra)
+        # acc / w^2 + c, with one more unit for c's truncation
+        Ar, Ai, Ra = _fixed_mul(acc, inv2, prec)
+        acc = (Ar + c, Ai, Ra + 1)
     P, Q, S = _fixed_mul(acc, inv, prec)
     X, Y, R = X + P, Y + Q, R + S
 
@@ -466,8 +472,9 @@ def log_gamma(x, y, bits: int) -> _Ball:
     R += -(-(num << prec) * d ** (2 * K + 1) // (den * norm**K * math.isqrt(norm)))
 
     if n:
-        lp_re, rad_lp_re = _half_log_fixed(pr * pr + pim * pim, d ** (2 * n), bits)
-        lp_im, rad_lp_im, arg = _atan2_fixed(pim, pr, bits)
+        _, pi, rad_pi = _pi_fixed(prec)
+        lp_re, rad_lp_re = _half_log_fixed(pr * pr + pim * pim, d ** (2 * n))
+        lp_im, rad_lp_im, arg = _atan2_fixed(pim, pr)
         turns = round((args - to_float(arg)) / (2 * math.pi))
         X -= lp_re
         Y -= lp_im + 2 * turns * pi
@@ -475,23 +482,24 @@ def log_gamma(x, y, bits: int) -> _Ball:
     return X, Y, R, -prec
 
 
-def _gamma_factor(lg: _Ball, y, q: int, bits: int) -> tuple[float, float, float, float]:
-    """Gamma(x + iy) e^{pi |y| / 2} (q/pi)^{iy} from lg = log_gamma(x, y, bits),
+def _gamma_factor(lg: _Ball, y, q: int) -> tuple[float, float, float, float]:
+    """Gamma(x + iy) e^{pi |y| / 2} (q/pi)^{iy} from lg = log_gamma(x, y),
     as (re.lo, re.hi, im.lo, im.hi) doubles.
 
     The exponent lg + pi |y| / 2 + i y log(q/pi) is summed in lg's fixed
-    point, with pi and one mpf_log of q/pi; then one mpf_exp of its real
-    part gives the modulus and one mpf_cos_sin of its imaginary part the
-    phase, composed as in _turn and narrowed to doubles once.  A real
-    factor (y = 0) gets the imaginary sides [0, 0].
+    point, with one pi (_pi_fixed) and one mpf_log of q/pi; then one
+    mpf_exp of its real part gives the modulus and one mpf_cos_sin of its
+    imaginary part the phase, composed as in _turn and narrowed to
+    doubles once.  A real factor (y = 0) gets the imaginary sides [0, 0].
     """
     X, Y, R, e = lg
-    prec = bits + _GUARD
-    _, _, _, _, (pi, rad_pi) = _stirling_table(bits, _STIRLING_GOAL_BITS)
+    prec = -e
+    bits = prec - _GUARD
+    pi_mpf, pi, rad_pi = _pi_fixed(prec)
     yn, yd = y.as_integer_ratio()
     # pi |y| / 2 and y log(q / pi~), with |log(q/pi~) - log(q/pi)| <= |pi~ - pi| / pi
     X += abs(yn) * pi // (2 * yd)
-    lq = mpf_log(mpf_div(from_int(q), mpf_pi(prec, "n"), prec, "n"), prec, "n")
+    lq = mpf_log(mpf_div(from_int(q), pi_mpf, prec, "n"), prec, "n")
     rad_lq = _trust_units(lq, bits, prec) + rad_pi + 2
     Y += yn * _to_fixed(lq, -prec) // yd
     R += -(-abs(yn) * (rad_pi + 2 * rad_lq) // (2 * yd)) + 2

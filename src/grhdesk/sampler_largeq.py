@@ -240,8 +240,8 @@ def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
     its imaginary part is exactly [0, 0].
     """
     y = Fraction(t) / 2
-    lg = log_gamma(Fraction(2 * parity + 1, 4), y, 96)
-    re_lo, re_hi, im_lo, im_hi = _gamma_factor(lg, y, q, 96)
+    lg = log_gamma(Fraction(2 * parity + 1, 4), y)
+    re_lo, re_hi, im_lo, im_hi = _gamma_factor(lg, y, q)
     return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 

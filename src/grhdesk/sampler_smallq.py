@@ -310,7 +310,7 @@ def _envelope(t_fr: Fraction, q: int, parity: int, eta: float) -> RealInterval:
     """
     pi = pi_interval()
     tt = RealInterval.from_fraction(t_fr)
-    re_lo, re_hi, _, _ = _narrow_ball(log_gamma(Fraction(2 * parity + 1, 4), t_fr / 2, 96), False)
+    re_lo, re_hi, _, _ = _narrow_ball(log_gamma(Fraction(2 * parity + 1, 4), t_fr / 2), False)
     gamma_abs = RealInterval(re_lo, re_hi).exp()
     pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(-(2 * parity + 1), 4))).exp()
     e_eta = (pi * tt * RealInterval.point(eta / 4)).exp()

@@ -379,7 +379,7 @@ def _count_kernels(monkeypatch) -> dict:
     ],
 )
 def test_completion_factor_is_one_ball(monkeypatch, t, kernels):
-    completion_factor(t, 0, 7)  # log_gamma's constants, made once per precision
+    completion_factor(t, 0, 7)  # log_gamma's constants and pi, made once
     counts = _count_kernels(monkeypatch)
     calls = []
     log_gamma = sampler_largeq.log_gamma
@@ -391,7 +391,7 @@ def test_completion_factor_is_one_ball(monkeypatch, t, kernels):
     monkeypatch.setattr(ComplexBox, "__mul__", refused)
     monkeypatch.setattr(ComplexBox, "__rmul__", refused)
     c = completion_factor(t, 0, 7)
-    assert calls == [(Fraction(1, 4), Fraction(t) / 2, 96)]
+    assert calls == [(Fraction(1, 4), Fraction(t) / 2)]
     assert counts == kernels
     assert c.re.width() > 0.0
 
