@@ -14,8 +14,13 @@ Two stages, the build and the query, on one Euler-Maclaurin kernel
   phase takes one log and one cos_sin kernel call, trusted to a few
   ulps; every base (m/D)^{-s} is then an exact Gaussian-integer
   fixed-point product of a prime's ball and a smaller base's, down to
-  D^{s}.  Its bases m/D are rounded in one numpy pass, and its
-  per-column constants are exact integer ratios, each rounded once.
+  D^{s}.  Its bases m/D are rounded in one numpy pass.  Of its
+  per-column constants, 1/(s_c - 1), which sets each cell's largest
+  term, and the first Bernoulli coefficient s_c/12 are exact Gaussian
+  rationals, each rounded once; the higher Bernoulli coefficients and the
+  remainder constant are complex128 balls from one cumulative product of
+  the exact factors s_c + j per block, with an a priori radius, as their
+  few ulps of width scale terms far below a cell (_em_constants).
   Every lattice has one shape, DEFAULT_NCOLS + 1 columns, the head
   length DEFAULT_M + 1 and the build precision DEFAULT_BUILD_BITS; only
   its row count D follows the height, lattice_size(t) unless given;
@@ -85,7 +90,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, NonPositiveRealPart, PoleProximity, RadiusViolation
-from .interval import RealInterval, _narrow, _ratio_ends, bernoulli
+from .interval import _narrow, _ratio_ends, bernoulli
 from .ivec import CVec, IVec
 
 # the cap of the default row count (lattice_size)
@@ -577,26 +582,15 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, ts: list[float], bits
     return out
 
 
-def _ratio_ivec(nums: list[int], dens: list[int]) -> IVec:
-    """Hardware IVec of the rationals n/d over paired integers, d > 0."""
-    return IVec.from_block(_ratio_block([nums], dens))
-
-
 def _ratio_cvec(re: list[int], im: list[int], dens: list[int]) -> CVec:
-    """Hardware CVec of the Gaussian rationals (re + i im) / den."""
-    return CVec.from_block(_ratio_block([re, im], dens))
+    """Hardware CVec of the Gaussian rationals (re + i im) / den, den > 0.
 
-
-def _ratio_block(parts: list[list[int]], dens: list[int]) -> np.ndarray:
-    """The endpoint block, shape (len(parts), 2, len(dens)), of the
-    rationals parts[i][j] / dens[j], d > 0.
-
-    Each entry is rounded outward once to RealInterval.from_fraction's
+    Each part is rounded outward once to RealInterval.from_fraction's
     endpoints (interval._ratio_ends), with no pair reduced to lowest terms
     and no Fraction made.
     """
-    ends = [[_ratio_ends(n, d) for n, d in zip(nums, dens)] for nums in parts]
-    return np.array(ends, dtype=np.float64).reshape(len(parts), len(dens), 2).transpose(0, 2, 1)
+    ends = [[_ratio_ends(n, d) for n, d in zip(nums, dens)] for nums in (re, im)]
+    return CVec.from_block(np.array(ends, dtype=np.float64).reshape(2, len(dens), 2).transpose(0, 2, 1))
 
 
 def _pochhammer(sigma: Fraction, t: float) -> Iterator[tuple[int, int, int]]:
@@ -614,6 +608,102 @@ def _pochhammer(sigma: Fraction, t: float) -> Iterator[tuple[int, int, int]]:
         yield pr, pim, scale
         xj = x + j * den
         pr, pim, scale = pr * xj - pim * y, pr * y + pim * xj, scale * den
+
+
+# the relative error, per product, of a cumulative complex128 product of
+# exact factors (_em_constants): a naive complex product is within
+# sqrt(5) u of the exact product of its operands (Brent, Percival and
+# Zimmermann, Math. Comp. 76, 2007), one with FMA within 2u (Jeannerod,
+# Kornerup, Louvet and Muller, Math. Comp. 86, 2017); 9/4 is sqrt(5) with
+# 0.6% to spare
+_PROD_REL = 2.25 * 2.0**-53
+
+
+@cache
+def _tail_constants(b: int, bits: int) -> tuple[IVec, float]:
+    """The constants of _em_rows that do not depend on s: B_2k / (2k)! for
+    k = 1..b, each rounded outward once, and an upper bound, as a double,
+    on 2 zeta(2b+1) / (2 pi)^(2b+1).
+
+    (2 pi)^(2b+1) is bounded below from a lower bound on pi: mpf_pi at
+    bits + _GUARD rounded down to bits bits, less one ulp.
+    """
+    bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
+    lo, hi = zip(*(_ratio_ends(v.numerator, v.denominator) for v in bern))
+    # pi lies in [2, 4), where one ulp at `bits` is 2^(2 - bits)
+    pi_lo = Fraction(to_int(mpf_shift(mpf_pi(bits + _GUARD, "f"), bits - 2), "f") - 1, 1 << (bits - 2))
+    rem = 2 * zeta_upper(2 * b + 1) / (2 * pi_lo) ** (2 * b + 1)
+    return IVec(lo, hi), _ratio_ends(rem.numerator, rem.denominator)[1]
+
+
+def _em_constants(ts: list[float], sigma: Fraction, ncols: int, b: int, bits: int):
+    """The constants of _em_rows that depend on s_c = sigma + c + it, for
+    each t in ts and column c = 0..ncols, as (inv, coefs, rad): inv the
+    CVec of 1/(s_c - 1), shape (len(ts), ncols+1); coefs the CVec of the
+    Bernoulli coefficients B_2k/(2k)! (s_c)_{2k-1}, k = 1..b, shape
+    (len(ts), ncols+1, b); rad an upper bound on the remainder constant
+    2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1} (sigma_c + 2b)), doubles
+    of inv's shape.
+
+    1/(s_c - 1), which sets the largest term of each cell, and the k = 1
+    coefficient s_c/12 are exact Gaussian rationals, as t is a double,
+    each part rounded outward once.  The higher Pochhammer symbols are
+    balls: the factors s_c + j = (sigma + c + j) + it, j = 0..2b, are exact
+    complex128 numbers (sigma is dyadic, _em_rows), and one np.cumprod
+    along j gives every (s_c)_n, n = 1..2b+1, P_n after n - 1 products.
+    Each product is within sqrt(5) u of the exact product of its operands
+    (_PROD_REL), so P_n is within (1 + sqrt(5) u)^(n-1) - 1 of (s_c)_n
+    relatively, and so within (n - 1) 9/4 u |P_n| of it; |P_n| <= |re| +
+    |im|.  The 0.6% between 9/4 and sqrt(5) covers the compounding, the
+    two roundings of the radius and any underflow inside a product, as
+    every |P_n| is at least sigma >= 2^-53.  Each coefficient box is that
+    ball rounded outward once, times the cached B_2k/(2k)!
+    (_tail_constants); the remainder constant takes the ball's modulus,
+    |P_{2b+1}| plus the radius, rounded up.  A product or modulus that
+    overflows raises DomainError, so no cell is NaN.
+    """
+    T, C = len(ts), ncols + 1
+    factors = np.empty((T, C, 2 * b + 1), dtype=np.complex128)
+    factors.real = float(sigma) + np.add.outer(np.arange(C), np.arange(2 * b + 1))
+    factors.imag = np.reshape(ts, (T, 1, 1))
+    bern, rem = _tail_constants(b, bits)
+    sig2b = float(sigma) + 2 * b + np.arange(C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (s_c)_n for odd n >= 3: n - 1 = 2, 4, ..., 2b products
+        poch = np.cumprod(factors, axis=-1)[..., 2::2]
+        rad = (np.abs(poch.real) + np.abs(poch.imag)) * (np.arange(2, 2 * b + 1, 2) * _PROD_REL)
+        balls = CVec.from_points(poch).pad(rad)
+        # |P| = big sqrt(1 + (small/big)^2), which cannot overflow first
+        re, im = np.abs(poch.real[..., b - 1]), np.abs(poch.imag[..., b - 1])
+        big, small = np.maximum(re, im), np.minimum(re, im)
+        mod = ((IVec.from_points(small) / big).square() + 1.0).sqrt() * big + rad[..., b - 1]
+        rad_const = ((mod * rem) / sig2b).hi
+    bad = ~(np.isfinite(balls.e).all(axis=(0, 1, 3, 4)) & np.isfinite(rad_const).all(axis=1))
+    if bad.any():
+        raise DomainError(f"(s)_{2 * b + 1} overflows a double at t = {ts[int(np.argmax(bad))]!r}")
+
+    # the exact constants: s_c = (u + c v)/v + i tn/td and, over the common
+    # denominator den, s_c - 1 = (X + iY)/den, so 1/(s_c - 1) = den (X - iY)/(X^2 + Y^2)
+    u, v = sigma.numerator, sigma.denominator
+    inv_re, inv_im, inv_den, first_im = [], [], [], []
+    for t in ts:
+        tn, td = t.as_integer_ratio()
+        den = math.lcm(v, td)
+        Y = tn * (den // td)
+        for c in range(C):
+            X = (u + (c - 1) * v) * (den // v)
+            inv_re.append(X * den)
+            inv_im.append(-Y * den)
+            inv_den.append(X * X + Y * Y)
+        first_im.append(_ratio_ends(tn, 12 * td))
+    inv = _ratio_cvec(inv_re, inv_im, inv_den).reshape(T, C)
+    # s_c/12: its real part (u + c v)/(12 v) does not depend on t, its
+    # imaginary part tn/(12 td) not on c
+    first = np.empty((2, 2, T, C, 1))
+    first[0] = np.array([_ratio_ends(u + c * v, 12 * v) for c in range(C)]).T.reshape(2, 1, C, 1)
+    first[1] = np.array(first_im).T.reshape(2, T, 1, 1)
+    coefs = CVec.concatenate([CVec.from_block(first), balls[..., : b - 1] * bern[1:]], axis=2)
+    return inv, coefs, rad_const
 
 
 def _em_rows(
@@ -634,84 +724,60 @@ def _em_rows(
     A^{1-s}/(s-1) + A^{-s}/2 + sum_{k<=b} B_2k/(2k)! (s)_{2k-1} A^{1-s-2k},
     padded by the remainder bound
     2 zeta(2b+1) (2 pi)^{-(2b+1)} |(s)_{2b+1}| A^{-sigma-2b} / (sigma+2b),
-    valid whenever sigma + 2b > 0.  The only transcendentals that depend
-    on the row, the powers (n+alpha)^{-s_0} for n = 0..a (n = a gives
-    A^{-s_0}), come from one _sieved_powers call over the integers
+    valid whenever sigma + 2b > 0.  base_sigma must be a positive dyadic
+    rational whose shifts by 0..ncols+2b are doubles (1/2 and 9/8 are),
+    and an ordinate whose (s_c)_{2b+1} overflows a double raises
+    DomainError.  The only transcendentals that depend on the row, the
+    powers (n+alpha)^{-s_0} for n = 0..a (n = a gives A^{-s_0}), come
+    from one _sieved_powers call over the integers
     m = (n+alpha) L, L the common denominator of the alphas: a ball per
     prime factor and one for L^{s_0}, exact fixed-point products down
     each chain of cofactors, each power narrowed to hardware once; the
     bases n+alpha = m/L are rounded outward once, all in one numpy pass
-    (IVec.from_ratios).  The constants that depend on t alone, 1/(s_c-1),
-    (s_c)_{2k-1} B_2k/(2k)! and the remainder constant, are exact Gaussian
-    rationals, because t is a double, each rounded outward once; only the
-    remainder constant needs bounds, an upper one on |(s_c)_{2b+1}| and a
-    lower one on (2 pi)^{2b+1} from a lower bound on pi: mpf_pi at
-    bits + _GUARD rounded down to bits bits, less one ulp.  Everything
-    else runs on hardware interval arrays with the ordinates on the
-    leading axis, so a block of ordinates costs the interval-array calls
-    of one: column c scales the column c-1 powers by (n+alpha)^{-1}, the
-    direct sum adds term by term, the Bernoulli tail is A^{-1-s_c} times a
-    Horner sum in A^{-2} (one CVec x IVec product and one addition per
-    term), and the remainder radius takes each row's own A.  The bases,
-    their reciprocals, A^{-2} and A^{-sigma_c-2b} do not depend on t and
-    are made once.  Every operation is elementwise over the ordinates, so
-    a cell does not depend on the block it is built in.  At t = 0 the
-    values are real and the imaginary parts are set to [0, 0].
+    (IVec.from_ratios).  The constants that depend on t alone come from
+    _em_constants: 1/(s_c-1) and the first Bernoulli coefficient s_c/12
+    are exact Gaussian rationals, each rounded outward once, because
+    1/(s_c-1) sets the largest term of each cell; the higher coefficients
+    (s_c)_{2k-1} B_2k/(2k)! and the remainder constant are complex128
+    balls from one cumulative product per block, with an a priori radius,
+    since their few ulps of width scale terms far below the cell.
+    Everything else runs on hardware interval arrays with the ordinates on
+    the leading axis, so a block of ordinates costs the interval-array
+    calls of one: column c scales the column c-1 powers by (n+alpha)^{-1},
+    the direct sum adds term by term, the Bernoulli tail is A^{-1-s_c}
+    times a Horner sum in A^{-2} (one CVec x IVec product and one addition
+    per term), and the remainder radius takes each row's own A.  The
+    bases, their reciprocals, A^{-2} and A^{-sigma_c-2b} do not depend on
+    t and are made once.  Every operation is elementwise over the
+    ordinates, so a cell does not depend on the block it is built in.  At
+    t = 0 the values are real and the imaginary parts are set to [0, 0].
     """
     if min(alphas) <= 0:
         raise DomainError("alpha must be strictly positive")
-    if base_sigma + 2 * b <= 0:
-        raise DomainError("remainder bound needs Re(s) + 2*terms_b > 0")
     if a < 0 or b < 1:
         raise DomainError("terms_a must be >= 0 and terms_b >= 1")
+    if not np.isfinite(ts).all():
+        raise DomainError(f"every ordinate must be finite: {ts}")
+    den = base_sigma.denominator
+    if base_sigma <= 0 or den & (den - 1) or base_sigma.numerator + (ncols + 2 * b) * den >= 2**53:
+        raise DomainError("base_sigma must be positive and dyadic, with shifts by 0..ncols+2b doubles")
     cols = range(ncols + 1)
     if 0.0 in ts and any(base_sigma + c == 1 for c in cols):
         raise PoleProximity("a column coincides with the pole at 1")
+    T, R = len(ts), len(alphas)
+    inv_sm1, coefs, rad_const = _em_constants(ts, base_sigma, ncols, b, bits)
+    inv_sm1 = inv_sm1.reshape(T, 1, ncols + 1)
+    coefs = coefs.reshape(T, 1, ncols + 1, b)
+    rad_const = rad_const.reshape(T, 1, ncols + 1)
+    sig2b = float(base_sigma) + 2 * b + np.arange(ncols + 1)
 
     # (n + alpha)^{-s_0} and n + alpha on hardware, every base an integer over L
-    T, R = len(ts), len(alphas)
     L = math.lcm(*(alpha.denominator for alpha in alphas))
     ms = [alpha.numerator * (L // alpha.denominator) + n * L for alpha in alphas for n in range(a + 1)]
     ends = np.moveaxis(_sieved_powers(ms, L, base_sigma, ts, bits), -1, 0)
     power = CVec.from_block(ends.reshape(2, 2, T, R, a + 1).copy())
     base = IVec.from_ratios(ms, L).reshape(R, a + 1)
     inv = 1.0 / base
-
-    # the per-column constants, from exact Pochhammer symbols of s_c, as
-    # integer (numerator, denominator) pairs rounded outward once each
-    zu = zeta_upper(2 * b + 1)
-    # pi lies in [2, 4), where one ulp at `bits` is 2^(2 - bits)
-    pi_lo = Fraction(to_int(mpf_shift(mpf_pi(bits + _GUARD, "f"), bits - 2), "f") - 1, 1 << (bits - 2))
-    two_pi_pow_lo = (2 * pi_lo) ** (2 * b + 1)
-    bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
-    sigs = [base_sigma + c + 2 * b for c in cols]
-    inv_re, inv_im, inv_den = [], [], []
-    coef_re, coef_im, coef_den = [], [], []
-    rad_num, rad_den = [], []
-    for t in ts:
-        for c in cols:
-            # (s_c)_j = (pr + i pim) / scale for j = 0..2b+1, s_c = (x + i y) / den
-            poch = list(itertools.islice(_pochhammer(base_sigma + c, t), 2 * b + 2))
-            x, y, den = poch[1]
-            inv_re.append((x - den) * den)
-            inv_im.append(-y * den)
-            inv_den.append((x - den) ** 2 + y * y)
-            for k in range(1, b + 1):
-                (pr, pim, scale), bk = poch[2 * k - 1], bern[k - 1]
-                coef_re.append(bk.numerator * pr)
-                coef_im.append(bk.numerator * pim)
-                coef_den.append(bk.denominator * scale)
-            # 2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1} (sigma_c + 2b)), with
-            # |.| bounded above by root / 2^64 as fraction_sqrt_upper bounds it
-            pr, pim, scale = poch[2 * b + 1]
-            root = math.isqrt(((pr * pr + pim * pim) << 128) // (scale * scale)) + 1
-            sig = sigs[c]
-            rad_num.append(2 * zu.numerator * root * two_pi_pow_lo.denominator * sig.denominator)
-            rad_den.append((zu.denominator << 64) * two_pi_pow_lo.numerator * sig.numerator)
-    inv_sm1 = _ratio_cvec(inv_re, inv_im, inv_den).reshape(T, 1, ncols + 1)
-    coefs = _ratio_cvec(coef_re, coef_im, coef_den).reshape(T, 1, ncols + 1, b)
-    rad_const = _ratio_ivec(rad_num, rad_den).hi.reshape(T, 1, ncols + 1)
-    sig2b = _ratio_ivec([v.numerator for v in sigs], [v.denominator for v in sigs])
 
     # column c of every power: one more factor (n + alpha)^{-1} per column
     by_col = [power.reshape(T, R, a + 1, 1)]
@@ -822,8 +888,13 @@ def build_lattice(t: float, D: int | None = None, cache_dir: str | Path | None =
     base over D, and D^{s_0} take transcendental kernel calls; every power
     is an exact fixed-point product of those balls, and row 0's bases
     (n + M + 1) D are row D's shifted by one n.  The build works in
-    fixed-point balls, Gaussian integers, exact rationals and hardware
-    interval arrays, and the returned lattice is hardware.  The result is
+    fixed-point balls, Gaussian integers, exact rationals, complex128
+    balls and hardware interval arrays, and the returned lattice is
+    hardware.  Exact are the powers' balls and 1/(s_c - 1) and s_c/12,
+    which set each cell's largest terms; complex128 balls with an a priori
+    radius are the higher Bernoulli coefficients and the remainder
+    constant, whose width scales only terms far below the cell
+    (_em_constants).  The result is
     persisted in cache_dir (_cache_path), keyed by (t, D).
 
     A lattice built here is one ordinate's _em_rows pass; _build_block
@@ -970,34 +1041,40 @@ def taylor_tail_bound(
     delta_abs: Fraction,
     radius: Fraction,
     first_k: int,
-) -> Fraction:
-    """Upper bound on sum_{k>=first_k} |delta|^k |(s)_k|/k! |zeta_M(s+k, alpha)|.
+) -> tuple[int, int]:
+    """Upper bound on sum_{k>=first_k} |delta|^k |(s)_k|/k! |zeta_M(s+k, alpha)|,
+    as an integer fraction (num, den), den > 0, not reduced.
 
     radius is M + 1 + alpha, the decay base of the zeta_M column values;
     s_mag_hi an upper bound on |s| with Re(s) = 1/2.  Uses
     |zeta_M(s+k, alpha)| <= radius^(-1/2-k) (1 + radius/(k - 1/2)) and the
     termwise ratio bound; raises RadiusViolation when the ratio reaches 1.
+    With K = first_k the bound is t_K / (1 - ratio), where
+    t_K = |delta|^K prod_{j<K} (s_mag_hi + j) / K! radius^(-K)
+    (1 + radius/(K - 1/2)) (the extra radius^(-1/2) < 1 is dropped) and
+    ratio = |delta| max(1, (s_mag_hi + K)/(K + 1)) / radius.  The
+    arguments are nonnegative ints or Fractions (radius positive), and the
+    bound is formed in integers over their numerators and denominators,
+    with no gcd: the caller rounds it once (interval._ratio_ends).
     """
     K = first_k
     if delta_abs == 0:
-        return Fraction(0)
-    # first term, with the column-value bound at k = K
-    poch = Fraction(1)
+        return 0, 1
+    sn, sd = s_mag_hi.numerator, s_mag_hi.denominator
+    dn, dd = delta_abs.numerator, delta_abs.denominator
+    rn, rd = radius.numerator, radius.denominator
+    # ratio = F / E
+    E = dd * rn * sd * (K + 1)
+    F = dn * rd * max(sd * (K + 1), sn + K * sd)
+    if F >= E:
+        raise RadiusViolation(f"Taylor tail ratio {F / E:.3g} >= 1 at k = {K}")
+    poch = 1
     for j in range(K):
-        poch *= s_mag_hi + j
-    tK = (
-        delta_abs**K
-        * poch
-        / math.factorial(K)
-        * radius ** (-K)  # the extra radius^(-1/2) factor < 1 is dropped
-        * (1 + radius / (K - _HALF))
-    )
-    ratio = delta_abs * max(Fraction(1), (s_mag_hi + K) / (K + 1)) / radius
-    if ratio >= 1:
-        raise RadiusViolation(
-            f"Taylor tail ratio {float(ratio):.3g} >= 1 at k = {K}"
-        )
-    return tK / (1 - ratio)
+        poch *= sn + j * sd
+    # t_K = dn^K poch rd^K (rd (2K - 1) + 2 rn) / (dd^K sd^K K! rn^K rd (2K - 1))
+    num = (dn * rd) ** K * poch * (rd * (2 * K - 1) + 2 * rn) * E
+    den = (dd * sd * rn) ** K * math.factorial(K) * rd * (2 * K - 1) * (E - F)
+    return num, den
 
 
 def _shift_coefs(ts: list[float], n: int) -> CVec:
@@ -1055,11 +1132,11 @@ def unit_hurwitz(lats: Sequence[HurwitzLattice], q: int, units: np.ndarray) -> C
     coefs = pad = None
     if d_max:
         coefs = _shift_coefs(ts, DEFAULT_NCOLS)[:, 1:]
-        radius = Fraction(int(rows.min()), D) + (DEFAULT_M + 1)
+        radius = Fraction(int(rows.min()) + (DEFAULT_M + 1) * D, D)
         delta = Fraction(d_max, q * D)
         s_mags = [fraction_sqrt_upper(Fraction(1, 4) + Fraction(t) ** 2) for t in ts]
         tails = [taylor_tail_bound(s_mag, delta, radius, DEFAULT_NCOLS + 1) for s_mag in s_mags]
-        pad = np.array([RealInterval.from_fraction(tail).hi for tail in tails]).reshape(-1, 1)
+        pad = np.array([_ratio_ends(*tail)[1] for tail in tails]).reshape(-1, 1)
     cells = CVec.from_block(np.stack([x.rows.e for x in lats], axis=2))
     blocks = []
     for i in range(0, max(len(units), 1), _UNIT_BLOCK):  # one block if empty

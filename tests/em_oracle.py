@@ -14,20 +14,27 @@ from hardware boxes, outward from rationals), ``ends`` reads the exact
 endpoints of an iv interval, and ``covers``, ``meets``, ``holds`` and
 ``width`` compare and measure hardware boxes and iv values exactly.
 ``ivprec`` sets ``iv.prec`` for a block.
+
+``em_constants`` gives the lattice kernel's per-column constants exactly,
+as Gaussian rationals from exact Pochhammer symbols: the form the kernel
+computed them in before its higher Bernoulli coefficients became
+complex128 balls, kept to check those balls against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 from mpmath import iv
 from mpmath.libmp import to_rational
 
 from grhdesk.errors import DomainError, PoleProximity
-from grhdesk.hurwitz import auto_params, zeta_upper
+from grhdesk.hurwitz import _pochhammer, auto_params, zeta_upper
 from grhdesk.interval import ComplexBox, RealInterval, bernoulli
 
 
@@ -208,3 +215,35 @@ def em_hurwitz_tail(s, alpha, skip: int, params: EMParams | None = None, bits: i
         if params is None:
             params = _auto_params(sb, shifted, bits)
         return _em_core(sb, shifted, params.terms_a, params.terms_b)
+
+
+def em_constants(t: float, sigma: Fraction, ncols: int, b: int) -> list[tuple]:
+    """The constants of hurwitz._em_rows at one ordinate, exactly: for each
+    column c = 0..ncols, (1/(s_c - 1), [B_2k/(2k)! (s_c)_{2k-1} for k = 1..b],
+    rem^2) at s_c = sigma + c + it, each Gaussian rational as a pair
+    (re, im) of Fractions.
+
+    rem^2 is the square of 2 zeta(2b+1) |(s_c)_{2b+1}| / ((2 pi)^{2b+1}
+    (sigma_c + 2b)) with zeta(2b+1) and 1/pi bounded above (zeta_upper and
+    a lower bound on pi at 300 bits), so any rem whose square is at least
+    it bounds the remainder constant.  The Pochhammer symbols are exact
+    scaled Gaussian integers (hurwitz._pochhammer).
+    """
+    with mpmath.workprec(300):
+        pi_lo = Fraction(*to_rational(mpmath.pi._mpf_)) - Fraction(1, 2**290)
+    scale_rem = 2 * zeta_upper(2 * b + 1) / (2 * pi_lo) ** (2 * b + 1)
+    out = []
+    for c in range(ncols + 1):
+        poch = list(itertools.islice(_pochhammer(sigma + c, t), 2 * b + 2))
+        x, y, den = poch[1]  # s_c = (x + iy) / den
+        d2 = (x - den) ** 2 + y * y
+        inv = (Fraction((x - den) * den, d2), Fraction(-y * den, d2))
+        coefs = []
+        for k in range(1, b + 1):
+            pr, pim, scale = poch[2 * k - 1]
+            bk = bernoulli(2 * k) / math.factorial(2 * k)
+            coefs.append((bk * Fraction(pr, scale), bk * Fraction(pim, scale)))
+        pr, pim, scale = poch[2 * b + 1]
+        rem_sq = (scale_rem / (sigma + c + 2 * b)) ** 2 * Fraction(pr * pr + pim * pim, scale * scale)
+        out.append((inv, coefs, rem_sq))
+    return out

@@ -39,16 +39,19 @@ def _grids_digest(grids) -> str:
     return h.hexdigest()
 
 
-# rows 1..D, unchanged since the lattice gained row 0 (offset M + 1)
+# rows 1..D; 64 re-recorded when the Bernoulli coefficients past k = 1
+# became complex128 balls (hurwitz._em_constants): every new cell meets
+# the one it replaced, and the widest cell is the same
 LATTICE_PINS = {
     4: "2c8d598eb16dafda4c64f2e894120722226be1edea19e2988b2b2704964892aa",
-    64: "fd6e0c24fc4203289f9463282d27fb6050f4c39d7d592fd1c0ed1f40a901a8ba",
+    64: "4ba34b54de424b47b86c7a64dc10e22e29a3f5d4752e486c67cdcd61772218b7",
 }
 
-# row 0: its bases n + M + 1 are integers and both D truncate it alike
+# row 0: its bases n + M + 1 are integers and both D truncate it alike;
+# re-recorded with LATTICE_PINS
 LATTICE_ROW0_PINS = {
-    4: "9c282378add572f131c4d84b8c9eaaa81dfa20d47e4dcdc4f9079274355e72c8",
-    64: "9c282378add572f131c4d84b8c9eaaa81dfa20d47e4dcdc4f9079274355e72c8",
+    4: "da2f8bd182df119408c133bd1999a1e28ca1eb07b423c9204aef1781abab3583",
+    64: "da2f8bd182df119408c133bd1999a1e28ca1eb07b423c9204aef1781abab3583",
 }
 
 # 1009 and 1024 re-recorded when their units below q/(2D) moved to row 0
@@ -60,15 +63,17 @@ LVALUE_PINS = {
 
 # whole lattices, recorded before IVec moved onto the endpoint block:
 # t = 0 builds its rows through the real-only CVec.from_real path, and
-# t = 300 runs a = 230 direct terms with shift-form rounding on its parts
+# t = 300 runs a = 230 direct terms with shift-form rounding on its parts;
+# t = 300 re-recorded with LATTICE_PINS
 LATTICE_WHOLE_PINS = {
     (0.0, 8): "5259ac9a0c53c918eb2fbec68cfb9931ba97359d8efb20aa1ddec9fcc902c1f8",
-    (300.0, 64): "7abc4cd5cb5d788e0d640ca5b5a32982ffa7c8e49b34fee274caa615294b60b6",
+    (300.0, 64): "c0f06ab77c87ac7c194a8638433547f8e35d003c1e0dbbd85aa7d5005330b808",
 }
 
 # the one file build_lattice(16.0, D=4) writes to an empty cache_dir: its
-# name, a NUL, then its bytes (header and endpoint block)
-LATTICE_FILE_PIN = "52359d3961cf84d9954fa1b61e69dc56e9eb38d2c4e80df2494b88c06ed320b3"
+# name, a NUL, then its bytes (header and endpoint block); re-recorded
+# with LATTICE_PINS
+LATTICE_FILE_PIN = "40d9e65531fd7c76f97e3070eac1bfcbf5b0e19c74c515e1d386fb54f56ebbf3"
 
 # re-recorded when the completion factor became one fixed-point log Gamma
 # ball: every new sample lies inside the one it replaced

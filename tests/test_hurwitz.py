@@ -10,6 +10,7 @@ balls and mpmath, and auto_params against a pinned table.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -44,6 +45,7 @@ from grhdesk.ivec import CVec, IVec
 from em_oracle import (
     EMParams,
     covers,
+    em_constants,
     em_hurwitz,
     em_hurwitz_tail,
     ends,
@@ -325,6 +327,67 @@ def test_lattice_cells_contain_the_oracle_values(D, t):
     re, im = lat.rows.re, lat.rows.im
     widest = max((re.hi - re.lo).max(), (im.hi - im.lo).max())
     assert widest <= 1.01 * _TAIL_WIDEST[D, t]
+
+
+# the widest cell of each lattice before the Bernoulli coefficients past
+# k = 1 became complex128 balls; no lattice may get wider than this
+_BEFORE_BALLS_WIDEST = {
+    (0.0, 2): 1.1546319456101628e-14,
+    (16.0, 4): 2.0261570199409107e-15,
+    (16.0625, 4): 2.1649348980190553e-15,
+    (300.0, 64): 9.792167077193881e-14,
+}
+
+
+@pytest.mark.parametrize("t, D", sorted(_BEFORE_BALLS_WIDEST))
+def test_widest_cell_no_wider_than_before_the_balls(t, D):
+    e = lattice(t, D).rows.e
+    assert (e[:, 1] - e[:, 0]).max() <= _BEFORE_BALLS_WIDEST[t, D]
+
+
+@pytest.mark.parametrize("t", [0.0, 16.0, -16.0, 16.0625, 300.0, 1000.0, 2500.0])
+def test_em_constants_contain_the_exact_values(t):
+    # at the lattice's own truncation: every coefficient box holds the
+    # exact Gaussian rational B_2k/(2k)! (s_c)_{2k-1}, 1/(s_c - 1) holds
+    # its exact value, and the remainder constant is at least the exact
+    # one (compared squared, as |(s_c)_{2b+1}| is a square root)
+    b = hurwitz._truncation(t, hurwitz.lattice_size(t))[1]
+    inv, coefs, rem = hurwitz._em_constants([t], Fraction(1, 2), DEFAULT_NCOLS, b, 64)
+    assert coefs.shape == (1, DEFAULT_NCOLS + 1, b)
+    for c, (inv_exact, coefs_exact, rem_sq) in enumerate(em_constants(t, Fraction(1, 2), DEFAULT_NCOLS, b)):
+        assert holds(inv[0, c], *inv_exact), (t, c)
+        for k, exact in enumerate(coefs_exact, start=1):
+            assert holds(coefs[0, c, k - 1], *exact), (t, c, k)
+        assert rem[0, c] >= 0.0 and Fraction(rem[0, c]) ** 2 >= rem_sq, (t, c)
+
+
+def test_em_rows_overflow_raises_naming_t():
+    # (s)_33 at t = 1e10 is about 1e330: beyond a double, so no cell could
+    # be finite, and the kernel refuses rather than return NaN cells
+    with pytest.raises(DomainError, match=r"t = 10000000000\.0"):
+        _em_rows([1e10], hurwitz._HALF, [Fraction(10)], 15, 0, 16)
+    # one ordinate too high spoils a block, and the message names it
+    with pytest.raises(DomainError, match=r"t = 10000000000\.0"):
+        _em_rows([16.0, 1e10], hurwitz._HALF, [Fraction(10)], 15, 0, 16)
+    with pytest.raises(DomainError, match="finite"):
+        _em_rows([float("nan")], hurwitz._HALF, [Fraction(10)], 15, 0, 16)
+    # 1e9 stays below the overflow: every cell has its two ends
+    cells = _em_rows([1e9], hurwitz._HALF, [Fraction(10)], 15, 0, 16)
+    assert not np.isnan(cells.e).any()
+
+
+def test_em_rows_of_a_block_is_each_ordinate_alone():
+    # 11 ordinates, more than a SIMD register's lanes, with t = 0 and
+    # negative t among them: every cell of the block, bit for bit, is the
+    # cell of its ordinate built alone
+    D = 4
+    ts = [16.0, 0.0, -16.0, 16.0625, 16.125, 16.1875, 3.0, 1e-300, 16.25, 5.5, -0.5]
+    alphas = [Fraction(r, D) + (DEFAULT_M + 1) for r in range(D + 1)]
+    a, b = hurwitz._truncation(16.0, D)
+    block = _em_rows(ts, hurwitz._HALF, alphas, DEFAULT_NCOLS, a, b)
+    for i, t in enumerate(ts):
+        alone = _em_rows([t], hurwitz._HALF, alphas, DEFAULT_NCOLS, a, b)
+        assert np.array_equal(block.e[:, :, i], alone.e[:, :, 0]), t
 
 
 @pytest.mark.parametrize(
@@ -954,6 +1017,49 @@ def test_shift_coefs_contain_pochhammer_ratios(t):
                 assert coefs[k].im.width() == 0.0
 
 
+def taylor_tail_oracle(s_mag_hi: Fraction, delta_abs: Fraction, radius: Fraction, K: int) -> Fraction:
+    """taylor_tail_bound as the Fraction formula it replaced."""
+    if delta_abs == 0:
+        return Fraction(0)
+    poch = Fraction(1)
+    for j in range(K):
+        poch *= s_mag_hi + j
+    tK = delta_abs**K * poch / math.factorial(K) * radius ** (-K) * (1 + radius / (K - Fraction(1, 2)))
+    ratio = delta_abs * max(Fraction(1), (s_mag_hi + K) / (K + 1)) / radius
+    if ratio >= 1:
+        raise RadiusViolation(f"Taylor tail ratio {float(ratio):.3g} >= 1 at k = {K}")
+    return tK / (1 - ratio)
+
+
+def test_taylor_tail_bound_matches_the_fraction_formula():
+    # the same rational, so the pad it rounds to is the same double, over
+    # heights, shifts up to the largest a row count allows, every row's
+    # radius and first terms K; a ratio >= 1 raises in both
+    rng = random.Random(2025)
+    ts = [0.0, 1.0, 16.0, -16.0, 16.0625, 300.0, 1000.0, 2500.0, 1e4, 1e6]
+    ts += [rng.uniform(-5000, 5000) for _ in range(10)]
+    raised = 0
+    for t in ts:
+        s_mag = fraction_sqrt_upper(Fraction(1, 4) + Fraction(t) ** 2)
+        for D in (2, 4, 64, 2048):
+            q = rng.randint(3, 10**5)
+            deltas = [0, Fraction(1, 2 * D), Fraction(rng.randint(1, q // 2), q * D), Fraction(1, q * D)]
+            for delta in deltas:
+                for r in (0, 1, D // 2, D):
+                    radius = Fraction(r, D) + DEFAULT_M + 1
+                    for K in (1, 2, DEFAULT_NCOLS + 1, 40):
+                        try:
+                            want = taylor_tail_oracle(s_mag, delta, radius, K)
+                        except RadiusViolation as err:
+                            with pytest.raises(RadiusViolation, match=re.escape(str(err))):
+                                taylor_tail_bound(s_mag, delta, radius, K)
+                            raised += 1
+                            continue
+                        num, den = taylor_tail_bound(s_mag, delta, radius, K)
+                        assert den > 0 and Fraction(num, den) == want, (t, D, delta, r, K)
+    assert raised  # the grid reaches the radius violation
+
+
 def test_taylor_radius_violation_raises():
     # delta comparable to the decay radius makes the ratio exceed one
     with pytest.raises(RadiusViolation):
@@ -982,7 +1088,7 @@ def test_taylor_tail_dominates_brute_terms():
         radius = Fraction(r, D) + (M + 1)
         smag_sq = Fraction(1, 4) + Fraction(t) ** 2
         smag = fraction_sqrt_upper(smag_sq)
-        bound = taylor_tail_bound(smag, delta, radius, K)
+        bound = Fraction(*taylor_tail_bound(smag, delta, radius, K))
         if delta == 0:
             assert bound == 0
             continue

@@ -583,7 +583,7 @@ def test_lattice_size_policy():
     for t, D in zip(heights[:-1], sizes):
         s_mag_hi = fraction_sqrt_upper(Fraction(1, 4) + Fraction(t) ** 2)
         radius = Fraction(1, D) + DEFAULT_M + 1
-        tail = taylor_tail_bound(s_mag_hi, Fraction(1, 2 * D), radius, DEFAULT_NCOLS + 1)
+        tail = Fraction(*taylor_tail_bound(s_mag_hi, Fraction(1, 2 * D), radius, DEFAULT_NCOLS + 1))
         assert tail <= Fraction(1, 2**52), (t, D)
 
 
