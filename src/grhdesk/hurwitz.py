@@ -6,7 +6,7 @@ Two stages, the build and the query, on one Euler-Maclaurin kernel
 * ``build_lattice`` — a precomputed grid of tail values
   zeta_M(1/2 + it + c, r/D), r = 0..D, along one horizontal line, built
   for all rows at once on hardware interval arrays, kept as one
-  (D+1, Ncols+1) interval array and persisted on disk.  Its only
+  (D+1, Ncols+1) interval array, on disk only in a given cache_dir.  Its only
   big-float work is the powers (n + alpha)^{-s}.  Every base is an
   integer m over D and m -> m^{-s} is completely multiplicative, so only
   primes are transcendental: each prime p^{-s}, and D^{s}, is an integer
@@ -56,14 +56,13 @@ oracle in tests/em_oracle.py.
 This module alone knows the lattice: its layout, its default row count
 (lattice_size), its truncation, its file format (save_lattice,
 load_lattice) and its query.  It keeps no lattice in memory beyond the
-block _build_block has just saved, until build_lattice hands each out.
+block _build_block has just made, until build_lattice hands each out.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -894,13 +893,15 @@ def build_lattice(t: float, D: int | None = None, cache_dir: str | Path | None =
     which set each cell's largest terms; complex128 balls with an a priori
     radius are the higher Bernoulli coefficients and the remainder
     constant, whose width scales only terms far below the cell
-    (_em_constants).  The result is
-    persisted in cache_dir (_cache_path), keyed by (t, D).
+    (_em_constants).  With a cache_dir, the lattice is loaded from its
+    file there (_cache_path, keyed by (t, D)), or else built and saved
+    there; with None no file is read or written, so another process that
+    asks for it without a cache_dir builds it again.
 
     A lattice built here is one ordinate's _em_rows pass; _build_block
     builds a block of ordinates in one pass, cell for cell the same, and
-    hands each to the next build_lattice call for its file, which then
-    reads nothing from disk.
+    hands each to the next build_lattice call for its (t, D, cache_dir),
+    which then builds nothing and reads nothing from disk.
     """
     t = float(t)
     if D is None:
@@ -908,10 +909,12 @@ def build_lattice(t: float, D: int | None = None, cache_dir: str | Path | None =
     if D < 2:
         raise DomainError("need D >= 2")
 
-    path = _cache_path(cache_dir, t, D)
-    lat = _fresh.pop(path, None)
+    lat = _fresh.pop((t, D, cache_dir), None)
     if lat is not None:
         return lat
+    if cache_dir is None:
+        return _build([t], D)[0]
+    path = _cache_path(cache_dir, t, D)
     if path.is_file():
         try:
             return load_lattice(path, expect=(t, D))
@@ -939,33 +942,29 @@ def _build(ts: list[float], D: int) -> list[HurwitzLattice]:
     return [HurwitzLattice(t=t, D=D, rows=rows[i].copy()) for i, t in enumerate(ts)]
 
 
-# lattices _build_block saved that no build_lattice call has returned yet,
-# by file; emptied at each block, so it holds one block at most
-_fresh: dict[Path, HurwitzLattice] = {}
+# lattices _build_block made that no build_lattice call has returned yet,
+# by (t, D, cache_dir); emptied at each block, so it holds one block at most
+_fresh: dict[tuple, HurwitzLattice] = {}
 
 
 def _build_block(ts: list[float], D: int, cache_dir) -> None:
-    """Build and save, in one _em_rows pass, the lattices with D rows at
-    those of ts whose file cache_dir does not hold.
+    """Build, in one _em_rows pass, the lattices with D rows at ts; with a
+    cache_dir, only those whose file it does not hold, each then saved.
 
     ts must share the row count D and the truncation (_truncation).  Each
-    lattice is kept in memory until build_lattice is asked for its file,
-    so the caller gets it from build_lattice with no disk read.
+    lattice is kept in memory until build_lattice is asked for it, so the
+    caller gets it from build_lattice with no disk read.
     """
     _fresh.clear()
-    paths = {t: _cache_path(cache_dir, t, D) for t in ts}
-    todo = [t for t in ts if not paths[t].is_file()]
+    todo = ts if cache_dir is None else [t for t in ts if not _cache_path(cache_dir, t, D).is_file()]
     if todo:
         for lat in _build(todo, D):
-            save_lattice(lat, paths[lat.t])
-            _fresh[paths[lat.t]] = lat
+            if cache_dir is not None:
+                save_lattice(lat, _cache_path(cache_dir, lat.t, D))
+            _fresh[lat.t, D, cache_dir] = lat
 
 
 def _cache_path(cache_dir, t: float, D: int) -> Path:
-    if cache_dir is None:
-        cache_dir = os.environ.get("GRHDESK_CACHE")
-    if cache_dir is None:
-        cache_dir = Path.home() / ".cache" / "grhdesk"
     name = f"hurlat_t{t!r}_D{D}_N{DEFAULT_NCOLS}_M{DEFAULT_M}_b{DEFAULT_BUILD_BITS}.dat"
     return Path(cache_dir) / name
 

@@ -79,9 +79,6 @@ class _OpCounter:
     def add(self, n: int):
         self.count += n
 
-    def reset(self):
-        self.count = 0
-
 
 op_counter = _OpCounter()
 

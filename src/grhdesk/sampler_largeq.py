@@ -26,9 +26,9 @@ Ordinates go through in blocks.  A call's ordinates that have no
 share a lattice row count and Euler-Maclaurin truncation,
 each holding at most _BLOCK_CELLS cells in its largest array (_blocks).
 A block's missing lattices are built in one Euler-Maclaurin pass
-(hurwitz._build_block) and saved, one file per ordinate, then taken from
-build_lattice without reading the files back; its L-values are one
-l_values_at pass over the block (one unit query, one group DFT with the
+(hurwitz._build_block), saved one file per ordinate only if a cache_dir
+is given, then taken from build_lattice with no file read; its L-values
+are one l_values_at pass (one unit query, one group DFT with the
 ordinates on a leading axis), whose numpy calls do not grow with the
 block.  At desk heights a cold ordinate's cost is set by those calls, so
 a block of T ordinates costs far less than T single ordinates; the cap
@@ -36,7 +36,8 @@ stops a block where its arrays outgrow the cache (a block of q = 4099's
 ordinates is slower than one ordinate at a time).
 
 The module keeps two bounded in-memory caches, each of the 8 entries
-last made: the lattice per (ordinate, row count, cache_dir), one
+last made, and without a cache_dir nothing outlives the process: the
+lattice per (ordinate, row count, cache_dir), one
 interval array of four float64 endpoints per cell in D + 1 rows of 512
 bytes (2.5 KB at the D = 4 that hurwitz.lattice_size gives t = 16,
 128.5 KB at its D = 256 for t = 1000, 1 MB at its cap of 2048); and the
@@ -405,9 +406,10 @@ def sample_range(
     hurwitz.lattice_size(t), from the height alone, so an ordinate's
     lattice and samples do not depend on the range or modulus they are
     asked for; an explicit size serves every ordinate of the call.
-    Lattices are cached in memory (the last 8, 512 bytes per row) and on
-    disk, so every modulus sampled at the same ordinate and row count
-    reuses the same one.
+    Lattices are kept in memory (the last 8, 512 bytes per row), so every
+    modulus sampled at the same ordinate and row count reuses the same
+    one; only with a cache_dir are they also loaded from and saved to
+    files there, which another process can reuse instead of rebuilding.
 
     The first call at a (q, ordinate) pair computes the L-values of all
     phi(q) characters, in one l_values_at pass for each block of such

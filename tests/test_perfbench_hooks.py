@@ -115,13 +115,16 @@ def test_samples_keep_the_surface_the_benchmark_reads(tmp_path):
             assert not np.shares_memory(a, b)
 
 
-def test_cold_sample_range_keeps_the_benchmark_call_contract(tmp_path, monkeypatch):
+@pytest.mark.parametrize("on_disk", [True, False], ids=["cache_dir", "no-cache_dir"])
+def test_cold_sample_range_keeps_the_benchmark_call_contract(on_disk, tmp_path, monkeypatch):
     # perfbench's lattice-cold workload counts one build_lattice call per
     # ordinate, each returning a lattice, and one .dat file per ordinate in
     # its fresh cache_dir; a block build must keep both, and its lattices
-    # come back from memory, not from the files it just wrote
-    built, loaded = [], []
-    build, load = sampler_largeq.build_lattice, hurwitz.load_lattice
+    # come back from memory, not from the files it just wrote.  Without a
+    # cache_dir the calls are the same, and no file is read or written.
+    cache_dir = tmp_path if on_disk else None
+    built, loaded, saved = [], [], []
+    build, load, save = sampler_largeq.build_lattice, hurwitz.load_lattice, hurwitz.save_lattice
 
     def counted_build(*args, **kwargs):
         built.append(build(*args, **kwargs))
@@ -131,14 +134,23 @@ def test_cold_sample_range_keeps_the_benchmark_call_contract(tmp_path, monkeypat
         loaded.append(args)
         return load(*args, **kwargs)
 
+    def counted_save(*args, **kwargs):
+        saved.append(args)
+        return save(*args, **kwargs)
+
     monkeypatch.setattr(sampler_largeq, "build_lattice", counted_build)
     monkeypatch.setattr(hurwitz, "load_lattice", counted_load)
-    grid = sampler_largeq.sample_range(7, (1,), 16, 16 + Fraction(2, 16), Fraction(1, 16), cache_dir=tmp_path)
+    monkeypatch.setattr(hurwitz, "save_lattice", counted_save)
+    # no lattice or table kept by an earlier test
+    monkeypatch.setattr(sampler_largeq, "_lattices", {})
+    monkeypatch.setattr(sampler_largeq, "_tables", {})
+    grid = sampler_largeq.sample_range(7, (1,), 16, 16 + Fraction(2, 16), Fraction(1, 16), cache_dir=cache_dir)
     assert len(grid) == 3
     assert [lat.t for lat in built] == [16.0, 16.0625, 16.125]
     assert all(isinstance(lat, HurwitzLattice) for lat in built)
     assert loaded == []
-    assert len(list(tmp_path.glob("*.dat"))) == 3
+    assert len(saved) == (3 if on_disk else 0)
+    assert len(list(tmp_path.glob("*.dat"))) == len(saved)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

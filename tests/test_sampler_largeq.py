@@ -868,8 +868,8 @@ def _samples_by_ordinate(grids) -> dict:
 
 # (q, t_lo, t_hi, step, ordinates of the range with a table beforehand)
 BLOCK_RANGES = {
-    # t = 0 takes the real-only rows and the pole check; t < 0 reads the
-    # same lattices as |t|
+    # t = 0 takes the real-only rows and the pole check; each t < 0 builds
+    # a lattice of its own, not |t|'s (hurlat_t-0.0625_D2_... on disk)
     "through-zero": (5, Fraction(-3, 16), Fraction(3, 16), Fraction(1, 16), []),
     # the default row count switches from 4 to 8 between 22 and 23
     "size-switch": (7, Fraction(22), Fraction(47, 2), Fraction(1, 4), []),
@@ -943,3 +943,33 @@ def test_cold_block_runs_the_rounding_calls_of_one_ordinate(tmp_path, monkeypatc
         assert len(grid) == n + 1
         runs[n + 1] = len(calls)
     assert 0 < runs[3] <= runs[1]
+
+
+def test_no_cache_dir_reads_and_writes_no_lattice_file(tmp_path, monkeypatch):
+    # without a cache_dir the lattices live in memory only: nothing lands
+    # under HOME or $GRHDESK_CACHE, no lattice file is saved or loaded, and
+    # every sample and cell is the one a call with a cache_dir gives
+    home, env = tmp_path / "home", tmp_path / "env"
+    home.mkdir()
+    env.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("GRHDESK_CACHE", str(env))
+    monkeypatch.setattr(sampler_largeq, "_lattices", {})
+    monkeypatch.setattr(sampler_largeq, "_tables", {})
+
+    def refused(*args, **kwargs):
+        raise AssertionError("lattice file I/O without a cache_dir")
+
+    def hexes(grids):
+        return {idx: [(s.lo.hex(), s.hi.hex()) for s in g.samples] for idx, g in grids.items()}
+
+    call = (7, 16, 16 + Fraction(1, 8), Fraction(1, 16))
+    with monkeypatch.context() as m:
+        m.setattr(hurwitz, "save_lattice", refused)
+        m.setattr(hurwitz, "load_lattice", refused)
+        grids = sample_all(*call)
+        lat = build_lattice(16.0)
+    assert list(home.iterdir()) == [] and list(env.iterdir()) == []
+    assert sum(len(g) for g in grids.values()) == 5 * 3
+    assert hexes(grids) == hexes(sample_all(*call, cache_dir=tmp_path))
+    assert lat.rows.e.tobytes() == build_lattice(16.0, cache_dir=tmp_path).rows.e.tobytes()
