@@ -332,16 +332,16 @@ class CharGroup:
         return re, im, rad, 2 * shift
 
     def _root_and_constant(self, idx, parity: int) -> tuple[ComplexBox, ComplexBox]:
-        """The root number epsilon and the completion constant w of a
-        primitive character of the given parity, as hardware boxes.
+        """The root number and the completion constant w (CharMeta.epsilon)
+        of a primitive character of the given parity, as hardware boxes.
 
         Both come from _gauss_fixed's integers: with x + iy = tau/i^parity
         at scale 2^-scale (within 2 rad of tau/i^parity in modulus) and
-        s <= sqrt(q) 2^scale < s + 1 (math.isqrt), epsilon is
-        (x + iy)/(sqrt(q) 2^scale), padded by 2 rad/s.  The |epsilon|^2
-        check is hardware box arithmetic.  w is the half-angle root of
-        conj(epsilon): N/|N| for N = sqrt(q) + conj(tau/i^parity), or
-        i N/|N| for N = sqrt(q) - conj(tau/i^parity) when Re epsilon is
+        s <= sqrt(q) 2^scale < s + 1 (math.isqrt), the root number is
+        root = (x + iy)/(sqrt(q) 2^scale), padded by 2 rad/s.  The |root|^2
+        check is hardware box arithmetic.  w is the half-angle square root
+        of conj(root): N/|N| for N = sqrt(q) + conj(tau/i^parity), or
+        i N/|N| for N = sqrt(q) - conj(tau/i^parity) when Re root is
         certified negative, where N clears 0 by about sqrt(q).  At scale
         2^-scale N lies within 1 + 2 rad of the integer point c, and
         |N/|N| - c/|c|| <= 2 |N - c|/|c| for N != 0, so w is c/|c| padded
@@ -352,15 +352,15 @@ class CharGroup:
         if parity == 1:
             x, y = y, -x  # divide by i
         s = math.isqrt(self.q << 2 * scale)
-        eps = _fixed_quotient(x, y, s, 2 * rad, scale)
-        if not eps.abs2().contains(1):
+        root = _fixed_quotient(x, y, s, 2 * rad, scale)
+        if not root.abs2().contains(1):
             raise HypothesisViolated(
-                f"|epsilon|^2 = {eps.abs2()!r} misses 1 for index {idx} mod {self.q}"
+                f"|root number|^2 = {root.abs2()!r} misses 1 for index {idx} mod {self.q}"
             )
-        sign = -1 if eps.re.sign() == -1 else 1
+        sign = -1 if root.re.sign() == -1 else 1
         cx, cy = s + sign * x, -sign * y
         w = _fixed_quotient(cx, cy, math.isqrt(cx * cx + cy * cy), 2 * (1 + 2 * rad), scale)
-        return eps, (w.mul_i() if sign == -1 else w)
+        return root, (w.mul_i() if sign == -1 else w)
 
     def char_meta(self, idx) -> CharMeta:
         """Parity, completion constant and root number of a primitive character.
@@ -388,8 +388,8 @@ class CharGroup:
             if not self.is_primitive(idx):
                 raise NotPrimitive(f"index {idx} mod {self.q} is imprimitive")
             parity = self.parity(idx)
-            eps, w = self._root_and_constant(idx, parity)
-            meta = self._metas[idx] = CharMeta(parity=parity, epsilon=w, root_number=eps)
+            root, w = self._root_and_constant(idx, parity)
+            meta = self._metas[idx] = CharMeta(parity=parity, epsilon=w, root_number=root)
         return meta
 
 

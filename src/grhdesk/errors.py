@@ -60,7 +60,9 @@ class BetaConditionViolated(GrhdeskError):
 
 
 class HypothesisViolated(GrhdeskError):
-    """An analytic bound was requested outside its hypotheses (e.g. t0 <= 50)."""
+    """A fact the character tables rest on failed its check: factor orders
+    that do not multiply to phi(q), a chi(-1) phase other than 0 or 1/2,
+    or a root number whose |.|^2 box misses 1."""
 
 
 class RealnessViolation(GrhdeskError):

@@ -11,8 +11,8 @@ operation widens its result enough to contain the exact image:
 
 * IEEE-correct array arithmetic (+, -, *, /, sqrt) moves each endpoint one
   ulp outward (``_KA``), as the scalar RealInterval does,
-* numpy transcendental kernels (exp, log, sin, cos), whose SIMD paths are
-  documented to a few ulps, get ``_KT``.
+* numpy transcendental kernels (exp, log, atan, sin, cos), whose SIMD
+  paths are documented to a few ulps, get ``_KT``.
 
 One kernel, ``_round``, does all of that rounding, for every part of a
 block at once.  Its one-ulp step is np.nextafter for parts of up to
@@ -451,6 +451,9 @@ class IVec(_Block):
         if (self.lo <= 0.0).any():
             raise LogDomain("vector log needs strictly positive intervals")
         return self._rising(np.log)
+
+    def atan(self) -> "IVec":
+        return self._rising(np.arctan)
 
     def sin(self) -> "IVec":
         return self._trig(np.sin, _SIN_OFF)

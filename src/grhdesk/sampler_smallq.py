@@ -14,9 +14,9 @@ of q enters only through its parity a, its root-number constant epsilon
 and the phases chi(k), so the pipeline runs once per parity among the
 requested characters, for all of them together:
 
-1. the error budgets, which depend only on (q, a, plan): the aliasing
-   bound of every dual bin, summed into one total, and the t-grid
-   periodization error at each output ordinate;
+1. the error budgets, which depend only on (q, a, plan), as one interval
+   array each: the aliasing bound of every dual bin, summed into one
+   total, and the t-grid periodization error of every output ordinate;
 2. Fhat on the dual grid 2 pi n/B, n = 0..N/2: the theta terms
    k^a exp(-pi k^2 e^{2u}/q) summed by residue class of k mod q, one
    group DFT (the convention of sampler_largeq.l_values_at) for the
@@ -52,15 +52,9 @@ from .errors import (
     XConditionViolated,
 )
 from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, _narrow_ball, auto_params, log_gamma
-from .interval import (
-    ComplexBox,
-    RealInterval,
-    pi_interval,
-)
+from .interval import ComplexBox, RealInterval, _ratio_ends, pi_interval
 from .ivec import CVec, IVec
 from .sampler_largeq import SampleGrid, _ordinates, lambda_from_l
-
-_HALF = Fraction(1, 2)
 
 
 @cache
@@ -114,9 +108,7 @@ class FftPlan:
 
     @property
     def delta(self) -> RealInterval:
-        one = RealInterval.one()
-        half = RealInterval.from_fraction(_HALF)
-        return pi_interval() * (one - RealInterval.point(abs(self.eta))) * half
+        return pi_interval() * (RealInterval.one() - RealInterval.point(abs(self.eta))) * 0.5
 
     @property
     def t_step(self) -> Fraction:
@@ -191,6 +183,9 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
                 break
         trunc = default_trunc(x.lo, q, plan.eta)
 
+        # the theta sums stay scalar boxes: summed as CVec arrays at _KT
+        # ulps, they made the samples of smallq_all(q, default_plan(), 40),
+        # q = 5, 7, 8, 11, 1.2x to 1.4x wider
         acc = [ComplexBox.zero()] * group.phi
         for k in range(1, trunc + 1):
             if math.gcd(k, q) != 1:
@@ -204,10 +199,9 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
         classes.extend(acc)
 
         # geometric tail: |term ratio| <= (1 + 1/(trunc+1))^parity
-        #                 * exp(-pi (2 trunc + 3) Re(e^{2u}) / q)
+        #                 * exp(-pi (2 trunc + 3) Re(e^{2u}) / q),
+        # whose bound reaches 1 where Re(e^{2u}) is not certified positive
         c = e2u.re
-        if not c.lo > 0.0:
-            raise TailDivergence("cannot certify a positive theta decay constant")
         n0 = trunc + 1
         rho = (c * (pi * RealInterval.from_fraction(Fraction(-(2 * trunc + 3), q)))).exp()
         first = (c * (pi * RealInterval.from_fraction(Fraction(-(n0 * n0), q)))).exp()
@@ -215,7 +209,9 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
             rho = rho * RealInterval.from_fraction(Fraction(n0 + 1, n0))
             first = first * RealInterval.point(n0)
         if not rho.hi < 1.0:
-            raise TailDivergence(f"term ratio {rho.hi:.3g} >= 1 at trunc={trunc}")
+            raise TailDivergence(
+                f"term ratio {rho.hi:.3g} >= 1 for q = {q}, parity {parity} at bin n = {n}"
+            )
         tails.append((first / (one - rho)).hi)
         prefs.append((u * scale_fr).exp() * factor)
 
@@ -229,124 +225,122 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
     return CVec.concatenate([dual, rest], axis=0)
 
 
-def _decay_bound(w: RealInterval, x_of_w: RealInterval, parity: int) -> RealInterval:
+def _shifts(k_max: int, step: Fraction, shift: Fraction) -> tuple[np.ndarray, int]:
+    """Exact integers u, shape (2, k_max + 1) and dtype object, and d > 0
+    with u/d = k step + shift (row 0) and k step - shift (row 1)."""
+    k = np.arange(k_max + 1, dtype=object) * (step.numerator * shift.denominator)
+    top = shift.numerator * step.denominator
+    return np.stack([k + top, k - top]), step.denominator * shift.denominator
+
+
+def _ratios(nums: np.ndarray, den: int) -> IVec:
+    """nums/den for exact integers nums (dtype object) and den > 0, each
+    rounded outward once: in one numpy pass below 2^53, else entry by entry."""
+    if max(den, np.abs(nums).max()) < 2**53:
+        return IVec.from_ratios(nums.astype(np.int64), den)
+    return IVec(*np.array([_ratio_ends(k, den) for k in nums.flat]).T.reshape((2,) + nums.shape))
+
+
+def _decay_bound(w: IVec, x_of_w: IVec, parity: int) -> IVec:
     """exp((2 parity + 1) w/2 - X) (1 + 1/(2X))^((2 parity + 2)/2)."""
-    one = RealInterval.one()
-    half = RealInterval.from_fraction(_HALF)
-    grow = w * RealInterval.from_fraction(Fraction(2 * parity + 1, 2))
-    body = one + half / x_of_w
+    body = 1.0 + 0.5 / x_of_w
     if parity:
         body = body * body.sqrt()
-    return (grow - x_of_w).exp() * body
+    return (w * ((2 * parity + 1) / 2) - x_of_w).exp() * body
 
 
-def alias_bound_fhat(n: int, plan: FftPlan, q: int, parity: int) -> RealInterval:
-    """Bound on |periodized dual value at bin n - Fhat(2 pi n/B)|.
+def alias_bound_fhat(plan: FftPlan, q: int, parity: int) -> IVec:
+    """Bound on |periodized dual value - Fhat(2 pi n/B)| at every bin
+    n = 0..N/2, which is also the bound at -n.
 
-    n is the signed frequency, |n| <= N/2.  Apply the one-sided decay
-    bound at w1 = 2 pi |n|/B + 2 pi A (shifts upward) and at
-    w2 = -2 pi |n|/B + 2 pi A (shifts downward, reflected through the
-    realness of F), with X(w) = (pi delta / q) exp(2w - delta).
+    Applies the one-sided decay bound at w1 = 2 pi (A + n/B) (shifts
+    upward) and at w2 = 2 pi (A - n/B) >= pi A (shifts downward, reflected
+    through the realness of F), with X(w) = (pi delta / q) exp(2w - delta).
+    XConditionViolated names q, the parity and the first bin where X(w1)
+    or X(w2) is not certified above 1.
     """
-    n = abs(int(n))
-    if 2 * n > plan.N:
-        raise DomainError("bin outside the signed frequency range")
     pi = pi_interval()
     delta = plan.delta
-    f1 = Fraction(n) / plan.B + plan.A
-    f2 = plan.A - Fraction(n) / plan.B
-    if f2 <= 0:
-        raise XConditionViolated("reflected frequency is not positive")
-    w1 = (pi + pi) * RealInterval.from_fraction(f1)
-    w2 = (pi + pi) * RealInterval.from_fraction(f2)
-    q_iv = RealInterval.point(q)
-
-    def x_of(w: RealInterval) -> RealInterval:
-        return pi * delta * (w + w - delta).exp() / q_iv
-
-    x1 = x_of(w1)
-    x2 = x_of(w2)
-    if not (x1.lo > 1.0 and x2.lo > 1.0):
+    u, d = _shifts(plan.N // 2, 1 / plan.B, plan.A)
+    w = _ratios(np.abs(u), d) * (pi + pi)
+    x = (w + w - delta).exp() * (pi * delta / RealInterval.point(q))
+    fails = ~(x.lo > 1.0).all(axis=0)
+    if fails.any():
+        n = int(np.argmax(fails))
         raise XConditionViolated(
-            f"X(w) <= 1 at bin {n}; enlarge A (X1={x1.lo:.3g}, "
-            f"X2={x2.lo:.3g})"
+            f"X(w) <= 1 for q = {q}, parity {parity} at bin n = {n}; enlarge A "
+            f"(X1={x.lo[0, n]:.3g}, X2={x.lo[1, n]:.3g})"
         )
-    one = RealInterval.one()
-    num = (_decay_bound(w1, x1, parity) + _decay_bound(w2, x2, parity)) * (
-        RealInterval.point(4)
-    )
+    decay = _decay_bound(w, x, parity)
     den = (
-        _frac_pow(q_iv, Fraction(2 * parity + 1, 4))
+        _frac_pow(RealInterval.point(q), Fraction(2 * parity + 1, 4))
         * delta.sqrt()
-        * (one - (-(pi * RealInterval.from_fraction(plan.A))).exp())
+        * (RealInterval.one() - (-(pi * RealInterval.from_fraction(plan.A))).exp())
     )
-    return num / den
+    return (decay[0] + decay[1]) * (RealInterval.point(4) / den)
 
 
-def _beta(t_fr: Fraction, parity: int) -> RealInterval:
-    """pi/4 - (2a+1)/2 arctan(1/(2|t|)) - 4/(pi^2 |t^2 - (2a+1)^2/4|)."""
-    if t_fr == 0:
-        raise BetaConditionViolated("ordinate at the arctan singularity")
-    c = Fraction(2 * parity + 1)
-    den_fr = abs(t_fr * t_fr - c * c / 4)
-    if den_fr == 0:
-        raise BetaConditionViolated("ordinate at the pole of the correction term")
+def _beta(u: np.ndarray, d: int, parity: int) -> IVec:
+    """pi/4 - (c/2) arctan(1/(2|t|)) - 4/(pi^2 |t^2 - c^2/4|) at each t = u/d
+    (u nonzero, from _shifts), c = 2 parity + 1.
+
+    At the pole t^2 = c^2/4 the numerator 1 stands in for 0: the correction
+    is then at least 16/pi^2 > pi/2, so beta, twisted by pi eta/4 or not,
+    is negative there, as it is at the pole itself.
+    """
+    c = 2 * parity + 1
+    pole = np.maximum(np.abs(4 * u * u - c * c * d * d), 1)
+    at, gap = _ratios(np.stack([np.abs(4 * d * u), pole]), 4 * d * d)
     pi = pi_interval()
-    quarter = RealInterval.from_fraction(Fraction(1, 4))
-    at = RealInterval.from_fraction(abs(t_fr))
-    one = RealInterval.one()
-    arct = (one / (at + at)).atan()
-    corr = RealInterval.point(4) / (pi * pi * RealInterval.from_fraction(den_fr))
-    return pi * quarter - arct * RealInterval.from_fraction(c / 2) - corr
+    arct = (0.5 / at).atan() * (c / 2)
+    return -(arct + 4.0 / (gap * (pi * pi))) + pi * RealInterval.from_fraction(Fraction(1, 4))
 
 
-def _envelope(t_fr: Fraction, q: int, parity: int, eta: float) -> RealInterval:
-    """zeta(9/8) pi^(-(2a+1)/4) |Gamma((2a+1)/4 + it/2)| e^(pi eta t/4)
-    ((q/2pi)|3/2 + t|)^(5/16).
+def _envelope(u: np.ndarray, d: int, q: int, parity: int, eta: float) -> IVec:
+    """zeta(9/8) pi^(-c/4) |Gamma(c/4 + it/2)| e^(pi eta t/4)
+    ((q/2pi)|3/2 + t|)^(5/16) at each t = u/d (from _shifts), c = 2 parity + 1.
 
     |Gamma| is e^(Re log Gamma): the real part of hurwitz.log_gamma's ball
-    at the exact point (2a+1)/4 + it/2, narrowed to doubles, then one
-    hardware exp.
+    at the exact point c/4 + it/2, one ball per t, narrowed to doubles
+    into one IVec, then one exp.
     """
+    c = 2 * parity + 1
+    ends = [_narrow_ball(log_gamma(Fraction(c, 4), Fraction(k, 2 * d)), False)[:2] for k in u.flat]
+    gamma_abs = IVec(*np.array(ends).T.reshape((2,) + u.shape)).exp()
+    t, base = _ratios(np.stack([2 * u, np.abs(3 * d + 2 * u)]), 2 * d)
     pi = pi_interval()
-    tt = RealInterval.from_fraction(t_fr)
-    re_lo, re_hi, _, _ = _narrow_ball(log_gamma(Fraction(2 * parity + 1, 4), t_fr / 2), False)
-    gamma_abs = RealInterval(re_lo, re_hi).exp()
-    pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(-(2 * parity + 1), 4))).exp()
-    e_eta = (pi * tt * RealInterval.point(eta / 4)).exp()
-    rad_base = RealInterval.point(q) / (pi + pi) * RealInterval.from_fraction(
-        abs(Fraction(3, 2) + t_fr)
-    )
-    rad = _frac_pow(rad_base, Fraction(5, 16))
-    return zeta_nine_eighths() * pi_pow * gamma_abs * e_eta * rad
+    const = zeta_nine_eighths() * _frac_pow(pi, Fraction(-c, 4))
+    const = const * _frac_pow(RealInterval.point(q) / (pi + pi), Fraction(5, 16))
+    rad = (base.log() * (5 / 16)).exp()
+    return gamma_abs * (t * (pi * RealInterval.point(eta / 4))).exp() * rad * const
 
 
-def t_grid_error(m: int, plan: FftPlan, q: int, parity: int) -> RealInterval:
-    """Bound on |periodized t-side value at m - F(m/A)|.
+def t_grid_error(plan: FftPlan, q: int, parity: int, m_max: int) -> IVec:
+    """Bound on |periodized t-side value - F(m/A)| at every ordinate
+    m = 0..m_max, for 0 <= m_max < N.
 
-    Sums the two nearest periodization shifts' envelopes, each divided by
-    the geometric factor its exponential decay rate beta provides; raises
-    BetaConditionViolated when m/A is too close to B for the decay rate to
-    beat the contour twist.
+    Sums the envelopes of the two nearest periodization shifts, t = m/A + B
+    and t = m/A - B, each divided by the geometric factor its decay rate
+    beta - pi eta sign(t)/4 provides.  BetaConditionViolated names q, the
+    parity and the first m where a rate is not certified positive: m/A
+    too close to B for the decay rate to beat the contour twist.
     """
-    t1 = Fraction(m) / plan.A + plan.B
-    t2 = Fraction(m) / plan.A - plan.B
-    pi = pi_interval()
-    pe = pi * RealInterval.point(plan.eta / 4)
-    beta1 = _beta(t1, parity) - pe
-    beta2 = _beta(t2, parity) + pe
-    if not (beta1.lo > 0.0 and beta2.lo > 0.0):
+    if not 0 <= m_max < plan.N:
+        raise DomainError("m_max outside the plan's ordinate range 0..N-1")
+    u, d = _shifts(m_max, 1 / plan.A, plan.B)
+    pe = pi_interval() * RealInterval.point(plan.eta / 4)
+    beta = _beta(u, d, parity) - IVec.from_intervals([pe, -pe]).reshape(2, 1)
+    fails = ~(beta.lo > 0.0).all(axis=0)
+    if fails.any():
+        m = int(np.argmax(fails))
         raise BetaConditionViolated(
-            f"decay condition fails at m={m} (m/A={float(Fraction(m) / plan.A):.4g})"
+            f"decay condition fails for q = {q}, parity {parity} at m = {m} "
+            f"(m/A = {float(m / plan.A):.4g})"
         )
-    one = RealInterval.one()
-    b_iv = RealInterval.from_fraction(plan.B)
-    out = RealInterval.zero()
-    for t_fr, beta in ((t1, beta1), (t2, beta2)):
-        env = _envelope(t_fr, q, parity, plan.eta)
-        den = one - (-(b_iv * beta)).exp()
-        out = out + env / den
-    return out
+    out = _envelope(u, d, q, parity, plan.eta) / (
+        1.0 - (beta * -RealInterval.from_fraction(plan.B)).exp()
+    )
+    return out[0] + out[1]
 
 
 def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid]:
@@ -354,7 +348,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
 
     The alias total, the t-grid pads and the dual values depend on the
     character only through its parity, so each parity among chars costs
-    one set of budgets, one _dual_values table and one backward FFT
+    one call of each budget, one _dual_values table and one backward FFT
     batched over its characters.  The outputs are padded by the alias
     total and each by its own t-grid periodization error, converted to
     the completed normalization, and checked real and projected by
@@ -389,15 +383,16 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     )
     n_total = plan.N
     half = n_total // 2
+    fold = np.r_[: half + 1, half - 1 : 0 : -1]  # bin n of 0..N-1 as min(n, N - n)
     samples = [None] * len(chars)
     for parity in sorted({meta.parity for meta in metas}):
         members = [i for i, meta in enumerate(metas) if meta.parity == parity]
 
-        alias = [alias_bound_fhat(n, plan, q, parity) for n in range(half + 1)]
-        alias_total = RealInterval.zero()
-        for n in range(n_total):
-            alias_total = alias_total + alias[min(n, n_total - n)]
-        t_pads = [t_grid_error(m, plan, q, parity).hi for m in range(m_max + 1)]
+        alias_total = alias_bound_fhat(plan, q, parity).take(fold).sum()
+        t_pads = t_grid_error(plan, q, parity, m_max).hi
+        # recover stays scalar boxes: as one IVec exp at _KT ulps it made
+        # the samples of smallq_all(q, default_plan(), 40), q = 5, 7, 8, 11,
+        # up to 1.15x wider at t <= 2
         pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(2 * parity + 1, 4))).exp()
         recover = IVec.from_intervals(
             [pi_pow * (pi * RealInterval.point(t) * eta_fac).exp() for t in ts]

@@ -3,8 +3,8 @@
 An interval array here is a pair (lo, hi) of float64 arrays, and each
 operation is written out end by end: dn and up round one endpoint array
 outward, a product or quotient is the min and max of its four corner
-arrays, a square, sqrt, exp, log, sin and cos treat each end apart, and a
-sum bounds each end's rounding error on its own.  ivec's kernels work on
+arrays, a square, sqrt, exp, log, atan, sin and cos treat each end apart,
+and a sum bounds each end's rounding error on its own.  ivec's kernels work on
 one (parts, 2, *shape) block instead; they must give these endpoints bit
 for bit.  Each operation tallies ivec.op_counter as its kernel must: the
 number of intervals it produces (none for neg and pad).
@@ -143,6 +143,10 @@ def exp(a):
 def log(a):
     """log of a with lo > 0."""
     return _rising(np.log, a)
+
+
+def atan(a):
+    return _rising(np.arctan, a)
 
 
 def _contains_extremum(a, off):

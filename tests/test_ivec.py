@@ -128,6 +128,19 @@ def test_elementwise_function_containment(fname):
                 )
 
 
+def test_atan_containment():
+    # large arguments, where atan flattens toward pi/2, and small ones
+    rng = np.random.default_rng(27)
+    base = np.concatenate([rng.uniform(-1e5, 1e5, 1024), rng.uniform(-2.0, 2.0, 1024)])
+    v = IVec(base, base + 1e-9)
+    out = v.atan()
+    with mpmath.workprec(120):
+        for i in range(0, base.size, 53):
+            for endpoint in (v.lo[i], v.hi[i]):
+                ref = mpmath.atan(mpmath.mpf(float(endpoint)))
+                assert float(out.lo[i]) <= float(ref) <= float(out.hi[i]), endpoint
+
+
 def test_arithmetic_rounds_one_ulp_outward():
     # as the scalar RealInterval: one ulp each side, also at powers of two,
     # where the ulp below is half the ulp above
@@ -552,6 +565,7 @@ def test_ivec_unary_kernels_match_the_reference(shape):
             ("sqrt", p.sqrt, lambda: O.sqrt(pp)),
             ("exp", v.exp, lambda: O.exp(pv)),
             ("log", l.log, lambda: O.log(pl)),
+            ("atan", v.atan, lambda: O.atan(pv)),
             ("sin", v.sin, lambda: O.sin(pv)),
             ("cos", v.cos, lambda: O.cos(pv)),
             ("pad", lambda: v.pad(rad), lambda: O.pad(pv, rad)),

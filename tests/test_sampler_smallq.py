@@ -26,6 +26,7 @@ from grhdesk.errors import (
     TailDivergence,
     XConditionViolated,
 )
+from grhdesk.interval import RealInterval
 from grhdesk.sampler_largeq import sample_all, sample_range
 from grhdesk.sampler_smallq import (
     FftPlan,
@@ -153,6 +154,23 @@ def test_default_trunc_refuses_a_nonpositive_decay_constant():
         default_trunc(0.0, 7, 3.0)
 
 
+@pytest.mark.parametrize(
+    "eta, parity, message",
+    [
+        (1 - 2**-20, 1, r"term ratio 1.5 >= 1 for q = 7, parity 1 at bin n = 0$"),
+        (1 - 2**-53, 0, r">= 1 for q = 7, parity 0 at bin n = 0$"),
+    ],
+)
+def test_dual_value_tails_refuse_naming_q_parity_and_bin(monkeypatch, eta, parity, message):
+    # the sums cut after one term: at eta = 1 - 2^-20 the decay constant
+    # Re e^(2u) is about 1.5e-6, too little against the odd tail's factor
+    # 3/2, and at eta = 1 - 2^-53 it is not certified positive, which
+    # the ratio's bound shows by reaching 1
+    monkeypatch.setattr(sampler_smallq, "default_trunc", lambda x, q, eta: 1)
+    with pytest.raises(TailDivergence, match=message):
+        sampler_smallq._dual_values(7, parity, FftPlan(A=Fraction(8), B=Fraction(64), eta=eta))
+
+
 def test_zeta_nine_eighths_contains_mpmath():
     # the constant of the envelope behind both error budgets: it must hold
     # zeta(9/8), and be no looser than the scalar Euler-Maclaurin oracle's
@@ -168,30 +186,32 @@ def test_zeta_nine_eighths_contains_mpmath():
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_error_bounds_finite_and_positive_on_default_plan(parity):
-    # the alias bound can underflow to [0, tiny]; what is used is its
+    # the alias bound underflows far out; the array kernels round its zero
+    # lower end outward, a few subnormals below 0.  What is used is the
     # upper endpoint, which must be a positive finite radius
     plan = default_plan()
-    half = plan.N // 2
-    for n in (0, 1, half // 2, -half, half):
-        bound = alias_bound_fhat(n, plan, 7, parity)
-        assert 0.0 <= bound.lo and 0.0 < bound.hi < float("inf"), n
-    for m in (0, 1, plan.N // 4):
-        bound = t_grid_error(m, plan, 7, parity)
-        assert 0.0 <= bound.lo and 0.0 < bound.hi < float("inf"), m
+    alias = alias_bound_fhat(plan, 7, parity)
+    tgrid = t_grid_error(plan, 7, parity, plan.N // 4)
+    assert alias.shape == (plan.N // 2 + 1,) and tgrid.shape == (plan.N // 4 + 1,)
+    for bound in (alias, tgrid):
+        assert (-1e-300 < bound.lo).all() and (0.0 < bound.hi).all()
+        assert np.isfinite(bound.hi).all()
 
 
-def test_alias_bound_refuses_bins_outside_the_signed_range():
-    plan = default_plan()
-    for n in (plan.N // 2 + 1, -(plan.N // 2 + 1)):
-        with pytest.raises(DomainError):
-            alias_bound_fhat(n, plan, 7, 0)
+@pytest.mark.parametrize("parity", [0, 1])
+def test_alias_bound_names_the_first_bin_below_the_x_condition(parity):
+    # X(w) > 1 needs 2w > delta + log(2q/pi^2), w > 2.29 at q = 101: the
+    # reflected w2 = 2 pi (1/2 - n/16) stays above it for n <= 2 only
+    plan = FftPlan(A=Fraction(1, 2), B=Fraction(16))
+    with pytest.raises(XConditionViolated, match=rf"q = 101, parity {parity} at bin n = 3;"):
+        alias_bound_fhat(plan, 101, parity)
 
 
 def test_alias_bound_refuses_too_small_a():
-    # 2 pi A just above 1: X(w) at the reflected frequency falls below 1
+    # 2 pi A just above 1: X(w) falls below 1 from the first bin on
     plan = FftPlan(A=Fraction(1, 4), B=Fraction(8))
-    with pytest.raises(XConditionViolated):
-        alias_bound_fhat(1, plan, 101, 0)
+    with pytest.raises(XConditionViolated, match=r"q = 101, parity 0 at bin n = 0;"):
+        alias_bound_fhat(plan, 101, 0)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -199,8 +219,70 @@ def test_t_grid_error_refuses_ordinates_near_the_period(parity):
     # m/A = B - 1/A: the reflected shift sits 1/A from the origin, where
     # the decay rate beta is negative
     plan = default_plan()
-    with pytest.raises(BetaConditionViolated):
-        t_grid_error(plan.N - 1, plan, 7, parity)
+    with pytest.raises(BetaConditionViolated, match=rf"q = 7, parity {parity} at m = \d+ "):
+        t_grid_error(plan, 7, parity, plan.N - 1)
+
+
+@pytest.mark.parametrize(
+    "A, B, parity, first",
+    [(3, Fraction(16, 3), 0, 14), (3, Fraction(16, 3), 1, 11), (Fraction(2, 3), 24, 1, 15)],
+)
+def test_t_grid_error_names_the_first_failing_ordinate(A, B, parity, first):
+    # t = m/3 - 16/3: beta, checked by hand, is positive at |t| = 1
+    # (parity 0) and 2 (parity 1), and negative at every smaller |t| of
+    # the grid.  t = 3m/2 - 24 first fails at m = 15, on the pole
+    # t^2 = 9/4 of the odd correction term.  Every ordinate before the one
+    # named is bounded
+    plan = FftPlan(A=Fraction(A), B=Fraction(B))
+    with pytest.raises(BetaConditionViolated, match=rf"q = 7, parity {parity} at m = {first} "):
+        t_grid_error(plan, 7, parity, plan.N - 1)
+    bound = t_grid_error(plan, 7, parity, first - 1)
+    assert len(bound) == first and np.isfinite(bound.hi).all()
+
+
+@pytest.mark.parametrize("m_max", [-1, default_plan().N])
+def test_t_grid_error_refuses_ordinates_outside_the_plan(m_max):
+    with pytest.raises(DomainError, match="ordinate range"):
+        t_grid_error(default_plan(), 7, 0, m_max)
+
+
+def _real_products(monkeypatch, fn, *args):
+    """The number of scalar RealInterval products fn(*args) makes."""
+    calls = [0]
+    mul = RealInterval.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RealInterval, "__mul__", counted)
+    monkeypatch.setattr(RealInterval, "__rmul__", counted)
+    fn(*args)
+    monkeypatch.undo()
+    return calls[0]
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_error_budgets_make_no_scalar_product_per_bin_or_ordinate(monkeypatch, parity):
+    # the budgets are whole-range array passes: their scalar work is a
+    # fixed set of constants, whatever N or m_max
+    plans = [FftPlan(A=Fraction(8), B=Fraction(8)), default_plan()]
+    alias = [_real_products(monkeypatch, alias_bound_fhat, p, 7, parity) for p in plans]
+    tgrid = [_real_products(monkeypatch, t_grid_error, PLAN, 7, parity, m) for m in (1, 300)]
+    assert alias[0] == alias[1] and tgrid[0] == tgrid[1]
+    assert 0 < max(alias + tgrid) < 30
+
+
+def test_exact_ratios_past_two_to_the_53():
+    # the budgets' rationals take one numpy pass below 2^53 and
+    # interval._ratio_ends beyond: both round as RealInterval.from_fraction
+    for den in (12, 2**60 + 1):
+        nums = np.array([[2**60 + 1, -3], [0, 7 * den]], dtype=object)
+        v = sampler_smallq._ratios(nums, den)
+        assert v.shape == (2, 2)
+        for (i, j), n in np.ndenumerate(nums):
+            ref = RealInterval.from_fraction(Fraction(n, den))
+            assert (v.lo[i, j], v.hi[i, j]) == (ref.lo, ref.hi), (n, den)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +333,9 @@ def test_error_budgets_once_per_parity(monkeypatch):
     monkeypatch.setattr(sampler_smallq, "alias_bound_fhat", counted_alias)
     monkeypatch.setattr(sampler_smallq, "t_grid_error", counted_tgrid)
     smallq_all(7, PLAN, T_MAX)
-    # both parities occur mod 7; N/2 + 1 bins and floor(T_MAX A) + 1 ordinates
-    assert calls == {"alias": 2 * (PLAN.N // 2 + 1), "tgrid": 2 * 3}
+    # both parities occur mod 7, and each budget covers every bin or
+    # ordinate of its parity in one call
+    assert calls == {"alias": 2, "tgrid": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +426,14 @@ def test_alias_bound_dominates_nearest_shifts(q, chi):
     parity = char_group(q).parity(chi)
     with mpmath.workdps(_DPS):
         period = 2 * mpmath.pi * _ORACLE_PLAN.A.numerator / _ORACLE_PLAN.A.denominator
+        bounds = alias_bound_fhat(_ORACLE_PLAN, q, parity)
+        assert len(bounds) == 5
         for n in range(5):
             x = 2 * mpmath.pi * n / _ORACLE_PLAN.B.numerator
             shifts = abs(_fhat_over_eps(q, chi, parity, x + period)) + abs(
                 _fhat_over_eps(q, chi, parity, period - x)
             )
-            assert alias_bound_fhat(n, _ORACLE_PLAN, q, parity).hi >= shifts, n
+            assert bounds[n].hi >= shifts, n
 
 
 @pytest.mark.parametrize("q,chi", _ORACLE_CHARS)
@@ -364,8 +449,9 @@ def test_t_grid_error_dominates_nearest_shifts(q, chi):
             lval = mpmath.dirichlet(s, values)
             return mpmath.pi ** (-mpmath.mpf(2 * parity + 1) / 4) * abs(gamma) * abs(lval)
 
+        bounds = t_grid_error(_ORACLE_PLAN, q, parity, 7)
         for m in range(8):
             t = mpmath.mpf(m) * _ORACLE_PLAN.A.denominator / _ORACLE_PLAN.A.numerator
             b = mpmath.mpf(_ORACLE_PLAN.B.numerator)
             shifts = f_abs(t + b) + f_abs(t - b)
-            assert t_grid_error(m, _ORACLE_PLAN, q, parity).hi >= shifts, m
+            assert bounds[m].hi >= shifts, m
