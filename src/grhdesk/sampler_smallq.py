@@ -235,9 +235,7 @@ def _shifts(k_max: int, step: Fraction, shift: Fraction) -> tuple[np.ndarray, in
 
 def _ratios(nums: np.ndarray, den: int) -> IVec:
     """nums/den for exact integers nums (dtype object) and den > 0, each
-    rounded outward once: in one numpy pass below 2^53, else entry by entry."""
-    if max(den, np.abs(nums).max()) < 2**53:
-        return IVec.from_ratios(nums.astype(np.int64), den)
+    rounded outward once, entry by entry, at any size."""
     return IVec(*np.array([_ratio_ends(k, den) for k in nums.flat]).T.reshape((2,) + nums.shape))
 
 
@@ -277,7 +275,8 @@ def alias_bound_fhat(plan: FftPlan, q: int, parity: int) -> IVec:
         * delta.sqrt()
         * (RealInterval.one() - (-(pi * RealInterval.from_fraction(plan.A))).exp())
     )
-    return (decay[0] + decay[1]) * (RealInterval.point(4) / den)
+    out = (decay[0] + decay[1]) * (RealInterval.point(4) / den)
+    return IVec(np.maximum(out.lo, 0.0), out.hi)  # a bound on |.|: lo >= 0
 
 
 def _beta(u: np.ndarray, d: int, parity: int) -> IVec:
@@ -340,7 +339,8 @@ def t_grid_error(plan: FftPlan, q: int, parity: int, m_max: int) -> IVec:
     out = _envelope(u, d, q, parity, plan.eta) / (
         1.0 - (beta * -RealInterval.from_fraction(plan.B)).exp()
     )
-    return out[0] + out[1]
+    out = out[0] + out[1]
+    return IVec(np.maximum(out.lo, 0.0), out.hi)  # a bound on |.|: lo >= 0
 
 
 def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid]:
