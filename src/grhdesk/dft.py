@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .characters import CharGroup, _fixed_unit_powers
-from .interval import _narrow
+from .hurwitz import _narrow_ball
 from .ivec import CVec
 
 _NAIVE_LIMIT = 64  # axis lengths above this go through Bluestein
@@ -45,7 +45,8 @@ def unity_table(n: int) -> CVec:
     The fixed-point table of e(j/n) at scale 2^-shift, with
     shift = 53 + 2 bitlen(n) + 16 (the guard bits that
     CharGroup._fixed_unity_tables adds to GAUSS_BITS), is conjugated and
-    each side narrowed to a double once.  Entries with 4j = 0 mod n are
+    each side narrowed to a double once, by the lattice powers' narrowing
+    (hurwitz._narrow_ball).  Entries with 4j = 0 mod n are
     the exact points 1, -i, -1, i.
     """
     tab = _table_cache.get(n)
@@ -53,12 +54,7 @@ def unity_table(n: int) -> CVec:
         return tab
     shift = 53 + 2 * n.bit_length() + 16
     re, im, rad = _fixed_unit_powers(n, shift)
-    sides = np.array(
-        [
-            (*_narrow(x - rad, x + rad, -shift), *_narrow(-y - rad, rad - y, -shift))
-            for x, y in zip(re, im)
-        ]
-    )
+    sides = np.array([_narrow_ball((x, -y, rad, -shift), False) for x, y in zip(re, im)])
     j = np.flatnonzero(4 * np.arange(n) % n == 0)
     sides[j] = _QUARTER_POINTS[4 * j // n]
     tab = CVec.from_block(sides.T.reshape(2, 2, n).copy())

@@ -89,7 +89,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, NonPositiveRealPart, PoleProximity, RadiusViolation
-from .interval import _narrow, _ratio_ends, bernoulli
+from .interval import _narrow, bernoulli
 from .ivec import CVec, IVec
 
 # the cap of the default row count (lattice_size)
@@ -581,17 +581,6 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, ts: list[float], bits
     return out
 
 
-def _ratio_cvec(re: list[int], im: list[int], dens: list[int]) -> CVec:
-    """Hardware CVec of the Gaussian rationals (re + i im) / den, den > 0.
-
-    Each part is rounded outward once to RealInterval.from_fraction's
-    endpoints (interval._ratio_ends), with no pair reduced to lowest terms
-    and no Fraction made.
-    """
-    ends = [[_ratio_ends(n, d) for n, d in zip(nums, dens)] for nums in (re, im)]
-    return CVec.from_block(np.array(ends, dtype=np.float64).reshape(2, len(dens), 2).transpose(0, 2, 1))
-
-
 def _pochhammer(sigma: Fraction, t: float) -> Iterator[tuple[int, int, int]]:
     """(pr, pim, scale) with (s)_j = (pr + i pim) / scale for j = 0, 1, 2, ...
 
@@ -627,12 +616,12 @@ def _tail_constants(b: int, bits: int) -> tuple[IVec, float]:
     (2 pi)^(2b+1) is bounded below from a lower bound on pi: mpf_pi at
     bits + _GUARD rounded down to bits bits, less one ulp.
     """
-    bern = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)]
-    lo, hi = zip(*(_ratio_ends(v.numerator, v.denominator) for v in bern))
     # pi lies in [2, 4), where one ulp at `bits` is 2^(2 - bits)
     pi_lo = Fraction(to_int(mpf_shift(mpf_pi(bits + _GUARD, "f"), bits - 2), "f") - 1, 1 << (bits - 2))
     rem = 2 * zeta_upper(2 * b + 1) / (2 * pi_lo) ** (2 * b + 1)
-    return IVec(lo, hi), _ratio_ends(rem.numerator, rem.denominator)[1]
+    exact = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)] + [rem]
+    ends = IVec.from_ratios([v.numerator for v in exact], [v.denominator for v in exact])
+    return ends[:b], float(ends.hi[b])
 
 
 def _em_constants(ts: list[float], sigma: Fraction, ncols: int, b: int, bits: int):
@@ -684,7 +673,7 @@ def _em_constants(ts: list[float], sigma: Fraction, ncols: int, b: int, bits: in
     # the exact constants: s_c = (u + c v)/v + i tn/td and, over the common
     # denominator den, s_c - 1 = (X + iY)/den, so 1/(s_c - 1) = den (X - iY)/(X^2 + Y^2)
     u, v = sigma.numerator, sigma.denominator
-    inv_re, inv_im, inv_den, first_im = [], [], [], []
+    inv_re, inv_im, inv_den, tns, tds = [], [], [], [], []
     for t in ts:
         tn, td = t.as_integer_ratio()
         den = math.lcm(v, td)
@@ -694,13 +683,14 @@ def _em_constants(ts: list[float], sigma: Fraction, ncols: int, b: int, bits: in
             inv_re.append(X * den)
             inv_im.append(-Y * den)
             inv_den.append(X * X + Y * Y)
-        first_im.append(_ratio_ends(tn, 12 * td))
-    inv = _ratio_cvec(inv_re, inv_im, inv_den).reshape(T, C)
+        tns.append(tn)
+        tds.append(12 * td)
+    inv = CVec(IVec.from_ratios(inv_re, inv_den), IVec.from_ratios(inv_im, inv_den)).reshape(T, C)
     # s_c/12: its real part (u + c v)/(12 v) does not depend on t, its
     # imaginary part tn/(12 td) not on c
     first = np.empty((2, 2, T, C, 1))
-    first[0] = np.array([_ratio_ends(u + c * v, 12 * v) for c in range(C)]).T.reshape(2, 1, C, 1)
-    first[1] = np.array(first_im).T.reshape(2, T, 1, 1)
+    first[0] = IVec.from_ratios(u + v * np.arange(C), 12 * v).e[0].reshape(2, 1, C, 1)
+    first[1] = IVec.from_ratios(tns, tds).e[0].reshape(2, T, 1, 1)
     coefs = CVec.concatenate([CVec.from_block(first), balls[..., : b - 1] * bern[1:]], axis=2)
     return inv, coefs, rad_const
 
@@ -1054,7 +1044,7 @@ def taylor_tail_bound(
     ratio = |delta| max(1, (s_mag_hi + K)/(K + 1)) / radius.  The
     arguments are nonnegative ints or Fractions (radius positive), and the
     bound is formed in integers over their numerators and denominators,
-    with no gcd: the caller rounds it once (interval._ratio_ends).
+    with no gcd: the caller rounds it once (IVec.from_ratios).
     """
     K = first_k
     if delta_abs == 0:
@@ -1084,11 +1074,10 @@ def _shift_coefs(ts: list[float], n: int) -> CVec:
     """
     poch = [p for t in ts for p in itertools.islice(_pochhammer(_HALF, t), n + 1)]
     facts = [math.factorial(k) for k in range(n + 1)] * len(ts)
-    return _ratio_cvec(
-        [pr for pr, _, _ in poch],
-        [pim for _, pim, _ in poch],
-        [scale * f for (_, _, scale), f in zip(poch, facts)],
-    ).reshape(len(ts), n + 1)
+    dens = [scale * f for (_, _, scale), f in zip(poch, facts)]
+    re = IVec.from_ratios([pr for pr, _, _ in poch], dens)
+    im = IVec.from_ratios([pim for _, pim, _ in poch], dens)
+    return CVec(re, im).reshape(len(ts), n + 1)
 
 
 # units per block of a unit_hurwitz call: a block's working set is about
@@ -1135,7 +1124,7 @@ def unit_hurwitz(lats: Sequence[HurwitzLattice], q: int, units: np.ndarray) -> C
         delta = Fraction(d_max, q * D)
         s_mags = [fraction_sqrt_upper(Fraction(1, 4) + Fraction(t) ** 2) for t in ts]
         tails = [taylor_tail_bound(s_mag, delta, radius, DEFAULT_NCOLS + 1) for s_mag in s_mags]
-        pad = np.array([_ratio_ends(*tail)[1] for tail in tails]).reshape(-1, 1)
+        pad = IVec.from_ratios(*zip(*tails)).hi.reshape(-1, 1)
     cells = CVec.from_block(np.stack([x.rows.e for x in lats], axis=2))
     blocks = []
     for i in range(0, max(len(units), 1), _UNIT_BLOCK):  # one block if empty

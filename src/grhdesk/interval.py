@@ -1,11 +1,24 @@
-"""Outward-rounded interval arithmetic on doubles.
+"""Outward-rounded scalar interval arithmetic on doubles.
 
 A :class:`RealInterval` is a closed interval [lo, hi] with IEEE double
 endpoints.  Correctly-rounded operations (+, -, *, /, sqrt) are nudged one
 ulp outward unless the result is exact; libm transcendentals are nudged
 ``_TRANS_ULPS`` ulps outward to cover their documented worst-case error.
-Exact integer and rational inputs are rounded outward once.  A
+Exact integer and rational inputs are rounded outward once
+(``_ratio_ends``, the scalar primitive behind ``IVec.from_ratios``).  A
 :class:`ComplexBox` is a rectangle with RealInterval sides.
+
+The array tier (``ivec``) does the package's bulk work; this scalar tier
+holds only what is still called:
+
+* small-q scalar work (``sampler_smallq``): the theta sums, prefactors and
+  recovery factors, kept scalar because libm's 2-ulp trust gives narrower
+  samples there than numpy's wider kernel bound;
+* the boxes of ``CharMeta`` (root numbers and epsilon), ``q_pow`` and
+  ``completion_factor``;
+* the cell views of ``IVec``/``CVec`` (indexing one cell, a grid's
+  samples);
+* the tests' oracles.
 
 Every operation returns an interval that contains the exact image of its
 input intervals.  Nothing here is ever allowed to round inward.
@@ -22,10 +35,9 @@ from .errors import (
     DivisorContainsZero,
     LogDomain,
     NegativeSqrtDomain,
-    NonPositiveRealPart,
 )
 
-# platform libm documents <= 1 ulp worst-case for exp/log/sin/cos/atan on
+# platform libm documents <= 1 ulp worst-case for exp/log/sin/cos on
 # x86-64 doubles; two ulps of outward slack keeps containment with margin.
 _TRANS_ULPS = 2
 _INF = math.inf
@@ -279,13 +291,8 @@ class RealInterval:
             hi = _up(hi)
         return RealInterval(lo, hi, _raw=True)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "RealInterval":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "RealInterval":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "RealInterval":
         a, b = self, _coerce(other)
@@ -300,8 +307,6 @@ class RealInterval:
             if p == hi and hi_exact:
                 hi_exact = _prod_is_exact(x, y, p)
         return RealInterval(lo if lo_exact else _dn(lo), hi if hi_exact else _up(hi), _raw=True)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RealInterval":
         a, b = self, _coerce(other)
@@ -320,21 +325,11 @@ class RealInterval:
                 hi_exact = _prod_is_exact(q, y, x)
         return RealInterval(lo if lo_exact else _dn(lo), hi if hi_exact else _up(hi), _raw=True)
 
-    def __rtruediv__(self, other) -> "RealInterval":
-        return _coerce(other) / self
-
     def square(self) -> "RealInterval":
         """x^2 as a set image (never dips below 0 for straddling inputs)."""
         if self.contains_zero():
             return RealInterval(0.0, (self * self).hi, _raw=True)
         return self * self
-
-    def abs(self) -> "RealInterval":
-        if self.sign() >= 1:
-            return self
-        if self.sign() <= -1:
-            return -self
-        return RealInterval(0.0, max(-self.lo, self.hi), _raw=True)
 
     # -- elementary functions ----------------------------------------------
 
@@ -362,17 +357,6 @@ class RealInterval:
         return RealInterval(
             _dn_k(math.log(self.lo), _TRANS_ULPS), _up_k(math.log(self.hi), _TRANS_ULPS), _raw=True
         )
-
-    def atan(self) -> "RealInterval":
-        return RealInterval(
-            _dn_k(math.atan(self.lo), _TRANS_ULPS), _up_k(math.atan(self.hi), _TRANS_ULPS), _raw=True
-        )
-
-    def sin(self) -> "RealInterval":
-        return _cos_sin(self)[1]
-
-    def cos(self) -> "RealInterval":
-        return _cos_sin(self)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +451,6 @@ class ComplexBox:
         return ComplexBox(RealInterval.point(z.real), RealInterval.point(z.imag))
 
     @staticmethod
-    def from_real(re: RealInterval) -> "ComplexBox":
-        return ComplexBox(re, RealInterval.zero())
-
-    @staticmethod
     def zero() -> "ComplexBox":
         return ComplexBox(RealInterval.zero(), RealInterval.zero())
 
@@ -485,15 +465,6 @@ class ComplexBox:
         other = _coerce_box(other)
         return ComplexBox(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ComplexBox":
-        other = _coerce_box(other)
-        return ComplexBox(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "ComplexBox":
-        return _coerce_box(other) - self
-
     def __neg__(self) -> "ComplexBox":
         return ComplexBox(-self.re, -self.im)
 
@@ -505,18 +476,6 @@ class ComplexBox:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ComplexBox":
-        if isinstance(other, RealInterval):
-            return ComplexBox(self.re / other, self.im / other)
-        other = _coerce_box(other)
-        d = other.abs2()
-        if d.contains_zero():
-            raise DivisorContainsZero(f"complex division by {other!r}")
-        num = self * other.conj()
-        return ComplexBox(num.re / d, num.im / d)
 
     def conj(self) -> "ComplexBox":
         return ComplexBox(self.re, -self.im)
@@ -535,37 +494,13 @@ class ComplexBox:
         c, s = _cos_sin(self.im)
         return ComplexBox(r * c, r * s)
 
-    def log(self) -> "ComplexBox":
-        """Principal log; requires Re(z) strictly positive."""
-        if self.re.sign() != 1:
-            raise NonPositiveRealPart(f"log of {self!r}")
-        mod = self.abs2().log() * RealInterval.from_fraction(Fraction(1, 2))
-        arg = (self.im / self.re).atan()
-        return ComplexBox(mod, arg)
-
-    def pad(self, bound: RealInterval) -> "ComplexBox":
-        return ComplexBox(self.re.pad(bound), self.im.pad(bound))
-
-    def contains(self, z) -> bool:
-        z = complex(z) if not isinstance(z, tuple) else z
-        if isinstance(z, tuple):
-            re, im = z
-        else:
-            re, im = z.real, z.imag
-        return self.re.contains(re) and self.im.contains(im)
-
     def intersects(self, other: "ComplexBox") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
-
-    def contains_zero(self) -> bool:
-        return self.re.contains_zero() and self.im.contains_zero()
 
 
 def _coerce_box(z) -> ComplexBox:
     if isinstance(z, ComplexBox):
         return z
-    if isinstance(z, RealInterval):
-        return ComplexBox.from_real(z)
     return ComplexBox.point(complex(z))
 
 

@@ -45,10 +45,12 @@ product (four real products, then a subtraction and an addition).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DivisorContainsZero, LogDomain, NegativeSqrtDomain
-from .interval import _PI_HI, _PI_LO, ComplexBox, RealInterval
+from .interval import _PI_HI, _PI_LO, ComplexBox, RealInterval, _ratio_ends
 
 _EPS = 2.0**-52
 _U = 2.0**-53
@@ -137,6 +139,13 @@ def _counted(e: np.ndarray, k: float = _KA) -> np.ndarray:
 
 def _as_arr(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def _integers(x) -> np.ndarray:
+    """x as a numpy integer array, else as an object array of its entries
+    (numpy makes floats of Python ints past int64 mixed with negatives)."""
+    a = np.asarray(x)
+    return a if a.dtype.kind in "iu" else np.array(x, dtype=object)
 
 
 def _lift(x: np.ndarray, lead: int, ndim: int) -> np.ndarray:
@@ -375,26 +384,47 @@ class IVec(_Block):
         return IVec.from_block(np.array([[[v.lo for v in ivs], [v.hi for v in ivs]]]))
 
     @staticmethod
-    def from_ratios(num, den: int) -> "IVec":
-        """The rationals num/den, each rounded outward once, in one numpy pass.
+    def from_ratios(num, den) -> "IVec":
+        """The rationals num/den, each rounded outward once.
 
-        num is an integer array and den a positive integer, all below 2^53
-        in magnitude.  Each entry's endpoints are RealInterval.from_fraction's:
-        the largest double <= num/den and the smallest >= it.  The nearest
-        double q = num/den is Q 2^(e-53) with a 53-bit integer Q, and
-        |q - num/den| <= 2^(e-54), so Q den - num 2^(53-e) lies within
-        den/2 of zero: its value mod 2^64 is exact, and its sign says on
-        which side of num/den q lies.
+        num and den are integers that broadcast together: numpy integer
+        arrays, Python ints, or sequences or object arrays of Python ints
+        of any size, with every den > 0; no ratio need be in lowest terms.
+        Each entry is exactly interval._ratio_ends(num, den), the largest
+        double <= num/den and the smallest >= it, as
+        RealInterval.from_fraction gives them, down to the sign of zero:
+        an exact quotient 0 is [0.0, -0.0].  A den <= 0 raises ValueError
+        and a non-integer entry TypeError.
+
+        Integer arrays whose |num| and den are below 2^53 take one numpy
+        pass.  Both are exact as doubles, so q = num/den is the nearest
+        double, Q 2^(e-53) with a 53-bit integer Q, and
+        |q - num/den| <= 2^(e-54): Q den - num 2^(53-e) lies within den/2
+        of zero, so its value mod 2^64 is exact, and its sign says on which
+        side of num/den q lies.  Anything else goes entry by entry through
+        _ratio_ends.
         """
-        num = np.asarray(num, dtype=np.int64)
+        num, den = _integers(num), _integers(den)
+        if not den.min(initial=1) > 0:
+            raise ValueError("every denominator must be positive")
+        entrywise = object in (num.dtype, den.dtype) or max(
+            -int(num.min(initial=0)), int(num.max(initial=0)), int(den.max(initial=1))
+        ) >= 2**53
+        if entrywise:
+            pairs = np.broadcast(num, den)
+            ends = [_ratio_ends(operator.index(n), operator.index(d)) for n, d in pairs]
+            return IVec.from_block(np.array(ends, dtype=np.float64).T.reshape((1, 2) + pairs.shape))
+        num, den = num.astype(np.int64, copy=False), den.astype(np.int64, copy=False)
         q = num / den
         mant, e = np.frexp(q)
         big_q = np.ldexp(mant, 53).astype(np.int64).astype(np.uint64)
         shift = (53 - e).astype(np.uint64)
         scaled = np.where(shift < 64, num.astype(np.uint64) << np.minimum(shift, 63), 0)
-        side = (big_q * np.uint64(den) - scaled).view(np.int64)
+        side = (big_q * den.astype(np.uint64) - scaled).view(np.int64)
         lo = np.where(side > 0, np.nextafter(q, -np.inf), q)
-        hi = np.where(side < 0, np.nextafter(q, np.inf), q)
+        # 0.0 - q is -q exactly, and +0.0 where q = 0, so hi is -0.0 there
+        neg = 0.0 - q
+        hi = -np.where(side < 0, np.nextafter(neg, -np.inf), neg)
         return IVec.from_block(np.array([[lo, hi]]))
 
     # -- queries ---------------------------------------------------------

@@ -52,7 +52,7 @@ from .errors import (
     XConditionViolated,
 )
 from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, _narrow_ball, auto_params, log_gamma
-from .interval import ComplexBox, RealInterval, _ratio_ends, pi_interval
+from .interval import ComplexBox, RealInterval, pi_interval
 from .ivec import CVec, IVec
 from .sampler_largeq import SampleGrid, _ordinates, lambda_from_l
 
@@ -233,12 +233,6 @@ def _shifts(k_max: int, step: Fraction, shift: Fraction) -> tuple[np.ndarray, in
     return np.stack([k + top, k - top]), step.denominator * shift.denominator
 
 
-def _ratios(nums: np.ndarray, den: int) -> IVec:
-    """nums/den for exact integers nums (dtype object) and den > 0, each
-    rounded outward once, entry by entry, at any size."""
-    return IVec(*np.array([_ratio_ends(k, den) for k in nums.flat]).T.reshape((2,) + nums.shape))
-
-
 def _decay_bound(w: IVec, x_of_w: IVec, parity: int) -> IVec:
     """exp((2 parity + 1) w/2 - X) (1 + 1/(2X))^((2 parity + 2)/2)."""
     body = 1.0 + 0.5 / x_of_w
@@ -260,7 +254,7 @@ def alias_bound_fhat(plan: FftPlan, q: int, parity: int) -> IVec:
     pi = pi_interval()
     delta = plan.delta
     u, d = _shifts(plan.N // 2, 1 / plan.B, plan.A)
-    w = _ratios(np.abs(u), d) * (pi + pi)
+    w = IVec.from_ratios(np.abs(u), d) * (pi + pi)
     x = (w + w - delta).exp() * (pi * delta / RealInterval.point(q))
     fails = ~(x.lo > 1.0).all(axis=0)
     if fails.any():
@@ -289,7 +283,7 @@ def _beta(u: np.ndarray, d: int, parity: int) -> IVec:
     """
     c = 2 * parity + 1
     pole = np.maximum(np.abs(4 * u * u - c * c * d * d), 1)
-    at, gap = _ratios(np.stack([np.abs(4 * d * u), pole]), 4 * d * d)
+    at, gap = IVec.from_ratios(np.stack([np.abs(4 * d * u), pole]), 4 * d * d)
     pi = pi_interval()
     arct = (0.5 / at).atan() * (c / 2)
     return -(arct + 4.0 / (gap * (pi * pi))) + pi * RealInterval.from_fraction(Fraction(1, 4))
@@ -306,7 +300,7 @@ def _envelope(u: np.ndarray, d: int, q: int, parity: int, eta: float) -> IVec:
     c = 2 * parity + 1
     ends = [_narrow_ball(log_gamma(Fraction(c, 4), Fraction(k, 2 * d)), False)[:2] for k in u.flat]
     gamma_abs = IVec(*np.array(ends).T.reshape((2,) + u.shape)).exp()
-    t, base = _ratios(np.stack([2 * u, np.abs(3 * d + 2 * u)]), 2 * d)
+    t, base = IVec.from_ratios(np.stack([2 * u, np.abs(3 * d + 2 * u)]), 2 * d)
     pi = pi_interval()
     const = zeta_nine_eighths() * _frac_pow(pi, Fraction(-c, 4))
     const = const * _frac_pow(RealInterval.point(q) / (pi + pi), Fraction(5, 16))

@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 import ivec_oracle as O
 from grhdesk.errors import DivisorContainsZero, LogDomain
-from grhdesk.interval import ComplexBox, RealInterval
+from grhdesk import ivec
+from grhdesk.interval import ComplexBox, RealInterval, _ratio_ends
 from grhdesk.ivec import _KA, _KT, CVec, IVec, _round, op_counter
 
 RNG = np.random.default_rng(20260822)
@@ -46,19 +47,55 @@ def test_add_sub_mul_div_containment():
     assert contains_all(a / c, pa / cm)
 
 
-def test_from_ratios_rounds_as_from_fraction():
-    # both signs, zero, exact quotients and numerators near 2^53
-    rng = np.random.default_rng(20261019)
-    for den in (1, 3, 12, 2048, 1009 * 2048, 2**52 - 1):
-        num = np.concatenate([
-            rng.integers(-(2**52), 2**52, 500),
-            rng.integers(-5000, 5000, 500),
-            [0, 1, -1, den, -den, 7 * den],
-        ])
-        v = IVec.from_ratios(num, den)
-        for i, n in enumerate(num.tolist()):
-            ref = RealInterval.from_fraction(Fraction(n, den))
-            assert (v.lo[i], v.hi[i]) == (ref.lo, ref.hi), (n, den)
+def _ratio_case(dtype):
+    """(dtype, [(num, den), ...], one_den): numerators zero, below 2^53
+    (the numpy pass), at its edge and past it; denominators likewise; an
+    int64 case stays inside int64."""
+    top = 2**63 - 1 if dtype is np.int64 else 2**80
+    edge = [2**53 - 1, 2**53, 2**53 + 1]
+    nums = st.one_of(
+        st.just(0),
+        st.integers(-(2**53) + 1, 2**53 - 1),
+        st.sampled_from(edge + [-x for x in edge]),
+        st.integers(-top, top),
+    )
+    dens = st.one_of(st.integers(1, 2**53 - 1), st.sampled_from(edge), st.integers(1, top))
+    return st.tuples(st.just(dtype), st.lists(st.tuples(nums, dens), min_size=1, max_size=12), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.int64, object]).flatmap(_ratio_case))
+def test_from_ratios_rounds_as_from_fraction(case):
+    # every entry has _ratio_ends's endpoints (RealInterval.from_fraction's),
+    # down to the sign of zero, for int64 and object arrays, with one
+    # denominator for every entry or one per entry
+    dtype, pairs, one_den = case
+    if one_den:
+        pairs = [(n, pairs[0][1]) for n, _ in pairs]
+    num = np.array([n for n, _ in pairs], dtype=dtype)
+    den = np.array(pairs[0][1] if one_den else [d for _, d in pairs], dtype=dtype)
+    v = IVec.from_ratios(num, den)
+    assert v.shape == num.shape
+    for i, (n, d) in enumerate(pairs):
+        got = float.hex(v.lo[i]), float.hex(v.hi[i])
+        assert got == tuple(map(float.hex, _ratio_ends(n, d))), (n, d)
+
+
+def test_from_ratios_routes_and_refuses(monkeypatch):
+    # int64 entries below 2^53 take the numpy pass, never _ratio_ends;
+    # anything else, and every object array, goes entry by entry
+    calls = []
+    monkeypatch.setattr(ivec, "_ratio_ends", lambda n, d: calls.append((n, d)) or _ratio_ends(n, d))
+    IVec.from_ratios(np.array([2**53 - 1, -(2**53) + 1, 0]), np.array([[3], [2**53 - 1]]))
+    IVec.from_ratios([5, -7], 12)
+    assert calls == []
+    IVec.from_ratios(np.array([2**53, 1]), 3)
+    IVec.from_ratios(np.array([1, 2], dtype=object), 3)
+    assert calls == [(2**53, 3), (1, 3), (1, 3), (2, 3)]
+    with pytest.raises(ValueError, match="positive"):
+        IVec.from_ratios([1, 2], [3, 0])
+    with pytest.raises(TypeError):
+        IVec.from_ratios([0.5], 3)
 
 
 def test_mul_exact_rational_check():

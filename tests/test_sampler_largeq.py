@@ -389,7 +389,6 @@ def test_completion_factor_is_one_ball(monkeypatch, t, kernels):
         raise AssertionError("a ComplexBox product")
 
     monkeypatch.setattr(ComplexBox, "__mul__", refused)
-    monkeypatch.setattr(ComplexBox, "__rmul__", refused)
     c = completion_factor(t, 0, 7)
     assert calls == [(Fraction(1, 4), Fraction(t) / 2)]
     assert counts == kernels

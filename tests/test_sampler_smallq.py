@@ -27,6 +27,7 @@ from grhdesk.errors import (
     XConditionViolated,
 )
 from grhdesk.interval import RealInterval
+from grhdesk.ivec import IVec
 from grhdesk.sampler_largeq import sample_all, sample_range
 from grhdesk.sampler_smallq import (
     FftPlan,
@@ -255,7 +256,6 @@ def _real_products(monkeypatch, fn, *args):
         return mul(self, other)
 
     monkeypatch.setattr(RealInterval, "__mul__", counted)
-    monkeypatch.setattr(RealInterval, "__rmul__", counted)
     fn(*args)
     monkeypatch.undo()
     return calls[0]
@@ -273,11 +273,12 @@ def test_error_budgets_make_no_scalar_product_per_bin_or_ordinate(monkeypatch, p
 
 
 def test_exact_ratios_past_two_to_the_53():
-    # the budgets' rationals round as RealInterval.from_fraction, with
-    # numerators and denominators below and past 2^53
+    # the budgets' rationals (object arrays from _shifts) round through
+    # IVec.from_ratios as RealInterval.from_fraction, with numerators and
+    # denominators below and past 2^53
     for den in (12, 2**60 + 1):
         nums = np.array([[2**60 + 1, -3], [0, 7 * den]], dtype=object)
-        v = sampler_smallq._ratios(nums, den)
+        v = IVec.from_ratios(nums, den)
         assert v.shape == (2, 2)
         for (i, j), n in np.ndenumerate(nums):
             ref = RealInterval.from_fraction(Fraction(n, den))
