@@ -291,20 +291,22 @@ def _beta(u: np.ndarray, d: int, parity: int) -> IVec:
 
 def _envelope(u: np.ndarray, d: int, q: int, parity: int, eta: float) -> IVec:
     """zeta(9/8) pi^(-c/4) |Gamma(c/4 + it/2)| e^(pi eta t/4)
-    ((q/2pi)|3/2 + t|)^(5/16) at each t = u/d (from _shifts), c = 2 parity + 1.
+    ((q/2pi)|3/2 + it|)^(5/16) at each t = u/d (from _shifts), c = 2 parity + 1.
 
     |Gamma| is e^(Re log Gamma): the real part of hurwitz.log_gamma's ball
     at the exact point c/4 + it/2, one ball per t, narrowed to doubles
-    into one IVec, then one exp.
+    into one IVec, then one exp.  |3/2 + it|^(5/16) is
+    (t^2 + 9/4)^(5/32), its base the exact (4u^2 + 9d^2)/(4d^2) rounded
+    outward once, so it is positive at every t.
     """
     c = 2 * parity + 1
     ends = [_narrow_ball(log_gamma(Fraction(c, 4), Fraction(k, 2 * d)), False)[:2] for k in u.flat]
     gamma_abs = IVec(*np.array(ends).T.reshape((2,) + u.shape)).exp()
-    t, base = IVec.from_ratios(np.stack([2 * u, np.abs(3 * d + 2 * u)]), 2 * d)
+    t, base = IVec.from_ratios(np.stack([4 * d * u, 4 * u * u + 9 * d * d]), 4 * d * d)
     pi = pi_interval()
     const = zeta_nine_eighths() * _frac_pow(pi, Fraction(-c, 4))
     const = const * _frac_pow(RealInterval.point(q) / (pi + pi), Fraction(5, 16))
-    rad = (base.log() * (5 / 16)).exp()
+    rad = (base.log() * (5 / 32)).exp()
     return gamma_abs * (t * (pi * RealInterval.point(eta / 4))).exp() * rad * const
 
 

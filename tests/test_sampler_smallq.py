@@ -198,6 +198,36 @@ def test_error_bounds_finite_and_positive_on_default_plan(parity):
         assert np.isfinite(bound.hi).all()
 
 
+@pytest.mark.parametrize("u, d", [(-3, 2), (-88, 1)])
+@pytest.mark.parametrize("parity, eta", [(0, 0.0), (1, 0.0), (0, -0.5), (1, 0.5)])
+def test_envelope_holds_rademachers_bound_at_negative_t(u, d, parity, eta):
+    # Rademacher's bound has |1 + s| = |3/2 + it| = sqrt(9/4 + t^2); the
+    # lower periodization shift makes t < 0, where |3/2 + t| undercut it
+    # (0.5% at t = -88) and vanished at t = -3/2
+    q, c = 5, 2 * parity + 1
+    env = sampler_smallq._envelope(np.array([u], dtype=object), d, q, parity, eta)
+    with mpmath.workprec(200):
+        t = mpmath.mpf(u) / d
+        want = (
+            mpmath.zeta(mpmath.mpf(9) / 8)
+            * mpmath.pi ** (-mpmath.mpf(c) / 4)
+            * abs(mpmath.gamma(mpmath.mpc(mpmath.mpf(c) / 4, t / 2)))
+            * mpmath.exp(mpmath.pi * eta * t / 4)
+            * (q / (2 * mpmath.pi) * mpmath.sqrt(t**2 + mpmath.mpf(9) / 4)) ** (mpmath.mpf(5) / 16)
+        )
+        assert env.lo[0] <= want <= env.hi[0], (env, want)
+
+
+def test_t_grid_error_at_the_lower_shift_zero_of_the_old_base():
+    # m = 2024 puts the lower shift m/A - B at t = -3/2: the t-grid pad is
+    # finite there, and smallq_all up to it refuses at the decay rate instead
+    plan = default_plan()
+    pad = t_grid_error(plan, 5, 0, 2024)
+    assert np.isfinite(pad.hi).all() and 6.4 < pad.hi[2024] < 6.42
+    with pytest.raises(BetaConditionViolated, match=r"q = 5, parity 1 at m = 2019 "):
+        smallq_all(5, plan, Fraction(253, 2))
+
+
 @pytest.mark.parametrize("parity", [0, 1])
 def test_alias_bound_names_the_first_bin_below_the_x_condition(parity):
     # X(w) > 1 needs 2w > delta + log(2q/pi^2), w > 2.29 at q = 101: the
