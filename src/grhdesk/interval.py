@@ -8,17 +8,12 @@ Exact integer and rational inputs are rounded outward once
 (``_ratio_ends``, the scalar primitive behind ``IVec.from_ratios``).  A
 :class:`ComplexBox` is a rectangle with RealInterval sides.
 
-The array tier (``ivec``) does the package's bulk work; this scalar tier
-holds only what is still called:
-
-* small-q scalar work (``sampler_smallq``): the theta sums, prefactors and
-  recovery factors, kept scalar because libm's 2-ulp trust gives narrower
-  samples there than numpy's wider kernel bound;
-* the boxes of ``CharMeta`` (root numbers and epsilon), ``q_pow`` and
-  ``completion_factor``;
-* the cell views of ``IVec``/``CVec`` (indexing one cell, a grid's
-  samples);
-* the tests' oracles.
+The array tier (``ivec``) does the bulk work; this scalar tier keeps what
+is still called: small q's theta sums, prefactors and recovery factors,
+scalar because libm's 2-ulp trust gives narrower samples there than
+numpy's kernel bound; the boxes of ``CharMeta``, ``q_pow`` and
+``completion_factor``; the cell views of ``IVec``/``CVec``; and the tests'
+oracles.
 
 Every operation returns an interval that contains the exact image of its
 input intervals.  Nothing here is ever allowed to round inward.

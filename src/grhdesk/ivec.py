@@ -387,22 +387,20 @@ class IVec(_Block):
     def from_ratios(num, den) -> "IVec":
         """The rationals num/den, each rounded outward once.
 
-        num and den are integers that broadcast together: numpy integer
-        arrays, Python ints, or sequences or object arrays of Python ints
-        of any size, with every den > 0; no ratio need be in lowest terms.
-        Each entry is exactly interval._ratio_ends(num, den), the largest
-        double <= num/den and the smallest >= it, as
-        RealInterval.from_fraction gives them, down to the sign of zero:
-        an exact quotient 0 is [0.0, -0.0].  A den <= 0 raises ValueError
-        and a non-integer entry TypeError.
+        num and den are integers of any size that broadcast together
+        (numpy integer arrays, Python ints, or sequences or object arrays
+        of them), every den > 0, in lowest terms or not.  Each entry is
+        exactly interval._ratio_ends(num, den), the largest double <=
+        num/den and the smallest >= it, down to the sign of zero (an exact
+        0 is [0.0, -0.0]).  A den <= 0 raises ValueError, a non-integer
+        entry TypeError.
 
-        Integer arrays whose |num| and den are below 2^53 take one numpy
-        pass.  Both are exact as doubles, so q = num/den is the nearest
-        double, Q 2^(e-53) with a 53-bit integer Q, and
-        |q - num/den| <= 2^(e-54): Q den - num 2^(53-e) lies within den/2
-        of zero, so its value mod 2^64 is exact, and its sign says on which
-        side of num/den q lies.  Anything else goes entry by entry through
-        _ratio_ends.
+        Integer arrays with |num| and den below 2^53 take one numpy pass:
+        both are exact as doubles, so q = num/den is the nearest double,
+        Q 2^(e-53) with a 53-bit integer Q, and |q - num/den| <= 2^(e-54),
+        so Q den - num 2^(53-e) lies within den/2 of zero: its value mod
+        2^64 is exact, and its sign says on which side of num/den q lies.
+        Anything else goes entry by entry through _ratio_ends.
         """
         num, den = _integers(num), _integers(den)
         if not den.min(initial=1) > 0:

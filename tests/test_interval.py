@@ -27,9 +27,9 @@ from grhdesk.hurwitz import _narrow_ball, log_gamma
 from grhdesk.interval import (
     ComplexBox,
     RealInterval,
+    _cos_sin,
     _narrow,
     _prod_is_exact,
-    _cos_sin,
     _ratio_ends,
     pi_interval,
 )

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ivec_oracle as O
-from grhdesk.errors import DivisorContainsZero, LogDomain
 from grhdesk import ivec
+from grhdesk.errors import DivisorContainsZero, LogDomain
 from grhdesk.interval import ComplexBox, RealInterval, _ratio_ends
 from grhdesk.ivec import _KA, _KT, CVec, IVec, _round, op_counter
 
