@@ -293,6 +293,30 @@ def _narrow_ball(z: _Ball, real: bool) -> tuple[float, float, float, float]:
     return (*_narrow(X - R, X + R, e), *im)
 
 
+def _exp_ball(z: _Ball) -> _Ball:
+    """e^z for a fixed-point ball z = (X, Y, R, -prec) of radius R <=
+    2^(prec - 2), as a ball with a prec-bit midpoint.
+
+    One mpf_exp of the real part gives the modulus and one mpf_cos_sin of
+    the imaginary part the phase, each trusted to _BIG_TRANS_ULPS ulps
+    at prec - _GUARD bits.
+    """
+    X, Y, R, e = z
+    prec = -e
+    bits = prec - _GUARD
+    # the modulus e^{X~ + delta}, |delta| <= R units <= 1/4, is within
+    # (2R (1 + 2^-_GUARD) + trust + 1) units of 2^-prec of mpf_exp's E,
+    # relative to E, as e^delta - 1 <= 2 |delta| there; the phase as in _turn
+    _, man, exp, _ = mpf_exp(from_man_exp(X, e), prec, "n")
+    rel = 2 * R + (R >> _GUARD) + (_BIG_TRANS_ULPS << (_GUARD + 1)) + 1
+    c, s = mpf_cos_sin(from_man_exp(Y, e), prec, "n")
+    C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
+    rad_unit = R + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
+    Xo, Yo, Ro = man * C, man * S, man * (rel + rad_unit)
+    k = max(max(abs(Xo), abs(Yo)).bit_length() - prec, 0)
+    return Xo >> k, Yo >> k, (Ro >> k) + 3, exp - prec + k
+
+
 def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[float, float, float, float]:
     """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
 
@@ -307,9 +331,10 @@ def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[floa
 # log Gamma on the same balls
 
 
-# log_gamma's balls are trusted at _GAMMA_BITS, in fixed point at
-# 2^-_GAMMA_PREC: 43 bits past a double, so a factor made from them
-# narrows to doubles a few ulps wide
+# every point ball (log_gamma's, the completion's, q^(-s) and small q's
+# values) is trusted at _GAMMA_BITS, in fixed point at 2^-_GAMMA_PREC:
+# 43 bits past a double, so a value made from them narrows to doubles a
+# few ulps wide
 _GAMMA_BITS = 96
 _GAMMA_PREC = _GAMMA_BITS + _GUARD
 # the Stirling remainder is held below 2^-_STIRLING_GOAL_BITS, 12 bits
@@ -492,9 +517,8 @@ def _gamma_factor(lg: _Ball, y, q: int) -> tuple[float, float, float, float]:
 
     The exponent lg + pi |y| / 2 + i y log(q/pi) is summed in lg's fixed
     point, with one pi (_pi_fixed) and one mpf_log of q/pi; then one
-    mpf_exp of its real part gives the modulus and one mpf_cos_sin of its
-    imaginary part the phase, composed as in _turn and narrowed to
-    doubles once.  A real factor (y = 0) gets the imaginary sides [0, 0].
+    _exp_ball, narrowed to doubles once.  A real factor (y = 0) gets the
+    imaginary sides [0, 0].
     """
     X, Y, R, e = lg
     prec = -e
@@ -509,19 +533,7 @@ def _gamma_factor(lg: _Ball, y, q: int) -> tuple[float, float, float, float]:
     R += -(-abs(yn) * (rad_pi + 2 * rad_lq) // (2 * yd)) + 2
     if R > 1 << (prec - 2):
         raise DomainError(f"log Gamma ball at y = {y} too wide to exponentiate")
-
-    # the modulus e^{X~ + delta}, |delta| <= R units <= 1/4, is within
-    # (2R (1 + 2^-_GUARD) + trust + 1) units of 2^-prec of mpf_exp's E,
-    # relative to E, as e^delta - 1 <= 2 |delta| there; the phase as in _turn
-    _, man, exp, _ = mpf_exp(from_man_exp(X, e), prec, "n")
-    rel = 2 * R + (R >> _GUARD) + (_BIG_TRANS_ULPS << (_GUARD + 1)) + 1
-    c, s = mpf_cos_sin(from_man_exp(Y, e), prec, "n")
-    C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
-    rad_unit = R + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
-    Xo, Yo, Ro = man * C, man * S, man * (rel + rad_unit)
-    k = max(max(abs(Xo), abs(Yo)).bit_length() - prec, 0)
-    ball = (Xo >> k, Yo >> k, (Ro >> k) + 3, exp - prec + k)
-    return _narrow_ball(ball, yn == 0)
+    return _narrow_ball(_exp_ball((X, Y, R, e)), yn == 0)
 
 
 def _smallest_prime_factors(top: int) -> np.ndarray:

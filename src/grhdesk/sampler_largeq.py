@@ -70,6 +70,7 @@ from .dft import group_dft_cvec, units_of
 from .errors import DomainError, RealnessViolation
 from .hurwitz import (
     DEFAULT_NCOLS,
+    _GAMMA_BITS,
     HurwitzLattice,
     _build_block,
     _gamma_factor,
@@ -192,11 +193,12 @@ def grid_count(t_lo, t_hi, t_step) -> int:
 
 
 def q_pow(q: int, t: float) -> ComplexBox:
-    """q^(-s) at s = 1/2 + it: one hurwitz._power_ball at 96 bits, as a hardware box.
+    """q^(-s) at s = 1/2 + it: one hurwitz._power_ball at the point balls'
+    precision _GAMMA_BITS, as a hardware box.
 
     At t = 0 the value is real and its imaginary part is exactly [0, 0].
     """
-    re_lo, re_hi, im_lo, im_hi = _power_ball(Fraction(q), Fraction(1, 2), t, 96)
+    re_lo, re_hi, im_lo, im_hi = _power_ball(Fraction(q), Fraction(1, 2), t, _GAMMA_BITS)
     return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
