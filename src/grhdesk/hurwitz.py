@@ -49,9 +49,14 @@ kernels also serve Gamma: log_gamma is Stirling's series in the same
 integer fixed point, at exact rational points, with one mpf_log and one
 mpf_atan2 for w and one of each for the shift product, and
 _gamma_factor exponentiates it into the completion's archimedean factor
-with one mpf_exp and one mpf_cos_sin.  The scalar Euler-Maclaurin
-evaluation the kernels are tested against, one value at a time, is the
-oracle in tests/em_oracle.py.
+with one _exp_ball (one mpf_exp and one mpf_cos_sin).  The small-q
+sampler's point values are balls of the same kind, at the same
+precision _GAMMA_BITS: its theta terms, prefactors and recovery factors
+are _exp_ball calls on exact multiples of pi (_pi_ball) and log pi
+(_log_pi), composed by _ball_mul, _ball_scale and _ball_sum.  The
+kernels' exact Bernoulli numbers are bernoulli's.  The scalar
+Euler-Maclaurin evaluation the kernels are tested against, one value at
+a time, is the oracle in tests/em_oracle.py.
 
 This module alone knows the lattice: its layout, its default row count
 (lattice_size), its truncation, its file format (save_lattice,
@@ -71,6 +76,7 @@ from pathlib import Path
 
 import numpy as np
 from mpmath.libmp import (
+    bernfrac,
     from_float,
     from_int,
     from_man_exp,
@@ -89,7 +95,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, NonPositiveRealPart, PoleProximity, RadiusViolation
-from .interval import _narrow, bernoulli
+from .interval import _narrow
 from .ivec import CVec, IVec
 
 # the cap of the default row count (lattice_size)
@@ -110,6 +116,13 @@ _GUARD = 32
 _BIG_TRANS_ULPS = 2
 
 _HALF = Fraction(1, 2)
+
+
+@cache
+def bernoulli(n: int) -> Fraction:
+    """Exact Bernoulli number B_n."""
+    p, q = bernfrac(n)
+    return Fraction(int(p), int(q))
 
 
 def zeta_upper(m: int) -> Fraction:
@@ -276,6 +289,30 @@ def _ball_mul(u: _Ball, v: _Ball, prec: int) -> _Ball:
     return X >> k, Y >> k, (R >> k) + 3, e1 + e2 + k
 
 
+def _ball_sum(balls: list[_Ball]) -> _Ball:
+    """The sum of fixed-point balls at their largest exponent; the empty
+    sum is exactly 0."""
+    X = Y = R = 0
+    e = max((b[3] for b in balls), default=0)
+    for x, y, r, eb in balls:
+        s = e - eb
+        # a floor shift moves each part by less than one unit of 2^e
+        X, Y, R = X + (x >> s), Y + (y >> s), R - (-r >> s) + (2 if s else 0)
+    return X, Y, R, e
+
+
+def _ball_scale(z: _Ball, num: int, den: int, prec: int) -> _Ball:
+    """z num / den for integers num and den > 0, at the fixed scale 2^-prec."""
+    X, Y, R, e = z
+    s = e + prec
+    if s >= 0:
+        num <<= s
+    else:
+        den <<= -s
+    # each floor moves its part by less than one unit
+    return X * num // den, Y * num // den, -(-R * abs(num) // den) + 2, -prec
+
+
 def _mid_mag(X: int, Y: int) -> int:
     """An integer upper bound on |X + iY|."""
     a, b = abs(X), abs(Y)
@@ -294,8 +331,8 @@ def _narrow_ball(z: _Ball, real: bool) -> tuple[float, float, float, float]:
 
 
 def _exp_ball(z: _Ball) -> _Ball:
-    """e^z for a fixed-point ball z = (X, Y, R, -prec) of radius R <=
-    2^(prec - 2), as a ball with a prec-bit midpoint.
+    """e^z for a fixed-point ball z = (X, Y, R, -prec), as a ball with a
+    prec-bit midpoint; DomainError if R > 2^(prec - 2).
 
     One mpf_exp of the real part gives the modulus and one mpf_cos_sin of
     the imaginary part the phase, each trusted to _BIG_TRANS_ULPS ulps
@@ -304,6 +341,8 @@ def _exp_ball(z: _Ball) -> _Ball:
     X, Y, R, e = z
     prec = -e
     bits = prec - _GUARD
+    if R > 1 << (prec - 2):
+        raise DomainError(f"ball of radius {R} x 2^{e} too wide to exponentiate")
     # the modulus e^{X~ + delta}, |delta| <= R units <= 1/4, is within
     # (2R (1 + 2^-_GUARD) + trust + 1) units of 2^-prec of mpf_exp's E,
     # relative to E, as e^delta - 1 <= 2 |delta| there; the phase as in _turn
@@ -352,6 +391,28 @@ def _pi_fixed(prec: int) -> tuple[tuple, int, int]:
     prec - _GUARD bits: the one pi of log_gamma and _gamma_factor."""
     pi = mpf_pi(prec, "n")
     return pi, _to_fixed(pi, -prec), _trust_units(pi, prec - _GUARD, prec) + 1
+
+
+def _pi_ball(re, im) -> _Ball:
+    """pi (re + i im) for exact rationals re and im (ints, doubles or
+    Fractions) as a fixed-point ball at 2^-_GAMMA_PREC."""
+    _, pi, rad_pi = _pi_fixed(_GAMMA_PREC)
+    a, b = re.as_integer_ratio()
+    c, d = im.as_integer_ratio()
+    # each floor moves its part by less than one unit
+    R = -(-abs(a) * rad_pi // b) - (-abs(c) * rad_pi // d) + 2
+    return a * pi // b, c * pi // d, R, -_GAMMA_PREC
+
+
+@cache
+def _log_pi() -> tuple[int, int]:
+    """log pi at the scale 2^-_GAMMA_PREC as (midpoint, radius): one mpf_log
+    of _pi_fixed's pi."""
+    prec = _GAMMA_PREC
+    pi, _, rad_pi = _pi_fixed(prec)
+    lg = mpf_log(pi, prec, "n")
+    # |log pi~ - log pi| <= |pi~ - pi| / pi, below rad_pi units
+    return _to_fixed(lg, -prec), _trust_units(lg, _GAMMA_BITS, prec) + rad_pi + 1
 
 
 @cache
@@ -531,8 +592,6 @@ def _gamma_factor(lg: _Ball, y, q: int) -> tuple[float, float, float, float]:
     rad_lq = _trust_units(lq, bits, prec) + rad_pi + 2
     Y += yn * _to_fixed(lq, -prec) // yd
     R += -(-abs(yn) * (rad_pi + 2 * rad_lq) // (2 * yd)) + 2
-    if R > 1 << (prec - 2):
-        raise DomainError(f"log Gamma ball at y = {y} too wide to exponentiate")
     return _narrow_ball(_exp_ball((X, Y, R, e)), yn == 0)
 
 

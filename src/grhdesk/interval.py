@@ -1,19 +1,20 @@
 """Outward-rounded scalar interval arithmetic on doubles.
 
 A :class:`RealInterval` is a closed interval [lo, hi] with IEEE double
-endpoints.  Correctly-rounded operations (+, -, *, /, sqrt) are nudged one
-ulp outward unless the result is exact; libm transcendentals are nudged
-``_TRANS_ULPS`` ulps outward to cover their documented worst-case error.
-Exact integer and rational inputs are rounded outward once
-(``_ratio_ends``, the scalar primitive behind ``IVec.from_ratios``).  A
-:class:`ComplexBox` is a rectangle with RealInterval sides.
+endpoints.  Correctly-rounded operations (+, -, *, sqrt) are nudged one
+ulp outward unless the result is exact.  Exact integer and rational
+inputs, and the exact values of big-integer kernels, are rounded outward
+once (``_ratio_ends``, the scalar primitive behind ``IVec.from_ratios``,
+and ``_narrow``).  A :class:`ComplexBox` is a rectangle with RealInterval
+sides.
 
-The array tier (``ivec``) does the bulk work; this scalar tier keeps what
-is still called: small q's theta sums, prefactors and recovery factors,
-scalar because libm's 2-ulp trust gives narrower samples there than
-numpy's kernel bound; the boxes of ``CharMeta``, ``q_pow`` and
-``completion_factor``; the cell views of ``IVec``/``CVec``; and the tests'
-oracles.
+There is no transcendental here.  Every enclosure's transcendental comes
+either from a fixed-point ball of ``hurwitz`` or ``characters``
+(mpmath.libmp, narrowed to doubles once) or from numpy in an interval
+array (``ivec``).  The array tier does the bulk work; this scalar tier
+keeps what is still called: the small-q plan's constants, the boxes of
+``CharMeta``, ``q_pow`` and ``completion_factor``, the cell views of
+``IVec``/``CVec``, and the tests' references.
 
 Every operation returns an interval that contains the exact image of its
 input intervals.  Nothing here is ever allowed to round inward.
@@ -26,17 +27,9 @@ import numbers
 import sys
 from fractions import Fraction
 
-from .errors import (
-    DivisorContainsZero,
-    LogDomain,
-    NegativeSqrtDomain,
-)
+from .errors import NegativeSqrtDomain
 
-# platform libm documents <= 1 ulp worst-case for exp/log/sin/cos on
-# x86-64 doubles; two ulps of outward slack keeps containment with margin.
-_TRANS_ULPS = 2
 _INF = math.inf
-_TINY = math.ulp(0.0)  # smallest subnormal
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +42,6 @@ def _dn(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, _INF)
-
-
-def _dn_k(x: float, k: int) -> float:
-    for _ in range(k):
-        x = math.nextafter(x, -_INF)
-    return x
-
-
-def _up_k(x: float, k: int) -> float:
-    for _ in range(k):
-        x = math.nextafter(x, _INF)
-    return x
 
 
 def _sum_is_exact(a: float, b: float, s: float) -> bool:
@@ -303,30 +284,11 @@ class RealInterval:
                 hi_exact = _prod_is_exact(x, y, p)
         return RealInterval(lo if lo_exact else _dn(lo), hi if hi_exact else _up(hi), _raw=True)
 
-    def __truediv__(self, other) -> "RealInterval":
-        a, b = self, _coerce(other)
-        if b.contains_zero():
-            raise DivisorContainsZero(f"division by {b!r}")
-        corners = ((a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi))
-        quots = [x / y for x, y in corners]
-        lo, hi = min(quots), max(quots)
-        # q = x/y is exact iff q*y reproduces x exactly; a tied corner
-        # with an inexact quotient still forces the nudge
-        lo_exact = hi_exact = True
-        for (x, y), q in zip(corners, quots):
-            if q == lo and lo_exact:
-                lo_exact = _prod_is_exact(q, y, x)
-            if q == hi and hi_exact:
-                hi_exact = _prod_is_exact(q, y, x)
-        return RealInterval(lo if lo_exact else _dn(lo), hi if hi_exact else _up(hi), _raw=True)
-
     def square(self) -> "RealInterval":
         """x^2 as a set image (never dips below 0 for straddling inputs)."""
         if self.contains_zero():
             return RealInterval(0.0, (self * self).hi, _raw=True)
         return self * self
-
-    # -- elementary functions ----------------------------------------------
 
     def sqrt(self) -> "RealInterval":
         if self.lo < 0.0:
@@ -339,29 +301,8 @@ class RealInterval:
             hi = _up(hi)
         return RealInterval(lo, hi, _raw=True)
 
-    def exp(self) -> "RealInterval":
-        lo = max(0.0, _dn_k(_hw_exp(self.lo), _TRANS_ULPS))
-        hi = _up_k(_hw_exp(self.hi), _TRANS_ULPS)
-        if hi == 0.0:
-            hi = _TINY
-        return RealInterval(lo, hi, _raw=True)
-
-    def log(self) -> "RealInterval":
-        if self.lo <= 0.0:
-            raise LogDomain(f"log of {self!r}")
-        return RealInterval(
-            _dn_k(math.log(self.lo), _TRANS_ULPS), _up_k(math.log(self.hi), _TRANS_ULPS), _raw=True
-        )
-
 
 # ---------------------------------------------------------------------------
-
-
-def _hw_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return _INF
 
 
 def _coerce(b) -> RealInterval:
@@ -377,54 +318,6 @@ _PI_LO, _PI_HI = math.pi, _up(math.pi)
 def pi_interval() -> RealInterval:
     """The two doubles around pi."""
     return RealInterval(_PI_LO, _PI_HI, _raw=True)
-
-
-def _cos_sin(x: RealInterval) -> tuple[RealInterval, RealInterval]:
-    """Ranges of cos and sin over the interval via endpoint values + extrema."""
-    if x.width() >= 2.0 * _PI_LO:
-        full = RealInterval(-1.0, 1.0, _raw=True)
-        return full, full
-
-    def at(e, step):
-        return step(math.cos(e), _TRANS_ULPS), step(math.sin(e), _TRANS_ULPS)
-
-    floor_lo, ceil_lo = at(x.lo, _dn_k), at(x.lo, _up_k)
-    floor_hi, ceil_hi = at(x.hi, _dn_k), at(x.hi, _up_k)
-    # extremum locations: cos peaks at 2k*pi, dips at pi + 2k*pi; sin
-    # peaks at pi/2 + 2k*pi, dips at -pi/2 + 2k*pi.  Enumerate candidate k
-    # with a conservative float sweep (the interval is less than one
-    # period wide).
-    out = []
-    for k, (offset_max, offset_min) in enumerate(((0.0, 1.0), (0.5, -0.5))):
-        lo = min(floor_lo[k], floor_hi[k])
-        hi = max(ceil_lo[k], ceil_hi[k])
-        if _contains_odd_multiple(x.lo, x.hi, offset_max):
-            hi = 1.0
-        if _contains_odd_multiple(x.lo, x.hi, offset_min):
-            lo = -1.0
-        out.append(RealInterval(max(lo, -1.0), min(hi, 1.0), _raw=True))
-    return out[0], out[1]
-
-
-def _contains_odd_multiple(lo: float, hi: float, offset: float) -> bool:
-    """Could (offset + 2k) * pi lie inside [lo, hi] for some integer k?
-
-    Conservative: may answer True when the point is merely within a few ulps
-    of the interval, which only widens the trig range.
-    """
-    # candidate k values bracketing the interval
-    k_lo = math.floor(lo / (2.0 * _PI_HI) - offset / 2.0) - 1
-    k_hi = math.ceil(hi / (2.0 * _PI_LO) - offset / 2.0) + 1
-    for k in range(k_lo, k_hi + 1):
-        m = offset + 2.0 * k
-        # location interval for m*pi, outward
-        if m >= 0:
-            loc_lo, loc_hi = _dn(m * _PI_LO), _up(m * _PI_HI)
-        else:
-            loc_lo, loc_hi = _dn(m * _PI_HI), _up(m * _PI_LO)
-        if loc_hi >= lo and loc_lo <= hi:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +377,6 @@ class ComplexBox:
     def abs(self) -> RealInterval:
         return self.abs2().sqrt()
 
-    def exp(self) -> "ComplexBox":
-        r = self.re.exp()
-        c, s = _cos_sin(self.im)
-        return ComplexBox(r * c, r * s)
-
     def intersects(self, other: "ComplexBox") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
 
@@ -497,22 +385,3 @@ def _coerce_box(z) -> ComplexBox:
     if isinstance(z, ComplexBox):
         return z
     return ComplexBox.point(complex(z))
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers
-
-
-_BERN_CACHE: dict[int, Fraction] = {}
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n."""
-    b = _BERN_CACHE.get(n)
-    if b is None:
-        import mpmath
-
-        p, q = mpmath.bernfrac(n)
-        b = Fraction(int(p), int(q))
-        _BERN_CACHE[n] = b
-    return b

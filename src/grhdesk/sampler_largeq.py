@@ -147,6 +147,11 @@ def _grid_span(t_lo, t_hi, t_step) -> tuple[int, int]:
     return n0, n1
 
 
+# the most ordinates one call lists, far above any caller's count (small
+# q lists at most a plan's N = 2048), so a finer range is refused, not listed
+_MAX_ORDINATES = 2**20
+
+
 def _ordinates(t_lo, t_hi, step: Fraction) -> tuple[int, list[float]]:
     """The index of the first multiple of step inside [t_lo, t_hi], and
     every such multiple as a double.
@@ -160,7 +165,8 @@ def _ordinates(t_lo, t_hi, step: Fraction) -> tuple[int, list[float]]:
     is a double only if the odd part of n p has at most 53 bits; a range
     of two or more holds an odd n at or next to the end of larger
     magnitude, so if that n times the odd part of p needs more bits, the
-    range is refused before any ordinate is listed too.
+    range is refused before any ordinate is listed too.  So is a range
+    of more than _MAX_ORDINATES ordinates.
     """
     n_start, n_end = _grid_span(t_lo, t_hi, step)
     p, d = step.numerator, step.denominator
@@ -169,6 +175,11 @@ def _ordinates(t_lo, t_hi, step: Fraction) -> tuple[int, list[float]]:
         odd_n = max(abs(n_start | 1), abs((n_end - 1) | 1))
         if d & -d != d or (odd_n * (p // (p & -p))).bit_length() > 53:
             raise DomainError("grid ordinates must be binary rationals")
+    if n_end - n_start >= _MAX_ORDINATES:
+        raise DomainError(
+            f"{n_end - n_start + 1} ordinates in one call, more than {_MAX_ORDINATES}; "
+            "a range this long waits for the block iterator of ROADMAP item 8"
+        )
     # int / int is correctly rounded, as float(Fraction) is; the ordinate
     # n p / d is its double tn / td exactly when tn d = n p td
     ts = [n * p / d for n in range(n_start, n_end + 1)]

@@ -18,20 +18,26 @@ requested characters, for all of them together:
    array each: the aliasing bound of every dual bin, summed into one
    total, and the t-grid periodization error of every output ordinate;
 2. Fhat on the dual grid 2 pi n/B, n = 0..N/2: the theta terms
-   k^a exp(-pi k^2 e^{2u}/q) summed by residue class of k mod q, one
-   group DFT (the convention of sampler_largeq.l_values_at) for the
-   character sums of every chi at once, then the geometric tail radius,
-   the prefactor and epsilon; from the first bin where a certified bound
-   on the whole row is below 2^-1000, every row is that bound;
+   k^a exp(-pi k^2 e^{2u}/q), each one fixed-point ball exponential of
+   hurwitz, summed by residue class of k mod q and times the prefactor
+   before one narrowing to doubles; one group DFT (the convention of
+   sampler_largeq.l_values_at) for the character sums of every chi at
+   once, then the geometric tail radius and epsilon; from the first bin
+   where a certified bound on the whole row is below 2^-1000, every row
+   is that bound;
 3. the negative bins by conjugate reflection (F is real, so
    Fhat(-x) = conj Fhat(x)) and one unnormalized backward FFT, batched
    over the characters and scaled by 2 pi/B (Poisson summation makes the
    two periodizations a DFT pair);
 4. for every character and ordinate at once: the alias total and the
-   t-grid pad, the conversion to completed values, the realness check
+   t-grid pad, the conversion to completed values by the recovery
+   factor (one real ball exponential per ordinate), the realness check
    and the projection.
 
-Every step carries explicit interval error bounds.
+Every step carries explicit interval error bounds.  The point values
+(theta terms, prefactors, recovery factors) are hurwitz's balls, each
+narrowed to doubles once; the bounds (budgets, tail pads, the far-bin
+cut) are interval arrays of ivec.
 """
 
 from __future__ import annotations
@@ -51,8 +57,23 @@ from .errors import (
     TailDivergence,
     XConditionViolated,
 )
-from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, _narrow_ball, auto_params, log_gamma
-from .interval import ComplexBox, RealInterval, pi_interval
+from .hurwitz import (
+    _GAMMA_BITS,
+    _GAMMA_PREC,
+    DEFAULT_BUILD_BITS,
+    _ball,
+    _ball_mul,
+    _ball_scale,
+    _ball_sum,
+    _em_rows,
+    _exp_ball,
+    _log_pi,
+    _narrow_ball,
+    _pi_ball,
+    auto_params,
+    log_gamma,
+)
+from .interval import RealInterval, pi_interval
 from .ivec import CVec, IVec
 from .sampler_largeq import SampleGrid, _ordinates, lambda_from_l
 
@@ -68,11 +89,6 @@ def zeta_nine_eighths() -> RealInterval:
     sigma, alpha = Fraction(9, 8), Fraction(1)
     a, b = auto_params(sigma, 0.0, alpha, DEFAULT_BUILD_BITS)
     return _em_rows([0.0], sigma, [alpha], 0, a, b, DEFAULT_BUILD_BITS)[0, 0, 0].re
-
-
-def _frac_pow(base: RealInterval, fr: Fraction) -> RealInterval:
-    """base^fr for a positive interval base."""
-    return (base.log() * RealInterval.from_fraction(fr)).exp()
 
 
 @dataclass(frozen=True)
@@ -119,6 +135,11 @@ def default_plan() -> FftPlan:
     return FftPlan(A=Fraction(16), B=Fraction(128), eta=0.0)
 
 
+# the most theta terms _dual_values sums at one bin: default_trunc at bin
+# 0 is at most 14 for q <= 20 at eta = 0 and 35 at eta = 0.9
+_MAX_TERMS = 1024
+
+
 def default_trunc(x: float, q: int, eta: float) -> int:
     """Smallest n with pi n^2 Re(e^{2u})/q >= 30.
 
@@ -140,18 +161,27 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
           * sum_{k>=1} chi_j(k) k^parity exp(-pi k^2 e^{2u}/q),
 
     u = 2 pi n/B + i pi eta/4, which is Fhat(2 pi n/B) / epsilon for the
-    characters of this parity.  The terms up to default_trunc are summed
-    by residue class of k mod q, and one group DFT turns the class sums
-    into the character sums.  The tail past the truncation is dominated
-    by a geometric series whatever the character and is padded on;
-    TailDivergence if the certified term ratio reaches 1.
+    characters of this parity.  The values are hurwitz's fixed-point
+    balls: e^{2u} is one _exp_ball of the exact 4 pi n/B + i pi eta/2,
+    each theta term up to default_trunc one more, times k^parity exactly,
+    summed by residue class of k mod q; the prefactor, the _exp_ball of
+    (2 parity + 1) u/2 times the ball q^(-(2 parity + 1)/4), multiplies
+    each class sum before its one narrowing to doubles, and one group DFT
+    turns the class sums into the character sums.  TailDivergence, before
+    any sum, if a bin needs more than _MAX_TERMS terms.
+
+    The bounds are interval arrays over the bins.  The tail past the
+    truncation is dominated by a geometric series whatever the character,
+    and is padded on times the prefactor's modulus 2 e^((2 parity + 1) x/2)
+    q^(-(2 parity + 1)/4) (x = Re u); TailDivergence if the certified term
+    ratio reaches 1.
 
     Far out the rows vanish.  With y = pi Re(e^{2u})/q, k^2 >= 3k - 2 and
     k^parity <= 2^(k-1) bound every row, for every character, by
 
         B = 2 e^((2 parity + 1) x/2) q^(-(2 parity + 1)/4) e^(-y) / (1 - 2 e^(-3y))
 
-    (x = Re u) once y >= 1.  y grows with x, and there the exponent
+    once y >= 1.  y grows with x, and there the exponent
     (2 parity + 1) x/2 - y has slope (2 parity + 1)/2 - 2y < 0 while the
     denominator grows, so B falls with x: the certified B of the first
     bin with y >= 1 and B < 2^-1000 bounds that bin and every later one.
@@ -160,68 +190,73 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
     """
     group = char_group(q)
     slot = {int(a): j for j, a in enumerate(units_of(group))}
+    c = 2 * parity + 1
+    half = plan.N // 2
     pi = pi_interval()
-    one = RealInterval.one()
-    eta_im = pi * RealInterval.point(plan.eta / 4)
-    scale_fr = RealInterval.from_fraction(Fraction(2 * parity + 1, 2))
-    factor = RealInterval.point(2) / _frac_pow(
-        RealInterval.point(q), Fraction(2 * parity + 1, 4)
-    )
 
-    cut = math.ldexp(1.0, -1000)
-    classes, tails, prefs = [], [], []
-    far = None
-    for n in range(plan.N // 2 + 1):
-        x = (pi + pi) * RealInterval.from_fraction(Fraction(n) / plan.B)
-        u = ComplexBox(x, eta_im)
-        e2u = (u + u).exp()
-        y = pi * e2u.re / RealInterval.point(q)
-        if y.lo >= 1.0:
-            bound = factor * (x * scale_fr - y).exp() / (one - (-(y * 3)).exp() * 2)
-            if bound.hi < cut:
-                far = bound.hi
-                break
-        trunc = default_trunc(x.lo, q, plan.eta)
+    # x = 2 pi n/B, Re e^{2u} = e^{2x} cos(pi eta/2), y, and the
+    # prefactor's modulus, at every bin
+    x = IVec.from_ratios(2 * plan.B.denominator * np.arange(half + 1), plan.B.numerator) * pi
+    re_e2u = (x + x).exp() * (IVec.from_points(plan.eta) * pi * 0.5).cos()
+    y = re_e2u * pi / q
+    mod = (x * (c / 2) + IVec.from_points(float(q)).log() * (-c / 4)).exp() * 2.0
 
-        # the theta sums stay scalar boxes: summed as CVec arrays at _KT
-        # ulps, they made the samples of smallq_all(q, default_plan(), 40),
-        # q = 5, 7, 8, 11, 1.2x to 1.4x wider
-        acc = [ComplexBox.zero()] * group.phi
+    near = np.flatnonzero(y.lo >= 1.0)
+    bound = (mod.take(near) * (-y.take(near)).exp() / (1.0 - (y.take(near) * -3.0).exp() * 2.0)).hi
+    below = np.flatnonzero(bound < math.ldexp(1.0, -1000))
+    bins = int(near[below[0]]) if below.size else half + 1
+
+    truncs = [default_trunc(lo, q, plan.eta) for lo in x.lo[:bins].tolist()]
+    n = next((n for n, trunc in enumerate(truncs) if trunc > _MAX_TERMS), None)
+    if n is not None:
+        raise TailDivergence(
+            f"{truncs[n]} theta terms for q = {q}, parity {parity} at bin n = {n}, more than {_MAX_TERMS}"
+        )
+
+    # geometric tail: |term ratio| <= (1 + 1/(trunc+1))^parity
+    #                 * exp(-pi (2 trunc + 3) Re(e^{2u}) / q),
+    # whose bound reaches 1 where Re(e^{2u}) is not certified positive
+    n0 = np.array(truncs) + 1
+    decay = re_e2u[:bins] * pi
+    rho = (decay * IVec.from_ratios(-(2 * n0 + 1), q)).exp()
+    first = (decay * IVec.from_ratios(-n0 * n0, q)).exp()
+    if parity:
+        rho = rho * IVec.from_ratios(n0 + 1, n0)
+        first = first * n0
+    fails = np.flatnonzero(~(rho.hi < 1.0))
+    if fails.size:
+        n = int(fails[0])
+        raise TailDivergence(
+            f"term ratio {rho.hi[n]:.3g} >= 1 for q = {q}, parity {parity} at bin n = {n}"
+        )
+    pads = (first / (1.0 - rho) * mod[:bins]).hi
+
+    prec = _GAMMA_PREC
+    pi_ball = _pi_ball(1, 0)
+    q_pow = _ball(Fraction(q), Fraction(c, 4), 0.0, _GAMMA_BITS)
+    eta = Fraction(plan.eta)
+    ends = []
+    for n, trunc in enumerate(truncs):
+        # -pi e^{2u}/q, and each term exp(-pi k^2 e^{2u}/q) k^parity
+        e2u = _exp_ball(_pi_ball(4 * n / plan.B, eta / 2))
+        X, Y, R, _ = _ball_scale(_ball_mul(e2u, pi_ball, prec), -1, q, prec)
+        classes = [[] for _ in range(group.phi)]
         for k in range(1, trunc + 1):
-            if math.gcd(k, q) != 1:
-                continue
-            scale = pi * RealInterval.from_fraction(Fraction(-(k * k), q))
-            term = (e2u * scale).exp()
-            if parity:
-                term = term * RealInterval.point(k)
-            j = slot[k % q]
-            acc[j] = acc[j] + term
-        classes.extend(acc)
+            if math.gcd(k, q) == 1:
+                tx, ty, tr, te = _exp_ball((k * k * X, k * k * Y, k * k * R, -prec))
+                m = k**parity
+                classes[slot[k % q]].append((m * tx, m * ty, m * tr, te))
+        pref = _ball_mul(_exp_ball(_pi_ball(c * n / plan.B, c * eta / 8)), q_pow, prec)
+        pref = pref[:3] + (pref[3] + 1,)  # times 2
+        ends.extend(_narrow_ball(_ball_mul(_ball_sum(terms), pref, prec), False) for terms in classes)
 
-        # geometric tail: |term ratio| <= (1 + 1/(trunc+1))^parity
-        #                 * exp(-pi (2 trunc + 3) Re(e^{2u}) / q),
-        # whose bound reaches 1 where Re(e^{2u}) is not certified positive
-        c = e2u.re
-        n0 = trunc + 1
-        rho = (c * (pi * RealInterval.from_fraction(Fraction(-(2 * trunc + 3), q)))).exp()
-        first = (c * (pi * RealInterval.from_fraction(Fraction(-(n0 * n0), q)))).exp()
-        if parity:
-            rho = rho * RealInterval.from_fraction(Fraction(n0 + 1, n0))
-            first = first * RealInterval.point(n0)
-        if not rho.hi < 1.0:
-            raise TailDivergence(
-                f"term ratio {rho.hi:.3g} >= 1 for q = {q}, parity {parity} at bin n = {n}"
-            )
-        tails.append((first / (one - rho)).hi)
-        prefs.append((u * scale_fr).exp() * factor)
-
-    bins = len(prefs)
-    sums = group_dft_cvec(group, CVec.from_boxes(classes).reshape(bins, group.phi))
-    sums = sums.reshape(bins, group.phi).pad(np.array(tails).reshape(bins, 1))
-    dual = sums * CVec.from_boxes(prefs).reshape(bins, 1)
-    if far is None:
+    ends = np.array(ends).reshape(bins, group.phi, 4)
+    classes = CVec(IVec(ends[..., 0], ends[..., 1]), IVec(ends[..., 2], ends[..., 3]))
+    sums = group_dft_cvec(group, classes).reshape(bins, group.phi)
+    dual = sums.pad(pads.reshape(bins, 1))
+    if bins > half:
         return dual
-    rest = CVec.zeros((plan.N // 2 + 1 - bins, group.phi)).pad(far)
+    rest = CVec.zeros((half + 1 - bins, group.phi)).pad(bound[below[0]])
     return CVec.concatenate([dual, rest], axis=0)
 
 
@@ -252,10 +287,10 @@ def alias_bound_fhat(plan: FftPlan, q: int, parity: int) -> IVec:
     or X(w2) is not certified above 1.
     """
     pi = pi_interval()
-    delta = plan.delta
+    delta = IVec(plan.delta.lo, plan.delta.hi)
     u, d = _shifts(plan.N // 2, 1 / plan.B, plan.A)
     w = IVec.from_ratios(np.abs(u), d) * (pi + pi)
-    x = (w + w - delta).exp() * (pi * delta / RealInterval.point(q))
+    x = (w + w - delta).exp() * (delta * pi / q)
     fails = ~(x.lo > 1.0).all(axis=0)
     if fails.any():
         n = int(np.argmax(fails))
@@ -264,12 +299,10 @@ def alias_bound_fhat(plan: FftPlan, q: int, parity: int) -> IVec:
             f"(X1={x.lo[0, n]:.3g}, X2={x.lo[1, n]:.3g})"
         )
     decay = _decay_bound(w, x, parity)
-    den = (
-        _frac_pow(RealInterval.point(q), Fraction(2 * parity + 1, 4))
-        * delta.sqrt()
-        * (RealInterval.one() - (-(pi * RealInterval.from_fraction(plan.A))).exp())
-    )
-    out = (decay[0] + decay[1]) * (RealInterval.point(4) / den)
+    # q^((2 parity + 1)/4) delta^(1/2) (1 - e^(-pi A))
+    q_pow = (IVec.from_points(float(q)).log() * ((2 * parity + 1) / 4)).exp()
+    den = q_pow * delta.sqrt() * (1.0 - (IVec.from_ratios(-plan.A.numerator, plan.A.denominator) * pi).exp())
+    out = (decay[0] + decay[1]) * 4.0 / den
     return IVec(np.maximum(out.lo, 0.0), out.hi)  # a bound on |.|: lo >= 0
 
 
@@ -304,8 +337,9 @@ def _envelope(u: np.ndarray, d: int, q: int, parity: int, eta: float) -> IVec:
     gamma_abs = IVec(*np.array(ends).T.reshape((2,) + u.shape)).exp()
     t, base = IVec.from_ratios(np.stack([4 * d * u, 4 * u * u + 9 * d * d]), 4 * d * d)
     pi = pi_interval()
-    const = zeta_nine_eighths() * _frac_pow(pi, Fraction(-c, 4))
-    const = const * _frac_pow(RealInterval.point(q) / (pi + pi), Fraction(5, 16))
+    # zeta(9/8) pi^(-c/4) (q/2pi)^(5/16) = zeta(9/8) e^(-(c/4) log pi + (5/16) log(q/2pi))
+    pis = IVec(pi.lo, pi.hi)
+    const = (pis.log() * (-c / 4) + (q / (pis + pis)).log() * (5 / 16)).exp() * zeta_nine_eighths()
     rad = (base.log() * (5 / 32)).exp()
     return gamma_abs * (t * (pi * RealInterval.point(eta / 4))).exp() * rad * const
 
@@ -337,6 +371,22 @@ def t_grid_error(plan: FftPlan, q: int, parity: int, m_max: int) -> IVec:
     )
     out = out[0] + out[1]
     return IVec(np.maximum(out.lo, 0.0), out.hi)  # a bound on |.|: lo >= 0
+
+
+def _recovery(ts: list[float], parity: int, eta: float) -> IVec:
+    """pi^((2 parity + 1)/4) e^(pi t (1 - eta)/4) at each t of ts: the real
+    ball e^((2 parity + 1)/4 log pi + pi t (1 - eta)/4) per ordinate,
+    log pi from hurwitz._log_pi, each narrowed to doubles once."""
+    lp, rad = _log_pi()
+    c = 2 * parity + 1
+    scale = (1 - Fraction(eta)) / 4
+    ends = []
+    for t in ts:
+        X, _, R, e = _pi_ball(Fraction(t) * scale, 0)
+        # c lp / 4 floors by less than one unit
+        ball = _exp_ball((X + (c * lp >> 2), 0, R - (-c * rad >> 2) + 1, e))
+        ends.append(_narrow_ball(ball, True)[:2])
+    return IVec(*np.array(ends).T)
 
 
 def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid]:
@@ -372,11 +422,6 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     metas = [group.char_meta(char) for char in chars]
     _, ts = _ordinates(0, m_max / plan.A, plan.t_step)
 
-    pi = pi_interval()
-    one = RealInterval.one()
-    eta_fac = (one - RealInterval.point(plan.eta)) * RealInterval.from_fraction(
-        Fraction(1, 4)
-    )
     n_total = plan.N
     half = n_total // 2
     fold = np.r_[: half + 1, half - 1 : 0 : -1]  # bin n of 0..N-1 as min(n, N - n)
@@ -386,13 +431,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
 
         alias_total = alias_bound_fhat(plan, q, parity).take(fold).sum()
         t_pads = t_grid_error(plan, q, parity, m_max).hi
-        # recover stays scalar boxes: as one IVec exp at _KT ulps it made
-        # the samples of smallq_all(q, default_plan(), 40), q = 5, 7, 8, 11,
-        # up to 1.15x wider at t <= 2
-        pi_pow = (pi.log() * RealInterval.from_fraction(Fraction(2 * parity + 1, 4))).exp()
-        recover = IVec.from_intervals(
-            [pi_pow * (pi * RealInterval.point(t) * eta_fac).exp() for t in ts]
-        )
+        recover = _recovery(ts, parity, plan.eta)
 
         # Fhat on bins 0..N/2 per character, then the negative half by
         # conjugate reflection: F is real-valued, so Fhat(-x) = conj Fhat(x)
@@ -401,7 +440,7 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         dual = (_dual_values(q, parity, plan).take_last(cols) * eps).moveaxis(0, -1)
         dual = CVec.concatenate([dual, dual[..., half - 1 : 0 : -1].conj()], axis=-1)
         core = fft_pow2(dual, "backward").pad(alias_total.hi)
-        core = core * ((pi + pi) / RealInterval.from_fraction(plan.B))
+        core = core * (pi_interval() * RealInterval.from_fraction(2 / plan.B))
 
         member_chars = [chars[i] for i in members]
         real = lambda_from_l(core[:, : m_max + 1].pad(t_pads), recover, q, member_chars, ts)

@@ -1,17 +1,21 @@
 """Character values chi(n) one at a time, as hardware boxes: the test oracle.
 
 eval_char embeds the exact phase of chi(n) (CharGroup.phase) with
-unit_phase, one scalar outward-rounded cos and sin of 2 pi times the
-phase.  The group DFT's character sums are checked against sums of these
-values term by term in test_dft.py.
+unit_phase: cos and sin of 2 pi times the phase in mpmath.iv, rounded
+outward to doubles.  The group DFT's character sums are checked against
+sums of these values term by term in test_dft.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from mpmath import iv
+
 from grhdesk.characters import CharGroup
-from grhdesk.interval import ComplexBox, RealInterval, _cos_sin, pi_interval
+from grhdesk.interval import ComplexBox, RealInterval
+
+from em_oracle import ends, ivprec
 
 
 def unit_phase(fr: Fraction) -> ComplexBox:
@@ -24,8 +28,9 @@ def unit_phase(fr: Fraction) -> ComplexBox:
     if fr.denominator == 4:
         one = RealInterval.one()
         return ComplexBox(RealInterval.zero(), one if fr.numerator == 1 else -one)
-    theta = pi_interval() * RealInterval.from_fraction(2 * fr)
-    return ComplexBox(*_cos_sin(theta))
+    with ivprec(80):
+        theta = iv.pi * (iv.mpf(2 * fr.numerator) / fr.denominator)
+        return ComplexBox(RealInterval(*ends(iv.cos(theta))), RealInterval(*ends(iv.sin(theta))))
 
 
 def eval_char(g: CharGroup, idx, n: int) -> ComplexBox:

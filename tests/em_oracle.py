@@ -34,8 +34,8 @@ from mpmath import iv
 from mpmath.libmp import to_rational
 
 from grhdesk.errors import DomainError, PoleProximity
-from grhdesk.hurwitz import _pochhammer, auto_params, zeta_upper
-from grhdesk.interval import ComplexBox, RealInterval, bernoulli
+from grhdesk.hurwitz import _pochhammer, auto_params, bernoulli, zeta_upper
+from grhdesk.interval import ComplexBox, RealInterval
 
 
 @contextmanager

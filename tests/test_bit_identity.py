@@ -79,7 +79,9 @@ LATTICE_FILE_PIN = "40d9e65531fd7c76f97e3070eac1bfcbf5b0e19c74c515e1d386fb54f56e
 # ball: every new sample lies inside the one it replaced
 SAMPLE_ALL_PIN = "ba7eeefcfb1f044f2cf4abd1900eadb70de69076b46ee650db4028b72fc552ba"
 SAMPLE_RANGE_PIN = "33e8b0d19799bfd3a965d7a99a3c041b8e3baadaf38340a81cfee6612823fff8"
-SMALLQ_PIN = "eaa66429cef02a2d23294f434ffe352979a942cdc9721992bb45e40e34dddeaf"
+# re-recorded when small q's values became fixed-point balls: every new
+# sample meets the one it replaced and is at most 0.63 of its width
+SMALLQ_PIN = "4074b0168b616ba8d49d15647ad73ace937a64c6edb823bae716819f5c408575"
 
 
 @pytest.fixture(scope="module")

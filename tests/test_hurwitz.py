@@ -24,9 +24,15 @@ from grhdesk.hurwitz import (
     DEFAULT_M,
     DEFAULT_NCOLS,
     HurwitzLattice,
+    _GAMMA_PREC,
     _ball,
     _ball_mul,
+    _ball_scale,
+    _ball_sum,
     _em_rows,
+    _exp_ball,
+    _log_pi,
+    _pi_ball,
     _power_ball,
     _shift_coefs,
     _sieved_powers,
@@ -562,6 +568,61 @@ def test_ball_product_contains_products_of_members():
                     dre = x1 * x2 - y1 * y2 - (X << sh)
                     dim = x1 * y2 + y1 * x2 - (Y << sh)
                     assert dre * dre + dim * dim <= (R << sh) ** 2, (balls, prec)
+
+
+def test_ball_sums_and_scalings_contain_those_of_members():
+    # the sum at the largest exponent, and a product by num/den at 2^-prec,
+    # hold the exact sums and products of the balls' axis points
+    rng = random.Random(20261021)
+
+    def signed(bits):
+        return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+    for _ in range(300):
+        balls = [
+            (signed(rng.randint(1, 90)), signed(rng.randint(0, 90)), rng.getrandbits(rng.randint(0, 40)),
+             rng.randint(-200, 10))
+            for _ in range(rng.randint(1, 4))
+        ]
+        num, den, prec = signed(rng.randint(1, 40)) or 1, rng.getrandbits(30) + 1, rng.choice((64, 128))
+        X, Y, R, e = _ball_sum(balls)
+        points = [[(x + r, y), (x - r, y), (x, y + r), (x, y - r)] for x, y, r, _ in balls]
+        for i in range(4):
+            re = sum(Fraction(p[i][0]) * Fraction(2) ** b[3] for p, b in zip(points, balls))
+            im = sum(Fraction(p[i][1]) * Fraction(2) ** b[3] for p, b in zip(points, balls))
+            d = (re - Fraction(X) * Fraction(2) ** e) ** 2 + (im - Fraction(Y) * Fraction(2) ** e) ** 2
+            assert d <= (Fraction(R) * Fraction(2) ** e) ** 2, (balls, i)
+        x, y, r, eb = balls[0]
+        Xs, Ys, Rs, es = _ball_scale(balls[0], num, den, prec)
+        assert es == -prec
+        for px, py in points[0]:
+            re = Fraction(px * num, den) * Fraction(2) ** (eb + prec) - Xs
+            im = Fraction(py * num, den) * Fraction(2) ** (eb + prec) - Ys
+            assert re * re + im * im <= Rs * Rs, (balls[0], num, den, prec)
+    assert _ball_sum([]) == (0, 0, 0, 0)
+
+
+def test_point_balls_hold_pi_log_pi_and_exponentials():
+    # pi (re + i im) and log pi hold their values; e^z holds e^w for w
+    # at z's axis points, whatever the size of z's real and imaginary parts
+    prec = _GAMMA_PREC
+    with mpmath.workprec(400):
+        lp, rad = _log_pi()
+        assert abs(mpmath.log(mpmath.pi) * 2**prec - lp) <= rad
+        for re, im in [(1, 0), (Fraction(-1, 7), Fraction(3, 2)), (0.25, -2.0**-30), (Fraction(4 * 75, 128), 0.25)]:
+            X, Y, R, e = _pi_ball(re, im)
+            v = mpmath.pi * mpmath.mpc(mpmath.mpf(Fraction(re).numerator) / Fraction(re).denominator,
+                                       mpmath.mpf(Fraction(im).numerator) / Fraction(im).denominator)
+            assert abs(v * 2**prec - mpmath.mpc(X, Y)) <= R, (re, im)
+        for x, y, r in [(0, 0, 0), (3, -7, 5), (-(10**5), 10**4, 2**60), (5, 2**40, 1)]:
+            z = (x << prec, y << prec, r, -prec)
+            X, Y, R, e = _exp_ball(z)
+            for w in [(x, y), (x + mpmath.ldexp(r, -prec), y), (x, y - mpmath.ldexp(r, -prec))]:
+                v = mpmath.exp(mpmath.mpc(*w))
+                assert abs(v * mpmath.ldexp(1, -e) - mpmath.mpc(X, Y)) <= R, (x, y, r, w)
+    # past a radius of 1/4 the exponential's relative bound no longer holds
+    with pytest.raises(DomainError, match="too wide to exponentiate"):
+        _exp_ball((0, 0, (1 << (prec - 2)) + 1, -prec))
 
 
 def _count_balls(monkeypatch) -> tuple[list[Fraction], list[float]]:

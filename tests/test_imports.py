@@ -1,5 +1,6 @@
-"""Every imported name in the package and its tests is used, and only
-the package's two big-float kernel users import mpmath.libmp.
+"""Every imported name in the package and its tests is used, only the
+package's two big-float kernel users import mpmath (mpmath.libmp
+included), and the scalar interval tier calls no math transcendental.
 
 A stdlib-ast check: a name bound by an import statement must be read
 somewhere else in the same module.  Names listed in the module's __all__
@@ -111,3 +112,68 @@ def test_check_sees_a_libmp_import(tmp_path, line):
     assert imports_libmp(src)
     src.write_text("import mpmath\nfrom mpmath import iv\n")
     assert not imports_libmp(src)
+
+
+def imports_mpmath(path: Path) -> bool:
+    """The module imports mpmath or anything in it, in any form."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "mpmath" or n.startswith("mpmath.") for n in names):
+            return True
+    return False
+
+
+def test_only_the_kernel_modules_import_mpmath():
+    # every other module's transcendentals come from these two modules'
+    # balls or from numpy in interval arrays
+    src = sorted((ROOT / "src" / "grhdesk").glob("*.py"))
+    assert {p.name for p in src if imports_mpmath(p)} == {"hurwitz.py", "characters.py"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["import mpmath", "from mpmath import iv", "import mpmath.libmp as lm", "def f():\n    import mpmath"],
+)
+def test_check_sees_an_mpmath_import(tmp_path, line):
+    src = tmp_path / "mod.py"
+    src.write_text(line + "\n")
+    assert imports_mpmath(src)
+    src.write_text("import mpmathx\nfrom .mpmath import f\n")
+    assert not imports_mpmath(src)
+
+
+# math's transcendentals: libm's, correctly rounded nowhere, so outside
+# any rounding the scalar tier could state
+_TRANSCENDENTALS = {
+    "exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "pow",
+    "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh",
+}
+
+
+def math_transcendentals(path: Path) -> list[str]:
+    """Each math transcendental the module reads, as math.f or imported from math."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr in _TRANSCENDENTALS:
+                found.append(f"{node.lineno} math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name in _TRANSCENDENTALS]
+    return found
+
+
+def test_the_scalar_tier_calls_no_math_transcendental():
+    assert math_transcendentals(ROOT / "src" / "grhdesk" / "interval.py") == []
+
+
+def test_check_sees_a_math_transcendental(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import math\nfrom math import log, sqrt\nx = math.exp(1.0) + math.atan(2.0)\n")
+    assert math_transcendentals(src) == ["2 log", "3 math.exp", "3 math.atan"]
+    src.write_text("import math\nx = math.sqrt(2.0) + math.nextafter(1.0, 2.0) + math.pi\n")
+    assert math_transcendentals(src) == []

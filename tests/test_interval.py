@@ -3,6 +3,11 @@
 Tests parametrized by ``oracle`` check the hardware result on their own
 terms ("hardware"), and then also that it holds mpmath.iv's enclosure of
 the same expression at 128 bits ("bigfloat(128)").
+
+The scalar tier has no transcendental.  The elementary functions tested
+here are the package's two sources of them: of interval arguments, the
+array tier's numpy kernels (ivec), one cell at a time; at exact points,
+hurwitz's fixed-point balls, narrowed to doubles once.
 """
 
 import math
@@ -17,22 +22,17 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from grhdesk import hurwitz
-from grhdesk.errors import (
-    DivisorContainsZero,
-    LogDomain,
-    NegativeSqrtDomain,
-    NonPositiveRealPart,
-)
-from grhdesk.hurwitz import _narrow_ball, log_gamma
+from grhdesk.errors import LogDomain, NegativeSqrtDomain, NonPositiveRealPart
+from grhdesk.hurwitz import _GAMMA_PREC, _exp_ball, _half_log_fixed, _narrow_ball, log_gamma
 from grhdesk.interval import (
     ComplexBox,
     RealInterval,
-    _cos_sin,
     _narrow,
     _prod_is_exact,
     _ratio_ends,
     pi_interval,
 )
+from grhdesk.ivec import IVec
 
 from em_oracle import covers, ends, iv_complex, iv_real, ivprec
 
@@ -74,32 +74,43 @@ _ARITH = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
     "sqrt": lambda a, b: a.sqrt(),
-}
-
-# sin and cos through _cos_sin, the kernel of ComplexBox.exp and of the
-# character oracle's unit phases
-_ELEM = {
-    "exp": lambda a: a.exp(),
-    "log": lambda a: a.log(),
-    "sin": lambda a: _cos_sin(a)[1],
-    "cos": lambda a: _cos_sin(a)[0],
 }
 
 
 def arith(op: str, a: RealInterval, b: RealInterval = None) -> RealInterval:
-    """Named operation: add, sub, mul, div, and unary sqrt (b ignored)."""
+    """Named operation: add, sub, mul, and unary sqrt (b ignored)."""
     return _ARITH[op](a, b)
 
 
 def elem(f: str, a: RealInterval) -> RealInterval:
-    """Named elementary function: exp, log, sin, cos."""
-    return _ELEM[f](a)
+    """Named elementary function of an interval: exp, log, sin, cos, as
+    the array tier's kernel on one cell."""
+    return getattr(IVec(a.lo, a.hi), f)()[()]
+
+
+def _fixed(x: float) -> int:
+    """A double exactly as a multiple of 2^-_GAMMA_PREC (every test point is one)."""
+    v = Fraction(x) * 2**_GAMMA_PREC
+    assert v.denominator == 1, x
+    return int(v)
+
+
+def point_elem(f: str, x: float) -> RealInterval:
+    """Named elementary function at an exact double: exp, sin and cos as one
+    hurwitz._exp_ball, log from hurwitz._half_log_fixed, each narrowed once."""
+    if f == "log":
+        n, d = x.as_integer_ratio()
+        mid, rad = _half_log_fixed(n, d)
+        return RealInterval(*_narrow(2 * (mid - rad), 2 * (mid + rad), -_GAMMA_PREC))
+    X = _fixed(x)
+    ball = _exp_ball((X, 0, 0, -_GAMMA_PREC) if f == "exp" else (0, X, 0, -_GAMMA_PREC))
+    ends = _narrow_ball(ball, False)
+    return RealInterval(*(ends[2:] if f == "sin" else ends[:2]))
 
 
 ARITH_OPS = tuple(_ARITH)
-ELEM_OPS = tuple(_ELEM)
+ELEM_OPS = ("exp", "log", "sin", "cos")
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +130,6 @@ def test_mul_sign_analysis(oracle):
     p = arith("mul", RealInterval(-1, 1), RealInterval(-1, 1))
     assert p.lo_fraction() == -1 and p.hi_fraction() == 1
     check_oracle(p, oracle, lambda: iv.mpf([-1, 1]) * iv.mpf([-1, 1]))
-
-
-@ORACLES
-def test_div_one_third_outward(oracle):
-    q = arith("div", RealInterval(1, 1), RealInterval(3, 3))
-    third = Fraction(1, 3)
-    assert q.lo_fraction() < third < q.hi_fraction()
-    assert q.hi_fraction() > q.lo_fraction()
-    check_oracle(q, oracle, lambda: iv.mpf(1) / 3)
-
-
-def test_div_underflow_to_zero_rounds_outward():
-    # the smallest subnormal halved rounds to zero; the quotient is not
-    # exact, so both endpoints must still move outward
-    tiny = math.ulp(0.0)
-    q = arith("div", RealInterval(-tiny, tiny), RealInterval(2, 2))
-    assert q.lo < 0.0 < q.hi
 
 
 # 3 * fl(1/3) rounds to exactly 1.0, so (-3) * fl(1/3) ties the exact
@@ -158,32 +152,14 @@ def test_mul_tied_corners_all_exact_are_not_nudged():
     assert (p.lo, p.hi) == (-4.0, 2.0)
 
 
-def test_div_tied_corner_with_one_inexact_quotient_is_nudged():
-    # 0/1024 and 0/2048 are exact, tiny/1024 and tiny/2048 underflow to the
-    # same 0.0 inexactly: all four corners tie at both endpoints
-    tiny = math.ulp(0.0)
-    q = RealInterval(0.0, tiny) / RealInterval(1024.0, 2048.0)
-    assert (q.lo, q.hi) == (-tiny, tiny)
-
-
-def test_div_tied_corners_all_exact_are_not_nudged():
-    # 0/2 and 0/4 tie at the lower endpoint, both exact
-    q = RealInterval(0.0, 1.0) / RealInterval(2.0, 4.0)
-    assert (q.lo, q.hi) == (0.0, 0.5)
-
-
-def _corner_reference(op, a, b):
-    """The hardware product or quotient with every tied corner tested by all()."""
+def _corner_reference(a, b):
+    """The hardware product with every tied corner tested by all()."""
     corners = ((a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi))
-    vals = [x * y if op == "mul" else x / y for x, y in corners]
+    vals = [x * y for x, y in corners]
     lo, hi = min(vals), max(vals)
-
-    def exact(x, y, v):
-        return _prod_is_exact(x, y, v) if op == "mul" else _prod_is_exact(v, y, x)
-
-    if not all(exact(x, y, lo) for (x, y), v in zip(corners, vals) if v == lo):
+    if not all(_prod_is_exact(x, y, lo) for (x, y), v in zip(corners, vals) if v == lo):
         lo = math.nextafter(lo, -math.inf)
-    if not all(exact(x, y, hi) for (x, y), v in zip(corners, vals) if v == hi):
+    if not all(_prod_is_exact(x, y, hi) for (x, y), v in zip(corners, vals) if v == hi):
         hi = math.nextafter(hi, math.inf)
     return lo, hi
 
@@ -195,26 +171,13 @@ _corner_floats = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(_corner_floats, _corner_floats, _corner_floats, _corner_floats, st.sampled_from(["mul", "div"]))
-def test_corner_loop_matches_the_all_reference(w, x, y, z, op):
+@given(_corner_floats, _corner_floats, _corner_floats, _corner_floats)
+def test_corner_loop_matches_the_all_reference(w, x, y, z):
     a = RealInterval(min(w, x), max(w, x))
     b = RealInterval(min(y, z), max(y, z))
-    if op == "div" and b.contains_zero():
-        return
-    got = a * b if op == "mul" else a / b
-    want = _corner_reference(op, a, b)
+    got = a * b
+    want = _corner_reference(a, b)
     assert (got.lo.hex(), got.hi.hex()) == (want[0].hex(), want[1].hex())
-
-
-@ORACLES
-def test_div_by_zero_straddle(oracle):
-    with pytest.raises(DivisorContainsZero):
-        arith("div", RealInterval(1, 1), RealInterval(-1, 1))
-    # a divisor that only touches the smallest subnormal is divided
-    tiny = math.ulp(0.0)
-    q = arith("div", RealInterval(1, 1), RealInterval(tiny, 1))
-    assert q.lo == 1.0 and q.hi == math.inf
-    check_oracle(q, oracle, lambda: 1 / iv.mpf([tiny, 1]))
 
 
 @ORACLES
@@ -238,7 +201,7 @@ def test_sub_and_negation():
 
 @ORACLES
 def test_exp_zero(oracle):
-    r = elem("exp", RealInterval.zero())
+    r = point_elem("exp", 0.0)
     assert r.contains(1)
     check_oracle(r, oracle, lambda: iv.exp(0))
 
@@ -294,9 +257,8 @@ IV_ELEM = {
 @ORACLES
 @pytest.mark.parametrize("fname", ELEM_OPS)
 def test_elem_width_near_image_width(oracle, fname):
-    # on a monotone subrange the result barely exceeds the image width
-    x = RealInterval.from_fraction(Fraction("0.5"))
-    y = elem(fname, x)
+    # at an exact point the ball narrowed to doubles is an ulp or two wide
+    y = point_elem(fname, 0.5)
     ulp = math.ulp(max(abs(y.lo), abs(y.hi), 1e-300))
     assert y.width() <= 8 * ulp
     check_oracle(y, oracle, lambda: IV_ELEM[fname](iv.mpf(0.5)))
@@ -312,13 +274,12 @@ def test_containment_against_oracle_grid(oracle):
     with mpmath.workprec(200):
         for v in pts:
             x = RealInterval.point(v)
-            assert_contains_mp(x.exp() if v < 700 else x, mpmath.exp(v) if v < 700 else v)
-            assert_contains_mp(x.log(), mpmath.log(v))
-            assert_contains_mp(elem("sin", x), mpmath.sin(v))
-            assert_contains_mp(elem("cos", x), mpmath.cos(v))
-            assert_contains_mp(x.sqrt(), mpmath.sqrt(v))
             for fname in ELEM_OPS:
-                check_oracle(elem(fname, x), oracle, lambda: IV_ELEM[fname](iv.mpf(v)))
+                for y in (elem(fname, x), point_elem(fname, v)):
+                    if fname != "exp" or v < 700:
+                        assert_contains_mp(y, getattr(mpmath, fname)(v))
+                        check_oracle(y, oracle, lambda: IV_ELEM[fname](iv.mpf(v)))
+            assert_contains_mp(x.sqrt(), mpmath.sqrt(v))
             check_oracle(x.sqrt(), oracle, lambda: iv.sqrt(v))
 
 
@@ -554,18 +515,14 @@ def test_containment_under_composition(prog, seed):
         acc = RealInterval.point(seed)
         for op, x, _ in prog:
             try:
-                if op in ("add", "sub", "mul", "div"):
+                if op in ("add", "sub", "mul"):
                     pt_other = mpmath.mpf(x)
-                    nxt = arith(op, acc, RealInterval.point(x))
+                    acc = arith(op, acc, RealInterval.point(x))
                     point = {
                         "add": point + pt_other,
                         "sub": point - pt_other,
                         "mul": point * pt_other,
-                        "div": point / pt_other if pt_other != 0 else None,
                     }[op]
-                    if point is None:
-                        return
-                    acc = nxt
                 elif op == "sqrt":
                     acc = arith("sqrt", acc)
                     point = mpmath.sqrt(point)
@@ -574,7 +531,7 @@ def test_containment_under_composition(prog, seed):
                         return
                     acc = elem(op, acc)
                     point = getattr(mpmath, op)(point)
-            except (DivisorContainsZero, NegativeSqrtDomain, LogDomain, ValueError):
+            except (NegativeSqrtDomain, LogDomain, ValueError):
                 return
             if abs(point) > 1e100:
                 return
@@ -616,8 +573,10 @@ def test_inclusion_isotonicity(mid, rad, fname):
 
 @ORACLES
 def test_complex_exp(oracle):
+    # one hurwitz._exp_ball at the exact point 0.5 + i, narrowed once
     z = ComplexBox.point(complex(0.5, 1.0))
-    r = z.exp()
+    re_lo, re_hi, im_lo, im_hi = _narrow_ball(_exp_ball((_fixed(0.5), _fixed(1.0), 0, -_GAMMA_PREC)), False)
+    r = ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
     with mpmath.workprec(200):
         w = mpmath.exp(mpmath.mpc(0.5, 1.0))
         assert_contains_mp(r.re, w.real)

@@ -483,6 +483,18 @@ def test_fine_dyadic_step_is_refused_before_its_ordinates_are_listed():
             assert sampler_largeq._ordinates(lo, hi, Fraction(step)) == want, (lo, hi, step)
 
 
+def test_ordinate_count_is_bounded_before_any_is_listed():
+    # 2^51 + 1 ordinates, each an exact double: refused on the count, in
+    # O(1), where they were listed until the call hung
+    assert sampler_largeq._MAX_ORDINATES == 2**20
+    with pytest.raises(DomainError, match=r"^2251799813685249 ordinates in one call, more than 1048576; .*item 8"):
+        sampler_largeq._ordinates(0, 3 * 2**51, 3)
+    n0, ts = sampler_largeq._ordinates(0, 2**20 - 1, 1)
+    assert (n0, len(ts), ts[-1]) == (0, 2**20, 2**20 - 1)
+    with pytest.raises(DomainError, match="^1048577 ordinates"):
+        sampler_largeq._ordinates(0, 2**20, 1)
+
+
 def _fraction_ordinates(t_lo, t_hi, step):
     """The ordinates by exact Fraction arithmetic, or the DomainError message."""
     step, lo, hi = Fraction(step), Fraction(t_lo), Fraction(t_hi)

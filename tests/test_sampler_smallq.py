@@ -76,13 +76,13 @@ def test_smallq_realness_projection(grid_q5, monkeypatch):
         smallq_samples(5, (1,), PLAN, T_MAX)
 
 
-# the width of each character's sample at t = 0 on the default plan when
-# the completion was scalar box arithmetic, rounded up in the fifth digit:
-# the array completion must not widen the narrowest samples the package makes
+# the width of each character's sample at t = 0 on the default plan since
+# small q's values became fixed-point balls, rounded up in the fifth
+# digit: nothing may widen the narrowest samples the package makes
 T0_WIDTHS = {
-    5: {(1,): 2.9532e-14, (2,): 2.1095e-14, (3,): 2.9532e-14},
-    7: {(1,): 4.4187e-14, (2,): 3.3973e-14, (3,): 4.2411e-14, (4,): 3.3973e-14, (5,): 4.4187e-14},
-    8: {(0, 1): 2.9310e-14, (1, 1): 3.2197e-14},
+    5: {(1,): 1.3212e-14, (2,): 9.1039e-15, (3,): 1.3212e-14},
+    7: {(1,): 2.0651e-14, (2,): 1.8430e-14, (3,): 1.7986e-14, (4,): 1.8430e-14, (5,): 2.0651e-14},
+    8: {(0, 1): 1.5100e-14, (1, 1): 1.5100e-14},
 }
 
 
@@ -93,6 +93,22 @@ def test_smallq_widths_at_zero_stay_pinned(q):
     for idx, grid in grids.items():
         s = grid.samples[0]
         assert s.hi - s.lo <= T0_WIDTHS[q][idx], (q, idx)
+
+
+# the widest sample over every character mod 7 up to t = 10 since the
+# values became balls, rounded up in the fifth digit; a change may widen
+# it by 5% at most
+WIDEST_AT_10 = {
+    "eta0.5": (FftPlan(A=Fraction(16), B=Fraction(128), eta=0.5), 6.2755e-12),
+    "A8-B64": (PLAN, 9.5224e-11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDEST_AT_10))
+def test_smallq_widest_sample_to_ten_stays_pinned(name):
+    plan, widest = WIDEST_AT_10[name]
+    grids = smallq_all(7, plan, 10)
+    assert max((g.samples.hi - g.samples.lo).max() for g in grids.values()) <= 1.05 * widest
 
 
 def _refuse(*args, **kwargs):
@@ -170,6 +186,17 @@ def test_dual_value_tails_refuse_naming_q_parity_and_bin(monkeypatch, eta, parit
     monkeypatch.setattr(sampler_smallq, "default_trunc", lambda x, q, eta: 1)
     with pytest.raises(TailDivergence, match=message):
         sampler_smallq._dual_values(7, parity, FftPlan(A=Fraction(8), B=Fraction(64), eta=eta))
+
+
+def test_dual_values_refuse_a_runaway_theta_sum(monkeypatch):
+    # at eta = 1 - 2^-53 default_trunc asks for 485,768,217 terms at bin 0:
+    # refused before any term is summed
+    monkeypatch.setattr(sampler_smallq, "_exp_ball", _refuse)
+    plan = FftPlan(A=Fraction(8), B=Fraction(64), eta=1 - 2**-53)
+    with pytest.raises(
+        TailDivergence, match=r"^485768217 theta terms for q = 7, parity 0 at bin n = 0, more than 1024$"
+    ):
+        sampler_smallq._dual_values(7, 0, plan)
 
 
 def test_zeta_nine_eighths_contains_mpmath():
@@ -381,37 +408,44 @@ def _chi_mp(q, chi, k):
     return mpmath.expjpi(2 * mpmath.mpf(ph.numerator) / ph.denominator)
 
 
-def _fhat_over_eps(q, chi, parity, x):
-    """2 e^{(2a+1)x/2} q^{-(2a+1)/4} sum chi(k) k^a exp(-pi k^2 e^{2x}/q), eta = 0."""
+def _fhat_over_eps(q, chi, parity, x, eta=0.0):
+    """2 e^{(2a+1)u/2} q^{-(2a+1)/4} sum chi(k) k^a exp(-pi k^2 e^{2u}/q),
+    u = x + i pi eta/4, so e^{2u} = e^{2x} e^{i pi eta/2}."""
     c = 2 * parity + 1
+    u = x + 1j * mpmath.pi * eta / 4
+    e2u = mpmath.exp(2 * u)
     total = mpmath.fsum(
-        _chi_mp(q, chi, k) * k**parity * mpmath.exp(-mpmath.pi * k * k * mpmath.exp(2 * x) / q)
+        _chi_mp(q, chi, k) * k**parity * mpmath.exp(-mpmath.pi * k * k * e2u / q)
         for k in range(1, 80)
     )
-    return 2 * mpmath.exp(c * x / 2) * mpmath.mpf(q) ** (-mpmath.mpf(c) / 4) * total
+    return 2 * mpmath.exp(c * u / 2) * mpmath.mpf(q) ** (-mpmath.mpf(c) / 4) * total
 
 
 @pytest.mark.parametrize(
-    "q,short", [(5, False), (7, False), (5, True), (7, True)], ids=["5", "7", "5-short", "7-short"]
+    "q,short,eta",
+    [(5, False, 0.0), (7, False, 0.0), (5, True, 0.0), (7, True, 0.0), (5, False, 0.5), (7, True, 0.5)],
+    ids=["5", "7", "5-short", "7-short", "5-eta0.5", "7-short-eta0.5"],
 )
-def test_dual_values_contain_theta_sums(q, short, monkeypatch):
+def test_dual_values_contain_theta_sums(q, short, eta, monkeypatch):
     # default_trunc leaves a tail far below a double ulp; cutting the sum
-    # after two terms makes the geometric tail pad carry the containment
+    # after two terms makes the geometric tail pad carry the containment.
+    # eta turns e^{2u} and the prefactor off the real axis
     group = char_group(q)
-    bins = (0, 1, PLAN.N // 4, PLAN.N // 2)
+    plan = replace(PLAN, eta=eta)
+    bins = (0, 1, plan.N // 4, plan.N // 2)
     if short:
         monkeypatch.setattr(sampler_smallq, "default_trunc", lambda x, q, eta: 2)
     with mpmath.workdps(_DPS):
         for parity in (0, 1):
-            dual = sampler_smallq._dual_values(q, parity, PLAN)
+            dual = sampler_smallq._dual_values(q, parity, plan)
             for chi in group.primitive_indices():
                 if group.parity(chi) != parity:
                     continue
                 col = int(np.ravel_multi_index(chi, group.orders))
                 for n in bins:
-                    x = 2 * mpmath.pi * n / PLAN.B.numerator * PLAN.B.denominator
+                    x = 2 * mpmath.pi * n / plan.B.numerator * plan.B.denominator
                     box = dual[n, col]
-                    ref = _fhat_over_eps(q, chi, parity, x)
+                    ref = _fhat_over_eps(q, chi, parity, x, eta)
                     assert box.re.lo <= ref.real <= box.re.hi, (chi, n)
                     assert box.im.lo <= ref.imag <= box.im.hi, (chi, n)
 
