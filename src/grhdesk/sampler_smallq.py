@@ -287,7 +287,8 @@ def alias_bound_fhat(plan: FftPlan, q: int, parity: int) -> IVec:
     or X(w2) is not certified above 1.
     """
     pi = pi_interval()
-    delta = IVec(plan.delta.lo, plan.delta.hi)
+    delta = plan.delta
+    delta = IVec(delta.lo, delta.hi)
     u, d = _shifts(plan.N // 2, 1 / plan.B, plan.A)
     w = IVec.from_ratios(np.abs(u), d) * (pi + pi)
     x = (w + w - delta).exp() * (delta * pi / q)
