@@ -33,7 +33,8 @@ from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_pi, mpf_shift, to_i
 
 from .errors import HypothesisViolated, NotPrimitive, QTooSmall
 from .hurwitz import _GUARD
-from .interval import ComplexBox, RealInterval, _narrow
+from .interval import _narrow
+from .ivec import CVec
 
 # the precision of the Gauss sums in integer fixed point: their unity
 # tables carry guard bits above it (CharGroup._fixed_unity_tables), so
@@ -134,7 +135,7 @@ class CharMeta:
     """Facts about one primitive character that the samplers consume.
 
     epsilon is the unimodular constant that multiplies the gamma-completed L
-    value, a hardware box; it is a square root of the conjugated root
+    value, a one-cell CVec; it is a square root of the conjugated root
     number, which is exactly the normalization that makes the completed
     function real on the critical line.  Either square root works (they
     differ by a global sign); char_meta takes the principal one unless the
@@ -145,8 +146,8 @@ class CharMeta:
     """
 
     parity: int
-    epsilon: ComplexBox
-    root_number: ComplexBox
+    epsilon: CVec
+    root_number: CVec
 
 
 class CharGroup:
@@ -331,33 +332,32 @@ class CharGroup:
         rad = len(units) * (l_rad * (one + q_rad) + q_rad * one)
         return re, im, rad, 2 * shift
 
-    def _root_and_constant(self, idx, parity: int) -> tuple[ComplexBox, ComplexBox]:
+    def _root_and_constant(self, idx, parity: int) -> tuple[CVec, CVec]:
         """The root number and the completion constant w (CharMeta.epsilon)
-        of a primitive character of the given parity, as hardware boxes.
+        of a primitive character of the given parity, as one-cell CVecs.
 
         Both come from _gauss_fixed's integers: with x + iy = tau/i^parity
         at scale 2^-scale (within 2 rad of tau/i^parity in modulus) and
         s <= sqrt(q) 2^scale < s + 1 (math.isqrt), the root number is
         root = (x + iy)/(sqrt(q) 2^scale), padded by 2 rad/s.  The |root|^2
-        check is hardware box arithmetic.  w is the half-angle square root
-        of conj(root): N/|N| for N = sqrt(q) + conj(tau/i^parity), or
+        check is CVec.abs2.  w is the half-angle square root of
+        conj(root): N/|N| for N = sqrt(q) + conj(tau/i^parity), or
         i N/|N| for N = sqrt(q) - conj(tau/i^parity) when Re root is
         certified negative, where N clears 0 by about sqrt(q).  At scale
         2^-scale N lies within 1 + 2 rad of the integer point c, and
         |N/|N| - c/|c|| <= 2 |N - c|/|c| for N != 0, so w is c/|c| padded
-        by 2 (1 + 2 rad)/|c|, with isqrt bracketing |c|.  Each side of
-        either box is rounded outward to a double once (_fixed_quotient).
+        by 2 (1 + 2 rad)/|c|, with isqrt bracketing |c|.  Each end of
+        either cell is rounded outward to a double once (_fixed_quotient).
         """
         x, y, rad, scale = self._gauss_fixed(idx)
         if parity == 1:
             x, y = y, -x  # divide by i
         s = math.isqrt(self.q << 2 * scale)
         root = _fixed_quotient(x, y, s, 2 * rad, scale)
-        if not root.abs2().contains(1):
-            raise HypothesisViolated(
-                f"|root number|^2 = {root.abs2()!r} misses 1 for index {idx} mod {self.q}"
-            )
-        sign = -1 if root.re.sign() == -1 else 1
+        abs2 = root.abs2()[0]
+        if not abs2.lo <= 1.0 <= abs2.hi:
+            raise HypothesisViolated(f"|root number|^2 = {abs2!r} misses 1 for index {idx} mod {self.q}")
+        sign = -1 if root.re.hi[0] < 0.0 else 1
         cx, cy = s + sign * x, -sign * y
         w = _fixed_quotient(cx, cy, math.isqrt(cx * cx + cy * cy), 2 * (1 + 2 * rad), scale)
         return root, (w.mul_i() if sign == -1 else w)
@@ -372,15 +372,15 @@ class CharGroup:
         completed value flips w to conj(w) and applies the functional
         equation, which costs one factor of the root number, and the two
         cancel exactly.  w comes from the exact Gauss sum in integer fixed
-        point, narrowed to a hardware box once (_root_and_constant), so no
+        point, narrowed to doubles once (_root_and_constant), so no
         big-float arithmetic runs here once the group's unity tables exist.
 
         The result is kept on the group, keyed by the canonical index, and
         every later call for the character returns the same object, so a
         character costs one Gauss sum (and one pair of unity tables per
         group) however many grids, ordinates or sweeps read it.  A kept
-        character takes about 0.66 KB, its two boxes, its canonical index
-        and its dict entry included (tracemalloc, q = 1009).
+        character takes about 0.79 KB, its two one-cell CVecs, its
+        canonical index and its dict entry included (tracemalloc, q = 1009).
         """
         idx = self.canonical(idx)
         meta = self._metas.get(idx)
@@ -393,8 +393,8 @@ class CharGroup:
         return meta
 
 
-def _fixed_quotient(x: int, y: int, d: int, r: int, scale: int) -> ComplexBox:
-    """Hardware box holding (x + iy)/D + delta for all d <= D < d + 1 and |delta| <= r/d.
+def _fixed_quotient(x: int, y: int, d: int, r: int, scale: int) -> CVec:
+    """One-cell CVec holding (x + iy)/D + delta for all d <= D < d + 1 and |delta| <= r/d.
 
     x, y, r >= 0 and d > 0 are integers.  At scale 2^-scale each part v/D lies
     between the floors of v 2^scale/(d + 1) and v 2^scale/d and the next
@@ -403,11 +403,11 @@ def _fixed_quotient(x: int, y: int, d: int, r: int, scale: int) -> ComplexBox:
     """
     one = 1 << scale
     pad = -(-r * one // d)
-    sides = []
+    ends = []
     for v in (x, y):
         a, b = v * one // (d + 1), v * one // d
-        sides.append(RealInterval(*_narrow(min(a, b) - pad, max(a, b) + 1 + pad, -scale), _raw=True))
-    return ComplexBox(*sides)
+        ends += _narrow(min(a, b) - pad, max(a, b) + 1 + pad, -scale)
+    return CVec.from_block(np.reshape(ends, (2, 2, 1)))
 
 
 def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -40,7 +40,7 @@ _QUARTER_POINTS = np.array(
 
 
 def unity_table(n: int) -> CVec:
-    """e(-j/n) for j = 0..n-1 as hardware boxes.
+    """e(-j/n) for j = 0..n-1 as a CVec.
 
     The fixed-point table of e(j/n) at scale 2^-shift, with
     shift = 53 + 2 bitlen(n) + 16 (the guard bits that

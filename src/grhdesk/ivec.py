@@ -3,16 +3,23 @@
 :class:`IVec` (real intervals) and :class:`CVec` (complex rectangles)
 each hold one float64 endpoint block e of shape (parts, 2, *shape),
 indexed (part, lo/hi): an IVec has one part, a CVec two, re and im, which
-are zero-copy IVec views of its block.  What treats the parts alike is
-written once, on the block, in their base class: indexing, take,
-reshape, moveaxis, concatenate, negation, sums and differences, pad,
-sum, and products and quotients by real intervals.  Every elementwise
-operation widens its result enough to contain the exact image:
+are zero-copy IVec views of its block.  Every enclosure the package
+computes is one of these; indexing or iterating one down to a single
+cell gives a read-only interval.RealInterval or ComplexBox.  What treats
+the parts alike is written once, on the block, in their base class:
+indexing, take, reshape, moveaxis, concatenate, negation, sums and
+differences, pad, sum, and products and quotients by real intervals.
+Every elementwise operation widens its result enough to contain the
+exact image:
 
 * IEEE-correct array arithmetic (+, -, *, /, sqrt) moves each endpoint one
-  ulp outward (``_KA``), as the scalar RealInterval does,
+  ulp outward (``_KA``), exact or not,
 * numpy transcendental kernels (exp, log, atan, sin, cos), whose SIMD
   paths are documented to a few ulps, get ``_KT``.
+
+Exact inputs are rounded outward once instead: rationals by
+IVec.from_ratios, and rational multiples of pi by pi_times, from the
+two doubles around pi.
 
 One kernel, ``_round``, does all of that rounding, for every part of a
 block at once.  Its one-ulp step is np.nextafter for parts of up to
@@ -45,12 +52,14 @@ product (four real products, then a subtraction and an addition).
 
 from __future__ import annotations
 
+import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DivisorContainsZero, LogDomain, NegativeSqrtDomain
-from .interval import _PI_HI, _PI_LO, ComplexBox, RealInterval, _ratio_ends
+from .interval import ComplexBox, RealInterval, _ratio_ends
 
 _EPS = 2.0**-52
 _U = 2.0**-53
@@ -59,15 +68,17 @@ _TINY = 2.0 * 5e-324
 # its binade before rounding.  At k = _KA, just above 1/2, that shift is
 # more than half an ulp and at most 1.0000002 ulps, so round-to-nearest
 # lands on the next double: exactly one ulp (two at most below 2^-1020),
-# which encloses the exact result of an IEEE-correct operation, as the
-# scalar RealInterval's nudge does.  _KT = 8 covers numpy's SIMD
-# transcendental kernels (documented to 4 ulp) with margin.
+# which encloses the exact result of an IEEE-correct operation.  _KT = 8
+# covers numpy's SIMD transcendental kernels (documented to 4 ulp) with
+# margin.
 _KA = 0.5000001
 _KT = 8.0
 # np.nextafter gives that same one-ulp step in one ufunc call, but at a
 # libm call per element: it is the faster form up to about this size
 _NEXTAFTER_MAX = 256
 _MAX = np.finfo(np.float64).max
+# math.pi is the nearest double below pi
+_PI_LO, _PI_HI = math.pi, math.nextafter(math.pi, math.inf)
 
 
 class _OpCounter:
@@ -336,8 +347,6 @@ def _real_ends(other) -> np.ndarray:
     """Real intervals as (lo, hi) stacked on a first axis, real points as (x,)."""
     if isinstance(other, IVec):
         return other.e[0]
-    if isinstance(other, RealInterval):
-        return np.array([other.lo, other.hi])
     return _as_arr(other)[None]
 
 
@@ -354,7 +363,7 @@ class IVec(_Block):
         hi = _as_arr(hi)
         if lo.shape != hi.shape:
             raise ValueError("endpoint shape mismatch")
-        # as RealInterval: not lo <= hi, so a NaN endpoint is refused too
+        # not lo <= hi, so a NaN endpoint is refused too
         with np.errstate(invalid="ignore"):
             bad = not (lo <= hi).all()
         if bad:
@@ -364,7 +373,7 @@ class IVec(_Block):
     @staticmethod
     def _cell(e: np.ndarray) -> RealInterval:
         ((lo, hi),) = e.tolist()
-        return RealInterval(lo, hi, _raw=True)
+        return RealInterval(lo, hi)
 
     @staticmethod
     def _operand(other) -> np.ndarray:
@@ -378,10 +387,6 @@ class IVec(_Block):
     def from_points(x) -> "IVec":
         a = _as_arr(x)
         return IVec.from_block(np.array([[a, a]]))
-
-    @staticmethod
-    def from_intervals(ivs) -> "IVec":
-        return IVec.from_block(np.array([[[v.lo for v in ivs], [v.hi for v in ivs]]]))
 
     @staticmethod
     def from_ratios(num, den) -> "IVec":
@@ -510,6 +515,25 @@ def _contains_extremum(e: np.ndarray, off: dict) -> np.ndarray:
     return np.floor((x[:, 1:] - off) / 2.0) >= np.ceil((x[:, :1] - off) / 2.0)
 
 
+def pi_times(r) -> IVec:
+    """pi r for an exact rational r (an int, Fraction or double) or a
+    sequence of them: an IVec of r's shape.
+
+    Each end is the exact product of r with one of the two doubles around
+    pi, rounded outward once (_ratio_ends): the lower double's product
+    floored and the upper's ceiled, their roles swapped where r < 0.  So
+    where both products are doubles, as at r = 2^k, the result is the
+    pair around pi scaled exactly.
+    """
+    r = np.array(r, dtype=object)
+    ends = []
+    for x in r.flat:
+        x = Fraction(x)
+        lo, hi = (x * Fraction(p) for p in ((_PI_LO, _PI_HI) if x >= 0 else (_PI_HI, _PI_LO)))
+        ends.append((_ratio_ends(lo.numerator, lo.denominator)[0], _ratio_ends(hi.numerator, hi.denominator)[1]))
+    return IVec.from_block(np.array(ends, dtype=np.float64).T.reshape((1, 2) + r.shape))
+
+
 class CVec(_Block):
     """Array of complex rectangles: a block of two parts, re and im, each
     an IVec view of it.  CVec(re, im) concatenates two IVec blocks of one
@@ -527,16 +551,12 @@ class CVec(_Block):
     @staticmethod
     def _cell(e: np.ndarray) -> ComplexBox:
         (rlo, rhi), (ilo, ihi) = e.tolist()
-        return ComplexBox(RealInterval(rlo, rhi, _raw=True), RealInterval(ilo, ihi, _raw=True))
+        return ComplexBox(RealInterval(rlo, rhi), RealInterval(ilo, ihi))
 
     @staticmethod
     def _operand(other) -> np.ndarray:
-        """The endpoint block of a CVec, a ComplexBox or complex points."""
-        if isinstance(other, CVec):
-            return other.e
-        if isinstance(other, ComplexBox):
-            return np.array([[other.re.lo, other.re.hi], [other.im.lo, other.im.hi]])
-        return CVec.from_points(other).e
+        """The endpoint block of a CVec or of complex points."""
+        return other.e if isinstance(other, CVec) else CVec.from_points(other).e
 
     # -- constructors -----------------------------------------------------
 
@@ -547,24 +567,6 @@ class CVec(_Block):
         e[0] = z.real
         e[1] = z.imag
         return CVec.from_block(e)
-
-    @staticmethod
-    def from_real(re: IVec) -> "CVec":
-        e = np.zeros((2, 2) + re.shape)
-        e[0] = re.e[0]
-        return CVec.from_block(e)
-
-    @staticmethod
-    def from_boxes(boxes) -> "CVec":
-        return CVec.from_block(
-            np.array(
-                [
-                    [[b.re.lo for b in boxes], [b.re.hi for b in boxes]],
-                    [[b.im.lo for b in boxes], [b.im.hi for b in boxes]],
-                ],
-                dtype=np.float64,
-            )
-        )
 
     # -- parts ----------------------------------------------------------------
 
@@ -637,6 +639,4 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _is_complexlike(other) -> bool:
-    if isinstance(other, (CVec, ComplexBox, complex)):
-        return True
-    return not isinstance(other, (IVec, RealInterval)) and np.iscomplexobj(other)
+    return isinstance(other, CVec) or (not isinstance(other, IVec) and np.iscomplexobj(other))

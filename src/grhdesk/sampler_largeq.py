@@ -48,8 +48,8 @@ directly, so a block longer than 8 ordinates reads no table it let go.
 Every character of q sampled at an ordinate reads the same table, so
 sample_all costs one pass per block.  Root numbers do not depend on the
 ordinate: CharGroup.char_meta computes a character's once, from the
-exact fixed-point Gauss sum narrowed to hardware boxes, and keeps it on
-the group (about 0.66 KB a character, 0.66 MB for every character mod
+exact fixed-point Gauss sum narrowed to one-cell CVecs, and keeps it on
+the group (about 0.79 KB a character, 0.79 MB for every character mod
 1009; the char_group LRU keeps at most 64 groups).  So only the first
 call for a character pays its O(q) Gauss sum.  Once the tables exist, a
 sample_range call costs one array completion step and runs no big-float
@@ -81,7 +81,6 @@ from .hurwitz import (
     log_gamma,
     unit_hurwitz,
 )
-from .interval import ComplexBox, RealInterval
 from .ivec import CVec, IVec
 
 DEFAULT_STEP = Fraction(5, 64)
@@ -121,11 +120,14 @@ class SampleGrid:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """x as (numerator, positive denominator), the value Fraction(x) reads."""
+    """x as (numerator, positive denominator), the value Fraction(x) reads;
+    DomainError for a NaN or an infinity."""
     try:
-        return x.as_integer_ratio()
-    except AttributeError:
+        if hasattr(x, "as_integer_ratio"):
+            return x.as_integer_ratio()
         return Fraction(x).as_integer_ratio()
+    except (ValueError, OverflowError) as err:
+        raise DomainError(f"need a finite number, got {x!r}") from err
 
 
 def _grid_span(t_lo, t_hi, t_step) -> tuple[int, int]:
@@ -203,14 +205,14 @@ def grid_count(t_lo, t_hi, t_step) -> int:
 # L-values
 
 
-def q_pow(q: int, t: float) -> ComplexBox:
+def q_pow(q: int, t: float) -> CVec:
     """q^(-s) at s = 1/2 + it: one hurwitz._power_ball at the point balls'
-    precision _GAMMA_BITS, as a hardware box.
+    precision _GAMMA_BITS, as a one-cell CVec.
 
     At t = 0 the value is real and its imaginary part is exactly [0, 0].
     """
-    re_lo, re_hi, im_lo, im_hi = _power_ball(Fraction(q), Fraction(1, 2), t, _GAMMA_BITS)
-    return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
+    ends = _power_ball(Fraction(q), Fraction(1, 2), t, _GAMMA_BITS)
+    return CVec.from_block(np.reshape(ends, (2, 2, 1)))
 
 
 def l_values_at(q: int, lats: Sequence[HurwitzLattice]) -> CVec:
@@ -229,7 +231,7 @@ def l_values_at(q: int, lats: Sequence[HurwitzLattice]) -> CVec:
         raise DomainError("need q >= 3")
     group = char_group(q)
     zvals = unit_hurwitz(lats, q, units_of(group))
-    scale = CVec.from_boxes([q_pow(q, x.t) for x in lats]).reshape(-1, 1)
+    scale = CVec.concatenate([q_pow(q, x.t) for x in lats]).reshape(-1, 1)
     values = group_dft_cvec(group, zvals).reshape(len(lats), group.phi) * scale
     return values.reshape(-1)
 
@@ -238,7 +240,7 @@ def l_values_at(q: int, lats: Sequence[HurwitzLattice]) -> CVec:
 # completion
 
 
-def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
+def completion_factor(t: float, parity: int, q: int) -> CVec:
     """The archimedean part of the completion at ordinate t:
 
         exp(log Gamma((1/2 + a + it)/2) + pi|t|/4 + i (t/2) log(q/pi)),  a = parity.
@@ -246,17 +248,16 @@ def completion_factor(t: float, parity: int, q: int) -> ComplexBox:
     One fixed-point ball: hurwitz.log_gamma at the exact point
     (2a+1)/4 + i t/2, then the exponent and its exponential in the same
     fixed point (hurwitz._gamma_factor: one mpf_log of q/pi, one mpf_exp,
-    one mpf_cos_sin), narrowed to doubles once, as q_pow is.  Adding
-    pi|t|/4 keeps the magnitude near |t|^(a/2) at any height, where
-    Gamma alone decays like e^(-pi|t|/4).  |t| rather than t keeps the
-    factor even, so the completed function of a real character is even.
-    It depends on the character only through its parity, and at t = 0
-    its imaginary part is exactly [0, 0].
+    one mpf_cos_sin), narrowed to doubles once into a one-cell CVec, as
+    q_pow is.  Adding pi|t|/4 keeps the magnitude near |t|^(a/2) at any
+    height, where Gamma alone decays like e^(-pi|t|/4).  |t| rather than
+    t keeps the factor even, so the completed function of a real
+    character is even.  It depends on the character only through its
+    parity, and at t = 0 its imaginary part is exactly [0, 0].
     """
     y = Fraction(t) / 2
     lg = log_gamma(Fraction(2 * parity + 1, 4), y)
-    re_lo, re_hi, im_lo, im_hi = _gamma_factor(lg, y, q)
-    return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
+    return CVec.from_block(np.reshape(_gamma_factor(lg, y, q), (2, 2, 1)))
 
 
 def lambda_from_l(l: CVec, factor, q: int, chars, ts) -> IVec:
@@ -347,7 +348,7 @@ def _table_block(q: int, ts: list[float], D: int, cache_dir) -> list[tuple[CVec,
     return [
         (
             CVec.from_block(values.e[:, :, i].copy()),
-            CVec.from_boxes([completion_factor(t, parity, q) for parity in (0, 1)]),
+            CVec.concatenate([completion_factor(t, parity, q) for parity in (0, 1)]),
         )
         for i, t in enumerate(ts)
     ]
@@ -376,7 +377,7 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
     The range is checked first; an empty chars then builds no table, and
     an imprimitive character (NotPrimitive, from char_meta) none either.
     """
-    step = t_step if isinstance(t_step, Fraction) else Fraction(t_step)
+    step = t_step if isinstance(t_step, Fraction) else Fraction(*_ratio(t_step))
     n_start, ts = _ordinates(t_lo, t_hi, step)
     if not chars:
         return []
@@ -393,7 +394,7 @@ def _grids(q, chars, t_lo, t_hi, t_step, size, cache_dir) -> list[SampleGrid]:
         tables = _make_tables(q, ts, tables, size, cache_dir)
     l = CVec.concatenate([lv.take(cols) for lv, _ in tables], axis=1)
     c = CVec.concatenate([fac.take(parities) for _, fac in tables], axis=1)
-    eps = CVec.from_boxes([meta.epsilon for meta in metas]).reshape(-1, 1)
+    eps = CVec.concatenate([meta.epsilon for meta in metas]).reshape(-1, 1)
     rows = lambda_from_l(l, eps * c, q, chars, ts)
     return [
         SampleGrid(q, char, step, n_start, row.copy(), meta)
@@ -440,7 +441,8 @@ def sample_range(
 
     An index needs one entry per cyclic factor of the group, each in
     0..order - 1 (ValueError otherwise), and must be primitive
-    (NotPrimitive otherwise); both are checked before any table is built.
+    (NotPrimitive otherwise), and the range and step must be finite
+    (DomainError otherwise); all are checked before any table is built.
     """
     char = char_group(q).canonical(char)
     return _grids(q, [char], t_lo, t_hi, t_step, size, cache_dir)[0]

@@ -73,22 +73,22 @@ from .hurwitz import (
     auto_params,
     log_gamma,
 )
-from .interval import RealInterval, pi_interval
-from .ivec import CVec, IVec
-from .sampler_largeq import SampleGrid, _ordinates, lambda_from_l
+from .ivec import CVec, IVec, pi_times
+from .sampler_largeq import SampleGrid, _ordinates, _ratio, lambda_from_l
 
 
 @cache
-def zeta_nine_eighths() -> RealInterval:
+def zeta_nine_eighths() -> IVec:
     """zeta(9/8), the constant in the Rademacher-derived L bound.
 
-    One cell of the lattice's Euler-Maclaurin kernel (hurwitz._em_rows):
-    the row alpha = 1, column 0, at s = 9/8, truncated as auto_params
-    picks for a lattice build's precision.
+    The real part of one cell of the lattice's Euler-Maclaurin kernel
+    (hurwitz._em_rows): the row alpha = 1, column 0, at s = 9/8, truncated
+    as auto_params picks for a lattice build's precision.  A
+    zero-dimensional IVec.
     """
     sigma, alpha = Fraction(9, 8), Fraction(1)
     a, b = auto_params(sigma, 0.0, alpha, DEFAULT_BUILD_BITS)
-    return _em_rows([0.0], sigma, [alpha], 0, a, b, DEFAULT_BUILD_BITS)[0, 0, 0].re
+    return _em_rows([0.0], sigma, [alpha], 0, a, b, DEFAULT_BUILD_BITS).re.reshape(())
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ class FftPlan:
     eta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
+        object.__setattr__(self, "A", Fraction(*_ratio(self.A)))
+        object.__setattr__(self, "B", Fraction(*_ratio(self.B)))
         if self.A <= 0 or self.B <= 0:
             raise DomainError("need A > 0 and B > 0")
         if not -1.0 < self.eta < 1.0:
@@ -114,8 +114,7 @@ class FftPlan:
         if prod.denominator != 1 or prod < 2 or prod.numerator & (prod.numerator - 1):
             raise DomainError("N = A*B must be a power of two >= 2")
         # A >= 1/(2 pi), certified: 2 pi A > 1
-        two_pi_a = pi_interval() * RealInterval.from_fraction(2 * self.A)
-        if not two_pi_a.lo > 1.0:
+        if not pi_times(2 * self.A).lo > 1.0:
             raise DomainError("need A >= 1/(2 pi)")
 
     @property
@@ -123,8 +122,9 @@ class FftPlan:
         return (self.A * self.B).numerator
 
     @property
-    def delta(self) -> RealInterval:
-        return pi_interval() * (RealInterval.one() - RealInterval.point(abs(self.eta))) * 0.5
+    def delta(self) -> IVec:
+        """(pi/2)(1 - |eta|), a zero-dimensional IVec."""
+        return pi_times((1 - Fraction(abs(self.eta))) / 2)
 
     @property
     def t_step(self) -> Fraction:
@@ -192,7 +192,7 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
     slot = {int(a): j for j, a in enumerate(units_of(group))}
     c = 2 * parity + 1
     half = plan.N // 2
-    pi = pi_interval()
+    pi = pi_times(1)
 
     # x = 2 pi n/B, Re e^{2u} = e^{2x} cos(pi eta/2), y, and the
     # prefactor's modulus, at every bin
@@ -286,11 +286,10 @@ def alias_bound_fhat(plan: FftPlan, q: int, parity: int) -> IVec:
     XConditionViolated names q, the parity and the first bin where X(w1)
     or X(w2) is not certified above 1.
     """
-    pi = pi_interval()
+    pi = pi_times(1)
     delta = plan.delta
-    delta = IVec(delta.lo, delta.hi)
     u, d = _shifts(plan.N // 2, 1 / plan.B, plan.A)
-    w = IVec.from_ratios(np.abs(u), d) * (pi + pi)
+    w = IVec.from_ratios(np.abs(u), d) * pi_times(2)
     x = (w + w - delta).exp() * (delta * pi / q)
     fails = ~(x.lo > 1.0).all(axis=0)
     if fails.any():
@@ -318,9 +317,9 @@ def _beta(u: np.ndarray, d: int, parity: int) -> IVec:
     c = 2 * parity + 1
     pole = np.maximum(np.abs(4 * u * u - c * c * d * d), 1)
     at, gap = IVec.from_ratios(np.stack([np.abs(4 * d * u), pole]), 4 * d * d)
-    pi = pi_interval()
+    pi = pi_times(1)
     arct = (0.5 / at).atan() * (c / 2)
-    return -(arct + 4.0 / (gap * (pi * pi))) + pi * RealInterval.from_fraction(Fraction(1, 4))
+    return -(arct + 4.0 / (gap * (pi * pi))) + pi_times(Fraction(1, 4))
 
 
 def _envelope(u: np.ndarray, d: int, q: int, parity: int, eta: float) -> IVec:
@@ -337,12 +336,11 @@ def _envelope(u: np.ndarray, d: int, q: int, parity: int, eta: float) -> IVec:
     ends = [_narrow_ball(log_gamma(Fraction(c, 4), Fraction(k, 2 * d)), False)[:2] for k in u.flat]
     gamma_abs = IVec(*np.array(ends).T.reshape((2,) + u.shape)).exp()
     t, base = IVec.from_ratios(np.stack([4 * d * u, 4 * u * u + 9 * d * d]), 4 * d * d)
-    pi = pi_interval()
+    pi = pi_times(1)
     # zeta(9/8) pi^(-c/4) (q/2pi)^(5/16) = zeta(9/8) e^(-(c/4) log pi + (5/16) log(q/2pi))
-    pis = IVec(pi.lo, pi.hi)
-    const = (pis.log() * (-c / 4) + (q / (pis + pis)).log() * (5 / 16)).exp() * zeta_nine_eighths()
+    const = (pi.log() * (-c / 4) + (q / (pi + pi)).log() * (5 / 16)).exp() * zeta_nine_eighths()
     rad = (base.log() * (5 / 32)).exp()
-    return gamma_abs * (t * (pi * RealInterval.point(eta / 4))).exp() * rad * const
+    return gamma_abs * (t * pi_times(Fraction(eta) / 4)).exp() * rad * const
 
 
 def t_grid_error(plan: FftPlan, q: int, parity: int, m_max: int) -> IVec:
@@ -358,8 +356,8 @@ def t_grid_error(plan: FftPlan, q: int, parity: int, m_max: int) -> IVec:
     if not 0 <= m_max < plan.N:
         raise DomainError("m_max outside the plan's ordinate range 0..N-1")
     u, d = _shifts(m_max, 1 / plan.A, plan.B)
-    pe = pi_interval() * RealInterval.point(plan.eta / 4)
-    beta = _beta(u, d, parity) - IVec.from_intervals([pe, -pe]).reshape(2, 1)
+    pe = Fraction(plan.eta) / 4
+    beta = _beta(u, d, parity) - pi_times([pe, -pe]).reshape(2, 1)
     fails = ~(beta.lo > 0.0).all(axis=0)
     if fails.any():
         m = int(np.argmax(fails))
@@ -368,7 +366,7 @@ def t_grid_error(plan: FftPlan, q: int, parity: int, m_max: int) -> IVec:
             f"(m/A = {float(m / plan.A):.4g})"
         )
     out = _envelope(u, d, q, parity, plan.eta) / (
-        1.0 - (beta * -RealInterval.from_fraction(plan.B)).exp()
+        1.0 - (beta * IVec.from_ratios(-plan.B.numerator, plan.B.denominator)).exp()
     )
     out = out[0] + out[1]
     return IVec(np.maximum(out.lo, 0.0), out.hi)  # a bound on |.|: lo >= 0
@@ -403,18 +401,21 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
     of its row.
 
     The indices' form (canonical) and t_max are checked first, in O(1):
-    its sign, the plan's ordinate range and the recovery exponent.  Only
-    then does char_meta check each character primitive and read its
-    constants, and are the ordinates m/A, m = 0..floor(t_max A), listed,
-    by the large-q sampler's rule (sampler_largeq._ordinates).
+    that it is finite (DomainError for a NaN or an infinity, as for the
+    plan's A and B), its sign, the plan's ordinate range and the recovery
+    exponent.  Only then does char_meta check each character primitive
+    and read its constants, and are the ordinates m/A,
+    m = 0..floor(t_max A), listed, by the large-q sampler's rule
+    (sampler_largeq._ordinates).
     """
     if plan is None:
         plan = default_plan()
     group = char_group(q)
     chars = [group.canonical(char) for char in chars]
-    if Fraction(t_max) < 0:
+    t_max = Fraction(*_ratio(t_max))
+    if t_max < 0:
         raise DomainError("t_max must be nonnegative")
-    m_max = int(Fraction(t_max) * plan.A)
+    m_max = int(t_max * plan.A)
     if m_max >= plan.N:
         raise DomainError("t_max exceeds the plan's ordinate range")
     # hardware exponent ceiling for the recovery factor exp(pi t (1-eta)/4)
@@ -437,11 +438,11 @@ def _smallq_grids(q: int, chars, plan: FftPlan | None, t_max) -> list[SampleGrid
         # Fhat on bins 0..N/2 per character, then the negative half by
         # conjugate reflection: F is real-valued, so Fhat(-x) = conj Fhat(x)
         cols = [int(np.ravel_multi_index(chars[i], group.orders)) for i in members]
-        eps = CVec.from_boxes([metas[i].epsilon for i in members])
+        eps = CVec.concatenate([metas[i].epsilon for i in members])
         dual = (_dual_values(q, parity, plan).take_last(cols) * eps).moveaxis(0, -1)
         dual = CVec.concatenate([dual, dual[..., half - 1 : 0 : -1].conj()], axis=-1)
         core = fft_pow2(dual, "backward").pad(alias_total.hi)
-        core = core * (pi_interval() * RealInterval.from_fraction(2 / plan.B))
+        core = core * pi_times(2 / plan.B)
 
         member_chars = [chars[i] for i in members]
         real = lambda_from_l(core[:, : m_max + 1].pad(t_pads), recover, q, member_chars, ts)
@@ -459,8 +460,8 @@ def smallq_samples(q: int, char, plan: FftPlan | None, t_max) -> SampleGrid:
     Reads the same builder as smallq_all with one character, so it costs
     the budgets, dual values and FFT of that character's parity only.
     ValueError for a malformed index (CharGroup.canonical), NotPrimitive
-    for an imprimitive one and DomainError for a negative t_max, each
-    before any budget or dual value is computed.
+    for an imprimitive one and DomainError for a negative or non-finite
+    t_max, each before any budget or dual value is computed.
     """
     return _smallq_grids(q, [char], plan, t_max)[0]
 

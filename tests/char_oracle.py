@@ -1,9 +1,10 @@
-"""Character values chi(n) one at a time, as hardware boxes: the test oracle.
+"""Character values chi(n) one at a time, in mpmath.iv: the test oracle.
 
 eval_char embeds the exact phase of chi(n) (CharGroup.phase) with
-unit_phase: cos and sin of 2 pi times the phase in mpmath.iv, rounded
-outward to doubles.  The group DFT's character sums are checked against
-sums of these values term by term in test_dft.py.
+unit_phase: the exact points 1, i, -1 and -i at quarter turns, else cos
+and sin of 2 pi times the phase in mpmath.iv at 80 bits.  The group
+DFT's character sums are checked against sums of these values term by
+term in test_dft.py.
 """
 
 from __future__ import annotations
@@ -13,29 +14,25 @@ from fractions import Fraction
 from mpmath import iv
 
 from grhdesk.characters import CharGroup
-from grhdesk.interval import ComplexBox, RealInterval
 
-from em_oracle import ends, ivprec
+from em_oracle import ivprec
+
+_QUARTERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def unit_phase(fr: Fraction) -> ComplexBox:
+def unit_phase(fr: Fraction) -> iv.mpc:
     """e(fr) = exp(2 pi i fr) for an exact rational number of turns."""
     fr = fr % 1
-    if fr.denominator == 1:
-        return ComplexBox.one()
-    if fr.denominator == 2:
-        return -ComplexBox.one()
-    if fr.denominator == 4:
-        one = RealInterval.one()
-        return ComplexBox(RealInterval.zero(), one if fr.numerator == 1 else -one)
+    if (4 * fr).denominator == 1:
+        return iv.mpc(*_QUARTERS[int(4 * fr)])
     with ivprec(80):
         theta = iv.pi * (iv.mpf(2 * fr.numerator) / fr.denominator)
-        return ComplexBox(RealInterval(*ends(iv.cos(theta))), RealInterval(*ends(iv.sin(theta))))
+        return iv.mpc(iv.cos(theta), iv.sin(theta))
 
 
-def eval_char(g: CharGroup, idx, n: int) -> ComplexBox:
-    """chi(n) as a hardware box for the character idx of g; 0 when gcd(n, q) > 1."""
+def eval_char(g: CharGroup, idx, n: int) -> iv.mpc:
+    """chi(n) in mpmath.iv for the character idx of g; 0 when gcd(n, q) > 1."""
     ph = g.phase(idx, n)
     if ph is None:
-        return ComplexBox.zero()
+        return iv.mpc(0, 0)
     return unit_phase(ph)

@@ -10,9 +10,10 @@ hurwitz.auto_params.
 
 The helpers below move values between mpmath.iv and the package's
 hardware intervals: ``iv_real``/``iv_complex`` build iv values (exactly
-from hardware boxes, outward from rationals), ``ends`` reads the exact
-endpoints of an iv interval, and ``covers``, ``meets``, ``holds`` and
-``width`` compare and measure hardware boxes and iv values exactly.
+from hardware cells, outward from rationals), ``ends`` reads the exact
+endpoints of an iv interval, ``hw`` rounds an iv value outward to a
+hardware cell, and ``covers``, ``meets``, ``holds`` and ``width``
+compare and measure hardware cells and iv values exactly.
 ``ivprec`` sets ``iv.prec`` for a block.
 
 ``em_constants`` gives the lattice kernel's per-column constants exactly,
@@ -35,7 +36,7 @@ from mpmath.libmp import to_rational
 
 from grhdesk.errors import DomainError, PoleProximity
 from grhdesk.hurwitz import _pochhammer, auto_params, bernoulli, zeta_upper
-from grhdesk.interval import ComplexBox, RealInterval
+from grhdesk.interval import ComplexBox, RealInterval, _ratio_ends
 
 
 @contextmanager
@@ -79,6 +80,15 @@ def iv_complex(z) -> iv.mpc:
 def ends(x: iv.mpf) -> tuple[Fraction, Fraction]:
     """The exact endpoints of a finite iv interval."""
     return tuple(Fraction(*to_rational(v)) for v in x._mpi_)
+
+
+def hw(x):
+    """An iv interval or box as a hardware cell, each endpoint rounded
+    outward to a double once."""
+    if isinstance(x, iv.mpc):
+        return ComplexBox(hw(x.real), hw(x.imag))
+    lo, hi = ends(x)
+    return RealInterval(_ratio_ends(lo.numerator, lo.denominator)[0], _ratio_ends(hi.numerator, hi.denominator)[1])
 
 
 def _parts(x) -> list[tuple]:

@@ -15,7 +15,6 @@ the real ones above, in the order the complex kernels promise.
 
 import numpy as np
 
-from grhdesk.interval import RealInterval
 from grhdesk.ivec import IVec, op_counter
 
 _EPS = 2.0**-52
@@ -61,11 +60,9 @@ def up(x, k=_KA):
 
 
 def ends(x):
-    """An IVec, a RealInterval or real points as a (lo, hi) pair."""
+    """An IVec or real points as a (lo, hi) pair."""
     if isinstance(x, IVec):
         return x.lo.copy(), x.hi.copy()
-    if isinstance(x, RealInterval):
-        return np.float64(x.lo), np.float64(x.hi)
     a = np.asarray(x, dtype=np.float64)
     return a, a
 

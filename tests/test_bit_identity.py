@@ -62,7 +62,7 @@ LVALUE_PINS = {
 }
 
 # whole lattices, recorded before IVec moved onto the endpoint block:
-# t = 0 builds its rows through the real-only CVec.from_real path, and
+# t = 0 builds its rows with every imaginary part set to [0, 0], and
 # t = 300 runs a = 230 direct terms with shift-form rounding on its parts;
 # t = 300 re-recorded with LATTICE_PINS
 LATTICE_WHOLE_PINS = {

@@ -18,11 +18,11 @@ from grhdesk.dft import (
     units_of,
     unity_table,
 )
-from grhdesk.interval import ComplexBox, RealInterval
+from grhdesk.interval import ComplexBox
 from grhdesk.ivec import CVec
 
 from char_oracle import eval_char
-from em_oracle import ends, iv_real, ivprec
+from em_oracle import hw, iv_complex, iv_real, ivprec, meets
 
 RNG = np.random.default_rng(1729)
 
@@ -62,20 +62,19 @@ def test_unity_table_contains_roots(n):
 def test_unity_table_matches_per_entry_reference(n):
     """Each side is the outward double of a 128-bit enclosure of e(-j/n)
     in mpmath.iv, and the exact points 1, -i, -1, i where 4j = 0 mod n."""
-    ref = CVec.from_boxes([_unit_reference(Fraction(-j, n)) for j in range(n)])
+    ref = [_unit_reference(Fraction(-j, n)) for j in range(n)]
     tab = unity_table(n)
-    for got, want in zip((tab.re, tab.im), (ref.re, ref.im)):
-        assert np.array_equal(got.lo, want.lo)
-        assert np.array_equal(got.hi, want.hi)
+    for got, want in zip((tab.re, tab.im), ([b.re for b in ref], [b.im for b in ref])):
+        assert got.lo.tolist() == [c.lo for c in want]
+        assert got.hi.tolist() == [c.hi for c in want]
 
 
 def _unit_reference(turns: Fraction) -> ComplexBox:
     quarter = 4 * (turns % 1)
     if quarter.denominator == 1:
-        return ComplexBox.point((1, 1j, -1, -1j)[int(quarter)])
+        return hw(iv.mpc(*((1, 0), (0, 1), (-1, 0), (0, -1))[int(quarter)]))
     with ivprec(128):
-        z = iv.exp(iv.mpc(0, 2 * iv.pi * iv_real(turns)))
-    return ComplexBox(RealInterval(*ends(z.real)), RealInterval(*ends(z.imag)))
+        return hw(iv.exp(iv.mpc(0, 2 * iv.pi * iv_real(turns))))
 
 
 def test_unity_table_one_transcendental_per_length(monkeypatch):
@@ -211,17 +210,18 @@ def test_dft_dispatch_consistency():
 
 
 def naive_char_sums(g: CharGroup, vals: CVec) -> dict:
-    """sum a(n) chi(n) for every character, term by term in scalar boxes.
+    """sum a(n) chi(n) for every character, term by term in mpmath.iv at 53 bits.
 
     vals is aligned with units_of(g), as group_dft_cvec takes it.
     """
     units = [int(n) for n in units_of(g)]
     out = {}
-    for idx in g.all_indices():
-        acc = ComplexBox.zero()
-        for i, n in enumerate(units):
-            acc = acc + vals[i] * eval_char(g, idx, n)
-        out[idx] = acc
+    with ivprec(53):
+        for idx in g.all_indices():
+            acc = iv.mpc(0, 0)
+            for i, n in enumerate(units):
+                acc += iv_complex(vals[i]) * eval_char(g, idx, n)
+            out[idx] = acc
     return out
 
 
@@ -230,20 +230,16 @@ def assert_matches_naive_oracle(g: CharGroup, vals: CVec) -> None:
     slow = naive_char_sums(g, vals)
     assert fast.shape == g.orders
     for idx in g.all_indices():
-        assert fast[idx].re.intersects(slow[idx].re), (g.q, idx)
-        assert fast[idx].im.intersects(slow[idx].im), (g.q, idx)
+        assert meets(fast[idx], slow[idx]), (g.q, idx)
 
 
 def test_group_dft_q3_by_hand():
     g = CharGroup(3)
-    x = ComplexBox.point(0.7 + 0.2j)
-    y = ComplexBox.point(-0.3 + 0.5j)
-    out = group_dft_cvec(g, CVec.from_boxes([x, y]))
-    s = out[(0,)]
-    d = out[(1,)]
-    assert s.re.contains_zero() or abs(s.re.mid() - 0.4) < 1e-12
-    assert abs(s.re.mid() - 0.4) < 1e-12 and abs(s.im.mid() - 0.7) < 1e-12
-    assert abs(d.re.mid() - 1.0) < 1e-12 and abs(d.im.mid() + 0.3) < 1e-12
+    out = group_dft_cvec(g, CVec.from_points([0.7 + 0.2j, -0.3 + 0.5j]))
+    s, d = out.re.mid() + 1j * out.im.mid()
+    assert out.re.contains_zero()[0] or abs(s.real - 0.4) < 1e-12
+    assert abs(s.real - 0.4) < 1e-12 and abs(s.imag - 0.7) < 1e-12
+    assert abs(d.real - 1.0) < 1e-12 and abs(d.imag + 0.3) < 1e-12
 
 
 # q = 101 has one axis of order 100 and q = 201 orders (2, 66): dft() sends
@@ -289,8 +285,8 @@ def test_group_dft_principal_is_plain_sum():
     g = CharGroup(q)
     vals = rand_cvec(g.phi)
     out = group_dft_cvec(g, vals)
-    acc = ComplexBox.zero()
-    for i in range(g.phi):
-        acc = acc + vals[i]
-    p = out[g.principal()]
-    assert p.re.intersects(acc.re) and p.im.intersects(acc.im)
+    with ivprec(53):
+        acc = iv.mpc(0, 0)
+        for i in range(g.phi):
+            acc += iv_complex(vals[i])
+    assert meets(out[g.principal()], acc)

@@ -45,7 +45,7 @@ from grhdesk.hurwitz import (
     unit_hurwitz,
     zeta_upper,
 )
-from grhdesk.interval import ComplexBox, RealInterval
+from grhdesk.interval import ComplexBox, RealInterval, _ratio_ends
 from grhdesk.ivec import CVec, IVec
 
 from em_oracle import (
@@ -194,7 +194,7 @@ def test_em_wide_alpha_interval_covers_both_ends():
 def test_em_pole_raises():
     with pytest.raises(PoleProximity):
         em_hurwitz(1, Fraction(1, 2))
-    wide = ComplexBox(RealInterval(0.99, 1.01), RealInterval.zero())
+    wide = ComplexBox(RealInterval(0.99, 1.01), RealInterval(0.0, 0.0))
     with pytest.raises(PoleProximity):
         em_hurwitz(wide, Fraction(1, 2))
 
@@ -523,12 +523,11 @@ def test_sieved_powers_contain_mpmath_far_up(bits, sigma):
 @pytest.mark.parametrize("D", [12, 64, 2048])
 def test_lattice_bases_round_as_from_fraction(D):
     # the bases m/D of a lattice, rounded in one numpy pass, have the
-    # endpoints of one RealInterval.from_fraction each
+    # endpoints of m/D rounded outward once by _ratio_ends each
     ms = _lattice_bases(D)
     base = IVec.from_ratios(ms, D)
     for i, m in enumerate(ms):
-        ref = RealInterval.from_fraction(Fraction(m, D))
-        assert (base.lo[i], base.hi[i]) == (ref.lo, ref.hi), (D, m)
+        assert (base.lo[i], base.hi[i]) == _ratio_ends(m, D), (D, m)
 
 
 def _radial(X: int, Y: int, R: int) -> tuple[int, int]:
@@ -705,8 +704,7 @@ def test_lattice_last_row_cell_example(lat8_t0):
     s = mpmath.mpf(5) / 2
     with mpmath.workprec(300):
         ref = mpmath.zeta(s) - sum((n + 1) ** (-s) for n in range(10))
-        assert cell.re.contains(mp_fraction(ref))
-    assert cell.im.contains(0)
+        assert holds(cell, mp_fraction(ref), 0)
 
 
 def test_lattice_cells_match_em_tail_oracle(lat8_t0):
@@ -737,7 +735,7 @@ def test_lattice_half_row_doubling_identity(lat8_t0):
             ms = mpmath.mpf(s.numerator) / s.denominator
             full = (2**ms - 1) * mpmath.zeta(ms)
             ref = full - sum((n + mpmath.mpf(1) / 2) ** (-ms) for n in range(10))
-            assert cell.re.contains(mp_fraction(ref)), c
+            assert holds(cell, mp_fraction(ref)), c
 
 
 @pytest.mark.parametrize("fixture", ["lat8_t0", "lat8_t10"])
@@ -745,9 +743,10 @@ def test_lattice_row_0_is_row_d_and_one_more_term(fixture, request):
     # row 0 (offset M + 1) holds row D (offset M + 2) plus (M + 1)^(-s_c)
     lat = request.getfixturevalue(fixture)
     for c in (0, 1, 7, 15):
-        ends = _power_ball(Fraction(DEFAULT_M + 1), Fraction(1, 2) + c, lat.t, 96)
-        term = ComplexBox(RealInterval(*ends[:2]), RealInterval(*ends[2:]))
-        assert lat.rows[0, c].intersects(lat.rows[lat.D, c] + term), c
+        re_lo, re_hi, im_lo, im_hi = _power_ball(Fraction(DEFAULT_M + 1), Fraction(1, 2) + c, lat.t, 96)
+        with ivprec(53):
+            row_d = iv_complex(lat.rows[lat.D, c]) + iv_complex(((re_lo, re_hi), (im_lo, im_hi)))
+        assert meets(lat.rows[0, c], row_d), c
 
 
 def test_lattice_validates_arguments(tmp_path):
@@ -937,7 +936,8 @@ def test_nearest_row_selection():
 
     def row(a, q):
         head = sum((n + a / q) ** -0.5 for n in range(DEFAULT_M + 1))
-        return round(query(lat, a, q).re.mid() - head)
+        z = query(lat, a, q)
+        return round((z.re.lo + z.re.hi) / 2 - head)
 
     assert row(1, 2) == 4
     assert row(3, 16) == 2  # exact tie 1.5 goes to the larger row
@@ -1164,7 +1164,8 @@ def test_taylor_tail_dominates_brute_terms():
         dk = delta**K
         for k in range(K, K + 50):
             coef = dk * poch / math.factorial(k)
-            brute += coef * cells[0, k - K].abs().hi_fraction()
+            with ivprec(53):
+                brute += coef * ends(abs(iv_complex(cells[0, k - K])))[1]
             poch *= smag + k
             dk *= delta
         assert brute <= bound, (a, q, t)

@@ -1,6 +1,8 @@
-"""Every imported name in the package and its tests is used, only the
+"""Every imported name in the package and its tests is used, every
+function and class the package defines is named somewhere else, only the
 package's two big-float kernel users import mpmath (mpmath.libmp
-included), and the scalar interval tier calls no math transcendental.
+included), the scalar cells' module (interval.py) calls no math
+transcendental, and only ivec.py makes interval cells.
 
 A stdlib-ast check: a name bound by an import statement must be read
 somewhere else in the same module.  Names listed in the module's __all__
@@ -177,3 +179,107 @@ def test_check_sees_a_math_transcendental(tmp_path):
     assert math_transcendentals(src) == ["2 log", "3 math.exp", "3 math.atan"]
     src.write_text("import math\nx = math.sqrt(2.0) + math.nextafter(1.0, 2.0) + math.pi\n")
     assert math_transcendentals(src) == []
+
+
+# ---------------------------------------------------------------------------
+# dead definitions
+
+SOURCES = FILES + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _mentions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each name the module mentions, with its line: loaded or bound names,
+    attributes, imported names, and strings that are identifiers (getattr,
+    monkeypatch.setattr and perfbench's TRACED table name functions so)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(alias.name.split(".")[-1], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out.append((node.value, node.lineno))
+    return out
+
+
+def dead_definitions(package: list[Path], sources: list[Path]) -> list[str]:
+    """Each function and class defined in package (methods and nested
+    ones included, dunder methods exempt) that no file of sources names
+    outside its own definition."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*package, *sources}}
+    mentions: dict[str, list[tuple[Path, int]]] = {}
+    for path in sources:
+        for name, line in _mentions(trees[path]):
+            mentions.setdefault(name, []).append((path, line))
+    dead = []
+    for path in package:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(other != path or line not in own for other, line in mentions.get(node.name, [])):
+                dead.append((path.name, node.lineno, node.name))
+    return [f"{name}:{line} {what}" for name, line, what in sorted(dead)]
+
+
+def test_every_package_definition_is_named_elsewhere():
+    package = sorted((ROOT / "src" / "grhdesk").glob("*.py"))
+    assert dead_definitions(package, SOURCES) == []
+
+
+def test_check_sees_a_dead_definition(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.x = self.used()\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    def dead(self):\n"
+        "        return self.dead()\n"
+        "def run(name):\n"
+        "    return getattr(A(), name)\n"
+        "def unused():\n"
+        "    pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from mod import run\nrun('run')\n")
+    assert dead_definitions([src], [src, user]) == ["mod.py:6 dead", "mod.py:10 unused"]
+
+
+# ---------------------------------------------------------------------------
+# interval cells
+
+
+def cell_constructions(path: Path) -> list[str]:
+    """Each call of RealInterval or ComplexBox in the module, by name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in ("RealInterval", "ComplexBox"):
+                found.append(f"{node.lineno} {name}")
+    return found
+
+
+def test_only_ivec_makes_interval_cells():
+    # a cell is one read-only element of an IVec or CVec: every enclosure
+    # the package computes is an array, and only indexing one makes a cell
+    src = sorted((ROOT / "src" / "grhdesk").glob("*.py"))
+    assert {p.name for p in src if cell_constructions(p)} == {"ivec.py"}
+
+
+def test_check_sees_a_cell_construction(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from .interval import ComplexBox, RealInterval\n"
+        "from . import interval\n"
+        "def f(x: RealInterval) -> ComplexBox:\n"
+        "    return ComplexBox(RealInterval(1.0, 2.0), interval.RealInterval(0.0, 0.0))\n"
+    )
+    assert cell_constructions(src) == ["4 ComplexBox", "4 RealInterval", "4 RealInterval"]

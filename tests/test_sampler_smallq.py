@@ -8,6 +8,7 @@ enclosures at the same ordinates therefore check both.  The dual values
 and both error bounds are also checked against mpmath directly.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from grhdesk import sampler_smallq
+from grhdesk import ivec, sampler_largeq, sampler_smallq
 from grhdesk.characters import CharGroup, char_group
 from grhdesk.errors import (
     BetaConditionViolated,
@@ -26,7 +27,7 @@ from grhdesk.errors import (
     TailDivergence,
     XConditionViolated,
 )
-from grhdesk.interval import RealInterval
+from grhdesk.interval import _ratio_ends
 from grhdesk.ivec import IVec
 from grhdesk.sampler_largeq import sample_all, sample_range
 from grhdesk.sampler_smallq import (
@@ -64,7 +65,7 @@ def test_smallq_realness_projection(grid_q5, monkeypatch):
     # with the right constant every assembled box straddles the real axis
     # (grid_q5 was built without RealnessViolation); rotating the constant
     # by i makes the completed value purely imaginary, which must be refused
-    assert all(s.sign() == 1 for s in grid_q5.samples)
+    assert all(s.lo > 0.0 for s in grid_q5.samples)
     original = CharGroup.char_meta
 
     def rotated(self, idx, *args, **kwargs):
@@ -207,9 +208,10 @@ def test_zeta_nine_eighths_contains_mpmath():
     with mpmath.workdps(50):
         man, exp = mpmath.zeta(mpmath.mpf(9) / 8).man_exp
     ref = Fraction(man) * Fraction(2) ** exp
-    assert z.lo_fraction() <= ref <= z.hi_fraction()
-    assert z.hi_fraction() <= Fraction(8.58624129451062)
-    assert z.hi_fraction() - z.lo_fraction() <= Fraction(1e-13)
+    lo, hi = Fraction(float(z.lo)), Fraction(float(z.hi))
+    assert lo <= ref <= hi
+    assert hi <= Fraction(8.58624129451062)
+    assert hi - lo <= Fraction(1e-13)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -303,16 +305,43 @@ def test_t_grid_error_refuses_ordinates_outside_the_plan(m_max):
         t_grid_error(default_plan(), 7, 0, m_max)
 
 
-def _real_products(monkeypatch, fn, *args):
-    """The number of scalar RealInterval products fn(*args) makes."""
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_all(7, math.nan, 16),
+        lambda: sample_all(7, 16, math.inf),
+        lambda: sample_all(7, 16, 17, math.nan),
+        lambda: sample_range(7, (1,), -math.inf, 16),
+        lambda: smallq_all(7, None, math.nan),
+        lambda: smallq_all(7, None, math.inf),
+        lambda: FftPlan(A=math.inf, B=1),
+        lambda: FftPlan(A=16, B=math.nan),
+    ],
+    ids=["sample_all-nan", "sample_all-inf", "sample_all-nan-step", "sample_range--inf",
+         "smallq_all-nan", "smallq_all-inf", "FftPlan-inf-A", "FftPlan-nan-B"],
+)
+def test_non_finite_ordinates_raise_domain_error(monkeypatch, call):
+    # refused before any table, lattice, budget or dual value is made
+    def refused(*args, **kwargs):
+        raise AssertionError("work before the ordinates were checked")
+
+    monkeypatch.setattr(sampler_largeq, "_make_tables", refused)
+    monkeypatch.setattr(sampler_smallq, "alias_bound_fhat", refused)
+    monkeypatch.setattr(sampler_smallq, "_dual_values", refused)
+    with pytest.raises(DomainError, match="finite"):
+        call()
+
+
+def _block_ops(monkeypatch, fn, *args):
+    """The number of rounded block operations (ivec._counted calls) fn(*args) makes."""
     calls = [0]
-    mul = RealInterval.__mul__
+    counted = ivec._counted
 
-    def counted(self, other):
+    def tallied(*a, **kw):
         calls[0] += 1
-        return mul(self, other)
+        return counted(*a, **kw)
 
-    monkeypatch.setattr(RealInterval, "__mul__", counted)
+    monkeypatch.setattr(ivec, "_counted", tallied)
     fn(*args)
     monkeypatch.undo()
     return calls[0]
@@ -320,26 +349,26 @@ def _real_products(monkeypatch, fn, *args):
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_error_budgets_make_no_scalar_product_per_bin_or_ordinate(monkeypatch, parity):
-    # the budgets are whole-range array passes: their scalar work is a
-    # fixed set of constants, whatever N or m_max
+    # the budgets are whole-range array passes: the array operations they
+    # make are a fixed set, whatever N or m_max
     plans = [FftPlan(A=Fraction(8), B=Fraction(8)), default_plan()]
-    alias = [_real_products(monkeypatch, alias_bound_fhat, p, 7, parity) for p in plans]
-    tgrid = [_real_products(monkeypatch, t_grid_error, PLAN, 7, parity, m) for m in (1, 300)]
+    sampler_smallq.zeta_nine_eighths()  # a cached constant, made once per process
+    alias = [_block_ops(monkeypatch, alias_bound_fhat, p, 7, parity) for p in plans]
+    tgrid = [_block_ops(monkeypatch, t_grid_error, PLAN, 7, parity, m) for m in (1, 300)]
     assert alias[0] == alias[1] and tgrid[0] == tgrid[1]
-    assert 0 < max(alias + tgrid) < 30
+    assert 0 < max(alias + tgrid) < 40
 
 
 def test_exact_ratios_past_two_to_the_53():
     # the budgets' rationals (object arrays from _shifts) round through
-    # IVec.from_ratios as RealInterval.from_fraction, with numerators and
+    # IVec.from_ratios as through _ratio_ends, with numerators and
     # denominators below and past 2^53
     for den in (12, 2**60 + 1):
         nums = np.array([[2**60 + 1, -3], [0, 7 * den]], dtype=object)
         v = IVec.from_ratios(nums, den)
         assert v.shape == (2, 2)
         for (i, j), n in np.ndenumerate(nums):
-            ref = RealInterval.from_fraction(Fraction(n, den))
-            assert (v.lo[i, j], v.hi[i, j]) == (ref.lo, ref.hi), (n, den)
+            assert (v.lo[i, j], v.hi[i, j]) == _ratio_ends(n, den), (n, den)
 
 
 # ---------------------------------------------------------------------------
