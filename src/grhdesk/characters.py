@@ -14,10 +14,12 @@ character values are exact rational phases (fractions of a turn), so parity,
 conjugation and primitivity are exact integer computations; only the final
 complex embedding e(phase) rounds, and it rounds outward into boxes.  Root
 numbers and completion constants come from the Gauss sum in integer fixed
-point, each side rounded outward to a double once, and each character's are
-kept on its group (CharGroup.char_meta).  Both samplers certify primitive
-characters only, so char_meta is also where an index is checked primitive:
-an imprimitive one raises NotPrimitive before any Gauss sum runs.
+point, on the exact kernel's roots of unity (balls.fixed_unit_powers), each
+side rounded outward to a double once (balls.fixed_quotient), and each
+character's are kept on its group (CharGroup.char_meta).  Both samplers
+certify primitive characters only, so char_meta is also where an index is
+checked primitive: an imprimitive one raises NotPrimitive before any Gauss
+sum runs.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_pi, mpf_shift, to_int
 
+from .balls import fixed_quotient, fixed_unit_powers
 from .errors import HypothesisViolated, NotPrimitive, QTooSmall
-from .hurwitz import _GUARD
-from .interval import _narrow
 from .ivec import CVec
 
 # the precision of the Gauss sums in integer fixed point: their unity
@@ -255,18 +255,17 @@ class CharGroup:
     def _fixed_unity_tables(self):
         """Fixed-point e(a/q), a < q, and e(c/exponent), c < exponent.
 
-        Returns (shift, q_table, exponent_table), each table as built by
-        _fixed_unit_powers at scale 2^-shift, built on first use and kept.
-        The guard bits above GAUSS_BITS absorb the radius growth of the
-        recurrences and of the phi(q)-term Gauss sum, both O(q^2) units of
-        the last place.
+        Returns (shift, q_table, exponent_table), each table the (re, im,
+        rad) of balls.fixed_unit_powers at scale 2^-shift, re and im as
+        object arrays, built on first use and kept.  The guard bits above
+        GAUSS_BITS absorb the radius growth of the recurrences and of the
+        phi(q)-term Gauss sum, both O(q^2) units of the last place.
         """
         if self._unity_tables is None:
             shift = GAUSS_BITS + 2 * self.q.bit_length() + 16
-            self._unity_tables = (
-                shift,
-                _fixed_unit_powers(self.q, shift),
-                _fixed_unit_powers(self.exponent, shift),
+            tables = (fixed_unit_powers(n, shift) for n in (self.q, self.exponent))
+            self._unity_tables = (shift,) + tuple(
+                (np.array(x, dtype=object), np.array(y, dtype=object), r) for x, y, r in tables
             )
         return self._unity_tables
 
@@ -347,19 +346,20 @@ class CharGroup:
         2^-scale N lies within 1 + 2 rad of the integer point c, and
         |N/|N| - c/|c|| <= 2 |N - c|/|c| for N != 0, so w is c/|c| padded
         by 2 (1 + 2 rad)/|c|, with isqrt bracketing |c|.  Each end of
-        either cell is rounded outward to a double once (_fixed_quotient).
+        either cell is rounded outward to a double once
+        (balls.fixed_quotient).
         """
         x, y, rad, scale = self._gauss_fixed(idx)
         if parity == 1:
             x, y = y, -x  # divide by i
         s = math.isqrt(self.q << 2 * scale)
-        root = _fixed_quotient(x, y, s, 2 * rad, scale)
+        root = CVec.from_ends(fixed_quotient(x, y, s, 2 * rad, scale))
         abs2 = root.abs2()[0]
         if not abs2.lo <= 1.0 <= abs2.hi:
             raise HypothesisViolated(f"|root number|^2 = {abs2!r} misses 1 for index {idx} mod {self.q}")
         sign = -1 if root.re.hi[0] < 0.0 else 1
         cx, cy = s + sign * x, -sign * y
-        w = _fixed_quotient(cx, cy, math.isqrt(cx * cx + cy * cy), 2 * (1 + 2 * rad), scale)
+        w = CVec.from_ends(fixed_quotient(cx, cy, math.isqrt(cx * cx + cy * cy), 2 * (1 + 2 * rad), scale))
         return root, (w.mul_i() if sign == -1 else w)
 
     def char_meta(self, idx) -> CharMeta:
@@ -391,63 +391,6 @@ class CharGroup:
             root, w = self._root_and_constant(idx, parity)
             meta = self._metas[idx] = CharMeta(parity=parity, epsilon=w, root_number=root)
         return meta
-
-
-def _fixed_quotient(x: int, y: int, d: int, r: int, scale: int) -> CVec:
-    """One-cell CVec holding (x + iy)/D + delta for all d <= D < d + 1 and |delta| <= r/d.
-
-    x, y, r >= 0 and d > 0 are integers.  At scale 2^-scale each part v/D lies
-    between the floors of v 2^scale/(d + 1) and v 2^scale/d and the next
-    integer above the larger; the pad is ceil(r 2^scale/d), and each side
-    is rounded outward to a double once.
-    """
-    one = 1 << scale
-    pad = -(-r * one // d)
-    ends = []
-    for v in (x, y):
-        a, b = v * one // (d + 1), v * one // d
-        ends += _narrow(min(a, b) - pad, max(a, b) + 1 + pad, -scale)
-    return CVec.from_block(np.reshape(ends, (2, 2, 1)))
-
-
-def _fixed_unit_powers(n: int, shift: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """e(k/n) for k = 0..n-1 as integers at scale 2^-shift, with one radius.
-
-    Returns object arrays (re, im) of Python ints and an integer rad with
-    |(re[k] + i im[k]) 2^-shift - e(k/n)| <= rad 2^-shift for every k.
-    The only transcendental is e(1/n): one mpf_cos_sin of 2 pi/n at
-    shift + 8 + _GUARD bits, each part rounded to the nearest integer
-    (x_1, y_1).  The kernel is trusted to hurwitz._BIG_TRANS_ULPS ulps at
-    shift + 8 bits, below 2^-6 units of 2^-shift, and 2 pi/n is rounded
-    at shift + 8 + _GUARD bits, so with the rounding to integers each
-    part is within one unit: r_1 = 2.  When n divides 4, e(1/n) is 1, -1
-    or i, the parts round to it exactly, and r_1 = 0.  The rest is the
-    recurrence z_{k+1} = round(z_k z_1 / 2^shift), whose error (in units
-    of 2^-shift) obeys
-
-        r_{k+1} <= r_k + r_1 + r_k r_1 / 2^shift + 1,
-
-    the last term covering the round-to-nearest of both parts; it is left
-    out when the product is exact, so exact phases such as e(1/4) stay
-    exact.  It serves the Gauss sums (tables of e(a/q) and e(c/exponent))
-    and every DFT twiddle and chirp (dft.unity_table), which reads each
-    entry as a midpoint with the shared radius.
-    """
-    one = 1 << shift
-    half = one >> 1
-    prec = shift + 8 + _GUARD
-    two_pi_n = mpf_div(mpf_shift(mpf_pi(prec, "n"), 1), from_int(n), prec, "n")
-    x1, y1 = (to_int(mpf_shift(v, shift), "n") for v in mpf_cos_sin(two_pi_n, prec, "n"))
-    r1 = 0 if 4 % n == 0 else 2
-    re, im = [one], [0]
-    x, y, rad = one, 0, 0
-    for _ in range(1, n):
-        vx, vy = x * x1 - y * y1, x * y1 + y * x1
-        x, y = (vx + half) >> shift, (vy + half) >> shift
-        rad += r1 - ((-rad * r1) >> shift) + (x << shift != vx or y << shift != vy)
-        re.append(x)
-        im.append(y)
-    return np.array(re, dtype=object), np.array(im, dtype=object), rad
 
 
 @lru_cache(maxsize=64)

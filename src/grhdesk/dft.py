@@ -8,7 +8,7 @@ dft_bluestein compute the backward sum only, the one every character sum
 needs.
 
 Every twiddle and chirp comes from one table per length, unity_table(n):
-the exact fixed-point recurrence of characters._fixed_unit_powers (one
+the exact kernel's fixed-point recurrence (balls.fixed_unit_powers: one
 big-float transcendental per length, one integer radius), narrowed once to
 hardware endpoints and cached.  Bluestein's chirp of length n is
 unity_table(2n) read at j^2 mod 2n.
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .characters import CharGroup, _fixed_unit_powers
-from .hurwitz import _narrow_ball
+from .balls import fixed_unit_powers, narrow_ball
+from .characters import CharGroup
 from .ivec import CVec
 
 _NAIVE_LIMIT = 64  # axis lengths above this go through Bluestein
@@ -45,16 +45,15 @@ def unity_table(n: int) -> CVec:
     The fixed-point table of e(j/n) at scale 2^-shift, with
     shift = 53 + 2 bitlen(n) + 16 (the guard bits that
     CharGroup._fixed_unity_tables adds to GAUSS_BITS), is conjugated and
-    each side narrowed to a double once, by the lattice powers' narrowing
-    (hurwitz._narrow_ball).  Entries with 4j = 0 mod n are
-    the exact points 1, -i, -1, i.
+    each side narrowed to a double once (balls.narrow_ball).  Entries
+    with 4j = 0 mod n are the exact points 1, -i, -1, i.
     """
     tab = _table_cache.get(n)
     if tab is not None:
         return tab
     shift = 53 + 2 * n.bit_length() + 16
-    re, im, rad = _fixed_unit_powers(n, shift)
-    sides = np.array([_narrow_ball((x, -y, rad, -shift), False) for x, y in zip(re, im)])
+    re, im, rad = fixed_unit_powers(n, shift)
+    sides = np.array([narrow_ball((x, -y, rad, -shift), False) for x, y in zip(re, im)])
     j = np.flatnonzero(4 * np.arange(n) % n == 0)
     sides[j] = _QUARTER_POINTS[4 * j // n]
     tab = CVec.from_block(sides.T.reshape(2, 2, n).copy())

@@ -1,7 +1,7 @@
 """Rigorous Hurwitz zeta evaluation.
 
-Two stages, the build and the query, on one Euler-Maclaurin kernel
-(_em_rows) and one power kernel (_ball):
+The lattice and the unit query: two stages on one Euler-Maclaurin
+kernel (_em_rows), whose powers are the exact kernel's balls (balls):
 
 * ``build_lattice`` — a precomputed grid of tail values
   zeta_M(1/2 + it + c, r/D), r = 0..D, along one horizontal line, built
@@ -9,10 +9,8 @@ Two stages, the build and the query, on one Euler-Maclaurin kernel
   (D+1, Ncols+1) interval array, on disk only in a given cache_dir.  Its only
   big-float work is the powers (n + alpha)^{-s}.  Every base is an
   integer m over D and m -> m^{-s} is completely multiplicative, so only
-  primes are transcendental: each prime p^{-s}, and D^{s}, is an integer
-  fixed-point ball whose modulus is an exact integer root and whose
-  phase takes one log and one cos_sin kernel call, trusted to a few
-  ulps; every base (m/D)^{-s} is then an exact Gaussian-integer
+  primes are transcendental: each prime p^{-s}, and D^{s}, is one
+  balls.ball, and every base (m/D)^{-s} is then an exact Gaussian-integer
   fixed-point product of a prime's ball and a smaller base's, down to
   D^{s}.  Its bases m/D are rounded in one numpy pass.  Of its
   per-column constants, 1/(s_c - 1), which sets each cell's largest
@@ -43,20 +41,9 @@ over the ordinates, so a block's values are those of its ordinates one
 at a time, bit for bit, and a block costs the interval-array calls of
 one ordinate; a single ordinate is the one-element block.
 
-The samplers' other Hurwitz-type constants come from the same kernels:
-zeta(9/8) is one _em_rows cell, and q^(-s) one _power_ball.  The ball
-kernels also serve Gamma: log_gamma is Stirling's series in the same
-integer fixed point, at exact rational points, with one mpf_log and one
-mpf_atan2 for w and one of each for the shift product, and
-_gamma_factor exponentiates it into the completion's archimedean factor
-with one _exp_ball (one mpf_exp and one mpf_cos_sin).  The small-q
-sampler's point values are balls of the same kind, at the same
-precision _GAMMA_BITS: its theta terms, prefactors and recovery factors
-are _exp_ball calls on exact multiples of pi (_pi_ball) and log pi
-(_log_pi), composed by _ball_mul, _ball_scale and _ball_sum.  The
-kernels' exact Bernoulli numbers are bernoulli's.  The scalar
-Euler-Maclaurin evaluation the kernels are tested against, one value at
-a time, is the oracle in tests/em_oracle.py.
+The small-q sampler's zeta(9/8) is one _em_rows cell.  The scalar
+Euler-Maclaurin evaluation the kernel is tested against, one value at a
+time, is the oracle in tests/em_oracle.py.
 
 This module alone knows the lattice: its layout, its default row count
 (lattice_size), its truncation, its file format (save_lattice,
@@ -75,27 +62,9 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-from mpmath.libmp import (
-    bernfrac,
-    from_float,
-    from_int,
-    from_man_exp,
-    from_rational,
-    mpf_atan2,
-    mpf_cos_sin,
-    mpf_div,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    mpf_neg,
-    mpf_pi,
-    mpf_shift,
-    to_float,
-    to_int,
-)
 
-from .errors import DomainError, NonPositiveRealPart, PoleProximity, RadiusViolation
-from .interval import _narrow
+from .balls import GUARD, ball_mul, bernoulli, modulus, narrow_ball, pi_fixed, turn
+from .errors import DomainError, PoleProximity, RadiusViolation
 from .ivec import CVec, IVec
 
 # the cap of the default row count (lattice_size)
@@ -109,20 +78,7 @@ DEFAULT_M = 9
 # barely narrow a cell.
 DEFAULT_BUILD_BITS = 64
 
-# The big-float kernels (mpmath.libmp's log, atan2, exp, cos_sin and pi)
-# run with _GUARD bits above the precision they serve, and each result is
-# trusted to _BIG_TRANS_ULPS ulps at that precision
-_GUARD = 32
-_BIG_TRANS_ULPS = 2
-
 _HALF = Fraction(1, 2)
-
-
-@cache
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n."""
-    p, q = bernfrac(n)
-    return Fraction(int(p), int(q))
 
 
 def zeta_upper(m: int) -> Fraction:
@@ -162,439 +118,6 @@ def auto_params(sigma: Fraction, t: float, alpha: Fraction, bits: int) -> tuple[
 # the lattice kernel: every row and column at once
 
 
-# a fixed-point ball (X, Y, R, e): a value within R 2^e of (X + iY) 2^e
-_Ball = tuple[int, int, int, int]
-
-
-def _ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> _Ball:
-    """Enclosure of x^{-(sigma + it)} for x > 0 as a fixed-point ball (X, Y, R, e).
-
-    The value lies within R 2^e of (X + iY) 2^e: a disc of integer radius
-    on Gaussian-integer midpoints, built in integer fixed point at
-    prec = bits + _GUARD.  For x = n/d and sigma = u/v the modulus
-    x^{-sigma} is the integer v-th root of d^u 2^{vF} / n^u (math.isqrt
-    at v = 2), exact to one unit of 2^-F.  The phase -t log x is the exact
-    product of the double t and one mpf_log, and feeds one mpf_cos_sin;
-    each kernel result is trusted to _BIG_TRANS_ULPS ulps at `bits`.  The
-    integer radius carries the rounding of x into the log, the trust of
-    both kernels, the truncations to integers, and (|t| + |sigma|)
-    rad(log): |t| rad(log) into the phase, which moves e^{i phase} by no
-    more along the unit circle, and |sigma| rad(log) into the modulus.
-    The integer root needs no such term, but with it the ball keeps the
-    contract of the form exp(-s log x): it holds exp(-s l) for l at
-    log x -+ the log kernel's trust, a few ulps at `bits`.  The midpoint
-    is truncated to prec bits.
-
-    The root and the log do not depend on t: _modulus makes them once and
-    _turn each ordinate's ball from them, so a block of ordinates pays one
-    root and one mpf_log per base.
-    """
-    return _turn(_modulus(x, sigma, bits), t)
-
-
-# the t-free part of a _ball: (mod, F, log, its radius in units of
-# 2^-prec, |sigma| as u / v, bits)
-_Modulus = tuple[int, int, tuple, int, int, int, int]
-
-
-def _modulus(x: Fraction, sigma: Fraction, bits: int) -> _Modulus:
-    """The integer root mod = floor(2^F x^{-sigma}) and mpf_log(x) of _ball."""
-    prec = bits + _GUARD
-    n, d = x.numerator, x.denominator
-    u, v = sigma.numerator, sigma.denominator
-    top, bot = (d, n) if u >= 0 else (n, d)
-    u = abs(u)
-    # x^{-sigma} = (top/bot)^{u/v} >= 2^{u (bits(top) - bits(bot) - 1)/v},
-    # so the root floor(2^F x^{-sigma}) has at least prec bits
-    F = prec - u * (top.bit_length() - bot.bit_length() - 1) // v
-    num, den = top**u, bot**u
-    if F >= 0:
-        num <<= v * F
-    else:
-        den <<= -v * F
-    mod = _iroot(num // den, v)  # 2^F x^{-sigma} lies in [mod, mod + 1)
-
-    # units of 2^-prec below: |log x~ - log x| <= 2 for the rounding of x
-    lg = mpf_log(from_rational(n, d, prec, "n"), prec, "n")
-    return mod, F, lg, _trust_units(lg, bits, prec) + 2, u, v, bits
-
-
-def _turn(m: _Modulus, t: float) -> _Ball:
-    """The _ball at ordinate t from its t-free part m = _modulus(x, sigma, bits)."""
-    mod, F, lg, rad_lg, u, v, bits = m
-    prec = bits + _GUARD
-    tn, td = abs(t).as_integer_ratio()
-    # (|t| + |sigma|) rad(log), |sigma| = u / v
-    rad_s = -(-(tn * v + u * td) * rad_lg // (td * v))
-    c, s = mpf_cos_sin(mpf_neg(mpf_mul(from_float(t), lg)), prec, "n")
-    C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
-    X, Y = mod * C, mod * S
-    # the exact value is (mod + f) e^{i th} with 0 <= f < 1 and |th - th~|
-    # <= |t| rad(log); e^{i th} moves by at most |th - th~| on the unit
-    # circle, and C + iS is within trust + 1 of e^{i th~} in each part
-    rad_unit = rad_s + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
-    R = mod * rad_unit + (1 << prec)
-    # cos^2 + sin^2 = 1 and mod >= 2^prec, so k > 0; each shift moves its
-    # part by less than one unit of 2^k
-    k = max(abs(X), abs(Y)).bit_length() - prec
-    return X >> k, Y >> k, (R >> k) + 3, k - F - prec
-
-
-def _trust_units(v, bits: int, prec: int) -> int:
-    """_BIG_TRANS_ULPS ulps at `bits` of a raw mpf, in units of 2^-prec, rounded up.
-
-    The ulp comes from the mpf's own exponent: 2^(exponent + bit length
-    - bits), or 2^(-5 bits) for an exact zero.
-    """
-    e = (v[2] + v[3] if v[1] else -4 * bits) - bits + prec
-    return _BIG_TRANS_ULPS << e if e >= 0 else -(-_BIG_TRANS_ULPS >> -e)
-
-
-def _iroot(N: int, v: int) -> int:
-    """floor(N^(1/v)) for integers N >= 0 and v >= 1."""
-    if v == 2:
-        return math.isqrt(N)
-    if v == 1 or N < 2:
-        return N
-    r = 1 << -(-N.bit_length() // v)  # >= N^(1/v); Newton descends to the floor
-    while True:
-        s = ((v - 1) * r + N // r ** (v - 1)) // v
-        if s >= r:
-            return r
-        r = s
-
-
-def _to_fixed(v, e: int) -> int:
-    """A raw finite mpf as an integer multiple of 2^e, truncated toward zero."""
-    sign, man, exp, _ = v
-    n = man << (exp - e) if exp >= e else man >> (e - exp)
-    return -n if sign else n
-
-
-def _ball_mul(u: _Ball, v: _Ball, prec: int) -> _Ball:
-    """Product of two fixed-point balls, its midpoint truncated to prec bits.
-
-    The Gaussian-integer midpoint product is exact; the radius is
-    |mid u| R_v + |mid v| R_u + R_u R_v plus the truncation, with
-    |X + iY| <= max + min/2 over |X|, |Y| (as sqrt(1 + x^2) <= 1 + x/2).
-    """
-    X1, Y1, R1, e1 = u
-    X2, Y2, R2, e2 = v
-    X, Y = X1 * X2 - Y1 * Y2, X1 * Y2 + Y1 * X2
-    R = _mid_mag(X1, Y1) * R2 + _mid_mag(X2, Y2) * R1 + R1 * R2
-    k = max(abs(X), abs(Y)).bit_length() - prec
-    if k <= 0:
-        return X, Y, R, e1 + e2
-    # X >> k and Y >> k each move their part by less than one unit of 2^k
-    return X >> k, Y >> k, (R >> k) + 3, e1 + e2 + k
-
-
-def _ball_sum(balls: list[_Ball]) -> _Ball:
-    """The sum of fixed-point balls at their largest exponent; the empty
-    sum is exactly 0."""
-    X = Y = R = 0
-    e = max((b[3] for b in balls), default=0)
-    for x, y, r, eb in balls:
-        s = e - eb
-        # a floor shift moves each part by less than one unit of 2^e
-        X, Y, R = X + (x >> s), Y + (y >> s), R - (-r >> s) + (2 if s else 0)
-    return X, Y, R, e
-
-
-def _ball_scale(z: _Ball, num: int, den: int, prec: int) -> _Ball:
-    """z num / den for integers num and den > 0, at the fixed scale 2^-prec."""
-    X, Y, R, e = z
-    s = e + prec
-    if s >= 0:
-        num <<= s
-    else:
-        den <<= -s
-    # each floor moves its part by less than one unit
-    return X * num // den, Y * num // den, -(-R * abs(num) // den) + 2, -prec
-
-
-def _mid_mag(X: int, Y: int) -> int:
-    """An integer upper bound on |X + iY|."""
-    a, b = abs(X), abs(Y)
-    return (a + (b >> 1) if a >= b else b + (a >> 1)) + 1
-
-
-def _narrow_ball(z: _Ball, real: bool) -> tuple[float, float, float, float]:
-    """A fixed-point ball as (re.lo, re.hi, im.lo, im.hi) doubles.
-
-    real says the exact value is real (a positive base to a real power),
-    so the imaginary sides are [0, 0] whatever the radius.
-    """
-    X, Y, R, e = z
-    im = (0.0, 0.0) if real else _narrow(Y - R, Y + R, e)
-    return (*_narrow(X - R, X + R, e), *im)
-
-
-def _exp_ball(z: _Ball) -> _Ball:
-    """e^z for a fixed-point ball z = (X, Y, R, -prec), as a ball with a
-    prec-bit midpoint; DomainError if R > 2^(prec - 2).
-
-    One mpf_exp of the real part gives the modulus and one mpf_cos_sin of
-    the imaginary part the phase, each trusted to _BIG_TRANS_ULPS ulps
-    at prec - _GUARD bits.
-    """
-    X, Y, R, e = z
-    prec = -e
-    bits = prec - _GUARD
-    if R > 1 << (prec - 2):
-        raise DomainError(f"ball of radius {R} x 2^{e} too wide to exponentiate")
-    # the modulus e^{X~ + delta}, |delta| <= R units <= 1/4, is within
-    # (2R (1 + 2^-_GUARD) + trust + 1) units of 2^-prec of mpf_exp's E,
-    # relative to E, as e^delta - 1 <= 2 |delta| there; the phase as in _turn
-    _, man, exp, _ = mpf_exp(from_man_exp(X, e), prec, "n")
-    rel = 2 * R + (R >> _GUARD) + (_BIG_TRANS_ULPS << (_GUARD + 1)) + 1
-    c, s = mpf_cos_sin(from_man_exp(Y, e), prec, "n")
-    C, S = _to_fixed(c, -prec), _to_fixed(s, -prec)
-    rad_unit = R + _trust_units(c, bits, prec) + _trust_units(s, bits, prec) + 2
-    Xo, Yo, Ro = man * C, man * S, man * (rel + rad_unit)
-    k = max(max(abs(Xo), abs(Yo)).bit_length() - prec, 0)
-    return Xo >> k, Yo >> k, (Ro >> k) + 3, exp - prec + k
-
-
-def _power_ball(x: Fraction, sigma: Fraction, t: float, bits: int) -> tuple[float, float, float, float]:
-    """Enclosure of x^{-(sigma + it)} for x > 0 as (re.lo, re.hi, im.lo, im.hi) doubles.
-
-    One _ball at `bits`, narrowed: the sampler's q^(-s)
-    (sampler_largeq.q_pow), and the single-power form of the lattice
-    powers, against which the sieve (_sieved_powers) is tested.
-    """
-    return _narrow_ball(_ball(x, sigma, t, bits), t == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# log Gamma on the same balls
-
-
-# every point ball (log_gamma's, the completion's, q^(-s) and small q's
-# values) is trusted at _GAMMA_BITS, in fixed point at 2^-_GAMMA_PREC:
-# 43 bits past a double, so a value made from them narrows to doubles a
-# few ulps wide
-_GAMMA_BITS = 96
-_GAMMA_PREC = _GAMMA_BITS + _GUARD
-# the Stirling remainder is held below 2^-_STIRLING_GOAL_BITS, 12 bits
-# below one ulp of 1: it moves e^(log Gamma), narrowed to doubles, by
-# 1/2048 of an ulp at most
-_STIRLING_GOAL_BITS = 64
-# the most Stirling terms log_gamma sums: at the goal, 12 terms serve
-# |w| >= 11.5, and log_gamma shifts a smaller argument right to there
-_STIRLING_CAP = 12
-
-
-@cache
-def _pi_fixed(prec: int) -> tuple[tuple, int, int]:
-    """pi as (the raw mpf, its midpoint at 2^-prec, radius), trusted at
-    prec - _GUARD bits: the one pi of log_gamma and _gamma_factor."""
-    pi = mpf_pi(prec, "n")
-    return pi, _to_fixed(pi, -prec), _trust_units(pi, prec - _GUARD, prec) + 1
-
-
-def _pi_ball(re, im) -> _Ball:
-    """pi (re + i im) for exact rationals re and im (ints, doubles or
-    Fractions) as a fixed-point ball at 2^-_GAMMA_PREC."""
-    _, pi, rad_pi = _pi_fixed(_GAMMA_PREC)
-    a, b = re.as_integer_ratio()
-    c, d = im.as_integer_ratio()
-    # each floor moves its part by less than one unit
-    R = -(-abs(a) * rad_pi // b) - (-abs(c) * rad_pi // d) + 2
-    return a * pi // b, c * pi // d, R, -_GAMMA_PREC
-
-
-@cache
-def _log_pi() -> tuple[int, int]:
-    """log pi at the scale 2^-_GAMMA_PREC as (midpoint, radius): one mpf_log
-    of _pi_fixed's pi."""
-    prec = _GAMMA_PREC
-    pi, _, rad_pi = _pi_fixed(prec)
-    lg = mpf_log(pi, prec, "n")
-    # |log pi~ - log pi| <= |pi~ - pi| / pi, below rad_pi units
-    return _to_fixed(lg, -prec), _trust_units(lg, _GAMMA_BITS, prec) + rad_pi + 1
-
-
-@cache
-def _stirling_table(goal_bits: int):
-    """log_gamma's constants, in fixed point at 2^-_GAMMA_PREC.
-
-    (the coefficients B_2k / (2k (2k-1)), k = 1.._STIRLING_CAP, each
-    truncated toward -infinity; the exact remainder constants
-    |B_{2K+2}| 2^{K+1} / ((2K+2)(2K+1)) as (numerator, denominator); the
-    float |w| from which K terms meet the goal 2^-goal_bits;
-    log(2 pi)/2 as (midpoint, radius)).
-    """
-    prec = _GAMMA_PREC
-    coefs = []
-    for k in range(1, _STIRLING_CAP + 1):
-        c = bernoulli(2 * k) / ((2 * k) * (2 * k - 1))
-        coefs.append((c.numerator << prec) // c.denominator)
-    rems = [
-        abs(bernoulli(2 * K + 2)) * 2 ** (K + 1) / ((2 * K + 2) * (2 * K + 1))
-        for K in range(1, _STIRLING_CAP + 1)
-    ]
-    reach = [
-        2.0 ** ((math.log2(c.numerator) - math.log2(c.denominator) + goal_bits) / (2 * K + 1))
-        for K, c in enumerate(rems, start=1)
-    ]
-    pi, _, rad_pi = _pi_fixed(prec)
-    # |log(2 pi~) - log(2 pi)| <= |pi~ - pi| / pi
-    half_log = mpf_shift(mpf_log(mpf_shift(pi, 1), prec, "n"), -1)
-    rad_log = _trust_units(half_log, _GAMMA_BITS, prec) + rad_pi + 1
-    return coefs, [c.as_integer_ratio() for c in rems], reach, (_to_fixed(half_log, -prec), rad_log)
-
-
-def _stirling_plan(x: float, y: float, reach: list[float]) -> tuple[int, int]:
-    """The fewest shifts n, then the fewest terms K, whose Stirling
-    remainder at w = x + n + iy meets log_gamma's goal.
-
-    reach[K - 1] is the float |w| from which K terms do (_stirling_table).
-    The choice is by floats; the bound that pads the sum is exact.
-    """
-    r_min = min(reach)
-    n = 0
-    if math.hypot(x, y) < r_min:
-        n = max(0, math.ceil(math.sqrt(r_min * r_min - y * y) - x))
-        while math.hypot(x + n, y) < r_min:
-            n += 1
-    r = math.hypot(x + n, y)
-    return n, next(K for K, reach_K in enumerate(reach, start=1) if reach_K <= r)
-
-
-# a ball (X, Y, R) at the fixed scale 2^-prec: within R 2^-prec of (X + iY) 2^-prec
-_Fixed = tuple[int, int, int]
-
-
-def _fixed_mul(u: _Fixed, v: _Fixed, prec: int) -> _Fixed:
-    """Product of two balls at the scale 2^-prec, as _ball_mul bounds it."""
-    X1, Y1, R1 = u
-    X2, Y2, R2 = v
-    R = _mid_mag(X1, Y1) * R2 + _mid_mag(X2, Y2) * R1 + R1 * R2
-    # each floor shift moves its part by less than one unit
-    return (X1 * X2 - Y1 * Y2) >> prec, (X1 * Y2 + Y1 * X2) >> prec, (R >> prec) + 3
-
-
-def _half_log_fixed(n: int, d: int) -> tuple[int, int]:
-    """log(n/d)/2 for integers n, d > 0 at the scale 2^-_GAMMA_PREC, as
-    (midpoint, radius): one mpf_log of n/d rounded to the kernel precision."""
-    prec = _GAMMA_PREC
-    lg = mpf_shift(mpf_log(from_rational(n, d, prec, "n"), prec, "n"), -1)
-    # n/d rounds by half an ulp, so its log moves by at most one unit
-    return _to_fixed(lg, -prec), _trust_units(lg, _GAMMA_BITS, prec) + 2
-
-
-def _atan2_fixed(y: int, x: int) -> tuple[int, int, tuple]:
-    """arg(x + iy) for integers, not both 0, at the scale 2^-_GAMMA_PREC,
-    as (midpoint, radius, the raw mpf): one mpf_atan2 of the exact integers."""
-    prec = _GAMMA_PREC
-    arg = mpf_atan2(from_int(y), from_int(x), prec, "n")
-    return _to_fixed(arg, -prec), _trust_units(arg, _GAMMA_BITS, prec) + 1, arg
-
-
-def log_gamma(x, y) -> _Ball:
-    """Principal log Gamma(x + iy) for exact rationals x > 0 and y, as a
-    fixed-point ball (X, Y, R, -_GAMMA_PREC).
-
-    x and y are ints, finite doubles or Fractions, taken exactly.
-    Stirling's series at w = z + n,
-    (w - 1/2) log w - w + log(2 pi)/2 + sum_{k<=K} B_2k / (2k (2k-1)) w^{1-2k},
-    has remainder |R_K| <= |B_{2K+2}| / ((2K+2)(2K+1)) sec(arg w / 2)^{2K+2}
-    / |w|^{2K+1}, and sec(arg w / 2)^{2K+2} <= 2^{K+1} while Re w > 0.  n
-    and K are the fewest shifts, then terms up to _STIRLING_CAP, whose
-    bound is at most 2^-_STIRLING_GOAL_BITS (_stirling_plan),
-    and log Gamma(z) = log Gamma(w) - log prod_{j<n} (z + j).
-
-    With z = (a + ib)/d over integers, the shift product is one exact
-    Gaussian integer over d^n: its log is one mpf_log of its squared
-    modulus and one mpf_atan2, on the branch that the float sum of the n
-    factors' atans picks (each lies in (-pi/2, pi/2), so the float sum is
-    within far less than pi of the exact one).  log w is one more mpf_log
-    and mpf_atan2.  The rest is integer fixed point at 2^-_GAMMA_PREC:
-    w and 1/w truncated, the Horner sum in 1/w^2 on Gaussian integers,
-    each step a _fixed_mul plus a coefficient B_2k / (2k (2k-1)) that is
-    truncated once, and the exact remainder bound at the integer lower
-    bound isqrt(|w|^2 d^2) on |w| d, rounded up into the radius.  Each
-    mpmath kernel result is trusted to _BIG_TRANS_ULPS ulps at
-    _GAMMA_BITS, as in _turn.  No Fraction is made past the inputs.
-    """
-    if any(isinstance(v, float) and not math.isfinite(v) for v in (x, y)):
-        raise NonPositiveRealPart(f"log_gamma at {x} + {y}i, not a finite point")
-    xn, xd = x.as_integer_ratio()
-    yn, yd = y.as_integer_ratio()
-    if xn <= 0:
-        raise NonPositiveRealPart(f"log_gamma at {x} + {y}i")
-    prec = _GAMMA_PREC
-    coefs, rems, reach, (half_log, rad_half_log) = _stirling_table(_STIRLING_GOAL_BITS)
-    d = math.lcm(xd, yd)
-    a, b = xn * (d // xd), yn * (d // yd)  # z = (a + ib) / d
-    n, K = _stirling_plan(a / d, b / d, reach)
-
-    # the shift product (a + jd + ib), j < n, and the float sum of its args
-    pr, pim, args = 1, 0, 0.0
-    for j in range(n):
-        u = a + j * d
-        pr, pim = pr * u - pim * b, pr * b + pim * u
-        args += math.atan2(b, u)
-    g = a + n * d  # w = (g + ib) / d
-    norm = g * g + b * b
-
-    # (w - 1/2) log w - w + log(2 pi)/2, w within 2 of W
-    lw_re, rad_lw_re = _half_log_fixed(norm, d * d)
-    lw_im, rad_lw_im, _ = _atan2_fixed(b, g)
-    W = ((g << prec) // d, (b << prec) // d, 2)
-    main = _fixed_mul((W[0] - (1 << (prec - 1)), W[1], 2), (lw_re, lw_im, rad_lw_re + rad_lw_im), prec)
-    X, Y, R = main[0] - W[0] + half_log, main[1] - W[1], main[2] + W[2] + rad_half_log
-
-    # (1/w) sum_k coefs[k] (1/w^2)^k by Horner, 1/w = d (g - ib) / |g + ib|^2
-    inv = ((d * g << prec) // norm, (-d * b << prec) // norm, 2)
-    inv2 = _fixed_mul(inv, inv, prec)
-    acc = (coefs[K - 1], 0, 1)
-    for c in reversed(coefs[: K - 1]):
-        # acc / w^2 + c, with one more unit for c's truncation
-        Ar, Ai, Ra = _fixed_mul(acc, inv2, prec)
-        acc = (Ar + c, Ai, Ra + 1)
-    P, Q, S = _fixed_mul(acc, inv, prec)
-    X, Y, R = X + P, Y + Q, R + S
-
-    # the remainder, at |w|^{2K+1} >= norm^K isqrt(norm) / d^{2K+1}
-    num, den = rems[K - 1]
-    R += -(-(num << prec) * d ** (2 * K + 1) // (den * norm**K * math.isqrt(norm)))
-
-    if n:
-        _, pi, rad_pi = _pi_fixed(prec)
-        lp_re, rad_lp_re = _half_log_fixed(pr * pr + pim * pim, d ** (2 * n))
-        lp_im, rad_lp_im, arg = _atan2_fixed(pim, pr)
-        turns = round((args - to_float(arg)) / (2 * math.pi))
-        X -= lp_re
-        Y -= lp_im + 2 * turns * pi
-        R += rad_lp_re + rad_lp_im + 2 * abs(turns) * rad_pi
-    return X, Y, R, -prec
-
-
-def _gamma_factor(lg: _Ball, y, q: int) -> tuple[float, float, float, float]:
-    """Gamma(x + iy) e^{pi |y| / 2} (q/pi)^{iy} from lg = log_gamma(x, y),
-    as (re.lo, re.hi, im.lo, im.hi) doubles.
-
-    The exponent lg + pi |y| / 2 + i y log(q/pi) is summed in lg's fixed
-    point, with one pi (_pi_fixed) and one mpf_log of q/pi; then one
-    _exp_ball, narrowed to doubles once.  A real factor (y = 0) gets the
-    imaginary sides [0, 0].
-    """
-    X, Y, R, e = lg
-    prec = -e
-    bits = prec - _GUARD
-    pi_mpf, pi, rad_pi = _pi_fixed(prec)
-    yn, yd = y.as_integer_ratio()
-    # pi |y| / 2 and y log(q / pi~), with |log(q/pi~) - log(q/pi)| <= |pi~ - pi| / pi
-    X += abs(yn) * pi // (2 * yd)
-    lq = mpf_log(mpf_div(from_int(q), pi_mpf, prec, "n"), prec, "n")
-    rad_lq = _trust_units(lq, bits, prec) + rad_pi + 2
-    Y += yn * _to_fixed(lq, -prec) // yd
-    R += -(-abs(yn) * (rad_pi + 2 * rad_lq) // (2 * yd)) + 2
-    return _narrow_ball(_exp_ball((X, Y, R, e)), yn == 0)
-
-
 def _smallest_prime_factors(top: int) -> np.ndarray:
     """spf[m] is the smallest prime factor of m for 2 <= m <= top."""
     spf = np.arange(top + 1, dtype=np.int64)
@@ -611,14 +134,14 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, ts: list[float], bits
     Shape (len(ts), len(ms), 4): re.lo, re.hi, im.lo, im.hi.  Since
     m -> m^{-s} is completely multiplicative, only primes are
     transcendental: the integers needed are ms closed under
-    m -> m/spf(m), each prime p is one _ball for p^{-s}, and L^{s} is one
+    m -> m/spf(m), each prime p is one ball for p^{-s}, and L^{s} is one
     more, the root B(1) of every cofactor chain.  Each k > 1 on a chain is
     then one exact fixed-point product B(k) = p^{-s} B(k/p) (p = spf(k)),
     which is (k/L)^{-s} itself, made the first time a walk down the
     cofactors of an m in ms reaches it; a power is B(m) narrowed to
     doubles by integer directed rounding.  The walk and each ball's
-    integer root and log (_modulus) do not depend on t, so they are made
-    once for all of ts; each ordinate then turns the balls (_turn) and
+    integer root and log (balls.modulus) do not depend on t, so they are made
+    once for all of ts; each ordinate then turns the balls (balls.turn) and
     multiplies down the same walk.  The balls are trusted at bits plus the
     bit length of the top integer, which bounds the number of factors a
     chain multiplies, so that the radii the products add up stay below
@@ -626,7 +149,7 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, ts: list[float], bits
     """
     top = max(ms)
     prec = bits + top.bit_length()
-    mul_prec = prec + _GUARD  # the midpoint bits of a _ball at prec
+    mul_prec = prec + GUARD  # the midpoint bits of a ball at prec
     spf = _smallest_prime_factors(top)
     # walk down the cofactors m, m/spf(m), ... of each m to one already
     # made, then make the ones above it: B(k) = p^{-s} B(k/p)
@@ -639,16 +162,16 @@ def _sieved_powers(ms: list[int], L: int, sigma: Fraction, ts: list[float], bits
         for k in reversed(chain):
             made.add(k)
             walk.append((k, int(spf[k])))
-    root = _modulus(Fraction(1, L), sigma, prec)  # B(1) = L^{s}
-    primes = {p: _modulus(Fraction(p), sigma, prec) for p in dict.fromkeys(p for _, p in walk)}
+    root = modulus(Fraction(1, L), sigma, prec)  # B(1) = L^{s}
+    primes = {p: modulus(Fraction(p), sigma, prec) for p in dict.fromkeys(p for _, p in walk)}
     out = np.empty((len(ts), len(ms), 4))
     for i, t in enumerate(ts):
-        balls = {1: _turn(root, t)}
-        turned = {p: _turn(m, t) for p, m in primes.items()}
+        balls = {1: turn(root, t)}
+        turned = {p: turn(m, t) for p, m in primes.items()}
         for k, p in walk:
-            balls[k] = _ball_mul(turned[p], balls[k // p], mul_prec)
+            balls[k] = ball_mul(turned[p], balls[k // p], mul_prec)
         for j, m in enumerate(ms):
-            out[i, j] = _narrow_ball(balls[m], t == 0.0)
+            out[i, j] = narrow_ball(balls[m], t == 0.0)
     return out
 
 
@@ -684,11 +207,12 @@ def _tail_constants(b: int, bits: int) -> tuple[IVec, float]:
     k = 1..b, each rounded outward once, and an upper bound, as a double,
     on 2 zeta(2b+1) / (2 pi)^(2b+1).
 
-    (2 pi)^(2b+1) is bounded below from a lower bound on pi: mpf_pi at
-    bits + _GUARD rounded down to bits bits, less one ulp.
+    (2 pi)^(2b+1) is bounded below from a lower bound on pi: the low end
+    of balls.pi_fixed's ball at bits + GUARD, rounded down to bits bits.
     """
     # pi lies in [2, 4), where one ulp at `bits` is 2^(2 - bits)
-    pi_lo = Fraction(to_int(mpf_shift(mpf_pi(bits + _GUARD, "f"), bits - 2), "f") - 1, 1 << (bits - 2))
+    _, pi, rad_pi = pi_fixed(bits + GUARD)
+    pi_lo = Fraction((pi - rad_pi) >> (GUARD + 2), 1 << (bits - 2))
     rem = 2 * zeta_upper(2 * b + 1) / (2 * pi_lo) ** (2 * b + 1)
     exact = [bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, b + 1)] + [rem]
     ends = IVec.from_ratios([v.numerator for v in exact], [v.denominator for v in exact])

@@ -58,8 +58,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .balls import ratio_ends
 from .errors import DivisorContainsZero, LogDomain, NegativeSqrtDomain
-from .interval import ComplexBox, RealInterval, _ratio_ends
+from .interval import ComplexBox, RealInterval
 
 _EPS = 2.0**-52
 _U = 2.0**-53
@@ -395,7 +396,7 @@ class IVec(_Block):
         num and den are integers of any size that broadcast together
         (numpy integer arrays, Python ints, or sequences or object arrays
         of them), every den > 0, in lowest terms or not.  Each entry is
-        exactly interval._ratio_ends(num, den), the largest double <=
+        exactly balls.ratio_ends(num, den), the largest double <=
         num/den and the smallest >= it, down to the sign of zero (an exact
         0 is [0.0, -0.0]).  A den <= 0 raises ValueError, a non-integer
         entry TypeError.
@@ -405,7 +406,7 @@ class IVec(_Block):
         Q 2^(e-53) with a 53-bit integer Q, and |q - num/den| <= 2^(e-54),
         so Q den - num 2^(53-e) lies within den/2 of zero: its value mod
         2^64 is exact, and its sign says on which side of num/den q lies.
-        Anything else goes entry by entry through _ratio_ends.
+        Anything else goes entry by entry through ratio_ends.
         """
         num, den = _integers(num), _integers(den)
         if not den.min(initial=1) > 0:
@@ -415,7 +416,7 @@ class IVec(_Block):
         ) >= 2**53
         if entrywise:
             pairs = np.broadcast(num, den)
-            ends = [_ratio_ends(operator.index(n), operator.index(d)) for n, d in pairs]
+            ends = [ratio_ends(operator.index(n), operator.index(d)) for n, d in pairs]
             return IVec.from_block(np.array(ends, dtype=np.float64).T.reshape((1, 2) + pairs.shape))
         num, den = num.astype(np.int64, copy=False), den.astype(np.int64, copy=False)
         q = num / den
@@ -520,7 +521,7 @@ def pi_times(r) -> IVec:
     sequence of them: an IVec of r's shape.
 
     Each end is the exact product of r with one of the two doubles around
-    pi, rounded outward once (_ratio_ends): the lower double's product
+    pi, rounded outward once (ratio_ends): the lower double's product
     floored and the upper's ceiled, their roles swapped where r < 0.  So
     where both products are doubles, as at r = 2^k, the result is the
     pair around pi scaled exactly.
@@ -530,7 +531,7 @@ def pi_times(r) -> IVec:
     for x in r.flat:
         x = Fraction(x)
         lo, hi = (x * Fraction(p) for p in ((_PI_LO, _PI_HI) if x >= 0 else (_PI_HI, _PI_LO)))
-        ends.append((_ratio_ends(lo.numerator, lo.denominator)[0], _ratio_ends(hi.numerator, hi.denominator)[1]))
+        ends.append((ratio_ends(lo.numerator, lo.denominator)[0], ratio_ends(hi.numerator, hi.denominator)[1]))
     return IVec.from_block(np.array(ends, dtype=np.float64).T.reshape((1, 2) + r.shape))
 
 
@@ -567,6 +568,12 @@ class CVec(_Block):
         e[0] = z.real
         e[1] = z.imag
         return CVec.from_block(e)
+
+    @staticmethod
+    def from_ends(ends) -> "CVec":
+        """One cell from the doubles (re.lo, re.hi, im.lo, im.hi), the form
+        of the exact kernel's values (balls)."""
+        return CVec.from_block(np.reshape(ends, (2, 2, 1)))
 
     # -- parts ----------------------------------------------------------------
 

@@ -8,17 +8,17 @@ character sums over Hurwitz values:
 The Hurwitz values come off the precomputed lattice by one batched Taylor
 shift (hurwitz.unit_hurwitz), the character sums are one group DFT
 (dft.group_dft_cvec), and the q^(-s) scaling is one power ball of the
-lattice's power kernel (hurwitz._power_ball); all phi(q) L-values for
-the modulus drop out of one pass.  This module only composes those
-steps: the lattice query and its file format live in hurwitz, the DFT
-length policy in dft.
+exact kernel (balls.power_ball); all phi(q) L-values for the modulus
+drop out of one pass.  This module only composes those steps: the
+lattice query and its file format live in hurwitz, the DFT length
+policy in dft, every big-float value in balls.
 Completion is one array step for every requested character at once: the
 unimodular constant times the archimedean factor, which depends on the
 character only through its parity, times the L-values, then one
 realness check and the projection onto the real axis (lambda_from_l,
 which the small-q sampler ends in too).  The archimedean factor is one
 fixed-point ball per (ordinate, parity) (completion_factor: one
-hurwitz.log_gamma, exponentiated by hurwitz._gamma_factor), made with
+balls.log_gamma, exponentiated by balls.gamma_factor), made with
 the L-values of each (q, ordinate) table and narrowed to doubles once.
 
 Ordinates go through in blocks.  A call's ordinates that have no
@@ -65,20 +65,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from .balls import GAMMA_BITS, gamma_factor, log_gamma, power_ball
 from .characters import CharMeta, char_group
 from .dft import group_dft_cvec, units_of
 from .errors import DomainError, RealnessViolation
 from .hurwitz import (
     DEFAULT_NCOLS,
-    _GAMMA_BITS,
     HurwitzLattice,
     _build_block,
-    _gamma_factor,
-    _power_ball,
     _truncation,
     build_lattice,
     lattice_size,
-    log_gamma,
     unit_hurwitz,
 )
 from .ivec import CVec, IVec
@@ -206,13 +203,12 @@ def grid_count(t_lo, t_hi, t_step) -> int:
 
 
 def q_pow(q: int, t: float) -> CVec:
-    """q^(-s) at s = 1/2 + it: one hurwitz._power_ball at the point balls'
-    precision _GAMMA_BITS, as a one-cell CVec.
+    """q^(-s) at s = 1/2 + it: one balls.power_ball at the point balls'
+    precision GAMMA_BITS, as a one-cell CVec.
 
     At t = 0 the value is real and its imaginary part is exactly [0, 0].
     """
-    ends = _power_ball(Fraction(q), Fraction(1, 2), t, _GAMMA_BITS)
-    return CVec.from_block(np.reshape(ends, (2, 2, 1)))
+    return CVec.from_ends(power_ball(Fraction(q), Fraction(1, 2), t, GAMMA_BITS))
 
 
 def l_values_at(q: int, lats: Sequence[HurwitzLattice]) -> CVec:
@@ -245,9 +241,9 @@ def completion_factor(t: float, parity: int, q: int) -> CVec:
 
         exp(log Gamma((1/2 + a + it)/2) + pi|t|/4 + i (t/2) log(q/pi)),  a = parity.
 
-    One fixed-point ball: hurwitz.log_gamma at the exact point
+    One fixed-point ball: balls.log_gamma at the exact point
     (2a+1)/4 + i t/2, then the exponent and its exponential in the same
-    fixed point (hurwitz._gamma_factor: one mpf_log of q/pi, one mpf_exp,
+    fixed point (balls.gamma_factor: one mpf_log of q/pi, one mpf_exp,
     one mpf_cos_sin), narrowed to doubles once into a one-cell CVec, as
     q_pow is.  Adding pi|t|/4 keeps the magnitude near |t|^(a/2) at any
     height, where Gamma alone decays like e^(-pi|t|/4).  |t| rather than
@@ -257,7 +253,7 @@ def completion_factor(t: float, parity: int, q: int) -> CVec:
     """
     y = Fraction(t) / 2
     lg = log_gamma(Fraction(2 * parity + 1, 4), y)
-    return CVec.from_block(np.reshape(_gamma_factor(lg, y, q), (2, 2, 1)))
+    return CVec.from_ends(gamma_factor(lg, y, q))
 
 
 def lambda_from_l(l: CVec, factor, q: int, chars, ts) -> IVec:

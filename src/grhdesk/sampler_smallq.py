@@ -18,8 +18,8 @@ requested characters, for all of them together:
    array each: the aliasing bound of every dual bin, summed into one
    total, and the t-grid periodization error of every output ordinate;
 2. Fhat on the dual grid 2 pi n/B, n = 0..N/2: the theta terms
-   k^a exp(-pi k^2 e^{2u}/q), each one fixed-point ball exponential of
-   hurwitz, summed by residue class of k mod q and times the prefactor
+   k^a exp(-pi k^2 e^{2u}/q), each one fixed-point ball exponential
+   (balls), summed by residue class of k mod q and times the prefactor
    before one narrowing to doubles; one group DFT (the convention of
    sampler_largeq.l_values_at) for the character sums of every chi at
    once, then the geometric tail radius and epsilon; from the first bin
@@ -35,9 +35,9 @@ requested characters, for all of them together:
    and the projection.
 
 Every step carries explicit interval error bounds.  The point values
-(theta terms, prefactors, recovery factors) are hurwitz's balls, each
-narrowed to doubles once; the bounds (budgets, tail pads, the far-bin
-cut) are interval arrays of ivec.
+(theta terms, prefactors, recovery factors) are the exact kernel's
+balls (balls), each narrowed to doubles once; the bounds (budgets, tail
+pads, the far-bin cut) are interval arrays of ivec.
 """
 
 from __future__ import annotations
@@ -57,22 +57,20 @@ from .errors import (
     TailDivergence,
     XConditionViolated,
 )
-from .hurwitz import (
-    _GAMMA_BITS,
-    _GAMMA_PREC,
-    DEFAULT_BUILD_BITS,
-    _ball,
-    _ball_mul,
-    _ball_scale,
-    _ball_sum,
-    _em_rows,
-    _exp_ball,
-    _log_pi,
-    _narrow_ball,
-    _pi_ball,
-    auto_params,
+from .balls import (
+    GAMMA_BITS,
+    GAMMA_PREC,
+    ball,
+    ball_mul,
+    ball_scale,
+    ball_sum,
+    exp_ball,
     log_gamma,
+    log_pi,
+    narrow_ball,
+    pi_ball,
 )
+from .hurwitz import DEFAULT_BUILD_BITS, _em_rows, auto_params
 from .ivec import CVec, IVec, pi_times
 from .sampler_largeq import SampleGrid, _ordinates, _ratio, lambda_from_l
 
@@ -161,10 +159,10 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
           * sum_{k>=1} chi_j(k) k^parity exp(-pi k^2 e^{2u}/q),
 
     u = 2 pi n/B + i pi eta/4, which is Fhat(2 pi n/B) / epsilon for the
-    characters of this parity.  The values are hurwitz's fixed-point
-    balls: e^{2u} is one _exp_ball of the exact 4 pi n/B + i pi eta/2,
+    characters of this parity.  The values are fixed-point balls
+    (balls): e^{2u} is one exp_ball of the exact 4 pi n/B + i pi eta/2,
     each theta term up to default_trunc one more, times k^parity exactly,
-    summed by residue class of k mod q; the prefactor, the _exp_ball of
+    summed by residue class of k mod q; the prefactor, the exp_ball of
     (2 parity + 1) u/2 times the ball q^(-(2 parity + 1)/4), multiplies
     each class sum before its one narrowing to doubles, and one group DFT
     turns the class sums into the character sums.  TailDivergence, before
@@ -231,24 +229,24 @@ def _dual_values(q: int, parity: int, plan: FftPlan) -> CVec:
         )
     pads = (first / (1.0 - rho) * mod[:bins]).hi
 
-    prec = _GAMMA_PREC
-    pi_ball = _pi_ball(1, 0)
-    q_pow = _ball(Fraction(q), Fraction(c, 4), 0.0, _GAMMA_BITS)
+    prec = GAMMA_PREC
+    pi_exact = pi_ball(1, 0)
+    q_pow = ball(Fraction(q), Fraction(c, 4), 0.0, GAMMA_BITS)
     eta = Fraction(plan.eta)
     ends = []
     for n, trunc in enumerate(truncs):
         # -pi e^{2u}/q, and each term exp(-pi k^2 e^{2u}/q) k^parity
-        e2u = _exp_ball(_pi_ball(4 * n / plan.B, eta / 2))
-        X, Y, R, _ = _ball_scale(_ball_mul(e2u, pi_ball, prec), -1, q, prec)
+        e2u = exp_ball(pi_ball(4 * n / plan.B, eta / 2))
+        X, Y, R, _ = ball_scale(ball_mul(e2u, pi_exact, prec), -1, q, prec)
         classes = [[] for _ in range(group.phi)]
         for k in range(1, trunc + 1):
             if math.gcd(k, q) == 1:
-                tx, ty, tr, te = _exp_ball((k * k * X, k * k * Y, k * k * R, -prec))
+                tx, ty, tr, te = exp_ball((k * k * X, k * k * Y, k * k * R, -prec))
                 m = k**parity
                 classes[slot[k % q]].append((m * tx, m * ty, m * tr, te))
-        pref = _ball_mul(_exp_ball(_pi_ball(c * n / plan.B, c * eta / 8)), q_pow, prec)
+        pref = ball_mul(exp_ball(pi_ball(c * n / plan.B, c * eta / 8)), q_pow, prec)
         pref = pref[:3] + (pref[3] + 1,)  # times 2
-        ends.extend(_narrow_ball(_ball_mul(_ball_sum(terms), pref, prec), False) for terms in classes)
+        ends.extend(narrow_ball(ball_mul(ball_sum(terms), pref, prec), False) for terms in classes)
 
     ends = np.array(ends).reshape(bins, group.phi, 4)
     classes = CVec(IVec(ends[..., 0], ends[..., 1]), IVec(ends[..., 2], ends[..., 3]))
@@ -326,14 +324,14 @@ def _envelope(u: np.ndarray, d: int, q: int, parity: int, eta: float) -> IVec:
     """zeta(9/8) pi^(-c/4) |Gamma(c/4 + it/2)| e^(pi eta t/4)
     ((q/2pi)|3/2 + it|)^(5/16) at each t = u/d (from _shifts), c = 2 parity + 1.
 
-    |Gamma| is e^(Re log Gamma): the real part of hurwitz.log_gamma's ball
+    |Gamma| is e^(Re log Gamma): the real part of balls.log_gamma's ball
     at the exact point c/4 + it/2, one ball per t, narrowed to doubles
     into one IVec, then one exp.  |3/2 + it|^(5/16) is
     (t^2 + 9/4)^(5/32), its base the exact (4u^2 + 9d^2)/(4d^2) rounded
     outward once, so it is positive at every t.
     """
     c = 2 * parity + 1
-    ends = [_narrow_ball(log_gamma(Fraction(c, 4), Fraction(k, 2 * d)), False)[:2] for k in u.flat]
+    ends = [narrow_ball(log_gamma(Fraction(c, 4), Fraction(k, 2 * d)), False)[:2] for k in u.flat]
     gamma_abs = IVec(*np.array(ends).T.reshape((2,) + u.shape)).exp()
     t, base = IVec.from_ratios(np.stack([4 * d * u, 4 * u * u + 9 * d * d]), 4 * d * d)
     pi = pi_times(1)
@@ -375,16 +373,15 @@ def t_grid_error(plan: FftPlan, q: int, parity: int, m_max: int) -> IVec:
 def _recovery(ts: list[float], parity: int, eta: float) -> IVec:
     """pi^((2 parity + 1)/4) e^(pi t (1 - eta)/4) at each t of ts: the real
     ball e^((2 parity + 1)/4 log pi + pi t (1 - eta)/4) per ordinate,
-    log pi from hurwitz._log_pi, each narrowed to doubles once."""
-    lp, rad = _log_pi()
+    log pi from balls.log_pi, each narrowed to doubles once."""
+    lp, rad = log_pi()
     c = 2 * parity + 1
     scale = (1 - Fraction(eta)) / 4
     ends = []
     for t in ts:
-        X, _, R, e = _pi_ball(Fraction(t) * scale, 0)
+        X, _, R, e = pi_ball(Fraction(t) * scale, 0)
         # c lp / 4 floors by less than one unit
-        ball = _exp_ball((X + (c * lp >> 2), 0, R - (-c * rad >> 2) + 1, e))
-        ends.append(_narrow_ball(ball, True)[:2])
+        ends.append(narrow_ball(exp_ball((X + (c * lp >> 2), 0, R - (-c * rad >> 2) + 1, e)), True)[:2])
     return IVec(*np.array(ends).T)
 
 

@@ -35,8 +35,9 @@ from mpmath import iv
 from mpmath.libmp import to_rational
 
 from grhdesk.errors import DomainError, PoleProximity
-from grhdesk.hurwitz import _pochhammer, auto_params, bernoulli, zeta_upper
-from grhdesk.interval import ComplexBox, RealInterval, _ratio_ends
+from grhdesk.balls import bernoulli, ratio_ends
+from grhdesk.hurwitz import _pochhammer, auto_params, zeta_upper
+from grhdesk.interval import ComplexBox, RealInterval
 
 
 @contextmanager
@@ -88,7 +89,7 @@ def hw(x):
     if isinstance(x, iv.mpc):
         return ComplexBox(hw(x.real), hw(x.imag))
     lo, hi = ends(x)
-    return RealInterval(_ratio_ends(lo.numerator, lo.denominator)[0], _ratio_ends(hi.numerator, hi.denominator)[1])
+    return RealInterval(ratio_ends(lo.numerator, lo.denominator)[0], ratio_ends(hi.numerator, hi.denominator)[1])
 
 
 def _parts(x) -> list[tuple]:

@@ -14,8 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grhdesk.characters import char_group
+from grhdesk.dft import unity_table
+from grhdesk.balls import log_gamma
 from grhdesk.hurwitz import build_lattice
-from grhdesk.sampler_largeq import l_values_at, sample_all, sample_range
+from grhdesk.sampler_largeq import completion_factor, l_values_at, q_pow, sample_all, sample_range
 from grhdesk.sampler_smallq import default_plan, smallq_all
 
 from lattices import lattice
@@ -140,3 +143,70 @@ def test_smallq_all_is_pinned():
     grids = smallq_all(7, default_plan(), 2)
     got = _grids_digest(grids[c] for c in sorted(grids))
     assert got == SMALLQ_PIN, got
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel's direct outputs, pinned before the fixed-point balls
+# moved into one module
+
+# epsilon then root_number of each character, in primitive_indices order:
+# every primitive character mod 101 and 1024, the first 16 mod 1009
+CHAR_META_PINS = {
+    101: "fa66bbf9bd719d4db1993cce6320ad04fa1d714087c528dbe2ff89ecb7786f0e",
+    1009: "9f2312c09c10f631a31dee2a4aff0554881c9b91a59b7026c632bdb6ae229f58",
+    1024: "d3b7412384d828aa27957246efab8511aa3ecb2c9c682d36f3ca8c0655b99209",
+}
+
+UNITY_TABLE_PINS = {
+    64: "47b748e038b270b4a0b379ea082be55cc80dd6e736c4fef08f88cc159368e5b1",
+    360: "0450980419490f9d0e3e4cf3cbf8d296e4f3e85cf1493017b7f048c05f49efd4",
+    2016: "e63dabc1e8f0934b2d1d68475a07dd13badeca0de527953bebcb78e1dc9a4797",
+}
+
+# q^(-s) for q = 7, 101, 1009, then the completion factor of both
+# parities at each of those q
+POINT_BALL_PINS = {
+    0.0: "95ff4f0d7781ffe18b567609af2337440fdfbc8c667060024a5b89382c8ec07b",
+    16.0: "d159bdb2efe0911b4b4f2e6939e9a82f8f8283fbc73ed9d25c2556b88dd2b855",
+    300.0: "30fd35f20b0816a93beecdab84903019928109cddf5e908e8994f79433306559",
+}
+
+# (X, Y, R, e) of log_gamma at exact points: a parity's (2a+1)/4 + it/2,
+# a point Stirling takes unshifted, a real one and a rational one
+LOG_GAMMA_POINTS = [
+    (Fraction(1, 4), Fraction(8)),
+    (Fraction(3, 4), Fraction(150)),
+    (Fraction(1, 4), Fraction(0)),
+    (Fraction(25, 2), Fraction(-3, 7)),
+    (Fraction(1, 3), Fraction(1, 5)),
+]
+LOG_GAMMA_PIN = "cd533b889749172d834bdb38a1226f281df27d34b1b7664134348a9d82674c6c"
+
+
+@pytest.mark.parametrize("q", sorted(CHAR_META_PINS))
+def test_root_numbers_are_pinned(q):
+    group = char_group(q)
+    metas = [group.char_meta(idx) for idx in group.primitive_indices()[: 16 if q == 1009 else None]]
+    h = hashlib.sha256()
+    for meta in metas:
+        h.update(f"{meta.parity}:{_cvec_digest(meta.epsilon)}:{_cvec_digest(meta.root_number)};".encode())
+    assert h.hexdigest() == CHAR_META_PINS[q], h.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(UNITY_TABLE_PINS))
+def test_unity_table_is_pinned(n):
+    got = _cvec_digest(unity_table(n))
+    assert got == UNITY_TABLE_PINS[n], got
+
+
+@pytest.mark.parametrize("t", sorted(POINT_BALL_PINS))
+def test_point_balls_are_pinned(t):
+    qs = (7, 101, 1009)
+    cells = [q_pow(q, t) for q in qs] + [completion_factor(t, a, q) for q in qs for a in (0, 1)]
+    got = hashlib.sha256(" ".join(_cvec_digest(c) for c in cells).encode()).hexdigest()
+    assert got == POINT_BALL_PINS[t], got
+
+
+def test_log_gamma_balls_are_pinned():
+    got = hashlib.sha256(repr([log_gamma(x, y) for x, y in LOG_GAMMA_POINTS]).encode()).hexdigest()
+    assert got == LOG_GAMMA_PIN, got

@@ -15,13 +15,13 @@ from grhdesk.characters import (
     GAUSS_BITS,
     CharGroup,
     CharMeta,
-    _fixed_unit_powers,
     char_group,
     euler_phi,
     factorize,
     index_label,
     parse_index_label,
 )
+from grhdesk.balls import fixed_quotient, fixed_unit_powers
 from grhdesk.errors import HypothesisViolated, NotPrimitive, QTooSmall
 from grhdesk.interval import ComplexBox
 
@@ -355,7 +355,7 @@ def test_gauss_sum_matches_brute_force():
 
 def _assert_unit_powers_within_radius(n: int, shift: int):
     """Every entry lies within rad 2^-shift of e(k/n), checked at 50 digits."""
-    re, im, rad = _fixed_unit_powers(n, shift)
+    re, im, rad = fixed_unit_powers(n, shift)
     with mpmath.workdps(50):
         scale = mpmath.mpf(2) ** -shift
         bound = rad * scale
@@ -372,7 +372,7 @@ def test_fixed_unit_powers_within_radius_at_low_shift():
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_fixed_unit_powers_exact_at_quarter_turns(n):
     """e(k/n) is 1, i, -1 or -i when n divides 4: exact, with radius 0."""
-    re, im, rad = _fixed_unit_powers(n, 60)
+    re, im, rad = fixed_unit_powers(n, 60)
     exact = [(1, 0), (0, 1), (-1, 0), (0, -1)][:: 4 // n]
     assert [(int(x), int(y)) for x, y in zip(re, im)] == [(x << 60, y << 60) for x, y in exact]
     assert rad == 0
@@ -383,6 +383,28 @@ def test_fixed_unit_powers_below_the_tier_floor(n, shift):
     """Shifts below 56, where e(1/n) once came from a 64-bit floor, stay
     within the radius."""
     _assert_unit_powers_within_radius(n, shift)
+
+
+@pytest.mark.parametrize("sx, sy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(0, 2**200),
+    y=st.integers(0, 2**200),
+    d=st.integers(1, 2**120),
+    r=st.integers(0, 2**40),
+    scale=st.integers(0, 400),
+)
+def test_fixed_quotient_holds_parts_of_either_sign(sx, sy, x, y, d, r, scale):
+    """_root_and_constant passes Gauss-sum parts of either sign: every
+    (x + iy)/D + delta with d <= D < d + 1 and |delta| <= r/d lies in the
+    ends, checked exactly at D = d, d + 1/2 and d + 1 - 2^-64 and at each
+    part of delta -r/d, 0 and r/d."""
+    x, y = sx * x, sy * y
+    re_lo, re_hi, im_lo, im_hi = fixed_quotient(x, y, d, r, scale)
+    for D in (Fraction(d), d + Fraction(1, 2), d + 1 - Fraction(1, 2**64)):
+        for v, lo, hi in ((x, re_lo, re_hi), (y, im_lo, im_hi)):
+            for delta in (Fraction(-r, d), Fraction(0), Fraction(r, d)):
+                assert Fraction(lo) <= v / D + delta <= Fraction(hi), (v, D, delta)
 
 
 def _mp_fraction(x) -> Fraction:

@@ -7,7 +7,7 @@ import pytest
 from mpmath import iv
 from mpmath.libmp import mpf_cos_sin
 
-from grhdesk import characters, dft as dft_module
+from grhdesk import balls, dft as dft_module
 from grhdesk.characters import CharGroup
 from grhdesk.dft import (
     dft,
@@ -84,7 +84,7 @@ def test_unity_table_one_transcendental_per_length(monkeypatch):
         calls.append(args)
         return mpf_cos_sin(*args)
 
-    monkeypatch.setattr(characters, "mpf_cos_sin", counted)
+    monkeypatch.setattr(balls, "mpf_cos_sin", counted)
     monkeypatch.delitem(dft_module._table_cache, 360, raising=False)
     unity_table(360)
     assert len(calls) == 1

@@ -19,21 +19,24 @@ import pytest
 from mpmath import iv
 
 from grhdesk import hurwitz
+from grhdesk.balls import (
+    GAMMA_PREC,
+    ball,
+    ball_mul,
+    ball_scale,
+    ball_sum,
+    exp_ball,
+    log_pi,
+    pi_ball,
+    power_ball,
+    ratio_ends,
+)
 from grhdesk.errors import DomainError, PoleProximity, RadiusViolation
 from grhdesk.hurwitz import (
     DEFAULT_M,
     DEFAULT_NCOLS,
     HurwitzLattice,
-    _GAMMA_PREC,
-    _ball,
-    _ball_mul,
-    _ball_scale,
-    _ball_sum,
     _em_rows,
-    _exp_ball,
-    _log_pi,
-    _pi_ball,
-    _power_ball,
     _shift_coefs,
     _sieved_powers,
     auto_params,
@@ -45,7 +48,7 @@ from grhdesk.hurwitz import (
     unit_hurwitz,
     zeta_upper,
 )
-from grhdesk.interval import ComplexBox, RealInterval, _ratio_ends
+from grhdesk.interval import ComplexBox, RealInterval
 from grhdesk.ivec import CVec, IVec
 
 from em_oracle import (
@@ -405,7 +408,7 @@ def test_em_rows_of_a_block_is_each_ordinate_alone():
 )
 def test_power_ball_contains_and_is_tight(t, bits, sigma):
     # Containment is checked against the log kernel's full allowance, not
-    # only against the exact value: mpmath's log at bits + _GUARD errs far
+    # only against the exact value: mpmath's log at bits + GUARD errs far
     # less than the 2 ulps at `bits` that the ball trusts, so only values
     # at log x -+ 2 ulps show a missing propagation term, such as
     # |t| rad(log x) into the argument of cos and sin.  That allowance
@@ -417,7 +420,7 @@ def test_power_ball_contains_and_is_tight(t, bits, sigma):
             for n in range(14):
                 for r in range(1, D + 1):
                     x = n + Fraction(r, D)
-                    lo_re, hi_re, lo_im, hi_im = _power_ball(x, sigma, t, bits)
+                    lo_re, hi_re, lo_im, hi_im = power_ball(x, sigma, t, bits)
                     lg = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
                     allowance = 0 if lg == 0 else mpmath.ldexp(2, mpmath.frexp(lg)[1] - bits)
                     s = mpmath.mpf(sigma.numerator) / sigma.denominator + 1j * mpmath.mpf(t)
@@ -440,7 +443,7 @@ def test_ball_disc_holds_every_kernel_allowance(t, sigma):
     # each kernel's full trust at once: the log by -+ 2 ulps at `bits`
     # (into the phase and the modulus, as exp(-s (log x + dl))), then cos
     # and sin of that phase by -+ 2 ulps each.  mpmath's kernels at
-    # bits + _GUARD err far less than that trust, so only these corners
+    # bits + GUARD err far less than that trust, so only these corners
     # show a missing radius term.  Bases: n + r/12 as in a lattice, the
     # primes of the sieve, and 1/L for the root L^s of its chains.
     xs = [n + Fraction(r, 12) for n in range(14) for r in range(1, 13)]
@@ -454,7 +457,7 @@ def test_ball_disc_holds_every_kernel_allowance(t, sigma):
 
         for bits in (64, 96):
             for x in xs:
-                X, Y, R, e = _ball(x, sigma, t, bits)
+                X, Y, R, e = ball(x, sigma, t, bits)
                 mid = mpmath.mpc(X, Y)
                 lg = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
                 a_lg = allowance(lg, bits)
@@ -496,7 +499,7 @@ def test_sieved_powers_overlap_power_ball_and_are_no_wider(t, sigma):
         ms = _lattice_bases(D)
         for m, row in zip(ms, _sieved_powers(ms, D, sigma, [t], 64)[0]):
             x = Fraction(m, D)
-            ref = _power_ball(x, sigma, t, 64)
+            ref = power_ball(x, sigma, t, 64)
             for j in (0, 2):
                 lo, hi, ref_lo, ref_hi = row[j], row[j + 1], ref[j], ref[j + 1]
                 assert lo <= ref_hi and ref_lo <= hi, (D, sigma, t, x, j)
@@ -523,11 +526,11 @@ def test_sieved_powers_contain_mpmath_far_up(bits, sigma):
 @pytest.mark.parametrize("D", [12, 64, 2048])
 def test_lattice_bases_round_as_from_fraction(D):
     # the bases m/D of a lattice, rounded in one numpy pass, have the
-    # endpoints of m/D rounded outward once by _ratio_ends each
+    # endpoints of m/D rounded outward once by ratio_ends each
     ms = _lattice_bases(D)
     base = IVec.from_ratios(ms, D)
     for i, m in enumerate(ms):
-        assert (base.lo[i], base.hi[i]) == _ratio_ends(m, D), (D, m)
+        assert (base.lo[i], base.hi[i]) == ratio_ends(m, D), (D, m)
 
 
 def _radial(X: int, Y: int, R: int) -> tuple[int, int]:
@@ -559,7 +562,7 @@ def test_ball_product_contains_products_of_members():
         for X, Y, R, _ in balls:
             pts.append([_radial(X, Y, R), (X + R, Y), (X - R, Y), (X, Y + R), (X, Y - R)])
         for prec in (64, 400):
-            X, Y, R, e = _ball_mul(*balls, prec)
+            X, Y, R, e = ball_mul(*balls, prec)
             sh = e - balls[0][3] - balls[1][3]
             assert sh >= 0
             for x1, y1 in pts[0]:
@@ -584,7 +587,7 @@ def test_ball_sums_and_scalings_contain_those_of_members():
             for _ in range(rng.randint(1, 4))
         ]
         num, den, prec = signed(rng.randint(1, 40)) or 1, rng.getrandbits(30) + 1, rng.choice((64, 128))
-        X, Y, R, e = _ball_sum(balls)
+        X, Y, R, e = ball_sum(balls)
         points = [[(x + r, y), (x - r, y), (x, y + r), (x, y - r)] for x, y, r, _ in balls]
         for i in range(4):
             re = sum(Fraction(p[i][0]) * Fraction(2) ** b[3] for p, b in zip(points, balls))
@@ -592,43 +595,43 @@ def test_ball_sums_and_scalings_contain_those_of_members():
             d = (re - Fraction(X) * Fraction(2) ** e) ** 2 + (im - Fraction(Y) * Fraction(2) ** e) ** 2
             assert d <= (Fraction(R) * Fraction(2) ** e) ** 2, (balls, i)
         x, y, r, eb = balls[0]
-        Xs, Ys, Rs, es = _ball_scale(balls[0], num, den, prec)
+        Xs, Ys, Rs, es = ball_scale(balls[0], num, den, prec)
         assert es == -prec
         for px, py in points[0]:
             re = Fraction(px * num, den) * Fraction(2) ** (eb + prec) - Xs
             im = Fraction(py * num, den) * Fraction(2) ** (eb + prec) - Ys
             assert re * re + im * im <= Rs * Rs, (balls[0], num, den, prec)
-    assert _ball_sum([]) == (0, 0, 0, 0)
+    assert ball_sum([]) == (0, 0, 0, 0)
 
 
 def test_point_balls_hold_pi_log_pi_and_exponentials():
     # pi (re + i im) and log pi hold their values; e^z holds e^w for w
     # at z's axis points, whatever the size of z's real and imaginary parts
-    prec = _GAMMA_PREC
+    prec = GAMMA_PREC
     with mpmath.workprec(400):
-        lp, rad = _log_pi()
+        lp, rad = log_pi()
         assert abs(mpmath.log(mpmath.pi) * 2**prec - lp) <= rad
         for re, im in [(1, 0), (Fraction(-1, 7), Fraction(3, 2)), (0.25, -2.0**-30), (Fraction(4 * 75, 128), 0.25)]:
-            X, Y, R, e = _pi_ball(re, im)
+            X, Y, R, e = pi_ball(re, im)
             v = mpmath.pi * mpmath.mpc(mpmath.mpf(Fraction(re).numerator) / Fraction(re).denominator,
                                        mpmath.mpf(Fraction(im).numerator) / Fraction(im).denominator)
             assert abs(v * 2**prec - mpmath.mpc(X, Y)) <= R, (re, im)
         for x, y, r in [(0, 0, 0), (3, -7, 5), (-(10**5), 10**4, 2**60), (5, 2**40, 1)]:
             z = (x << prec, y << prec, r, -prec)
-            X, Y, R, e = _exp_ball(z)
+            X, Y, R, e = exp_ball(z)
             for w in [(x, y), (x + mpmath.ldexp(r, -prec), y), (x, y - mpmath.ldexp(r, -prec))]:
                 v = mpmath.exp(mpmath.mpc(*w))
                 assert abs(v * mpmath.ldexp(1, -e) - mpmath.mpc(X, Y)) <= R, (x, y, r, w)
     # past a radius of 1/4 the exponential's relative bound no longer holds
     with pytest.raises(DomainError, match="too wide to exponentiate"):
-        _exp_ball((0, 0, (1 << (prec - 2)) + 1, -prec))
+        exp_ball((0, 0, (1 << (prec - 2)) + 1, -prec))
 
 
 def _count_balls(monkeypatch) -> tuple[list[Fraction], list[float]]:
     """Record, from here on, the base of every transcendental ball's root
-    and log (_modulus) and the ordinate of every turn of one (_turn)."""
+    and log (modulus) and the ordinate of every turn of one (turn)."""
     bases, turns = [], []
-    modulus, turn = hurwitz._modulus, hurwitz._turn
+    modulus, turn = hurwitz.modulus, hurwitz.turn
 
     def counted_modulus(x, *args):
         bases.append(x)
@@ -638,8 +641,8 @@ def _count_balls(monkeypatch) -> tuple[list[Fraction], list[float]]:
         turns.append(t)
         return turn(m, t)
 
-    monkeypatch.setattr(hurwitz, "_modulus", counted_modulus)
-    monkeypatch.setattr(hurwitz, "_turn", counted_turn)
+    monkeypatch.setattr(hurwitz, "modulus", counted_modulus)
+    monkeypatch.setattr(hurwitz, "turn", counted_turn)
     return bases, turns
 
 
@@ -743,7 +746,7 @@ def test_lattice_row_0_is_row_d_and_one_more_term(fixture, request):
     # row 0 (offset M + 1) holds row D (offset M + 2) plus (M + 1)^(-s_c)
     lat = request.getfixturevalue(fixture)
     for c in (0, 1, 7, 15):
-        re_lo, re_hi, im_lo, im_hi = _power_ball(Fraction(DEFAULT_M + 1), Fraction(1, 2) + c, lat.t, 96)
+        re_lo, re_hi, im_lo, im_hi = power_ball(Fraction(DEFAULT_M + 1), Fraction(1, 2) + c, lat.t, 96)
         with ivprec(53):
             row_d = iv_complex(lat.rows[lat.D, c]) + iv_complex(((re_lo, re_hi), (im_lo, im_hi)))
         assert meets(lat.rows[0, c], row_d), c

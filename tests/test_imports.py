@@ -1,8 +1,10 @@
 """Every imported name in the package and its tests is used, every
 function and class the package defines is named somewhere else, only the
-package's two big-float kernel users import mpmath (mpmath.libmp
-included), the scalar cells' module (interval.py) calls no math
-transcendental, and only ivec.py makes interval cells.
+exact kernel (balls.py) imports mpmath (mpmath.libmp included) and it
+imports nothing from the package but errors, the only private names one
+package module imports from another are a known few, the scalar cells'
+module (interval.py) calls no math transcendental, and only ivec.py makes
+interval cells.
 
 A stdlib-ast check: a name bound by an import statement must be read
 somewhere else in the same module.  Names listed in the module's __all__
@@ -100,9 +102,9 @@ def imports_libmp(path: Path) -> bool:
 
 def test_only_the_kernel_modules_import_libmp():
     # interval arithmetic is on doubles; big-float kernels feed the
-    # Hurwitz power balls, pi and the unity tables, and nothing else
+    # exact kernel's balls, and nothing else
     src = sorted((ROOT / "src" / "grhdesk").glob("*.py"))
-    assert {p.name for p in src if imports_libmp(p)} == {"hurwitz.py", "characters.py"}
+    assert {p.name for p in src if imports_libmp(p)} == {"balls.py"}
 
 
 @pytest.mark.parametrize(
@@ -131,10 +133,10 @@ def imports_mpmath(path: Path) -> bool:
 
 
 def test_only_the_kernel_modules_import_mpmath():
-    # every other module's transcendentals come from these two modules'
+    # every other module's transcendentals come from the exact kernel's
     # balls or from numpy in interval arrays
     src = sorted((ROOT / "src" / "grhdesk").glob("*.py"))
-    assert {p.name for p in src if imports_mpmath(p)} == {"hurwitz.py", "characters.py"}
+    assert {p.name for p in src if imports_mpmath(p)} == {"balls.py"}
 
 
 @pytest.mark.parametrize(
@@ -147,6 +149,47 @@ def test_check_sees_an_mpmath_import(tmp_path, line):
     assert imports_mpmath(src)
     src.write_text("import mpmathx\nfrom .mpmath import f\n")
     assert not imports_mpmath(src)
+
+
+def package_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for each name the module imports from the grhdesk
+    package, relatively or by its full name; a whole module imported is
+    (module, "")."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(a.name.split(".", 1)[1], "") for a in node.names if a.name.startswith("grhdesk.")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("grhdesk")):
+            module = (node.module or "").removeprefix("grhdesk").lstrip(".")
+            found += [(module or a.name, a.name if module else "") for a in node.names]
+    return found
+
+
+def test_the_exact_kernel_imports_only_errors_from_the_package():
+    # balls is the bottom of the package: hurwitz, characters, dft, ivec
+    # and the samplers build on it, and it wraps nothing in their types
+    assert {module for module, _ in package_imports(ROOT / "src" / "grhdesk" / "balls.py")} == {"errors"}
+
+
+def test_few_private_names_cross_package_modules():
+    # names other modules import are the module's interface and carry no
+    # leading underscore; these few are the samplers' shared internals
+    src = sorted((ROOT / "src" / "grhdesk").glob("*.py"))
+    private = {name for p in src for _, name in package_imports(p) if name.startswith("_")}
+    assert private <= {"_build_block", "_truncation", "_em_rows", "_ordinates", "_ratio"}
+
+
+def test_check_sees_package_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import math\n"
+        "import grhdesk.hurwitz\n"
+        "from . import ivec\n"
+        "from .errors import DomainError\n"
+        "from grhdesk.interval import _up\n"
+        "from numpy import array\n"
+    )
+    assert package_imports(src) == [("hurwitz", ""), ("ivec", ""), ("errors", "DomainError"), ("interval", "_up")]
 
 
 # math's transcendentals: libm's, correctly rounded nowhere, so outside

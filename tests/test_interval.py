@@ -8,9 +8,9 @@ enclosure of the same expression at 128 bits ("bigfloat(128)").
 
 The elementary functions tested here are the package's two sources of
 them: of interval arguments, the array tier's numpy kernels; at exact
-points, hurwitz's fixed-point balls, narrowed to doubles once.  The
-exact rounding primitives of interval.py are checked against their
-exact forms.
+points, the exact kernel's fixed-point balls (balls), narrowed to
+doubles once.  The exact rounding primitives (balls._narrow and
+balls.ratio_ends) are checked against their exact forms.
 """
 
 import math
@@ -24,10 +24,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-from grhdesk import hurwitz
+from grhdesk import balls
 from grhdesk.errors import LogDomain, NegativeSqrtDomain, NonPositiveRealPart
-from grhdesk.hurwitz import _GAMMA_PREC, _exp_ball, _half_log_fixed, _narrow_ball, log_gamma
-from grhdesk.interval import ComplexBox, RealInterval, _narrow, _ratio_ends
+from grhdesk.balls import GAMMA_PREC, _half_log_fixed, _narrow, exp_ball, log_gamma, narrow_ball, ratio_ends
+from grhdesk.interval import ComplexBox, RealInterval
 from grhdesk.ivec import CVec, IVec, pi_times
 
 from em_oracle import covers, ends, holds, hw, iv_complex, iv_real, ivprec
@@ -96,22 +96,22 @@ def elem(f: str, a: RealInterval) -> RealInterval:
 
 
 def _fixed(x: float) -> int:
-    """A double exactly as a multiple of 2^-_GAMMA_PREC (every test point is one)."""
-    v = Fraction(x) * 2**_GAMMA_PREC
+    """A double exactly as a multiple of 2^-GAMMA_PREC (every test point is one)."""
+    v = Fraction(x) * 2**GAMMA_PREC
     assert v.denominator == 1, x
     return int(v)
 
 
 def point_elem(f: str, x: float) -> RealInterval:
     """Named elementary function at an exact double: exp, sin and cos as one
-    hurwitz._exp_ball, log from hurwitz._half_log_fixed, each narrowed once."""
+    balls.exp_ball, log from balls._half_log_fixed, each narrowed once."""
     if f == "log":
         n, d = x.as_integer_ratio()
         mid, rad = _half_log_fixed(n, d)
-        return RealInterval(*_narrow(2 * (mid - rad), 2 * (mid + rad), -_GAMMA_PREC))
+        return RealInterval(*_narrow(2 * (mid - rad), 2 * (mid + rad), -GAMMA_PREC))
     X = _fixed(x)
-    ball = _exp_ball((X, 0, 0, -_GAMMA_PREC) if f == "exp" else (0, X, 0, -_GAMMA_PREC))
-    ends = _narrow_ball(ball, False)
+    ball = exp_ball((X, 0, 0, -GAMMA_PREC) if f == "exp" else (0, X, 0, -GAMMA_PREC))
+    ends = narrow_ball(ball, False)
     return RealInterval(*(ends[2:] if f == "sin" else ends[:2]))
 
 
@@ -295,13 +295,13 @@ def test_pi_interval_contains_pi():
 
 
 # ---------------------------------------------------------------------------
-# log_gamma: hurwitz's fixed-point ball kernel, narrowed to doubles and
+# log_gamma: the exact kernel's fixed-point ball, narrowed to doubles and
 # held to the same oracles as the interval layer
 
 
 def gamma_box(z: complex) -> ComplexBox:
-    """hurwitz.log_gamma at the exact point z, narrowed to doubles."""
-    re_lo, re_hi, im_lo, im_hi = _narrow_ball(log_gamma(z.real, z.imag), False)
+    """balls.log_gamma at the exact point z, narrowed to doubles."""
+    re_lo, re_hi, im_lo, im_hi = narrow_ball(log_gamma(z.real, z.imag), False)
     return ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
 
 
@@ -314,7 +314,7 @@ def test_log_gamma_at_one(oracle):
 
 @ORACLES
 def test_log_gamma_at_half(oracle):
-    re_lo, re_hi, im_lo, im_hi = _narrow_ball(log_gamma(Fraction(1, 2), 0), False)
+    re_lo, re_hi, im_lo, im_hi = narrow_ball(log_gamma(Fraction(1, 2), 0), False)
     lg = ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
     with mpmath.workprec(200):
         assert_contains_mp(lg.re, mpmath.log(mpmath.sqrt(mpmath.pi)))
@@ -385,7 +385,7 @@ def test_log_gamma_remainder_bound_holds_where_it_dominates(monkeypatch, z):
     # with the goal at 2^-20 only a few terms are summed, and the padded
     # remainder bound, not rounding, is what makes the result contain
     # log Gamma
-    monkeypatch.setattr(hurwitz, "_STIRLING_GOAL_BITS", 20)
+    monkeypatch.setattr(balls, "_STIRLING_GOAL_BITS", 20)
     lg = gamma_box(z)
     assert_holds_reference(lg, z)
     assert lg.re.width() > 1e-9
@@ -411,8 +411,8 @@ def test_stirling_term_count_meets_its_goal():
     # n is the fewest shifts from which some K <= the cap meets the goal
     # 2^-64 by the exact remainder bound at |w|, and K the fewest terms
     # that meet it there
-    coefs, rems, reach, _ = hurwitz._stirling_table(64)
-    cap = hurwitz._STIRLING_CAP
+    coefs, rems, reach, _ = balls._stirling_table(64)
+    cap = balls._STIRLING_CAP
     assert len(coefs) == len(rems) == len(reach) == cap
     goal = Fraction(1, 2**64)
 
@@ -423,7 +423,7 @@ def test_stirling_term_count_meets_its_goal():
     counts = []
     for x, y in [(0.25, 0.0), (0.75, 4.0), (0.25, 8.0), (3.0, 4.0), (0.75, 16.0),
                  (0.25, 22.5), (0.5, 50.0), (0.75, 150.0), (0.5, 5000.0), (0.5, 1e8)]:
-        n, K = hurwitz._stirling_plan(x, y, reach)
+        n, K = balls._stirling_plan(x, y, reach)
         at = bounds(x + n, y)
         assert at[K - 1] <= goal, (x, y)
         assert all(b > goal for b in at[: K - 1]), (x, y)
@@ -432,8 +432,8 @@ def test_stirling_term_count_meets_its_goal():
         else:
             counts.append(K)
     assert counts == sorted(counts, reverse=True)  # fewer terms as |w| grows
-    assert hurwitz._stirling_plan(0.25, 8.0, reach) == (9, 12)  # t = 16, parity 0
-    assert hurwitz._stirling_plan(0.75, 150.0, reach)[0] == 0  # t = 300
+    assert balls._stirling_plan(0.25, 8.0, reach) == (9, 12)  # t = 16, parity 0
+    assert balls._stirling_plan(0.75, 150.0, reach)[0] == 0  # t = 300
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(3, 4)])
@@ -442,7 +442,7 @@ def test_log_gamma_branch_past_pi(x, y):
     # with |y| small the kernel shifts many times, and the shift product's
     # argument wraps past +-pi: its atan2 alone is off by 2 pi k, which the
     # float sum of the factors' atans puts back
-    n, _ = hurwitz._stirling_plan(float(x), y, hurwitz._stirling_table(64)[2])
+    n, _ = balls._stirling_plan(float(x), y, balls._stirling_table(64)[2])
     args = sum(math.atan2(y, float(x) + j) for j in range(n))
     if abs(y) >= 2:
         assert abs(args) > math.pi, (x, y, n)
@@ -581,9 +581,9 @@ def test_inclusion_isotonicity(mid, rad, fname):
 
 @ORACLES
 def test_complex_exp(oracle):
-    # one hurwitz._exp_ball at the exact point 0.5 + i, narrowed once
+    # one balls.exp_ball at the exact point 0.5 + i, narrowed once
     z = ComplexBox(point(0.5), point(1.0))
-    re_lo, re_hi, im_lo, im_hi = _narrow_ball(_exp_ball((_fixed(0.5), _fixed(1.0), 0, -_GAMMA_PREC)), False)
+    re_lo, re_hi, im_lo, im_hi = narrow_ball(exp_ball((_fixed(0.5), _fixed(1.0), 0, -GAMMA_PREC)), False)
     r = ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
     with mpmath.workprec(200):
         w = mpmath.exp(mpmath.mpc(0.5, 1.0))
@@ -673,11 +673,11 @@ def _assert_adjacent_enclosure(lo: float, hi: float, v: Fraction):
 )
 def test_int_and_fraction_endpoints_round_outward(v):
     # IVec.from_ratios rounds an exact int or Fraction outward once, as
-    # _ratio_ends does
+    # ratio_ends does
     fr = Fraction(v)
     x = IVec.from_ratios(fr.numerator, fr.denominator)[()]
     _assert_adjacent_enclosure(x.lo, x.hi, fr)
-    assert (x.lo, x.hi) == _ratio_ends(fr.numerator, fr.denominator) and x.lo < x.hi
+    assert (x.lo, x.hi) == ratio_ends(fr.numerator, fr.denominator) and x.lo < x.hi
 
 
 @pytest.mark.parametrize(
@@ -689,7 +689,7 @@ def test_numpy_integer_endpoints_round_outward(v):
     # numpy integers are exact integers: IVec.from_ratios rounds them
     # outward as it does a Python int, never to nearest by float()
     exact = int(v)
-    want = _ratio_ends(exact, 1)
+    want = ratio_ends(exact, 1)
     for x in (IVec.from_ratios(v, 1)[()], IVec.from_ratios([v], np.int64(1))[0]):
         _assert_adjacent_enclosure(x.lo, x.hi, Fraction(exact))
         assert (x.lo, x.hi) == want
@@ -739,7 +739,7 @@ def _prod_is_exact_rational(a: float, b: float, p: float) -> bool:
 
 
 def _ratio_ends_integer(n: int, d: int) -> tuple[float, float]:
-    """The integer form of _ratio_ends: n 2^k / d floored to >= 54 bits, then to 53."""
+    """The integer form of ratio_ends: n 2^k / d floored to >= 54 bits, then to 53."""
     k = max(54 + d.bit_length() - abs(n).bit_length(), 0)
     return _narrow((n << k) // d, -((-n << k) // d), -k)
 
@@ -854,7 +854,7 @@ def _ratios(draw):
 @given(_ratios())
 def test_ratio_ends_agree_with_the_integer_path(nd):
     n, d = nd
-    assert _bits(_ratio_ends(n, d)) == _bits(_ratio_ends_integer(n, d)), (n, d)
+    assert _bits(ratio_ends(n, d)) == _bits(_ratio_ends_integer(n, d)), (n, d)
 
 
 _MAX_INT = int(sys.float_info.max)
@@ -881,8 +881,8 @@ _MAX_INT = int(sys.float_info.max)
     ],
 )
 def test_ratio_ends_at_the_double_range_limits(n, d):
-    assert _bits(_ratio_ends(n, d)) == _bits(_ratio_ends_integer(n, d))
-    _assert_adjacent_enclosure(*_ratio_ends(n, d), Fraction(n, d))
+    assert _bits(ratio_ends(n, d)) == _bits(_ratio_ends_integer(n, d))
+    _assert_adjacent_enclosure(*ratio_ends(n, d), Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------

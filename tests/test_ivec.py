@@ -13,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 import ivec_oracle as O
 from grhdesk import ivec
 from grhdesk.errors import DivisorContainsZero, LogDomain
-from grhdesk.interval import ComplexBox, RealInterval, _ratio_ends
+from grhdesk.balls import ratio_ends
+from grhdesk.interval import ComplexBox, RealInterval
 from grhdesk.ivec import _KA, _KT, CVec, IVec, _round, op_counter, pi_times
 
 RNG = np.random.default_rng(20260822)
@@ -66,7 +67,7 @@ def _ratio_case(dtype):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([np.int64, object]).flatmap(_ratio_case))
 def test_from_ratios_rounds_as_from_fraction(case):
-    # every entry has _ratio_ends's endpoints, the exact ratio rounded
+    # every entry has ratio_ends's endpoints, the exact ratio rounded
     # outward once, down to the sign of zero, for int64 and object arrays, with one
     # denominator for every entry or one per entry
     dtype, pairs, one_den = case
@@ -78,14 +79,14 @@ def test_from_ratios_rounds_as_from_fraction(case):
     assert v.shape == num.shape
     for i, (n, d) in enumerate(pairs):
         got = float.hex(v.lo[i]), float.hex(v.hi[i])
-        assert got == tuple(map(float.hex, _ratio_ends(n, d))), (n, d)
+        assert got == tuple(map(float.hex, ratio_ends(n, d))), (n, d)
 
 
 def test_from_ratios_routes_and_refuses(monkeypatch):
-    # int64 entries below 2^53 take the numpy pass, never _ratio_ends;
+    # int64 entries below 2^53 take the numpy pass, never ratio_ends;
     # anything else, and every object array, goes entry by entry
     calls = []
-    monkeypatch.setattr(ivec, "_ratio_ends", lambda n, d: calls.append((n, d)) or _ratio_ends(n, d))
+    monkeypatch.setattr(ivec, "ratio_ends", lambda n, d: calls.append((n, d)) or ratio_ends(n, d))
     IVec.from_ratios(np.array([2**53 - 1, -(2**53) + 1, 0]), np.array([[3], [2**53 - 1]]))
     IVec.from_ratios([5, -7], 12)
     assert calls == []
@@ -110,8 +111,8 @@ def test_pi_times_rounds_each_end_once():
         for i, r in enumerate(rs):
             r = Fraction(r)
             lo, hi = (r * pi_lo, r * pi_hi) if r >= 0 else (r * pi_hi, r * pi_lo)
-            assert v.lo[i] == _ratio_ends(lo.numerator, lo.denominator)[0], r
-            assert v.hi[i] == _ratio_ends(hi.numerator, hi.denominator)[1], r
+            assert v.lo[i] == ratio_ends(lo.numerator, lo.denominator)[0], r
+            assert v.hi[i] == ratio_ends(hi.numerator, hi.denominator)[1], r
             assert v.lo[i] <= mpmath.pi * r.numerator / r.denominator <= v.hi[i], r
     assert (v.lo[3], v.hi[3]) == (4 * math.pi, 4 * math.nextafter(math.pi, math.inf))
     assert (v.lo[2], v.hi[2]) == (-math.nextafter(math.pi, math.inf), -math.pi)

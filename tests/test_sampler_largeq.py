@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from grhdesk import characters, hurwitz, ivec, sampler_largeq
+from grhdesk import balls, characters, hurwitz, ivec, sampler_largeq
 from grhdesk.characters import char_group
 from grhdesk.dft import units_of
 from grhdesk.errors import DomainError, NotPrimitive, RealnessViolation
@@ -350,7 +350,7 @@ def test_completion_factor_carries_the_log_gamma_radius(monkeypatch, t):
     # with log_gamma's remainder goal at 2^-20 its ball is wide, and the
     # factor contains the true value only if the exponential carries that
     # radius into the modulus and the phase
-    monkeypatch.setattr(hurwitz, "_STIRLING_GOAL_BITS", 20)
+    monkeypatch.setattr(balls, "_STIRLING_GOAL_BITS", 20)
     for parity in (0, 1):
         c = completion_factor(t, parity, 7)[0]
         ref = completion_reference(t, parity, 7)
@@ -360,14 +360,14 @@ def test_completion_factor_carries_the_log_gamma_radius(monkeypatch, t):
 
 
 def _count_kernels(monkeypatch) -> dict:
-    """Count the mpmath.libmp kernel calls hurwitz makes, by name."""
+    """Count the mpmath.libmp kernel calls the exact kernel (balls) makes, by name."""
     counts = {}
     for name in ("mpf_log", "mpf_atan2", "mpf_exp", "mpf_cos_sin"):
-        def counted(*args, _f=getattr(hurwitz, name), _name=name, **kw):
+        def counted(*args, _f=getattr(balls, name), _name=name, **kw):
             counts[_name] = counts.get(_name, 0) + 1
             return _f(*args, **kw)
 
-        monkeypatch.setattr(hurwitz, name, counted)
+        monkeypatch.setattr(balls, name, counted)
     return counts
 
 
@@ -783,18 +783,18 @@ def test_warm_sample_range_runs_without_bigfloat_arithmetic(shared_cache, monkey
     # kept root numbers are emptied, so each call below computes its own.
     first = sample_range(101, (1,), T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
     monkeypatch.setattr(char_group(101), "_metas", {})
-    kernels = [(mod, name) for mod in (hurwitz, characters) for name in vars(mod) if name.startswith("mpf_")]
-    assert {name for _, name in kernels} >= {"mpf_log", "mpf_cos_sin", "mpf_pi"}
-    for mod, name in kernels:
-        monkeypatch.setattr(mod, name, _refuse)
+    kernels = [name for name in vars(balls) if name.startswith("mpf_")]
+    assert set(kernels) >= {"mpf_log", "mpf_cos_sin", "mpf_pi"}
+    for name in kernels:
+        monkeypatch.setattr(balls, name, _refuse)
     for idx in [(2,), (50,), (99,)]:
         grid = sample_range(101, idx, T_LO, T_HI, STEP, size=16, cache_dir=shared_cache)
         assert len(grid) == len(first) == 2
     # the refusal is live where the kernels are looked up
     with pytest.raises(AssertionError):
-        hurwitz._power_ball(Fraction(3), Fraction(1, 2), 1.0, 64)
+        balls.power_ball(Fraction(3), Fraction(1, 2), 1.0, 64)
     with pytest.raises(AssertionError):
-        characters._fixed_unit_powers(5, 60)
+        balls.fixed_unit_powers(5, 60)
 
 
 def test_alternating_moduli_read_their_own_tables(shared_cache):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from grhdesk import ivec, sampler_largeq, sampler_smallq
+from grhdesk.balls import ratio_ends
 from grhdesk.characters import CharGroup, char_group
 from grhdesk.errors import (
     BetaConditionViolated,
@@ -27,7 +28,6 @@ from grhdesk.errors import (
     TailDivergence,
     XConditionViolated,
 )
-from grhdesk.interval import _ratio_ends
 from grhdesk.ivec import IVec
 from grhdesk.sampler_largeq import sample_all, sample_range
 from grhdesk.sampler_smallq import (
@@ -192,7 +192,7 @@ def test_dual_value_tails_refuse_naming_q_parity_and_bin(monkeypatch, eta, parit
 def test_dual_values_refuse_a_runaway_theta_sum(monkeypatch):
     # at eta = 1 - 2^-53 default_trunc asks for 485,768,217 terms at bin 0:
     # refused before any term is summed
-    monkeypatch.setattr(sampler_smallq, "_exp_ball", _refuse)
+    monkeypatch.setattr(sampler_smallq, "exp_ball", _refuse)
     plan = FftPlan(A=Fraction(8), B=Fraction(64), eta=1 - 2**-53)
     with pytest.raises(
         TailDivergence, match=r"^485768217 theta terms for q = 7, parity 0 at bin n = 0, more than 1024$"
@@ -361,14 +361,14 @@ def test_error_budgets_make_no_scalar_product_per_bin_or_ordinate(monkeypatch, p
 
 def test_exact_ratios_past_two_to_the_53():
     # the budgets' rationals (object arrays from _shifts) round through
-    # IVec.from_ratios as through _ratio_ends, with numerators and
+    # IVec.from_ratios as through ratio_ends, with numerators and
     # denominators below and past 2^53
     for den in (12, 2**60 + 1):
         nums = np.array([[2**60 + 1, -3], [0, 7 * den]], dtype=object)
         v = IVec.from_ratios(nums, den)
         assert v.shape == (2, 2)
         for (i, j), n in np.ndenumerate(nums):
-            assert (v.lo[i, j], v.hi[i, j]) == _ratio_ends(n, den), (n, den)
+            assert (v.lo[i, j], v.hi[i, j]) == ratio_ends(n, den), (n, den)
 
 
 # ---------------------------------------------------------------------------
